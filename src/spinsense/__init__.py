@@ -9,10 +9,9 @@ from .dicke import (BlockOperator, DensityOperator, DickeSpace, Sector,
                     StateVector, build_space, coherent_state,
                     collective_operator, cumulative_degeneracy, degeneracy,
                     dicke_dimension, ghz_state, simultaneous_probe)
-from .dephasing import (CouplingCoefficients, DephasingSuperoperator,
-                        LadderFactors, NoiseKind, NoiseSpec,
+from .dephasing import (DephasingSuperoperator, NoiseKind, NoiseSpec,
                         build_dephasing_superoperator, gamma_profile,
-                        integrated_strength, local_coupling_coefficients)
+                        integrated_strength)
 from .dynamics import (EvolutionResult, FieldBasis, FieldParams,
                        HilbertComparison, coupled_multiplets, dephase,
                        embed_collective, evolve, full_gkls_reference,
@@ -32,11 +31,10 @@ from .experiments import (PowerLawFit, RefinementMeta, ScanRow, SweepConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolated", "BlockOperator", "BoundValue",
-    "CouplingCoefficients", "DegenerateProbe", "DensityOperator",
-    "DephasingSuperoperator", "DickeSpace", "EvolutionResult",
-    "ExperimentFailed", "FieldBasis", "FieldParams", "HilbertComparison",
-    "InvalidArgument", "LadderFactors", "NoiseKind", "NoiseSpec",
+    "AssumptionViolated", "BlockOperator", "BoundValue", "DegenerateProbe",
+    "DensityOperator", "DephasingSuperoperator", "DickeSpace",
+    "EvolutionResult", "ExperimentFailed", "FieldBasis", "FieldParams",
+    "HilbertComparison", "InvalidArgument", "NoiseKind", "NoiseSpec",
     "NumericalError", "PovmSet", "PowerLawFit", "QfimMatrix",
     "RefinementMeta", "ScanRow", "Scenario", "Sector", "SingularQfim",
     "SpinsenseError", "StateVector", "SweepConfig", "SweepResult",
@@ -47,7 +45,6 @@ __all__ = [
     "fit_power_law", "full_gkls_reference", "full_hilbert_reference",
     "gamma_profile", "generator_operator", "ghz_state", "hamiltonian",
     "husimi_grid", "husimi_map", "husimi_normalization",
-    "integrated_strength", "local_coupling_coefficients", "partial_rho",
-    "qfim", "scan_particles", "simultaneous_probe", "state_fidelity",
-    "sweep_time", "unitary",
+    "integrated_strength", "partial_rho", "qfim", "scan_particles",
+    "simultaneous_probe", "state_fidelity", "sweep_time", "unitary",
 ]

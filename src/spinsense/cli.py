@@ -33,11 +33,9 @@ from .dynamics import (FieldBasis, FieldParams, evolve, full_gkls_reference,
                        full_hilbert_reference)
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim)
-from .experiments import (SweepConfig, SweepScenario, TimeGrid, fit_power_law,
-                          husimi_grid, husimi_map, scan_particles, sweep_time)
-
-_DEFAULT_PHI = (0.01, 0.01, 0.01)
-_DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
+from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
+                          SweepScenario, TimeGrid, fit_power_law, husimi_grid,
+                          husimi_map, scan_particles, sweep_time)
 
 _PROBES = ("ghz-x", "ghz-y", "ghz-z", "sim")
 
@@ -116,7 +114,7 @@ _OPTIONS = {
     "t-total": dict(flag="--t-total", help="total time budget T", coerce=float,
                     default=100.0, kwargs=dict(type=float, metavar="T")),
     "phi": dict(flag="--phi", help="field components x,y,z", coerce=_triple,
-                default=_DEFAULT_PHI, kwargs=dict(type=_triple, metavar="X,Y,Z")),
+                default=_DEFAULT_FIELD, kwargs=dict(type=_triple, metavar="X,Y,Z")),
     "axis": dict(flag="--axis", help="noise axis x,y,z (norm 2)", coerce=_triple,
                  default=_DEFAULT_AXIS, kwargs=dict(type=_triple, metavar="X,Y,Z")),
     "t-grid": dict(flag="--t-grid", help="shot-duration grid count,min,max",
@@ -147,8 +145,6 @@ _OPTIONS = {
                    default=None, kwargs=dict(choices=["csv", "json"])),
     "workers": dict(flag="--workers", help="worker process cap", coerce=int,
                     default=None, kwargs=dict(type=int, metavar="K")),
-    "seed": dict(flag="--seed", help="reserved; computation is deterministic",
-                 coerce=int, default=None, kwargs=dict(type=int, metavar="S")),
     "verbose": dict(flag="--verbose", help="progress notes on stderr",
                     coerce=int, default=0, kwargs=dict(action="count", default=None)),
 }
@@ -157,13 +153,13 @@ _OPTIONS = {
 _COMMANDS = {
     "space-info": ("n", "out", "format", "verbose"),
     "evolve": ("n", "gamma", "kind", "phi", "axis", "t", "probe",
-               "allow-nonparallel", "seed", "out", "format", "verbose"),
+               "allow-nonparallel", "out", "format", "verbose"),
     "sweep-time": ("n", "gamma", "kind", "scenario", "t-total", "phi", "axis",
-                   "t-grid", "workers", "seed", "out", "format", "verbose"),
+                   "t-grid", "workers", "out", "format", "verbose"),
     "scan-n": ("n-list", "gamma", "kind", "scenario", "t-total", "phi", "axis",
-               "t-grid", "workers", "seed", "out", "format", "verbose"),
+               "t-grid", "workers", "out", "format", "verbose"),
     "fit": ("in", "column", "n-min", "out", "format", "verbose"),
-    "husimi": ("n", "probe", "grid", "seed", "out", "format", "verbose"),
+    "husimi": ("n", "probe", "grid", "out", "format", "verbose"),
     "verify": ("n", "out", "verbose"),
 }
 
@@ -635,7 +631,7 @@ def _check_superoperator(n):
 def _check_split_vs_joint(n):
     space = build_space(n)
     spec = NoiseSpec(kind=NoiseKind.MARKOVIAN, gamma=0.05, axis=_DEFAULT_AXIS)
-    field = FieldParams(_DEFAULT_PHI)
+    field = FieldParams(_DEFAULT_FIELD)
     rho0 = ghz_state(space, "z").projector()
     fast = evolve(rho0, field, spec, 2.0).rho.matrix
     slow = full_gkls_reference(rho0, field, spec, 2.0).matrix
@@ -645,7 +641,7 @@ def _check_split_vs_joint(n):
 
 def _check_product_space(n):
     space = build_space(n)
-    field = FieldParams(_DEFAULT_PHI)
+    field = FieldParams(_DEFAULT_FIELD)
     worst = 0.0
     for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
         spec = NoiseSpec(kind=kind, gamma=0.05, axis=_DEFAULT_AXIS)

@@ -11,10 +11,17 @@ The generator used everywhere downstream is rate-free,
     L[rho] = 2 * (sum_n a_n rho a_n - N rho),
 
 so that the physical evolution is d rho / d Theta = L[rho] where Theta(t)
-is the integrated dephasing strength of the chosen noise profile. The
-decomposition of a into ladder operators yields, per source element
-|j, m><j, m'|, at most 27 target couplings: a destination sector shift in
-{0, -1, +1} combined with a ladder action {+, -, z} on each side.
+is the integrated dephasing strength of the chosen noise profile.
+
+Local dephasing is covariant under collective rotations: with U the
+collective rotation that carries J_z onto axis . J / 2, L[X] =
+U L_z[U^dag X U] U^dag. Along z the generator keeps m and m' fixed and only
+moves weight between neighbouring j, so L_z splits into independent real
+tridiagonal chains, one per (m, m'), over j = N/2, N/2 - 1, ... down to
+max(|m|, |m'|). A diagonal similarity makes each chain symmetric, and one
+eigendecomposition per chain gives exp(Theta L) exactly at any Theta
+(Chase & Geremia, PRA 78, 052101 (2008); Shammah et al., PRA 98, 063815
+(2018)).
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .dicke import DickeSpace
-from .errors import InvalidArgument
+from .dicke import BlockOperator, DickeSpace
+from .errors import InvalidArgument, NumericalError
 
 
 class NoiseKind(str, enum.Enum):
@@ -100,69 +106,6 @@ def integrated_strength(spec, t):
     return 0.0
 
 
-# ---------------------------------------------------------------------------
-# Ladder factors for one sector shift
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LadderFactors:
-    """Matrix-element factors for raising, lowering and diagonal action."""
-
-    plus: float
-    minus: float
-    z: float
-
-    def get(self, key):
-        return {"plus": self.plus, "minus": self.minus, "z": self.z}[key]
-
-
-def _stay_factors(j, m):
-    """Factors for targets inside the same sector (spin-j ladder elements)."""
-    return LadderFactors(
-        plus=np.sqrt((j - m) * (j + m + 1.0)),
-        minus=np.sqrt((j + m) * (j - m + 1.0)),
-        z=m,
-    )
-
-
-def _drop_factors(j, m):
-    """Factors for targets in the sector below, j -> j - 1."""
-    return LadderFactors(
-        plus=np.sqrt((j - m) * (j - m - 1.0)),
-        minus=-np.sqrt((j + m) * (j + m - 1.0)),
-        z=np.sqrt((j + m) * (j - m)),
-    )
-
-
-def _lift_factors(j, m):
-    """Factors for targets in the sector above, j -> j + 1."""
-    return LadderFactors(
-        plus=-np.sqrt((j + m + 1.0) * (j + m + 2.0)),
-        minus=np.sqrt((j - m + 1.0) * (j - m + 2.0)),
-        z=np.sqrt((j + m + 1.0) * (j - m + 1.0)),
-    )
-
-
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """All ladder factors and sector weights for one source element |j,m><j,m'|.
-
-    stay_* feed targets in the same sector, drop_* the sector below, lift_*
-    the sector above; *_ket evaluates at m, *_bra at m'. The lambda weights
-    collect the multiplicity bookkeeping of the three destinations.
-    """
-
-    stay_ket: LadderFactors
-    stay_bra: LadderFactors
-    drop_ket: LadderFactors
-    drop_bra: LadderFactors
-    lift_ket: LadderFactors
-    lift_bra: LadderFactors
-    lambda_stay: float
-    lambda_drop: float
-    lambda_lift: float
-
-
 def _lambda_weights(n, j):
     """Sector weights; the j = 0 singular cases are defined as 0 because every
     ladder factor vanishes there as well."""
@@ -177,142 +120,133 @@ def _lambda_weights(n, j):
     return lam_stay, lam_drop, lam_lift
 
 
-def local_coupling_coefficients(n_particles, j, m, m_bra):
-    """Coefficient bundle for the source element |j, m><j, m_bra|.
+@dataclass(frozen=True, eq=False)
+class ChainBatch:
+    """All z-frame chains of one length L, stacked along the first axis.
 
-    Validates that (j, m, m_bra) is a legal source for N particles and
-    returns exact-formula ladder factors for the three destination sectors
-    together with the lambda weights.
+    Chain c holds the elements |j, m_c><j, m'_c| for L values of j, descending
+    from N/2; indices[c] are their flat row-major positions in a d x d matrix.
+    generator[c] is the real tridiagonal L_z restricted to the chain (row =
+    target). With S = diag(scale[c]), S generator[c] S^-1 is symmetric and
+    equals vectors[c] diag(rates[c]) vectors[c]^T.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise InvalidArgument(f"n_particles must be positive, got {n_particles}")
-    twoj = int(round(2.0 * j))
-    twom = int(round(2.0 * m))
-    twomb = int(round(2.0 * m_bra))
-    if abs(2.0 * j - twoj) > 1e-9 or abs(2.0 * m - twom) > 1e-9 or abs(2.0 * m_bra - twomb) > 1e-9:
-        raise InvalidArgument("j, m, m_bra must be integer or half-integer")
-    if twoj < 0 or twoj > n or (n - twoj) % 2:
-        raise InvalidArgument(f"j={j} is not a sector of N={n}")
-    for label, tm in (("m", twom), ("m_bra", twomb)):
-        if abs(tm) > twoj or (twoj - tm) % 2:
-            raise InvalidArgument(f"{label} is out of range for j={j}")
-    jf, mf, mbf = twoj / 2.0, twom / 2.0, twomb / 2.0
-    lam_stay, lam_drop, lam_lift = _lambda_weights(n, jf)
-    return CouplingCoefficients(
-        stay_ket=_stay_factors(jf, mf), stay_bra=_stay_factors(jf, mbf),
-        drop_ket=_drop_factors(jf, mf), drop_bra=_drop_factors(jf, mbf),
-        lift_ket=_lift_factors(jf, mf), lift_bra=_lift_factors(jf, mbf),
-        lambda_stay=lam_stay, lambda_drop=lam_drop, lambda_lift=lam_lift,
-    )
+
+    indices: np.ndarray
+    generator: np.ndarray
+    scale: np.ndarray
+    vectors: np.ndarray
+    rates: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# Superoperator assembly
-# ---------------------------------------------------------------------------
-
-# Deterministic channel order: sector shift outer, then (ket, bra) ladder pair.
-_SHIFTS = ((0, "stay"), (-2, "drop"), (2, "lift"))
-_LADDERS = ("plus", "minus", "z")
-_DELTA = {"plus": 2, "minus": -2, "z": 0}
-_FLIP = {"plus": "minus", "minus": "plus", "z": "z"}
+def _chain_batch(space, length, lam):
+    """Chains of the given length: those with max(|2m|, |2m'|) = N - 2(L-1)."""
+    n = space.n_particles
+    d = space.total_dim
+    top = n - 2 * (length - 1)
+    pairs = np.array([(a, b) for a in range(n, -n - 2, -2) for b in range(n, -n - 2, -2)
+                      if max(abs(a), abs(b)) == top])
+    twom, twomb = pairs[:, :1], pairs[:, 1:]
+    sectors = space.sectors[:length]
+    twoj = np.array([s.twoj for s in sectors])
+    offset = np.array([s.offset for s in sectors])
+    rows = offset + (twoj - twom) // 2
+    cols = offset + (twoj - twomb) // 2
+    j, m, mb = twoj / 2.0, twom / 2.0, twomb / 2.0
+    lam_stay, lam_drop, lam_lift = lam[:length].T
+    diag = 8.0 * lam_stay * m * mb - 2.0 * n
+    # j -> j - 1 from column a to row a + 1; j -> j + 1 from column a to row a - 1.
+    drop = (8.0 * lam_drop * np.sqrt((j + m) * (j - m) * (j + mb) * (j - mb)))[:, :-1]
+    lift = (8.0 * lam_lift * np.sqrt(
+        (j + m + 1.0) * (j - m + 1.0) * (j + mb + 1.0) * (j - mb + 1.0)))[:, 1:]
+    idx = np.arange(length)
+    generator = np.zeros((len(pairs), length, length))
+    generator[:, idx, idx] = diag
+    generator[:, idx[1:], idx[:-1]] = drop
+    generator[:, idx[:-1], idx[1:]] = lift
+    # Every drop/lift pair is positive, so s_a = s_{a-1} sqrt(lift/drop)
+    # symmetrises the chain; its off-diagonal becomes sqrt(lift * drop).
+    scale = np.cumprod(np.concatenate(
+        [np.ones((len(pairs), 1)), np.sqrt(lift / drop)], axis=1), axis=1)
+    symmetric = generator.copy()
+    symmetric[:, idx[1:], idx[:-1]] = symmetric[:, idx[:-1], idx[1:]] = np.sqrt(lift * drop)
+    rates, vectors = np.linalg.eigh(symmetric)
+    return ChainBatch(indices=rows * d + cols, generator=generator, scale=scale,
+                      vectors=vectors, rates=rates)
 
 
 @dataclass(frozen=True, eq=False)
 class DephasingSuperoperator:
-    """Rate-free dephasing generator on vectorized block-diagonal states.
+    """Rate-free dephasing generator, held in the frame of its noise axis.
 
-    matrix acts on row-major vectorized d x d matrices. The coupling list is
-    kept in assembly order for structural inspection: source and target are
-    (2j, 2m, 2m') integer triples.
+    rotation is the collective rotation U with U J_z U^dag = axis . J / 2;
+    chains holds the z-frame generator as one ChainBatch per chain length.
+    Entries of a state between different sectors lie outside the collective
+    representation: L maps them to zero and exp(Theta L) leaves them as they
+    are.
     """
 
     space: DickeSpace
-    matrix: sparse.csr_matrix
-    sources: np.ndarray
-    targets: np.ndarray
-    values: np.ndarray
+    rotation: BlockOperator
+    chains: tuple
 
     @property
     def nnz(self):
-        return len(self.values)
+        """Nonzero couplings of the z-frame generator."""
+        return sum(int(np.count_nonzero(b.generator)) for b in self.chains)
 
     def apply(self, rho_matrix):
         """L[rho] for a dense d x d matrix."""
+        return self._through_chains(rho_matrix, np.zeros_like, lambda b, v: np.einsum(
+            "cab,cb->ca", b.generator, v))
+
+    def propagate(self, rho_matrix, theta):
+        """exp(theta L)[rho] for a dense d x d matrix, exact at any theta >= 0.
+
+        Rounding in the chain eigenvectors is amplified by the spread of the
+        symmetrising similarity, which grows like the square root of the
+        sector multiplicities. Where it could exceed 1e-9 (N >= 50) this
+        raises NumericalError.
+        """
+        spread = max(float(np.max(b.scale.max(axis=1) / b.scale.min(axis=1)))
+                     for b in self.chains)
+        if np.finfo(float).eps * spread > 1e-9:
+            raise NumericalError(
+                f"chain similarity spread {spread:.2e} at N={self.space.n_particles} "
+                "puts the dephasing propagator error above 1e-9")
+
+        def chain_exp(b, v):
+            coef = np.einsum("cba,cb->ca", b.vectors, b.scale * v) * np.exp(theta * b.rates)
+            return np.einsum("cab,cb->ca", b.vectors, coef) / b.scale
+        return self._through_chains(rho_matrix, np.copy, chain_exp)
+
+    def _through_chains(self, rho_matrix, start, chain_map):
+        """U chain_map[U^dag rho U] U^dag; start(frame) sets the entries off the chains."""
         d = self.space.total_dim
-        return (self.matrix @ rho_matrix.reshape(d * d)).reshape(d, d)
+        frame = self.rotation.dagger().sandwich(rho_matrix).reshape(d * d)
+        out = start(frame)
+        for batch in self.chains:
+            out[batch.indices] = chain_map(batch, frame[batch.indices])
+        return self.rotation.sandwich(out.reshape(d, d))
 
 
 def build_dephasing_superoperator(space, spec):
-    """Assemble the rate-free dephasing generator for the given noise axis.
+    """Build the rate-free dephasing generator for the given noise axis.
 
-    Iterates over source elements sector-major (j descending, then m, then
-    m' descending) and emits the nonzero couplings channel by channel in a
-    fixed order, so repeated builds are identical.
+    The rotation is exp(-i beta k . J) with k along z x axis (x when the axis
+    is along +-z) and beta the polar angle of the axis. The chains and their
+    spectra depend only on N; the build is deterministic.
     """
+    # dynamics imports this module, so its field machinery is imported here.
+    from .dynamics import FieldBasis, FieldParams
     if not isinstance(space, DickeSpace):
         raise InvalidArgument("space must be a DickeSpace")
+    nx, ny, nz = (c / 2.0 for c in spec.axis)
+    sin_beta = float(np.hypot(nx, ny))
+    k = (-ny / sin_beta, nx / sin_beta, 0.0) if sin_beta > 0.0 else (1.0, 0.0, 0.0)
+    beta = float(np.arctan2(sin_beta, nz))
+    rotation = FieldBasis(space, FieldParams(tuple(beta * c for c in k))).unitary(1.0)
     n = space.n_particles
-    w = spec.ladder_weight
-    # Scalar weight of the J_ket rho J_bra term in a rho a.
-    amp = {"plus": np.conj(w), "minus": w, "z": complex(spec.axis[2])}
-    scalar = {(k, l): amp[k] * amp[_FLIP[l]] for k in _LADDERS for l in _LADDERS}
-
-    sector_of = {s.twoj: s for s in space.sectors}
-    d = space.total_dim
-    rows, cols, vals = [], [], []
-    sources, targets = [], []
-
-    for sec in space.sectors:
-        twoj = sec.twoj
-        j = twoj / 2.0
-        lam = dict(zip(("stay", "drop", "lift"), _lambda_weights(n, j)))
-        factors = {"stay": _stay_factors, "drop": _drop_factors, "lift": _lift_factors}
-        for twom in range(twoj, -twoj - 2, -2):
-            m = twom / 2.0
-            src_row = sec.offset + (twoj - twom) // 2
-            for twomb in range(twoj, -twoj - 2, -2):
-                mb = twomb / 2.0
-                src_col = sec.offset + (twoj - twomb) // 2
-                src_vec = src_row * d + src_col
-                for shift, name in _SHIFTS:
-                    twojt = twoj + shift
-                    tgt_sec = sector_of.get(twojt)
-                    ket = factors[name](j, m)
-                    bra = factors[name](j, mb)
-                    for k in _LADDERS:
-                        fk = ket.get(k)
-                        for l in _LADDERS:
-                            coeff = 2.0 * scalar[(k, l)] * fk * bra.get(l) * lam[name]
-                            if name == "stay" and k == "z" and l == "z":
-                                coeff = coeff - 2.0 * n
-                            if coeff == 0.0:
-                                continue
-                            twomt = twom + _DELTA[k]
-                            twombt = twomb + _DELTA[l]
-                            if tgt_sec is None or abs(twomt) > twojt or abs(twombt) > twojt:
-                                # All ladder factors vanish outside the target
-                                # sector; a nonzero here is an assembly bug.
-                                if abs(coeff) > 1e-12:
-                                    raise InvalidArgument(
-                                        "nonzero coupling to an invalid target")
-                                continue
-                            tgt_row = tgt_sec.offset + (twojt - twomt) // 2
-                            tgt_col = tgt_sec.offset + (twojt - twombt) // 2
-                            rows.append(tgt_row * d + tgt_col)
-                            cols.append(src_vec)
-                            vals.append(coeff)
-                            sources.append((twoj, twom, twomb))
-                            targets.append((twojt, twomt, twombt))
-
-    matrix = sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(d * d, d * d))
-    return DephasingSuperoperator(
-        space=space,
-        matrix=matrix,
-        sources=np.asarray(sources, dtype=np.int64),
-        targets=np.asarray(targets, dtype=np.int64),
-        values=np.asarray(vals, dtype=complex),
-    )
+    lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
+    chains = tuple(_chain_batch(space, length, lam)
+                   for length in range(1, len(space.sectors) + 1))
+    return DephasingSuperoperator(space=space, rotation=rotation, chains=chains)

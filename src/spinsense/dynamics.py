@@ -3,9 +3,10 @@
 When the field direction is parallel to the dephasing axis the Hamiltonian
 commutes with the dissipator, so the propagation splits exactly into a
 dephasing stage in the integrated-strength variable Theta followed by the
-unitary rotation. evolve() implements that split and refuses (or, on explicit
-request, falls back to a joint reference integration) when the assumption
-does not hold.
+unitary rotation. The dephasing stage is the exact semigroup exp(Theta L),
+evaluated from the chain spectra of the dephasing generator. evolve()
+implements that split and refuses (or, on explicit request, falls back to a
+joint reference integration) when the assumption does not hold.
 
 Two brute-force oracles back the fast path: a joint integration of the same
 block-diagonal master equation in real time, and an integration in the full
@@ -134,59 +135,16 @@ def unitary(space, field, t):
     return FieldBasis(space, field).unitary(t)
 
 
-# ---------------------------------------------------------------------------
-# Fixed-step semigroup integration in Theta
-# ---------------------------------------------------------------------------
-
-_BASE_STEP = 0.01
-_RICHARDSON_TOL = 1e-9
-_MAX_HALVINGS = 12
-
-
-def _rk4_linear(matvec, vec, span, nsteps):
-    """Classical fixed-step RK4 for the autonomous linear system v' = L v."""
-    h = span / nsteps
-    v = vec
-    for _ in range(nsteps):
-        k1 = matvec(v)
-        k2 = matvec(v + (0.5 * h) * k1)
-        k3 = matvec(v + (0.5 * h) * k2)
-        k4 = matvec(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
-
-
-def _advance_semigroup(matvec, vec, span):
-    """Integrate v' = L v over span, halving the step until two successive
-    resolutions agree below the Richardson tolerance."""
-    if span == 0.0:
-        return vec
-    nsteps = max(1, math.ceil(span / _BASE_STEP))
-    coarse = _rk4_linear(matvec, vec, span, nsteps)
-    for _ in range(_MAX_HALVINGS):
-        nsteps *= 2
-        fine = _rk4_linear(matvec, vec, span, nsteps)
-        if float(np.max(np.abs(fine - coarse))) < _RICHARDSON_TOL:
-            return fine
-        coarse = fine
-    raise NumericalError(
-        f"dephasing integration did not converge below {_RICHARDSON_TOL} "
-        f"over span {span}")
-
-
 def dephase(rho0, superoperator, spec, t):
     """Apply the dephasing semigroup for duration t of the given noise profile.
 
-    Integrates d rho / d Theta = L[rho] up to Theta(t) with step-halving
-    verification. Positivity drift below -1e-6 raises NumericalError.
+    Evaluates exp(Theta(t) L)[rho0] exactly through the chain spectra of the
+    superoperator. Positivity drift below -1e-6 raises NumericalError.
     """
     theta = integrated_strength(spec, t)
     if theta == 0.0:
         return DensityOperator(rho0.space, rho0.matrix.copy())
-    d = rho0.space.total_dim
-    vec = rho0.matrix.reshape(d * d)
-    out = _advance_semigroup(superoperator.matrix.dot, vec, theta)
-    mat = out.reshape(d, d)
+    mat = superoperator.propagate(rho0.matrix, theta)
     # The generator preserves Hermiticity exactly; symmetrize rounding noise.
     mat = (mat + mat.conj().T) / 2.0
     if np.linalg.eigvalsh(mat).min() < -1e-6:
@@ -309,12 +267,29 @@ def _integrate_doubling(rhs, y0, t, initial_steps):
     raise NumericalError("reference integration did not converge to 1e-10")
 
 
+def _noise_frame_matrix(superoperator):
+    """The z-frame generator as a CSR matrix on row-major vectorized d x d
+    matrices, assembled from the chains."""
+    d = superoperator.space.total_dim
+    rows, cols, vals = [], [], []
+    for batch in superoperator.chains:
+        c, a, b = np.nonzero(batch.generator)
+        rows.append(batch.indices[c, a])
+        cols.append(batch.indices[c, b])
+        vals.append(batch.generator[c, a, b])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d * d, d * d))
+
+
 def full_gkls_reference(rho0, field, spec, t):
     """Joint real-time integration of unitary plus dephasing dynamics.
 
     Makes no use of the parallel-axis split: the time-dependent rate
-    gamma_t multiplies the rate-free generator at every step. Intended as a
-    cross-check at moderate dimension (d <= 400).
+    gamma_t multiplies the rate-free generator at every step. The state is
+    integrated in the noise frame, where the generator is one sparse matrix
+    assembled from the dephasing chains. Intended as a cross-check at
+    moderate dimension (d <= 400).
     """
     if t < 0.0 or not np.isfinite(t):
         raise InvalidArgument(f"t must be finite and >= 0, got {t}")
@@ -324,8 +299,10 @@ def full_gkls_reference(rho0, field, spec, t):
         raise InvalidArgument(f"reference integrator limited to d <= 400, got {d}")
     if t == 0.0:
         return DensityOperator(space, rho0.matrix.copy())
-    ham = hamiltonian(space, field).to_dense()
-    lmat = build_dephasing_superoperator(space, spec).matrix
+    lsup = build_dephasing_superoperator(space, spec)
+    frame = lsup.rotation
+    ham = frame.dagger().sandwich(hamiltonian(space, field).to_dense())
+    lmat = _noise_frame_matrix(lsup)
 
     def rhs(u, y):
         rho = y.reshape(d, d)
@@ -337,8 +314,8 @@ def full_gkls_reference(rho0, field, spec, t):
 
     initial = max(8, math.ceil(t * (field.norm + 1.0) / 0.05),
                   math.ceil(integrated_strength(spec, t) / 0.05))
-    y = _integrate_doubling(rhs, rho0.matrix.reshape(d * d), t, initial)
-    mat = y.reshape(d, d)
+    y0 = frame.dagger().sandwich(rho0.matrix).reshape(d * d)
+    mat = frame.sandwich(_integrate_doubling(rhs, y0, t, initial).reshape(d, d))
     mat = (mat + mat.conj().T) / 2.0
     return DensityOperator(space, mat)
 

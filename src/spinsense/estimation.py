@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DensityOperator
-from .dynamics import FieldBasis
+from .dynamics import _AXES, FieldBasis
 from .errors import AssumptionViolated, InvalidArgument, SingularQfim
-
-_AXES = ("x", "y", "z")
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
 _QFIM_EPS = 1e-12

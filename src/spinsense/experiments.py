@@ -5,9 +5,9 @@ A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
 single-parameter bounds for the individual strategy. The sweep walks a
-logarithmic time grid, reusing one dephasing trajectory incrementally in
-the integrated-strength variable, then narrows around the first dip of the
-curve and refines the optimum with a parabola in log-log coordinates.
+logarithmic time grid, dephasing the probe exactly to the integrated
+strength Theta(t) of each grid time, then narrows around the first dip of
+the curve and refines the optimum with a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import numpy as np
 from .dicke import build_space, ghz_state, simultaneous_probe
 from .dephasing import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
                         integrated_strength)
-from .dynamics import FieldBasis, FieldParams, _advance_semigroup
+from .dynamics import _AXES, FieldBasis, FieldParams
 from .errors import ExperimentFailed, InvalidArgument, SingularQfim
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, bound_individual,
                          bound_simultaneous)
-
-_AXES = ("x", "y", "z")
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
@@ -128,26 +126,19 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _qfim_grid(space, basis, superoperator, spec, probe, times):
+def _qfim_grid(basis, superoperator, spec, probe, times):
     """QFIM at every grid time for one probe state.
 
-    The dephased state is marched forward between consecutive grid points in
-    the Theta variable (the grid is ascending, so increments are nonnegative)
-    and rotated/differentiated independently at each stop.
+    The probe is dephased straight to Theta(t) at each grid time, then
+    rotated and differentiated there.
     """
-    d = space.total_dim
     rho0 = np.outer(probe.amplitudes, probe.amplitudes.conj())
-    vec = rho0.reshape(d * d)
-    theta_prev = 0.0
-    matvec = superoperator.matrix.dot if superoperator is not None else None
     out = []
     for t in times:
-        theta = integrated_strength(spec, t)
-        if matvec is not None and theta > theta_prev:
-            vec = _advance_semigroup(matvec, vec, theta - theta_prev)
-            theta_prev = theta
-        rho_deph = vec.reshape(d, d)
-        rho_deph = (rho_deph + rho_deph.conj().T) / 2.0
+        rho_deph = rho0
+        if superoperator is not None:
+            rho_deph = superoperator.propagate(rho0, integrated_strength(spec, t))
+            rho_deph = (rho_deph + rho_deph.conj().T) / 2.0
         u = basis.unitary(t)
         rho_t = u.sandwich(rho_deph)
         partials = []
@@ -160,24 +151,28 @@ def _qfim_grid(space, basis, superoperator, spec, probe, times):
 
 
 def _bounds_on_grid(config, space, basis, superoperator, spec, times):
-    """Total-variance bound I(t) on the grid; singular points come back NaN."""
+    """Total-variance bound I(t) on the grid; singular points come back NaN.
+
+    An invalid (non-symmetric or indefinite) QFIM is a numerical fault and
+    raises InvalidArgument.
+    """
     total = config.total_time
     values = np.full(len(times), np.nan)
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probe = simultaneous_probe(space)
-        entries = _qfim_grid(space, basis, superoperator, spec, probe, times)
+        entries = _qfim_grid(basis, superoperator, spec, probe, times)
         for i, (t, q) in enumerate(zip(times, entries)):
+            qm = QfimMatrix(entries=q, t=t, n_particles=space.n_particles,
+                            scenario=Scenario.SIMULTANEOUS)
             try:
-                qm = QfimMatrix(entries=q, t=t, n_particles=space.n_particles,
-                                scenario=Scenario.SIMULTANEOUS)
                 values[i] = bound_simultaneous(qm, total / t).value
-            except (SingularQfim, InvalidArgument):
+            except SingularQfim:
                 continue
     else:
         diagonals = np.full((3, len(times)), np.nan)
         for k, axis in enumerate(_AXES):
             probe = ghz_state(space, axis)
-            entries = _qfim_grid(space, basis, superoperator, spec, probe, times)
+            entries = _qfim_grid(basis, superoperator, spec, probe, times)
             diagonals[k] = [q[k, k] for q in entries]
         for i, t in enumerate(times):
             try:

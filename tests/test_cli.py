@@ -88,6 +88,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "space-info", "--config", str(cfg))
     assert code == 2
     assert "bogus" in err
+    # seed was a no-op option and is no longer a config key
+    cfg.write_text(json.dumps({"n": 3, "t": 0.5, "seed": 0}))
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg))
+    assert code == 2
+    assert "seed" in err
 
 
 def test_flags_override_config_file(tmp_path, capsys):

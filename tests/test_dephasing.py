@@ -1,17 +1,23 @@
 """Noise profiles and the rate-free dephasing generator."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, build_space,
-                       build_dephasing_superoperator, gamma_profile,
-                       hamiltonian, integrated_strength,
-                       local_coupling_coefficients, FieldParams)
+from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
+                       build_space, build_dephasing_superoperator,
+                       coupled_multiplets, embed_collective, gamma_profile,
+                       hamiltonian, integrated_strength, simultaneous_probe,
+                       FieldParams)
+from spinsense.dynamics import _PAULI, _site_operator
 
 AXIS_Z = (0.0, 0.0, 2.0)
 AXIS_DIAG = (2.0 / math.sqrt(3.0),) * 3
+AXIS_TILT = tuple(2.0 * c / math.sqrt(0.6 ** 2 + 1.2 ** 2 + 1.5 ** 2)
+                  for c in (0.6, -1.2, 1.5))
 
 
 def random_hermitian(rng, d):
@@ -63,27 +69,6 @@ def test_spec_validation_and_normalization():
     assert abs(w - (AXIS_DIAG[0] + 1j * AXIS_DIAG[1]) / 2.0) < 1e-12
 
 
-def test_coupling_factor_identities():
-    # diagonal stay factor is m itself, the drop z-factor vanishes at m = j,
-    # and the top sector has no upward weight
-    for n, j in ((4, 2.0), (5, 1.5), (6, 1.0)):
-        for m in np.arange(j, -j - 1.0, -1.0):
-            c = local_coupling_coefficients(n, j, m, m)
-            assert c.stay_ket.z == m
-    top = local_coupling_coefficients(6, 3.0, 3.0, 1.0)
-    assert top.drop_ket.z == 0.0
-    assert local_coupling_coefficients(4, 2.0, 1.0, 0.0).lambda_lift == 0.0
-
-
-def test_coupling_rejects_out_of_range():
-    with pytest.raises(InvalidArgument):
-        local_coupling_coefficients(4, 3.0, 0.0, 0.0)   # j > N/2
-    with pytest.raises(InvalidArgument):
-        local_coupling_coefficients(4, 1.5, 0.5, 0.5)   # parity mismatch
-    with pytest.raises(InvalidArgument):
-        local_coupling_coefficients(4, 1.0, 2.0, 0.0)   # |m| > j
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_trace_and_hermiticity_preserved(n):
     space = build_space(n)
@@ -103,33 +88,111 @@ def test_trace_and_hermiticity_preserved(n):
 
 
 def test_band_structure_and_sparsity():
+    # each noise-frame chain holds one (m, m') and couples only neighbouring
+    # j; together the chains cover every block-diagonal element once, and no
+    # chain rate is positive
     for n in (3, 4, 6):
         space = build_space(n)
+        d = space.total_dim
         lsup = build_dephasing_superoperator(
             space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-        dj = np.abs(lsup.targets[:, 0] - lsup.sources[:, 0])
-        dm = np.abs(lsup.targets[:, 1] - lsup.sources[:, 1])
-        dmb = np.abs(lsup.targets[:, 2] - lsup.sources[:, 2])
-        assert dj.max() <= 2          # 2j moves by at most one sector
-        assert dm.max() <= 2 and dmb.max() <= 2
-        # at most 27 couplings per source element (3 shifts x 3 x 3 ladders)
-        _, counts = np.unique(lsup.sources, axis=0, return_counts=True)
-        assert counts.max() <= 27
-        assert lsup.nnz <= 27 * space.total_dim ** 2
+        label = [(s.twoj, twom) for s in space.sectors
+                 for twom in range(s.twoj, -s.twoj - 2, -2)]
+        covered = []
+        for batch in lsup.chains:
+            length = batch.indices.shape[1]
+            steps = np.arange(length)
+            far = np.abs(steps[:, None] - steps[None, :]) > 1
+            assert np.all(batch.generator[:, far] == 0.0)
+            assert batch.rates.max() <= 1e-12
+            for chain in batch.indices:
+                kets = [label[i // d] for i in chain]
+                bras = [label[i % d] for i in chain]
+                assert [k[0] for k in kets] == [b[0] for b in bras] \
+                    == list(range(n, n - 2 * length, -2))
+                assert len({k[1] for k in kets}) == 1 and len({b[1] for b in bras}) == 1
+            covered.extend(batch.indices.ravel().tolist())
+        block_diagonal = [r * d + c for s in space.sectors
+                          for r in range(s.offset, s.offset + s.dim)
+                          for c in range(s.offset, s.offset + s.dim)]
+        assert sorted(covered) == block_diagonal
+        assert lsup.nnz <= 3 * len(block_diagonal)
+
+
+def _dense_generator(lsup):
+    d = lsup.space.total_dim
+    units = np.eye(d * d).reshape(d * d, d, d)
+    return np.column_stack([lsup.apply(e).ravel() for e in units])
 
 
 def test_axis_isotropy_of_spectrum():
     # the generator is built from identical per-site channels, so rotating
-    # the axis is a similarity transform and cannot move the spectrum
+    # the axis is a similarity transform and cannot move the spectrum; it is
+    # the chain spectrum, plus zeros for the entries between sectors
     for n in (3, 4):
         space = build_space(n)
-        spec_z = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z)
-        spec_d = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG)
-        ev_z = np.sort_complex(np.linalg.eigvals(
-            build_dephasing_superoperator(space, spec_z).matrix.toarray()))
-        ev_d = np.sort_complex(np.linalg.eigvals(
-            build_dephasing_superoperator(space, spec_d).matrix.toarray()))
-        assert np.max(np.abs(ev_z - ev_d)) < 1e-8
+        spectra = []
+        for axis in (AXIS_Z, AXIS_DIAG):
+            lsup = build_dephasing_superoperator(
+                space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
+            spectra.append(np.sort_complex(np.linalg.eigvals(_dense_generator(lsup))))
+        rates = np.concatenate([b.rates.ravel() for b in lsup.chains])
+        chains = np.sort_complex(np.concatenate(
+            [rates, np.zeros(space.total_dim ** 2 - rates.size)]))
+        assert np.max(np.abs(spectra[0] - spectra[1])) < 1e-8
+        assert np.max(np.abs(spectra[1] - chains)) < 1e-8
+
+
+def test_propagate_matches_generator_exponential():
+    # the chain spectra give exp(Theta L) for any input, including the
+    # entries between sectors, which L leaves untouched
+    for n, axis in ((3, AXIS_DIAG), (4, AXIS_TILT)):
+        space = build_space(n)
+        lsup = build_dephasing_superoperator(
+            space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
+        rng = np.random.default_rng(40 + n)
+        d = space.total_dim
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for theta in (0.05, 0.7, 6.0):
+            expected = scipy.linalg.expm(theta * _dense_generator(lsup)) @ x.ravel()
+            got = lsup.propagate(x, theta).ravel()
+            assert np.max(np.abs(got - expected)) < 1e-10
+
+
+def test_propagate_refuses_beyond_its_accuracy():
+    # the symmetrising similarity spreads like the square root of the sector
+    # multiplicities; from N = 50 on its rounding could pass 1e-9
+    space = build_space(50)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    rho = simultaneous_probe(space).projector().matrix
+    with pytest.raises(NumericalError):
+        lsup.propagate(rho, 0.1)
+
+
+def test_generator_matches_product_space():
+    # the lifted L[rho] against 2 (sum_n a_n rho a_n - N rho) with per-site
+    # operators in the 2^N product space
+    for n in (2, 3, 4, 5):
+        space = build_space(n)
+        multiplets = coupled_multiplets(n)
+        rng = np.random.default_rng(60 + n)
+        rho = np.zeros((space.total_dim,) * 2, dtype=complex)
+        for s in space.sectors:
+            sl = slice(s.offset, s.offset + s.dim)
+            rho[sl, sl] = rng.standard_normal((s.dim, s.dim)) \
+                + 1j * rng.standard_normal((s.dim, s.dim))
+        # embed_collective reads only .space and .matrix; neither rho nor
+        # L[rho] (trace 0) is a density operator
+        lifted = embed_collective(SimpleNamespace(space=space, matrix=rho), multiplets)
+        for axis in (AXIS_Z, AXIS_DIAG, AXIS_TILT):
+            spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis)
+            single = sum(c * _PAULI[a] for c, a in zip(spec.axis, "xyz")) / 2.0
+            sites = [_site_operator(n, k, single).toarray() for k in range(n)]
+            expected = 2.0 * (sum(a @ lifted @ a for a in sites) - n * lifted)
+            out = build_dephasing_superoperator(space, spec).apply(rho)
+            got = embed_collective(SimpleNamespace(space=space, matrix=out), multiplets)
+            assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_commutes_with_parallel_field_rotation():
@@ -162,6 +225,11 @@ def test_deterministic_assembly():
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG)
     a = build_dephasing_superoperator(space, spec)
     b = build_dephasing_superoperator(space, spec)
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.sources.tobytes() == b.sources.tobytes()
-    assert (a.matrix != b.matrix).nnz == 0
+    assert len(a.chains) == len(b.chains)
+    for ca, cb in zip(a.chains, b.chains):
+        for field in ("indices", "generator", "scale", "vectors", "rates"):
+            assert getattr(ca, field).tobytes() == getattr(cb, field).tobytes()
+    for ua, ub in zip(a.rotation.blocks, b.rotation.blocks):
+        assert ua.tobytes() == ub.tobytes()
+    rho = simultaneous_probe(space).projector().matrix
+    assert a.propagate(rho, 0.7).tobytes() == b.propagate(rho, 0.7).tobytes()

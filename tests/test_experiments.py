@@ -187,3 +187,13 @@ def test_all_singular_sweep_raises():
                       grid=TimeGrid(count=6, start=0.1, stop=50.0))
     with pytest.raises(ExperimentFailed):
         sweep_time(cfg)
+
+
+def test_invalid_qfim_is_not_hidden(monkeypatch):
+    # an indefinite QFIM is a numerical fault, not a singular grid point: the
+    # sweep raises instead of dropping the point as NaN
+    monkeypatch.setattr("spinsense.experiments._qfim_entries",
+                        lambda rho, partials: np.diag([1.0, 1.0, -1.0]))
+    cfg = SweepConfig(n_particles=2, grid=TimeGrid(count=6, start=0.1, stop=50.0))
+    with pytest.raises(InvalidArgument):
+        sweep_time(cfg)

@@ -18,22 +18,25 @@ collective rotation that carries J_z onto axis . J / 2, L[X] =
 U L_z[U^dag X U] U^dag. Along z the generator keeps m and m' fixed and only
 moves weight between neighbouring j, so L_z splits into independent real
 tridiagonal chains, one per (m, m'), over j = N/2, N/2 - 1, ... down to
-max(|m|, |m'|). A diagonal similarity makes each chain symmetric, and one
-eigendecomposition per chain gives exp(Theta L) exactly at any Theta
-(Chase & Geremia, PRA 78, 052101 (2008); Shammah et al., PRA 98, 063815
-(2018)).
+max(|m|, |m'|) (Chase & Geremia, PRA 78, 052101 (2008); Shammah et al.,
+PRA 98, 063815 (2018)). Each chain has nonnegative off-diagonal entries and
+nonpositive column sums, so its exponential is a nonnegative contraction,
+and scaling and squaring (a short Taylor step, then repeated squaring)
+reaches working precision at any Theta and N. An eigenbasis of the chain
+would not: it is as ill-conditioned as the similarity that symmetrises it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dicke import BlockOperator, DickeSpace
-from .errors import InvalidArgument, NumericalError
+from .errors import InvalidArgument
 
 
 class NoiseKind(str, enum.Enum):
@@ -78,11 +81,6 @@ class NoiseSpec:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "axis", (vec[0], vec[1], vec[2]))
 
-    @property
-    def ladder_weight(self):
-        """Complex weight (axis_x + i axis_y) / 2 of the ladder part of a."""
-        return (self.axis[0] + 1j * self.axis[1]) / 2.0
-
 
 def gamma_profile(spec, t):
     """Instantaneous dephasing rate gamma_t at time t >= 0."""
@@ -120,6 +118,12 @@ def _lambda_weights(n, j):
     return lam_stay, lam_drop, lam_lift
 
 
+# exp(h G) by a Taylor series of this degree once ||h G||_1 <= _TAYLOR_NORM,
+# where its truncation error is below 3e-18.
+_TAYLOR_DEGREE = 10
+_TAYLOR_NORM = 0.125
+
+
 @dataclass(frozen=True, eq=False)
 class ChainBatch:
     """All z-frame chains of one length L, stacked along the first axis.
@@ -127,15 +131,24 @@ class ChainBatch:
     Chain c holds the elements |j, m_c><j, m'_c| for L values of j, descending
     from N/2; indices[c] are their flat row-major positions in a d x d matrix.
     generator[c] is the real tridiagonal L_z restricted to the chain (row =
-    target). With S = diag(scale[c]), S generator[c] S^-1 is symmetric and
-    equals vectors[c] diag(rates[c]) vectors[c]^T.
+    target).
     """
 
     indices: np.ndarray
     generator: np.ndarray
-    scale: np.ndarray
-    vectors: np.ndarray
-    rates: np.ndarray
+
+    def exponential(self, theta):
+        """exp(theta generator[c]) for every chain, by scaling and squaring."""
+        norm = theta * float(np.abs(self.generator).sum(axis=1).max())
+        squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_NORM))) if norm > 0.0 else 0
+        step = self.generator * (theta / 2.0 ** squarings)
+        eye = np.eye(self.generator.shape[-1])
+        out = eye + step / _TAYLOR_DEGREE
+        for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+            out = eye + (step @ out) / k
+        for _ in range(squarings):
+            out = out @ out
+        return out
 
 
 def _chain_batch(space, length, lam):
@@ -163,15 +176,7 @@ def _chain_batch(space, length, lam):
     generator[:, idx, idx] = diag
     generator[:, idx[1:], idx[:-1]] = drop
     generator[:, idx[:-1], idx[1:]] = lift
-    # Every drop/lift pair is positive, so s_a = s_{a-1} sqrt(lift/drop)
-    # symmetrises the chain; its off-diagonal becomes sqrt(lift * drop).
-    scale = np.cumprod(np.concatenate(
-        [np.ones((len(pairs), 1)), np.sqrt(lift / drop)], axis=1), axis=1)
-    symmetric = generator.copy()
-    symmetric[:, idx[1:], idx[:-1]] = symmetric[:, idx[:-1], idx[1:]] = np.sqrt(lift * drop)
-    rates, vectors = np.linalg.eigh(symmetric)
-    return ChainBatch(indices=rows * d + cols, generator=generator, scale=scale,
-                      vectors=vectors, rates=rates)
+    return ChainBatch(indices=rows * d + cols, generator=generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,41 +205,35 @@ class DephasingSuperoperator:
             "cab,cb->ca", b.generator, v))
 
     def propagate(self, rho_matrix, theta):
-        """exp(theta L)[rho] for a dense d x d matrix, exact at any theta >= 0.
-
-        Rounding in the chain eigenvectors is amplified by the spread of the
-        symmetrising similarity, which grows like the square root of the
-        sector multiplicities. Where it could exceed 1e-9 (N >= 50) this
-        raises NumericalError.
-        """
-        spread = max(float(np.max(b.scale.max(axis=1) / b.scale.min(axis=1)))
-                     for b in self.chains)
-        if np.finfo(float).eps * spread > 1e-9:
-            raise NumericalError(
-                f"chain similarity spread {spread:.2e} at N={self.space.n_particles} "
-                "puts the dephasing propagator error above 1e-9")
-
-        def chain_exp(b, v):
-            coef = np.einsum("cba,cb->ca", b.vectors, b.scale * v) * np.exp(theta * b.rates)
-            return np.einsum("cab,cb->ca", b.vectors, coef) / b.scale
-        return self._through_chains(rho_matrix, np.copy, chain_exp)
+        """exp(theta L)[rho] for a dense d x d matrix, at any theta >= 0."""
+        return self._through_chains(rho_matrix, np.copy, lambda b, v: np.einsum(
+            "cab,cb->ca", b.exponential(theta), v))
 
     def _through_chains(self, rho_matrix, start, chain_map):
-        """U chain_map[U^dag rho U] U^dag; start(frame) sets the entries off the chains."""
+        """U chain_map[U^dag rho U] U^dag. U is block diagonal, so only the sector
+        blocks pass through the frame; start(rho) sets the entries between them."""
         d = self.space.total_dim
-        frame = self.rotation.dagger().sandwich(rho_matrix).reshape(d * d)
-        out = start(frame)
+        rho_matrix = np.asarray(rho_matrix, dtype=complex)
+        blocks = [(slice(s.offset, s.offset + s.dim), u)
+                  for s, u in zip(self.space.sectors, self.rotation.blocks)]
+        frame = np.zeros((d, d), dtype=complex)
+        for sl, u in blocks:
+            frame[sl, sl] = u.conj().T @ rho_matrix[sl, sl] @ u
+        flat = frame.reshape(d * d)
         for batch in self.chains:
-            out[batch.indices] = chain_map(batch, frame[batch.indices])
-        return self.rotation.sandwich(out.reshape(d, d))
+            flat[batch.indices] = chain_map(batch, flat[batch.indices])
+        out = start(rho_matrix)
+        for sl, u in blocks:
+            out[sl, sl] = u @ frame[sl, sl] @ u.conj().T
+        return out
 
 
 def build_dephasing_superoperator(space, spec):
     """Build the rate-free dephasing generator for the given noise axis.
 
     The rotation is exp(-i beta k . J) with k along z x axis (x when the axis
-    is along +-z) and beta the polar angle of the axis. The chains and their
-    spectra depend only on N; the build is deterministic.
+    is along +-z) and beta the polar angle of the axis. The chains depend
+    only on N; the build is deterministic.
     """
     # dynamics imports this module, so its field machinery is imported here.
     from .dynamics import FieldBasis, FieldParams

@@ -3,10 +3,10 @@
 When the field direction is parallel to the dephasing axis the Hamiltonian
 commutes with the dissipator, so the propagation splits exactly into a
 dephasing stage in the integrated-strength variable Theta followed by the
-unitary rotation. The dephasing stage is the exact semigroup exp(Theta L),
-evaluated from the chain spectra of the dephasing generator. evolve()
-implements that split and refuses (or, on explicit request, falls back to a
-joint reference integration) when the assumption does not hold.
+unitary rotation. The dephasing stage is the semigroup exp(Theta L),
+evaluated chain by chain in the noise frame of the dephasing generator.
+evolve() implements that split and refuses (or, on explicit request, falls
+back to a joint reference integration) when the assumption does not hold.
 
 Two brute-force oracles back the fast path: a joint integration of the same
 block-diagonal master equation in real time, and an integration in the full
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dicke import (BlockOperator, DensityOperator, DickeSpace, StateVector,
-                    build_space, collective_operator)
+from .dicke import BlockOperator, DensityOperator, collective_operator
 from .dephasing import (NoiseKind, build_dephasing_superoperator, gamma_profile,
                         integrated_strength)
 from .errors import AssumptionViolated, InvalidArgument, NumericalError
@@ -138,7 +137,7 @@ def unitary(space, field, t):
 def dephase(rho0, superoperator, spec, t):
     """Apply the dephasing semigroup for duration t of the given noise profile.
 
-    Evaluates exp(Theta(t) L)[rho0] exactly through the chain spectra of the
+    Evaluates exp(Theta(t) L)[rho0] through the chain exponentials of the
     superoperator. Positivity drift below -1e-6 raises NumericalError.
     """
     theta = integrated_strength(spec, t)

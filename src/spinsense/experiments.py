@@ -25,7 +25,7 @@ from .dicke import build_space, ghz_state, simultaneous_probe
 from .dephasing import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
                         integrated_strength)
 from .dynamics import _AXES, FieldBasis, FieldParams
-from .errors import ExperimentFailed, InvalidArgument, SingularQfim
+from .errors import ExperimentFailed, InvalidArgument, NumericalError, SingularQfim
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, bound_individual,
                          bound_simultaneous)
 
@@ -154,7 +154,7 @@ def _bounds_on_grid(config, space, basis, superoperator, spec, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
     An invalid (non-symmetric or indefinite) QFIM is a numerical fault and
-    raises InvalidArgument.
+    raises NumericalError.
     """
     total = config.total_time
     values = np.full(len(times), np.nan)
@@ -162,12 +162,14 @@ def _bounds_on_grid(config, space, basis, superoperator, spec, times):
         probe = simultaneous_probe(space)
         entries = _qfim_grid(basis, superoperator, spec, probe, times)
         for i, (t, q) in enumerate(zip(times, entries)):
-            qm = QfimMatrix(entries=q, t=t, n_particles=space.n_particles,
-                            scenario=Scenario.SIMULTANEOUS)
             try:
+                qm = QfimMatrix(entries=q, t=t, n_particles=space.n_particles,
+                                scenario=Scenario.SIMULTANEOUS)
                 values[i] = bound_simultaneous(qm, total / t).value
             except SingularQfim:
                 continue
+            except InvalidArgument as exc:
+                raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
     else:
         diagonals = np.full((3, len(times)), np.nan)
         for k, axis in enumerate(_AXES):

@@ -139,6 +139,15 @@ def test_sweep_failure_exit_code(capsys):
     assert "ExperimentFailed" in err
 
 
+def test_invalid_qfim_exit_code(monkeypatch, capsys):
+    # an indefinite QFIM is the program's fault, not the user's: exit 3
+    monkeypatch.setattr("spinsense.experiments._qfim_entries",
+                        lambda rho, partials: [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
+    code, _, err = run_cli(capsys, "sweep-time", "--n", "2", "--t-grid", "6,0.1,10")
+    assert code == 3
+    assert "NumericalError" in err
+
+
 def test_husimi_writes_matrix_and_axes(tmp_path, capsys):
     out = tmp_path / "q.csv"
     code, _, _ = run_cli(capsys, "husimi", "--n", "2", "--grid", "5,8",

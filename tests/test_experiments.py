@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinsense import (ExperimentFailed, InvalidArgument, NoiseKind,
-                       StateVector, SweepConfig, SweepScenario, TimeGrid,
+                       NumericalError, StateVector, SweepConfig, SweepScenario, TimeGrid,
                        build_space, fit_power_law, ghz_state, husimi_grid,
                        husimi_map, husimi_normalization, scan_particles,
                        simultaneous_probe, sweep_time)
@@ -195,5 +195,5 @@ def test_invalid_qfim_is_not_hidden(monkeypatch):
     monkeypatch.setattr("spinsense.experiments._qfim_entries",
                         lambda rho, partials: np.diag([1.0, 1.0, -1.0]))
     cfg = SweepConfig(n_particles=2, grid=TimeGrid(count=6, start=0.1, stop=50.0))
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(NumericalError, match="invalid QFIM"):
         sweep_time(cfg)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .dicke import BlockOperator, DensityOperator, collective_operator
 from .dephasing import (NoiseKind, build_dephasing_superoperator, gamma_profile,
@@ -123,9 +122,6 @@ class FieldBasis:
             blocks.append(v @ (f * jt) @ v.conj().T)
         return BlockOperator(self.space, tuple(blocks))
 
-    def generators(self, t):
-        return tuple(self.generator(t, a) for a in _AXES)
-
 
 def unitary(space, field, t):
     """Propagator exp(-i phi . J t) of the field Hamiltonian."""
@@ -138,7 +134,8 @@ def dephase(rho0, superoperator, spec, t):
     """Apply the dephasing semigroup for duration t of the given noise profile.
 
     Evaluates exp(Theta(t) L)[rho0] through the chain exponentials of the
-    superoperator. Positivity drift below -1e-6 raises NumericalError.
+    superoperator. A result that is not a valid state (an eigenvalue below
+    -1e-8, or trace drift) raises NumericalError.
     """
     theta = integrated_strength(spec, t)
     if theta == 0.0:
@@ -146,9 +143,10 @@ def dephase(rho0, superoperator, spec, t):
     mat = superoperator.propagate(rho0.matrix, theta)
     # The generator preserves Hermiticity exactly; symmetrize rounding noise.
     mat = (mat + mat.conj().T) / 2.0
-    if np.linalg.eigvalsh(mat).min() < -1e-6:
-        raise NumericalError("dephasing produced an eigenvalue below -1e-6")
-    return DensityOperator(rho0.space, mat)
+    try:
+        return DensityOperator(rho0.space, mat)
+    except InvalidArgument as exc:
+        raise NumericalError(f"dephasing produced an invalid state: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,7 @@ def _integrate_doubling(rhs, y0, t, initial_steps):
 def _noise_frame_matrix(superoperator):
     """The z-frame generator as a CSR matrix on row-major vectorized d x d
     matrices, assembled from the chains."""
+    from scipy import sparse
     d = superoperator.space.total_dim
     rows, cols, vals = [], [], []
     for batch in superoperator.chains:
@@ -332,20 +331,15 @@ _PAULI = {
 
 def _site_operator(n, site, op2):
     """Embed a single-site 2x2 operator at the given site (site 0 leftmost)."""
-    mat = sparse.identity(1, dtype=complex, format="csr")
+    mat = np.ones((1, 1), dtype=complex)
     for k in range(n):
-        factor = sparse.csr_matrix(op2) if k == site else sparse.identity(2, dtype=complex, format="csr")
-        mat = sparse.kron(mat, factor, format="csr")
+        mat = np.kron(mat, op2 if k == site else np.eye(2))
     return mat
 
 
 def _collective_full(n, axis):
     """J_axis on the 2^N product space."""
-    dim = 2 ** n
-    total = sparse.csr_matrix((dim, dim), dtype=complex)
-    for site in range(n):
-        total = total + _site_operator(n, site, _PAULI[axis] / 2.0)
-    return total
+    return sum(_site_operator(n, site, _PAULI[axis] / 2.0) for site in range(n))
 
 
 def coupled_multiplets(n):
@@ -463,14 +457,12 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
 
     dim = 2 ** n
     ham = sum(field.phi[i] * _collective_full(n, a) for i, a in enumerate(_AXES))
-    ham = ham.toarray()
     axis = np.asarray(spec.axis, dtype=float)
     sites = [
         sum(axis[i] * _site_operator(n, site, _PAULI[a] / 2.0)
             for i, a in enumerate(_AXES))
         for site in range(n)
     ]
-    sites = [s.toarray() for s in sites]
 
     def rhs(u, y):
         rho = y.reshape(dim, dim)
@@ -493,7 +485,7 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
         rho_full = y.reshape(dim, dim)
         rho_full = (rho_full + rho_full.conj().T) / 2.0
 
-    jops_full = [_collective_full(n, a).toarray() for a in _AXES]
+    jops_full = [_collective_full(n, a) for a in _AXES]
     first_full = np.array([np.trace(j @ rho_full).real for j in jops_full])
     second_full = np.array([[np.trace(ja @ jb @ rho_full) for jb in jops_full]
                             for ja in jops_full])

@@ -94,25 +94,30 @@ class QfimMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-def _qfim_entries(rho_matrix, partials):
-    """Core QFIM evaluation in the state eigenbasis.
+def _qfim_entries(rho_blocks, partial_blocks):
+    """Core QFIM evaluation in the eigenbasis of a block-diagonal state.
 
-    Q_ab = 2 sum_{l,l'} <l|d_a rho|l'> <l'|d_b rho|l> / (p_l + p_l'),
-    restricted to eigenvalue pairs with p_l + p_l' above a relative cutoff.
+    rho_blocks are the diagonal blocks of the state; partial_blocks holds,
+    for each of any number of parameters, the matching blocks of its
+    derivative. Entries between blocks must vanish, so eigenvalue pairs from
+    different blocks contribute nothing and
+
+        Q_ab = 2 sum_{l,l'} <l|d_a rho|l'> <l'|d_b rho|l> / (p_l + p_l')
+
+    runs over pairs within one block, restricted to p_l + p_l' above a cutoff
+    relative to the largest eigenvalue over all blocks. A dense state is one
+    block.
     """
-    p, v = np.linalg.eigh(rho_matrix)
-    den = p[:, None] + p[None, :]
-    cutoff = _QFIM_EPS * max(float(p.max()), 1e-300)
-    weight = np.where(den > cutoff, den, np.inf)
-    scaled = [
-        (v.conj().T @ dp @ v) / np.sqrt(weight)
-        for dp in partials
-    ]
-    q = np.empty((3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(a, 3):
-            q[a, b] = 2.0 * np.sum(scaled[a] * scaled[b].conj())
-            q[b, a] = np.conj(q[a, b])
+    eig = [np.linalg.eigh(block) for block in rho_blocks]
+    cutoff = _QFIM_EPS * max(max(float(p.max()) for p, _ in eig), 1e-300)
+    q = 0.0
+    for s, (p, v) in enumerate(eig):
+        den = p[:, None] + p[None, :]
+        root = np.sqrt(np.where(den > cutoff, den, np.inf))
+        scaled = np.stack([(v.conj().T @ dp[s] @ v / root).ravel()
+                           for dp in partial_blocks])
+        q = q + 2.0 * (scaled @ scaled.conj().T)
+    q = (q + q.conj().T) / 2.0
     imag_scale = max(1.0, float(np.max(np.abs(q))))
     if np.max(np.abs(q.imag)) > 1e-9 * imag_scale:
         raise InvalidArgument("QFIM evaluation produced a non-real matrix")
@@ -133,7 +138,7 @@ def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
         raise InvalidArgument("rho must be a DensityOperator")
     if len(partials) != 3:
         raise InvalidArgument("exactly three parameter derivatives required")
-    entries = _qfim_entries(rho.matrix, [np.asarray(p) for p in partials])
+    entries = _qfim_entries([rho.matrix], [[np.asarray(p)] for p in partials])
     return QfimMatrix(entries=entries, t=float(t),
                       n_particles=rho.space.n_particles, scenario=Scenario(scenario))
 

@@ -6,8 +6,10 @@ should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
 single-parameter bounds for the individual strategy. The sweep walks a
 logarithmic time grid, dephasing the probe exactly to the integrated
-strength Theta(t) of each grid time, then narrows around the first dip of
-the curve and refines the optimum with a parabola in log-log coordinates.
+strength Theta(t) of each grid time and taking the QFIM there before the
+field rotation, which leaves it unchanged, sector by sector. It then
+narrows around the first dip of the curve and refines the optimum with a
+parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 from .dicke import build_space, ghz_state, simultaneous_probe
 from .dephasing import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
                         integrated_strength)
-from .dynamics import _AXES, FieldBasis, FieldParams
-from .errors import ExperimentFailed, InvalidArgument, NumericalError, SingularQfim
+from .dynamics import _AXES, FieldBasis, FieldParams, _line_angle
+from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
+                     NumericalError, SingularQfim)
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, bound_individual,
                          bound_simultaneous)
 
@@ -126,62 +129,50 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _qfim_grid(basis, superoperator, spec, probe, times):
-    """QFIM at every grid time for one probe state.
-
-    The probe is dephased straight to Theta(t) at each grid time, then
-    rotated and differentiated there.
-    """
-    rho0 = np.outer(probe.amplitudes, probe.amplitudes.conj())
-    out = []
-    for t in times:
-        rho_deph = rho0
-        if superoperator is not None:
-            rho_deph = superoperator.propagate(rho0, integrated_strength(spec, t))
-            rho_deph = (rho_deph + rho_deph.conj().T) / 2.0
-        u = basis.unitary(t)
-        rho_t = u.sandwich(rho_deph)
-        partials = []
-        for axis in _AXES:
-            gen = basis.generator(t, axis)
-            dmat = -1j * u.sandwich(gen.commutator(rho_deph))
-            partials.append((dmat + dmat.conj().T) / 2.0)
-        out.append(_qfim_entries(rho_t, partials))
-    return out
-
-
 def _bounds_on_grid(config, space, basis, superoperator, spec, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
-    An invalid (non-symmetric or indefinite) QFIM is a numerical fault and
-    raises NumericalError.
+    At each grid time every probe is dephased straight to Theta(t) and its
+    QFIM is taken before the field rotation, sector by sector: the QFIM does
+    not change under U, and the probes (maximal sector only), their dephased
+    states and every rotating-frame generator A_k are block diagonal, so
+    d_k rho = -i [A_k, rho] is formed block by block. The joint strategy
+    needs all three derivatives of its probe; the individual one reads only
+    Q_kk, one derivative per GHZ probe. An invalid (non-real, non-symmetric
+    or indefinite) QFIM is a numerical fault and raises NumericalError.
     """
     total = config.total_time
-    values = np.full(len(times), np.nan)
     if config.scenario is SweepScenario.SIMULTANEOUS:
-        probe = simultaneous_probe(space)
-        entries = _qfim_grid(basis, superoperator, spec, probe, times)
-        for i, (t, q) in enumerate(zip(times, entries)):
-            try:
-                qm = QfimMatrix(entries=q, t=t, n_particles=space.n_particles,
+        probes = [(simultaneous_probe(space), _AXES)]
+    else:
+        probes = [(ghz_state(space, axis), (axis,)) for axis in _AXES]
+    rho0s = [(np.outer(p.amplitudes, p.amplitudes.conj()), axes) for p, axes in probes]
+    slices = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
+    values = np.full(len(times), np.nan)
+    for i, t in enumerate(times):
+        states = []
+        for rho, axes in rho0s:
+            if superoperator is not None:
+                rho = superoperator.propagate(rho, integrated_strength(spec, t))
+            blocks = [(rho[sl, sl] + rho[sl, sl].conj().T) / 2.0 for sl in slices]
+            partials = []
+            for axis in axes:
+                comms = [-1j * (a @ r - r @ a)
+                         for a, r in zip(basis.generator(t, axis).blocks, blocks)]
+                partials.append([(c + c.conj().T) / 2.0 for c in comms])
+            states.append((blocks, partials))
+        try:
+            entries = [_qfim_entries(blocks, partials) for blocks, partials in states]
+            if config.scenario is SweepScenario.SIMULTANEOUS:
+                qm = QfimMatrix(entries=entries[0], t=t, n_particles=space.n_particles,
                                 scenario=Scenario.SIMULTANEOUS)
                 values[i] = bound_simultaneous(qm, total / t).value
-            except SingularQfim:
-                continue
-            except InvalidArgument as exc:
-                raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
-    else:
-        diagonals = np.full((3, len(times)), np.nan)
-        for k, axis in enumerate(_AXES):
-            probe = ghz_state(space, axis)
-            entries = _qfim_grid(basis, superoperator, spec, probe, times)
-            diagonals[k] = [q[k, k] for q in entries]
-        for i, t in enumerate(times):
-            try:
-                values[i] = bound_individual(diagonals[0, i], diagonals[1, i],
-                                             diagonals[2, i], total / t).value
-            except SingularQfim:
-                continue
+            else:
+                values[i] = bound_individual(*(q[0, 0] for q in entries), total / t).value
+        except SingularQfim:
+            continue
+        except InvalidArgument as exc:
+            raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
     return values
 
 
@@ -226,14 +217,20 @@ def sweep_time(config):
     curve runs monotone to a grid edge the edge point is reported and
     flagged as a boundary optimum. Grid points whose QFIM is singular are
     reported as missing; if every point fails the sweep raises
-    ExperimentFailed.
+    ExperimentFailed. Under dephasing the field must lie along the noise
+    axis (within 1e-8 rad, sign ignored), as evolve requires; otherwise the
+    sweep raises AssumptionViolated.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
-    basis = FieldBasis(space, config.field_params())
     superoperator = None
     if spec.gamma > 0.0:
+        if _line_angle(config.field, spec.axis) > 1e-8:
+            raise AssumptionViolated(
+                "field direction is not parallel to the dephasing axis; the "
+                "sweep needs the parallel split")
         superoperator = build_dephasing_superoperator(space, spec)
+    basis = FieldBasis(space, config.field_params())
     times = config.grid.values()
     values = _bounds_on_grid(config, space, basis, superoperator, spec, times)
 

@@ -116,10 +116,14 @@ def test_default_rate_is_flagged_as_assumed(capsys):
 
 
 def test_nonparallel_field_exit_code(capsys):
-    code, _, err = run_cli(capsys, "evolve", "--n", "2", "--t", "1.0",
-                           "--phi", "0.02,0,0")
-    assert code == 4
-    assert "AssumptionViolated" in err
+    # a noisy run needs the field along the noise axis, sweeps included
+    for argv in (("evolve", "--n", "2", "--t", "1.0"),
+                 ("sweep-time", "--n", "4", "--t-grid", "6,0.1,10"),
+                 ("scan-n", "--n-list", "2,4", "--t-grid", "6,0.1,10")):
+        code, out, err = run_cli(capsys, *argv, "--phi", "0.02,0,0")
+        assert code == 4
+        assert "AssumptionViolated" in err
+        assert out == ""
 
 
 def test_nonparallel_fallback_flag(capsys):

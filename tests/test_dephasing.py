@@ -209,7 +209,7 @@ def test_generator_matches_product_space():
         for axis in (AXIS_Z, AXIS_DIAG, AXIS_TILT):
             spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis)
             single = sum(c * _PAULI[a] for c, a in zip(spec.axis, "xyz")) / 2.0
-            sites = [_site_operator(n, k, single).toarray() for k in range(n)]
+            sites = [_site_operator(n, k, single) for k in range(n)]
             expected = 2.0 * (sum(a @ lifted @ a for a in sites) - n * lifted)
             out = build_dephasing_superoperator(space, spec).apply(rho)
             got = embed_collective(SimpleNamespace(space=space, matrix=out), multiplets)

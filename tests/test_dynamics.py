@@ -1,16 +1,23 @@
 """Propagation: split fast path against the joint and product-space oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import spinsense
+
 from spinsense import (AssumptionViolated, DensityOperator, FieldParams,
-                       InvalidArgument, NoiseKind, NoiseSpec, build_space,
-                       build_dephasing_superoperator, coupled_multiplets,
-                       dephase, embed_collective, evolve, full_gkls_reference,
-                       full_hilbert_reference, ghz_state, hamiltonian,
-                       simultaneous_probe, state_fidelity, unitary)
+                       InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
+                       build_space, build_dephasing_superoperator,
+                       coupled_multiplets, dephase, embed_collective, evolve,
+                       full_gkls_reference, full_hilbert_reference, ghz_state,
+                       hamiltonian, simultaneous_probe, state_fidelity, unitary)
 
 AXIS_Z = (0.0, 0.0, 2.0)
 AXIS_DIAG = (2.0 / math.sqrt(3.0),) * 3
@@ -94,6 +101,27 @@ def test_dephase_semigroup_composition():
     once = dephase(rho0, lsup, spec, 3.0)
     split = dephase(dephase(rho0, lsup, spec, 1.2), lsup, spec, 1.8)
     assert np.max(np.abs(once.matrix - split.matrix)) < 1e-9
+
+
+def test_dephase_invalid_state_is_a_numerical_fault():
+    # a propagated matrix below the state's positivity floor of -1e-8 is the
+    # program's fault, reported as NumericalError
+    space = build_space(2)
+    rng = np.random.default_rng(3)
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    bad = (v * np.array([0.6, 0.3, 0.1 + 1e-7, -1e-7])) @ v.conj().T
+    stub = SimpleNamespace(propagate=lambda rho, theta: bad)
+    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z)
+    with pytest.raises(NumericalError, match="invalid state"):
+        dephase(simultaneous_probe(space).projector(), stub, spec, 1.0)
+
+
+def test_import_does_not_load_scipy():
+    # only the oracles need scipy; a fresh import of the package stays without it
+    package_root = str(Path(spinsense.__file__).resolve().parents[1])
+    code = "import sys, spinsense; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=package_root)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_dephase_purity_never_increases():

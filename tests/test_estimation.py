@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from spinsense import (AssumptionViolated, FieldParams, InvalidArgument,
                        NoiseKind, NoiseSpec, PovmSet, QfimMatrix, Scenario,
@@ -12,6 +13,7 @@ from spinsense import (AssumptionViolated, FieldParams, InvalidArgument,
                        collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
                        unitary)
+from spinsense.estimation import _qfim_entries
 
 AXIS_Z = (0.0, 0.0, 2.0)
 AXIS_DIAG = (2.0 / math.sqrt(3.0),) * 3
@@ -132,6 +134,40 @@ def test_qfim_zero_partials():
     zero = np.zeros((space.total_dim,) * 2, dtype=complex)
     q = qfim(rho, [zero, zero, zero])
     assert np.max(np.abs(q.entries)) == 0.0
+
+
+def _random_block_state(rng, spectra):
+    """Diagonal blocks V diag(p) V^dag with Haar-like random V, one per spectrum."""
+    blocks = []
+    for p in spectra:
+        z = rng.normal(size=(len(p), len(p))) + 1j * rng.normal(size=(len(p), len(p)))
+        v, _ = np.linalg.qr(z)
+        blocks.append((v * np.asarray(p)) @ v.conj().T)
+    return blocks
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_qfim_entries_over_blocks_match_one_dense_block(count):
+    # the third block is rank deficient, and its nonzero weight sits below the
+    # cutoff taken relative to the largest eigenvalue over all blocks, though
+    # above one taken within that block alone
+    rng = np.random.default_rng(7)
+    spectra = [[0.4, 0.2, 0.1, 0.05], [0.1, 0.05], [4e-14, 0.0, 0.0], [0.1 - 4e-14]]
+    rho_blocks = _random_block_state(rng, spectra)
+    partial_blocks = []
+    for _ in range(count):
+        parts = []
+        for b in rho_blocks:
+            h = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+            parts.append(h + h.conj().T)
+        partial_blocks.append(parts)
+    by_block = _qfim_entries(rho_blocks, partial_blocks)
+    dense = _qfim_entries([block_diag(*rho_blocks)],
+                          [[block_diag(*parts)] for parts in partial_blocks])
+    assert by_block.shape == (count, count)
+    assert np.max(np.abs(by_block - dense)) < 1e-10 * np.max(np.abs(dense))
+    # a cutoff per block would count the third block's weight, which is huge
+    assert np.max(np.abs(dense)) < 1e4
 
 
 def test_qfim_matrix_validation():

@@ -23,10 +23,10 @@ from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
 from .estimation import (BoundValue, PovmSet, QfimMatrix, Scenario,
                          bound_individual, bound_simultaneous, cfim,
                          generator_operator, partial_rho, qfim)
-from .experiments import (PowerLawFit, RefinementMeta, ScanRow, SweepConfig,
-                          SweepResult, SweepScenario, TimeGrid, fit_power_law,
-                          husimi_grid, husimi_map, husimi_normalization,
-                          scan_particles, sweep_time)
+from .experiments import (PowerLawFit, RefinementMeta, ScanRow, ScanRows,
+                          SweepConfig, SweepResult, SweepScenario, TimeGrid,
+                          fit_power_law, husimi_grid, husimi_map,
+                          husimi_normalization, scan_particles, sweep_time)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,8 @@ __all__ = [
     "EvolutionResult", "ExperimentFailed", "FieldBasis", "FieldParams",
     "HilbertComparison", "InvalidArgument", "NoiseKind", "NoiseSpec",
     "NumericalError", "PovmSet", "PowerLawFit", "QfimMatrix",
-    "RefinementMeta", "ScanRow", "Scenario", "Sector", "SingularQfim",
-    "SpinsenseError", "StateVector", "SweepConfig", "SweepResult",
+    "RefinementMeta", "ScanRow", "ScanRows", "Scenario", "Sector",
+    "SingularQfim", "SpinsenseError", "StateVector", "SweepConfig", "SweepResult",
     "SweepScenario", "TimeGrid", "bound_individual", "bound_simultaneous",
     "build_dephasing_superoperator", "build_space", "cfim", "coherent_state",
     "collective_operator", "coupled_multiplets", "cumulative_degeneracy",

@@ -33,6 +33,7 @@ from .dynamics import (FieldBasis, FieldParams, evolve, full_gkls_reference,
                        full_hilbert_reference)
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim)
+from .estimation import bound_individual, bound_simultaneous, partial_rho, qfim
 from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
                           SweepScenario, TimeGrid, fit_power_law, husimi_grid,
                           husimi_map, scan_particles, sweep_time)
@@ -483,13 +484,16 @@ def _run_scan_n(run):
     if fmt == "csv":
         data = [[r.n_particles, r.scenario.value, r.kind.value,
                  _fmt_float(r.t_opt), _fmt_float(r.i_min)] for r in rows]
-        text = _csv_text(meta, ["n", "scenario", "kind", "t_opt", "i_min"], data)
+        dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
+        text = _csv_text(meta, ["n", "scenario", "kind", "t_opt", "i_min"], data,
+                         [f"# dropped = {dropped or 'none'}"])
     else:
         text = _dump_json({
             "meta": _json_meta(meta),
             "rows": [{"n": r.n_particles, "scenario": r.scenario.value,
                       "kind": r.kind.value, "t-opt": r.t_opt, "i-min": r.i_min}
                      for r in rows],
+            "dropped": [{"n": n, "reason": reason} for n, reason in rows.dropped],
         })
     return [(run.out, text)]
 
@@ -677,6 +681,58 @@ def _check_finite_differences(n):
     return worst <= 1e-6, f"N={n}, worst relative derivative error {worst:.2e}"
 
 
+def _pointwise_bounds(config):
+    """A sweep's coarse bound curve from the public calls at each grid time,
+    evolve -> partial_rho -> qfim -> bound on the dense rotated state, with
+    the QFIM condition number of each point (of diag(Q_kk) for the
+    individual strategy)."""
+    space = build_space(config.n_particles)
+    spec = config.noise_spec()
+    field = config.field_params()
+    lsup = build_dephasing_superoperator(space, spec) if spec.gamma > 0.0 else None
+    sim = config.scenario is SweepScenario.SIMULTANEOUS
+    probes = [simultaneous_probe(space)] if sim else [ghz_state(space, a) for a in "xyz"]
+    bounds, conds = [], []
+    for t in config.grid.values():
+        qs = []
+        for probe in probes:
+            res = evolve(probe.projector(), field, spec, t, superoperator=lsup)
+            qs.append(qfim(res.rho, [partial_rho(res, field, a) for a in "xyz"], t=t))
+        if sim:
+            w = np.linalg.eigvalsh(qs[0].entries)
+        else:
+            w = np.array([q.entries[k, k] for k, q in enumerate(qs)])
+        conds.append(w.max() / w.min() if w.min() > 0.0 else math.inf)
+        try:
+            if sim:
+                bounds.append(bound_simultaneous(qs[0], config.total_time / t).value)
+            else:
+                bounds.append(bound_individual(*w, config.total_time / t).value)
+        except SingularQfim:
+            bounds.append(math.nan)
+    return np.array(bounds), np.array(conds)
+
+
+def _check_sweep_vs_pointwise(n):
+    worst, compared = 0.0, 0
+    for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
+        for scenario in SweepScenario:
+            config = SweepConfig(n_particles=n, kind=kind, scenario=scenario,
+                                 grid=TimeGrid(count=8, start=0.05, stop=100.0))
+            expected, conds = _pointwise_bounds(config)
+            try:
+                got = sweep_time(config).bounds
+            except ExperimentFailed:
+                got = np.full(len(expected), math.nan)
+            if not np.array_equal(np.isnan(got), np.isnan(expected)):
+                return False, f"N={n}, {kind.value} {scenario.value}: singular points differ"
+            well = conds < 1e6
+            compared += int(well.sum())
+            if well.any():
+                worst = max(worst, float(np.max(np.abs(got[well] / expected[well] - 1.0))))
+    return worst <= 1e-9, f"N={n}, {compared} points, worst relative deviation {worst:.2e}"
+
+
 def _run_verify(run):
     n = run.params["n"] if run.params["n"] is not None else 3
     if n < 1:
@@ -689,6 +745,7 @@ def _run_verify(run):
         ("split-vs-joint", lambda: _check_split_vs_joint(n)),
         ("product-space-oracle", lambda: _check_product_space(n)),
         ("finite-difference-generators", lambda: _check_finite_differences(n)),
+        ("sweep-vs-pointwise", lambda: _check_sweep_vs_pointwise(n)),
     ]
     lines = []
     failures = 0

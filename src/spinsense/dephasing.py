@@ -29,6 +29,7 @@ would not: it is as ill-conditioned as the similarity that symmetrises it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -137,17 +138,25 @@ class ChainBatch:
     indices: np.ndarray
     generator: np.ndarray
 
-    def exponential(self, theta):
-        """exp(theta generator[c]) for every chain, by scaling and squaring."""
-        norm = theta * float(np.abs(self.generator).sum(axis=1).max())
-        squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_NORM))) if norm > 0.0 else 0
-        step = self.generator * (theta / 2.0 ** squarings)
+    def exponential(self, thetas):
+        """exp(theta generator[c]) for every chain at each of thetas, by
+        scaling and squaring with its own number of squarings per theta.
+        Shape (len(thetas),) + generator.shape."""
+        thetas = np.asarray(thetas, dtype=float)
+        width = float(np.abs(self.generator).sum(axis=1).max())
+        squarings = np.array([max(0, math.ceil(math.log2(theta * width / _TAYLOR_NORM)))
+                              if theta * width > 0.0 else 0 for theta in thetas], dtype=int)
+        step = self.generator * (thetas / 2.0 ** squarings)[:, None, None, None]
         eye = np.eye(self.generator.shape[-1])
         out = eye + step / _TAYLOR_DEGREE
         for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-            out = eye + (step @ out) / k
-        for _ in range(squarings):
-            out = out @ out
+            out = step @ out
+            out /= k
+            out += eye
+        for k in range(squarings.max(initial=0)):
+            more = squarings > k
+            part = out[more]
+            out[more] = part @ part
         return out
 
 
@@ -207,7 +216,48 @@ class DephasingSuperoperator:
     def propagate(self, rho_matrix, theta):
         """exp(theta L)[rho] for a dense d x d matrix, at any theta >= 0."""
         return self._through_chains(rho_matrix, np.copy, lambda b, v: np.einsum(
-            "cab,cb->ca", b.exponential(theta), v))
+            "cab,cb->ca", b.exponential([theta])[0], v))
+
+    def first_columns(self, thetas):
+        """First column of every chain exponential at each of thetas, shape
+        (len(thetas), number of chain elements); elements run batch by batch,
+        chain by chain, then along j. Every chain starts in the maximal
+        sector, so these columns carry any state that lives there."""
+        # Copied, so that each full exponential is freed at once.
+        return np.concatenate([b.exponential(thetas)[..., 0].copy().reshape(len(thetas), -1)
+                               for b in self.chains], axis=1)
+
+    def propagate_top(self, phi, columns):
+        """exp(theta L)[|phi><phi|] in the noise frame, at every theta of
+        columns (from first_columns), for maximal-sector amplitudes phi that
+        are already in that frame. Yields, sector by sector, the
+        (len(thetas), d_s, d_s) block, or None for a block that is zero at
+        every theta."""
+        start = np.outer(phi, phi.conj()).ravel()
+        for s, (pos, src) in zip(self.space.sectors, self._top_layout):
+            block = (columns[:, pos] * start[src]).reshape(-1, s.dim, s.dim)
+            yield block if block.any() else None
+
+    @functools.cached_property
+    def _top_layout(self):
+        """Per sector, for each entry of its block in row-major order: its
+        position among the chain elements (batch by batch, chain by chain,
+        then along j) and the flat index, in the maximal-sector block, of the
+        element its chain starts from."""
+        d, top = self.space.total_dim, self.space.max_sector.dim
+        layout = [(np.empty(s.dim ** 2, dtype=int), np.empty(s.dim ** 2, dtype=int))
+                  for s in self.space.sectors]
+        base = 0
+        for batch in self.chains:
+            count, length = batch.indices.shape
+            row0, col0 = np.divmod(batch.indices[:, 0], d)
+            for k, (s, (pos, src)) in enumerate(zip(self.space.sectors[:length], layout)):
+                row, col = np.divmod(batch.indices[:, k], d)
+                at = (row - s.offset) * s.dim + col - s.offset
+                pos[at] = base + np.arange(count) * length + k
+                src[at] = row0 * top + col0
+            base += count * length
+        return layout
 
     def _through_chains(self, rho_matrix, start, chain_map):
         """U chain_map[U^dag rho U] U^dag. U is block diagonal, so only the sector

@@ -97,30 +97,33 @@ class FieldBasis:
             for w, v in zip(self.evals, self.evecs))
         return BlockOperator(self.space, blocks)
 
+    def phase_integral(self, index, t):
+        """f(lam, t) = (exp(i lam t) - 1) / (i lam) for the energy differences
+        lam = E_a - E_b of sector block index, at a time t or at each of an
+        array of times (shape t.shape + block shape). It degenerates to t
+        when |lam| is negligible against the spectral scale; f(-lam) =
+        conj(f(lam))."""
+        w = self.evals[index]
+        lam = w[:, None] - w[None, :]
+        small = np.abs(lam) <= 1e-10 * self.energy_scale
+        safe = np.where(small, 1.0, lam)
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return np.where(small, t, 1j * (1.0 - np.exp(1j * lam * t)) / safe)
+
     def generator(self, t, axis):
         """Rotating-frame integral A = int_0^t U(u)^dag J_axis U(u) du.
 
         In the Hamiltonian eigenbasis the integral is elementwise: the matrix
-        element between energies E_a, E_b picks up
-
-            f(lam, t) = (exp(i lam t) - 1) / (i lam),  lam = E_a - E_b,
-
-        which degenerates to t when |lam| is negligible against the spectral
-        scale. The result is Hermitian because f(-lam) = conj(f(lam)).
+        element between energies E_a, E_b picks up phase_integral, so A is
+        Hermitian.
         """
         if t < 0.0 or not np.isfinite(t):
             raise InvalidArgument(f"t must be finite and >= 0, got {t}")
         if axis not in _AXES:
             raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
-        tol = 1e-10 * self.energy_scale
-        blocks = []
-        for w, v, jt in zip(self.evals, self.evecs, self.rotated_j[axis]):
-            lam = w[:, None] - w[None, :]
-            small = np.abs(lam) <= tol
-            safe = np.where(small, 1.0, lam)
-            f = np.where(small, t, 1j * (1.0 - np.exp(1j * lam * t)) / safe)
-            blocks.append(v @ (f * jt) @ v.conj().T)
-        return BlockOperator(self.space, tuple(blocks))
+        blocks = tuple(v @ (self.phase_integral(s, t) * jt) @ v.conj().T
+                       for s, (v, jt) in enumerate(zip(self.evecs, self.rotated_j[axis])))
+        return BlockOperator(self.space, blocks)
 
 
 def unitary(space, field, t):

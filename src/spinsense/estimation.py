@@ -106,18 +106,28 @@ def _qfim_entries(rho_blocks, partial_blocks):
 
     runs over pairs within one block, restricted to p_l + p_l' above a cutoff
     relative to the largest eigenvalue over all blocks. A dense state is one
-    block.
+    block. Blocks may carry leading axes (a stack of states, one per time);
+    the result then has them too, each with its own cutoff. Returns the
+    Hermitian part of Q, which _real_qfim checks and makes real.
     """
     eig = [np.linalg.eigh(block) for block in rho_blocks]
-    cutoff = _QFIM_EPS * max(max(float(p.max()) for p, _ in eig), 1e-300)
+    largest = np.max([p.max(axis=-1) for p, _ in eig], axis=0)
+    cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
     q = 0.0
     for s, (p, v) in enumerate(eig):
-        den = p[:, None] + p[None, :]
+        den = p[..., :, None] + p[..., None, :]
         root = np.sqrt(np.where(den > cutoff, den, np.inf))
-        scaled = np.stack([(v.conj().T @ dp[s] @ v / root).ravel()
-                           for dp in partial_blocks])
-        q = q + 2.0 * (scaled @ scaled.conj().T)
-    q = (q + q.conj().T) / 2.0
+        vh = v.conj().swapaxes(-1, -2)
+        scaled = np.empty(p.shape[:-1] + (len(partial_blocks), p.shape[-1] ** 2), dtype=complex)
+        for a, dp in enumerate(partial_blocks):
+            scaled[..., a, :] = (vh @ dp[s] @ v / root).reshape(p.shape[:-1] + (-1,))
+        q = q + 2.0 * (scaled @ scaled.conj().swapaxes(-1, -2))
+    return (q + q.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _real_qfim(q):
+    """The real part of one QFIM from _qfim_entries; a non-real one is
+    InvalidArgument."""
     imag_scale = max(1.0, float(np.max(np.abs(q))))
     if np.max(np.abs(q.imag)) > 1e-9 * imag_scale:
         raise InvalidArgument("QFIM evaluation produced a non-real matrix")
@@ -138,7 +148,7 @@ def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
         raise InvalidArgument("rho must be a DensityOperator")
     if len(partials) != 3:
         raise InvalidArgument("exactly three parameter derivatives required")
-    entries = _qfim_entries([rho.matrix], [[np.asarray(p)] for p in partials])
+    entries = _real_qfim(_qfim_entries([rho.matrix], [[np.asarray(p)] for p in partials]))
     return QfimMatrix(entries=entries, t=float(t),
                       n_particles=rho.space.n_particles, scenario=Scenario(scenario))
 

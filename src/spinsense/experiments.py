@@ -4,12 +4,17 @@ power-law fits, and Husimi distributions of probe states.
 A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
-single-parameter bounds for the individual strategy. The sweep walks a
-logarithmic time grid, dephasing the probe exactly to the integrated
-strength Theta(t) of each grid time and taking the QFIM there before the
-field rotation, which leaves it unchanged, sector by sector. It then
-narrows around the first dip of the curve and refines the optimum with a
-parabola in log-log coordinates.
+single-parameter bounds for the individual strategy. The sweep evaluates a
+logarithmic time grid in chunks of times, each chunk as stacked array
+operations, one total-spin sector block at a time: the probe is dephased
+exactly to the integrated strength Theta(t) of every time from the first
+columns of the noise-frame chain exponentials, and its QFIM is taken in the
+eigenbasis of the field Hamiltonian, before the field rotation, which
+leaves it unchanged, and where the rotating-frame generators are
+elementwise. Chunk sizes follow from N and a fixed memory budget, so no
+dense d x d matrix is formed and memory does not grow with the grid. The
+sweep then narrows around the first dip of the curve and refines the
+optimum with a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .dephasing import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
 from .dynamics import _AXES, FieldBasis, FieldParams, _line_angle
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                      NumericalError, SingularQfim)
-from .estimation import (QfimMatrix, Scenario, _qfim_entries, bound_individual,
-                         bound_simultaneous)
+from .estimation import (QfimMatrix, Scenario, _qfim_entries, _real_qfim,
+                         bound_individual, bound_simultaneous)
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
@@ -38,6 +43,9 @@ _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
 # Second-pass refinement: grid size and half-width factor around the best t.
 _RESCAN_POINTS = 40
 _RESCAN_FACTOR = 4.0
+
+# Working-memory budget of one chunk of grid times, in bytes (_chunk_size).
+_CHUNK_BYTES = 1 << 18
 
 
 class SweepScenario(str, enum.Enum):
@@ -129,50 +137,98 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _bounds_on_grid(config, space, basis, superoperator, spec, times):
-    """Total-variance bound I(t) on the grid; singular points come back NaN.
+def _sweep_probes(config, space, basis, superoperator):
+    """The scenario's probes, prepared once per sweep for _bounds_on_grid.
 
-    At each grid time every probe is dephased straight to Theta(t) and its
-    QFIM is taken before the field rotation, sector by sector: the QFIM does
-    not change under U, and the probes (maximal sector only), their dephased
-    states and every rotating-frame generator A_k are block diagonal, so
-    d_k rho = -i [A_k, rho] is formed block by block. The joint strategy
-    needs all three derivatives of its probe; the individual one reads only
-    Q_kk, one derivative per GHZ probe. An invalid (non-real, non-symmetric
-    or indefinite) QFIM is a numerical fault and raises NumericalError.
+    Returns, per probe, its maximal-sector amplitudes (the probes live there)
+    in the frame its dephasing acts in, the noise frame or the lab without
+    noise, with the axes it is differentiated along; and per sector
+    W_s = v_s^dag u_s, which carries that frame into the field eigenbasis.
     """
-    total = config.total_time
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probes = [(simultaneous_probe(space), _AXES)]
     else:
         probes = [(ghz_state(space, axis), (axis,)) for axis in _AXES]
-    rho0s = [(np.outer(p.amplitudes, p.amplitudes.conj()), axes) for p, axes in probes]
-    slices = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
+    frames = [v.conj().T for v in basis.evecs]
+    top = space.max_sector.dim
+    if superoperator is not None:
+        frames = [w @ u for w, u in zip(frames, superoperator.rotation.blocks)]
+        into_frame = superoperator.rotation.blocks[0].conj().T
+        probes = [(into_frame @ p.amplitudes[:top], axes) for p, axes in probes]
+    else:
+        probes = [(p.amplitudes[:top], axes) for p, axes in probes]
+    return probes, frames
+
+
+def _chunk_size(space, superoperator):
+    """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
+    for a complex copy of every sector block plus the largest chain-batch
+    exponential. Small N takes a whole pass at once, and the working memory
+    of a pass does not grow with its number of times."""
+    per_time = 16 * sum(s.dim ** 2 for s in space.sectors)
+    if superoperator is not None:
+        per_time += 8 * max(b.generator.size for b in superoperator.chains)
+    return max(1, _CHUNK_BYTES // per_time)
+
+
+def _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times):
+    """Total-variance bound I(t) on the grid; singular points come back NaN.
+
+    The times are evaluated in chunks (_chunk_size), each as stacked array
+    operations over its times, one sector block at a time. Every probe is
+    dephased straight to Theta(t) from its noise-frame amplitudes
+    (propagate_top, whose chain exponentials all probes share), and its QFIM
+    is taken in the field eigenbasis, before the field rotation, which
+    leaves it unchanged. There each block is rho_s = W_s rho~_s W_s^dag and
+    each rotating-frame generator is elementwise, A_k = f(lam, t) * J~_k, so
+    d_k rho = -i [A_k, rho] is formed block by block. Blocks that are zero at
+    every time of a chunk are skipped: they add nothing under the global
+    cutoff. The joint strategy needs all three derivatives of its probe; the
+    individual one reads only Q_kk, one derivative per GHZ probe. An invalid
+    (non-real, non-symmetric or indefinite) QFIM is a numerical fault and
+    raises NumericalError.
+    """
+    probes, frames = prepared
+    count = -(-len(times) // _chunk_size(space, superoperator))
+    edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
-    for i, t in enumerate(times):
-        states = []
-        for rho, axes in rho0s:
-            if superoperator is not None:
-                rho = superoperator.propagate(rho, integrated_strength(spec, t))
-            blocks = [(rho[sl, sl] + rho[sl, sl].conj().T) / 2.0 for sl in slices]
-            partials = []
-            for axis in axes:
-                comms = [-1j * (a @ r - r @ a)
-                         for a, r in zip(basis.generator(t, axis).blocks, blocks)]
-                partials.append([(c + c.conj().T) / 2.0 for c in comms])
-            states.append((blocks, partials))
-        try:
-            entries = [_qfim_entries(blocks, partials) for blocks, partials in states]
-            if config.scenario is SweepScenario.SIMULTANEOUS:
-                qm = QfimMatrix(entries=entries[0], t=t, n_particles=space.n_particles,
-                                scenario=Scenario.SIMULTANEOUS)
-                values[i] = bound_simultaneous(qm, total / t).value
+    for first, stop in zip(edges, edges[1:]):
+        chunk = times[first:stop]
+        if superoperator is not None:
+            columns = superoperator.first_columns([integrated_strength(spec, t) for t in chunk])
+        entries = []
+        for phi, axes in probes:
+            if superoperator is None:
+                blocks = [np.broadcast_to(np.outer(phi, phi.conj()),
+                                          (len(chunk), phi.size, phi.size))]
             else:
-                values[i] = bound_individual(*(q[0, 0] for q in entries), total / t).value
-        except SingularQfim:
-            continue
-        except InvalidArgument as exc:
-            raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
+                blocks = superoperator.propagate_top(phi, columns)
+            rho_blocks, partial_blocks = [], [[] for _ in axes]
+            for s, block in enumerate(blocks):
+                if block is None:
+                    continue
+                r = frames[s] @ block @ frames[s].conj().T
+                rho_blocks.append((r + r.conj().swapaxes(-1, -2)) / 2.0)
+                f = basis.phase_integral(s, chunk)
+                for partials, axis in zip(partial_blocks, axes):
+                    a = f * basis.rotated_j[axis][s]
+                    c = -1j * (a @ rho_blocks[-1] - rho_blocks[-1] @ a)
+                    partials.append((c + c.conj().swapaxes(-1, -2)) / 2.0)
+            entries.append(_qfim_entries(rho_blocks, partial_blocks))
+        for i, t in enumerate(chunk):
+            try:
+                qs = [_real_qfim(q[i]) for q in entries]
+                if config.scenario is SweepScenario.SIMULTANEOUS:
+                    qm = QfimMatrix(entries=qs[0], t=t, n_particles=space.n_particles,
+                                    scenario=Scenario.SIMULTANEOUS)
+                    values[first + i] = bound_simultaneous(qm, config.total_time / t).value
+                else:
+                    values[first + i] = bound_individual(
+                        *(q[0, 0] for q in qs), config.total_time / t).value
+            except SingularQfim:
+                continue
+            except InvalidArgument as exc:
+                raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
     return values
 
 
@@ -231,8 +287,9 @@ def sweep_time(config):
                 "sweep needs the parallel split")
         superoperator = build_dephasing_superoperator(space, spec)
     basis = FieldBasis(space, config.field_params())
+    prepared = _sweep_probes(config, space, basis, superoperator)
     times = config.grid.values()
-    values = _bounds_on_grid(config, space, basis, superoperator, spec, times)
+    values = _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times)
 
     finite = np.isfinite(values)
     if not finite.any():
@@ -251,7 +308,7 @@ def sweep_time(config):
     lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
     hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
     fine_times = np.geomspace(lo, hi, _RESCAN_POINTS)
-    fine_values = _bounds_on_grid(config, space, basis, superoperator, spec,
+    fine_values = _bounds_on_grid(config, space, basis, superoperator, spec, prepared,
                                   fine_times)
     fine_ok = np.isfinite(fine_values)
     if not fine_ok.any():
@@ -287,11 +344,21 @@ class ScanRow:
     i_min: float
 
 
+class ScanRows(list):
+    """The rows of a particle scan, in ascending N. dropped holds, also in
+    ascending N, an (N, reason) pair for each N whose sweep failed."""
+
+    def __init__(self, rows, dropped):
+        super().__init__(rows)
+        self.dropped = tuple(dropped)
+
+
 def _scan_one(config):
+    """The ScanRow of one sweep, or the reason it failed."""
     try:
         result = sweep_time(config)
-    except ExperimentFailed:
-        return None
+    except ExperimentFailed as exc:
+        return f"{type(exc).__name__}: {exc}"
     return ScanRow(n_particles=config.n_particles, scenario=config.scenario,
                    kind=config.kind, t_opt=result.t_opt, i_min=result.i_min)
 
@@ -299,9 +366,10 @@ def _scan_one(config):
 def scan_particles(n_list, base_config, workers=1):
     """Run sweep_time for each N in ascending n_list.
 
-    Failed sweeps are dropped from the output rather than aborting the scan.
-    With workers > 1 the sweeps run in a process pool; row order is
-    deterministic either way.
+    A sweep that fails (ExperimentFailed) drops its N from the rows rather
+    than aborting the scan; the returned ScanRows names it, with the reason,
+    in dropped. With workers > 1 the sweeps run in a process pool; the
+    result is the same either way.
     """
     ns = [int(n) for n in n_list]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
@@ -314,7 +382,8 @@ def scan_particles(n_list, base_config, workers=1):
             rows = list(pool.map(_scan_one, configs))
     else:
         rows = [_scan_one(c) for c in configs]
-    return [r for r in rows if r is not None]
+    return ScanRows([r for r in rows if isinstance(r, ScanRow)],
+                    [(n, r) for n, r in zip(ns, rows) if not isinstance(r, ScanRow)])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinsense.cli import main
@@ -77,9 +78,10 @@ def test_scan_worker_pool_output_is_identical(tmp_path, capsys):
     assert run_cli(capsys, *args, "--workers", "1", "--out", str(serial))[0] == 0
     assert run_cli(capsys, *args, "--workers", "2", "--out", str(pooled))[0] == 0
     assert filecmp.cmp(serial, pooled, shallow=False)
-    header = [ln for ln in serial.read_text().splitlines()
-              if not ln.startswith("#")][0]
+    lines = serial.read_text().splitlines()
+    header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "n,scenario,kind,t_opt,i_min"
+    assert lines[-1] == "# dropped = none"
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -144,12 +146,39 @@ def test_sweep_failure_exit_code(capsys):
 
 
 def test_invalid_qfim_exit_code(monkeypatch, capsys):
-    # an indefinite QFIM is the program's fault, not the user's: exit 3
-    monkeypatch.setattr("spinsense.experiments._qfim_entries",
-                        lambda rho, partials: [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
+    # an indefinite QFIM is the program's fault, not the user's: exit 3. The
+    # fake returns one QFIM per grid time of the chunk, as the kernel does
+    monkeypatch.setattr(
+        "spinsense.experiments._qfim_entries",
+        lambda rho, partials: np.broadcast_to(np.diag([1.0, 1.0, -1.0]),
+                                              rho[0].shape[:-2] + (3, 3)))
     code, _, err = run_cli(capsys, "sweep-time", "--n", "2", "--t-grid", "6,0.1,10")
     assert code == 3
-    assert "NumericalError" in err
+    assert "NumericalError: invalid QFIM" in err
+    assert "positive semidefinite" in err
+
+
+def test_scan_reports_dropped_particle_numbers(tmp_path, capsys):
+    # one spin cannot resolve three field components, so N = 1 is dropped;
+    # the output names it, the same way for any worker count
+    args = ["scan-n", "--n-list", "1,2", "--kind", "none", "--gamma", "0",
+            "--t-grid", "6,0.1,10"]
+    reason = "ExperimentFailed: no grid point produced an invertible QFIM"
+    outputs = {}
+    for fmt in ("csv", "json"):
+        for workers in ("1", "2", "1"):
+            path = tmp_path / f"{fmt}-{workers}-{len(outputs)}"
+            assert run_cli(capsys, *args, "--format", fmt, "--workers", workers,
+                           "--out", str(path))[0] == 0
+            outputs.setdefault(fmt, []).append(path.read_bytes())
+        assert len(set(outputs[fmt])) == 1
+    lines = outputs["csv"][0].decode().splitlines()
+    assert lines[-1] == f"# dropped = 1 ({reason})"
+    body = [ln for ln in lines if not ln.startswith("#")]
+    assert [ln.split(",")[0] for ln in body] == ["n", "2"]
+    doc = json.loads(outputs["json"][0])
+    assert doc["dropped"] == [{"n": 1, "reason": reason}]
+    assert [row["n"] for row in doc["rows"]] == [2]
 
 
 def test_husimi_writes_matrix_and_axes(tmp_path, capsys):
@@ -200,8 +229,8 @@ def test_verify_battery_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "2")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[-1].startswith("verify: ")
-    assert lines[-1].endswith("checks passed")
+    assert lines[-1] == "verify: 8/8 checks passed"
+    assert any(ln.startswith("PASS sweep-vs-pointwise") for ln in lines)
     assert all(not ln.startswith("FAIL") for ln in lines)
 
 

@@ -162,6 +162,47 @@ def test_propagate_matches_generator_exponential():
             assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def test_propagate_top_matches_dense_propagate():
+    # a state on the maximal sector, dephased at a vector of Theta from the
+    # first chain columns, sector block by sector block, against the dense
+    # propagate; a vector of Theta gives the exponential at each Theta
+    for n, axis in ((4, AXIS_DIAG), (7, AXIS_TILT), (6, AXIS_Z)):
+        space = build_space(n)
+        lsup = build_dephasing_superoperator(
+            space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
+        rng = np.random.default_rng(80 + n)
+        top = space.max_sector.dim
+        psi = np.zeros(space.total_dim, dtype=complex)
+        psi[:top] = rng.standard_normal(top) + 1j * rng.standard_normal(top)
+        psi /= np.linalg.norm(psi)
+        rotation = lsup.rotation.blocks
+        thetas = [0.0, 0.05, 0.7, 6.0]
+        blocks = list(lsup.propagate_top(rotation[0].conj().T @ psi[:top],
+                                         lsup.first_columns(thetas)))
+        assert len(blocks) == len(space.sectors)
+        for i, theta in enumerate(thetas):
+            lab = lsup.propagate(np.outer(psi, psi.conj()), theta)
+            for s, u, block in zip(space.sectors, rotation, blocks):
+                sl = slice(s.offset, s.offset + s.dim)
+                expected = u.conj().T @ lab[sl, sl] @ u
+                got = np.zeros_like(expected) if block is None else block[i]
+                assert np.max(np.abs(got - expected)) < 1e-12
+        for batch in lsup.chains:
+            stacked = batch.exponential(thetas)
+            for i, theta in enumerate(thetas):
+                assert np.max(np.abs(stacked[i] - batch.exponential([theta])[0])) < 1e-15
+    # along the noise axis a GHZ state feeds only the chains of m = m' = +-N/2
+    # and of |N/2><-N/2| and its conjugate, which all stay in the maximal sector
+    space = build_space(6)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
+    phi = np.zeros(space.max_sector.dim, dtype=complex)
+    phi[[0, -1]] = 1.0 / math.sqrt(2.0)
+    blocks = list(lsup.propagate_top(phi, lsup.first_columns([0.3, 2.0])))
+    assert blocks[0] is not None
+    assert all(block is None for block in blocks[1:])
+
+
 def test_propagate_at_large_n():
     # z dephasing multiplies |x><y| of the product basis by
     # exp(-4 Theta hamming(x, y)). For the Dicke state |N/2, 0> this gives the

@@ -168,6 +168,17 @@ def test_qfim_entries_over_blocks_match_one_dense_block(count):
     assert np.max(np.abs(by_block - dense)) < 1e-10 * np.max(np.abs(dense))
     # a cutoff per block would count the third block's weight, which is huge
     assert np.max(np.abs(dense)) < 1e4
+    # stacked states, one per time, take one cutoff each: here the third
+    # block's weight lies above the second state's cutoff
+    faint = _random_block_state(rng, [[0.02, 0.01, 0.005, 0.001], [0.01, 0.005],
+                                      [4e-14, 0.0, 0.0], [0.01]])
+    stacked = _qfim_entries([np.stack(pair) for pair in zip(rho_blocks, faint)],
+                            [[np.stack([b, b]) for b in parts] for parts in partial_blocks])
+    alone = _qfim_entries(faint, partial_blocks)
+    assert stacked.shape == (2, count, count)
+    assert np.max(np.abs(stacked[0] - by_block)) < 1e-12 * np.max(np.abs(by_block))
+    assert np.max(np.abs(stacked[1] - alone)) < 1e-12 * np.max(np.abs(alone))
+    assert np.max(np.abs(alone)) > 1e8
 
 
 def test_qfim_matrix_validation():

@@ -1,6 +1,7 @@
 """Time sweeps, particle scans, power-law fits, and Husimi maps."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
-                       NoiseKind, NumericalError, SingularQfim, StateVector,
-                       SweepConfig, SweepScenario, TimeGrid, bound_individual,
-                       bound_simultaneous, build_dephasing_superoperator,
-                       build_space, evolve, fit_power_law, ghz_state,
-                       husimi_grid, husimi_map, husimi_normalization,
-                       partial_rho, qfim, scan_particles, simultaneous_probe,
-                       sweep_time)
+                       NoiseKind, NumericalError, StateVector, SweepConfig,
+                       SweepScenario, TimeGrid, build_space, fit_power_law,
+                       ghz_state, husimi_grid, husimi_map,
+                       husimi_normalization, scan_particles,
+                       simultaneous_probe, sweep_time)
+from spinsense.cli import _pointwise_bounds
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
 
@@ -96,6 +96,7 @@ def test_scan_collects_ascending_rows():
     cfg = SweepConfig(n_particles=4, gamma=0.1, grid=SMALL_GRID)
     rows = scan_particles([4, 6, 8], cfg)
     assert [r.n_particles for r in rows] == [4, 6, 8]
+    assert rows.dropped == ()
     assert all(r.t_opt > 0.0 and r.i_min > 0.0 for r in rows)
     vals = [r.i_min for r in rows]
     assert vals[0] > vals[1] > vals[2]
@@ -194,25 +195,29 @@ def test_all_singular_sweep_raises():
 
 
 def _indefinite_qfim(rho_blocks, partial_blocks):
-    return np.diag([1.0, 1.0, -1.0])
+    # one QFIM per grid time of the chunk, as the kernel returns them
+    times = rho_blocks[0].shape[:-2]
+    return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), times + (3, 3))
 
 
 def _nonreal_qfim(rho_blocks, partial_blocks):
-    raise InvalidArgument("QFIM evaluation produced a non-real matrix")
+    times, count = rho_blocks[0].shape[:-2], len(partial_blocks)
+    return np.full(times + (count, count), 1.0 + 0.5j)
 
 
-@pytest.mark.parametrize("fake, scenario", [
-    pytest.param(_indefinite_qfim, SweepScenario.SIMULTANEOUS, id="indefinite-sim"),
-    pytest.param(_nonreal_qfim, SweepScenario.SIMULTANEOUS, id="nonreal-sim"),
-    pytest.param(_nonreal_qfim, SweepScenario.INDIVIDUAL, id="nonreal-ind"),
+@pytest.mark.parametrize("fake, scenario, check", [
+    pytest.param(_indefinite_qfim, SweepScenario.SIMULTANEOUS, "positive semidefinite",
+                 id="indefinite-sim"),
+    pytest.param(_nonreal_qfim, SweepScenario.SIMULTANEOUS, "non-real", id="nonreal-sim"),
+    pytest.param(_nonreal_qfim, SweepScenario.INDIVIDUAL, "non-real", id="nonreal-ind"),
 ])
-def test_invalid_qfim_is_not_hidden(monkeypatch, fake, scenario):
+def test_invalid_qfim_is_not_hidden(monkeypatch, fake, scenario, check):
     # an invalid QFIM is a numerical fault, not a singular grid point or a bad
     # argument: the sweep raises instead of dropping the point as NaN
     monkeypatch.setattr("spinsense.experiments._qfim_entries", fake)
     cfg = SweepConfig(n_particles=2, scenario=scenario,
                       grid=TimeGrid(count=6, start=0.1, stop=50.0))
-    with pytest.raises(NumericalError, match="invalid QFIM"):
+    with pytest.raises(NumericalError, match=f"invalid QFIM at t=.*{check}"):
         sweep_time(cfg)
 
 
@@ -226,53 +231,39 @@ def test_noisy_sweep_refuses_nonparallel_field():
     sweep_time(replace(cfg, field=(-0.01, -0.01, -0.01)))
 
 
-def _dense_pipeline_bounds(cfg):
-    """The sweep's bound curve from the public dense calls, with the QFIM
-    condition number of each grid point (of diag(Q_kk) for the individual
-    strategy)."""
-    space = build_space(cfg.n_particles)
-    spec = cfg.noise_spec()
-    field = cfg.field_params()
-    lsup = build_dephasing_superoperator(space, spec) if spec.gamma > 0.0 else None
-    if cfg.scenario is SweepScenario.SIMULTANEOUS:
-        probes = [simultaneous_probe(space)]
-    else:
-        probes = [ghz_state(space, axis) for axis in "xyz"]
-    bounds, conds = [], []
-    for t in cfg.grid.values():
-        qs = []
-        for probe in probes:
-            res = evolve(probe.projector(), field, spec, t, superoperator=lsup)
-            qs.append(qfim(res.rho, [partial_rho(res, field, a) for a in "xyz"], t=t))
-        sim = cfg.scenario is SweepScenario.SIMULTANEOUS
-        if sim:
-            w = np.linalg.eigvalsh(qs[0].entries)
-        else:
-            w = np.array([q.entries[k, k] for k, q in enumerate(qs)])
-        conds.append(w.max() / w.min() if w.min() > 0.0 else math.inf)
-        try:
-            if sim:
-                bounds.append(bound_simultaneous(qs[0], cfg.total_time / t).value)
-            else:
-                bounds.append(bound_individual(*w, cfg.total_time / t).value)
-        except SingularQfim:
-            bounds.append(math.nan)
-    return np.array(bounds), np.array(conds)
-
-
 @pytest.mark.parametrize("n", [4, 7])
-@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN])
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
+                                  NoiseKind.NONE])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
                                       SweepScenario.INDIVIDUAL])
 def test_sweep_bounds_match_dense_pipeline(n, kind, scenario):
-    # the sector-block evaluation before the rotation against evolve ->
-    # partial_rho -> qfim -> bound on the dense rotated state
+    # the grid-batched sector-block evaluation in the field eigenbasis against
+    # evolve -> partial_rho -> qfim -> bound on the dense rotated state
     cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, gamma=0.05,
                       grid=TimeGrid(count=12, start=0.05, stop=100.0))
-    expected, conds = _dense_pipeline_bounds(cfg)
+    expected, conds = _pointwise_bounds(cfg)
     got = sweep_time(cfg).bounds
     assert np.array_equal(np.isnan(got), np.isnan(expected))
     well = conds < 1e6
     assert well.sum() >= 6
     rel = np.abs(got[well] - expected[well]) / np.abs(expected[well])
     assert rel.max() < 1e-9
+
+
+def test_sweep_memory_stays_below_one_dense_matrix():
+    # the sweep holds sector blocks of a chunk of grid times, never a dense
+    # d x d matrix, and its chunks do not grow with the grid
+    n = 48
+    dense = build_space(n).total_dim ** 2 * 16
+    peaks = []
+    for count in (24, 240):
+        cfg = SweepConfig(n_particles=n, kind=NoiseKind.NONE, gamma=0.0,
+                          grid=TimeGrid(count=count, start=0.05, stop=100.0))
+        tracemalloc.start()
+        try:
+            sweep_time(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < dense
+    assert peaks[1] < 1.5 * peaks[0]

@@ -715,10 +715,13 @@ def _pointwise_bounds(config):
 
 def _check_sweep_vs_pointwise(n):
     worst, compared = 0.0, 0
-    for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
+    # both noise kinds in the noise frame; without noise, a field frame off z
+    cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}),
+             (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}))
+    for kind, extra in cases:
         for scenario in SweepScenario:
             config = SweepConfig(n_particles=n, kind=kind, scenario=scenario,
-                                 grid=TimeGrid(count=8, start=0.05, stop=100.0))
+                                 grid=TimeGrid(count=8, start=0.05, stop=100.0), **extra)
             expected, conds = _pointwise_bounds(config)
             try:
                 got = sweep_time(config).bounds

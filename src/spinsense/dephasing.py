@@ -278,22 +278,37 @@ class DephasingSuperoperator:
         return out
 
 
-def build_dephasing_superoperator(space, spec):
-    """Build the rate-free dephasing generator for the given noise axis.
+def axis_frame(space, axis):
+    """The collective rotation onto a nonzero axis and its 3 x 3 rotation.
 
-    The rotation is exp(-i beta k . J) with k along z x axis (x when the axis
-    is along +-z) and beta the polar angle of the axis. The chains depend
-    only on N; the build is deterministic.
+    U = exp(-i beta k . J), with k along z x axis (x when the axis is along
+    +-z) and beta the polar angle of the axis, carries J_z onto n . J for
+    the unit vector n along the axis. R is the rotation by beta about k
+    (Rodrigues): U^dag J_a U = sum_b R[a, b] J_b, and R[:, 2] = n.
     """
     # dynamics imports this module, so its field machinery is imported here.
     from .dynamics import FieldBasis, FieldParams
+    vec = np.asarray(axis, dtype=float)
+    n = vec / np.linalg.norm(vec)
+    sin_beta = float(np.hypot(n[0], n[1]))
+    k = np.array([-n[1] / sin_beta, n[0] / sin_beta, 0.0]) if sin_beta > 0.0 \
+        else np.array([1.0, 0.0, 0.0])
+    beta = float(np.arctan2(sin_beta, n[2]))
+    u = FieldBasis(space, FieldParams(tuple(beta * k))).unitary(1.0)
+    r = math.cos(beta) * np.eye(3) + math.sin(beta) * np.cross(np.eye(3), k) \
+        + (1.0 - math.cos(beta)) * np.outer(k, k)
+    return u, r
+
+
+def build_dephasing_superoperator(space, spec):
+    """Build the rate-free dephasing generator for the given noise axis.
+
+    The rotation is the U of axis_frame. The chains depend only on N; the
+    build is deterministic.
+    """
     if not isinstance(space, DickeSpace):
         raise InvalidArgument("space must be a DickeSpace")
-    nx, ny, nz = (c / 2.0 for c in spec.axis)
-    sin_beta = float(np.hypot(nx, ny))
-    k = (-ny / sin_beta, nx / sin_beta, 0.0) if sin_beta > 0.0 else (1.0, 0.0, 0.0)
-    beta = float(np.arctan2(sin_beta, nz))
-    rotation = FieldBasis(space, FieldParams(tuple(beta * c for c in k))).unitary(1.0)
+    rotation, _ = axis_frame(space, spec.axis)
     n = space.n_particles
     lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
     chains = tuple(_chain_batch(space, length, lam)

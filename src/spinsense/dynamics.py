@@ -61,34 +61,36 @@ def hamiltonian(space, field):
     return BlockOperator(space, blocks)
 
 
+def phase_integral(lam, t, tol):
+    """f(lam, t) = (exp(i lam t) - 1) / (i lam) elementwise over the matrix
+    lam, at a time t or at each of an array of times (shape t.shape +
+    lam.shape). It is t where |lam| <= tol; f(-lam) = conj(f(lam))."""
+    small = np.abs(lam) <= tol
+    safe = np.where(small, 1.0, lam)
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return np.where(small, t, 1j * (1.0 - np.exp(1j * lam * t)) / safe)
+
+
 class FieldBasis:
     """Eigendecomposition of the field Hamiltonian, cached per block.
 
     Exposes the propagator and the rotating-frame integral operators for any
-    time without repeating the diagonalization; sweep loops reuse a single
-    instance across their whole time grid.
+    time without repeating the diagonalization.
     """
 
     def __init__(self, space, field):
         self.space = space
         self.field = field
-        ham = hamiltonian(space, field)
-        evals, evecs, rotated = [], [], []
+        evals, evecs = [], []
         try:
-            for block in ham.blocks:
+            for block in hamiltonian(space, field).blocks:
                 w, v = np.linalg.eigh(block)
                 evals.append(w)
                 evecs.append(v)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"field Hamiltonian diagonalization failed: {exc}") from exc
-        for axis in _AXES:
-            op = collective_operator(space, axis)
-            rotated.append(tuple(v.conj().T @ b @ v for b, v in zip(op.blocks, evecs)))
         self.evals = tuple(evals)
         self.evecs = tuple(evecs)
-        self.rotated_j = dict(zip(_AXES, rotated))
-        self.energy_scale = max((float(np.max(np.abs(w))) if w.size else 0.0)
-                                for w in evals)
 
     def unitary(self, t):
         """exp(-i H t) as a BlockOperator."""
@@ -97,32 +99,23 @@ class FieldBasis:
             for w, v in zip(self.evals, self.evecs))
         return BlockOperator(self.space, blocks)
 
-    def phase_integral(self, index, t):
-        """f(lam, t) = (exp(i lam t) - 1) / (i lam) for the energy differences
-        lam = E_a - E_b of sector block index, at a time t or at each of an
-        array of times (shape t.shape + block shape). It degenerates to t
-        when |lam| is negligible against the spectral scale; f(-lam) =
-        conj(f(lam))."""
-        w = self.evals[index]
-        lam = w[:, None] - w[None, :]
-        small = np.abs(lam) <= 1e-10 * self.energy_scale
-        safe = np.where(small, 1.0, lam)
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return np.where(small, t, 1j * (1.0 - np.exp(1j * lam * t)) / safe)
-
     def generator(self, t, axis):
         """Rotating-frame integral A = int_0^t U(u)^dag J_axis U(u) du.
 
         In the Hamiltonian eigenbasis the integral is elementwise: the matrix
-        element between energies E_a, E_b picks up phase_integral, so A is
+        element between energies E_a, E_b picks up phase_integral of
+        E_a - E_b, negligible below 1e-10 of the spectral scale, so A is
         Hermitian.
         """
         if t < 0.0 or not np.isfinite(t):
             raise InvalidArgument(f"t must be finite and >= 0, got {t}")
         if axis not in _AXES:
             raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
-        blocks = tuple(v @ (self.phase_integral(s, t) * jt) @ v.conj().T
-                       for s, (v, jt) in enumerate(zip(self.evecs, self.rotated_j[axis])))
+        tol = 1e-10 * max(float(np.max(np.abs(w))) for w in self.evals)
+        ops = collective_operator(self.space, axis).blocks
+        blocks = tuple(v @ (phase_integral(w[:, None] - w[None, :], t, tol)
+                            * (v.conj().T @ j @ v)) @ v.conj().T
+                       for w, v, j in zip(self.evals, self.evecs, ops))
         return BlockOperator(self.space, blocks)
 
 

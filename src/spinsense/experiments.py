@@ -8,11 +8,12 @@ single-parameter bounds for the individual strategy. The sweep evaluates a
 logarithmic time grid in chunks of times, each chunk as stacked array
 operations, one total-spin sector block at a time: the probe is dephased
 exactly to the integrated strength Theta(t) of every time from the first
-columns of the noise-frame chain exponentials, and its QFIM is taken in the
-eigenbasis of the field Hamiltonian, before the field rotation, which
-leaves it unchanged, and where the rotating-frame generators are
-elementwise. Chunk sizes follow from N and a fixed memory budget, so no
-dense d x d matrix is formed and memory does not grow with the grid. The
+columns of the noise-frame chain exponentials, and its QFIM is taken in
+that noise frame (the frame of the field direction without noise), before
+the field rotation, which leaves it unchanged. The field Hamiltonian is
+h J_z there, so the rotating-frame generators are elementwise. Chunk sizes
+follow from N and a fixed memory budget, so no dense d x d matrix is
+formed and memory does not grow with the grid. The
 sweep then narrows around the first dip of the curve and refines the
 optimum with a parabola in log-log coordinates.
 """
@@ -28,10 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import build_space, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
+from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
+from .dephasing import (NoiseKind, NoiseSpec, axis_frame, build_dephasing_superoperator,
                         integrated_strength)
-from .dynamics import _AXES, FieldBasis, FieldParams, _line_angle
+from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                      NumericalError, SingularQfim)
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, _real_qfim,
@@ -98,7 +99,7 @@ class SweepConfig:
                 f"grid extends to {self.grid.stop}, beyond the total budget {self.total_time}")
         object.__setattr__(self, "scenario", SweepScenario(self.scenario))
         object.__setattr__(self, "kind", NoiseKind(self.kind))
-        object.__setattr__(self, "field", tuple(float(x) for x in self.field))
+        object.__setattr__(self, "field", FieldParams(self.field).phi)
         object.__setattr__(self, "axis", tuple(float(x) for x in self.axis))
 
     def noise_spec(self):
@@ -111,11 +112,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class RefinementMeta:
     """Where the optimum came from: grid index of the selected sampled
-    minimum, quality of the local parabola, and whether the optimum sat on
-    a grid boundary (in which case no refinement is attempted)."""
+    minimum, and whether the optimum sat on a grid boundary (in which case
+    no refinement is attempted)."""
 
     grid_index: int
-    fit_residual: float
     boundary: bool
 
 
@@ -137,27 +137,32 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _sweep_probes(config, space, basis, superoperator):
-    """The scenario's probes, prepared once per sweep for _bounds_on_grid.
+def _sweep_probes(config, space, spec):
+    """The scenario's probes and generators in the sweep's frame, prepared
+    once per sweep for _bounds_on_grid.
 
-    Returns, per probe, its maximal-sector amplitudes (the probes live there)
-    in the frame its dephasing acts in, the noise frame or the lab without
-    noise, with the axes it is differentiated along; and per sector
-    W_s = v_s^dag u_s, which carries that frame into the field eigenbasis.
+    The frame (axis_frame) is that of the noise axis, of the field direction
+    without noise, and of z for a zero field. The field Hamiltonian there is
+    h J_z, with h the signed field component along the frame axis. Returns,
+    per probe, its maximal-sector amplitudes (the probes live there) in that
+    frame, with the axes it is differentiated along; per axis and sector
+    J~_k = U^dag J_k U = sum_l R[k, l] J_l; and per sector the energy
+    differences h (m - m').
     """
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probes = [(simultaneous_probe(space), _AXES)]
     else:
         probes = [(ghz_state(space, axis), (axis,)) for axis in _AXES]
-    frames = [v.conj().T for v in basis.evecs]
-    top = space.max_sector.dim
-    if superoperator is not None:
-        frames = [w @ u for w, u in zip(frames, superoperator.rotation.blocks)]
-        into_frame = superoperator.rotation.blocks[0].conj().T
-        probes = [(into_frame @ p.amplitudes[:top], axes) for p, axes in probes]
-    else:
-        probes = [(p.amplitudes[:top], axes) for p, axes in probes]
-    return probes, frames
+    u, r = axis_frame(space, spec.axis if spec.gamma > 0.0
+                      else config.field if any(config.field) else (0.0, 0.0, 1.0))
+    into_frame = u.blocks[0].conj().T
+    probes = [(into_frame @ p.amplitudes[:space.max_sector.dim], axes) for p, axes in probes]
+    js = list(zip(*(collective_operator(space, a).blocks for a in _AXES)))
+    rotated_j = {axis: [sum(r[k, l] * j for l, j in enumerate(sector)) for sector in js]
+                 for k, axis in enumerate(_AXES)}
+    h = float(np.dot(config.field, r[:, 2]))
+    lams = [h * (m[:, None] - m[None, :]) for m in (s.m_values() for s in space.sectors)]
+    return probes, rotated_j, lams
 
 
 def _chunk_size(space, superoperator):
@@ -171,16 +176,17 @@ def _chunk_size(space, superoperator):
     return max(1, _CHUNK_BYTES // per_time)
 
 
-def _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times):
+def _bounds_on_grid(config, space, superoperator, spec, prepared, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
     The times are evaluated in chunks (_chunk_size), each as stacked array
     operations over its times, one sector block at a time. Every probe is
     dephased straight to Theta(t) from its noise-frame amplitudes
     (propagate_top, whose chain exponentials all probes share), and its QFIM
-    is taken in the field eigenbasis, before the field rotation, which
-    leaves it unchanged. There each block is rho_s = W_s rho~_s W_s^dag and
-    each rotating-frame generator is elementwise, A_k = f(lam, t) * J~_k, so
+    is taken in the noise frame (the field frame without noise), before the
+    field rotation, which leaves it unchanged. There each block rho_s is the
+    Hermitian part of the noise-frame block and each rotating-frame generator
+    is elementwise, A_k = f(h (m - m'), t) * J~_k (_sweep_probes), so
     d_k rho = -i [A_k, rho] is formed block by block. Blocks that are zero at
     every time of a chunk are skipped: they add nothing under the global
     cutoff. The joint strategy needs all three derivatives of its probe; the
@@ -188,7 +194,7 @@ def _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times):
     (non-real, non-symmetric or indefinite) QFIM is a numerical fault and
     raises NumericalError.
     """
-    probes, frames = prepared
+    probes, rotated_j, lams = prepared
     count = -(-len(times) // _chunk_size(space, superoperator))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
@@ -207,11 +213,10 @@ def _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times):
             for s, block in enumerate(blocks):
                 if block is None:
                     continue
-                r = frames[s] @ block @ frames[s].conj().T
-                rho_blocks.append((r + r.conj().swapaxes(-1, -2)) / 2.0)
-                f = basis.phase_integral(s, chunk)
+                rho_blocks.append((block + block.conj().swapaxes(-1, -2)) / 2.0)
+                f = phase_integral(lams[s], chunk, 0.0)
                 for partials, axis in zip(partial_blocks, axes):
-                    a = f * basis.rotated_j[axis][s]
+                    a = f * rotated_j[axis][s]
                     c = -1j * (a @ rho_blocks[-1] - rho_blocks[-1] @ a)
                     partials.append((c + c.conj().swapaxes(-1, -2)) / 2.0)
             entries.append(_qfim_entries(rho_blocks, partial_blocks))
@@ -232,18 +237,21 @@ def _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times):
     return values
 
 
-def _first_interior_minimum(masked, finite):
-    """Index of the first interior local minimum of a sampled curve.
-
-    A point qualifies when it and both neighbours are finite and it lies
-    strictly below both. Returns None when the finite samples run monotone
-    to an edge (no interior dip).
+def _first_dip(values):
+    """The first interior local minimum of a sampled curve: its index and
+    False; or, when the finite samples run monotone to an edge (no interior
+    dip), the index of the smallest sample and True. A point qualifies when
+    it and both neighbours are finite and it lies strictly below both.
+    Returns (None, True) when no sample is finite.
     """
-    for i in range(1, len(masked) - 1):
-        if finite[i] and finite[i - 1] and finite[i + 1] \
-                and masked[i] < masked[i - 1] and masked[i] < masked[i + 1]:
-            return i
-    return None
+    finite = np.isfinite(values)
+    if not finite.any():
+        return None, True
+    for i in range(1, len(values) - 1):
+        if finite[i - 1:i + 2].all() and values[i] < values[i - 1] \
+                and values[i] < values[i + 1]:
+            return i, False
+    return int(np.argmin(np.where(finite, values, np.inf))), True
 
 
 def _parabolic_minimum(log_t, log_i, idx):
@@ -251,13 +259,11 @@ def _parabolic_minimum(log_t, log_i, idx):
     x = log_t[idx - 1:idx + 2]
     y = log_i[idx - 1:idx + 2]
     coeffs = np.polyfit(x, y, 2)
-    residual = float(np.max(np.abs(np.polyval(coeffs, x) - y)))
     if coeffs[0] <= 0.0:
-        return log_t[idx], log_i[idx], residual
+        return log_t[idx], log_i[idx]
     xv = -coeffs[1] / (2.0 * coeffs[0])
     xv = min(max(xv, x[0]), x[-1])
-    yv = float(np.polyval(coeffs, xv))
-    return xv, yv, residual
+    return xv, float(np.polyval(coeffs, xv))
 
 
 def sweep_time(config):
@@ -275,7 +281,8 @@ def sweep_time(config):
     reported as missing; if every point fails the sweep raises
     ExperimentFailed. Under dephasing the field must lie along the noise
     axis (within 1e-8 rad, sign ignored), as evolve requires; otherwise the
-    sweep raises AssumptionViolated.
+    sweep raises AssumptionViolated. The sweep then takes the field's
+    component along the axis.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
@@ -286,51 +293,30 @@ def sweep_time(config):
                 "field direction is not parallel to the dephasing axis; the "
                 "sweep needs the parallel split")
         superoperator = build_dephasing_superoperator(space, spec)
-    basis = FieldBasis(space, config.field_params())
-    prepared = _sweep_probes(config, space, basis, superoperator)
+    prepared = _sweep_probes(config, space, spec)
     times = config.grid.values()
-    values = _bounds_on_grid(config, space, basis, superoperator, spec, prepared, times)
+    values = _bounds_on_grid(config, space, superoperator, spec, prepared, times)
 
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ExperimentFailed("no grid point produced an invertible QFIM")
-    masked = np.where(finite, values, np.inf)
-    idx = _first_interior_minimum(masked, finite)
-
+    idx, boundary = _first_dip(values)
     if idx is None:
-        idx = int(np.argmin(masked))
-        meta = RefinementMeta(grid_index=idx, fit_residual=0.0, boundary=True)
-        return SweepResult(config=config, times=times, bounds=values,
-                           t_opt=float(times[idx]), i_min=float(values[idx]),
-                           refinement=meta)
-
-    # Narrowed pass around the coarse dip, clipped to the sweep range.
-    lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
-    hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
-    fine_times = np.geomspace(lo, hi, _RESCAN_POINTS)
-    fine_values = _bounds_on_grid(config, space, basis, superoperator, spec, prepared,
-                                  fine_times)
-    fine_ok = np.isfinite(fine_values)
-    if not fine_ok.any():
-        meta = RefinementMeta(grid_index=idx, fit_residual=0.0, boundary=True)
-        return SweepResult(config=config, times=times, bounds=values,
-                           t_opt=float(times[idx]), i_min=float(values[idx]),
-                           refinement=meta)
-    fine_masked = np.where(fine_ok, fine_values, np.inf)
-    fidx = _first_interior_minimum(fine_masked, fine_ok)
-    if fidx is None:
-        fidx = int(np.argmin(fine_masked))
-        t_opt, i_min = float(fine_times[fidx]), float(fine_values[fidx])
-        meta = RefinementMeta(grid_index=idx, fit_residual=0.0, boundary=True)
-    else:
-        log_t = np.log(fine_times)
-        log_i = np.log(fine_values)
-        xv, yv, residual = _parabolic_minimum(log_t, log_i, fidx)
-        t_opt, i_min = float(np.exp(xv)), float(np.exp(yv))
-        i_min = min(i_min, float(fine_values[fidx]))
-        meta = RefinementMeta(grid_index=idx, fit_residual=residual, boundary=False)
-    return SweepResult(config=config, times=times, bounds=values,
-                       t_opt=t_opt, i_min=i_min, refinement=meta)
+        raise ExperimentFailed("no grid point produced an invertible QFIM")
+    t_opt, i_min = times[idx], values[idx]
+    if not boundary:
+        # Narrowed pass around the coarse dip, clipped to the sweep range; the
+        # coarse point stands, flagged as a boundary, if it is all singular.
+        lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
+        hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
+        fine_times = np.geomspace(lo, hi, _RESCAN_POINTS)
+        fine_values = _bounds_on_grid(config, space, superoperator, spec, prepared, fine_times)
+        fidx, boundary = _first_dip(fine_values)
+        if fidx is not None:
+            t_opt, i_min = fine_times[fidx], fine_values[fidx]
+        if not boundary:
+            xv, yv = _parabolic_minimum(np.log(fine_times), np.log(fine_values), fidx)
+            t_opt, i_min = np.exp(xv), min(float(np.exp(yv)), float(i_min))
+    return SweepResult(config=config, times=times, bounds=values, t_opt=float(t_opt),
+                       i_min=float(i_min),
+                       refinement=RefinementMeta(grid_index=idx, boundary=boundary))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,12 @@ def test_nonparallel_field_exit_code(capsys):
         assert code == 4
         assert "AssumptionViolated" in err
         assert out == ""
+    # a non-finite field is a bad argument, refused before the parallel test
+    code, out, err = run_cli(capsys, "sweep-time", "--n", "4", "--t-grid", "6,0.1,10",
+                             "--phi", "inf,0,0")
+    assert code == 2
+    assert "InvalidArgument" in err
+    assert out == ""
 
 
 def test_nonparallel_fallback_flag(capsys):

@@ -8,9 +8,11 @@ import pytest
 import scipy.linalg
 
 from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, build_space,
-                       build_dephasing_superoperator, coupled_multiplets,
-                       degeneracy, embed_collective, gamma_profile, hamiltonian,
-                       integrated_strength, simultaneous_probe, FieldParams)
+                       build_dephasing_superoperator, collective_operator,
+                       coupled_multiplets, degeneracy, embed_collective,
+                       gamma_profile, hamiltonian, integrated_strength,
+                       simultaneous_probe, FieldParams)
+from spinsense.dephasing import axis_frame
 from spinsense.dynamics import _PAULI, _site_operator
 
 AXIS_Z = (0.0, 0.0, 2.0)
@@ -160,6 +162,24 @@ def test_propagate_matches_generator_exponential():
             expected = scipy.linalg.expm(theta * _dense_generator(lsup)) @ x.ravel()
             got = lsup.propagate(x, theta).ravel()
             assert np.max(np.abs(got - expected)) < 1e-10
+
+
+def test_axis_frame_vector_rule():
+    # U^dag J_a U = sum_b R[a, b] J_b sector by sector, and R is the proper
+    # rotation that carries z onto the axis
+    for axis in (AXIS_Z, (0.0, 0.0, -2.0), (2.0, 0.0, 0.0), AXIS_DIAG, AXIS_TILT):
+        n_hat = np.array(axis) / np.linalg.norm(axis)
+        for n in range(1, 6):
+            space = build_space(n)
+            u, r = axis_frame(space, axis)
+            assert np.max(np.abs(r[:, 2] - n_hat)) < 1e-12
+            assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
+            assert abs(np.linalg.det(r) - 1.0) < 1e-12
+            ops = [collective_operator(space, a).blocks for a in "xyz"]
+            for s, us in enumerate(u.blocks):
+                for a in range(3):
+                    expected = sum(r[a, b] * ops[b][s] for b in range(3))
+                    assert np.max(np.abs(us.conj().T @ ops[a][s] @ us - expected)) < 1e-12
 
 
 def test_propagate_top_matches_dense_propagate():

@@ -221,6 +221,17 @@ def test_invalid_qfim_is_not_hidden(monkeypatch, fake, scenario, check):
         sweep_time(cfg)
 
 
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
+                                  NoiseKind.NONE])
+@pytest.mark.parametrize("field", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.01, 0.01)],
+                         ids=["nan", "inf", "two-components"])
+def test_sweep_config_rejects_invalid_field(kind, field):
+    # the field is checked when the configuration is built, before any
+    # sweep tests it against the noise axis
+    with pytest.raises(InvalidArgument):
+        SweepConfig(n_particles=4, kind=kind, field=field, grid=SMALL_GRID)
+
+
 def test_noisy_sweep_refuses_nonparallel_field():
     # the split behind the sweep needs the field along the noise axis
     cfg = SweepConfig(n_particles=4, field=(0.01, 0.0, 0.0), grid=SMALL_GRID)
@@ -231,16 +242,36 @@ def test_noisy_sweep_refuses_nonparallel_field():
     sweep_time(replace(cfg, field=(-0.01, -0.01, -0.01)))
 
 
-@pytest.mark.parametrize("n", [4, 7])
+# (field, axis) pairs of the dense-pipeline comparison; "off-axis" is a field
+# off the noise axis, which only a noiseless sweep accepts
+FRAMES = {
+    "default": {},
+    "reversed": dict(field=(-0.01, -0.01, -0.01)),
+    "axis+z": dict(field=(0.0, 0.0, 0.015), axis=(0.0, 0.0, 2.0)),
+    "axis-z": dict(field=(0.0, 0.0, 0.015), axis=(0.0, 0.0, -2.0)),
+    "off-axis": dict(field=(0.02, -0.01, 0.005)),
+}
+
+
+@pytest.mark.parametrize("n, frame", [
+    pytest.param(n, frame, id=str(n) if frame == "default" else f"{n}-{frame}")
+    for frame in FRAMES for n in (4, 7)])
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
                                       SweepScenario.INDIVIDUAL])
-def test_sweep_bounds_match_dense_pipeline(n, kind, scenario):
-    # the grid-batched sector-block evaluation in the field eigenbasis against
-    # evolve -> partial_rho -> qfim -> bound on the dense rotated state
+def test_sweep_bounds_match_dense_pipeline(n, kind, scenario, frame):
+    # the grid-batched sector-block evaluation in the noise frame (the field
+    # frame without noise) against evolve -> partial_rho -> qfim -> bound on
+    # the dense rotated state; under noise both refuse a field off the axis
     cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, gamma=0.05,
-                      grid=TimeGrid(count=12, start=0.05, stop=100.0))
+                      grid=TimeGrid(count=12, start=0.05, stop=100.0), **FRAMES[frame])
+    if frame == "off-axis" and kind is not NoiseKind.NONE:
+        with pytest.raises(AssumptionViolated):
+            _pointwise_bounds(cfg)
+        with pytest.raises(AssumptionViolated):
+            sweep_time(cfg)
+        return
     expected, conds = _pointwise_bounds(cfg)
     got = sweep_time(cfg).bounds
     assert np.array_equal(np.isnan(got), np.isnan(expected))
@@ -248,6 +279,30 @@ def test_sweep_bounds_match_dense_pipeline(n, kind, scenario):
     assert well.sum() >= 6
     rel = np.abs(got[well] - expected[well]) / np.abs(expected[well])
     assert rel.max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
+@pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
+                                      SweepScenario.INDIVIDUAL])
+def test_zero_field_sweep_is_the_weak_field_limit(kind, scenario):
+    # the dense pipeline refuses a zero field (its generators need a field
+    # direction), so the reference is a 1e-9 field along the frame axis: the
+    # noise axis, or z without noise; its pointwise QFIM conditioning picks
+    # the points to compare
+    base = SweepConfig(n_particles=6, kind=kind, scenario=scenario, grid=SMALL_GRID)
+    frame_axis = base.axis if kind is not NoiseKind.NONE else (0.0, 0.0, 1.0)
+    weak_field = tuple(1e-9 * np.array(frame_axis) / np.linalg.norm(frame_axis))
+    weak_cfg = replace(base, field=weak_field)
+    zero = sweep_time(replace(base, field=(0.0, 0.0, 0.0)))
+    weak = sweep_time(weak_cfg)
+    _, conds = _pointwise_bounds(weak_cfg)
+    assert np.array_equal(np.isnan(zero.bounds), np.isnan(weak.bounds))
+    well = conds < 1e6
+    assert well.sum() >= 12
+    assert np.max(np.abs(zero.bounds[well] / weak.bounds[well] - 1.0)) < 1e-9
+    assert zero.refinement == weak.refinement
+    assert abs(zero.t_opt / weak.t_opt - 1.0) < 1e-9
+    assert abs(zero.i_min / weak.i_min - 1.0) < 1e-9
 
 
 def test_sweep_memory_stays_below_one_dense_matrix():

@@ -58,39 +58,42 @@ def _split_values(text, count, what):
     return parts
 
 
+def _number(kind):
+    """Coercion to kind (int or float) of a flag string or config value;
+    booleans and, for int, non-integral numbers are refused, not truncated."""
+    def coerce(value):
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise InvalidArgument(f"expected {kind.__name__}, got {value!r}")
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"expected {kind.__name__}, got {value!r}") from exc
+    return coerce
+
+
+_as_int, _as_float = _number(int), _number(float)
+
+
 def _triple(text):
-    try:
-        return tuple(float(p) for p in _split_values(text, 3, "vector"))
-    except ValueError as exc:
-        raise InvalidArgument(f"could not parse {text!r} as three numbers") from exc
+    return tuple(_as_float(p) for p in _split_values(text, 3, "vector"))
 
 
 def _grid_spec(text):
-    parts = _split_values(text, 3, "t-grid (count,min,max)")
-    try:
-        return TimeGrid(count=int(parts[0]), start=float(parts[1]), stop=float(parts[2]))
-    except ValueError as exc:
-        raise InvalidArgument(f"could not parse t-grid {text!r}") from exc
+    count, start, stop = _split_values(text, 3, "t-grid (count,min,max)")
+    return TimeGrid(count=_as_int(count), start=_as_float(start), stop=_as_float(stop))
 
 
 def _shape(text):
-    parts = _split_values(text, 2, "grid (rows,cols)")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise InvalidArgument(f"could not parse grid {text!r}") from exc
+    return tuple(_as_int(p) for p in _split_values(text, 2, "grid (rows,cols)"))
 
 
 def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
+    if not isinstance(text, (list, tuple)):
+        text = [p.strip() for p in str(text).split(",") if p.strip()]
+    if not text:
         raise InvalidArgument("n-list must not be empty")
-    try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise InvalidArgument(f"could not parse n-list {text!r}") from exc
+    return [_as_int(v) for v in text]
 
 
 def _as_bool(value):
@@ -104,15 +107,15 @@ def _as_bool(value):
 # One row per option: kebab name, argparse kwargs, coercion for config-file
 # values, and the resolved default. Commands pick subsets from this table.
 _OPTIONS = {
-    "n": dict(flag="--n", help="particle count N", coerce=int, default=None,
+    "n": dict(flag="--n", help="particle count N", coerce=_as_int, default=None,
               kwargs=dict(type=int, metavar="N")),
-    "gamma": dict(flag="--gamma", help="dephasing rate", coerce=float, default=0.05,
+    "gamma": dict(flag="--gamma", help="dephasing rate", coerce=_as_float, default=0.05,
                   kwargs=dict(type=float, metavar="G")),
     "kind": dict(flag="--kind", help="noise profile", coerce=str, default="markovian",
                  kwargs=dict(choices=["markovian", "nonmarkovian", "none"])),
     "scenario": dict(flag="--scenario", help="estimation strategy", coerce=str,
                      default="sim", kwargs=dict(choices=["sim", "ind"])),
-    "t-total": dict(flag="--t-total", help="total time budget T", coerce=float,
+    "t-total": dict(flag="--t-total", help="total time budget T", coerce=_as_float,
                     default=100.0, kwargs=dict(type=float, metavar="T")),
     "phi": dict(flag="--phi", help="field components x,y,z", coerce=_triple,
                 default=_DEFAULT_FIELD, kwargs=dict(type=_triple, metavar="X,Y,Z")),
@@ -124,7 +127,7 @@ _OPTIONS = {
     "n-list": dict(flag="--n-list", help="particle counts, ascending",
                    coerce=_int_list, default=None,
                    kwargs=dict(type=_int_list, metavar="N1,N2,...")),
-    "t": dict(flag="--t", help="shot duration", coerce=float, default=None,
+    "t": dict(flag="--t", help="shot duration", coerce=_as_float, default=None,
               kwargs=dict(type=float, metavar="T")),
     "probe": dict(flag="--probe", help="initial state", coerce=str, default=None,
                   kwargs=dict(choices=list(_PROBES))),
@@ -139,15 +142,15 @@ _OPTIONS = {
     "column": dict(flag="--column", help="value column to fit", coerce=str,
                    default="i_min", kwargs=dict(type=str, metavar="NAME")),
     "n-min": dict(flag="--n-min", help="smallest N included in the fit",
-                  coerce=int, default=10, kwargs=dict(type=int, metavar="N")),
+                  coerce=_as_int, default=10, kwargs=dict(type=int, metavar="N")),
     "out": dict(flag="--out", help="output path (default: stdout)", coerce=str,
                 default=None, kwargs=dict(type=str, metavar="PATH")),
     "format": dict(flag="--format", help="output encoding", coerce=str,
                    default=None, kwargs=dict(choices=["csv", "json"])),
-    "workers": dict(flag="--workers", help="worker process cap", coerce=int,
+    "workers": dict(flag="--workers", help="worker process cap", coerce=_as_int,
                     default=None, kwargs=dict(type=int, metavar="K")),
     "verbose": dict(flag="--verbose", help="progress notes on stderr",
-                    coerce=int, default=0, kwargs=dict(action="count", default=None)),
+                    coerce=_as_int, default=0, kwargs=dict(action="count", default=None)),
 }
 
 # Options consumed by each subcommand. "config" is implicit everywhere.
@@ -243,7 +246,14 @@ def _resolve(args):
             params[key] = flag_value
             explicit.add(key)
         elif key in file_values:
-            params[key] = opt["coerce"](file_values[key])
+            try:
+                params[key] = opt["coerce"](file_values[key])
+                choices = opt["kwargs"].get("choices")
+                if choices is not None and params[key] not in choices:
+                    raise InvalidArgument(
+                        f"expected one of {choices}, got {file_values[key]!r}")
+            except InvalidArgument as exc:
+                raise InvalidArgument(f"config key {key!r}: {exc}") from exc
             explicit.add(key)
         else:
             params[key] = opt["default"]

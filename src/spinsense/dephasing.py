@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DickeSpace
+from .dicke import BlockOperator, DickeSpace, collective_operator
 from .errors import InvalidArgument
 
 
@@ -192,15 +192,16 @@ def _chain_batch(space, length, lam):
 class DephasingSuperoperator:
     """Rate-free dephasing generator, held in the frame of its noise axis.
 
-    rotation is the collective rotation U with U J_z U^dag = axis . J / 2;
-    chains holds the z-frame generator as one ChainBatch per chain length.
-    Entries of a state between different sectors lie outside the collective
-    representation: L maps them to zero and exp(Theta L) leaves them as they
-    are.
+    rotation and axis_rotation are the U (U J_z U^dag = axis . J / 2) and
+    the 3 x 3 R of axis_frame; chains holds the z-frame generator as one
+    ChainBatch per chain length. Entries of a state between different
+    sectors lie outside the collective representation: L maps them to zero
+    and exp(Theta L) leaves them as they are.
     """
 
     space: DickeSpace
     rotation: BlockOperator
+    axis_rotation: np.ndarray
     chains: tuple
 
     @property
@@ -283,34 +284,38 @@ def axis_frame(space, axis):
 
     U = exp(-i beta k . J), with k along z x axis (x when the axis is along
     +-z) and beta the polar angle of the axis, carries J_z onto n . J for
-    the unit vector n along the axis. R is the rotation by beta about k
-    (Rodrigues): U^dag J_a U = sum_b R[a, b] J_b, and R[:, 2] = n.
+    the unit vector n along the axis. Each sector block of U comes from the
+    eigendecomposition of that sector's beta k . J block. R is the rotation
+    by beta about k (Rodrigues): U^dag J_a U = sum_b R[a, b] J_b, and
+    R[:, 2] = n.
     """
-    # dynamics imports this module, so its field machinery is imported here.
-    from .dynamics import FieldBasis, FieldParams
     vec = np.asarray(axis, dtype=float)
     n = vec / np.linalg.norm(vec)
     sin_beta = float(np.hypot(n[0], n[1]))
     k = np.array([-n[1] / sin_beta, n[0] / sin_beta, 0.0]) if sin_beta > 0.0 \
         else np.array([1.0, 0.0, 0.0])
     beta = float(np.arctan2(sin_beta, n[2]))
-    u = FieldBasis(space, FieldParams(tuple(beta * k))).unitary(1.0)
+    blocks = []
+    for sector in zip(*(collective_operator(space, a).blocks for a in "xyz")):
+        w, v = np.linalg.eigh(sum(c * j for c, j in zip(beta * k, sector)))
+        blocks.append((v * np.exp(-1j * w)) @ v.conj().T)
     r = math.cos(beta) * np.eye(3) + math.sin(beta) * np.cross(np.eye(3), k) \
         + (1.0 - math.cos(beta)) * np.outer(k, k)
-    return u, r
+    return BlockOperator(space, tuple(blocks)), r
 
 
 def build_dephasing_superoperator(space, spec):
     """Build the rate-free dephasing generator for the given noise axis.
 
-    The rotation is the U of axis_frame. The chains depend only on N; the
-    build is deterministic.
+    rotation and axis_rotation are the U and R of axis_frame. The chains
+    depend only on N; the build is deterministic.
     """
     if not isinstance(space, DickeSpace):
         raise InvalidArgument("space must be a DickeSpace")
-    rotation, _ = axis_frame(space, spec.axis)
+    rotation, axis_rotation = axis_frame(space, spec.axis)
     n = space.n_particles
     lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
     chains = tuple(_chain_batch(space, length, lam)
                    for length in range(1, len(space.sectors) + 1))
-    return DephasingSuperoperator(space=space, rotation=rotation, chains=chains)
+    return DephasingSuperoperator(space=space, rotation=rotation,
+                                  axis_rotation=axis_rotation, chains=chains)

@@ -8,9 +8,10 @@ evaluated chain by chain in the noise frame of the dephasing generator.
 evolve() implements that split and refuses (or, on explicit request, falls
 back to a joint reference integration) when the assumption does not hold.
 
-Two brute-force oracles back the fast path: a joint integration of the same
-block-diagonal master equation in real time, and an integration in the full
-2^N product space that never touches the collective representation.
+Two brute-force oracles back the fast path: a joint real-time integration of
+the same block-diagonal master equation in the lab frame, with the dissipator
+applied through the dephasing generator, and an integration in the full 2^N
+product space that never touches the collective representation.
 """
 
 from __future__ import annotations
@@ -260,30 +261,14 @@ def _integrate_doubling(rhs, y0, t, initial_steps):
     raise NumericalError("reference integration did not converge to 1e-10")
 
 
-def _noise_frame_matrix(superoperator):
-    """The z-frame generator as a CSR matrix on row-major vectorized d x d
-    matrices, assembled from the chains."""
-    from scipy import sparse
-    d = superoperator.space.total_dim
-    rows, cols, vals = [], [], []
-    for batch in superoperator.chains:
-        c, a, b = np.nonzero(batch.generator)
-        rows.append(batch.indices[c, a])
-        cols.append(batch.indices[c, b])
-        vals.append(batch.generator[c, a, b])
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d * d, d * d))
-
-
 def full_gkls_reference(rho0, field, spec, t):
     """Joint real-time integration of unitary plus dephasing dynamics.
 
     Makes no use of the parallel-axis split: the time-dependent rate
     gamma_t multiplies the rate-free generator at every step. The state is
-    integrated in the noise frame, where the generator is one sparse matrix
-    assembled from the dephasing chains. Intended as a cross-check at
-    moderate dimension (d <= 400).
+    integrated in the lab frame, with the dense Hamiltonian and the
+    dissipator gamma_t L[rho] from the apply method of the dephasing
+    generator. Intended as a cross-check at moderate dimension (d <= 400).
     """
     if t < 0.0 or not np.isfinite(t):
         raise InvalidArgument(f"t must be finite and >= 0, got {t}")
@@ -294,22 +279,18 @@ def full_gkls_reference(rho0, field, spec, t):
     if t == 0.0:
         return DensityOperator(space, rho0.matrix.copy())
     lsup = build_dephasing_superoperator(space, spec)
-    frame = lsup.rotation
-    ham = frame.dagger().sandwich(hamiltonian(space, field).to_dense())
-    lmat = _noise_frame_matrix(lsup)
+    ham = hamiltonian(space, field).to_dense()
 
-    def rhs(u, y):
-        rho = y.reshape(d, d)
+    def rhs(u, rho):
         out = -1j * (ham @ rho - rho @ ham)
         g = gamma_profile(spec, u)
         if g != 0.0:
-            out = out + g * (lmat @ y).reshape(d, d)
-        return out.reshape(d * d)
+            out = out + g * lsup.apply(rho)
+        return out
 
     initial = max(8, math.ceil(t * (field.norm + 1.0) / 0.05),
                   math.ceil(integrated_strength(spec, t) / 0.05))
-    y0 = frame.dagger().sandwich(rho0.matrix).reshape(d * d)
-    mat = frame.sandwich(_integrate_doubling(rhs, y0, t, initial).reshape(d, d))
+    mat = _integrate_doubling(rhs, rho0.matrix, t, initial)
     mat = (mat + mat.conj().T) / 2.0
     return DensityOperator(space, mat)
 

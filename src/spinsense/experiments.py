@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
@@ -65,8 +66,9 @@ class TimeGrid:
     stop: float = 100.0
 
     def __post_init__(self):
-        if self.count < 2:
-            raise InvalidArgument(f"grid needs at least 2 points, got {self.count}")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
+                or self.count < 2:
+            raise InvalidArgument(f"grid needs an integer count of at least 2, got {self.count!r}")
         if not (0.0 < self.start < self.stop) or not np.isfinite(self.stop):
             raise InvalidArgument(
                 f"grid bounds must satisfy 0 < start < stop, got ({self.start}, {self.stop})")
@@ -137,12 +139,13 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _sweep_probes(config, space, spec):
+def _sweep_probes(config, space, superoperator):
     """The scenario's probes and generators in the sweep's frame, prepared
     once per sweep for _bounds_on_grid.
 
-    The frame (axis_frame) is that of the noise axis, of the field direction
-    without noise, and of z for a zero field. The field Hamiltonian there is
+    The frame is that of the noise axis, with the rotations the
+    superoperator already holds; without noise it is the axis_frame of the
+    field direction, or of z for a zero field. The field Hamiltonian there is
     h J_z, with h the signed field component along the frame axis. Returns,
     per probe, its maximal-sector amplitudes (the probes live there) in that
     frame, with the axes it is differentiated along; per axis and sector
@@ -153,8 +156,8 @@ def _sweep_probes(config, space, spec):
         probes = [(simultaneous_probe(space), _AXES)]
     else:
         probes = [(ghz_state(space, axis), (axis,)) for axis in _AXES]
-    u, r = axis_frame(space, spec.axis if spec.gamma > 0.0
-                      else config.field if any(config.field) else (0.0, 0.0, 1.0))
+    u, r = (superoperator.rotation, superoperator.axis_rotation) if superoperator is not None \
+        else axis_frame(space, config.field if any(config.field) else (0.0, 0.0, 1.0))
     into_frame = u.blocks[0].conj().T
     probes = [(into_frame @ p.amplitudes[:space.max_sector.dim], axes) for p, axes in probes]
     js = list(zip(*(collective_operator(space, a).blocks for a in _AXES)))
@@ -293,7 +296,7 @@ def sweep_time(config):
                 "field direction is not parallel to the dephasing axis; the "
                 "sweep needs the parallel split")
         superoperator = build_dephasing_superoperator(space, spec)
-    prepared = _sweep_probes(config, space, spec)
+    prepared = _sweep_probes(config, space, superoperator)
     times = config.grid.values()
     values = _bounds_on_grid(config, space, superoperator, spec, prepared, times)
 

@@ -97,6 +97,29 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("command, values, key", [
+    ("sweep-time", {"n": 2, "kind": "foo"}, "kind"),
+    ("sweep-time", {"n": 2, "scenario": "both"}, "scenario"),
+    ("evolve", {"n": 2, "t": 0.5, "kind": "foo"}, "kind"),
+    ("space-info", {"n": 2, "verbose": "yes"}, "verbose"),
+    ("space-info", {"n": 2, "verbose": True}, "verbose"),
+    ("space-info", {"n": 2.7}, "n"),
+    ("space-info", {"n": True}, "n"),
+    ("sweep-time", {"n": 2, "workers": 1.9}, "workers"),
+    ("fit", {"in": "scan.csv", "n-min": 2.5}, "n-min"),
+    ("sweep-time", {"n": 2, "t-grid": [2.5, 0.1, 10.0]}, "t-grid"),
+])
+def test_config_file_values_validated_like_flags(tmp_path, capsys, command, values, key):
+    # a bad config value is a bad argument (exit 2) that names its key, never
+    # a traceback or a silently truncated number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"spinsense: InvalidArgument: config key {key!r}: ")
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "gamma": 0.2}))

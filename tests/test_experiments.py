@@ -15,6 +15,8 @@ from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                        husimi_normalization, scan_particles,
                        simultaneous_probe, sweep_time)
 from spinsense.cli import _pointwise_bounds
+from spinsense.dephasing import axis_frame
+from spinsense.experiments import _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
 
@@ -28,6 +30,8 @@ def test_time_grid_values_and_validation():
         TimeGrid(count=10, start=0.0, stop=1.0)
     with pytest.raises(InvalidArgument):
         TimeGrid(count=10, start=5.0, stop=1.0)
+    with pytest.raises(InvalidArgument):
+        TimeGrid(count=2.5)
 
 
 def test_sweep_config_validation():
@@ -73,6 +77,40 @@ def test_sweep_interior_minimum_invariants():
     cell = (SMALL_GRID.stop / SMALL_GRID.start) ** (1.0 / (SMALL_GRID.count - 1))
     assert max(res.t_opt / coarse_t, coarse_t / res.t_opt) < cell
     assert res.i_min <= np.nanmin(res.bounds) * (1.0 + 1e-12)
+
+
+def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
+    # a parabola whose vertex lies above the rescan's samples must not raise
+    # i_min: the sampled minimum stands
+    sampled = []
+
+    def vertex_above(log_t, log_i, idx):
+        xv, _ = _parabolic_minimum(log_t, log_i, idx)
+        sampled.append(log_i[idx])
+        return xv, log_i[idx] + 1.0
+
+    monkeypatch.setattr("spinsense.experiments._parabolic_minimum", vertex_above)
+    res = sweep_time(SweepConfig(n_particles=8, kind=NoiseKind.MARKOVIAN, gamma=0.1,
+                                 grid=SMALL_GRID))
+    assert not res.refinement.boundary
+    assert len(sampled) == 1
+    assert res.i_min == pytest.approx(math.exp(sampled[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
+def test_sweep_builds_one_rotation(monkeypatch, kind):
+    # the noisy sweep reads U and R from its dephasing generator; only the
+    # noiseless sweep builds its own frame
+    calls = []
+
+    def counted(space, axis):
+        calls.append(axis)
+        return axis_frame(space, axis)
+
+    monkeypatch.setattr("spinsense.dephasing.axis_frame", counted)
+    monkeypatch.setattr("spinsense.experiments.axis_frame", counted)
+    sweep_time(SweepConfig(n_particles=6, kind=kind, gamma=0.1, grid=SMALL_GRID))
+    assert len(calls) == 1
 
 
 def test_sweep_markovian_optimum_is_earlier():

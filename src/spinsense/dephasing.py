@@ -29,7 +29,6 @@ would not: it is as ill-conditioned as the similarity that symmetrises it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,6 +47,15 @@ class NoiseKind(str, enum.Enum):
     NONE = "none"
 
 
+def _member(enum_type, value):
+    """enum_type(value), with an unknown value refused as InvalidArgument."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise InvalidArgument(
+            f"expected one of {[e.value for e in enum_type]}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Dephasing model: profile kind, strength gamma, and local coupling axis.
@@ -62,7 +70,7 @@ class NoiseSpec:
     axis: tuple
 
     def __init__(self, kind, gamma, axis):
-        kind = NoiseKind(kind)
+        kind = _member(NoiseKind, kind)
         gamma = float(gamma)
         if not np.isfinite(gamma) or gamma < 0.0:
             raise InvalidArgument(f"gamma must be finite and >= 0, got {gamma}")
@@ -143,6 +151,8 @@ class ChainBatch:
         scaling and squaring with its own number of squarings per theta.
         Shape (len(thetas),) + generator.shape."""
         thetas = np.asarray(thetas, dtype=float)
+        if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
+            raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
         width = float(np.abs(self.generator).sum(axis=1).max())
         squarings = np.array([max(0, math.ceil(math.log2(theta * width / _TAYLOR_NORM)))
                               if theta * width > 0.0 else 0 for theta in thetas], dtype=int)
@@ -196,7 +206,9 @@ class DephasingSuperoperator:
     the 3 x 3 R of axis_frame; chains holds the z-frame generator as one
     ChainBatch per chain length. Entries of a state between different
     sectors lie outside the collective representation: L maps them to zero
-    and exp(Theta L) leaves them as they are.
+    and exp(Theta L) leaves them as they are. From the maximal sector, each
+    dephased sector block is a real kernel, the same for every state, times
+    a centred window of the maximal-sector block (transfer_kernels).
     """
 
     space: DickeSpace
@@ -219,46 +231,22 @@ class DephasingSuperoperator:
         return self._through_chains(rho_matrix, np.copy, lambda b, v: np.einsum(
             "cab,cb->ca", b.exponential([theta])[0], v))
 
-    def first_columns(self, thetas):
-        """First column of every chain exponential at each of thetas, shape
-        (len(thetas), number of chain elements); elements run batch by batch,
-        chain by chain, then along j. Every chain starts in the maximal
-        sector, so these columns carry any state that lives there."""
-        # Copied, so that each full exponential is freed at once.
-        return np.concatenate([b.exponential(thetas)[..., 0].copy().reshape(len(thetas), -1)
-                               for b in self.chains], axis=1)
-
-    def propagate_top(self, phi, columns):
-        """exp(theta L)[|phi><phi|] in the noise frame, at every theta of
-        columns (from first_columns), for maximal-sector amplitudes phi that
-        are already in that frame. Yields, sector by sector, the
-        (len(thetas), d_s, d_s) block, or None for a block that is zero at
-        every theta."""
-        start = np.outer(phi, phi.conj()).ravel()
-        for s, (pos, src) in zip(self.space.sectors, self._top_layout):
-            block = (columns[:, pos] * start[src]).reshape(-1, s.dim, s.dim)
-            yield block if block.any() else None
-
-    @functools.cached_property
-    def _top_layout(self):
-        """Per sector, for each entry of its block in row-major order: its
-        position among the chain elements (batch by batch, chain by chain,
-        then along j) and the flat index, in the maximal-sector block, of the
-        element its chain starts from."""
-        d, top = self.space.total_dim, self.space.max_sector.dim
-        layout = [(np.empty(s.dim ** 2, dtype=int), np.empty(s.dim ** 2, dtype=int))
-                  for s in self.space.sectors]
-        base = 0
+    def transfer_kernels(self, thetas):
+        """Per sector s, the real (len(thetas), d_s, d_s) stack K_s with
+        exp(theta L)[X]_s = K_s * X[s:d0 - s, s:d0 - s] in the noise frame, at
+        each of thetas, for X the maximal-sector block (d0 = N + 1). Every
+        chain starts in the maximal sector, at (a, b) there, and the first
+        column of its exponential carries that element to (a - k, b - k) in
+        sector k."""
+        d, count = self.space.total_dim, len(thetas)
+        kernels = [np.zeros((count, s.dim, s.dim)) for s in self.space.sectors]
         for batch in self.chains:
-            count, length = batch.indices.shape
-            row0, col0 = np.divmod(batch.indices[:, 0], d)
-            for k, (s, (pos, src)) in enumerate(zip(self.space.sectors[:length], layout)):
-                row, col = np.divmod(batch.indices[:, k], d)
-                at = (row - s.offset) * s.dim + col - s.offset
-                pos[at] = base + np.arange(count) * length + k
-                src[at] = row0 * top + col0
-            base += count * length
-        return layout
+            a, b = np.divmod(batch.indices[:, 0], d)
+            # Copied, so that each full exponential is freed at once.
+            columns = batch.exponential(thetas)[..., 0].copy()
+            for k in range(columns.shape[-1]):
+                kernels[k][:, a - k, b - k] = columns[..., k]
+        return kernels
 
     def _through_chains(self, rho_matrix, start, chain_map):
         """U chain_map[U^dag rho U] U^dag. U is block diagonal, so only the sector

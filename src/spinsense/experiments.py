@@ -6,14 +6,14 @@ should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
 single-parameter bounds for the individual strategy. The sweep evaluates a
 logarithmic time grid in chunks of times, each chunk as stacked array
-operations, one total-spin sector block at a time: the probe is dephased
-exactly to the integrated strength Theta(t) of every time from the first
-columns of the noise-frame chain exponentials, and its QFIM is taken in
-that noise frame (the frame of the field direction without noise), before
-the field rotation, which leaves it unchanged. The field Hamiltonian is
-h J_z there, so the rotating-frame generators are elementwise. Chunk sizes
-follow from N and a fixed memory budget, so no dense d x d matrix is
-formed and memory does not grow with the grid. The
+operations, one total-spin sector block at a time. In the noise frame (the
+frame of the field direction without noise) each sector block of a probe
+dephased to Theta(t) is a real transfer kernel, shared by all probes, times
+a centred window of its maximal-sector block. The QFIM is taken there,
+before the field rotation, which leaves it unchanged, and the field
+Hamiltonian is h J_z there, so the rotating-frame generators are
+elementwise. Chunk sizes follow from N and a fixed memory budget, so no
+dense d x d matrix is formed and memory does not grow with the grid. The
 sweep then narrows around the first dip of the curve and refines the
 optimum with a parabola in log-log coordinates.
 """
@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, axis_frame, build_dephasing_superoperator,
-                        integrated_strength)
+from .dephasing import (NoiseKind, NoiseSpec, _member, axis_frame,
+                        build_dephasing_superoperator, integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                      NumericalError, SingularQfim)
@@ -48,6 +48,13 @@ _RESCAN_FACTOR = 4.0
 
 # Working-memory budget of one chunk of grid times, in bytes (_chunk_size).
 _CHUNK_BYTES = 1 << 18
+
+
+def _count(value, what, least):
+    """value as an int; refused unless it is an integer (a bool is not one) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class SweepScenario(str, enum.Enum):
@@ -66,9 +73,7 @@ class TimeGrid:
     stop: float = 100.0
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
-                or self.count < 2:
-            raise InvalidArgument(f"grid needs an integer count of at least 2, got {self.count!r}")
+        _count(self.count, "grid count", 2)
         if not (0.0 < self.start < self.stop) or not np.isfinite(self.stop):
             raise InvalidArgument(
                 f"grid bounds must satisfy 0 < start < stop, got ({self.start}, {self.stop})")
@@ -92,15 +97,14 @@ class SweepConfig:
     grid: TimeGrid = dataclasses.field(default_factory=TimeGrid)
 
     def __post_init__(self):
-        if int(self.n_particles) < 1:
-            raise InvalidArgument(f"n_particles must be positive, got {self.n_particles}")
+        _count(self.n_particles, "n_particles", 1)
         if not np.isfinite(self.total_time) or self.total_time <= 0.0:
             raise InvalidArgument(f"total_time must be positive, got {self.total_time}")
         if self.grid.stop > self.total_time * (1.0 + 1e-12):
             raise InvalidArgument(
                 f"grid extends to {self.grid.stop}, beyond the total budget {self.total_time}")
-        object.__setattr__(self, "scenario", SweepScenario(self.scenario))
-        object.__setattr__(self, "kind", NoiseKind(self.kind))
+        object.__setattr__(self, "scenario", _member(SweepScenario, self.scenario))
+        object.__setattr__(self, "kind", _member(NoiseKind, self.kind))
         object.__setattr__(self, "field", FieldParams(self.field).phi)
         object.__setattr__(self, "axis", tuple(float(x) for x in self.axis))
 
@@ -149,8 +153,8 @@ def _sweep_probes(config, space, superoperator):
     h J_z, with h the signed field component along the frame axis. Returns,
     per probe, its maximal-sector amplitudes (the probes live there) in that
     frame, with the axes it is differentiated along; per axis and sector
-    J~_k = U^dag J_k U = sum_l R[k, l] J_l; and per sector the energy
-    differences h (m - m').
+    J~_k = U^dag J_k U = sum_l R[k, l] J_l; and h (m - m') on the maximal
+    sector, whose centred window s:N + 1 - s is that of sector s.
     """
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probes = [(simultaneous_probe(space), _AXES)]
@@ -164,8 +168,8 @@ def _sweep_probes(config, space, superoperator):
     rotated_j = {axis: [sum(r[k, l] * j for l, j in enumerate(sector)) for sector in js]
                  for k, axis in enumerate(_AXES)}
     h = float(np.dot(config.field, r[:, 2]))
-    lams = [h * (m[:, None] - m[None, :]) for m in (s.m_values() for s in space.sectors)]
-    return probes, rotated_j, lams
+    m = space.max_sector.m_values()
+    return probes, rotated_j, h * (m[:, None] - m[None, :])
 
 
 def _chunk_size(space, superoperator):
@@ -183,43 +187,41 @@ def _bounds_on_grid(config, space, superoperator, spec, prepared, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
     The times are evaluated in chunks (_chunk_size), each as stacked array
-    operations over its times, one sector block at a time. Every probe is
-    dephased straight to Theta(t) from its noise-frame amplitudes
-    (propagate_top, whose chain exponentials all probes share), and its QFIM
-    is taken in the noise frame (the field frame without noise), before the
-    field rotation, which leaves it unchanged. There each block rho_s is the
-    Hermitian part of the noise-frame block and each rotating-frame generator
-    is elementwise, A_k = f(h (m - m'), t) * J~_k (_sweep_probes), so
-    d_k rho = -i [A_k, rho] is formed block by block. Blocks that are zero at
-    every time of a chunk are skipped: they add nothing under the global
-    cutoff. The joint strategy needs all three derivatives of its probe; the
-    individual one reads only Q_kk, one derivative per GHZ probe. An invalid
-    (non-real, non-symmetric or indefinite) QFIM is a numerical fault and
-    raises NumericalError.
+    operations over its times, one sector block at a time. In the noise
+    frame (the field frame without noise) sector s of a probe dephased to
+    Theta(t) is K_s * X[w, w]: X is its maximal-sector block, w = s:N + 1 - s
+    and K_s the transfer kernels of the chunk (ones without noise), which
+    all probes share. The QFIM is taken there, before the field rotation,
+    which leaves it unchanged, and each rotating-frame generator is
+    elementwise, A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per
+    chunk (_sweep_probes), so d_k rho = -i [A_k, rho] is formed block by
+    block. Blocks that are zero at every time of a chunk add nothing under
+    the global cutoff and are skipped. The joint strategy needs all three
+    derivatives of its probe; the individual one reads only Q_kk, one
+    derivative per GHZ probe. An invalid (non-real, non-symmetric or
+    indefinite) QFIM is a numerical fault and raises NumericalError.
     """
-    probes, rotated_j, lams = prepared
+    probes, rotated_j, lam = prepared
     count = -(-len(times) // _chunk_size(space, superoperator))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
-        if superoperator is not None:
-            columns = superoperator.first_columns([integrated_strength(spec, t) for t in chunk])
+        kernels = [np.ones((len(chunk), 1, 1))] if superoperator is None else \
+            superoperator.transfer_kernels([integrated_strength(spec, t) for t in chunk])
+        f = phase_integral(lam, chunk, 0.0)
         entries = []
         for phi, axes in probes:
-            if superoperator is None:
-                blocks = [np.broadcast_to(np.outer(phi, phi.conj()),
-                                          (len(chunk), phi.size, phi.size))]
-            else:
-                blocks = superoperator.propagate_top(phi, columns)
+            top = np.outer(phi, phi.conj())
             rho_blocks, partial_blocks = [], [[] for _ in axes]
-            for s, block in enumerate(blocks):
-                if block is None:
+            for s, kernel in enumerate(kernels):
+                w = slice(s, phi.size - s)
+                block = kernel * top[w, w]
+                if not block.any():
                     continue
                 rho_blocks.append((block + block.conj().swapaxes(-1, -2)) / 2.0)
-                f = phase_integral(lams[s], chunk, 0.0)
                 for partials, axis in zip(partial_blocks, axes):
-                    a = f * rotated_j[axis][s]
+                    a = f[:, w, w] * rotated_j[axis][s]
                     c = -1j * (a @ rho_blocks[-1] - rho_blocks[-1] @ a)
                     partials.append((c + c.conj().swapaxes(-1, -2)) / 2.0)
             entries.append(_qfim_entries(rho_blocks, partial_blocks))
@@ -360,7 +362,8 @@ def scan_particles(n_list, base_config, workers=1):
     in dropped. With workers > 1 the sweeps run in a process pool; the
     result is the same either way.
     """
-    ns = [int(n) for n in n_list]
+    _count(workers, "workers", 1)
+    ns = [_count(n, "each N", 1) for n in n_list]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise InvalidArgument("n_list must be strictly ascending")
     if not ns:

@@ -58,6 +58,8 @@ def test_spec_validation_and_normalization():
         NoiseSpec(NoiseKind.MARKOVIAN, 0.1, (0.0, 0.0, 0.0))
     with pytest.raises(InvalidArgument):
         NoiseSpec(NoiseKind.MARKOVIAN, math.nan, AXIS_Z)
+    with pytest.raises(InvalidArgument):
+        NoiseSpec("foo", 0.1, AXIS_Z)
     # the none profile zeroes the rate regardless of the input
     off = NoiseSpec(NoiseKind.NONE, 0.3, AXIS_Z)
     assert off.gamma == 0.0
@@ -182,9 +184,9 @@ def test_axis_frame_vector_rule():
                     assert np.max(np.abs(us.conj().T @ ops[a][s] @ us - expected)) < 1e-12
 
 
-def test_propagate_top_matches_dense_propagate():
-    # a state on the maximal sector, dephased at a vector of Theta from the
-    # first chain columns, sector block by sector block, against the dense
+def test_transfer_kernels_match_dense_propagate():
+    # a state on the maximal sector, dephased at a vector of Theta as kernel
+    # times window, sector block by sector block, against the dense
     # propagate; a vector of Theta gives the exponential at each Theta
     for n, axis in ((4, AXIS_DIAG), (7, AXIS_TILT), (6, AXIS_Z)):
         space = build_space(n)
@@ -196,17 +198,18 @@ def test_propagate_top_matches_dense_propagate():
         psi[:top] = rng.standard_normal(top) + 1j * rng.standard_normal(top)
         psi /= np.linalg.norm(psi)
         rotation = lsup.rotation.blocks
+        phi = rotation[0].conj().T @ psi[:top]
+        x = np.outer(phi, phi.conj())
         thetas = [0.0, 0.05, 0.7, 6.0]
-        blocks = list(lsup.propagate_top(rotation[0].conj().T @ psi[:top],
-                                         lsup.first_columns(thetas)))
-        assert len(blocks) == len(space.sectors)
+        kernels = lsup.transfer_kernels(thetas)
+        assert len(kernels) == len(space.sectors)
         for i, theta in enumerate(thetas):
             lab = lsup.propagate(np.outer(psi, psi.conj()), theta)
-            for s, u, block in zip(space.sectors, rotation, blocks):
+            for k, (s, u, kernel) in enumerate(zip(space.sectors, rotation, kernels)):
                 sl = slice(s.offset, s.offset + s.dim)
+                w = slice(k, top - k)
                 expected = u.conj().T @ lab[sl, sl] @ u
-                got = np.zeros_like(expected) if block is None else block[i]
-                assert np.max(np.abs(got - expected)) < 1e-12
+                assert np.max(np.abs(kernel[i] * x[w, w] - expected)) < 1e-12
         for batch in lsup.chains:
             stacked = batch.exponential(thetas)
             for i, theta in enumerate(thetas):
@@ -218,9 +221,42 @@ def test_propagate_top_matches_dense_propagate():
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
     phi = np.zeros(space.max_sector.dim, dtype=complex)
     phi[[0, -1]] = 1.0 / math.sqrt(2.0)
-    blocks = list(lsup.propagate_top(phi, lsup.first_columns([0.3, 2.0])))
-    assert blocks[0] is not None
-    assert all(block is None for block in blocks[1:])
+    x = np.outer(phi, phi.conj())
+    kernels = lsup.transfer_kernels([0.3, 2.0])
+    assert (kernels[0] * x).any()
+    assert not any((k * x[s:7 - s, s:7 - s]).any() for s, k in enumerate(kernels) if s)
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_transfer_kernels_are_a_trace_preserving_transfer(n):
+    # K_s is real and nonnegative, K_0(0) = 1, and the weight of every
+    # maximal-sector population |m><m| is kept over the sectors it reaches
+    space = build_space(n)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    thetas = [0.0, 0.01, 0.3, 2.0, 40.0]
+    kernels = lsup.transfer_kernels(thetas)
+    assert all(k.dtype == float and k.shape == (len(thetas), s.dim, s.dim)
+               and np.all(k >= 0.0) for s, k in zip(space.sectors, kernels))
+    assert np.all(kernels[0][0] == 1.0)
+    total = np.zeros((len(thetas), n + 1))
+    for s, kernel in enumerate(kernels):
+        total[:, s:n + 1 - s] += np.diagonal(kernel, axis1=1, axis2=2)
+    assert np.max(np.abs(total - 1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("theta", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("method", ["propagate", "transfer_kernels"])
+def test_dephasing_refuses_a_bad_strength(method, theta):
+    space = build_space(3)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    rho = np.eye(space.total_dim) / space.total_dim
+    with pytest.raises(InvalidArgument, match="theta"):
+        if method == "propagate":
+            lsup.propagate(rho, theta)
+        else:
+            lsup.transfer_kernels([0.1, theta])
 
 
 def test_propagate_at_large_n():

@@ -14,8 +14,9 @@ from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                        ghz_state, husimi_grid, husimi_map,
                        husimi_normalization, scan_particles,
                        simultaneous_probe, sweep_time)
+from spinsense import experiments
 from spinsense.cli import _pointwise_bounds
-from spinsense.dephasing import axis_frame
+from spinsense.dephasing import DephasingSuperoperator, axis_frame
 from spinsense.experiments import _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
@@ -44,6 +45,23 @@ def test_sweep_config_validation():
     assert cfg.field == (0.01, 0.01, 0.01)
     assert np.allclose(cfg.axis, (2.0 / math.sqrt(3.0),) * 3)
     assert cfg.total_time == 100.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SweepConfig(n_particles=2, scenario="both"),
+    lambda: SweepConfig(n_particles=2, kind="foo"),
+    lambda: SweepConfig(n_particles="x"),
+    lambda: SweepConfig(n_particles=2.7),
+    lambda: SweepConfig(n_particles=True),
+    lambda: scan_particles([2.5, 3.7], SweepConfig(n_particles=2)),
+    lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=1.5),
+    lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=0),
+], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
+        "workers-fraction", "workers-zero"])
+def test_library_inputs_raise_invalid_argument(call):
+    # checked before any sweep runs, with the CLI's typed error
+    with pytest.raises(InvalidArgument):
+        call()
 
 
 def test_sweep_is_deterministic():
@@ -111,6 +129,29 @@ def test_sweep_builds_one_rotation(monkeypatch, kind):
     monkeypatch.setattr("spinsense.experiments.axis_frame", counted)
     sweep_time(SweepConfig(n_particles=6, kind=kind, gamma=0.1, grid=SMALL_GRID))
     assert len(calls) == 1
+
+
+def test_kernels_and_phase_integrals_are_shared(monkeypatch):
+    # one transfer_kernels and one phase_integral call per chunk, whatever
+    # the number of probes (three GHZ probes for ind) and of sectors
+    calls = {"kernels": 0, "phase": 0}
+    kernels, phase = DephasingSuperoperator.transfer_kernels, experiments.phase_integral
+
+    def counted_kernels(self, thetas):
+        calls["kernels"] += 1
+        return kernels(self, thetas)
+
+    def counted_phase(*args):
+        calls["phase"] += 1
+        return phase(*args)
+
+    monkeypatch.setattr(DephasingSuperoperator, "transfer_kernels", counted_kernels)
+    monkeypatch.setattr(experiments, "phase_integral", counted_phase)
+    res = sweep_time(SweepConfig(n_particles=6, scenario=SweepScenario.INDIVIDUAL,
+                                 kind=NoiseKind.MARKOVIAN, gamma=0.1, grid=SMALL_GRID))
+    assert not res.refinement.boundary
+    assert calls["kernels"] >= 2
+    assert calls["phase"] == calls["kernels"]
 
 
 def test_sweep_markovian_optimum_is_earlier():

@@ -51,20 +51,23 @@ print()
 
 # in the frame of the noise axis the generator keeps m and m' fixed and only
 # moves weight between neighbouring j: one short tridiagonal chain per
-# (m, m'), each exponentiated on its own
+# (m, m'). A chain's generator depends only on m m' and {|m|, |m'|}, so
+# (m, m'), (m', m), (-m, -m') and (-m', -m) share one, and each distinct
+# generator is exponentiated once
 space = build_space(6)
 lsup = build_dephasing_superoperator(space, mark)
 d = space.total_dim
 chains = sum(len(b.indices) for b in lsup.chains)
+distinct = sum(len(b.generator) for b in lsup.chains)
 elements = sum(b.indices.size for b in lsup.chains)
 print(f"N = 6: {d * d} matrix entries, {elements} of them block-diagonal, "
-      f"in {chains} chains ({lsup.nnz} nonzero couplings)")
-print(f"{'length':>7} {'chains':>7} {'slowest nonzero rate':>21}")
+      f"in {chains} chains with {distinct} distinct generators ({lsup.nnz} nonzero couplings)")
+print(f"{'length':>7} {'chains':>7} {'distinct':>9} {'slowest nonzero rate':>21}")
 rates = [np.linalg.eigvals(b.generator).real for b in lsup.chains]
 for b, r in zip(lsup.chains, rates):
     decaying = r[r < -1e-9]
     slowest = f"{decaying.max():21.4f}" if decaying.size else f"{'-':>21}"
-    print(f"{b.indices.shape[1]:7d} {len(b.indices):7d} {slowest}")
+    print(f"{b.indices.shape[1]:7d} {len(b.indices):7d} {len(b.generator):9d} {slowest}")
 print(f"largest chain rate: {max(r.max() for r in rates):.1e} "
       f"(zero up to rounding: these modes carry the conserved populations)")
 

@@ -19,11 +19,14 @@ U L_z[U^dag X U] U^dag. Along z the generator keeps m and m' fixed and only
 moves weight between neighbouring j, so L_z splits into independent real
 tridiagonal chains, one per (m, m'), over j = N/2, N/2 - 1, ... down to
 max(|m|, |m'|) (Chase & Geremia, PRA 78, 052101 (2008); Shammah et al.,
-PRA 98, 063815 (2018)). Each chain has nonnegative off-diagonal entries and
-nonpositive column sums, so its exponential is a nonnegative contraction,
-and scaling and squaring (a short Taylor step, then repeated squaring)
-reaches working precision at any Theta and N. An eigenbasis of the chain
-would not: it is as ill-conditioned as the similarity that symmetrises it.
+PRA 98, 063815 (2018)). A chain's generator depends only on m m' and
+{|m|, |m'|}, so the orbit (m, m'), (m', m), (-m, -m'), (-m', -m) shares one,
+built and exponentiated once. Each chain has nonnegative off-diagonal
+entries and nonpositive column sums, so its exponential is a nonnegative
+contraction, and scaling and squaring (a short Taylor step, then repeated
+squaring) reaches working precision at any Theta and N. An eigenbasis of
+the chain would not: it is as ill-conditioned as the similarity that
+symmetrises it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,14 @@ def _member(enum_type, value):
             f"expected one of {[e.value for e in enum_type]}, got {value!r}") from None
 
 
+def _real(value, what):
+    """float(value), with a value that is not a real number refused as InvalidArgument."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Dephasing model: profile kind, strength gamma, and local coupling axis.
@@ -71,7 +82,7 @@ class NoiseSpec:
 
     def __init__(self, kind, gamma, axis):
         kind = _member(NoiseKind, kind)
-        gamma = float(gamma)
+        gamma = _real(gamma, "gamma")
         if not np.isfinite(gamma) or gamma < 0.0:
             raise InvalidArgument(f"gamma must be finite and >= 0, got {gamma}")
         if kind is NoiseKind.NONE:
@@ -139,15 +150,17 @@ class ChainBatch:
 
     Chain c holds the elements |j, m_c><j, m'_c| for L values of j, descending
     from N/2; indices[c] are their flat row-major positions in a d x d matrix.
-    generator[c] is the real tridiagonal L_z restricted to the chain (row =
-    target).
+    generator[orbit[c]] is the real tridiagonal L_z restricted to the chain
+    (row = target), one per orbit (m, m'), (m', m), (-m, -m'), (-m', -m) of
+    chains that share it, built for the orbit's largest (2m, 2m') pair.
     """
 
     indices: np.ndarray
     generator: np.ndarray
+    orbit: np.ndarray
 
     def exponential(self, thetas):
-        """exp(theta generator[c]) for every chain at each of thetas, by
+        """exp(theta generator[r]) for every representative r at each of thetas, by
         scaling and squaring with its own number of squarings per theta.
         Shape (len(thetas),) + generator.shape."""
         thetas = np.asarray(thetas, dtype=float)
@@ -178,12 +191,14 @@ def _chain_batch(space, length, lam):
     pairs = np.array([(a, b) for a in range(n, -n - 2, -2) for b in range(n, -n - 2, -2)
                       if max(abs(a), abs(b)) == top])
     twom, twomb = pairs[:, :1], pairs[:, 1:]
+    reps, orbit = np.unique([max((a, b), (b, a), (-a, -b), (-b, -a)) for a, b in pairs],
+                            axis=0, return_inverse=True)
     sectors = space.sectors[:length]
     twoj = np.array([s.twoj for s in sectors])
     offset = np.array([s.offset for s in sectors])
     rows = offset + (twoj - twom) // 2
     cols = offset + (twoj - twomb) // 2
-    j, m, mb = twoj / 2.0, twom / 2.0, twomb / 2.0
+    j, m, mb = twoj / 2.0, reps[:, :1] / 2.0, reps[:, 1:] / 2.0
     lam_stay, lam_drop, lam_lift = lam[:length].T
     diag = 8.0 * lam_stay * m * mb - 2.0 * n
     # j -> j - 1 from column a to row a + 1; j -> j + 1 from column a to row a - 1.
@@ -191,11 +206,11 @@ def _chain_batch(space, length, lam):
     lift = (8.0 * lam_lift * np.sqrt(
         (j + m + 1.0) * (j - m + 1.0) * (j + mb + 1.0) * (j - mb + 1.0)))[:, 1:]
     idx = np.arange(length)
-    generator = np.zeros((len(pairs), length, length))
+    generator = np.zeros((len(reps), length, length))
     generator[:, idx, idx] = diag
     generator[:, idx[1:], idx[:-1]] = drop
     generator[:, idx[:-1], idx[1:]] = lift
-    return ChainBatch(indices=rows * d + cols, generator=generator)
+    return ChainBatch(indices=rows * d + cols, generator=generator, orbit=orbit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,17 +234,15 @@ class DephasingSuperoperator:
     @property
     def nnz(self):
         """Nonzero couplings of the z-frame generator."""
-        return sum(int(np.count_nonzero(b.generator)) for b in self.chains)
+        return sum(int(np.count_nonzero(b.generator[b.orbit])) for b in self.chains)
 
     def apply(self, rho_matrix):
         """L[rho] for a dense d x d matrix."""
-        return self._through_chains(rho_matrix, np.zeros_like, lambda b, v: np.einsum(
-            "cab,cb->ca", b.generator, v))
+        return self._through_chains(rho_matrix, np.zeros_like, lambda b: b.generator)
 
     def propagate(self, rho_matrix, theta):
         """exp(theta L)[rho] for a dense d x d matrix, at any theta >= 0."""
-        return self._through_chains(rho_matrix, np.copy, lambda b, v: np.einsum(
-            "cab,cb->ca", b.exponential([theta])[0], v))
+        return self._through_chains(rho_matrix, np.copy, lambda b: b.exponential([theta])[0])
 
     def transfer_kernels(self, thetas):
         """Per sector s, the real (len(thetas), d_s, d_s) stack K_s with
@@ -242,15 +255,14 @@ class DephasingSuperoperator:
         kernels = [np.zeros((count, s.dim, s.dim)) for s in self.space.sectors]
         for batch in self.chains:
             a, b = np.divmod(batch.indices[:, 0], d)
-            # Copied, so that each full exponential is freed at once.
-            columns = batch.exponential(thetas)[..., 0].copy()
+            columns = batch.exponential(thetas)[..., 0][:, batch.orbit]
             for k in range(columns.shape[-1]):
                 kernels[k][:, a - k, b - k] = columns[..., k]
         return kernels
 
     def _through_chains(self, rho_matrix, start, chain_map):
-        """U chain_map[U^dag rho U] U^dag. U is block diagonal, so only the sector
-        blocks pass through the frame; start(rho) sets the entries between them."""
+        """U chain_map[U^dag rho U] U^dag, chain_map(batch) per orbit. U is block
+        diagonal, so only the sector blocks pass through; start(rho) sets the rest."""
         d = self.space.total_dim
         rho_matrix = np.asarray(rho_matrix, dtype=complex)
         blocks = [(slice(s.offset, s.offset + s.dim), u)
@@ -260,7 +272,8 @@ class DephasingSuperoperator:
             frame[sl, sl] = u.conj().T @ rho_matrix[sl, sl] @ u
         flat = frame.reshape(d * d)
         for batch in self.chains:
-            flat[batch.indices] = chain_map(batch, flat[batch.indices])
+            flat[batch.indices] = np.einsum(
+                "cab,cb->ca", chain_map(batch)[batch.orbit], flat[batch.indices])
         out = start(rho_matrix)
         for sl, u in blocks:
             out[sl, sl] = u @ frame[sl, sl] @ u.conj().T

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, _member, axis_frame,
+from .dephasing import (NoiseKind, NoiseSpec, _member, _real, axis_frame,
                         build_dephasing_superoperator, integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
@@ -98,6 +98,7 @@ class SweepConfig:
 
     def __post_init__(self):
         _count(self.n_particles, "n_particles", 1)
+        object.__setattr__(self, "total_time", _real(self.total_time, "total_time"))
         if not np.isfinite(self.total_time) or self.total_time <= 0.0:
             raise InvalidArgument(f"total_time must be positive, got {self.total_time}")
         if self.grid.stop > self.total_time * (1.0 + 1e-12):
@@ -107,6 +108,7 @@ class SweepConfig:
         object.__setattr__(self, "kind", _member(NoiseKind, self.kind))
         object.__setattr__(self, "field", FieldParams(self.field).phi)
         object.__setattr__(self, "axis", tuple(float(x) for x in self.axis))
+        self.noise_spec()  # checks gamma and axis here, not first inside a sweep
 
     def noise_spec(self):
         return NoiseSpec(kind=self.kind, gamma=self.gamma, axis=self.axis)
@@ -175,8 +177,8 @@ def _sweep_probes(config, space, superoperator):
 def _chunk_size(space, superoperator):
     """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
     for a complex copy of every sector block plus the largest chain-batch
-    exponential. Small N takes a whole pass at once, and the working memory
-    of a pass does not grow with its number of times."""
+    exponential, one per orbit representative. Small N takes a whole pass at
+    once, and the working memory of a pass does not grow with its times."""
     per_time = 16 * sum(s.dim ** 2 for s in space.sectors)
     if superoperator is not None:
         per_time += 8 * max(b.generator.size for b in superoperator.chains)

@@ -12,7 +12,7 @@ from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, build_space,
                        coupled_multiplets, degeneracy, embed_collective,
                        gamma_profile, hamiltonian, integrated_strength,
                        simultaneous_probe, FieldParams)
-from spinsense.dephasing import axis_frame
+from spinsense.dephasing import _lambda_weights, axis_frame
 from spinsense.dynamics import _PAULI, _site_operator
 
 AXIS_Z = (0.0, 0.0, 2.0)
@@ -122,8 +122,61 @@ def test_band_structure_and_sparsity():
         assert lsup.nnz <= 3 * len(block_diagonal)
 
 
+def _own_generator(space, twom, twomb, length):
+    # L_z on the chain of one (m, m'), built on its own in the order of the
+    # batched formulas
+    n = space.n_particles
+    lam_stay, lam_drop, lam_lift = np.array(
+        [_lambda_weights(n, s.twoj / 2.0) for s in space.sectors[:length]]).T
+    j = np.array([s.twoj / 2.0 for s in space.sectors[:length]])
+    m, mb = twom / 2.0, twomb / 2.0
+    diag = 8.0 * lam_stay * m * mb - 2.0 * n
+    drop = 8.0 * lam_drop * np.sqrt((j + m) * (j - m) * (j + mb) * (j - mb))
+    lift = 8.0 * lam_lift * np.sqrt(
+        (j + m + 1.0) * (j - m + 1.0) * (j + mb + 1.0) * (j - mb + 1.0))
+    return np.diag(diag) + np.diag(drop[:-1], -1) + np.diag(lift[1:], 1)
+
+
+@pytest.mark.parametrize("n, orbits, nnz", [(4, 9, 53), (7, 20, 230), (24, 169, 7523)])
+def test_chains_share_one_generator_per_orbit(n, orbits, nnz):
+    # (m, m'), (m', m), (-m, -m') and (-m', -m) share one generator: the
+    # batches hold one per orbit (Burnside: ((N+1)^2 + 2(N+1) + [N even]) / 4
+    # orbits), and each chain's own generator matches its representative's
+    # up to the rounding of the multiplication order. nnz still counts the
+    # couplings of every chain
+    space = build_space(n)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    d = space.total_dim
+    assert sum(len(b.indices) for b in lsup.chains) == (n + 1) ** 2
+    assert sum(len(b.generator) for b in lsup.chains) == orbits
+    assert lsup.nnz == nnz
+    for batch in lsup.chains:
+        assert batch.orbit.shape == (len(batch.indices),)
+        assert set(batch.orbit.tolist()) == set(range(len(batch.generator)))
+        length = batch.indices.shape[1]
+        a, b = np.divmod(batch.indices[:, 0], d)
+        for c, rep in enumerate(batch.orbit):
+            own = _own_generator(space, n - 2 * a[c], n - 2 * b[c], length)
+            error = np.max(np.abs(batch.generator[rep] - own))
+            assert error <= 1e-15 * np.max(np.abs(own))
+
+
+@pytest.mark.parametrize("n", [5, 24])
+def test_transfer_kernels_carry_the_orbit_symmetry_exactly(n):
+    # K_s(m, m') = K_s(m', m) = K_s(-m, -m'), bit for bit
+    space = build_space(n)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    for kernel in lsup.transfer_kernels([0.0, 0.013, 0.4, 3.0, 25.0]):
+        assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
+        assert np.array_equal(kernel, kernel[:, ::-1, ::-1])
+
+
 def _chain_rates(lsup):
-    return np.concatenate([np.linalg.eigvals(b.generator).ravel() for b in lsup.chains])
+    # each orbit representative stands for every chain of its orbit
+    return np.concatenate([np.linalg.eigvals(b.generator[b.orbit]).ravel()
+                           for b in lsup.chains])
 
 
 def _dense_generator(lsup):
@@ -345,7 +398,7 @@ def test_deterministic_assembly():
     b = build_dephasing_superoperator(space, spec)
     assert len(a.chains) == len(b.chains)
     for ca, cb in zip(a.chains, b.chains):
-        for field in ("indices", "generator"):
+        for field in ("indices", "generator", "orbit"):
             assert getattr(ca, field).tobytes() == getattr(cb, field).tobytes()
     for ua, ub in zip(a.rotation.blocks, b.rotation.blocks):
         assert ua.tobytes() == ub.tobytes()

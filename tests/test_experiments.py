@@ -16,7 +16,7 @@ from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                        simultaneous_probe, sweep_time)
 from spinsense import experiments
 from spinsense.cli import _pointwise_bounds
-from spinsense.dephasing import DephasingSuperoperator, axis_frame
+from spinsense.dephasing import ChainBatch, DephasingSuperoperator, axis_frame
 from spinsense.experiments import _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
@@ -56,8 +56,13 @@ def test_sweep_config_validation():
     lambda: scan_particles([2.5, 3.7], SweepConfig(n_particles=2)),
     lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=1.5),
     lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=0),
+    lambda: SweepConfig(n_particles=2, gamma=-1.0),
+    lambda: SweepConfig(n_particles=2, gamma="x"),
+    lambda: SweepConfig(n_particles=2, axis=(0, 0, 0)),
+    lambda: SweepConfig(n_particles=2, total_time="x"),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
-        "workers-fraction", "workers-zero"])
+        "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
+        "total-time-text"])
 def test_library_inputs_raise_invalid_argument(call):
     # checked before any sweep runs, with the CLI's typed error
     with pytest.raises(InvalidArgument):
@@ -152,6 +157,29 @@ def test_kernels_and_phase_integrals_are_shared(monkeypatch):
     assert not res.refinement.boundary
     assert calls["kernels"] >= 2
     assert calls["phase"] == calls["kernels"]
+
+
+def test_each_distinct_chain_is_exponentiated_once_per_chunk(monkeypatch):
+    # a noisy sweep exponentiates one generator per orbit of chains
+    # ((m, m'), (m', m), (-m, -m'), (-m', -m)) per chunk of times, never
+    # every chain: 49 of the 169 chains at N = 12
+    orbits = 49
+    calls = {"kernels": 0, "chains": 0}
+    kernels, exponential = DephasingSuperoperator.transfer_kernels, ChainBatch.exponential
+
+    def counted_kernels(self, thetas):
+        calls["kernels"] += 1
+        return kernels(self, thetas)
+
+    def counted_exponential(self, thetas):
+        calls["chains"] += len(self.generator)
+        return exponential(self, thetas)
+
+    monkeypatch.setattr(DephasingSuperoperator, "transfer_kernels", counted_kernels)
+    monkeypatch.setattr(ChainBatch, "exponential", counted_exponential)
+    sweep_time(SweepConfig(n_particles=12, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))
+    assert calls["kernels"] >= 2
+    assert calls["chains"] == orbits * calls["kernels"]
 
 
 def test_sweep_markovian_optimum_is_earlier():

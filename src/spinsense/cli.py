@@ -69,6 +69,7 @@ def _number(kind):
             return kind(value)
         except (TypeError, ValueError) as exc:
             raise InvalidArgument(f"expected {kind.__name__}, got {value!r}") from exc
+    coerce.__name__ = kind.__name__  # argparse names the type in its errors
     return coerce
 
 
@@ -104,81 +105,39 @@ def _as_bool(value):
     raise InvalidArgument(f"expected a boolean, got {value!r}")
 
 
-# One row per option: kebab name, argparse kwargs, coercion for config-file
-# values, and the resolved default. Commands pick subsets from this table.
+# One row per option, under its key (the flag is --key): help text, the
+# coercion of a flag string or config-file value, the resolved default, and
+# any further argparse keywords. Commands pick subsets from this table in
+# _COMMANDS, which follows the runners it names.
 _OPTIONS = {
-    "n": dict(flag="--n", help="particle count N", coerce=_as_int, default=None,
-              kwargs=dict(type=int, metavar="N")),
-    "gamma": dict(flag="--gamma", help="dephasing rate", coerce=_as_float, default=0.05,
-                  kwargs=dict(type=float, metavar="G")),
-    "kind": dict(flag="--kind", help="noise profile", coerce=str, default="markovian",
-                 kwargs=dict(choices=["markovian", "nonmarkovian", "none"])),
-    "scenario": dict(flag="--scenario", help="estimation strategy", coerce=str,
-                     default="sim", kwargs=dict(choices=["sim", "ind"])),
-    "t-total": dict(flag="--t-total", help="total time budget T", coerce=_as_float,
-                    default=100.0, kwargs=dict(type=float, metavar="T")),
-    "phi": dict(flag="--phi", help="field components x,y,z", coerce=_triple,
-                default=_DEFAULT_FIELD, kwargs=dict(type=_triple, metavar="X,Y,Z")),
-    "axis": dict(flag="--axis", help="noise axis x,y,z (norm 2)", coerce=_triple,
-                 default=_DEFAULT_AXIS, kwargs=dict(type=_triple, metavar="X,Y,Z")),
-    "t-grid": dict(flag="--t-grid", help="shot-duration grid count,min,max",
-                   coerce=_grid_spec, default=TimeGrid(),
-                   kwargs=dict(type=_grid_spec, metavar="C,MIN,MAX")),
-    "n-list": dict(flag="--n-list", help="particle counts, ascending",
-                   coerce=_int_list, default=None,
-                   kwargs=dict(type=_int_list, metavar="N1,N2,...")),
-    "t": dict(flag="--t", help="shot duration", coerce=_as_float, default=None,
-              kwargs=dict(type=float, metavar="T")),
-    "probe": dict(flag="--probe", help="initial state", coerce=str, default=None,
-                  kwargs=dict(choices=list(_PROBES))),
-    "allow-nonparallel": dict(flag="--allow-nonparallel",
-                              help="fall back to the joint integrator off-axis",
-                              coerce=_as_bool, default=False,
-                              kwargs=dict(action="store_true", default=None)),
-    "grid": dict(flag="--grid", help="husimi grid rows,cols", coerce=_shape,
-                 default=(181, 360), kwargs=dict(type=_shape, metavar="ROWS,COLS")),
-    "in": dict(flag="--in", help="input CSV produced by scan-n", coerce=str,
-               default=None, kwargs=dict(type=str, metavar="PATH", dest="in")),
-    "column": dict(flag="--column", help="value column to fit", coerce=str,
-                   default="i_min", kwargs=dict(type=str, metavar="NAME")),
-    "n-min": dict(flag="--n-min", help="smallest N included in the fit",
-                  coerce=_as_int, default=10, kwargs=dict(type=int, metavar="N")),
-    "out": dict(flag="--out", help="output path (default: stdout)", coerce=str,
-                default=None, kwargs=dict(type=str, metavar="PATH")),
-    "format": dict(flag="--format", help="output encoding", coerce=str,
-                   default=None, kwargs=dict(choices=["csv", "json"])),
-    "workers": dict(flag="--workers", help="worker process cap", coerce=_as_int,
-                    default=None, kwargs=dict(type=int, metavar="K")),
-    "verbose": dict(flag="--verbose", help="progress notes on stderr",
-                    coerce=_as_int, default=0, kwargs=dict(action="count", default=None)),
-}
-
-# Options consumed by each subcommand. "config" is implicit everywhere.
-_COMMANDS = {
-    "space-info": ("n", "out", "format", "verbose"),
-    "evolve": ("n", "gamma", "kind", "phi", "axis", "t", "probe",
-               "allow-nonparallel", "out", "format", "verbose"),
-    "sweep-time": ("n", "gamma", "kind", "scenario", "t-total", "phi", "axis",
-                   "t-grid", "workers", "out", "format", "verbose"),
-    "scan-n": ("n-list", "gamma", "kind", "scenario", "t-total", "phi", "axis",
-               "t-grid", "workers", "out", "format", "verbose"),
-    "fit": ("in", "column", "n-min", "out", "format", "verbose"),
-    "husimi": ("n", "probe", "grid", "out", "format", "verbose"),
-    "verify": ("n", "out", "verbose"),
+    "n": ("particle count N", _as_int, None, dict(metavar="N")),
+    "gamma": ("dephasing rate", _as_float, 0.05, dict(metavar="G")),
+    "kind": ("noise profile", str, "markovian",
+             dict(choices=["markovian", "nonmarkovian", "none"])),
+    "scenario": ("estimation strategy", str, "sim", dict(choices=["sim", "ind"])),
+    "t-total": ("total time budget T", _as_float, 100.0, dict(metavar="T")),
+    "phi": ("field components x,y,z", _triple, _DEFAULT_FIELD, dict(metavar="X,Y,Z")),
+    "axis": ("noise axis x,y,z (norm 2)", _triple, _DEFAULT_AXIS, dict(metavar="X,Y,Z")),
+    "t-grid": ("shot-duration grid count,min,max", _grid_spec, TimeGrid(),
+               dict(metavar="C,MIN,MAX")),
+    "n-list": ("particle counts, ascending", _int_list, None, dict(metavar="N1,N2,...")),
+    "t": ("shot duration", _as_float, None, dict(metavar="T")),
+    "probe": ("initial state", str, None, dict(choices=list(_PROBES))),
+    "allow-nonparallel": ("fall back to the joint integrator off-axis", _as_bool, False,
+                          dict(action="store_true", default=None)),
+    "grid": ("husimi grid rows,cols", _shape, (181, 360), dict(metavar="ROWS,COLS")),
+    "in": ("input CSV produced by scan-n", str, None, dict(metavar="PATH")),
+    "column": ("value column to fit", str, "i_min", dict(metavar="NAME")),
+    "n-min": ("smallest N included in the fit", _as_int, 10, dict(metavar="N")),
+    "out": ("output path (default: stdout)", str, None, dict(metavar="PATH")),
+    "format": ("output encoding", str, None, dict(choices=["csv", "json"])),
+    "workers": ("worker process cap", _as_int, None, dict(metavar="K")),
+    "verbose": ("progress notes on stderr", _as_int, 0,
+                dict(action="count", default=None)),
 }
 
 # Keys that shape the computation and therefore enter the config hash.
 _NON_HASHED = ("out", "format", "workers", "verbose")
-
-_COMMAND_HELP = {
-    "space-info": "print the sector layout of the collective basis",
-    "evolve": "evolve one probe state and report its collective moments",
-    "sweep-time": "sweep the shot duration and locate the optimal time",
-    "scan-n": "repeat the sweep over a list of particle counts",
-    "fit": "fit a power law to a scan-n output column",
-    "husimi": "tabulate the Husimi distribution of a probe state",
-    "verify": "run the built-in verification battery",
-}
 
 
 def _build_parser():
@@ -187,13 +146,14 @@ def _build_parser():
         description="Collective-spin sensing: dynamics, bounds, and sweeps.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, keys in _COMMANDS.items():
-        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+    for command, (summary, keys, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
         sub.add_argument("--config", type=str, metavar="PATH",
                          help="flat JSON config; explicit flags win")
         for key in keys:
-            opt = _OPTIONS[key]
-            sub.add_argument(opt["flag"], help=opt["help"], **opt["kwargs"])
+            text, coerce, _, extra = _OPTIONS[key]
+            typed = {} if "action" in extra else {"type": coerce}
+            sub.add_argument(f"--{key}", help=text, **typed, **extra)
     return parser
 
 
@@ -232,23 +192,23 @@ def _load_config_file(path, allowed):
 def _resolve(args):
     """Merge flags over the config file over defaults into a RunConfig."""
     command = args.command
-    keys = _COMMANDS[command]
+    keys = _COMMANDS[command][1]
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _load_config_file(args.config, keys)
 
     params = {}
     explicit = set()
     for key in keys:
-        opt = _OPTIONS[key]
-        flag_value = getattr(args, key.replace("-", "_"), None)
+        _, coerce, default, extra = _OPTIONS[key]
+        flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
             params[key] = flag_value
             explicit.add(key)
         elif key in file_values:
             try:
-                params[key] = opt["coerce"](file_values[key])
-                choices = opt["kwargs"].get("choices")
+                params[key] = coerce(file_values[key])
+                choices = extra.get("choices")
                 if choices is not None and params[key] not in choices:
                     raise InvalidArgument(
                         f"expected one of {choices}, got {file_values[key]!r}")
@@ -256,7 +216,7 @@ def _resolve(args):
                 raise InvalidArgument(f"config key {key!r}: {exc}") from exc
             explicit.add(key)
         else:
-            params[key] = opt["default"]
+            params[key] = default
 
     fmt = params.pop("format", None)
     out = params.pop("out", None)
@@ -283,40 +243,21 @@ def _jsonable(value):
     return value
 
 
+def _canonical(cfg):
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _build_meta(run):
     """Metadata block shared by all outputs; the hash covers exactly the
     configuration keys that influence the numbers."""
     cfg = {k: _jsonable(v) for k, v in sorted(run.params.items())
            if k not in _NON_HASHED}
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    gamma_assumed = "gamma" in run.params and "gamma" not in run.explicit_keys
     return {
         "version": __version__,
         "command": run.command,
         "config": cfg,
-        "config-json": blob,
-        "config-sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-        "gamma-assumed": bool(gamma_assumed),
-    }
-
-
-def _meta_lines(meta):
-    return [
-        f"# spinsense-version = {meta['version']}",
-        f"# command = {meta['command']}",
-        f"# config = {meta['config-json']}",
-        f"# config-sha256 = {meta['config-sha256']}",
-        f"# gamma-assumed = {'true' if meta['gamma-assumed'] else 'false'}",
-    ]
-
-
-def _json_meta(meta):
-    return {
-        "version": meta["version"],
-        "command": meta["command"],
-        "config": meta["config"],
-        "config-sha256": meta["config-sha256"],
-        "gamma-assumed": meta["gamma-assumed"],
+        "config-sha256": hashlib.sha256(_canonical(cfg).encode("utf-8")).hexdigest(),
+        "gamma-assumed": "gamma" in run.params and "gamma" not in run.explicit_keys,
     }
 
 
@@ -344,31 +285,38 @@ def _dump_json(document):
                       allow_nan=False) + "\n"
 
 
-def _csv_text(meta, header, rows, footer=()):
+def _emit(run, default_format, doc, table=None):
+    """The [(path, text)] output of a run: doc as a JSON document, or table =
+    (header, rows, footer) as CSV, each under the metadata block. A command
+    without a table writes JSON only."""
+    meta = _build_meta(run)
+    fmt = run.fmt or default_format
+    supported = ("json",) if table is None else ("csv", "json")
+    if fmt not in supported:
+        raise InvalidArgument(
+            f"{run.command} supports format {supported}, got {fmt!r}")
+    if fmt == "json":
+        return [(run.out, _dump_json({"meta": meta, **doc}))]
+    header, rows, footer = table
+    lines = [f"# spinsense-version = {meta['version']}",
+             f"# command = {meta['command']}",
+             f"# config = {_canonical(meta['config'])}",
+             f"# config-sha256 = {meta['config-sha256']}",
+             f"# gamma-assumed = {'true' if meta['gamma-assumed'] else 'false'}"]
     buf = io.StringIO()
-    for line in _meta_lines(meta):
-        buf.write(line + _CRLF)
+    buf.write("".join(line + _CRLF for line in lines))
     writer = csv.writer(buf, lineterminator=_CRLF)
     if header is not None:
         writer.writerow(header)
     writer.writerows(rows)
-    for line in footer:
-        buf.write(line + _CRLF)
-    return buf.getvalue()
+    buf.write("".join(line + _CRLF for line in footer))
+    return [(run.out, buf.getvalue())]
 
 
 def _require(params, key, command):
     if params.get(key) is None:
         raise InvalidArgument(f"{command} requires --{key}")
     return params[key]
-
-
-def _pick_format(run, default, supported):
-    fmt = run.fmt or default
-    if fmt not in supported:
-        raise InvalidArgument(
-            f"{run.command} supports format {supported}, got {fmt!r}")
-    return fmt
 
 
 def _probe_state(space, name):
@@ -384,30 +332,21 @@ def _probe_state(space, name):
 # ---------------------------------------------------------------------------
 
 def _run_space_info(run):
-    n = _require(run.params, "n", "space-info")
-    space = build_space(n)
-    meta = _build_meta(run)
-    fmt = _pick_format(run, "json", ("json", "csv"))
+    space = build_space(_require(run.params, "n", "space-info"))
     sectors = [
         {"j": s.twoj / 2.0, "dim": s.dim, "offset": s.offset,
          "multiplicity": s.multiplicity}
         for s in space.sectors
     ]
-    if fmt == "json":
-        text = _dump_json({
-            "meta": _json_meta(meta),
-            "n-particles": space.n_particles,
-            "dimension": space.total_dim,
-            "product-dimension": 2 ** space.n_particles,
-            "sectors": sectors,
-        })
-    else:
-        rows = [[_fmt_float(s["j"]), s["dim"], s["offset"], s["multiplicity"]]
-                for s in sectors]
-        footer = [f"# dimension = {space.total_dim}",
-                  f"# product-dimension = {2 ** space.n_particles}"]
-        text = _csv_text(meta, ["j", "dim", "offset", "multiplicity"], rows, footer)
-    return [(run.out, text)]
+    product = 2 ** space.n_particles
+    return _emit(run, "json", {
+        "n-particles": space.n_particles,
+        "dimension": space.total_dim,
+        "product-dimension": product,
+        "sectors": sectors,
+    }, (["j", "dim", "offset", "multiplicity"],
+        [[_fmt_float(s["j"]), s["dim"], s["offset"], s["multiplicity"]] for s in sectors],
+        [f"# dimension = {space.total_dim}", f"# product-dimension = {product}"]))
 
 
 def _run_evolve(run):
@@ -425,10 +364,7 @@ def _run_evolve(run):
     jops = [collective_operator(space, a) for a in ("x", "y", "z")]
     first = [float(op.expectation(rho.matrix).real) for op in jops]
     second = [[(a @ b).expectation(rho.matrix) for b in jops] for a in jops]
-    meta = _build_meta(run)
-    _pick_format(run, "json", ("json",))
-    text = _dump_json({
-        "meta": _json_meta(meta),
+    return _emit(run, "json", {
         "t": float(t),
         "probe": probe_name,
         "split-valid": bool(result.split_valid),
@@ -439,7 +375,6 @@ def _run_evolve(run):
         "second-moments-real": [[float(v.real) for v in row] for row in second],
         "second-moments-imag": [[float(v.imag) for v in row] for row in second],
     })
-    return [(run.out, text)]
 
 
 def _sweep_config(params):
@@ -459,26 +394,18 @@ def _sweep_config(params):
 def _run_sweep_time(run):
     config = _sweep_config(run.params)
     result = sweep_time(config)
-    meta = _build_meta(run)
-    fmt = _pick_format(run, "csv", ("csv", "json"))
     column = "i_sim" if config.scenario is SweepScenario.SIMULTANEOUS else "i_ind"
-    if fmt == "csv":
-        rows = [[_fmt_float(t), _fmt_float(v)]
-                for t, v in zip(result.times, result.bounds)]
-        footer = [f"# t_opt = {_fmt_float(result.t_opt)}",
-                  f"# i_min = {_fmt_float(result.i_min)}",
-                  f"# boundary = {'true' if result.refinement.boundary else 'false'}"]
-        text = _csv_text(meta, ["t", column], rows, footer)
-    else:
-        text = _dump_json({
-            "meta": _json_meta(meta),
-            "column": column,
-            "curve": [[float(t), float(v)] for t, v in zip(result.times, result.bounds)],
-            "t-opt": result.t_opt,
-            "i-min": result.i_min,
-            "boundary": result.refinement.boundary,
-        })
-    return [(run.out, text)]
+    curve = list(zip(result.times, result.bounds))
+    return _emit(run, "csv", {
+        "column": column,
+        "curve": [[float(t), float(v)] for t, v in curve],
+        "t-opt": result.t_opt,
+        "i-min": result.i_min,
+        "boundary": result.refinement.boundary,
+    }, (["t", column], [[_fmt_float(t), _fmt_float(v)] for t, v in curve],
+        [f"# t_opt = {_fmt_float(result.t_opt)}",
+         f"# i_min = {_fmt_float(result.i_min)}",
+         f"# boundary = {'true' if result.refinement.boundary else 'false'}"]))
 
 
 def _run_scan_n(run):
@@ -489,32 +416,36 @@ def _run_scan_n(run):
         print(f"scan-n: {len(n_list)} particle counts, "
               f"workers={run.workers}", file=sys.stderr)
     rows = scan_particles(n_list, base, workers=run.workers)
-    meta = _build_meta(run)
-    fmt = _pick_format(run, "csv", ("csv", "json"))
-    if fmt == "csv":
-        data = [[r.n_particles, r.scenario.value, r.kind.value,
-                 _fmt_float(r.t_opt), _fmt_float(r.i_min)] for r in rows]
-        dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
-        text = _csv_text(meta, ["n", "scenario", "kind", "t_opt", "i_min"], data,
-                         [f"# dropped = {dropped or 'none'}"])
-    else:
-        text = _dump_json({
-            "meta": _json_meta(meta),
-            "rows": [{"n": r.n_particles, "scenario": r.scenario.value,
-                      "kind": r.kind.value, "t-opt": r.t_opt, "i-min": r.i_min}
-                     for r in rows],
-            "dropped": [{"n": n, "reason": reason} for n, reason in rows.dropped],
-        })
-    return [(run.out, text)]
+    dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
+    return _emit(run, "csv", {
+        "rows": [{"n": r.n_particles, "scenario": r.scenario.value,
+                  "kind": r.kind.value, "t-opt": r.t_opt, "i-min": r.i_min}
+                 for r in rows],
+        "dropped": [{"n": n, "reason": reason} for n, reason in rows.dropped],
+    }, (["n", "scenario", "kind", "t_opt", "i_min"],
+        [[r.n_particles, r.scenario.value, r.kind.value,
+          _fmt_float(r.t_opt), _fmt_float(r.i_min)] for r in rows],
+        [f"# dropped = {dropped or 'none'}"]))
 
 
 def _read_scan_csv(path, column):
+    """(n, value) of each row of a scan-n CSV with a value in column; '#'
+    lines are skipped. A file that is not UTF-8 text, or a row whose n or
+    value is not a number, is a bad argument that names its line."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(lines)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InvalidArgument(
+            f"{path} line {line} is not UTF-8 text: {exc.reason}") from None
+    numbered = [(k, ln) for k, ln in enumerate(io.StringIO(text, newline=""), 1)
+                if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in numbered)
     try:
         header = next(reader)
     except StopIteration:
@@ -527,26 +458,25 @@ def _read_scan_csv(path, column):
     for row in reader:
         if len(row) <= max(n_idx, v_idx) or not row[v_idx].strip():
             continue
-        points.append((float(row[n_idx]), float(row[v_idx])))
+        try:
+            points.append((float(row[n_idx]), float(row[v_idx])))
+        except ValueError as exc:
+            line = numbered[reader.line_num - 1][0]
+            raise InvalidArgument(f"{path} line {line}: {exc}") from None
     return points
 
 
 def _run_fit(run):
     p = run.params
-    path = _require(p, "in", "fit")
-    points = _read_scan_csv(path, p["column"])
+    points = _read_scan_csv(_require(p, "in", "fit"), p["column"])
     fit = fit_power_law(points, n_min=p["n-min"])
-    meta = _build_meta(run)
-    _pick_format(run, "json", ("json",))
-    text = _dump_json({
-        "meta": _json_meta(meta),
+    return _emit(run, "json", {
         "column": p["column"],
         "exponent": fit.exponent,
         "prefactor": fit.prefactor,
         "residual": fit.residual,
         "n-used": fit.n_used,
     })
-    return [(run.out, text)]
 
 
 def _run_husimi(run):
@@ -554,36 +484,22 @@ def _run_husimi(run):
     n = _require(p, "n", "husimi")
     probe_name = p["probe"] or "sim"
     shape = p["grid"]
-    space = build_space(n)
-    probe = _probe_state(space, probe_name)
-    qmap = husimi_map(probe, shape)
+    qmap = husimi_map(_probe_state(build_space(n), probe_name), shape)
     thetas, phis = husimi_grid(shape)
-    meta = _build_meta(run)
-    fmt = _pick_format(run, "csv", ("csv", "json"))
-    if fmt == "json":
-        text = _dump_json({
-            "meta": _json_meta(meta),
-            "probe": probe_name,
+    axes = {"probe": probe_name,
             "theta": [float(v) for v in thetas],
-            "phi": [float(v) for v in phis],
-            "q": [[float(v) for v in row] for row in qmap],
-        })
-        return [(run.out, text)]
+            "phi": [float(v) for v in phis]}
+    if run.fmt == "json":
+        return _emit(run, "json", {**axes, "q": [[float(v) for v in row] for row in qmap]})
     if not run.out:
         raise InvalidArgument(
             "husimi csv output writes a matrix plus a companion axes file; "
             "pass --out")
-    matrix_rows = [[_fmt_float(v) for v in row] for row in qmap]
-    text = _csv_text(meta, None, matrix_rows)
-    axes = _dump_json({
-        "meta": _json_meta(meta),
-        "probe": probe_name,
-        "rows": int(shape[0]),
-        "cols": int(shape[1]),
-        "theta": [float(v) for v in thetas],
-        "phi": [float(v) for v in phis],
-    })
-    return [(run.out, text), (run.out + ".axes.json", axes)]
+    matrix = [[_fmt_float(v) for v in row] for row in qmap]
+    axes_doc = {"meta": _build_meta(run), "rows": int(shape[0]), "cols": int(shape[1]),
+                **axes}
+    return (_emit(run, "csv", None, (None, matrix, ()))
+            + [(run.out + ".axes.json", _dump_json(axes_doc))])
 
 
 # ---------------------------------------------------------------------------
@@ -786,25 +702,37 @@ def _run_verify(run):
 # Entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "space-info": _run_space_info,
-    "evolve": _run_evolve,
-    "sweep-time": _run_sweep_time,
-    "scan-n": _run_scan_n,
-    "fit": _run_fit,
-    "husimi": _run_husimi,
+# Each subcommand: its help, the option keys it takes ("config" is implicit
+# everywhere) and its runner. sweep-time and scan-n share the sweep options.
+_OUTPUT = ("out", "format", "verbose")
+_SWEEP = ("gamma", "kind", "scenario", "t-total", "phi", "axis", "t-grid",
+          "workers") + _OUTPUT
+_COMMANDS = {
+    "space-info": ("print the sector layout of the collective basis",
+                   ("n",) + _OUTPUT, _run_space_info),
+    "evolve": ("evolve one probe state and report its collective moments",
+               ("n", "gamma", "kind", "phi", "axis", "t", "probe",
+                "allow-nonparallel") + _OUTPUT, _run_evolve),
+    "sweep-time": ("sweep the shot duration and locate the optimal time",
+                   ("n",) + _SWEEP, _run_sweep_time),
+    "scan-n": ("repeat the sweep over a list of particle counts",
+               ("n-list",) + _SWEEP, _run_scan_n),
+    "fit": ("fit a power law to a scan-n output column",
+            ("in", "column", "n-min") + _OUTPUT, _run_fit),
+    "husimi": ("tabulate the Husimi distribution of a probe state",
+               ("n", "probe", "grid") + _OUTPUT, _run_husimi),
+    "verify": ("run the built-in verification battery",
+               ("n", "out", "verbose"), _run_verify),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         run = _resolve(args)
-        if run.command == "verify":
+        if run.command == "verify":  # prints its own report, returns its exit code
             return _run_verify(run)
-        outputs = _DISPATCH[run.command](run)
-        for path, text in outputs:
+        for path, text in _COMMANDS[run.command][2](run):
             if path is None:
                 sys.stdout.write(text)
             else:

@@ -67,6 +67,17 @@ def _real(value, what):
         raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
 
 
+def _vector(value, what):
+    """value as an array of 3 finite floats, anything else refused as InvalidArgument."""
+    try:
+        vec = np.asarray(value, dtype=float)
+        if vec.shape == (3,) and np.all(np.isfinite(vec)):
+            return vec
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgument(f"{what} must be 3 finite components, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Dephasing model: profile kind, strength gamma, and local coupling axis.
@@ -87,9 +98,7 @@ class NoiseSpec:
             raise InvalidArgument(f"gamma must be finite and >= 0, got {gamma}")
         if kind is NoiseKind.NONE:
             gamma = 0.0
-        vec = np.asarray(axis, dtype=float)
-        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-            raise InvalidArgument(f"axis must be 3 finite components, got {axis}")
+        vec = _vector(axis, "axis")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise InvalidArgument("axis must be nonzero")
@@ -188,17 +197,30 @@ def _chain_batch(space, length, lam):
     n = space.n_particles
     d = space.total_dim
     top = n - 2 * (length - 1)
-    pairs = np.array([(a, b) for a in range(n, -n - 2, -2) for b in range(n, -n - 2, -2)
-                      if max(abs(a), abs(b)) == top])
-    twom, twomb = pairs[:, :1], pairs[:, 1:]
-    reps, orbit = np.unique([max((a, b), (b, a), (-a, -b), (-b, -a)) for a, b in pairs],
-                            axis=0, return_inverse=True)
+    # the pairs (a, b) = (2m, 2m') on the border of the square of side top,
+    # a descending, then b descending
+    side = np.arange(top, -top - 2, -2)
+    a, b = np.meshgrid(side, side, indexing="ij")
+    border = (np.abs(a) == top) | (np.abs(b) == top)
+    a, b = a[border], b[border]
+    # a * base + b sorts like (a, b), so the largest of an orbit's four keys
+    # a * base + b, b * base + a and their negatives is its representative's.
+    # The keys are below base^2: a table of them ranks the representatives
+    # without a sort (a sort loads numpy's sort kernels, about 0.5 MB of RSS)
+    base = 2 * top + 1
+    keys = np.maximum(np.abs(a * base + b), np.abs(b * base + a))
+    present = np.zeros(keys.max() + 1, dtype=bool)
+    present[keys] = True
+    reps = np.flatnonzero(present)
+    orbit = (np.cumsum(present) - 1)[keys]
+    rep_a = (reps + top) // base
+    twom, twomb = a[:, None], b[:, None]
     sectors = space.sectors[:length]
     twoj = np.array([s.twoj for s in sectors])
     offset = np.array([s.offset for s in sectors])
     rows = offset + (twoj - twom) // 2
     cols = offset + (twoj - twomb) // 2
-    j, m, mb = twoj / 2.0, reps[:, :1] / 2.0, reps[:, 1:] / 2.0
+    j, m, mb = twoj / 2.0, rep_a[:, None] / 2.0, (reps - rep_a * base)[:, None] / 2.0
     lam_stay, lam_drop, lam_lift = lam[:length].T
     diag = 8.0 * lam_stay * m * mb - 2.0 * n
     # j -> j - 1 from column a to row a + 1; j -> j + 1 from column a to row a - 1.

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DensityOperator, collective_operator
-from .dephasing import (NoiseKind, build_dephasing_superoperator, gamma_profile,
-                        integrated_strength)
+from .dephasing import (NoiseKind, _vector, build_dephasing_superoperator,
+                        gamma_profile, integrated_strength)
 from .errors import AssumptionViolated, InvalidArgument, NumericalError
 
 _AXES = ("x", "y", "z")
@@ -36,9 +36,7 @@ class FieldParams:
     phi: tuple
 
     def __init__(self, phi):
-        vec = np.asarray(phi, dtype=float)
-        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-            raise InvalidArgument(f"field must be 3 finite components, got {phi}")
+        vec = _vector(phi, "field")
         object.__setattr__(self, "phi", (vec[0], vec[1], vec[2]))
 
     @property

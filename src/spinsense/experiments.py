@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, _member, _real, axis_frame,
+from .dephasing import (NoiseKind, NoiseSpec, _member, _real, _vector, axis_frame,
                         build_dephasing_superoperator, integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
@@ -107,7 +107,8 @@ class SweepConfig:
         object.__setattr__(self, "scenario", _member(SweepScenario, self.scenario))
         object.__setattr__(self, "kind", _member(NoiseKind, self.kind))
         object.__setattr__(self, "field", FieldParams(self.field).phi)
-        object.__setattr__(self, "axis", tuple(float(x) for x in self.axis))
+        object.__setattr__(self, "axis",
+                           tuple(float(x) for x in _vector(self.axis, "axis")))
         self.noise_spec()  # checks gamma and axis here, not first inside a sweep
 
     def noise_spec(self):
@@ -361,8 +362,8 @@ def scan_particles(n_list, base_config, workers=1):
 
     A sweep that fails (ExperimentFailed) drops its N from the rows rather
     than aborting the scan; the returned ScanRows names it, with the reason,
-    in dropped. With workers > 1 the sweeps run in a process pool; the
-    result is the same either way.
+    in dropped. With workers > 1 the sweeps run in a process pool of at most
+    one worker per sweep; the result is the same either way.
     """
     _count(workers, "workers", 1)
     ns = [_count(n, "each N", 1) for n in n_list]
@@ -371,6 +372,7 @@ def scan_particles(n_list, base_config, workers=1):
     if not ns:
         raise InvalidArgument("n_list must be nonempty")
     configs = [replace(base_config, n_particles=n) for n in ns]
+    workers = min(workers, len(ns))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, configs))

@@ -3,6 +3,7 @@ exit codes, and the packaged entry points."""
 
 import filecmp
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsense.cli import main
+from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,72 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--in", str(bad))
     assert code == 2
     assert "i_min" in err
+
+
+@pytest.mark.parametrize("content, line", [
+    (b"n,i_min\r\n4,1.0\r\nx,2.0\r\n", 3),
+    (b"# spinsense-version = 0\r\nn,i_min\r\n4,\xff\r\n", 3),
+], ids=["non-numeric", "not-utf8"])
+def test_fit_rejects_a_malformed_csv(tmp_path, capsys, content, line):
+    # a bad input file is a bad argument that names the file and its line
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "fit", "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"spinsense: InvalidArgument: {bad} line {line}")
+
+
+# One value per option: its flag text (None for a bare flag) and the same
+# value as a config file holds it.
+_REPRESENTATIVE = {
+    "n": ("3", 3),
+    "gamma": ("0.2", 0.2),
+    "kind": ("nonmarkovian", "nonmarkovian"),
+    "scenario": ("ind", "ind"),
+    "t-total": ("50", 50),
+    "phi": ("0.1,0,0", [0.1, 0, 0]),
+    "axis": ("0,0,2", [0, 0, 2]),
+    "t-grid": ("6,0.1,10", [6, 0.1, 10]),
+    "n-list": ("2,4", [2, 4]),
+    "t": ("0.5", 0.5),
+    "probe": ("ghz-y", "ghz-y"),
+    "allow-nonparallel": (None, True),
+    "grid": ("3,4", [3, 4]),
+    "in": ("scan.csv", "scan.csv"),
+    "column": ("t_opt", "t_opt"),
+    "n-min": ("4", 4),
+    "out": ("result.txt", "result.txt"),
+    "format": ("json", "json"),
+    "workers": ("2", 2),
+    "verbose": (None, 1),
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, keys, _) in _COMMANDS.items() for key in keys])
+def test_flag_and_config_file_resolve_alike(tmp_path, command, key):
+    # a value given as a flag or in a config file goes through one conversion:
+    # the same parameters, of the same types, and the same metadata
+    text, value = _REPRESENTATIVE[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    parser = _build_parser()
+    flag = [f"--{key}"] + ([] if text is None else [text])
+    from_flag = _resolve(parser.parse_args([command, *flag]))
+    from_file = _resolve(parser.parse_args([command, "--config", str(cfg)]))
+    assert repr(from_flag) == repr(from_file)
+    assert from_flag.explicit_keys == {key}
+    assert _build_meta(from_flag) == _build_meta(from_file)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_lists_exactly_the_table_options(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config"} | {f"--{key}" for key in _COMMANDS[command][1]}
 
 
 def test_verify_battery_passes(capsys):

@@ -162,6 +162,49 @@ def test_chains_share_one_generator_per_orbit(n, orbits, nnz):
             assert error <= 1e-15 * np.max(np.abs(own))
 
 
+def _reference_chain_batch(space, length, lam):
+    # the pair list and orbit keys as Python loops over all (N+1)^2 pairs
+    n = space.n_particles
+    d = space.total_dim
+    top = n - 2 * (length - 1)
+    pairs = np.array([(a, b) for a in range(n, -n - 2, -2) for b in range(n, -n - 2, -2)
+                      if max(abs(a), abs(b)) == top])
+    twom, twomb = pairs[:, :1], pairs[:, 1:]
+    reps, orbit = np.unique([max((a, b), (b, a), (-a, -b), (-b, -a)) for a, b in pairs],
+                            axis=0, return_inverse=True)
+    sectors = space.sectors[:length]
+    twoj = np.array([s.twoj for s in sectors])
+    offset = np.array([s.offset for s in sectors])
+    rows = offset + (twoj - twom) // 2
+    cols = offset + (twoj - twomb) // 2
+    j, m, mb = twoj / 2.0, reps[:, :1] / 2.0, reps[:, 1:] / 2.0
+    lam_stay, lam_drop, lam_lift = lam[:length].T
+    diag = 8.0 * lam_stay * m * mb - 2.0 * n
+    drop = (8.0 * lam_drop * np.sqrt((j + m) * (j - m) * (j + mb) * (j - mb)))[:, :-1]
+    lift = (8.0 * lam_lift * np.sqrt(
+        (j + m + 1.0) * (j - m + 1.0) * (j + mb + 1.0) * (j - mb + 1.0)))[:, 1:]
+    idx = np.arange(length)
+    generator = np.zeros((len(reps), length, length))
+    generator[:, idx, idx] = diag
+    generator[:, idx[1:], idx[:-1]] = drop
+    generator[:, idx[:-1], idx[1:]] = lift
+    return rows * d + cols, generator, orbit
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_chain_batches_match_the_pairwise_loop(n):
+    # the border pairs and integer orbit keys give the loop's chains exactly
+    space = build_space(n)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
+    lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
+    for length, batch in enumerate(lsup.chains, 1):
+        expected = _reference_chain_batch(space, length, lam)
+        for got, want in zip((batch.indices, batch.generator, batch.orbit), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [5, 24])
 def test_transfer_kernels_carry_the_orbit_symmetry_exactly(n):
     # K_s(m, m') = K_s(m', m) = K_s(-m, -m'), bit for bit

@@ -60,9 +60,12 @@ def test_sweep_config_validation():
     lambda: SweepConfig(n_particles=2, gamma="x"),
     lambda: SweepConfig(n_particles=2, axis=(0, 0, 0)),
     lambda: SweepConfig(n_particles=2, total_time="x"),
+    lambda: SweepConfig(n_particles=2, axis=("x", 0, 0)),
+    lambda: SweepConfig(n_particles=2, field=("x", 0, 0)),
+    lambda: SweepConfig(n_particles=2, axis=5),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
-        "total-time-text"])
+        "total-time-text", "axis-text", "field-text", "axis-scalar"])
 def test_library_inputs_raise_invalid_argument(call):
     # checked before any sweep runs, with the CLI's typed error
     with pytest.raises(InvalidArgument):
@@ -222,6 +225,39 @@ def test_scan_worker_pool_matches_serial():
     pooled = scan_particles([4, 6], cfg, workers=2)
     assert [(r.n_particles, r.t_opt, r.i_min) for r in serial] \
         == [(r.n_particles, r.t_opt, r.i_min) for r in pooled]
+
+
+def test_scan_pool_is_capped_at_the_number_of_sweeps(monkeypatch):
+    # a pool forks all its workers up front, so it gets no more workers than
+    # there are sweeps, and none for a single sweep. The fake pool records
+    # its size and runs the sweeps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg = SweepConfig(n_particles=2, gamma=0.1,
+                      grid=TimeGrid(count=8, start=0.1, stop=20.0))
+    serial = scan_particles([2, 4], cfg, workers=1)
+    assert sizes == []
+    pooled = scan_particles([2, 4], cfg, workers=64)
+    assert sizes == [2]
+    assert [(r.n_particles, r.t_opt, r.i_min) for r in pooled] \
+        == [(r.n_particles, r.t_opt, r.i_min) for r in serial]
+    single = scan_particles([4], cfg, workers=64)
+    assert sizes == [2]
+    assert (single[0].t_opt, single[0].i_min) == (serial[1].t_opt, serial[1].i_min)
 
 
 def test_fit_recovers_synthetic_exponents():

@@ -35,8 +35,8 @@ from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim)
 from .estimation import bound_individual, bound_simultaneous, partial_rho, qfim
 from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
-                          SweepScenario, TimeGrid, fit_power_law, husimi_grid,
-                          husimi_map, scan_particles, sweep_time)
+                          SweepScenario, TimeGrid, _pool_size, fit_power_law,
+                          husimi_grid, husimi_map, scan_particles, sweep_time)
 
 _PROBES = ("ghz-x", "ghz-y", "ghz-z", "sim")
 
@@ -146,7 +146,7 @@ def _build_parser():
         description="Collective-spin sensing: dynamics, bounds, and sweeps.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, keys, _) in _COMMANDS.items():
+    for command, (summary, keys, *_) in _COMMANDS.items():
         sub = subs.add_parser(command, help=summary)
         sub.add_argument("--config", type=str, metavar="PATH",
                          help="flat JSON config; explicit flags win")
@@ -192,7 +192,7 @@ def _load_config_file(path, allowed):
 def _resolve(args):
     """Merge flags over the config file over defaults into a RunConfig."""
     command = args.command
-    keys = _COMMANDS[command][1]
+    _, keys, _, formats = _COMMANDS[command]
     file_values = {}
     if args.config:
         file_values = _load_config_file(args.config, keys)
@@ -218,7 +218,9 @@ def _resolve(args):
         else:
             params[key] = default
 
-    fmt = params.pop("format", None)
+    fmt = params.pop("format", None) or formats[0]
+    if fmt not in formats:
+        raise InvalidArgument(f"{command} supports format {formats}, got {fmt!r}")
     out = params.pop("out", None)
     workers = params.pop("workers", None)
     verbose = params.pop("verbose", 0) or 0
@@ -285,17 +287,11 @@ def _dump_json(document):
                       allow_nan=False) + "\n"
 
 
-def _emit(run, default_format, doc, table=None):
-    """The [(path, text)] output of a run: doc as a JSON document, or table =
-    (header, rows, footer) as CSV, each under the metadata block. A command
-    without a table writes JSON only."""
+def _emit(run, doc, table=None):
+    """The [(path, text)] output of a run in its checked format: doc as JSON,
+    or table = (header, rows, footer) as CSV, under the metadata block."""
     meta = _build_meta(run)
-    fmt = run.fmt or default_format
-    supported = ("json",) if table is None else ("csv", "json")
-    if fmt not in supported:
-        raise InvalidArgument(
-            f"{run.command} supports format {supported}, got {fmt!r}")
-    if fmt == "json":
+    if run.fmt == "json":
         return [(run.out, _dump_json({"meta": meta, **doc}))]
     header, rows, footer = table
     lines = [f"# spinsense-version = {meta['version']}",
@@ -339,7 +335,7 @@ def _run_space_info(run):
         for s in space.sectors
     ]
     product = 2 ** space.n_particles
-    return _emit(run, "json", {
+    return _emit(run, {
         "n-particles": space.n_particles,
         "dimension": space.total_dim,
         "product-dimension": product,
@@ -364,7 +360,7 @@ def _run_evolve(run):
     jops = [collective_operator(space, a) for a in ("x", "y", "z")]
     first = [float(op.expectation(rho.matrix).real) for op in jops]
     second = [[(a @ b).expectation(rho.matrix) for b in jops] for a in jops]
-    return _emit(run, "json", {
+    return _emit(run, {
         "t": float(t),
         "probe": probe_name,
         "split-valid": bool(result.split_valid),
@@ -396,7 +392,7 @@ def _run_sweep_time(run):
     result = sweep_time(config)
     column = "i_sim" if config.scenario is SweepScenario.SIMULTANEOUS else "i_ind"
     curve = list(zip(result.times, result.bounds))
-    return _emit(run, "csv", {
+    return _emit(run, {
         "column": column,
         "curve": [[float(t), float(v)] for t, v in curve],
         "t-opt": result.t_opt,
@@ -414,10 +410,10 @@ def _run_scan_n(run):
     base = _sweep_config({**p, "n": n_list[0]})
     if run.verbose:
         print(f"scan-n: {len(n_list)} particle counts, "
-              f"workers={run.workers}", file=sys.stderr)
+              f"workers={_pool_size(run.workers, len(n_list))}", file=sys.stderr)
     rows = scan_particles(n_list, base, workers=run.workers)
     dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
-    return _emit(run, "csv", {
+    return _emit(run, {
         "rows": [{"n": r.n_particles, "scenario": r.scenario.value,
                   "kind": r.kind.value, "t-opt": r.t_opt, "i-min": r.i_min}
                  for r in rows],
@@ -430,8 +426,8 @@ def _run_scan_n(run):
 
 def _read_scan_csv(path, column):
     """(n, value) of each row of a scan-n CSV with a value in column; '#'
-    lines are skipped. A file that is not UTF-8 text, or a row whose n or
-    value is not a number, is a bad argument that names its line."""
+    lines, blank rows and empty value cells (NaN) are skipped. Text that is
+    not UTF-8, a short row or a non-number is a bad argument naming its line."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -454,14 +450,16 @@ def _read_scan_csv(path, column):
         raise InvalidArgument(
             f"{path} must provide columns 'n' and {column!r}, found {header}")
     n_idx, v_idx = header.index("n"), header.index(column)
-    points = []
+    need, points = max(n_idx, v_idx) + 1, []
     for row in reader:
-        if len(row) <= max(n_idx, v_idx) or not row[v_idx].strip():
+        line = numbered[reader.line_num - 1][0]
+        if len(row) < need and "".join(row).strip():
+            raise InvalidArgument(f"{path} line {line}: row has {len(row)} fields, need {need}")
+        if len(row) < need or not row[v_idx].strip():
             continue
         try:
             points.append((float(row[n_idx]), float(row[v_idx])))
         except ValueError as exc:
-            line = numbered[reader.line_num - 1][0]
             raise InvalidArgument(f"{path} line {line}: {exc}") from None
     return points
 
@@ -470,7 +468,7 @@ def _run_fit(run):
     p = run.params
     points = _read_scan_csv(_require(p, "in", "fit"), p["column"])
     fit = fit_power_law(points, n_min=p["n-min"])
-    return _emit(run, "json", {
+    return _emit(run, {
         "column": p["column"],
         "exponent": fit.exponent,
         "prefactor": fit.prefactor,
@@ -490,7 +488,7 @@ def _run_husimi(run):
             "theta": [float(v) for v in thetas],
             "phi": [float(v) for v in phis]}
     if run.fmt == "json":
-        return _emit(run, "json", {**axes, "q": [[float(v) for v in row] for row in qmap]})
+        return _emit(run, {**axes, "q": [[float(v) for v in row] for row in qmap]})
     if not run.out:
         raise InvalidArgument(
             "husimi csv output writes a matrix plus a companion axes file; "
@@ -498,7 +496,7 @@ def _run_husimi(run):
     matrix = [[_fmt_float(v) for v in row] for row in qmap]
     axes_doc = {"meta": _build_meta(run), "rows": int(shape[0]), "cols": int(shape[1]),
                 **axes}
-    return (_emit(run, "csv", None, (None, matrix, ()))
+    return (_emit(run, None, (None, matrix, ()))
             + [(run.out + ".axes.json", _dump_json(axes_doc))])
 
 
@@ -702,27 +700,28 @@ def _run_verify(run):
 # Entry point
 # ---------------------------------------------------------------------------
 
-# Each subcommand: its help, the option keys it takes ("config" is implicit
-# everywhere) and its runner. sweep-time and scan-n share the sweep options.
+# Each subcommand: its help, its option keys ("config" is implicit), its
+# runner and its formats, the default first; _resolve refuses any other
+# --format before the runner runs. sweep-time and scan-n share sweep options.
 _OUTPUT = ("out", "format", "verbose")
 _SWEEP = ("gamma", "kind", "scenario", "t-total", "phi", "axis", "t-grid",
           "workers") + _OUTPUT
 _COMMANDS = {
     "space-info": ("print the sector layout of the collective basis",
-                   ("n",) + _OUTPUT, _run_space_info),
+                   ("n",) + _OUTPUT, _run_space_info, ("json", "csv")),
     "evolve": ("evolve one probe state and report its collective moments",
                ("n", "gamma", "kind", "phi", "axis", "t", "probe",
-                "allow-nonparallel") + _OUTPUT, _run_evolve),
+                "allow-nonparallel") + _OUTPUT, _run_evolve, ("json",)),
     "sweep-time": ("sweep the shot duration and locate the optimal time",
-                   ("n",) + _SWEEP, _run_sweep_time),
+                   ("n",) + _SWEEP, _run_sweep_time, ("csv", "json")),
     "scan-n": ("repeat the sweep over a list of particle counts",
-               ("n-list",) + _SWEEP, _run_scan_n),
+               ("n-list",) + _SWEEP, _run_scan_n, ("csv", "json")),
     "fit": ("fit a power law to a scan-n output column",
-            ("in", "column", "n-min") + _OUTPUT, _run_fit),
+            ("in", "column", "n-min") + _OUTPUT, _run_fit, ("json",)),
     "husimi": ("tabulate the Husimi distribution of a probe state",
-               ("n", "probe", "grid") + _OUTPUT, _run_husimi),
+               ("n", "probe", "grid") + _OUTPUT, _run_husimi, ("csv", "json")),
     "verify": ("run the built-in verification battery",
-               ("n", "out", "verbose"), _run_verify),
+               ("n", "out", "verbose"), _run_verify, ("text",)),
 }
 
 

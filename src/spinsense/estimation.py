@@ -66,8 +66,7 @@ def partial_rho(result, field, axis):
         raise AssumptionViolated(
             "field derivatives require the parallel split; evolve without "
             "allow_nonparallel fallback")
-    space = result.rho.space
-    gen = generator_operator(space, field, result.t, axis)
+    gen = generator_operator(result.rho.space, field, result.t, axis)
     comm = gen.commutator(result.rho_dephased.matrix)
     out = -1j * result.unitary.sandwich(comm)
     return (out + out.conj().T) / 2.0
@@ -94,13 +93,13 @@ class QfimMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-def _qfim_entries(rho_blocks, partial_blocks):
+def _qfim_entries(spectra, partial_blocks):
     """Core QFIM evaluation in the eigenbasis of a block-diagonal state.
 
-    rho_blocks are the diagonal blocks of the state; partial_blocks holds,
-    for each of any number of parameters, the matching blocks of its
-    derivative. Entries between blocks must vanish, so eigenvalue pairs from
-    different blocks contribute nothing and
+    spectra holds the eigenvalues p of each diagonal block of the state, and
+    partial_blocks, per block, the derivatives V^dag d_a rho V in its
+    eigenbasis V, stacked over any number of parameters a on axis -3. Entries
+    between blocks must vanish, so pairs from different blocks add nothing and
 
         Q_ab = 2 sum_{l,l'} <l|d_a rho|l'> <l'|d_b rho|l> / (p_l + p_l')
 
@@ -110,17 +109,13 @@ def _qfim_entries(rho_blocks, partial_blocks):
     the result then has them too, each with its own cutoff. Returns the
     Hermitian part of Q, which _real_qfim checks and makes real.
     """
-    eig = [np.linalg.eigh(block) for block in rho_blocks]
-    largest = np.max([p.max(axis=-1) for p, _ in eig], axis=0)
+    largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
     q = 0.0
-    for s, (p, v) in enumerate(eig):
+    for p, d in zip(spectra, partial_blocks):
         den = p[..., :, None] + p[..., None, :]
         root = np.sqrt(np.where(den > cutoff, den, np.inf))
-        vh = v.conj().swapaxes(-1, -2)
-        scaled = np.empty(p.shape[:-1] + (len(partial_blocks), p.shape[-1] ** 2), dtype=complex)
-        for a, dp in enumerate(partial_blocks):
-            scaled[..., a, :] = (vh @ dp[s] @ v / root).reshape(p.shape[:-1] + (-1,))
+        scaled = (d / root[..., None, :, :]).reshape(d.shape[:-2] + (-1,))
         q = q + 2.0 * (scaled @ scaled.conj().swapaxes(-1, -2))
     return (q + q.conj().swapaxes(-1, -2)) / 2.0
 
@@ -135,20 +130,21 @@ def _real_qfim(q):
 
 
 def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
-    """Quantum Fisher information matrix of rho for the three derivatives.
+    """Quantum Fisher information matrix of rho for the three derivatives:
+    one dense eigh of rho, then the core the sweep uses, _qfim_entries.
 
     Parameters
     ----------
     rho : DensityOperator
-    partials : sequence of three Hermitian ndarrays
-        Derivatives of rho with respect to the field components.
+    partials : three Hermitian ndarrays, the derivatives of rho by phi_x, phi_y, phi_z
     t, scenario : metadata recorded on the result.
     """
     if not isinstance(rho, DensityOperator):
         raise InvalidArgument("rho must be a DensityOperator")
     if len(partials) != 3:
         raise InvalidArgument("exactly three parameter derivatives required")
-    entries = _real_qfim(_qfim_entries([rho.matrix], [[np.asarray(p)] for p in partials]))
+    p, v = np.linalg.eigh(rho.matrix)
+    entries = _real_qfim(_qfim_entries([p], [v.conj().T @ np.asarray(partials) @ v]))
     return QfimMatrix(entries=entries, t=float(t),
                       n_particles=rho.space.n_particles, scenario=Scenario(scenario))
 

@@ -4,18 +4,18 @@ power-law fits, and Husimi distributions of probe states.
 A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
-single-parameter bounds for the individual strategy. The sweep evaluates a
-logarithmic time grid in chunks of times, each chunk as stacked array
-operations, one total-spin sector block at a time. In the noise frame (the
-frame of the field direction without noise) each sector block of a probe
-dephased to Theta(t) is a real transfer kernel, shared by all probes, times
-a centred window of its maximal-sector block. The QFIM is taken there,
-before the field rotation, which leaves it unchanged, and the field
-Hamiltonian is h J_z there, so the rotating-frame generators are
-elementwise. Chunk sizes follow from N and a fixed memory budget, so no
-dense d x d matrix is formed and memory does not grow with the grid. The
-sweep then narrows around the first dip of the curve and refines the
-optimum with a parabola in log-log coordinates.
+single-parameter bounds for the individual strategy. It evaluates a
+logarithmic time grid in chunks, each as stacked array operations, one
+total-spin sector block at a time. In the noise frame (the field frame
+without noise) a probe dephased to Theta(t) is, in each sector, a real
+transfer kernel shared by all probes times a centred window of its
+maximal-sector block. The QFIM is taken there, before the field rotation,
+which leaves it unchanged. The field Hamiltonian there is h J_z, so the
+generators A_k are elementwise, and in the eigenbasis V of each block each
+derivative -i [A_k, rho] is i (p_l - p_l') (V^dag A_k V)_ll'. Chunk sizes
+follow from N and a fixed memory budget, so no dense d x d matrix is formed
+and memory does not grow with the grid. The first dip of the curve is then
+refined by a narrowed pass and a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -155,21 +155,21 @@ def _sweep_probes(config, space, superoperator):
     field direction, or of z for a zero field. The field Hamiltonian there is
     h J_z, with h the signed field component along the frame axis. Returns,
     per probe, its maximal-sector amplitudes (the probes live there) in that
-    frame, with the axes it is differentiated along; per axis and sector
-    J~_k = U^dag J_k U = sum_l R[k, l] J_l; and h (m - m') on the maximal
-    sector, whose centred window s:N + 1 - s is that of sector s.
+    frame, with the slice of axes (x, y, z) it is differentiated along; per
+    sector J~_k = U^dag J_k U = sum_l R[k, l] J_l stacked over k; and h (m - m')
+    on the maximal sector, whose centred window s:N + 1 - s is that of sector s.
     """
     if config.scenario is SweepScenario.SIMULTANEOUS:
-        probes = [(simultaneous_probe(space), _AXES)]
+        probes = [(simultaneous_probe(space), slice(0, 3))]
     else:
-        probes = [(ghz_state(space, axis), (axis,)) for axis in _AXES]
+        probes = [(ghz_state(space, axis), slice(k, k + 1)) for k, axis in enumerate(_AXES)]
     u, r = (superoperator.rotation, superoperator.axis_rotation) if superoperator is not None \
         else axis_frame(space, config.field if any(config.field) else (0.0, 0.0, 1.0))
     into_frame = u.blocks[0].conj().T
     probes = [(into_frame @ p.amplitudes[:space.max_sector.dim], axes) for p, axes in probes]
     js = list(zip(*(collective_operator(space, a).blocks for a in _AXES)))
-    rotated_j = {axis: [sum(r[k, l] * j for l, j in enumerate(sector)) for sector in js]
-                 for k, axis in enumerate(_AXES)}
+    rotated_j = [np.array([sum(r[k, l] * j for l, j in enumerate(sector)) for k in range(3)])
+                 for sector in js]
     h = float(np.dot(config.field, r[:, 2]))
     m = space.max_sector.m_values()
     return probes, rotated_j, h * (m[:, None] - m[None, :])
@@ -197,12 +197,12 @@ def _bounds_on_grid(config, space, superoperator, spec, prepared, times):
     all probes share. The QFIM is taken there, before the field rotation,
     which leaves it unchanged, and each rotating-frame generator is
     elementwise, A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per
-    chunk (_sweep_probes), so d_k rho = -i [A_k, rho] is formed block by
-    block. Blocks that are zero at every time of a chunk add nothing under
-    the global cutoff and are skipped. The joint strategy needs all three
-    derivatives of its probe; the individual one reads only Q_kk, one
-    derivative per GHZ probe. An invalid (non-real, non-symmetric or
-    indefinite) QFIM is a numerical fault and raises NumericalError.
+    chunk (_sweep_probes). In a block's eigenbasis V (eigenvalues p), d_k rho
+    = -i [A_k, rho] is i (p_l - p_l') (V^dag A_k V)_ll'. Blocks zero at every
+    time of a chunk add nothing under the global cutoff and are skipped. The
+    joint strategy needs all three derivatives of its probe; the individual
+    one reads only Q_kk, one derivative per GHZ probe. An invalid (non-real,
+    non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
     """
     probes, rotated_j, lam = prepared
     count = -(-len(times) // _chunk_size(space, superoperator))
@@ -216,24 +216,23 @@ def _bounds_on_grid(config, space, superoperator, spec, prepared, times):
         entries = []
         for phi, axes in probes:
             top = np.outer(phi, phi.conj())
-            rho_blocks, partial_blocks = [], [[] for _ in axes]
+            spectra, partial_blocks = [], []
             for s, kernel in enumerate(kernels):
                 w = slice(s, phi.size - s)
                 block = kernel * top[w, w]
                 if not block.any():
                     continue
-                rho_blocks.append((block + block.conj().swapaxes(-1, -2)) / 2.0)
-                for partials, axis in zip(partial_blocks, axes):
-                    a = f[:, w, w] * rotated_j[axis][s]
-                    c = -1j * (a @ rho_blocks[-1] - rho_blocks[-1] @ a)
-                    partials.append((c + c.conj().swapaxes(-1, -2)) / 2.0)
-            entries.append(_qfim_entries(rho_blocks, partial_blocks))
+                p, v = np.linalg.eigh(block)
+                a = f[:, None, w, w] * rotated_j[s][axes]
+                spectra.append(p)
+                partial_blocks.append(1j * (p[:, None, :, None] - p[:, None, None, :])
+                                      * (v.conj().swapaxes(-1, -2)[:, None] @ a @ v[:, None]))
+            entries.append(_qfim_entries(spectra, partial_blocks))
         for i, t in enumerate(chunk):
             try:
                 qs = [_real_qfim(q[i]) for q in entries]
                 if config.scenario is SweepScenario.SIMULTANEOUS:
-                    qm = QfimMatrix(entries=qs[0], t=t, n_particles=space.n_particles,
-                                    scenario=Scenario.SIMULTANEOUS)
+                    qm = QfimMatrix(qs[0], t, space.n_particles, Scenario.SIMULTANEOUS)
                     values[first + i] = bound_simultaneous(qm, config.total_time / t).value
                 else:
                     values[first + i] = bound_individual(
@@ -347,6 +346,11 @@ class ScanRows(list):
         self.dropped = tuple(dropped)
 
 
+def _pool_size(workers, sweeps):
+    """Processes a scan of sweeps starts under a cap of workers (1: in-process)."""
+    return min(workers, sweeps)
+
+
 def _scan_one(config):
     """The ScanRow of one sweep, or the reason it failed."""
     try:
@@ -372,7 +376,7 @@ def scan_particles(n_list, base_config, workers=1):
     if not ns:
         raise InvalidArgument("n_list must be nonempty")
     configs = [replace(base_config, n_particles=n) for n in ns]
-    workers = min(workers, len(ns))
+    workers = _pool_size(workers, len(ns))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, configs))

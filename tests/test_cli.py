@@ -180,8 +180,8 @@ def test_invalid_qfim_exit_code(monkeypatch, capsys):
     # fake returns one QFIM per grid time of the chunk, as the kernel does
     monkeypatch.setattr(
         "spinsense.experiments._qfim_entries",
-        lambda rho, partials: np.broadcast_to(np.diag([1.0, 1.0, -1.0]),
-                                              rho[0].shape[:-2] + (3, 3)))
+        lambda spectra, partials: np.broadcast_to(np.diag([1.0, 1.0, -1.0]),
+                                                  spectra[0].shape[:-1] + (3, 3)))
     code, _, err = run_cli(capsys, "sweep-time", "--n", "2", "--t-grid", "6,0.1,10")
     assert code == 3
     assert "NumericalError: invalid QFIM" in err
@@ -258,7 +258,8 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
 @pytest.mark.parametrize("content, line", [
     (b"n,i_min\r\n4,1.0\r\nx,2.0\r\n", 3),
     (b"# spinsense-version = 0\r\nn,i_min\r\n4,\xff\r\n", 3),
-], ids=["non-numeric", "not-utf8"])
+    (b"n,scenario,kind,t_opt,i_min\r\n4,sim,markovian,0.5,1.0\r\n6,sim,markovian\r\n", 3),
+], ids=["non-numeric", "not-utf8", "short-row"])
 def test_fit_rejects_a_malformed_csv(tmp_path, capsys, content, line):
     # a bad input file is a bad argument that names the file and its line
     bad = tmp_path / "bad.csv"
@@ -267,6 +268,47 @@ def test_fit_rejects_a_malformed_csv(tmp_path, capsys, content, line):
     assert code == 2
     assert out == ""
     assert err.startswith(f"spinsense: InvalidArgument: {bad} line {line}")
+
+
+def test_fit_skips_blank_rows_and_empty_values(tmp_path, capsys):
+    # scan-n writes an empty cell for a NaN; such a row, like a blank one,
+    # holds no point
+    scan = tmp_path / "scan.csv"
+    scan.write_text("n,t_opt,i_min\r\n4,1.0,0.5\r\n\r\n6,2.0,\r\n8,1.0,0.25\r\n"
+                    "10,,0.2\r\n", newline="")
+    code, out, _ = run_cli(capsys, "fit", "--in", str(scan), "--n-min", "4")
+    assert code == 0
+    assert json.loads(out)["n-used"] == 3
+
+
+def test_unsupported_format_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("evolve ran before the format was checked")
+
+    monkeypatch.setattr("spinsense.cli.evolve", fail)
+    code, out, err = run_cli(capsys, "evolve", "--n", "2", "--t", "1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "spinsense: InvalidArgument: evolve supports format ('json',), got 'csv'\n"
+    # two points cannot be fitted, but the format is refused first
+    scan = tmp_path / "scan.csv"
+    scan.write_text("n,i_min\r\n10,0.5\r\n12,0.25\r\n", newline="")
+    code, out, err = run_cli(capsys, "fit", "--in", str(scan), "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "spinsense: InvalidArgument: fit supports format ('json',), got 'csv'\n"
+
+
+def test_scan_verbose_reports_the_pool_it_starts(pool_sizes, capsys):
+    # --workers caps the pool; the note names the workers actually started
+    args = ["scan-n", "--n-list", "2,4", "--gamma", "0.1", "--t-grid", "8,0.1,20",
+            "--verbose"]
+    code, _, err = run_cli(capsys, *args, "--workers", "64")
+    assert code == 0
+    assert pool_sizes == [2]
+    assert "scan-n: 2 particle counts, workers=2\n" in err
+    code, _, err = run_cli(capsys, *args, "--workers", "1")
+    assert code == 0
+    assert pool_sizes == [2]
+    assert "scan-n: 2 particle counts, workers=1\n" in err
 
 
 # One value per option: its flag text (None for a bare flag) and the same
@@ -296,7 +338,7 @@ _REPRESENTATIVE = {
 
 
 @pytest.mark.parametrize("command, key", [
-    (command, key) for command, (_, keys, _) in _COMMANDS.items() for key in keys])
+    (command, key) for command, (_, keys, *_) in _COMMANDS.items() for key in keys])
 def test_flag_and_config_file_resolve_alike(tmp_path, command, key):
     # a value given as a flag or in a config file goes through one conversion:
     # the same parameters, of the same types, and the same metadata

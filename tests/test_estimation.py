@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from spinsense import (AssumptionViolated, FieldParams, InvalidArgument,
-                       NoiseKind, NoiseSpec, PovmSet, QfimMatrix, Scenario,
-                       SingularQfim, StateVector, bound_individual,
-                       bound_simultaneous, build_space, cfim,
-                       collective_operator, evolve, generator_operator,
+from spinsense import (AssumptionViolated, DensityOperator, FieldParams,
+                       InvalidArgument, NoiseKind, NoiseSpec, PovmSet,
+                       QfimMatrix, Scenario, SingularQfim, StateVector,
+                       bound_individual, bound_simultaneous, build_space,
+                       cfim, collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
                        unitary)
 from spinsense.estimation import _qfim_entries
@@ -146,6 +146,16 @@ def _random_block_state(rng, spectra):
     return blocks
 
 
+def _in_eigenbasis(rho_blocks, partial_blocks):
+    """The arguments of _qfim_entries for partial_blocks[a][s], block s of the
+    derivative by parameter a: each block's eigenvalues, and its derivatives
+    V^dag d_a rho V in its eigenbasis V, stacked over a."""
+    eig = [np.linalg.eigh(b) for b in rho_blocks]
+    return [p for p, _ in eig], [
+        np.stack([v.conj().swapaxes(-1, -2) @ parts[s] @ v for parts in partial_blocks], axis=-3)
+        for s, (_, v) in enumerate(eig)]
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_qfim_entries_over_blocks_match_one_dense_block(count):
     # the third block is rank deficient, and its nonzero weight sits below the
@@ -161,9 +171,9 @@ def test_qfim_entries_over_blocks_match_one_dense_block(count):
             h = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
             parts.append(h + h.conj().T)
         partial_blocks.append(parts)
-    by_block = _qfim_entries(rho_blocks, partial_blocks)
-    dense = _qfim_entries([block_diag(*rho_blocks)],
-                          [[block_diag(*parts)] for parts in partial_blocks])
+    by_block = _qfim_entries(*_in_eigenbasis(rho_blocks, partial_blocks))
+    dense = _qfim_entries(*_in_eigenbasis([block_diag(*rho_blocks)],
+                                          [[block_diag(*parts)] for parts in partial_blocks]))
     assert by_block.shape == (count, count)
     assert np.max(np.abs(by_block - dense)) < 1e-10 * np.max(np.abs(dense))
     # a cutoff per block would count the third block's weight, which is huge
@@ -172,13 +182,42 @@ def test_qfim_entries_over_blocks_match_one_dense_block(count):
     # block's weight lies above the second state's cutoff
     faint = _random_block_state(rng, [[0.02, 0.01, 0.005, 0.001], [0.01, 0.005],
                                       [4e-14, 0.0, 0.0], [0.01]])
-    stacked = _qfim_entries([np.stack(pair) for pair in zip(rho_blocks, faint)],
-                            [[np.stack([b, b]) for b in parts] for parts in partial_blocks])
-    alone = _qfim_entries(faint, partial_blocks)
+    stacked = _qfim_entries(*_in_eigenbasis(
+        [np.stack(pair) for pair in zip(rho_blocks, faint)],
+        [[np.stack([b, b]) for b in parts] for parts in partial_blocks]))
+    alone = _qfim_entries(*_in_eigenbasis(faint, partial_blocks))
     assert stacked.shape == (2, count, count)
     assert np.max(np.abs(stacked[0] - by_block)) < 1e-12 * np.max(np.abs(by_block))
     assert np.max(np.abs(stacked[1] - alone)) < 1e-12 * np.max(np.abs(alone))
     assert np.max(np.abs(alone)) > 1e8
+
+
+def test_unitary_family_derivative_is_the_gap_times_the_rotated_generator():
+    # for d_k rho = -i [A_k, rho], <l|d_k rho|l'> = i (p_l - p_l') <l|A_k|l'> in
+    # the eigenbasis of rho. The sector blocks of N = 6 hold random states; the
+    # third is rank deficient and its weight lies below the global cutoff
+    space = build_space(6)
+    rng = np.random.default_rng(11)
+    spectra = [[0.3, 0.15, 0.1, 0.05, 0.02, 0.01, 0.0], [0.15, 0.1, 0.05, 0.02, 0.0],
+               [4e-14, 0.0, 0.0], [0.05 - 4e-14]]
+    rho_blocks = _random_block_state(rng, spectra)
+    generators = []                    # per block, the three A_k stacked
+    for b in rho_blocks:
+        h = rng.normal(size=(3,) + b.shape) + 1j * rng.normal(size=(3,) + b.shape)
+        generators.append(h + h.conj().swapaxes(-1, -2))
+    eig = [np.linalg.eigh(b) for b in rho_blocks]
+    gap_form = _qfim_entries([p for p, _ in eig], [
+        1j * (p[:, None] - p[None, :]) * (v.conj().T @ a @ v)
+        for a, (p, v) in zip(generators, eig)])
+    commutators = [[-1j * (a[k] @ b - b @ a[k]) for a, b in zip(generators, rho_blocks)]
+                   for k in range(3)]
+    commutator_form = _qfim_entries(*_in_eigenbasis(rho_blocks, commutators))
+    rho = DensityOperator(space, block_diag(*rho_blocks))
+    public = qfim(rho, [block_diag(*parts) for parts in commutators]).entries
+    scale = np.max(np.abs(public))
+    assert scale > 1.0
+    assert np.max(np.abs(gap_form - commutator_form)) < 1e-12 * scale
+    assert np.max(np.abs(gap_form - public)) < 1e-12 * scale
 
 
 def test_qfim_matrix_validation():

@@ -227,36 +227,19 @@ def test_scan_worker_pool_matches_serial():
         == [(r.n_particles, r.t_opt, r.i_min) for r in pooled]
 
 
-def test_scan_pool_is_capped_at_the_number_of_sweeps(monkeypatch):
+def test_scan_pool_is_capped_at_the_number_of_sweeps(pool_sizes):
     # a pool forks all its workers up front, so it gets no more workers than
-    # there are sweeps, and none for a single sweep. The fake pool records
-    # its size and runs the sweeps in this process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return map(func, items)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # there are sweeps, and none for a single sweep
     cfg = SweepConfig(n_particles=2, gamma=0.1,
                       grid=TimeGrid(count=8, start=0.1, stop=20.0))
     serial = scan_particles([2, 4], cfg, workers=1)
-    assert sizes == []
+    assert pool_sizes == []
     pooled = scan_particles([2, 4], cfg, workers=64)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert [(r.n_particles, r.t_opt, r.i_min) for r in pooled] \
         == [(r.n_particles, r.t_opt, r.i_min) for r in serial]
     single = scan_particles([4], cfg, workers=64)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert (single[0].t_opt, single[0].i_min) == (serial[1].t_opt, serial[1].i_min)
 
 
@@ -337,14 +320,14 @@ def test_all_singular_sweep_raises():
         sweep_time(cfg)
 
 
-def _indefinite_qfim(rho_blocks, partial_blocks):
+def _indefinite_qfim(spectra, partial_blocks):
     # one QFIM per grid time of the chunk, as the kernel returns them
-    times = rho_blocks[0].shape[:-2]
+    times = spectra[0].shape[:-1]
     return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), times + (3, 3))
 
 
-def _nonreal_qfim(rho_blocks, partial_blocks):
-    times, count = rho_blocks[0].shape[:-2], len(partial_blocks)
+def _nonreal_qfim(spectra, partial_blocks):
+    times, count = spectra[0].shape[:-1], partial_blocks[0].shape[-3]
     return np.full(times + (count, count), 1.0 + 0.5j)
 
 

@@ -677,8 +677,8 @@ def _run_verify(run):
     lines = []
     failures = 0
     for name, func in checks:
-        if name == "product-space-oracle" and n > 6:
-            lines.append(f"SKIP {name} (requires n <= 6, got {n})")
+        if name == "product-space-oracle" and n > 8:
+            lines.append(f"SKIP {name} (requires n <= 8, got {n})")
             continue
         if name == "split-vs-joint" and dicke_dimension(n) > 400:
             lines.append(f"SKIP {name} (reference integrator capped at d <= 400)")
@@ -702,10 +702,10 @@ def _run_verify(run):
 
 # Each subcommand: its help, its option keys ("config" is implicit), its
 # runner and its formats, the default first; _resolve refuses any other
-# --format before the runner runs. sweep-time and scan-n share sweep options.
+# --format before the runner runs. sweep-time and scan-n share sweep options;
+# only scan-n starts worker processes.
 _OUTPUT = ("out", "format", "verbose")
-_SWEEP = ("gamma", "kind", "scenario", "t-total", "phi", "axis", "t-grid",
-          "workers") + _OUTPUT
+_SWEEP = ("gamma", "kind", "scenario", "t-total", "phi", "axis", "t-grid")
 _COMMANDS = {
     "space-info": ("print the sector layout of the collective basis",
                    ("n",) + _OUTPUT, _run_space_info, ("json", "csv")),
@@ -713,15 +713,16 @@ _COMMANDS = {
                ("n", "gamma", "kind", "phi", "axis", "t", "probe",
                 "allow-nonparallel") + _OUTPUT, _run_evolve, ("json",)),
     "sweep-time": ("sweep the shot duration and locate the optimal time",
-                   ("n",) + _SWEEP, _run_sweep_time, ("csv", "json")),
+                   ("n",) + _SWEEP + _OUTPUT, _run_sweep_time, ("csv", "json")),
     "scan-n": ("repeat the sweep over a list of particle counts",
-               ("n-list",) + _SWEEP, _run_scan_n, ("csv", "json")),
+               ("n-list",) + _SWEEP + ("workers",) + _OUTPUT, _run_scan_n,
+               ("csv", "json")),
     "fit": ("fit a power law to a scan-n output column",
             ("in", "column", "n-min") + _OUTPUT, _run_fit, ("json",)),
     "husimi": ("tabulate the Husimi distribution of a probe state",
                ("n", "probe", "grid") + _OUTPUT, _run_husimi, ("csv", "json")),
     "verify": ("run the built-in verification battery",
-               ("n", "out", "verbose"), _run_verify, ("text",)),
+               ("n", "out"), _run_verify, ("text",)),
 }
 
 

@@ -161,7 +161,7 @@ class ChainBatch:
     from N/2; indices[c] are their flat row-major positions in a d x d matrix.
     generator[orbit[c]] is the real tridiagonal L_z restricted to the chain
     (row = target), one per orbit (m, m'), (m', m), (-m, -m'), (-m', -m) of
-    chains that share it, built for the orbit's largest (2m, 2m') pair.
+    chains that share it, built for the orbit's pair (2m, 2m') = (top, c).
     """
 
     indices: np.ndarray
@@ -203,24 +203,18 @@ def _chain_batch(space, length, lam):
     a, b = np.meshgrid(side, side, indexing="ij")
     border = (np.abs(a) == top) | (np.abs(b) == top)
     a, b = a[border], b[border]
-    # a * base + b sorts like (a, b), so the largest of an orbit's four keys
-    # a * base + b, b * base + a and their negatives is its representative's.
-    # The keys are below base^2: a table of them ranks the representatives
-    # without a sort (a sort loads numpy's sort kernels, about 0.5 MB of RSS)
-    base = 2 * top + 1
-    keys = np.maximum(np.abs(a * base + b), np.abs(b * base + a))
-    present = np.zeros(keys.max() + 1, dtype=bool)
-    present[keys] = True
-    reps = np.flatnonzero(present)
-    orbit = (np.cumsum(present) - 1)[keys]
-    rep_a = (reps + top) // base
+    # each orbit holds exactly one pair (top, c); the representatives run
+    # c = -top ... top
+    c = np.where(np.abs(a) == top, np.sign(a) * b, np.sign(b) * a)
+    orbit = (c + top) // 2
+    reps = np.arange(-top, top + 1, 2)
     twom, twomb = a[:, None], b[:, None]
     sectors = space.sectors[:length]
     twoj = np.array([s.twoj for s in sectors])
     offset = np.array([s.offset for s in sectors])
     rows = offset + (twoj - twom) // 2
     cols = offset + (twoj - twomb) // 2
-    j, m, mb = twoj / 2.0, rep_a[:, None] / 2.0, (reps - rep_a * base)[:, None] / 2.0
+    j, m, mb = twoj / 2.0, top / 2.0, reps[:, None] / 2.0
     lam_stay, lam_drop, lam_lift = lam[:length].T
     diag = 8.0 * lam_stay * m * mb - 2.0 * n
     # j -> j - 1 from column a to row a + 1; j -> j + 1 from column a to row a - 1.

@@ -14,6 +14,7 @@ by decreasing j.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,13 @@ from .errors import DegenerateProbe, InvalidArgument
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
+
+
+def _count(value, what, least):
+    """value as an int; refused unless it is an integer (a bool is not one) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _as_twice(value, name):
@@ -39,9 +47,7 @@ def dicke_dimension(n_particles):
     Counts one basis element per (j, m) pair, not per degenerate copy:
     (N+1)(N+3)/4 for odd N and (N+2)^2/4 for even N.
     """
-    n = int(n_particles)
-    if n < 1 or n != n_particles:
-        raise InvalidArgument(f"n_particles must be a positive integer, got {n_particles}")
+    n = _count(n_particles, "n_particles", 1)
     if n % 2:
         return (n + 1) * (n + 3) // 4
     return (n + 2) ** 2 // 4
@@ -62,9 +68,7 @@ def degeneracy(n_particles, j):
         Total spin, integer or half-integer, with 0 <= j <= N/2 and
         2j of the same parity as N.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise InvalidArgument(f"n_particles must be positive, got {n_particles}")
+    n = _count(n_particles, "n_particles", 1)
     twoj = _as_twice(j, "j")
     if twoj < 0 or twoj > n or (n - twoj) % 2:
         raise InvalidArgument(f"j={j} is not a valid sector for N={n}")
@@ -79,10 +83,10 @@ def degeneracy(n_particles, j):
 
 def cumulative_degeneracy(n_particles, j):
     """Number of multiplets with total spin >= j, equal to C(N, N/2 - j)."""
-    n = int(n_particles)
+    n = _count(n_particles, "n_particles", 1)
     twoj = _as_twice(j, "j")
-    if n < 1 or twoj < 0 or twoj > n or (n - twoj) % 2:
-        raise InvalidArgument(f"j={j} is not a valid sector for N={n_particles}")
+    if twoj < 0 or twoj > n or (n - twoj) % 2:
+        raise InvalidArgument(f"j={j} is not a valid sector for N={n}")
     return math.comb(n, (n - twoj) // 2)
 
 
@@ -137,9 +141,7 @@ def build_space(n_particles):
     Sectors are ordered by decreasing j; the stacked dimension matches
     dicke_dimension and the multiplicity-weighted dimensions sum to 2^N.
     """
-    n = int(n_particles)
-    if n < 1 or n != n_particles:
-        raise InvalidArgument(f"n_particles must be a positive integer, got {n_particles}")
+    n = _count(n_particles, "n_particles", 1)
     sectors = []
     offset = 0
     for twoj in range(n, -1, -2):

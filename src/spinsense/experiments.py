@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import warnings
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
+from .dicke import _count, build_space, collective_operator, ghz_state, simultaneous_probe
 from .dephasing import (NoiseKind, NoiseSpec, _member, _real, _vector, axis_frame,
                         build_dephasing_superoperator, integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
@@ -48,13 +47,6 @@ _RESCAN_FACTOR = 4.0
 
 # Working-memory budget of one chunk of grid times, in bytes (_chunk_size).
 _CHUNK_BYTES = 1 << 18
-
-
-def _count(value, what, least):
-    """value as an int; refused unless it is an integer (a bool is not one) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 class SweepScenario(str, enum.Enum):

@@ -106,7 +106,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ("space-info", {"n": 2, "verbose": True}, "verbose"),
     ("space-info", {"n": 2.7}, "n"),
     ("space-info", {"n": True}, "n"),
-    ("sweep-time", {"n": 2, "workers": 1.9}, "workers"),
+    ("scan-n", {"n-list": [2], "workers": 1.9}, "workers"),
     ("fit", {"in": "scan.csv", "n-min": 2.5}, "n-min"),
     ("sweep-time", {"n": 2, "t-grid": [2.5, 0.1, 10.0]}, "t-grid"),
 ])
@@ -119,6 +119,25 @@ def test_config_file_values_validated_like_flags(tmp_path, capsys, command, valu
     assert code == 2
     assert out == ""
     assert err.startswith(f"spinsense: InvalidArgument: config key {key!r}: ")
+
+
+@pytest.mark.parametrize("command, key, flag", [
+    ("sweep-time", "workers", ["--workers", "2"]),
+    ("verify", "verbose", ["--verbose"]),
+], ids=["sweep-time-workers", "verify-verbose"])
+def test_options_a_command_would_ignore_are_refused(tmp_path, capsys, command, key, flag):
+    # a single sweep starts no pool and verify prints no progress notes, so
+    # neither takes the option: as a flag or as a config key it exits 2
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--n", "2", *flag])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 2}))
+    code, out, err = run_cli(capsys, command, "--n", "2", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"unknown keys ['{key}']" in err
 
 
 def test_flags_override_config_file(tmp_path, capsys):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spinsense import (DensityOperator, InvalidArgument, StateVector,
-                       build_space, coherent_state, collective_operator,
-                       cumulative_degeneracy, degeneracy, dicke_dimension,
-                       ghz_state, simultaneous_probe)
+from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseSpec,
+                       StateVector, build_space, coherent_state,
+                       collective_operator, cumulative_degeneracy, degeneracy,
+                       dicke_dimension, full_hilbert_reference, ghz_state,
+                       simultaneous_probe)
 
 SQ3 = math.sqrt(3.0)
 
@@ -28,6 +29,22 @@ def test_dimension_rejects_nonpositive():
         dicke_dimension(0)
     with pytest.raises(InvalidArgument):
         dicke_dimension(-2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: degeneracy(3.7, 0.5),
+    lambda: cumulative_degeneracy(3.7, 0.5),
+    lambda: full_hilbert_reference(2.9, ghz_state(build_space(2), "z"),
+                                   FieldParams((0.01, 0.01, 0.01)),
+                                   NoiseSpec("markovian", 0.1, (0, 0, 2)), 1.0),
+    lambda: build_space(True),
+    lambda: dicke_dimension(True),
+], ids=["degeneracy-fraction", "cumulative-fraction", "oracle-fraction",
+        "space-bool", "dimension-bool"])
+def test_particle_count_is_an_integer(call):
+    # N is refused, not truncated or read from a bool
+    with pytest.raises(InvalidArgument, match="n_particles must be an integer >= 1"):
+        call()
 
 
 def test_degeneracy_values():

@@ -293,8 +293,22 @@ def test_product_space_oracle_noiseless_exact():
     assert cmp.fidelity > 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN])
+def test_product_space_channel_matches_direct_integration(direct_product_space, kind, n):
+    # a field tilted off the noise axis: rotation and dephasing do not commute
+    space = build_space(n)
+    spec = NoiseSpec(kind, 0.1, AXIS_DIAG)
+    field = FieldParams((0.2, -0.1, 0.3))
+    probe = simultaneous_probe(space)
+    cmp = full_hilbert_reference(n, probe, field, spec, 2.0)
+    first, second = direct_product_space(n, probe, field, spec, 2.0)
+    assert np.max(np.abs(cmp.first_moments_full - first)) < 1e-9
+    assert np.max(np.abs(cmp.second_moments_full - second)) < 1e-9
+
+
 def test_product_space_oracle_size_guard():
-    space = build_space(7)
+    space = build_space(9)
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG)
     with pytest.raises(InvalidArgument):
-        full_hilbert_reference(7, ghz_state(space, "z"), FIELD_DIAG, spec, 1.0)
+        full_hilbert_reference(9, ghz_state(space, "z"), FIELD_DIAG, spec, 1.0)

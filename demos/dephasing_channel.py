@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from spinsense import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
-                       build_space, dephase, ghz_state)
+                       build_space, build_transfer_kernels, dephase, ghz_state)
 from spinsense.dephasing import gamma_profile, integrated_strength
 from spinsense.dicke import DensityOperator
 
@@ -78,6 +78,26 @@ x = (x + x.conj().T) / 2.0
 lx = lsup.apply(x)
 print(f"|trace of L[X]| = {abs(np.trace(lx)):.2e}, "
       f"hermiticity leak = {np.max(np.abs(lx - lx.conj().T)):.2e}")
+print()
+
+# --- closed-form transfer kernels --------------------------------------------
+
+# a state that starts in the maximal sector needs no chain exponential: in
+# the noise-frame product basis dephasing multiplies |x><y| by
+# exp(-4 Theta hamming(x, y)), so each sector keeps a real kernel times the
+# state, a polynomial in q = exp(-8 Theta) with nonnegative coefficients.
+# For m = m' = 0 at N = 6 (three of six spins flipped on both sides) the
+# maximal-sector kernel is K_0 = (1 + 9 q + 9 q^2 + q^3) / 20
+transfer = build_transfer_kernels(space)
+counts, divisor, _, fold = transfer.tables[0]
+entry = fold[3, 3]
+terms = " + ".join(f"{c:g} q^{u}" for u, c in enumerate(counts[:, entry]) if c)
+print(f"N = 6, m = m' = 0: K_0 = ({terms}) / {divisor[entry]:g}")
+print(f"{'Theta':>6} {'K_0':>12} {'polynomial':>12}")
+for theta in (0.01, 0.1, 0.3, 2.0):
+    q = math.exp(-8.0 * theta)
+    print(f"{theta:6.2f} {transfer.at([theta])[0][0, 3, 3]:12.9f} "
+          f"{(1 + 9 * q + 9 * q ** 2 + q ** 3) / 20:12.9f}")
 print()
 
 # --- GHZ coherence under both kinds -------------------------------------

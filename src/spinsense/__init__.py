@@ -10,7 +10,8 @@ from .dicke import (BlockOperator, DensityOperator, DickeSpace, Sector,
                     collective_operator, cumulative_degeneracy, degeneracy,
                     dicke_dimension, ghz_state, simultaneous_probe)
 from .dephasing import (DephasingSuperoperator, NoiseKind, NoiseSpec,
-                        build_dephasing_superoperator, gamma_profile,
+                        TransferKernels, build_dephasing_superoperator,
+                        build_transfer_kernels, gamma_profile,
                         integrated_strength)
 from .dynamics import (EvolutionResult, FieldBasis, FieldParams,
                        HilbertComparison, coupled_multiplets, dephase,
@@ -38,8 +39,9 @@ __all__ = [
     "NumericalError", "PovmSet", "PowerLawFit", "QfimMatrix",
     "RefinementMeta", "ScanRow", "ScanRows", "Scenario", "Sector",
     "SingularQfim", "SpinsenseError", "StateVector", "SweepConfig", "SweepResult",
-    "SweepScenario", "TimeGrid", "bound_individual", "bound_simultaneous",
-    "build_dephasing_superoperator", "build_space", "cfim", "coherent_state",
+    "SweepScenario", "TimeGrid", "TransferKernels", "bound_individual",
+    "bound_simultaneous", "build_dephasing_superoperator", "build_space",
+    "build_transfer_kernels", "cfim", "coherent_state",
     "collective_operator", "coupled_multiplets", "cumulative_degeneracy",
     "degeneracy", "dephase", "dicke_dimension", "embed_collective", "evolve",
     "fit_power_law", "full_gkls_reference", "full_hilbert_reference",

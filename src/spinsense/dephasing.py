@@ -27,6 +27,9 @@ contraction, and scaling and squaring (a short Taylor step, then repeated
 squaring) reaches working precision at any Theta and N. An eigenbasis of
 the chain would not: it is as ill-conditioned as the similarity that
 symmetrises it.
+
+A state that starts in the maximal sector needs no chain: its sector
+blocks follow in closed form (TransferKernels).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DickeSpace, collective_operator
+from .dicke import BlockOperator, DickeSpace, collective_operator, degeneracy
 from .errors import InvalidArgument
 
 
@@ -147,6 +150,14 @@ def _lambda_weights(n, j):
     return lam_stay, lam_drop, lam_lift
 
 
+def _strengths(thetas):
+    """thetas as a float array, refused unless every one is finite and >= 0."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
+        raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
+    return thetas
+
+
 # exp(h G) by a Taylor series of this degree once ||h G||_1 <= _TAYLOR_NORM,
 # where its truncation error is below 3e-18.
 _TAYLOR_DEGREE = 10
@@ -168,27 +179,21 @@ class ChainBatch:
     generator: np.ndarray
     orbit: np.ndarray
 
-    def exponential(self, thetas):
-        """exp(theta generator[r]) for every representative r at each of thetas, by
-        scaling and squaring with its own number of squarings per theta.
-        Shape (len(thetas),) + generator.shape."""
-        thetas = np.asarray(thetas, dtype=float)
-        if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
-            raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
-        width = float(np.abs(self.generator).sum(axis=1).max())
-        squarings = np.array([max(0, math.ceil(math.log2(theta * width / _TAYLOR_NORM)))
-                              if theta * width > 0.0 else 0 for theta in thetas], dtype=int)
-        step = self.generator * (thetas / 2.0 ** squarings)[:, None, None, None]
+    def exponential(self, theta):
+        """exp(theta generator[r]) for every representative r, by scaling and
+        squaring. Shape generator.shape."""
+        theta = float(_strengths(theta))
+        width = theta * float(np.abs(self.generator).sum(axis=1).max())
+        squarings = max(0, math.ceil(math.log2(width / _TAYLOR_NORM))) if width > 0.0 else 0
+        step = self.generator * (theta / 2.0 ** squarings)
         eye = np.eye(self.generator.shape[-1])
         out = eye + step / _TAYLOR_DEGREE
         for k in range(_TAYLOR_DEGREE - 1, 0, -1):
             out = step @ out
             out /= k
             out += eye
-        for k in range(squarings.max(initial=0)):
-            more = squarings > k
-            part = out[more]
-            out[more] = part @ part
+        for _ in range(squarings):
+            out = out @ out
         return out
 
 
@@ -233,18 +238,15 @@ def _chain_batch(space, length, lam):
 class DephasingSuperoperator:
     """Rate-free dephasing generator, held in the frame of its noise axis.
 
-    rotation and axis_rotation are the U (U J_z U^dag = axis . J / 2) and
-    the 3 x 3 R of axis_frame; chains holds the z-frame generator as one
-    ChainBatch per chain length. Entries of a state between different
-    sectors lie outside the collective representation: L maps them to zero
-    and exp(Theta L) leaves them as they are. From the maximal sector, each
-    dephased sector block is a real kernel, the same for every state, times
-    a centred window of the maximal-sector block (transfer_kernels).
+    rotation is the U (U J_z U^dag = axis . J / 2) of axis_frame; chains
+    holds the z-frame generator as one ChainBatch per chain length. Entries
+    of a state between different sectors lie outside the collective
+    representation: L maps them to zero and exp(Theta L) leaves them as
+    they are.
     """
 
     space: DickeSpace
     rotation: BlockOperator
-    axis_rotation: np.ndarray
     chains: tuple
 
     @property
@@ -258,23 +260,7 @@ class DephasingSuperoperator:
 
     def propagate(self, rho_matrix, theta):
         """exp(theta L)[rho] for a dense d x d matrix, at any theta >= 0."""
-        return self._through_chains(rho_matrix, np.copy, lambda b: b.exponential([theta])[0])
-
-    def transfer_kernels(self, thetas):
-        """Per sector s, the real (len(thetas), d_s, d_s) stack K_s with
-        exp(theta L)[X]_s = K_s * X[s:d0 - s, s:d0 - s] in the noise frame, at
-        each of thetas, for X the maximal-sector block (d0 = N + 1). Every
-        chain starts in the maximal sector, at (a, b) there, and the first
-        column of its exponential carries that element to (a - k, b - k) in
-        sector k."""
-        d, count = self.space.total_dim, len(thetas)
-        kernels = [np.zeros((count, s.dim, s.dim)) for s in self.space.sectors]
-        for batch in self.chains:
-            a, b = np.divmod(batch.indices[:, 0], d)
-            columns = batch.exponential(thetas)[..., 0][:, batch.orbit]
-            for k in range(columns.shape[-1]):
-                kernels[k][:, a - k, b - k] = columns[..., k]
-        return kernels
+        return self._through_chains(rho_matrix, np.copy, lambda b: b.exponential(theta))
 
     def _through_chains(self, rho_matrix, start, chain_map):
         """U chain_map[U^dag rho U] U^dag, chain_map(batch) per orbit. U is block
@@ -324,15 +310,85 @@ def axis_frame(space, axis):
 def build_dephasing_superoperator(space, spec):
     """Build the rate-free dephasing generator for the given noise axis.
 
-    rotation and axis_rotation are the U and R of axis_frame. The chains
-    depend only on N; the build is deterministic.
+    rotation is the U of axis_frame. The chains depend only on N; the build
+    is deterministic.
     """
     if not isinstance(space, DickeSpace):
         raise InvalidArgument("space must be a DickeSpace")
-    rotation, axis_rotation = axis_frame(space, spec.axis)
+    rotation, _ = axis_frame(space, spec.axis)
     n = space.n_particles
     lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
     chains = tuple(_chain_batch(space, length, lam)
                    for length in range(1, len(space.sectors) + 1))
-    return DephasingSuperoperator(space=space, rotation=rotation,
-                                  axis_rotation=axis_rotation, chains=chains)
+    return DephasingSuperoperator(space=space, rotation=rotation, chains=chains)
+
+
+@dataclass(frozen=True, eq=False)
+class TransferKernels:
+    """Closed-form dephasing of a state that starts in the maximal sector.
+
+    In the noise-frame product basis local dephasing multiplies |x><y| by
+    exp(-4 Theta d(x, y)), d the Hamming distance; the Johnson-scheme
+    eigenvalues of each weight layer (Delsarte, Philips Res. Rep. Suppl. 10
+    (1973)) split that decay over the sectors. In the noise frame, sector s
+    of exp(Theta L)[X] is K_s(Theta) * X[w, w], with X the maximal-sector
+    block, w = s:N + 1 - s its centred window and K_s a real kernel, the
+    same for every state (at). With a = s + i and
+    b = s + i' the spins flipped along the noise axis at window indices i
+    and i', lo = min(a, b), hi = max(a, b), q = exp(-8 Theta) and mu_s the
+    multiplicity of sector s,
+
+        K_s(i, i') = mu_s sqrt(C(N-2s, i) C(N-2s, i') / (C(N, a) C(N, b)))
+                     exp(-4 Theta (hi - lo)) (1 - q)^s
+                     sum_u C(lo-s, u) C(N-lo-s, hi-lo+u) q^u / C(N-2s, hi-s),
+
+    where the sum divided by C(N-2s, hi-s) is a hypergeometric pmf in u:
+    every term is nonnegative, and 1 - q is taken as -expm1(-8 Theta). tables holds, per
+    sector and over the entries i <= i', i + i' <= N - 2s, the Theta-free
+    parts: the counts C(lo-s, u) C(N-lo-s, hi-lo+u) as a (degree + 1,
+    entries) table, each entry's divisor C(N-2s, hi-s) / (mu_s sqrt(...)),
+    hi - lo, and the fold of every (i, i') onto the entries through
+    K(i, i') = K(i', i) = K(d-1-i, d-1-i'), which the kernels so carry
+    exactly. Counts below 2^53 are exact, so K_0(0) = 1 exactly for N <= 56.
+    """
+
+    space: DickeSpace
+    tables: tuple
+
+    def at(self, thetas):
+        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s: one
+        product of the powers of q with the counts per sector."""
+        thetas = _strengths(thetas)
+        decay = np.exp(-4.0 * np.outer(thetas, np.arange(self.space.n_particles + 1)))
+        spread = -np.expm1(-8.0 * thetas)[:, None]
+        return [((decay[:, :2 * len(counts):2] @ counts) / divisor * decay[:, gap]
+                 * spread ** s)[:, fold]
+                for s, (counts, divisor, gap, fold) in enumerate(self.tables)]
+
+
+def build_transfer_kernels(space):
+    """The TransferKernels of a DickeSpace, from one table of binomials, each
+    exact and rounded once."""
+    if not isinstance(space, DickeSpace):
+        raise InvalidArgument("space must be a DickeSpace")
+    n = space.n_particles
+    binom = np.array([[float(math.comb(a, b)) for b in range(n + 1)] for a in range(n + 1)])
+    tables = []
+    for s, sector in enumerate(space.sectors):
+        w = sector.dim - 1
+        i, k = np.triu_indices(w + 1)
+        keep = i + k <= w
+        i, k = i[keep], k[keep]
+        u = np.arange(w // 2 + 1)[:, None]
+        # C(lo - s, u) vanishes for u > i, where clipping u only keeps the
+        # second binomial's index in range
+        counts = binom[i, u] * binom[w - i, k - i + np.minimum(u, i)]
+        divisor = binom[w, k] / (degeneracy(n, sector.twoj / 2) * np.sqrt(
+            binom[w, i] / binom[n, s + i] * binom[w, k] / binom[n, s + k]))
+        index = np.zeros((w + 1, w + 1), dtype=int)
+        index[i, k] = np.arange(i.size)
+        r = np.arange(w + 1)
+        lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+        fold = np.where(lo + hi <= w, index[lo, hi], index[w - hi, w - lo])
+        tables.append((counts, divisor, k - i, fold))
+    return TransferKernels(space=space, tables=tuple(tables))

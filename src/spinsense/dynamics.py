@@ -395,13 +395,16 @@ def state_fidelity(rho_a, rho_b):
 
 @dataclass(frozen=True, eq=False)
 class HilbertComparison:
-    """Collective moments from the product-space oracle and the fast path."""
+    """Collective moments from the product-space oracle and the fast path,
+    and how far apart their states are: the fidelity, and the largest entry
+    of the difference of the two density matrices."""
 
     first_moments_full: np.ndarray
     second_moments_full: np.ndarray
     first_moments_dicke: np.ndarray
     second_moments_dicke: np.ndarray
     fidelity: float
+    state_deviation: float
 
 
 def full_hilbert_reference(n_particles, initial, field, spec, t):
@@ -416,8 +419,8 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     N + k on site k) is contracted with it site by site, with no collective
     reduction anywhere. Reports the first and second collective moments from
     both the product-space solution and the collective fast path, together
-    with the fidelity between the fast-path state lifted to the product
-    space and the brute-force state.
+    with the fidelity and the largest entry deviation between the fast-path
+    state lifted to the product space and the brute-force state.
     """
     n = _count(n_particles, "n_particles", 1)
     if n > 8:
@@ -471,4 +474,5 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
         first_moments_dicke=first_dicke,
         second_moments_dicke=second_dicke,
         fidelity=fid,
+        state_deviation=float(np.max(np.abs(lifted - rho_full))),
     )

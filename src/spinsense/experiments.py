@@ -31,7 +31,7 @@ import numpy as np
 
 from .dicke import _count, build_space, collective_operator, ghz_state, simultaneous_probe
 from .dephasing import (NoiseKind, NoiseSpec, _member, _real, _vector, axis_frame,
-                        build_dephasing_superoperator, integrated_strength)
+                        build_transfer_kernels, integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                      NumericalError, SingularQfim)
@@ -66,6 +66,8 @@ class TimeGrid:
 
     def __post_init__(self):
         _count(self.count, "grid count", 2)
+        object.__setattr__(self, "start", _real(self.start, "grid start"))
+        object.__setattr__(self, "stop", _real(self.stop, "grid stop"))
         if not (0.0 < self.start < self.stop) or not np.isfinite(self.stop):
             raise InvalidArgument(
                 f"grid bounds must satisfy 0 < start < stop, got ({self.start}, {self.stop})")
@@ -93,6 +95,8 @@ class SweepConfig:
         object.__setattr__(self, "total_time", _real(self.total_time, "total_time"))
         if not np.isfinite(self.total_time) or self.total_time <= 0.0:
             raise InvalidArgument(f"total_time must be positive, got {self.total_time}")
+        if not isinstance(self.grid, TimeGrid):
+            raise InvalidArgument(f"grid must be a TimeGrid, got {self.grid!r}")
         if self.grid.stop > self.total_time * (1.0 + 1e-12):
             raise InvalidArgument(
                 f"grid extends to {self.grid.stop}, beyond the total budget {self.total_time}")
@@ -138,25 +142,25 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
-def _sweep_probes(config, space, superoperator):
+def _sweep_probes(config, space, spec):
     """The scenario's probes and generators in the sweep's frame, prepared
     once per sweep for _bounds_on_grid.
 
-    The frame is that of the noise axis, with the rotations the
-    superoperator already holds; without noise it is the axis_frame of the
-    field direction, or of z for a zero field. The field Hamiltonian there is
-    h J_z, with h the signed field component along the frame axis. Returns,
-    per probe, its maximal-sector amplitudes (the probes live there) in that
-    frame, with the slice of axes (x, y, z) it is differentiated along; per
-    sector J~_k = U^dag J_k U = sum_l R[k, l] J_l stacked over k; and h (m - m')
-    on the maximal sector, whose centred window s:N + 1 - s is that of sector s.
+    The frame is the axis_frame of the noise axis; without noise it is that
+    of the field direction, or of z for a zero field. The field Hamiltonian
+    there is h J_z, with h the signed field component along the frame axis.
+    Returns, per probe, its maximal-sector amplitudes (the probes live there)
+    in that frame, with the slice of axes (x, y, z) it is differentiated
+    along; per sector J~_k = U^dag J_k U = sum_l R[k, l] J_l stacked over k;
+    and h (m - m') on the maximal sector, whose centred window s:N + 1 - s is
+    that of sector s.
     """
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probes = [(simultaneous_probe(space), slice(0, 3))]
     else:
         probes = [(ghz_state(space, axis), slice(k, k + 1)) for k, axis in enumerate(_AXES)]
-    u, r = (superoperator.rotation, superoperator.axis_rotation) if superoperator is not None \
-        else axis_frame(space, config.field if any(config.field) else (0.0, 0.0, 1.0))
+    u, r = axis_frame(space, spec.axis if spec.gamma > 0.0 else
+                      config.field if any(config.field) else (0.0, 0.0, 1.0))
     into_frame = u.blocks[0].conj().T
     probes = [(into_frame @ p.amplitudes[:space.max_sector.dim], axes) for p, axes in probes]
     js = list(zip(*(collective_operator(space, a).blocks for a in _AXES)))
@@ -167,43 +171,40 @@ def _sweep_probes(config, space, superoperator):
     return probes, rotated_j, h * (m[:, None] - m[None, :])
 
 
-def _chunk_size(space, superoperator):
+def _chunk_size(space):
     """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
-    for a complex copy of every sector block plus the largest chain-batch
-    exponential, one per orbit representative. Small N takes a whole pass at
+    for a complex copy of every sector block. Small N takes a whole pass at
     once, and the working memory of a pass does not grow with its times."""
-    per_time = 16 * sum(s.dim ** 2 for s in space.sectors)
-    if superoperator is not None:
-        per_time += 8 * max(b.generator.size for b in superoperator.chains)
-    return max(1, _CHUNK_BYTES // per_time)
+    return max(1, _CHUNK_BYTES // (16 * sum(s.dim ** 2 for s in space.sectors)))
 
 
-def _bounds_on_grid(config, space, superoperator, spec, prepared, times):
+def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
     The times are evaluated in chunks (_chunk_size), each as stacked array
     operations over its times, one sector block at a time. In the noise
     frame (the field frame without noise) sector s of a probe dephased to
     Theta(t) is K_s * X[w, w]: X is its maximal-sector block, w = s:N + 1 - s
-    and K_s the transfer kernels of the chunk (ones without noise), which
-    all probes share. The QFIM is taken there, before the field rotation,
-    which leaves it unchanged, and each rotating-frame generator is
-    elementwise, A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per
-    chunk (_sweep_probes). In a block's eigenbasis V (eigenvalues p), d_k rho
-    = -i [A_k, rho] is i (p_l - p_l') (V^dag A_k V)_ll'. Blocks zero at every
-    time of a chunk add nothing under the global cutoff and are skipped. The
+    and K_s the transfer kernels of the chunk (ones without noise,
+    TransferKernels with it), which all probes share. The QFIM is taken
+    there, before the field rotation, which leaves it unchanged, and each
+    rotating-frame generator is elementwise, A_k = f[w, w] * J~_k with
+    f = f(h (m - m'), t) once per chunk (_sweep_probes). In a block's
+    eigenbasis V (eigenvalues p), d_k rho = -i [A_k, rho] is
+    i (p_l - p_l') (V^dag A_k V)_ll'. Blocks zero at every time of a chunk
+    add nothing under the global cutoff and are skipped. The
     joint strategy needs all three derivatives of its probe; the individual
     one reads only Q_kk, one derivative per GHZ probe. An invalid (non-real,
     non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
     """
     probes, rotated_j, lam = prepared
-    count = -(-len(times) // _chunk_size(space, superoperator))
+    count = -(-len(times) // _chunk_size(space))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
-        kernels = [np.ones((len(chunk), 1, 1))] if superoperator is None else \
-            superoperator.transfer_kernels([integrated_strength(spec, t) for t in chunk])
+        kernels = [np.ones((len(chunk), 1, 1))] if transfer is None else \
+            transfer.at([integrated_strength(spec, t) for t in chunk])
         f = phase_integral(lam, chunk, 0.0)
         entries = []
         for phi, axes in probes:
@@ -285,16 +286,16 @@ def sweep_time(config):
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
-    superoperator = None
+    transfer = None
     if spec.gamma > 0.0:
         if _line_angle(config.field, spec.axis) > 1e-8:
             raise AssumptionViolated(
                 "field direction is not parallel to the dephasing axis; the "
                 "sweep needs the parallel split")
-        superoperator = build_dephasing_superoperator(space, spec)
-    prepared = _sweep_probes(config, space, superoperator)
+        transfer = build_transfer_kernels(space)
+    prepared = _sweep_probes(config, space, spec)
     times = config.grid.values()
-    values = _bounds_on_grid(config, space, superoperator, spec, prepared, times)
+    values = _bounds_on_grid(config, space, transfer, spec, prepared, times)
 
     idx, boundary = _first_dip(values)
     if idx is None:
@@ -306,7 +307,7 @@ def sweep_time(config):
         lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
         hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
         fine_times = np.geomspace(lo, hi, _RESCAN_POINTS)
-        fine_values = _bounds_on_grid(config, space, superoperator, spec, prepared, fine_times)
+        fine_values = _bounds_on_grid(config, space, transfer, spec, prepared, fine_times)
         fidx, boundary = _first_dip(fine_values)
         if fidx is not None:
             t_opt, i_min = fine_times[fidx], fine_values[fidx]

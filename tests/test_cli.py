@@ -386,8 +386,10 @@ def test_verify_battery_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "2")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[-1] == "verify: 8/8 checks passed"
+    assert lines[-1] == "verify: 9/9 checks passed"
     assert any(ln.startswith("PASS sweep-vs-pointwise") for ln in lines)
+    assert any(ln.startswith("PASS product-space-moments") for ln in lines)
+    assert any(ln.startswith("PASS product-space-state") for ln in lines)
     assert all(not ln.startswith("FAIL") for ln in lines)
 
 

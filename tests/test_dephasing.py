@@ -1,6 +1,7 @@
 """Noise profiles and the rate-free dephasing generator."""
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import scipy.linalg
 
 from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, build_space,
-                       build_dephasing_superoperator, collective_operator,
+                       build_dephasing_superoperator, build_transfer_kernels,
+                       collective_operator,
                        coupled_multiplets, degeneracy, embed_collective,
                        gamma_profile, hamiltonian, integrated_strength,
                        simultaneous_probe, FieldParams)
@@ -208,12 +210,81 @@ def test_chain_batches_match_the_pairwise_loop(n):
 @pytest.mark.parametrize("n", [5, 24])
 def test_transfer_kernels_carry_the_orbit_symmetry_exactly(n):
     # K_s(m, m') = K_s(m', m) = K_s(-m, -m'), bit for bit
-    space = build_space(n)
-    lsup = build_dephasing_superoperator(
-        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-    for kernel in lsup.transfer_kernels([0.0, 0.013, 0.4, 3.0, 25.0]):
+    for kernel in build_transfer_kernels(build_space(n)).at([0.0, 0.013, 0.4, 3.0, 25.0]):
         assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
         assert np.array_equal(kernel, kernel[:, ::-1, ::-1])
+
+
+def _squaring_kernels(lsup, thetas):
+    # the kernels assembled from the chain exponentials: every chain starts
+    # in the maximal sector, at (a, b) there, and the first column of its
+    # exponential carries that element to (a - k, b - k) in sector k
+    d, count = lsup.space.total_dim, len(thetas)
+    kernels = [np.zeros((count, s.dim, s.dim)) for s in lsup.space.sectors]
+    for batch in lsup.chains:
+        a, b = np.divmod(batch.indices[:, 0], d)
+        columns = np.array([batch.exponential(t) for t in thetas])[..., 0][:, batch.orbit]
+        for k in range(columns.shape[-1]):
+            kernels[k][:, a - k, b - k] = columns[..., k]
+    return kernels
+
+
+KERNEL_THETAS = [0.0, 1e-6, 0.01, 0.3, 2.0, 12.5]
+
+
+@pytest.mark.parametrize("n", list(range(1, 31)) + [48, 96])
+def test_transfer_kernels_match_the_squaring_oracle(n):
+    # the closed form against the chain exponentials by scaling and squaring,
+    # whose own rounding (up to ~4e-12 at N = 96) sets the bound
+    space = build_space(n)
+    lsup = build_dephasing_superoperator(
+        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
+    kernels = build_transfer_kernels(space).at(KERNEL_THETAS)
+    for got, want in zip(kernels, _squaring_kernels(lsup, KERNEL_THETAS)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_transfer_kernels_match_extended_precision():
+    # every entry of the fundamental domain i <= i', i + i' <= N - 2s (the
+    # rest follow by the exact symmetry) against the closed form summed in
+    # 50-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n in (1, 2, 5, 12, 17, 24):
+            kernels = build_transfer_kernels(build_space(n)).at(KERNEL_THETAS)
+            for t, theta in enumerate(KERNEL_THETAS):
+                q = (Decimal(-8) * Decimal(theta)).exp()
+                for s, kernel in enumerate(kernels):
+                    w = n - 2 * s
+                    factor = degeneracy(n, w / 2) * (1 - q) ** s if s else Decimal(1)
+                    for i in range(w // 2 + 1):
+                        for k in range(i, w - i + 1):
+                            terms = sum(math.comb(i, u) * math.comb(w - i, k - i + u) * q ** u
+                                        for u in range(i + 1))
+                            want = factor * terms / math.comb(w, k) * (
+                                Decimal(math.comb(w, i) * math.comb(w, k))
+                                / (math.comb(n, s + i) * math.comb(n, s + k))).sqrt() \
+                                * (Decimal(-4) * Decimal(theta) * (k - i)).exp()
+                            assert abs(Decimal(kernel[t, i, k]) - want) < Decimal("2e-15")
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_maximal_sector_kernel_is_hamming_decay(n):
+    # z dephasing multiplies |x><y| of the product basis by
+    # exp(-4 Theta hamming(x, y)), so between the Dicke states of a and b
+    # flipped spins K_0(a, b) is that factor averaged over all weight-a
+    # strings x and weight-b strings y
+    strings = np.arange(2 ** n)
+    bits = (strings[:, None] >> np.arange(n)) & 1
+    hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
+    layers = (bits.sum(axis=1)[:, None] == np.arange(n + 1)).astype(float)
+    layers /= layers.sum(axis=0)
+    thetas = [0.0, 0.01, 0.3, 2.0]
+    kernels = build_transfer_kernels(build_space(n)).at(thetas)[0]
+    for theta, kernel in zip(thetas, kernels):
+        expected = layers.T @ np.exp(-4.0 * theta * hamming) @ layers
+        assert np.max(np.abs(kernel - expected)) < 1e-13
 
 
 def _chain_rates(lsup):
@@ -283,7 +354,7 @@ def test_axis_frame_vector_rule():
 def test_transfer_kernels_match_dense_propagate():
     # a state on the maximal sector, dephased at a vector of Theta as kernel
     # times window, sector block by sector block, against the dense
-    # propagate; a vector of Theta gives the exponential at each Theta
+    # propagate
     for n, axis in ((4, AXIS_DIAG), (7, AXIS_TILT), (6, AXIS_Z)):
         space = build_space(n)
         lsup = build_dephasing_superoperator(
@@ -297,7 +368,7 @@ def test_transfer_kernels_match_dense_propagate():
         phi = rotation[0].conj().T @ psi[:top]
         x = np.outer(phi, phi.conj())
         thetas = [0.0, 0.05, 0.7, 6.0]
-        kernels = lsup.transfer_kernels(thetas)
+        kernels = build_transfer_kernels(space).at(thetas)
         assert len(kernels) == len(space.sectors)
         for i, theta in enumerate(thetas):
             lab = lsup.propagate(np.outer(psi, psi.conj()), theta)
@@ -306,19 +377,12 @@ def test_transfer_kernels_match_dense_propagate():
                 w = slice(k, top - k)
                 expected = u.conj().T @ lab[sl, sl] @ u
                 assert np.max(np.abs(kernel[i] * x[w, w] - expected)) < 1e-12
-        for batch in lsup.chains:
-            stacked = batch.exponential(thetas)
-            for i, theta in enumerate(thetas):
-                assert np.max(np.abs(stacked[i] - batch.exponential([theta])[0])) < 1e-15
     # along the noise axis a GHZ state feeds only the chains of m = m' = +-N/2
     # and of |N/2><-N/2| and its conjugate, which all stay in the maximal sector
-    space = build_space(6)
-    lsup = build_dephasing_superoperator(
-        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
-    phi = np.zeros(space.max_sector.dim, dtype=complex)
+    phi = np.zeros(7, dtype=complex)
     phi[[0, -1]] = 1.0 / math.sqrt(2.0)
     x = np.outer(phi, phi.conj())
-    kernels = lsup.transfer_kernels([0.3, 2.0])
+    kernels = build_transfer_kernels(build_space(6)).at([0.3, 2.0])
     assert (kernels[0] * x).any()
     assert not any((k * x[s:7 - s, s:7 - s]).any() for s, k in enumerate(kernels) if s)
 
@@ -328,10 +392,8 @@ def test_transfer_kernels_are_a_trace_preserving_transfer(n):
     # K_s is real and nonnegative, K_0(0) = 1, and the weight of every
     # maximal-sector population |m><m| is kept over the sectors it reaches
     space = build_space(n)
-    lsup = build_dephasing_superoperator(
-        space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
     thetas = [0.0, 0.01, 0.3, 2.0, 40.0]
-    kernels = lsup.transfer_kernels(thetas)
+    kernels = build_transfer_kernels(space).at(thetas)
     assert all(k.dtype == float and k.shape == (len(thetas), s.dim, s.dim)
                and np.all(k >= 0.0) for s, k in zip(space.sectors, kernels))
     assert np.all(kernels[0][0] == 1.0)
@@ -352,7 +414,7 @@ def test_dephasing_refuses_a_bad_strength(method, theta):
         if method == "propagate":
             lsup.propagate(rho, theta)
         else:
-            lsup.transfer_kernels([0.1, theta])
+            build_transfer_kernels(space).at([0.1, theta])
 
 
 def test_propagate_at_large_n():

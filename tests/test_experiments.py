@@ -16,7 +16,8 @@ from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                        simultaneous_probe, sweep_time)
 from spinsense import experiments
 from spinsense.cli import _pointwise_bounds
-from spinsense.dephasing import ChainBatch, DephasingSuperoperator, axis_frame
+from spinsense.dephasing import (ChainBatch, TransferKernels, axis_frame,
+                                 build_dephasing_superoperator)
 from spinsense.experiments import _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
@@ -63,9 +64,13 @@ def test_sweep_config_validation():
     lambda: SweepConfig(n_particles=2, axis=("x", 0, 0)),
     lambda: SweepConfig(n_particles=2, field=("x", 0, 0)),
     lambda: SweepConfig(n_particles=2, axis=5),
+    lambda: TimeGrid(start="x"),
+    lambda: TimeGrid(stop=None),
+    lambda: SweepConfig(n_particles=4, grid=(24, 0.05, 100)),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
-        "total-time-text", "axis-text", "field-text", "axis-scalar"])
+        "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
+        "grid-stop-none", "grid-tuple"])
 def test_library_inputs_raise_invalid_argument(call):
     # checked before any sweep runs, with the CLI's typed error
     with pytest.raises(InvalidArgument):
@@ -125,8 +130,8 @@ def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
 
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
 def test_sweep_builds_one_rotation(monkeypatch, kind):
-    # the noisy sweep reads U and R from its dephasing generator; only the
-    # noiseless sweep builds its own frame
+    # every sweep builds one frame: the noise axis's, or without noise the
+    # field direction's
     calls = []
 
     def counted(space, axis):
@@ -143,7 +148,7 @@ def test_kernels_and_phase_integrals_are_shared(monkeypatch):
     # one transfer_kernels and one phase_integral call per chunk, whatever
     # the number of probes (three GHZ probes for ind) and of sectors
     calls = {"kernels": 0, "phase": 0}
-    kernels, phase = DephasingSuperoperator.transfer_kernels, experiments.phase_integral
+    kernels, phase = TransferKernels.at, experiments.phase_integral
 
     def counted_kernels(self, thetas):
         calls["kernels"] += 1
@@ -153,7 +158,7 @@ def test_kernels_and_phase_integrals_are_shared(monkeypatch):
         calls["phase"] += 1
         return phase(*args)
 
-    monkeypatch.setattr(DephasingSuperoperator, "transfer_kernels", counted_kernels)
+    monkeypatch.setattr(TransferKernels, "at", counted_kernels)
     monkeypatch.setattr(experiments, "phase_integral", counted_phase)
     res = sweep_time(SweepConfig(n_particles=6, scenario=SweepScenario.INDIVIDUAL,
                                  kind=NoiseKind.MARKOVIAN, gamma=0.1, grid=SMALL_GRID))
@@ -162,27 +167,30 @@ def test_kernels_and_phase_integrals_are_shared(monkeypatch):
     assert calls["phase"] == calls["kernels"]
 
 
-def test_each_distinct_chain_is_exponentiated_once_per_chunk(monkeypatch):
-    # a noisy sweep exponentiates one generator per orbit of chains
-    # ((m, m'), (m', m), (-m, -m'), (-m', -m)) per chunk of times, never
-    # every chain: 49 of the 169 chains at N = 12
-    orbits = 49
-    calls = {"kernels": 0, "chains": 0}
-    kernels, exponential = DephasingSuperoperator.transfer_kernels, ChainBatch.exponential
+def test_sweep_builds_no_chains(monkeypatch):
+    # a noisy sweep dephases its probes through the closed-form transfer
+    # kernels: it builds no chain batch and exponentiates none
+    calls = []
+    init, exponential = ChainBatch.__init__, ChainBatch.exponential
 
-    def counted_kernels(self, thetas):
-        calls["kernels"] += 1
-        return kernels(self, thetas)
+    def counted_init(self, *args, **kwargs):
+        calls.append("build")
+        init(self, *args, **kwargs)
 
-    def counted_exponential(self, thetas):
-        calls["chains"] += len(self.generator)
-        return exponential(self, thetas)
+    def counted_exponential(self, theta):
+        calls.append("exponential")
+        return exponential(self, theta)
 
-    monkeypatch.setattr(DephasingSuperoperator, "transfer_kernels", counted_kernels)
+    monkeypatch.setattr(ChainBatch, "__init__", counted_init)
     monkeypatch.setattr(ChainBatch, "exponential", counted_exponential)
-    sweep_time(SweepConfig(n_particles=12, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))
-    assert calls["kernels"] >= 2
-    assert calls["chains"] == orbits * calls["kernels"]
+    for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
+        res = sweep_time(SweepConfig(n_particles=12, kind=kind, grid=SMALL_GRID))
+        assert not res.refinement.boundary
+    assert calls == []
+    # the counters do see the chains of the dense propagator
+    lsup = build_dephasing_superoperator(build_space(3), SweepConfig(n_particles=3).noise_spec())
+    lsup.propagate(simultaneous_probe(lsup.space).projector().matrix, 0.1)
+    assert "build" in calls and "exponential" in calls
 
 
 def test_sweep_markovian_optimum_is_earlier():

@@ -9,13 +9,14 @@ logarithmic time grid in chunks, each as stacked array operations, one
 total-spin sector block at a time. In the noise frame (the field frame
 without noise) a probe dephased to Theta(t) is, in each sector, a real
 transfer kernel shared by all probes times a centred window of its
-maximal-sector block. The QFIM is taken there, before the field rotation,
-which leaves it unchanged. The field Hamiltonian there is h J_z, so the
-generators A_k are elementwise, and in the eigenbasis V of each block each
-derivative -i [A_k, rho] is i (p_l - p_l') (V^dag A_k V)_ll'. Chunk sizes
-follow from N and a fixed memory budget, so no dense d x d matrix is formed
-and memory does not grow with the grid. The first dip of the curve is then
-refined by a narrowed pass and a parabola in log-log coordinates.
+maximal-sector block, P B P^dag with B real symmetric and P a diagonal of
+phases. The QFIM is taken there, before the field rotation, which leaves it
+unchanged. The field Hamiltonian there is h J_z, so the generators A_k are
+elementwise, and in the eigenbasis V = P R of each block, R real, each
+derivative -i [A_k, rho] is i (p_l - p_l') (R^T P^dag A_k P R)_ll'. Chunk
+sizes follow from N and a fixed memory budget, so no dense d x d matrix is
+formed and memory does not grow with the grid. The first dip of the curve is
+then refined by a narrowed pass and a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -149,11 +150,12 @@ def _sweep_probes(config, space, spec):
     The frame is the axis_frame of the noise axis; without noise it is that
     of the field direction, or of z for a zero field. The field Hamiltonian
     there is h J_z, with h the signed field component along the frame axis.
-    Returns, per probe, its maximal-sector amplitudes (the probes live there)
-    in that frame, with the slice of axes (x, y, z) it is differentiated
-    along; per sector J~_k = U^dag J_k U = sum_l R[k, l] J_l stacked over k;
-    and h (m - m') on the maximal sector, whose centred window s:N + 1 - s is
-    that of sector s.
+    Returns, per probe, the moduli |phi| of its maximal-sector amplitudes
+    phi = |phi| e in that frame (the probes live there) and, per sector s,
+    G_k = J~_k * conj(e_w) e_w^T stacked over the axes k (of x, y, z) it is
+    differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l and
+    w = s:N + 1 - s the centred window of sector s; and h (m - m') on the
+    maximal sector.
     """
     if config.scenario is SweepScenario.SIMULTANEOUS:
         probes = [(simultaneous_probe(space), slice(0, 3))]
@@ -162,19 +164,27 @@ def _sweep_probes(config, space, spec):
     u, r = axis_frame(space, spec.axis if spec.gamma > 0.0 else
                       config.field if any(config.field) else (0.0, 0.0, 1.0))
     into_frame = u.blocks[0].conj().T
-    probes = [(into_frame @ p.amplitudes[:space.max_sector.dim], axes) for p, axes in probes]
-    js = list(zip(*(collective_operator(space, a).blocks for a in _AXES)))
-    rotated_j = [np.array([sum(r[k, l] * j for l, j in enumerate(sector)) for k in range(3)])
-                 for sector in js]
+    phis = [into_frame @ p.amplitudes[:space.max_sector.dim] for p, _ in probes]
+    phases = [np.exp(1j * np.angle(phi)) for phi in phis]
+    generators = [[] for _ in probes]
+    for s, sector in enumerate(zip(*(collective_operator(space, a).blocks for a in _AXES))):
+        rotated = np.array([sum(r[k, l] * j for l, j in enumerate(sector)) for k in range(3)])
+        for gens, e, (_, axes) in zip(generators, phases, probes):
+            gens.append(rotated[axes] * np.outer(e[s:e.size - s].conj(), e[s:e.size - s]))
     h = float(np.dot(config.field, r[:, 2]))
     m = space.max_sector.m_values()
-    return probes, rotated_j, h * (m[:, None] - m[None, :])
+    return [(np.abs(phi), gens) for phi, gens in zip(phis, generators)], \
+        h * (m[:, None] - m[None, :])
 
 
 def _chunk_size(space):
     """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
     for a complex copy of every sector block. Small N takes a whole pass at
-    once, and the working memory of a pass does not grow with its times."""
+    once, and the working memory of a pass does not grow with its times.
+    The blocks are diagonalised as real matrices, but each generator stack
+    f * G_k they are paired with is complex, so an entry still counts 16
+    bytes: counting 8 doubles the chunk length and raised the peak memory of
+    an N = 24 non-markovian sweep process by about 1.7 MB (4%)."""
     return max(1, _CHUNK_BYTES // (16 * sum(s.dim ** 2 for s in space.sectors)))
 
 
@@ -184,20 +194,23 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     The times are evaluated in chunks (_chunk_size), each as stacked array
     operations over its times, one sector block at a time. In the noise
     frame (the field frame without noise) sector s of a probe dephased to
-    Theta(t) is K_s * X[w, w]: X is its maximal-sector block, w = s:N + 1 - s
-    and K_s the transfer kernels of the chunk (ones without noise,
-    TransferKernels with it), which all probes share. The QFIM is taken
-    there, before the field rotation, which leaves it unchanged, and each
-    rotating-frame generator is elementwise, A_k = f[w, w] * J~_k with
-    f = f(h (m - m'), t) once per chunk (_sweep_probes). In a block's
-    eigenbasis V (eigenvalues p), d_k rho = -i [A_k, rho] is
-    i (p_l - p_l') (V^dag A_k V)_ll'. Blocks zero at every time of a chunk
-    add nothing under the global cutoff and are skipped. The
-    joint strategy needs all three derivatives of its probe; the individual
-    one reads only Q_kk, one derivative per GHZ probe. An invalid (non-real,
-    non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
+    Theta(t) is K_s * phi_w phi_w^dag: phi = |phi| e is its maximal-sector
+    amplitudes, w = s:N + 1 - s and K_s the real symmetric transfer kernels
+    of the chunk (ones without noise, TransferKernels with it), which all
+    probes share. That is P B P^dag with P = diag(e_w), so eigh runs on the
+    real B = K_s * |phi_w| |phi_w|^T: eigenvalues p, eigenvectors R real and
+    V = P R. The QFIM is taken there, before the field rotation, which
+    leaves it unchanged, and each rotating-frame generator is elementwise,
+    A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per chunk. So
+    d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f[w, w] * G_k) R)_ll',
+    with G_k = P^dag J~_k P (_sweep_probes), two real products on the real
+    and imaginary parts. Blocks zero at every time of a chunk add nothing
+    under the global cutoff and are skipped. The joint strategy needs all
+    three derivatives of its probe; the individual one reads only Q_kk, one
+    derivative per GHZ probe. An invalid (non-real, non-symmetric or
+    indefinite) QFIM is a numerical fault: NumericalError.
     """
-    probes, rotated_j, lam = prepared
+    probes, lam = prepared
     count = -(-len(times) // _chunk_size(space))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
@@ -207,19 +220,23 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
             transfer.at([integrated_strength(spec, t) for t in chunk])
         f = phase_integral(lam, chunk, 0.0)
         entries = []
-        for phi, axes in probes:
-            top = np.outer(phi, phi.conj())
+        for modulus, generators in probes:
+            top = np.outer(modulus, modulus)
             spectra, partial_blocks = [], []
-            for s, kernel in enumerate(kernels):
-                w = slice(s, phi.size - s)
+            for s, (kernel, g) in enumerate(zip(kernels, generators)):
+                w = slice(s, modulus.size - s)
                 block = kernel * top[w, w]
                 if not block.any():
                     continue
-                p, v = np.linalg.eigh(block)
-                a = f[:, None, w, w] * rotated_j[s][axes]
+                p, r = np.linalg.eigh(block)
+                a = f[:, None, w, w] * g
+                x, y = r.swapaxes(-1, -2)[:, None] @ np.stack((a.real, a.imag)) @ r[:, None]
+                dp = p[:, None, :, None] - p[:, None, None, :]
+                a = np.empty(x.shape, complex)          # i dp (x + i y)
+                np.multiply(y, -dp, out=a.real)
+                np.multiply(x, dp, out=a.imag)
                 spectra.append(p)
-                partial_blocks.append(1j * (p[:, None, :, None] - p[:, None, None, :])
-                                      * (v.conj().swapaxes(-1, -2)[:, None] @ a @ v[:, None]))
+                partial_blocks.append(a)
             entries.append(_qfim_entries(spectra, partial_blocks))
         for i, t in enumerate(chunk):
             try:
@@ -394,6 +411,9 @@ def fit_power_law(points, n_min=10):
 
     Needs at least three usable points with positive values.
     """
+    n_min = _real(n_min, "n_min")
+    if math.isnan(n_min):
+        raise InvalidArgument("n_min must be a real number, got nan")
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidArgument("points must be an iterable of (N, value) pairs")
@@ -417,10 +437,11 @@ def fit_power_law(points, n_min=10):
 
 def husimi_grid(shape=(181, 360)):
     """Polar angles (inclusive of the poles) and azimuths (periodic, endpoint
-    excluded) for a Husimi map of the given shape."""
-    n_theta, n_phi = shape
-    if n_theta < 2 or n_phi < 1:
-        raise InvalidArgument(f"grid shape must be at least (2, 1), got {shape}")
+    excluded) for a Husimi map of the given shape (at least (2, 1))."""
+    if np.ndim(shape) != 1 or len(shape) != 2:
+        raise InvalidArgument(f"grid shape must be a pair (rows, columns), got {shape!r}")
+    n_theta = _count(shape[0], "Husimi grid rows", 2)
+    n_phi = _count(shape[1], "Husimi grid columns", 1)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     return thetas, phis
@@ -463,6 +484,8 @@ def husimi_normalization(qmap, multiplet_dim):
     multiplet_dim is the sector dimension 2j+1 = N+1.
     """
     qmap = np.asarray(qmap, dtype=float)
+    if qmap.ndim != 2:
+        raise InvalidArgument(f"a Husimi map must be 2-D, got shape {qmap.shape}")
     n_theta, n_phi = qmap.shape
     thetas, _ = husimi_grid((n_theta, n_phi))
     d_phi = 2.0 * np.pi / n_phi

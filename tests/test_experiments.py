@@ -67,10 +67,16 @@ def test_sweep_config_validation():
     lambda: TimeGrid(start="x"),
     lambda: TimeGrid(stop=None),
     lambda: SweepConfig(n_particles=4, grid=(24, 0.05, 100)),
+    lambda: husimi_grid((2.5, 3)),
+    lambda: husimi_map(ghz_state(build_space(3), "z"), (2.5, 3)),
+    lambda: husimi_normalization(np.ones(5), 3),
+    lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min="a"),
+    lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min=math.nan),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
-        "grid-stop-none", "grid-tuple"])
+        "grid-stop-none", "grid-tuple", "husimi-grid-fraction", "husimi-map-fraction",
+        "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan"])
 def test_library_inputs_raise_invalid_argument(call):
     # checked before any sweep runs, with the CLI's typed error
     with pytest.raises(InvalidArgument):
@@ -191,6 +197,37 @@ def test_sweep_builds_no_chains(monkeypatch):
     lsup = build_dephasing_superoperator(build_space(3), SweepConfig(n_particles=3).noise_spec())
     lsup.propagate(simultaneous_probe(lsup.space).projector().matrix, 0.1)
     assert "build" in calls and "exponential" in calls
+
+
+class _Overlay:
+    """target with some attributes replaced."""
+
+    def __init__(self, target, **replaced):
+        self._target = target
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
+                                  NoiseKind.NONE])
+@pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
+                                      SweepScenario.INDIVIDUAL])
+def test_sweep_diagonalises_real_blocks(monkeypatch, kind, scenario):
+    # each dephased sector block is P B P^dag with B real symmetric and P a
+    # diagonal of phases, so the sweep hands eigh only real blocks; only the
+    # numpy the sweep module looks up is replaced, so axis_frame's complex
+    # eigh is not seen
+    dtypes = []
+
+    def spy(block):
+        dtypes.append(block.dtype)
+        return np.linalg.eigh(block)
+
+    monkeypatch.setattr(experiments, "np", _Overlay(np, linalg=_Overlay(np.linalg, eigh=spy)))
+    sweep_time(SweepConfig(n_particles=6, kind=kind, scenario=scenario, grid=SMALL_GRID))
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_sweep_markovian_optimum_is_earlier():
@@ -387,9 +424,11 @@ FRAMES = {
 }
 
 
+# N = 12 adds a 7-sector state whose probe phases (the P of the real sector
+# blocks) spread over the whole circle in the default frame
 @pytest.mark.parametrize("n, frame", [
     pytest.param(n, frame, id=str(n) if frame == "default" else f"{n}-{frame}")
-    for frame in FRAMES for n in (4, 7)])
+    for frame in FRAMES for n in (4, 7)] + [pytest.param(12, "default", id="12")])
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dicke import (build_space, coherent_state, collective_operator,
-                    dicke_dimension, ghz_state, simultaneous_probe)
+from .dicke import (build_space, collective_operator, dicke_dimension, ghz_state,
+                    simultaneous_probe)
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
 from .dynamics import (FieldBasis, FieldParams, evolve, full_gkls_reference,
                        full_hilbert_reference)
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
-                     InvalidArgument, NumericalError, SingularQfim)
+                     InvalidArgument, NumericalError, SingularQfim, _count)
 from .estimation import bound_individual, bound_simultaneous, partial_rho, qfim
 from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
                           SweepScenario, TimeGrid, _pool_size, fit_power_law,
@@ -136,9 +136,6 @@ _OPTIONS = {
     "verbose": ("progress notes on stderr", _as_int, 0,
                 dict(action="count", default=None)),
 }
-
-# Keys that shape the computation and therefore enter the config hash.
-_NON_HASHED = ("out", "format", "workers", "verbose")
 
 
 def _build_parser():
@@ -251,10 +248,9 @@ def _canonical(cfg):
 
 
 def _build_meta(run):
-    """Metadata block shared by all outputs; the hash covers exactly the
-    configuration keys that influence the numbers."""
-    cfg = {k: _jsonable(v) for k, v in sorted(run.params.items())
-           if k not in _NON_HASHED}
+    """Metadata block shared by all outputs; the hash covers run.params, the
+    keys that influence the numbers (_resolve took the output options out)."""
+    cfg = {k: _jsonable(v) for k, v in sorted(run.params.items())}
     return {
         "version": __version__,
         "command": run.command,
@@ -378,8 +374,8 @@ def _sweep_config(params):
     n = _require(params, "n", "sweep-time")
     return SweepConfig(
         n_particles=n,
-        scenario=SweepScenario(params["scenario"]),
-        kind=NoiseKind(params["kind"]),
+        scenario=params["scenario"],
+        kind=params["kind"],
         gamma=params["gamma"],
         field=params["phi"],
         axis=params["axis"],
@@ -671,9 +667,7 @@ def _check_sweep_vs_pointwise(n):
 
 
 def _run_verify(run):
-    n = run.params["n"] if run.params["n"] is not None else 3
-    if n < 1:
-        raise InvalidArgument(f"n must be positive, got {n}")
+    n = _count(run.params["n"] if run.params["n"] is not None else 3, "n", 1)
     checks = [
         ("dimension-counting", _check_dimensions),
         ("operator-fixture", _check_operator_fixture),

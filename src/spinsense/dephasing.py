@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DickeSpace, collective_operator, degeneracy
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _member, _nonnegative, _strengths, _vector
 
 
 class NoiseKind(str, enum.Enum):
@@ -51,34 +51,6 @@ class NoiseKind(str, enum.Enum):
     MARKOVIAN = "markovian"
     NONMARKOVIAN = "nonmarkovian"
     NONE = "none"
-
-
-def _member(enum_type, value):
-    """enum_type(value), with an unknown value refused as InvalidArgument."""
-    try:
-        return enum_type(value)
-    except ValueError:
-        raise InvalidArgument(
-            f"expected one of {[e.value for e in enum_type]}, got {value!r}") from None
-
-
-def _real(value, what):
-    """float(value), with a value that is not a real number refused as InvalidArgument."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
-
-
-def _vector(value, what):
-    """value as an array of 3 finite floats, anything else refused as InvalidArgument."""
-    try:
-        vec = np.asarray(value, dtype=float)
-        if vec.shape == (3,) and np.all(np.isfinite(vec)):
-            return vec
-    except (TypeError, ValueError):
-        pass
-    raise InvalidArgument(f"{what} must be 3 finite components, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +68,7 @@ class NoiseSpec:
 
     def __init__(self, kind, gamma, axis):
         kind = _member(NoiseKind, kind)
-        gamma = _real(gamma, "gamma")
-        if not np.isfinite(gamma) or gamma < 0.0:
-            raise InvalidArgument(f"gamma must be finite and >= 0, got {gamma}")
+        gamma = _nonnegative(gamma, "gamma")
         if kind is NoiseKind.NONE:
             gamma = 0.0
         vec = _vector(axis, "axis")
@@ -116,8 +86,7 @@ class NoiseSpec:
 
 def gamma_profile(spec, t):
     """Instantaneous dephasing rate gamma_t at time t >= 0."""
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     if spec.kind is NoiseKind.MARKOVIAN:
         return spec.gamma
     if spec.kind is NoiseKind.NONMARKOVIAN:
@@ -127,8 +96,7 @@ def gamma_profile(spec, t):
 
 def integrated_strength(spec, t):
     """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock."""
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     if spec.kind is NoiseKind.MARKOVIAN:
         return spec.gamma * t
     if spec.kind is NoiseKind.NONMARKOVIAN:
@@ -148,14 +116,6 @@ def _lambda_weights(n, j):
         lam_drop = (half_n + j + 1.0) / (2.0 * j * (2.0 * j + 1.0))
     lam_lift = (half_n - j) / (2.0 * (j + 1.0) * (2.0 * j + 1.0))
     return lam_stay, lam_drop, lam_lift
-
-
-def _strengths(thetas):
-    """thetas as a float array, refused unless every one is finite and >= 0."""
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
-        raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
-    return thetas
 
 
 # exp(h G) by a Taylor series of this degree once ||h G||_1 <= _TAYLOR_NORM,

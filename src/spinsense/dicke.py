@@ -14,22 +14,14 @@ by decreasing j.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, InvalidArgument
+from .errors import DegenerateProbe, InvalidArgument, _count
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
-
-
-def _count(value, what, least):
-    """value as an int; refused unless it is an integer (a bool is not one) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _as_twice(value, name):
@@ -53,12 +45,22 @@ def dicke_dimension(n_particles):
     return (n + 2) ** 2 // 4
 
 
+def _depth(n_particles, j):
+    """(N, k) with k = N/2 - j, for a valid sector j of N particles."""
+    n = _count(n_particles, "n_particles", 1)
+    twoj = _as_twice(j, "j")
+    if twoj < 0 or twoj > n or (n - twoj) % 2:
+        raise InvalidArgument(f"j={j} is not a valid sector for N={n}")
+    return n, (n - twoj) // 2
+
+
 def degeneracy(n_particles, j):
     """Number of copies of the spin-j multiplet in the decomposition of N spins.
 
-    Uses exact integer arithmetic:
+    The multiplets with total spin >= j, less those with spin >= j + 1, in
+    exact integer arithmetic:
 
-        d_N^j = N! (2j + 1) / ((N/2 - j)! (N/2 + j + 1)!)
+        d_N^j = C(N, k) - C(N, k - 1),  k = N/2 - j
 
     Parameters
     ----------
@@ -68,26 +70,14 @@ def degeneracy(n_particles, j):
         Total spin, integer or half-integer, with 0 <= j <= N/2 and
         2j of the same parity as N.
     """
-    n = _count(n_particles, "n_particles", 1)
-    twoj = _as_twice(j, "j")
-    if twoj < 0 or twoj > n or (n - twoj) % 2:
-        raise InvalidArgument(f"j={j} is not a valid sector for N={n}")
-    k = (n - twoj) // 2
-    numerator = math.factorial(n) * (twoj + 1)
-    denominator = math.factorial(k) * math.factorial(n - k + 1)
-    count, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InvalidArgument(f"degeneracy is not integral for N={n}, j={j}")
-    return count
+    n, k = _depth(n_particles, j)
+    return math.comb(n, k) - math.comb(n, k - 1) if k else 1
 
 
 def cumulative_degeneracy(n_particles, j):
     """Number of multiplets with total spin >= j, equal to C(N, N/2 - j)."""
-    n = _count(n_particles, "n_particles", 1)
-    twoj = _as_twice(j, "j")
-    if twoj < 0 or twoj > n or (n - twoj) % 2:
-        raise InvalidArgument(f"j={j} is not a valid sector for N={n}")
-    return math.comb(n, (n - twoj) // 2)
+    n, k = _depth(n_particles, j)
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -231,16 +221,8 @@ class BlockOperator:
         return self.left_apply(matrix) - self.right_apply(matrix)
 
     def sandwich(self, matrix):
-        """self @ matrix @ self.dagger()."""
-        daggered = [b.conj().T for b in self.blocks]
-        out = np.empty_like(matrix, dtype=complex)
-        for sr, br in zip(self.space.sectors, self.blocks):
-            rows = slice(sr.offset, sr.offset + sr.dim)
-            br_m = br @ matrix[rows, :]
-            for sc, bcd in zip(self.space.sectors, daggered):
-                cols = slice(sc.offset, sc.offset + sc.dim)
-                out[rows, cols] = br_m[:, cols] @ bcd
-        return out
+        """self @ matrix @ self.dagger(), taken as (self @ matrix) @ self.dagger()."""
+        return self.dagger().right_apply(self.left_apply(matrix))
 
     def expectation(self, rho_matrix):
         """Tr(self @ rho) for a dense density matrix."""

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DensityOperator, _count, collective_operator
-from .dephasing import (NoiseKind, _vector, build_dephasing_superoperator,
-                        gamma_profile, integrated_strength)
-from .errors import AssumptionViolated, InvalidArgument, NumericalError
+from .dicke import BlockOperator, DensityOperator, collective_operator
+from .dephasing import build_dephasing_superoperator, gamma_profile, integrated_strength
+from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _count,
+                     _nonnegative, _vector)
 
 _AXES = ("x", "y", "z")
 
@@ -107,8 +107,7 @@ class FieldBasis:
         E_a - E_b, negligible below 1e-10 of the spectral scale, so A is
         Hermitian.
         """
-        if t < 0.0 or not np.isfinite(t):
-            raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+        t = _nonnegative(t, "t")
         if axis not in _AXES:
             raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
         tol = 1e-10 * max(float(np.max(np.abs(w))) for w in self.evals)
@@ -121,8 +120,7 @@ class FieldBasis:
 
 def unitary(space, field, t):
     """Propagator exp(-i phi . J t) of the field Hamiltonian."""
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     return FieldBasis(space, field).unitary(t)
 
 
@@ -188,10 +186,9 @@ def evolve(rho0, field, spec, t, superoperator=None, allow_nonparallel=False):
     A prebuilt superoperator for (rho0.space, spec) may be passed to avoid
     reassembly in loops.
     """
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     space = rho0.space
-    noiseless = spec.gamma == 0.0 or spec.kind is NoiseKind.NONE
+    noiseless = spec.gamma == 0.0
     if not noiseless and _line_angle(field.phi, spec.axis) > 1e-8:
         if not allow_nonparallel:
             raise AssumptionViolated(
@@ -269,8 +266,7 @@ def full_gkls_reference(rho0, field, spec, t):
     dissipator gamma_t L[rho] from the apply method of the dephasing
     generator. Intended as a cross-check at moderate dimension (d <= 400).
     """
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     space = rho0.space
     d = space.total_dim
     if d > 400:
@@ -425,8 +421,7 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     n = _count(n_particles, "n_particles", 1)
     if n > 8:
         raise InvalidArgument(f"product-space oracle limited to 1 <= N <= 8, got {n}")
-    if t < 0.0 or not np.isfinite(t):
-        raise InvalidArgument(f"t must be finite and >= 0, got {t}")
+    t = _nonnegative(t, "t")
     space = initial.space
     if space.n_particles != n:
         raise InvalidArgument("initial state lives on a different particle number")

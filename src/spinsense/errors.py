@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that turn a
+malformed library argument into InvalidArgument.
 
 All errors raised deliberately by this package derive from SpinsenseError,
 so callers can catch the package's failures without masking genuine bugs.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class SpinsenseError(Exception):
@@ -31,3 +37,57 @@ class SingularQfim(SpinsenseError):
 
 class ExperimentFailed(SpinsenseError):
     """A sweep or scan produced no usable points."""
+
+
+def _count(value, what, least):
+    """value as an int; refused unless it is an integer (a bool is not one) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _member(enum_type, value):
+    """enum_type(value), with an unknown value refused as InvalidArgument."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise InvalidArgument(
+            f"expected one of {[e.value for e in enum_type]}, got {value!r}") from None
+
+
+def _real(value, what):
+    """float(value), with a value that is not a real number refused as InvalidArgument."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
+
+
+def _nonnegative(value, what):
+    """_real(value), refused unless it is finite and >= 0."""
+    x = _real(value, what)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise InvalidArgument(f"{what} must be finite and >= 0, got {x}")
+    return x
+
+
+def _vector(value, what):
+    """value as an array of 3 finite floats, anything else refused as InvalidArgument."""
+    try:
+        vec = np.asarray(value, dtype=float)
+        if vec.shape == (3,) and np.all(np.isfinite(vec)):
+            return vec
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgument(f"{what} must be 3 finite components, got {value}")
+
+
+def _strengths(thetas):
+    """thetas as a float array, refused unless every one is finite and >= 0."""
+    try:
+        thetas = np.asarray(thetas, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"theta must be real numbers, got {thetas!r}") from None
+    if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
+        raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
+    return thetas

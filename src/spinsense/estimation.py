@@ -20,7 +20,7 @@ import numpy as np
 
 from .dicke import DensityOperator
 from .dynamics import _AXES, FieldBasis
-from .errors import AssumptionViolated, InvalidArgument, SingularQfim
+from .errors import AssumptionViolated, InvalidArgument, SingularQfim, _member, _real
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
 _QFIM_EPS = 1e-12
@@ -143,10 +143,11 @@ def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
         raise InvalidArgument("rho must be a DensityOperator")
     if len(partials) != 3:
         raise InvalidArgument("exactly three parameter derivatives required")
+    t, scenario = _real(t, "t"), _member(Scenario, scenario)
     p, v = np.linalg.eigh(rho.matrix)
     entries = _real_qfim(_qfim_entries([p], [v.conj().T @ np.asarray(partials) @ v]))
-    return QfimMatrix(entries=entries, t=float(t),
-                      n_particles=rho.space.n_particles, scenario=Scenario(scenario))
+    return QfimMatrix(entries=entries, t=t, n_particles=rho.space.n_particles,
+                      scenario=scenario)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +210,7 @@ def bound_simultaneous(q, repetitions):
     Raises SingularQfim when Q is not invertible to working precision
     (nonpositive eigenvalues or condition number beyond 1e12).
     """
-    m = float(repetitions)
+    m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
     w = np.linalg.eigvalsh(q.entries)
@@ -227,7 +228,7 @@ def bound_individual(q_xx, q_yy, q_zz, repetitions):
     Each parameter is measured in M/3 of the repetitions, so each variance
     is 3 / (M Q_kk); the bound is their sum.
     """
-    m = float(repetitions)
+    m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
     diag = (float(q_xx), float(q_yy), float(q_zz))

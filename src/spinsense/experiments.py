@@ -30,12 +30,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import _count, build_space, collective_operator, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, _member, _real, _vector, axis_frame,
-                        build_transfer_kernels, integrated_strength)
+from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
+from .dephasing import (NoiseKind, NoiseSpec, axis_frame, build_transfer_kernels,
+                        integrated_strength)
 from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
-                     NumericalError, SingularQfim)
+                     NumericalError, SingularQfim, _count, _member, _real, _vector)
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, _real_qfim,
                          bound_individual, bound_simultaneous)
 
@@ -380,7 +380,10 @@ def scan_particles(n_list, base_config, workers=1):
     one worker per sweep; the result is the same either way.
     """
     _count(workers, "workers", 1)
-    ns = [_count(n, "each N", 1) for n in n_list]
+    try:
+        ns = [_count(n, "each N", 1) for n in n_list]
+    except TypeError:
+        raise InvalidArgument(f"n_list must be an iterable of counts, got {n_list!r}") from None
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise InvalidArgument("n_list must be strictly ascending")
     if not ns:

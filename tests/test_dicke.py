@@ -54,6 +54,18 @@ def test_degeneracy_values():
         assert degeneracy(n, n / 2.0) == 1
 
 
+def test_degeneracy_matches_factorial_formula():
+    # the closed form N! (2j + 1) / ((N/2 - j)! (N/2 + j + 1)!), exact in integers
+    for n in range(1, 101):
+        for twoj in range(n, -1, -2):
+            k = (n - twoj) // 2
+            expected, remainder = divmod(math.factorial(n) * (twoj + 1),
+                                         math.factorial(k) * math.factorial(n - k + 1))
+            assert remainder == 0
+            got = degeneracy(n, twoj / 2.0)
+            assert type(got) is int and got == expected
+
+
 def test_degeneracy_rejects_bad_spin():
     with pytest.raises(InvalidArgument):
         degeneracy(4, 0.5)        # wrong parity

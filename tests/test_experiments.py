@@ -8,12 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinsense import (AssumptionViolated, ExperimentFailed, InvalidArgument,
-                       NoiseKind, NumericalError, StateVector, SweepConfig,
-                       SweepScenario, TimeGrid, build_space, fit_power_law,
-                       ghz_state, husimi_grid, husimi_map,
-                       husimi_normalization, scan_particles,
-                       simultaneous_probe, sweep_time)
+from spinsense import (AssumptionViolated, ExperimentFailed, FieldParams,
+                       InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
+                       StateVector, SweepConfig, SweepScenario, TimeGrid,
+                       bound_individual, bound_simultaneous,
+                       build_transfer_kernels, build_space, dephase, evolve,
+                       fit_power_law, full_gkls_reference,
+                       full_hilbert_reference, gamma_profile,
+                       generator_operator, ghz_state, husimi_grid, husimi_map,
+                       husimi_normalization, integrated_strength, partial_rho,
+                       qfim, scan_particles, simultaneous_probe, sweep_time,
+                       unitary)
 from spinsense import experiments
 from spinsense.cli import _pointwise_bounds
 from spinsense.dephasing import (ChainBatch, TransferKernels, axis_frame,
@@ -21,6 +26,18 @@ from spinsense.dephasing import (ChainBatch, TransferKernels, axis_frame,
 from spinsense.experiments import _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
+
+# a small dephased evolution for the library-input cases below
+_SPACE = build_space(3)
+_RHO = ghz_state(_SPACE, "z").projector()
+_FIELD = FieldParams((0.0, 0.0, 0.01))
+_SPEC = NoiseSpec("markovian", 0.05, (0.0, 0.0, 2.0))
+
+
+def _qfim_of(**meta):
+    """qfim of _RHO evolved for t = 1, meta passed on to qfim."""
+    res = evolve(_RHO, _FIELD, _SPEC, 1.0)
+    return qfim(res.rho, [partial_rho(res, _FIELD, a) for a in "xyz"], **meta)
 
 
 def test_time_grid_values_and_validation():
@@ -72,13 +89,34 @@ def test_sweep_config_validation():
     lambda: husimi_normalization(np.ones(5), 3),
     lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min="a"),
     lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min=math.nan),
+    lambda: evolve(_RHO, _FIELD, _SPEC, "x"),
+    lambda: evolve(_RHO, _FIELD, _SPEC, None),
+    lambda: dephase(_RHO, build_dephasing_superoperator(_SPACE, _SPEC), _SPEC, "x"),
+    lambda: unitary(_SPACE, _FIELD, None),
+    lambda: generator_operator(_SPACE, _FIELD, "x", "z"),
+    lambda: gamma_profile(_SPEC, "x"),
+    lambda: integrated_strength(_SPEC, "x"),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(_RHO.matrix, "x"),
+    lambda: build_transfer_kernels(_SPACE).at(["x"]),
+    lambda: full_gkls_reference(_RHO, _FIELD, _SPEC, "x"),
+    lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), _FIELD, _SPEC, "x"),
+    lambda: bound_simultaneous(_qfim_of(), "x"),
+    lambda: bound_individual(1.0, 1.0, 1.0, "x"),
+    lambda: _qfim_of(t="x"),
+    lambda: _qfim_of(scenario="both"),
+    lambda: scan_particles(None, SweepConfig(n_particles=2)),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
         "grid-stop-none", "grid-tuple", "husimi-grid-fraction", "husimi-map-fraction",
-        "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan"])
+        "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan", "evolve-t-text",
+        "evolve-t-none", "dephase-t-text", "unitary-t-none", "generator-t-text",
+        "gamma-profile-t-text", "integrated-strength-t-text", "propagate-theta-text",
+        "kernels-theta-text", "gkls-reference-t-text", "hilbert-reference-t-text",
+        "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
+        "qfim-scenario", "scan-n-list-none"])
 def test_library_inputs_raise_invalid_argument(call):
-    # checked before any sweep runs, with the CLI's typed error
+    # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
         call()
 

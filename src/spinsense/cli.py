@@ -645,8 +645,9 @@ def _pointwise_bounds(config):
 
 def _check_sweep_vs_pointwise(n):
     worst, compared = 0.0, 0
-    # both noise kinds in the noise frame; without noise, a field frame off z
-    cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}),
+    # both noise kinds in the noise frame; without noise, the default field
+    # frame on the body diagonal and a field frame off it
+    cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}), (NoiseKind.NONE, {}),
              (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}))
     for kind, extra in cases:
         for scenario in SweepScenario:

@@ -242,15 +242,13 @@ class DephasingSuperoperator:
         return out
 
 
-def axis_frame(space, axis):
-    """The collective rotation onto a nonzero axis and its 3 x 3 rotation.
+def _frame_rotation(axis):
+    """(beta, k, R) of the rotation that carries z onto a nonzero axis.
 
-    U = exp(-i beta k . J), with k along z x axis (x when the axis is along
-    +-z) and beta the polar angle of the axis, carries J_z onto n . J for
-    the unit vector n along the axis. Each sector block of U comes from the
-    eigendecomposition of that sector's beta k . J block. R is the rotation
-    by beta about k (Rodrigues): U^dag J_a U = sum_b R[a, b] J_b, and
-    R[:, 2] = n.
+    k is the unit vector along z x axis (x when the axis is along +-z) and
+    beta the polar angle of the axis; exp(-i beta k . J) carries J_z onto
+    n . J for the unit vector n along the axis. R is the rotation by beta
+    about k (Rodrigues), with R[:, 2] = n.
     """
     vec = np.asarray(axis, dtype=float)
     n = vec / np.linalg.norm(vec)
@@ -258,12 +256,23 @@ def axis_frame(space, axis):
     k = np.array([-n[1] / sin_beta, n[0] / sin_beta, 0.0]) if sin_beta > 0.0 \
         else np.array([1.0, 0.0, 0.0])
     beta = float(np.arctan2(sin_beta, n[2]))
+    r = math.cos(beta) * np.eye(3) + math.sin(beta) * np.cross(np.eye(3), k) \
+        + (1.0 - math.cos(beta)) * np.outer(k, k)
+    return beta, k, r
+
+
+def axis_frame(space, axis):
+    """The collective rotation onto a nonzero axis and its 3 x 3 rotation.
+
+    U = exp(-i beta k . J) with (beta, k, R) of _frame_rotation. Each sector
+    block of U comes from the eigendecomposition of that sector's
+    beta k . J block, and U^dag J_a U = sum_b R[a, b] J_b.
+    """
+    beta, k, r = _frame_rotation(axis)
     blocks = []
     for sector in zip(*(collective_operator(space, a).blocks for a in "xyz")):
         w, v = np.linalg.eigh(sum(c * j for c, j in zip(beta * k, sector)))
         blocks.append((v * np.exp(-1j * w)) @ v.conj().T)
-    r = math.cos(beta) * np.eye(3) + math.sin(beta) * np.cross(np.eye(3), k) \
-        + (1.0 - math.cos(beta)) * np.outer(k, k)
     return BlockOperator(space, tuple(blocks)), r
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, InvalidArgument, _count
+from .errors import DegenerateProbe, InvalidArgument, _count, _real
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
@@ -26,11 +26,10 @@ _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
 
 def _as_twice(value, name):
     """Convert a (half-)integer quantum number to the exact integer 2*value."""
-    twice = 2.0 * value
-    rounded = int(round(twice))
-    if abs(twice - rounded) > 1e-9:
+    twice = 2.0 * _real(value, name)
+    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
         raise InvalidArgument(f"{name} must be integer or half-integer, got {value}")
-    return rounded
+    return int(round(twice))
 
 
 def dicke_dimension(n_particles):
@@ -343,7 +342,8 @@ def coherent_state(space, theta, phi):
 
     with j = N/2; all other sectors carry zero amplitude.
     """
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+    theta, phi = _real(theta, "theta"), _real(phi, "phi")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
         raise InvalidArgument("theta and phi must be finite")
     s = space.max_sector
     twoj = s.twoj
@@ -360,6 +360,14 @@ def coherent_state(space, theta, phi):
 # Seed direction (theta, phi) for each Cartesian axis; the partner branch of
 # the superposition sits at the antipode (pi - theta, phi + pi).
 _GHZ_SEEDS = {"x": (np.pi / 2.0, 0.0), "y": (np.pi / 2.0, np.pi / 2.0), "z": (0.0, 0.0)}
+
+
+def _ghz_spinors(axis):
+    """The one-spin states (cos(theta/2), sin(theta/2) e^{-i phi}) whose N-fold
+    powers are the two branches of ghz_state(space, axis), as rows."""
+    theta, phi = _GHZ_SEEDS[axis]
+    return np.array([[math.cos(t / 2.0), math.sin(t / 2.0) * np.exp(-1j * p)]
+                     for t, p in ((theta, phi), (np.pi - theta, phi + np.pi))])
 
 
 def ghz_state(space, axis):

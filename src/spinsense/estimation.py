@@ -93,7 +93,7 @@ class QfimMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-def _qfim_entries(spectra, partial_blocks):
+def _qfim_entries(spectra, partial_blocks, couplings=()):
     """Core QFIM evaluation in the eigenbasis of a block-diagonal state.
 
     spectra holds the eigenvalues p of each diagonal block of the state, and
@@ -105,9 +105,13 @@ def _qfim_entries(spectra, partial_blocks):
 
     runs over pairs within one block, restricted to p_l + p_l' above a cutoff
     relative to the largest eigenvalue over all blocks. A dense state is one
-    block. Blocks may carry leading axes (a stack of states, one per time);
-    the result then has them too, each with its own cutoff. Returns the
-    Hermitian part of Q, which _real_qfim checks and makes real.
+    block. A block may leave out a null space (eigenvalue 0, taken in a
+    basis of its own): couplings then holds its (p, D), D the derivatives
+    from the eigenvectors of p to that basis. Each such pair enters in both
+    orders, which sum to 4 Re(D_a D_b^dag / p_l). Blocks may carry leading
+    axes (a stack of states, one per time); the result then has them too,
+    each with its own cutoff. Returns the Hermitian part of Q, which
+    _real_qfim checks and makes real.
     """
     largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
@@ -117,6 +121,10 @@ def _qfim_entries(spectra, partial_blocks):
         root = np.sqrt(np.where(den > cutoff, den, np.inf))
         scaled = (d / root[..., None, :, :]).reshape(d.shape[:-2] + (-1,))
         q = q + 2.0 * (scaled @ scaled.conj().swapaxes(-1, -2))
+    for p, d in couplings:
+        root = np.sqrt(np.where(p[..., :, None] > cutoff, p[..., :, None], np.inf))
+        scaled = (d / root[..., None, :, :]).reshape(d.shape[:-2] + (-1,))
+        q = q + 4.0 * (scaled @ scaled.conj().swapaxes(-1, -2)).real
     return (q + q.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -231,7 +239,7 @@ def bound_individual(q_xx, q_yy, q_zz, repetitions):
     m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
-    diag = (float(q_xx), float(q_yy), float(q_zz))
+    diag = tuple(_real(q, "QFIM entry") for q in (q_xx, q_yy, q_zz))
     if min(diag) <= 0.0:
         raise SingularQfim(f"diagonal QFIM entries {diag} must be positive")
     value = 3.0 * sum(1.0 / d for d in diag) / m

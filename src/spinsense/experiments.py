@@ -10,13 +10,20 @@ total-spin sector block at a time. In the noise frame (the field frame
 without noise) a probe dephased to Theta(t) is, in each sector, a real
 transfer kernel shared by all probes times a centred window of its
 maximal-sector block, P B P^dag with B real symmetric and P a diagonal of
-phases. The QFIM is taken there, before the field rotation, which leaves it
-unchanged. The field Hamiltonian there is h J_z, so the generators A_k are
-elementwise, and in the eigenbasis V = P R of each block, R real, each
+phases. The probes are built there in closed form, as powers of one-spin
+states; on a body diagonal the y and z GHZ probes are exact images of x
+under the 3-fold rotation about it, a diagonal phase in the frame. Probes
+with one modulus array share each eigensolve, and each B is diagonalised
+on its support alone, with the unit vectors off it as its null basis;
+without noise the one block does not depend on t and is diagonalised once
+per pass. The QFIM is taken there, before the field rotation, which leaves
+it unchanged. The field Hamiltonian there is h J_z, so the generators A_k
+are elementwise, and in the eigenbasis V = P R of each block, R real, each
 derivative -i [A_k, rho] is i (p_l - p_l') (R^T P^dag A_k P R)_ll'. Chunk
-sizes follow from N and a fixed memory budget, so no dense d x d matrix is
-formed and memory does not grow with the grid. The first dip of the curve is
-then refined by a narrowed pass and a parabola in log-log coordinates.
+sizes follow from the blocks a sweep holds and a fixed memory budget, so no
+dense d x d matrix is formed and memory does not grow with the grid. The
+first dip of the curve is then refined by a narrowed pass and a parabola in
+log-log coordinates.
 """
 
 from __future__ import annotations
@@ -30,10 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import build_space, collective_operator, ghz_state, simultaneous_probe
-from .dephasing import (NoiseKind, NoiseSpec, axis_frame, build_transfer_kernels,
+from .dicke import _ghz_spinors, _spin_block, build_space
+from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
-from .dynamics import _AXES, FieldParams, _line_angle, phase_integral
+from .dynamics import _AXES, _PAULI, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
                      NumericalError, SingularQfim, _count, _member, _real, _vector)
 from .estimation import (QfimMatrix, Scenario, _qfim_entries, _real_qfim,
@@ -143,101 +150,223 @@ class SweepResult:
         return np.column_stack([self.times[mask], self.bounds[mask]])
 
 
+_SIGMA = np.array([_PAULI[a] for a in _AXES])
+_ROOT_24 = np.exp(1j * np.pi * np.arange(24) / 12.0)      # exp(i pi e / 12)
+
+
+def _rotation_images(axis, n):
+    """On a body diagonal (+-1, +-1, +-1): per maximal-sector index, the
+    integers e_y, e_z in 0 ... 23 with the y and z GHZ probes in the noise
+    frame exp(i pi e_c / 12) times the x probe, when they are exact images of
+    it under the 3-fold rotation C = exp(-i (2 pi / 3) n . J) about the
+    axis; None otherwise. C^q (q = 1 or 2) carries each branch of the x probe
+    onto one of the c probe's times p = exp(i pi a / 4); its spin-1/2 form
+    (1 - i s . sigma) / 2, s the signs of the axis, is exact. So GHZ_c =
+    p^-N C^q GHZ_x when both branches' p^N agree, which holds for N = 0 mod 4
+    on every diagonal. In the frame C^q is exp(-i (2 pi / 3) q m), so
+    e_c = -3 a N - 4 q (2m) mod 24.
+    """
+    if not abs(axis[0]) == abs(axis[1]) == abs(axis[2]):
+        return None
+    turn = 0.5 * (np.eye(2) - 1j * np.tensordot(np.sign(axis), _SIGMA, 1))
+    images = []
+    for c in ("y", "z"):
+        for q in (1, 2):
+            overlap = _ghz_spinors(c).conj() @ np.linalg.matrix_power(turn, q) \
+                @ _ghz_spinors("x").T
+            p = overlap[np.argmax(np.abs(overlap), axis=0), (0, 1)]
+            if np.all(np.abs(p) > 0.9):             # |p| is 1 or 1/sqrt(2)
+                break
+        a = np.rint(np.angle(p) * 4.0 / np.pi).astype(int)
+        if (a[0] - a[1]) * n % 8:
+            return None
+        images.append((-3 * a[0] * n - 4 * q * (n - 2 * np.arange(n + 1))) % 24)
+    return images
+
+
+def _frame_probes(scenario, n, axis):
+    """The scenario's probes in the frame of a nonzero axis, in closed form,
+    and the R of that frame (_frame_rotation).
+
+    Each branch of a GHZ probe is the N-fold power of a one-spin state xi
+    (_ghz_spinors), so its maximal-sector amplitudes in the frame are
+    sqrt(C(N, k)) a^(N-k) b^k, k = N/2 - m, with (a, b) = u^dag xi and
+    u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U.
+    Returns the probes grouped by their moduli, [(|phi|, [(e, axes), ...]),
+    ...] in the order x, y, z: phi = |phi| e, and axes the slice of
+    (x, y, z) a probe is differentiated along. Where y and z are exact
+    images of x (_rotation_images) the three form one group, and the joint
+    probe is exactly zero where 1 + exp(i pi e_y / 12) + exp(i pi e_z / 12)
+    is, an integer test.
+    """
+    beta, k, r = _frame_rotation(axis)
+    u_dag = math.cos(beta / 2.0) * np.eye(2) \
+        + 1j * math.sin(beta / 2.0) * np.tensordot(k, _SIGMA, 1)
+    root = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
+    power = np.arange(n + 1)
+    images = _rotation_images(axis, n)
+
+    def ghz(c):
+        return sum(root * a ** (n - power) * b ** power
+                   for a, b in _ghz_spinors(c) @ u_dag.T) / math.sqrt(2.0)
+
+    def group(phi, axes):
+        return np.abs(phi), [(np.exp(1j * np.angle(phi)), axes)]
+
+    x = ghz("x")
+    if scenario is SweepScenario.SIMULTANEOUS:
+        if images is None:
+            phi = x + ghz("y") + ghz("z")
+        else:
+            e_y, e_z = images
+            cancel = ((e_y == 8) & (e_z == 16)) | ((e_y == 16) & (e_z == 8))
+            phi = x * np.where(cancel, 0.0, 1.0 + _ROOT_24[e_y] + _ROOT_24[e_z])
+        return [group(phi / np.linalg.norm(phi), slice(0, 3))], r
+    if images is None:
+        return [group(ghz(c), slice(i, i + 1)) for i, c in enumerate(_AXES)], r
+    modulus, [(e, axes)] = group(x, slice(0, 1))
+    return [(modulus, [(e, axes)] + [(e * _ROOT_24[image], slice(i, i + 1))
+                                     for i, image in enumerate(images, 1)])], r
+
+
 def _sweep_probes(config, space, spec):
     """The scenario's probes and generators in the sweep's frame, prepared
-    once per sweep for _bounds_on_grid.
+    once per sweep for _bounds_on_grid: (groups, lam).
 
-    The frame is the axis_frame of the noise axis; without noise it is that
-    of the field direction, or of z for a zero field. The field Hamiltonian
-    there is h J_z, with h the signed field component along the frame axis.
-    Returns, per probe, the moduli |phi| of its maximal-sector amplitudes
-    phi = |phi| e in that frame (the probes live there) and, per sector s,
-    G_k = J~_k * conj(e_w) e_w^T stacked over the axes k (of x, y, z) it is
-    differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l and
-    w = s:N + 1 - s the centred window of sector s; and h (m - m') on the
-    maximal sector.
+    The frame is that of the noise axis; without noise that of the field
+    direction, or of z for a zero field. The field Hamiltonian there is
+    h J_z, h the field component along the frame axis, and lam = h (m - m')
+    on the maximal sector. The probes come from _frame_probes, phi = |phi| e,
+    one group per distinct |phi| array, whose probes share its eigensolves.
+    Only sectors that carry a block are prepared: all under noise, the
+    maximal one alone without. Per group, the windows hold, per sector s
+    whose window w = s:N + 1 - s meets the support S = flatnonzero(|phi|),
+    an exact test, (s, K index, f index, |phi_S| |phi_S|^T). Within w, with
+    O the indices off S, they pick K_s[S, S] from the transfer kernels and
+    f[S, S + O] (S first) from the phase integrals; a full support picks
+    with slices, so nothing is copied. Per probe and window, the generators
+    are G_k = (J~_k * conj(e_w) e_w^T)[S, S + O], stacked over the axes k it
+    is differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l.
     """
-    if config.scenario is SweepScenario.SIMULTANEOUS:
-        probes = [(simultaneous_probe(space), slice(0, 3))]
-    else:
-        probes = [(ghz_state(space, axis), slice(k, k + 1)) for k, axis in enumerate(_AXES)]
-    u, r = axis_frame(space, spec.axis if spec.gamma > 0.0 else
-                      config.field if any(config.field) else (0.0, 0.0, 1.0))
-    into_frame = u.blocks[0].conj().T
-    phis = [into_frame @ p.amplitudes[:space.max_sector.dim] for p, _ in probes]
-    phases = [np.exp(1j * np.angle(phi)) for phi in phis]
-    generators = [[] for _ in probes]
-    for s, sector in enumerate(zip(*(collective_operator(space, a).blocks for a in _AXES))):
-        rotated = np.array([sum(r[k, l] * j for l, j in enumerate(sector)) for k in range(3)])
-        for gens, e, (_, axes) in zip(generators, phases, probes):
-            gens.append(rotated[axes] * np.outer(e[s:e.size - s].conj(), e[s:e.size - s]))
-    h = float(np.dot(config.field, r[:, 2]))
+    axis = spec.axis if spec.gamma > 0.0 else \
+        config.field if any(config.field) else (0.0, 0.0, 1.0)
+    n = space.n_particles
+    frame_groups, r = _frame_probes(config.scenario, n, axis)
+    sectors = space.sectors if spec.gamma > 0.0 else space.sectors[:1]
+    rotated = []
+    for sector in sectors:
+        j = [_spin_block(sector.twoj, a) for a in _AXES]
+        rotated.append(np.array([sum(r[k, l] * j[l] for l in range(3)) for k in range(3)]))
+    groups = []
+    for modulus, probes in frame_groups:
+        windows = _windows(modulus, sectors)
+        generators = [[(rotated[s][axes] * np.outer(e[s:n + 1 - s].conj(), e[s:n + 1 - s]))
+                       [(slice(None),) + sub] for s, _, sub, _ in windows]
+                      for e, axes in probes]
+        groups.append((windows, generators))
     m = space.max_sector.m_values()
-    return [(np.abs(phi), gens) for phi, gens in zip(phis, generators)], \
-        h * (m[:, None] - m[None, :])
+    return groups, float(np.dot(config.field, r[:, 2])) * (m[:, None] - m[None, :])
 
 
-def _chunk_size(space):
+def _windows(modulus, sectors):
+    """The windows of _sweep_probes for one |phi| array."""
+    n = modulus.size - 1
+    support = np.flatnonzero(modulus)
+    windows = []
+    for s, sector in enumerate(sectors):
+        inside = support[(support >= s) & (support <= n - s)]
+        if inside.size == sector.dim:
+            sub = k_sub = (slice(None),) * 2
+        elif inside.size:
+            null = np.ones(n + 1, dtype=bool)
+            null[inside] = False
+            null[:s] = null[n + 1 - s:] = False
+            rows = inside[:, None] - s
+            sub = rows, np.concatenate((inside, np.flatnonzero(null)))[None, :] - s
+            k_sub = rows, rows.T
+        else:
+            continue
+        windows.append((s, k_sub, sub, np.outer(modulus[inside], modulus[inside])))
+    return windows
+
+
+def _chunk_size(sectors):
     """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
-    for a complex copy of every sector block. Small N takes a whole pass at
-    once, and the working memory of a pass does not grow with its times.
+    for a complex copy of the blocks of the sectors the sweep holds (all
+    under noise, the maximal one alone without). Small N takes a whole pass
+    at once, and the working memory of a pass does not grow with its times.
     The blocks are diagonalised as real matrices, but each generator stack
     f * G_k they are paired with is complex, so an entry still counts 16
     bytes: counting 8 doubles the chunk length and raised the peak memory of
     an N = 24 non-markovian sweep process by about 1.7 MB (4%)."""
-    return max(1, _CHUNK_BYTES // (16 * sum(s.dim ** 2 for s in space.sectors)))
+    return max(1, _CHUNK_BYTES // (16 * sum(s.dim ** 2 for s in sectors)))
+
+
+def _times_i(x, y, scale):
+    """i scale (x + i y) as one complex array."""
+    out = np.empty(x.shape, complex)
+    np.multiply(y, -scale, out=out.real)
+    np.multiply(x, scale, out=out.imag)
+    return out
 
 
 def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
     The times are evaluated in chunks (_chunk_size), each as stacked array
-    operations over its times, one sector block at a time. In the noise
-    frame (the field frame without noise) sector s of a probe dephased to
-    Theta(t) is K_s * phi_w phi_w^dag: phi = |phi| e is its maximal-sector
-    amplitudes, w = s:N + 1 - s and K_s the real symmetric transfer kernels
-    of the chunk (ones without noise, TransferKernels with it), which all
-    probes share. That is P B P^dag with P = diag(e_w), so eigh runs on the
-    real B = K_s * |phi_w| |phi_w|^T: eigenvalues p, eigenvectors R real and
-    V = P R. The QFIM is taken there, before the field rotation, which
-    leaves it unchanged, and each rotating-frame generator is elementwise,
+    operations over its times, one sector block at a time. In the frame of
+    _sweep_probes sector s of a probe dephased to Theta(t) is K_s * phi_w
+    phi_w^dag, with w = s:N + 1 - s and K_s the real transfer kernels of the
+    chunk, shared by all probes; without noise only the maximal sector,
+    phi phi^dag, carries a block. That is P B P^dag with P = diag(e_w) and
+    B = K_s * |phi_w| |phi_w|^T, zero off the support S of |phi_w|. So eigh
+    runs on the real B[S, S], once per group of _sweep_probes (shared by the
+    probes with one |phi| array), sector and chunk, and once per call
+    without noise, where B does not depend on t. With its eigenvalues p,
+    eigenvectors R and the unit vectors off S as the null basis, V = P R on
+    S. The QFIM is taken there, before the field rotation, which leaves it
+    unchanged, and each rotating-frame generator is elementwise,
     A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per chunk. So
-    d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f[w, w] * G_k) R)_ll',
-    with G_k = P^dag J~_k P (_sweep_probes), two real products on the real
-    and imaginary parts. Blocks zero at every time of a chunk add nothing
-    under the global cutoff and are skipped. The joint strategy needs all
-    three derivatives of its probe; the individual one reads only Q_kk, one
-    derivative per GHZ probe. An invalid (non-real, non-symmetric or
-    indefinite) QFIM is a numerical fault: NumericalError.
+    d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f * G_k) R)_ll' on S x S
+    and i p_l (R^T (f * G_k))_ll' from S to l' off S (the couplings of
+    _qfim_entries), with G_k = P^dag J~_k P, two real products on the real
+    and imaginary parts; pairs off S on both sides add nothing. The joint
+    strategy needs all three derivatives of its probe; the individual one
+    reads only Q_kk, one derivative per GHZ probe. An invalid (non-real,
+    non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
     """
-    probes, lam = prepared
-    count = -(-len(times) // _chunk_size(space))
+    groups, lam = prepared
+    n = space.n_particles
+    count = -(-len(times) // _chunk_size(space.sectors if transfer else space.sectors[:1]))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
+    eigen = None
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
-        kernels = [np.ones((len(chunk), 1, 1))] if transfer is None else \
-            transfer.at([integrated_strength(spec, t) for t in chunk])
-        f = phase_integral(lam, chunk, 0.0)
+        if transfer is not None:
+            kernels = transfer.at([integrated_strength(spec, t) for t in chunk])
+            eigen = [[np.linalg.eigh(kernels[s][(slice(None),) + k_sub] * top)
+                      for s, k_sub, _, top in windows] for windows, _ in groups]
+        elif eigen is None:
+            eigen = [[np.linalg.eigh(top) for *_, top in windows] for windows, _ in groups]
+        f = phase_integral(lam, chunk, 0.0)[:, None]
         entries = []
-        for modulus, generators in probes:
-            top = np.outer(modulus, modulus)
-            spectra, partial_blocks = [], []
-            for s, (kernel, g) in enumerate(zip(kernels, generators)):
-                w = slice(s, modulus.size - s)
-                block = kernel * top[w, w]
-                if not block.any():
-                    continue
-                p, r = np.linalg.eigh(block)
-                a = f[:, None, w, w] * g
-                x, y = r.swapaxes(-1, -2)[:, None] @ np.stack((a.real, a.imag)) @ r[:, None]
-                dp = p[:, None, :, None] - p[:, None, None, :]
-                a = np.empty(x.shape, complex)          # i dp (x + i y)
-                np.multiply(y, -dp, out=a.real)
-                np.multiply(x, dp, out=a.imag)
-                spectra.append(p)
-                partial_blocks.append(a)
-            entries.append(_qfim_entries(spectra, partial_blocks))
+        for (windows, probes), eig in zip(groups, eigen):
+            for generators in probes:
+                spectra, partial_blocks, couplings = [], [], []
+                for (s, _, sub, _), (p, r), g in zip(windows, eig, generators):
+                    a = f[..., s:n + 1 - s, s:n + 1 - s][(Ellipsis,) + sub] * g
+                    x, y = np.swapaxes(r, -1, -2)[..., None, :, :] @ np.stack((a.real, a.imag))
+                    size = p.shape[-1]
+                    r = r[..., None, :, :]
+                    spectra.append(p)
+                    partial_blocks.append(_times_i(
+                        x[..., :size] @ r, y[..., :size] @ r,
+                        p[..., None, :, None] - p[..., None, None, :]))
+                    if size < x.shape[-1]:
+                        couplings.append((p, _times_i(x[..., size:], y[..., size:],
+                                                      p[..., None, :, None])))
+                entries.append(_qfim_entries(spectra, partial_blocks, couplings))
         for i, t in enumerate(chunk):
             try:
                 qs = [_real_qfim(q[i]) for q in entries]

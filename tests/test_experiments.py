@@ -12,7 +12,8 @@ from spinsense import (AssumptionViolated, ExperimentFailed, FieldParams,
                        InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
                        StateVector, SweepConfig, SweepScenario, TimeGrid,
                        bound_individual, bound_simultaneous,
-                       build_transfer_kernels, build_space, dephase, evolve,
+                       build_transfer_kernels, build_space, coherent_state,
+                       cumulative_degeneracy, degeneracy, dephase, evolve,
                        fit_power_law, full_gkls_reference,
                        full_hilbert_reference, gamma_profile,
                        generator_operator, ghz_state, husimi_grid, husimi_map,
@@ -21,7 +22,7 @@ from spinsense import (AssumptionViolated, ExperimentFailed, FieldParams,
                        unitary)
 from spinsense import experiments
 from spinsense.cli import _pointwise_bounds
-from spinsense.dephasing import (ChainBatch, TransferKernels, axis_frame,
+from spinsense.dephasing import (ChainBatch, TransferKernels, _frame_rotation, axis_frame,
                                  build_dephasing_superoperator)
 from spinsense.experiments import _parabolic_minimum
 
@@ -105,6 +106,11 @@ def test_sweep_config_validation():
     lambda: _qfim_of(t="x"),
     lambda: _qfim_of(scenario="both"),
     lambda: scan_particles(None, SweepConfig(n_particles=2)),
+    lambda: degeneracy(4, "x"),
+    lambda: cumulative_degeneracy(4, None),
+    lambda: degeneracy(4, math.inf),
+    lambda: coherent_state(_SPACE, "x", 0.0),
+    lambda: bound_individual("x", 1.0, 1.0, 2.0),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -114,7 +120,9 @@ def test_sweep_config_validation():
         "gamma-profile-t-text", "integrated-strength-t-text", "propagate-theta-text",
         "kernels-theta-text", "gkls-reference-t-text", "hilbert-reference-t-text",
         "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
-        "qfim-scenario", "scan-n-list-none"])
+        "qfim-scenario", "scan-n-list-none", "degeneracy-j-text",
+        "cumulative-degeneracy-j-none", "degeneracy-j-inf", "coherent-theta-text",
+        "bound-ind-entry-text"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -174,18 +182,26 @@ def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
 
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
 def test_sweep_builds_one_rotation(monkeypatch, kind):
-    # every sweep builds one frame: the noise axis's, or without noise the
-    # field direction's
-    calls = []
+    # every sweep builds one frame, the noise axis's or without noise the
+    # field direction's, as a 3 x 3 rotation and its spin-1/2 form: on a body
+    # diagonal or off one, no collective axis_frame
+    calls, frames = [], []
 
     def counted(space, axis):
         calls.append(axis)
         return axis_frame(space, axis)
 
+    def counted_rotation(axis):
+        frames.append(axis)
+        return _frame_rotation(axis)
+
     monkeypatch.setattr("spinsense.dephasing.axis_frame", counted)
-    monkeypatch.setattr("spinsense.experiments.axis_frame", counted)
-    sweep_time(SweepConfig(n_particles=6, kind=kind, gamma=0.1, grid=SMALL_GRID))
-    assert len(calls) == 1
+    monkeypatch.setattr("spinsense.experiments._frame_rotation", counted_rotation)
+    off_diagonal = 2.0 * np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    for frame in ({}, dict(axis=tuple(off_diagonal), field=tuple(0.01 * off_diagonal))):
+        sweep_time(SweepConfig(n_particles=6, kind=kind, gamma=0.1, grid=SMALL_GRID, **frame))
+    assert len(calls) == 0
+    assert len(frames) == 2
 
 
 def test_kernels_and_phase_integrals_are_shared(monkeypatch):
@@ -266,6 +282,131 @@ def test_sweep_diagonalises_real_blocks(monkeypatch, kind, scenario):
     monkeypatch.setattr(experiments, "np", _Overlay(np, linalg=_Overlay(np.linalg, eigh=spy)))
     sweep_time(SweepConfig(n_particles=6, kind=kind, scenario=scenario, grid=SMALL_GRID))
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+BODY_DIAGONALS = [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("axis", BODY_DIAGONALS + [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (1.0, 2.0, 3.0), (0.02, -0.01, 0.005)])
+def test_frame_probes_match_the_rotated_probes(axis):
+    # the closed-form noise-frame amplitudes (the image construction on a body
+    # diagonal, the spinor powers elsewhere) against the public probes rotated
+    # by the collective axis_frame
+    for n in (1, 2, 3, 6, 13, 24, 48):
+        space = build_space(n)
+        into_frame = axis_frame(space, axis)[0].blocks[0].conj().T
+        for scenario, states in (
+                (SweepScenario.SIMULTANEOUS, [simultaneous_probe(space)]),
+                (SweepScenario.INDIVIDUAL, [ghz_state(space, a) for a in "xyz"])):
+            groups, _ = experiments._frame_probes(scenario, n, axis)
+            probes = [(modulus, phase) for modulus, members in groups for phase, _ in members]
+            assert len(probes) == len(states)
+            for (modulus, phase), state in zip(probes, states):
+                expected = into_frame @ state.amplitudes[:n + 1]
+                assert np.max(np.abs(modulus * phase - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("axis", BODY_DIAGONALS)
+def test_body_diagonal_symmetry_is_exact(axis):
+    # the 3-fold rotation about a body diagonal carries x onto y and z, and in
+    # the noise frame it is a diagonal phase: for N = 0 mod 8 the three GHZ
+    # probes form one group around one modulus array, and their sum vanishes
+    # exactly off every third m
+    for n, support in ((24, 9), (48, 17), (96, 33)):
+        [(_, members)], _ = experiments._frame_probes(SweepScenario.INDIVIDUAL, n, axis)
+        assert len(members) == 3
+        [(modulus, _)], _ = experiments._frame_probes(SweepScenario.SIMULTANEOUS, n, axis)
+        nonzero = np.flatnonzero(modulus)
+        assert nonzero.size == support
+        assert np.all(np.diff(nonzero) == 3)
+        assert np.all(np.delete(modulus, nonzero) == 0.0)
+
+
+def _spy_eigh(monkeypatch):
+    """The widths of the blocks the sweep module hands eigh, as it runs."""
+    widths = []
+
+    def spy(block):
+        widths.append(block.shape[-1])
+        return np.linalg.eigh(block)
+
+    monkeypatch.setattr(experiments, "np", _Overlay(np, linalg=_Overlay(np.linalg, eigh=spy)))
+    return widths
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one at each call of experiments.<name>."""
+    calls, target = [], getattr(experiments, name)
+
+    def counted(*args):
+        calls.append(None)
+        return target(*args)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN])
+def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
+    # at N = 12 on the default axis the three GHZ probes share one modulus
+    # array: ind calls eigh once per sector and chunk, as sim does
+    for scenario in SweepScenario:
+        widths = _spy_eigh(monkeypatch)
+        chunks = _count_calls(monkeypatch, "phase_integral")
+        res = sweep_time(SweepConfig(n_particles=12, kind=kind, scenario=scenario,
+                                     grid=SMALL_GRID))
+        assert not res.refinement.boundary
+        assert len(widths) == 7 * len(chunks)
+
+
+@pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS, SweepScenario.INDIVIDUAL])
+@pytest.mark.parametrize("n", [12, 48])
+def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
+    # without noise the one block |phi| |phi|^T does not depend on t
+    widths = _spy_eigh(monkeypatch)
+    passes = _count_calls(monkeypatch, "_bounds_on_grid")
+    chunks = _count_calls(monkeypatch, "phase_integral")
+    sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
+                           grid=SMALL_GRID))
+    assert len(widths) == len(passes) == 1
+    # chunks are sized by the maximal sector alone: 6 times at N = 48
+    assert len(chunks) == (1 if n == 12 else 4)
+
+
+def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
+    # at N = 24 on the default axis the joint probe lives on every third m:
+    # each sector's block is as wide as the support inside its window
+    n = 24
+    [(modulus, _)], _ = experiments._frame_probes(SweepScenario.SIMULTANEOUS, n,
+                                                  SweepConfig(n_particles=n).axis)
+    support = np.flatnonzero(modulus)
+    inside = [int(np.count_nonzero((support >= s) & (support <= n - s)))
+              for s in range(n // 2 + 1)]
+    widths = _spy_eigh(monkeypatch)
+    chunks = _count_calls(monkeypatch, "phase_integral")
+    res = sweep_time(SweepConfig(n_particles=n, grid=SMALL_GRID))
+    assert not res.refinement.boundary
+    assert widths == [w for w in inside if w] * len(chunks)
+    assert max(widths) == support.size == 9
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
+                                  NoiseKind.NONE])
+def test_support_eigensolves_match_dense_pipeline(n, kind):
+    # for N = 0 mod 8 on the default axis the joint probe's blocks are
+    # diagonalised on its support, with the pairs into the null space as
+    # couplings: the bounds still match evolve -> partial_rho -> qfim
+    cfg = SweepConfig(n_particles=n, kind=kind, grid=TimeGrid(count=12, start=0.05, stop=100.0))
+    [(modulus, _)], _ = experiments._frame_probes(cfg.scenario, n, cfg.axis)
+    assert np.count_nonzero(modulus) < n // 2
+    expected, conds = _pointwise_bounds(cfg)
+    got = sweep_time(cfg).bounds
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    well = conds < 1e6
+    assert well.sum() >= 6
+    assert np.max(np.abs(got[well] / expected[well] - 1.0)) < 1e-9
 
 
 def test_sweep_markovian_optimum_is_earlier():
@@ -403,13 +544,13 @@ def test_all_singular_sweep_raises():
         sweep_time(cfg)
 
 
-def _indefinite_qfim(spectra, partial_blocks):
+def _indefinite_qfim(spectra, partial_blocks, couplings=()):
     # one QFIM per grid time of the chunk, as the kernel returns them
     times = spectra[0].shape[:-1]
     return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), times + (3, 3))
 
 
-def _nonreal_qfim(spectra, partial_blocks):
+def _nonreal_qfim(spectra, partial_blocks, couplings=()):
     times, count = spectra[0].shape[:-1], partial_blocks[0].shape[-3]
     return np.full(times + (count, count), 1.0 + 0.5j)
 

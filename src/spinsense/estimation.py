@@ -149,11 +149,16 @@ def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
     """
     if not isinstance(rho, DensityOperator):
         raise InvalidArgument("rho must be a DensityOperator")
-    if len(partials) != 3:
-        raise InvalidArgument("exactly three parameter derivatives required")
+    d = rho.matrix.shape[0]
+    try:
+        partials = np.asarray(partials, dtype=complex)
+    except (TypeError, ValueError):
+        partials = None
+    if partials is None or partials.shape != (3, d, d):
+        raise InvalidArgument(f"partials must be three {d} x {d} arrays")
     t, scenario = _real(t, "t"), _member(Scenario, scenario)
     p, v = np.linalg.eigh(rho.matrix)
-    entries = _real_qfim(_qfim_entries([p], [v.conj().T @ np.asarray(partials) @ v]))
+    entries = _real_qfim(_qfim_entries([p], [v.conj().T @ partials @ v]))
     return QfimMatrix(entries=entries, t=t, n_particles=rho.space.n_particles,
                       scenario=scenario)
 

@@ -10,12 +10,12 @@ total-spin sector block at a time. In the noise frame (the field frame
 without noise) a probe dephased to Theta(t) is, in each sector, a real
 transfer kernel shared by all probes times a centred window of its
 maximal-sector block, P B P^dag with B real symmetric and P a diagonal of
-phases. The probes are built there in closed form, as powers of one-spin
-states; on a body diagonal the y and z GHZ probes are exact images of x
-under the 3-fold rotation about it, a diagonal phase in the frame. Probes
-with one modulus array share each eigensolve, and each B is diagonalised
-on its support alone, with the unit vectors off it as its null basis;
-without noise the one block does not depend on t and is diagonalised once
+phases. The probes are built there in closed form, as sums of powers of
+one-spin states, and what their symmetry makes exact is read off the
+amplitudes to rounding: probes whose moduli agree share each eigensolve,
+and an amplitude that cancels is exactly zero, so each B is diagonalised on
+its support alone, with the unit vectors off it as its null basis; without
+noise the one block does not depend on t and is diagonalised once
 per pass. The QFIM is taken there, before the field rotation, which leaves
 it unchanged. The field Hamiltonian there is h J_z, so the generators A_k
 are elementwise, and in the eigenbasis V = P R of each block, R real, each
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import _ghz_spinors, _spin_block, build_space
+from .dicke import StateVector, _ghz_spinors, _spin_block, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _line_angle, phase_integral
@@ -151,37 +151,11 @@ class SweepResult:
 
 
 _SIGMA = np.array([_PAULI[a] for a in _AXES])
-_ROOT_24 = np.exp(1j * np.pi * np.arange(24) / 12.0)      # exp(i pi e / 12)
 
-
-def _rotation_images(axis, n):
-    """On a body diagonal (+-1, +-1, +-1): per maximal-sector index, the
-    integers e_y, e_z in 0 ... 23 with the y and z GHZ probes in the noise
-    frame exp(i pi e_c / 12) times the x probe, when they are exact images of
-    it under the 3-fold rotation C = exp(-i (2 pi / 3) n . J) about the
-    axis; None otherwise. C^q (q = 1 or 2) carries each branch of the x probe
-    onto one of the c probe's times p = exp(i pi a / 4); its spin-1/2 form
-    (1 - i s . sigma) / 2, s the signs of the axis, is exact. So GHZ_c =
-    p^-N C^q GHZ_x when both branches' p^N agree, which holds for N = 0 mod 4
-    on every diagonal. In the frame C^q is exp(-i (2 pi / 3) q m), so
-    e_c = -3 a N - 4 q (2m) mod 24.
-    """
-    if not abs(axis[0]) == abs(axis[1]) == abs(axis[2]):
-        return None
-    turn = 0.5 * (np.eye(2) - 1j * np.tensordot(np.sign(axis), _SIGMA, 1))
-    images = []
-    for c in ("y", "z"):
-        for q in (1, 2):
-            overlap = _ghz_spinors(c).conj() @ np.linalg.matrix_power(turn, q) \
-                @ _ghz_spinors("x").T
-            p = overlap[np.argmax(np.abs(overlap), axis=0), (0, 1)]
-            if np.all(np.abs(p) > 0.9):             # |p| is 1 or 1/sqrt(2)
-                break
-        a = np.rint(np.angle(p) * 4.0 / np.pi).astype(int)
-        if (a[0] - a[1]) * n % 8:
-            return None
-        images.append((-3 * a[0] * n - 4 * q * (n - 2 * np.arange(n + 1))) % 24)
-    return images
+# Relative tolerance of the exact tests _frame_probes reads off the frame
+# amplitudes, per entry against the sum of its terms' moduli: the power form
+# sqrt(C(N, k)) a^(N-k) b^k rounds at about N eps, 8.9e-14 at N = 400.
+_TAU = 1e-13
 
 
 def _frame_probes(scenario, n, axis):
@@ -189,44 +163,45 @@ def _frame_probes(scenario, n, axis):
     and the R of that frame (_frame_rotation).
 
     Each branch of a GHZ probe is the N-fold power of a one-spin state xi
-    (_ghz_spinors), so its maximal-sector amplitudes in the frame are
-    sqrt(C(N, k)) a^(N-k) b^k, k = N/2 - m, with (a, b) = u^dag xi and
-    u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U.
-    Returns the probes grouped by their moduli, [(|phi|, [(e, axes), ...]),
-    ...] in the order x, y, z: phi = |phi| e, and axes the slice of
-    (x, y, z) a probe is differentiated along. Where y and z are exact
-    images of x (_rotation_images) the three form one group, and the joint
-    probe is exactly zero where 1 + exp(i pi e_y / 12) + exp(i pi e_z / 12)
-    is, an integer test.
+    (_ghz_spinors), so its maximal-sector amplitudes in the frame are the
+    terms sqrt(C(N, k)) a^(N-k) b^k, k = N/2 - m, with (a, b) = u^dag xi and
+    u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U. A GHZ
+    probe sums its two branches and the joint probe all six, normalised.
+    Symmetries of the axis make some amplitudes cancel and some probes share
+    their moduli (on a body diagonal the 3-fold rotation about it is a
+    diagonal phase in the frame), which the amplitudes show to rounding, at
+    most _TAU times the sum of an entry's term moduli: an amplitude within
+    it is a cancellation zero, set to exactly 0, and a probe joins a group
+    when its moduli agree with the group's within it. Returns the groups,
+    [(|phi|, [(e, axes), ...]), ...] in the order x, y, z: phi = |phi| e with
+    the group's |phi| and the probe's own e, 1 at the zeros, and axes the
+    slice of (x, y, z) a probe is differentiated along.
     """
     beta, k, r = _frame_rotation(axis)
     u_dag = math.cos(beta / 2.0) * np.eye(2) \
         + 1j * math.sin(beta / 2.0) * np.tensordot(k, _SIGMA, 1)
     root = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
     power = np.arange(n + 1)
-    images = _rotation_images(axis, n)
-
-    def ghz(c):
-        return sum(root * a ** (n - power) * b ** power
-                   for a, b in _ghz_spinors(c) @ u_dag.T) / math.sqrt(2.0)
-
-    def group(phi, axes):
-        return np.abs(phi), [(np.exp(1j * np.angle(phi)), axes)]
-
-    x = ghz("x")
+    terms = np.array([[root * a ** (n - power) * b ** power
+                       for a, b in _ghz_spinors(c) @ u_dag.T] for c in _AXES])
     if scenario is SweepScenario.SIMULTANEOUS:
-        if images is None:
-            phi = x + ghz("y") + ghz("z")
+        probes = [(terms.reshape(6, n + 1), slice(0, 3))]
+    else:
+        probes = [(branches, slice(i, i + 1)) for i, branches in enumerate(terms)]
+    groups = []
+    for branches, axes in probes:
+        phi = branches.sum(axis=0)
+        rounding = _TAU * np.abs(branches).sum(axis=0)
+        phi[np.abs(phi) <= rounding] = 0.0
+        norm = np.linalg.norm(phi)
+        modulus, e = np.abs(phi) / norm, np.exp(1j * np.angle(phi))
+        for shared, members in groups:
+            if np.all(np.abs(modulus - shared) <= rounding / norm):
+                members.append((e, axes))
+                break
         else:
-            e_y, e_z = images
-            cancel = ((e_y == 8) & (e_z == 16)) | ((e_y == 16) & (e_z == 8))
-            phi = x * np.where(cancel, 0.0, 1.0 + _ROOT_24[e_y] + _ROOT_24[e_z])
-        return [group(phi / np.linalg.norm(phi), slice(0, 3))], r
-    if images is None:
-        return [group(ghz(c), slice(i, i + 1)) for i, c in enumerate(_AXES)], r
-    modulus, [(e, axes)] = group(x, slice(0, 1))
-    return [(modulus, [(e, axes)] + [(e * _ROOT_24[image], slice(i, i + 1))
-                                     for i, image in enumerate(images, 1)])], r
+            groups.append((modulus, [(e, axes)]))
+    return groups, r
 
 
 def _sweep_probes(config, space, spec):
@@ -235,18 +210,20 @@ def _sweep_probes(config, space, spec):
 
     The frame is that of the noise axis; without noise that of the field
     direction, or of z for a zero field. The field Hamiltonian there is
-    h J_z, h the field component along the frame axis, and lam = h (m - m')
-    on the maximal sector. The probes come from _frame_probes, phi = |phi| e,
-    one group per distinct |phi| array, whose probes share its eigensolves.
-    Only sectors that carry a block are prepared: all under noise, the
-    maximal one alone without. Per group, the windows hold, per sector s
-    whose window w = s:N + 1 - s meets the support S = flatnonzero(|phi|),
-    an exact test, (s, K index, f index, |phi_S| |phi_S|^T). Within w, with
-    O the indices off S, they pick K_s[S, S] from the transfer kernels and
-    f[S, S + O] (S first) from the phase integrals; a full support picks
-    with slices, so nothing is copied. Per probe and window, the generators
-    are G_k = (J~_k * conj(e_w) e_w^T)[S, S + O], stacked over the axes k it
-    is differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l.
+    h J_z, h the field component along the frame axis, and lam holds the
+    2N + 1 values h (m - m'), m - m' = -N ... N, as a 1 x (2N + 1) array.
+    The probes come from _frame_probes, phi = |phi| e, one group per
+    distinct |phi| array, whose probes share its eigensolves. Only sectors
+    that carry a block are prepared: all under noise, the maximal one alone
+    without. Per group, the windows hold, per sector s whose window
+    w = s:N + 1 - s meets the support S = flatnonzero(|phi|), (s, K index,
+    w index, f index, |phi_S| |phi_S|^T). With O the indices of w off S, the
+    K index picks K_s[S, S] from the transfer kernels and the w index
+    [S, S + O] (S first) from w, both with slices for a full support, so
+    nothing is copied; the f index picks the same entries from f(lam, t), at
+    N + m - m'. Per probe and window, the generators are
+    G_k = (J~_k * conj(e_w) e_w^T)[S, S + O], stacked over the axes k it is
+    differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l.
     """
     axis = spec.axis if spec.gamma > 0.0 else \
         config.field if any(config.field) else (0.0, 0.0, 1.0)
@@ -261,11 +238,10 @@ def _sweep_probes(config, space, spec):
     for modulus, probes in frame_groups:
         windows = _windows(modulus, sectors)
         generators = [[(rotated[s][axes] * np.outer(e[s:n + 1 - s].conj(), e[s:n + 1 - s]))
-                       [(slice(None),) + sub] for s, _, sub, _ in windows]
+                       [(slice(None),) + sub] for s, _, sub, *_ in windows]
                       for e, axes in probes]
         groups.append((windows, generators))
-    m = space.max_sector.m_values()
-    return groups, float(np.dot(config.field, r[:, 2])) * (m[:, None] - m[None, :])
+    return groups, float(np.dot(config.field, r[:, 2])) * np.arange(-n, n + 1.0)[None, :]
 
 
 def _windows(modulus, sectors):
@@ -275,18 +251,20 @@ def _windows(modulus, sectors):
     windows = []
     for s, sector in enumerate(sectors):
         inside = support[(support >= s) & (support <= n - s)]
+        if not inside.size:
+            continue
+        null = np.ones(n + 1, dtype=bool)
+        null[inside] = False
+        null[:s] = null[n + 1 - s:] = False
+        columns = np.concatenate((inside, np.flatnonzero(null)))
         if inside.size == sector.dim:
             sub = k_sub = (slice(None),) * 2
-        elif inside.size:
-            null = np.ones(n + 1, dtype=bool)
-            null[inside] = False
-            null[:s] = null[n + 1 - s:] = False
-            rows = inside[:, None] - s
-            sub = rows, np.concatenate((inside, np.flatnonzero(null)))[None, :] - s
-            k_sub = rows, rows.T
         else:
-            continue
-        windows.append((s, k_sub, sub, np.outer(modulus[inside], modulus[inside])))
+            rows = inside[:, None] - s
+            sub = rows, columns[None, :] - s
+            k_sub = rows, rows.T
+        windows.append((s, k_sub, sub, n + columns - inside[:, None],
+                        np.outer(modulus[inside], modulus[inside])))
     return windows
 
 
@@ -326,7 +304,8 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     eigenvectors R and the unit vectors off S as the null basis, V = P R on
     S. The QFIM is taken there, before the field rotation, which leaves it
     unchanged, and each rotating-frame generator is elementwise,
-    A_k = f[w, w] * J~_k with f = f(h (m - m'), t) once per chunk. So
+    A_k = f[w, w] * J~_k with f = f(h (m - m'), t), evaluated once per chunk
+    on the 2N + 1 values of m - m' and gathered per window by index. So
     d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f * G_k) R)_ll' on S x S
     and i p_l (R^T (f * G_k))_ll' from S to l' off S (the couplings of
     _qfim_entries), with G_k = P^dag J~_k P, two real products on the real
@@ -336,7 +315,6 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
     """
     groups, lam = prepared
-    n = space.n_particles
     count = -(-len(times) // _chunk_size(space.sectors if transfer else space.sectors[:1]))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.full(len(times), np.nan)
@@ -346,16 +324,16 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
         if transfer is not None:
             kernels = transfer.at([integrated_strength(spec, t) for t in chunk])
             eigen = [[np.linalg.eigh(kernels[s][(slice(None),) + k_sub] * top)
-                      for s, k_sub, _, top in windows] for windows, _ in groups]
+                      for s, k_sub, *_, top in windows] for windows, _ in groups]
         elif eigen is None:
             eigen = [[np.linalg.eigh(top) for *_, top in windows] for windows, _ in groups]
-        f = phase_integral(lam, chunk, 0.0)[:, None]
+        f = phase_integral(lam, chunk, 0.0)
         entries = []
         for (windows, probes), eig in zip(groups, eigen):
             for generators in probes:
                 spectra, partial_blocks, couplings = [], [], []
-                for (s, _, sub, _), (p, r), g in zip(windows, eig, generators):
-                    a = f[..., s:n + 1 - s, s:n + 1 - s][(Ellipsis,) + sub] * g
+                for (*_, index, _), (p, r), g in zip(windows, eig, generators):
+                    a = f[..., index] * g
                     x, y = np.swapaxes(r, -1, -2)[..., None, :, :] @ np.stack((a.real, a.imag))
                     size = p.shape[-1]
                     r = r[..., None, :, :]
@@ -546,8 +524,11 @@ def fit_power_law(points, n_min=10):
     n_min = _real(n_min, "n_min")
     if math.isnan(n_min):
         raise InvalidArgument("n_min must be a real number, got nan")
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidArgument("points must be an iterable of (N, value) pairs")
     arr = arr[arr[:, 0] >= n_min]
     if len(arr) < 3:
@@ -586,6 +567,8 @@ def husimi_map(state, shape=(181, 360)):
     dropped with a warning since coherent states only resolve the top block.
     Rows run over theta in [0, pi], columns over phi in [0, 2 pi).
     """
+    if not isinstance(state, StateVector):
+        raise InvalidArgument(f"state must be a StateVector, got {type(state).__name__}")
     thetas, phis = husimi_grid(shape)
     space = state.space
     sec = space.max_sector

@@ -111,6 +111,13 @@ def test_sweep_config_validation():
     lambda: degeneracy(4, math.inf),
     lambda: coherent_state(_SPACE, "x", 0.0),
     lambda: bound_individual("x", 1.0, 1.0, 2.0),
+    lambda: fit_power_law([("a", "b")] * 3),
+    lambda: fit_power_law([(10, 1.0), (12, 2.0, 3.0), (14, 3.0)]),
+    lambda: qfim(_RHO, [np.eye(2)] * 3),
+    lambda: qfim(_RHO, "abc"),
+    lambda: qfim(_RHO, None),
+    lambda: husimi_map(_RHO),
+    lambda: husimi_map("x"),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -122,7 +129,8 @@ def test_sweep_config_validation():
         "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
         "qfim-scenario", "scan-n-list-none", "degeneracy-j-text",
         "cumulative-degeneracy-j-none", "degeneracy-j-inf", "coherent-theta-text",
-        "bound-ind-entry-text"])
+        "bound-ind-entry-text", "fit-points-text", "fit-points-ragged", "qfim-partials-shape",
+        "qfim-partials-text", "qfim-partials-none", "husimi-map-density", "husimi-map-text"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -284,15 +292,16 @@ def test_sweep_diagonalises_real_blocks(monkeypatch, kind, scenario):
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
+_DEFAULT = SweepConfig(n_particles=1).axis
 BODY_DIAGONALS = [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("axis", BODY_DIAGONALS + [
     (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (1.0, 2.0, 3.0), (0.02, -0.01, 0.005)])
 def test_frame_probes_match_the_rotated_probes(axis):
-    # the closed-form noise-frame amplitudes (the image construction on a body
-    # diagonal, the spinor powers elsewhere) against the public probes rotated
-    # by the collective axis_frame
+    # the closed-form noise-frame amplitudes, each group member with the
+    # group's moduli and its own phases, against the public probes rotated by
+    # the collective axis_frame; a member's axes slice names its probe
     for n in (1, 2, 3, 6, 13, 24, 48):
         space = build_space(n)
         into_frame = axis_frame(space, axis)[0].blocks[0].conj().T
@@ -300,10 +309,11 @@ def test_frame_probes_match_the_rotated_probes(axis):
                 (SweepScenario.SIMULTANEOUS, [simultaneous_probe(space)]),
                 (SweepScenario.INDIVIDUAL, [ghz_state(space, a) for a in "xyz"])):
             groups, _ = experiments._frame_probes(scenario, n, axis)
-            probes = [(modulus, phase) for modulus, members in groups for phase, _ in members]
-            assert len(probes) == len(states)
-            for (modulus, phase), state in zip(probes, states):
-                expected = into_frame @ state.amplitudes[:n + 1]
+            probes = [(modulus, phase, axes) for modulus, members in groups
+                      for phase, axes in members]
+            assert sorted(axes.start for *_, axes in probes) == list(range(len(states)))
+            for modulus, phase, axes in probes:
+                expected = into_frame @ states[axes.start].amplitudes[:n + 1]
                 assert np.max(np.abs(modulus * phase - expected)) <= 1e-13
 
 
@@ -311,9 +321,9 @@ def test_frame_probes_match_the_rotated_probes(axis):
 def test_body_diagonal_symmetry_is_exact(axis):
     # the 3-fold rotation about a body diagonal carries x onto y and z, and in
     # the noise frame it is a diagonal phase: for N = 0 mod 8 the three GHZ
-    # probes form one group around one modulus array, and their sum vanishes
-    # exactly off every third m
-    for n, support in ((24, 9), (48, 17), (96, 33)):
+    # probes share one modulus array, and their sum cancels exactly off every
+    # third m, which the frame amplitudes show to rounding
+    for n, support in ((24, 9), (48, 17), (96, 33), (128, 43)):
         [(_, members)], _ = experiments._frame_probes(SweepScenario.INDIVIDUAL, n, axis)
         assert len(members) == 3
         [(modulus, _)], _ = experiments._frame_probes(SweepScenario.SIMULTANEOUS, n, axis)
@@ -349,15 +359,53 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN])
 def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
-    # at N = 12 on the default axis the three GHZ probes share one modulus
-    # array: ind calls eigh once per sector and chunk, as sim does
+    # on the default axis the three GHZ probes share one modulus array, for
+    # N = 2 mod 4 as for N = 0 mod 4: ind calls eigh as often as sim, once per
+    # chunk and sector whose window meets the support
+    for n in (6, 10, 12):
+        per_chunk = []
+        for scenario in SweepScenario:
+            [(modulus, _)], _ = experiments._frame_probes(scenario, n, _DEFAULT)
+            support = np.flatnonzero(modulus)
+            windows = sum(bool(np.any((support >= s) & (support <= n - s)))
+                          for s in range(n // 2 + 1))
+            widths = _spy_eigh(monkeypatch)
+            chunks = _count_calls(monkeypatch, "phase_integral")
+            res = sweep_time(SweepConfig(n_particles=n, kind=kind, scenario=scenario,
+                                         grid=SMALL_GRID))
+            assert not res.refinement.boundary
+            assert len(widths) == windows * len(chunks)
+            per_chunk.append(windows)
+        assert per_chunk[0] == per_chunk[1]
+
+
+@pytest.mark.parametrize("axis, n, grouping", [
+    (_DEFAULT, 6, [[0, 1, 2]]),
+    (_DEFAULT, 10, [[0, 1, 2]]),
+    (_DEFAULT, 5, [[0, 1], [2]]),
+    ((0.0, 0.0, 1.0), 6, [[0, 1], [2]]),
+    ((0.0, 0.0, 1.0), 7, [[0, 1], [2]]),
+    ((0.0, 1.0, 0.0), 6, [[0, 2], [1]]),
+    ((1.0, 2.0, 3.0), 6, [[0], [1], [2]]),
+], ids=["default-6", "default-10", "default-5", "z-6", "z-7", "y-6", "123-6"])
+def test_probes_with_equal_moduli_share_a_group(axis, n, grouping):
+    # GHZ probes whose frame moduli agree to rounding form one group, however
+    # the symmetry behind it arises: on the z axis x and y differ by a turn
+    # about it, and on the default axis y and z are images of x up to a
+    # relative sign of their branches for N = 2 mod 4
+    groups, _ = experiments._frame_probes(SweepScenario.INDIVIDUAL, n, axis)
+    assert [[axes.start for _, axes in members] for _, members in groups] == grouping
+
+
+def test_cancellation_zero_is_exact():
+    # for N = 4 mod 8 GHZ_x and so the joint probe vanish at m = 0 on the
+    # default axis: the amplitude is exactly 0.0 and its phase 1
+    n = 12
     for scenario in SweepScenario:
-        widths = _spy_eigh(monkeypatch)
-        chunks = _count_calls(monkeypatch, "phase_integral")
-        res = sweep_time(SweepConfig(n_particles=12, kind=kind, scenario=scenario,
-                                     grid=SMALL_GRID))
-        assert not res.refinement.boundary
-        assert len(widths) == 7 * len(chunks)
+        [(modulus, members)], _ = experiments._frame_probes(scenario, n, _DEFAULT)
+        assert modulus[n // 2] == 0.0
+        assert np.count_nonzero(modulus) == n
+        assert all(e[n // 2] == 1.0 for e, _ in members)
 
 
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS, SweepScenario.INDIVIDUAL])
@@ -604,10 +652,12 @@ FRAMES = {
 
 
 # N = 12 adds a 7-sector state whose probe phases (the P of the real sector
-# blocks) spread over the whole circle in the default frame
+# blocks) spread over the whole circle in the default frame; N = 6 and 10
+# (2 mod 4) share one eigensolve among the three GHZ probes there
 @pytest.mark.parametrize("n, frame", [
     pytest.param(n, frame, id=str(n) if frame == "default" else f"{n}-{frame}")
-    for frame in FRAMES for n in (4, 7)] + [pytest.param(12, "default", id="12")])
+    for frame in FRAMES for n in (4, 7)] + [pytest.param(n, "default", id=str(n))
+                                           for n in (6, 10, 12)])
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,

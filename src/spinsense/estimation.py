@@ -28,6 +28,10 @@ _QFIM_EPS = 1e-12
 _CFIM_EPS = 1e-14
 # Condition-number ceiling beyond which the QFIM counts as singular.
 _CONDITION_LIMIT = 1e12
+# Tolerance of the QFIM checks (_qfim_bounds) and their reasons, in order.
+_QFIM_TOL = 1e-9
+_FAULTS = ("QFIM evaluation produced a non-real matrix", "QFIM must be symmetric",
+           "QFIM must be positive semidefinite")
 
 
 class Scenario(str, enum.Enum):
@@ -85,12 +89,7 @@ class QfimMatrix:
         mat = np.asarray(self.entries, dtype=float)
         if mat.shape != (3, 3):
             raise InvalidArgument(f"entries must be 3x3, got shape {mat.shape}")
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.T)) > 1e-9 * scale:
-            raise InvalidArgument("QFIM must be symmetric")
-        if np.linalg.eigvalsh(mat).min() < -1e-9 * scale:
-            raise InvalidArgument("QFIM must be positive semidefinite")
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "entries", _real_qfim(mat))
 
 
 def _qfim_entries(spectra, partial_blocks, couplings=()):
@@ -111,7 +110,7 @@ def _qfim_entries(spectra, partial_blocks, couplings=()):
     orders, which sum to 4 Re(D_a D_b^dag / p_l). Blocks may carry leading
     axes (a stack of states, one per time); the result then has them too,
     each with its own cutoff. Returns the Hermitian part of Q, which
-    _real_qfim checks and makes real.
+    _qfim_bounds checks and bounds.
     """
     largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
@@ -129,12 +128,44 @@ def _qfim_entries(spectra, partial_blocks, couplings=()):
 
 
 def _real_qfim(q):
-    """The real part of one QFIM from _qfim_entries; a non-real one is
-    InvalidArgument."""
-    imag_scale = max(1.0, float(np.max(np.abs(q))))
-    if np.max(np.abs(q.imag)) > 1e-9 * imag_scale:
-        raise InvalidArgument("QFIM evaluation produced a non-real matrix")
+    """The real part of one QFIM, checked by _qfim_bounds: a non-real,
+    non-symmetric or indefinite one is InvalidArgument."""
+    fault = _qfim_bounds(q[None], 1.0)[2]
+    if fault is not None:
+        raise InvalidArgument(fault[1])
     return q.real
+
+
+def _qfim_bounds(q, repetitions, individual=False):
+    """Check and bound a (T, 3, 3) stack of QFIMs, complex from _qfim_entries
+    or real, each check once per stack; QfimMatrix, _real_qfim and both bounds
+    run it on a stack of one. At 1e-9 max(1, max |Q_ab|) a matrix is invalid,
+    in this order, if non-real, not symmetric or with an eigenvalue w below
+    minus that (the last two on its real part), and singular if some w <= 0
+    or w_max / w_min > 1e12 (one eigvalsh of the stack). The individual
+    strategy reads the diagonal alone, each Q_kk a 1 x 1 QFIM, singular
+    unless > 0. Returns sum(1 / w) / M or 3 sum(1 / Q_kk) / M, NaN where
+    singular; w (the Q_kk); and None or (index, reason) of the first invalid.
+    """
+    if individual:
+        diag = np.diagonal(q, axis1=-2, axis2=-1)
+        faults = [np.any(np.abs(diag.imag) > _QFIM_TOL * np.maximum(1.0, np.abs(diag)), axis=-1)]
+        w, singular = diag.real, diag.real.min(axis=-1) <= 0.0
+    else:
+        real = q.real
+        scale = _QFIM_TOL * np.maximum(1.0, np.abs(real).max(axis=(-2, -1)))
+        w = np.linalg.eigvalsh(real)
+        faults = [np.abs(q.imag).max(axis=(-2, -1))
+                  > _QFIM_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1))),
+                  np.abs(real - real.swapaxes(-1, -2)).max(axis=(-2, -1)) > scale,
+                  w[:, 0] < -scale]
+        singular = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf),
+                             where=w[:, 0] > 0.0) > _CONDITION_LIMIT
+    total = np.sum(1.0 / np.where(singular[:, None], np.nan, w), axis=-1)
+    bad = np.any(faults, axis=0)
+    i = int(np.argmax(bad))
+    fault = (i, next(r for r, f in zip(_FAULTS, faults) if f[i])) if bad[i] else None
+    return (3.0 * total if individual else total) / repetitions, w, fault
 
 
 def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
@@ -221,31 +252,30 @@ def bound_simultaneous(q, repetitions):
     """Sum of estimator variances tr(Q^{-1}) / M for the joint experiment.
 
     Raises SingularQfim when Q is not invertible to working precision
-    (nonpositive eigenvalues or condition number beyond 1e12).
+    (nonpositive eigenvalues or condition number beyond 1e12, _qfim_bounds).
     """
     m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
-    w = np.linalg.eigvalsh(q.entries)
-    if w.min() <= 0.0 or w.max() / w.min() > _CONDITION_LIMIT:
-        raise SingularQfim(
-            f"QFIM eigenvalues {w} do not support inversion")
-    value = float(np.sum(1.0 / w)) / m
-    t_total = m * q.t if np.isfinite(q.t) else math.nan
-    return BoundValue(value=value, repetitions=m, total_time=t_total)
+    (value,), (w,), _ = _qfim_bounds(q.entries[None], m)
+    if np.isnan(value):
+        raise SingularQfim(f"QFIM eigenvalues {w} do not support inversion")
+    return BoundValue(value=float(value), repetitions=m,
+                      total_time=m * q.t if np.isfinite(q.t) else math.nan)
 
 
 def bound_individual(q_xx, q_yy, q_zz, repetitions):
     """Total variance when each component gets its own experiment.
 
     Each parameter is measured in M/3 of the repetitions, so each variance
-    is 3 / (M Q_kk); the bound is their sum.
+    is 3 / (M Q_kk); the bound is their sum (_qfim_bounds). Raises
+    SingularQfim unless every Q_kk is positive.
     """
     m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
     diag = tuple(_real(q, "QFIM entry") for q in (q_xx, q_yy, q_zz))
-    if min(diag) <= 0.0:
+    (value,), _, _ = _qfim_bounds(np.diag(diag)[None], m, individual=True)
+    if np.isnan(value):
         raise SingularQfim(f"diagonal QFIM entries {diag} must be positive")
-    value = 3.0 * sum(1.0 / d for d in diag) / m
-    return BoundValue(value=value, repetitions=m, total_time=math.nan)
+    return BoundValue(value=float(value), repetitions=m, total_time=math.nan)

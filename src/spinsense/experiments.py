@@ -12,18 +12,19 @@ transfer kernel shared by all probes times a centred window of its
 maximal-sector block, P B P^dag with B real symmetric and P a diagonal of
 phases. The probes are built there in closed form, as sums of powers of
 one-spin states, and what their symmetry makes exact is read off the
-amplitudes to rounding: probes whose moduli agree share each eigensolve,
-and an amplitude that cancels is exactly zero, so each B is diagonalised on
-its support alone, with the unit vectors off it as its null basis; without
-noise the one block does not depend on t and is diagonalised once
-per pass. The QFIM is taken there, before the field rotation, which leaves
-it unchanged. The field Hamiltonian there is h J_z, so the generators A_k
-are elementwise, and in the eigenbasis V = P R of each block, R real, each
-derivative -i [A_k, rho] is i (p_l - p_l') (R^T P^dag A_k P R)_ll'. Chunk
-sizes follow from the blocks a sweep holds and a fixed memory budget, so no
-dense d x d matrix is formed and memory does not grow with the grid. The
-first dip of the curve is then refined by a narrowed pass and a parabola in
-log-log coordinates.
+amplitudes to rounding: probes whose moduli agree share each eigensolve and
+product chain, and an amplitude that cancels is exactly zero, so each B is
+diagonalised on its support alone, with the unit vectors off it as its null
+basis; without noise the one block does not depend on t and is
+diagonalised once per pass. The QFIM is taken there, before the field
+rotation, which leaves it unchanged. The field Hamiltonian there is h J_z,
+so the generators A_k are elementwise, and in the eigenbasis V = P R of each
+block, R real, each derivative -i [A_k, rho] is
+i (p_l - p_l') (R^T P^dag A_k P R)_ll'. Each chunk's QFIMs are checked and
+bounded in one stacked step. Chunk sizes follow from the blocks a sweep
+holds and a fixed memory budget, so no dense d x d matrix is formed and
+memory does not grow with the grid. The first dip of the curve is then
+refined by a narrowed pass and a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import enum
 import math
 import warnings
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,9 +43,8 @@ from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_ke
                         integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _line_angle, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
-                     NumericalError, SingularQfim, _count, _member, _real, _vector)
-from .estimation import (QfimMatrix, Scenario, _qfim_entries, _real_qfim,
-                         bound_individual, bound_simultaneous)
+                     NumericalError, _count, _member, _real, _vector)
+from .estimation import _qfim_bounds, _qfim_entries
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
@@ -221,9 +221,10 @@ def _sweep_probes(config, space, spec):
     K index picks K_s[S, S] from the transfer kernels and the w index
     [S, S + O] (S first) from w, both with slices for a full support, so
     nothing is copied; the f index picks the same entries from f(lam, t), at
-    N + m - m'. Per probe and window, the generators are
-    G_k = (J~_k * conj(e_w) e_w^T)[S, S + O], stacked over the axes k it is
-    differentiated along, with J~_k = U^dag J_k U = sum_l R[k, l] J_l.
+    N + m - m'. Per window, one stack holds the generators
+    G_k = (J~_k * conj(e_w) e_w^T)[S, S + O] of the group's probes, each over
+    the axes k it is differentiated along, J~_k = U^dag J_k U =
+    sum_l R[k, l] J_l; the group records those axes, as (windows, stacks, axes).
     """
     axis = spec.axis if spec.gamma > 0.0 else \
         config.field if any(config.field) else (0.0, 0.0, 1.0)
@@ -237,10 +238,10 @@ def _sweep_probes(config, space, spec):
     groups = []
     for modulus, probes in frame_groups:
         windows = _windows(modulus, sectors)
-        generators = [[(rotated[s][axes] * np.outer(e[s:n + 1 - s].conj(), e[s:n + 1 - s]))
-                       [(slice(None),) + sub] for s, _, sub, *_ in windows]
-                      for e, axes in probes]
-        groups.append((windows, generators))
+        generators = [np.concatenate([
+            (rotated[s][axes] * np.outer(e[s:n + 1 - s].conj(), e[s:n + 1 - s]))
+            [(slice(None),) + sub] for e, axes in probes]) for s, _, sub, *_ in windows]
+        groups.append((windows, generators, np.r_[tuple(axes for _, axes in probes)]))
     return groups, float(np.dot(config.field, r[:, 2])) * np.arange(-n, n + 1.0)[None, :]
 
 
@@ -298,66 +299,56 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     chunk, shared by all probes; without noise only the maximal sector,
     phi phi^dag, carries a block. That is P B P^dag with P = diag(e_w) and
     B = K_s * |phi_w| |phi_w|^T, zero off the support S of |phi_w|. So eigh
-    runs on the real B[S, S], once per group of _sweep_probes (shared by the
-    probes with one |phi| array), sector and chunk, and once per call
-    without noise, where B does not depend on t. With its eigenvalues p,
-    eigenvectors R and the unit vectors off S as the null basis, V = P R on
-    S. The QFIM is taken there, before the field rotation, which leaves it
-    unchanged, and each rotating-frame generator is elementwise,
-    A_k = f[w, w] * J~_k with f = f(h (m - m'), t), evaluated once per chunk
-    on the 2N + 1 values of m - m' and gathered per window by index. So
-    d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f * G_k) R)_ll' on S x S
-    and i p_l (R^T (f * G_k))_ll' from S to l' off S (the couplings of
-    _qfim_entries), with G_k = P^dag J~_k P, two real products on the real
-    and imaginary parts; pairs off S on both sides add nothing. The joint
-    strategy needs all three derivatives of its probe; the individual one
-    reads only Q_kk, one derivative per GHZ probe. An invalid (non-real,
-    non-symmetric or indefinite) QFIM is a numerical fault: NumericalError.
+    runs on the real B[S, S], once per group, sector and chunk, and once per
+    call without noise, where B does not depend on t. With its eigenvalues
+    p, eigenvectors R and the unit vectors off S as the null basis, V = P R
+    on S. Each rotating-frame generator is elementwise, A_k = f[w, w] * J~_k
+    with f = f(h (m - m'), t), evaluated once per chunk on the 2N + 1 values
+    of m - m' and gathered per window. So d_k rho = -i [A_k, rho] is
+    i (p_l - p_l') (R^T (f * G_k) R)_ll' on S x S and i p_l (R^T (f * G_k))_ll'
+    from S to l' off S (the couplings of _qfim_entries), G_k = P^dag J~_k P,
+    two real products; pairs off S on both sides add nothing. A group's one
+    generator stack runs one product chain and one _qfim_entries call for
+    all its probes, and their axes place the result in the chunk's 3 x 3
+    stack: the joint Q, or Q_kk on the diagonal for the individual strategy.
+    _qfim_bounds checks and bounds the chunk in one step; an invalid
+    (non-real, non-symmetric or indefinite) QFIM is a numerical fault, a
+    NumericalError at its first time.
     """
     groups, lam = prepared
     count = -(-len(times) // _chunk_size(space.sectors if transfer else space.sectors[:1]))
     edges = [len(times) * k // count for k in range(count + 1)]
-    values = np.full(len(times), np.nan)
+    values = np.empty(len(times))
     eigen = None
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
         if transfer is not None:
             kernels = transfer.at([integrated_strength(spec, t) for t in chunk])
             eigen = [[np.linalg.eigh(kernels[s][(slice(None),) + k_sub] * top)
-                      for s, k_sub, *_, top in windows] for windows, _ in groups]
+                      for s, k_sub, *_, top in windows] for windows, *_ in groups]
         elif eigen is None:
-            eigen = [[np.linalg.eigh(top) for *_, top in windows] for windows, _ in groups]
+            eigen = [[np.linalg.eigh(top) for *_, top in windows] for windows, *_ in groups]
         f = phase_integral(lam, chunk, 0.0)
-        entries = []
-        for (windows, probes), eig in zip(groups, eigen):
-            for generators in probes:
-                spectra, partial_blocks, couplings = [], [], []
-                for (*_, index, _), (p, r), g in zip(windows, eig, generators):
-                    a = f[..., index] * g
-                    x, y = np.swapaxes(r, -1, -2)[..., None, :, :] @ np.stack((a.real, a.imag))
-                    size = p.shape[-1]
-                    r = r[..., None, :, :]
-                    spectra.append(p)
-                    partial_blocks.append(_times_i(
-                        x[..., :size] @ r, y[..., :size] @ r,
-                        p[..., None, :, None] - p[..., None, None, :]))
-                    if size < x.shape[-1]:
-                        couplings.append((p, _times_i(x[..., size:], y[..., size:],
-                                                      p[..., None, :, None])))
-                entries.append(_qfim_entries(spectra, partial_blocks, couplings))
-        for i, t in enumerate(chunk):
-            try:
-                qs = [_real_qfim(q[i]) for q in entries]
-                if config.scenario is SweepScenario.SIMULTANEOUS:
-                    qm = QfimMatrix(qs[0], t, space.n_particles, Scenario.SIMULTANEOUS)
-                    values[first + i] = bound_simultaneous(qm, config.total_time / t).value
-                else:
-                    values[first + i] = bound_individual(
-                        *(q[0, 0] for q in qs), config.total_time / t).value
-            except SingularQfim:
-                continue
-            except InvalidArgument as exc:
-                raise NumericalError(f"invalid QFIM at t={t:.6g}: {exc}") from exc
+        q = np.zeros(chunk.shape + (3, 3), complex)
+        for (windows, generators, axes), eig in zip(groups, eigen):
+            spectra, partial_blocks, couplings = [], [], []
+            for (*_, index, _), (p, r), g in zip(windows, eig, generators):
+                a = f[..., index] * g
+                x, y = np.swapaxes(r, -1, -2)[..., None, :, :] @ np.stack((a.real, a.imag))
+                size = p.shape[-1]
+                r = r[..., None, :, :]
+                spectra.append(p)
+                partial_blocks.append(_times_i(
+                    x[..., :size] @ r, y[..., :size] @ r,
+                    p[..., None, :, None] - p[..., None, None, :]))
+                if size < x.shape[-1]:
+                    couplings.append((p, _times_i(x[..., size:], y[..., size:],
+                                                  p[..., None, :, None])))
+            q[:, axes[:, None], axes] = _qfim_entries(spectra, partial_blocks, couplings)
+        values[first:stop], _, fault = _qfim_bounds(
+            q, config.total_time / chunk, config.scenario is SweepScenario.INDIVIDUAL)
+        if fault is not None:
+            raise NumericalError(f"invalid QFIM at t={chunk[fault[0]]:.6g}: {fault[1]}")
     return values
 
 
@@ -498,7 +489,7 @@ def scan_particles(n_list, base_config, workers=1):
     configs = [replace(base_config, n_particles=n) for n in ns]
     workers = _pool_size(workers, len(ns))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, configs))
     else:
         rows = [_scan_one(c) for c in configs]

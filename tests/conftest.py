@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from spinsense import coupled_multiplets, experiments, gamma_profile
+from spinsense import coupled_multiplets, gamma_profile
 from spinsense.dynamics import _PAULI, _collective_full, _integrate_doubling, _site_operator
 
 
@@ -26,7 +28,7 @@ def pool_sizes(monkeypatch):
         def map(self, func, items):
             return map(func, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

@@ -13,7 +13,7 @@ from spinsense import (AssumptionViolated, DensityOperator, FieldParams,
                        cfim, collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
                        unitary)
-from spinsense.estimation import _qfim_entries
+from spinsense.estimation import _qfim_bounds, _qfim_entries
 
 AXIS_Z = (0.0, 0.0, 2.0)
 AXIS_DIAG = (2.0 / math.sqrt(3.0),) * 3
@@ -364,6 +364,32 @@ def test_simultaneous_bound_rejects_singular():
                         scenario=Scenario.SIMULTANEOUS)
     with pytest.raises(SingularQfim):
         bound_simultaneous(skewed, repetitions=1.0)
+
+
+def test_stacked_bounds_are_nan_exactly_at_the_singular_points():
+    # one call bounds a whole stack: regular matrices, a zero eigenvalue, a
+    # condition number of 1e14 and a nonpositive diagonal entry
+    rng = np.random.default_rng(3)
+    regular = [a @ a.T / 3.0 + np.eye(3) for a in rng.normal(size=(3, 3, 3))]
+    zero_eigenvalue = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    skewed = np.diag([1e14, 1.0, 1.0])
+    zero_diagonal = np.diag([3.0, 0.0, 2.0])
+    stack = np.array([regular[0], zero_eigenvalue, regular[1], skewed, zero_diagonal,
+                      regular[2]])
+    m = np.linspace(1.0, 6.0, len(stack))
+    joint, _, fault = _qfim_bounds(stack, m)
+    assert fault is None
+    assert np.array_equal(np.isnan(joint), [False, True, False, True, True, False])
+    for k in np.flatnonzero(np.isfinite(joint)):
+        expected = np.trace(np.linalg.inv(stack[k])) / m[k]
+        assert abs(joint[k] / expected - 1.0) < 1e-14
+    diag = np.diagonal(stack, axis1=-2, axis2=-1)
+    individual, w, fault = _qfim_bounds(stack, m, individual=True)
+    assert fault is None and np.array_equal(w, diag)
+    assert np.array_equal(np.isnan(individual), [False, False, False, False, True, False])
+    for k in np.flatnonzero(np.isfinite(individual)):
+        expected = 3.0 * np.sum(1.0 / diag[k]) / m[k]
+        assert abs(individual[k] / expected - 1.0) < 1e-14
 
 
 def test_individual_bound_closed_form():

@@ -1,9 +1,14 @@
 """Time sweeps, particle scans, power-law fits, and Husimi maps."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from spinsense import (AssumptionViolated, ExperimentFailed, FieldParams,
                        husimi_normalization, integrated_strength, partial_rho,
                        qfim, scan_particles, simultaneous_probe, sweep_time,
                        unitary)
-from spinsense import experiments
+from spinsense import estimation, experiments
 from spinsense.cli import _pointwise_bounds
 from spinsense.dephasing import (ChainBatch, TransferKernels, _frame_rotation, axis_frame,
                                  build_dephasing_superoperator)
@@ -619,6 +624,72 @@ def test_invalid_qfim_is_not_hidden(monkeypatch, fake, scenario, check):
         sweep_time(cfg)
 
 
+# QFIMs a fake _qfim_entries hands the sweep, one per grid time of a chunk
+_FAKE_QFIMS = {
+    "regular": np.eye(3),
+    "singular": np.diag([1.0, 1.0, 0.0]),
+    "indefinite": np.diag([1.0, 1.0, -1.0]),
+    "nonreal-indefinite": np.diag([1.0, 1.0, -1.0]) + 0.5j * np.eye(3),
+}
+
+
+@pytest.mark.parametrize("third, check", [("nonreal-indefinite", "non-real"),
+                                          ("indefinite", "positive semidefinite")])
+def test_first_invalid_time_is_named_past_a_singular_one(monkeypatch, third, check):
+    # the chunk is checked as one stack: a singular first time is NaN, and the
+    # error names the first invalid time, the third, with the reason of the
+    # first check it fails (non-real before indefinite), not a later one
+    kinds = ["singular", "regular", third, "indefinite", "nonreal-indefinite", "regular"]
+
+    def fake(spectra, partial_blocks, couplings=()):
+        assert spectra[0].shape[:-1] == (len(kinds),)
+        return np.array([_FAKE_QFIMS[k] for k in kinds], dtype=complex)
+
+    monkeypatch.setattr("spinsense.experiments._qfim_entries", fake)
+    cfg = SweepConfig(n_particles=2, grid=TimeGrid(count=6, start=0.1, stop=50.0))
+    t = cfg.grid.values()[2]
+    with pytest.raises(NumericalError, match=re.escape(f"invalid QFIM at t={t:.6g}: ") + f".*{check}"):
+        sweep_time(cfg)
+
+
+@pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS, SweepScenario.INDIVIDUAL])
+def test_sweep_bounds_each_chunk_in_one_step(monkeypatch, scenario):
+    # one eigvalsh per chunk of a joint sweep (none for the individual one,
+    # which reads the diagonal), no QfimMatrix and neither public bound
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep bounds its chunks through _qfim_bounds")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(estimation.QfimMatrix, "__post_init__", refused)
+    for module in (estimation, experiments):
+        for name in ("bound_simultaneous", "bound_individual"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    chunks = _count_calls(monkeypatch, "phase_integral")
+    res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN,
+                                 scenario=scenario, grid=SMALL_GRID))
+    assert not res.refinement.boundary and len(chunks) > 2
+    sim = scenario is SweepScenario.SIMULTANEOUS
+    assert len(shapes) == (len(chunks) if sim else 0)
+    assert sum(shape[0] for shape in shapes) == (SMALL_GRID.count + 40 if sim else 0)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a scan resolves its pool only when it starts one, so importing the
+    # package loads neither the pool's module nor multiprocessing
+    package_root = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys, spinsense\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=package_root)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("field", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.01, 0.01)],
@@ -653,11 +724,12 @@ FRAMES = {
 
 # N = 12 adds a 7-sector state whose probe phases (the P of the real sector
 # blocks) spread over the whole circle in the default frame; N = 6 and 10
-# (2 mod 4) share one eigensolve among the three GHZ probes there
+# (2 mod 4) share one eigensolve among the three GHZ probes there, and at odd
+# N = 5, 7 and 13 x and y share one product chain while z has its own
 @pytest.mark.parametrize("n, frame", [
     pytest.param(n, frame, id=str(n) if frame == "default" else f"{n}-{frame}")
     for frame in FRAMES for n in (4, 7)] + [pytest.param(n, "default", id=str(n))
-                                           for n in (6, 10, 12)])
+                                           for n in (5, 6, 10, 12, 13)])
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,

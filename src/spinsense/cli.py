@@ -138,6 +138,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache  # once per process: argparse reads the terminal width as it prints
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spinsense",

@@ -92,7 +92,7 @@ class QfimMatrix:
         object.__setattr__(self, "entries", _real_qfim(mat))
 
 
-def _qfim_entries(spectra, partial_blocks, couplings=()):
+def _qfim_entries(spectra, partial_blocks):
     """Core QFIM evaluation in the eigenbasis of a block-diagonal state.
 
     spectra holds the eigenvalues p of each diagonal block of the state, and
@@ -105,25 +105,30 @@ def _qfim_entries(spectra, partial_blocks, couplings=()):
     runs over pairs within one block, restricted to p_l + p_l' above a cutoff
     relative to the largest eigenvalue over all blocks. A dense state is one
     block. A block may leave out a null space (eigenvalue 0, taken in a
-    basis of its own): couplings then holds its (p, D), D the derivatives
-    from the eigenvectors of p to that basis. Each such pair enters in both
-    orders, which sum to 4 Re(D_a D_b^dag / p_l). Blocks may carry leading
-    axes (a stack of states, one per time); the result then has them too,
-    each with its own cutoff. Returns the Hermitian part of Q, which
-    _qfim_bounds checks and bounds.
+    basis of its own): its partial block then goes on, past its square part,
+    with the derivatives D from its eigenvectors to that basis. Each such
+    pair enters in both orders, which sum to 4 Re(D_a D_b^dag / p_l). Blocks
+    may carry leading axes (a stack of states, one per time); the result then
+    has them too, each with its own cutoff. partial_blocks may be any
+    iterable: it is consumed one block at a time, after the cutoff is set.
+    Returns the Hermitian part of Q, which _qfim_bounds checks and bounds.
     """
     largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
-    q = 0.0
-    for p, d in zip(spectra, partial_blocks):
-        den = p[..., :, None] + p[..., None, :]
-        root = np.sqrt(np.where(den > cutoff, den, np.inf))
-        scaled = (d / root[..., None, :, :]).reshape(d.shape[:-2] + (-1,))
-        q = q + 2.0 * (scaled @ scaled.conj().swapaxes(-1, -2))
-    for p, d in couplings:
-        root = np.sqrt(np.where(p[..., :, None] > cutoff, p[..., :, None], np.inf))
-        scaled = (d / root[..., None, :, :]).reshape(d.shape[:-2] + (-1,))
-        q = q + 4.0 * (scaled @ scaled.conj().swapaxes(-1, -2)).real
+
+    def gram(part, den):
+        scaled = part / np.sqrt(np.where(den > cutoff, den, np.inf))[..., None, :, :]
+        scaled = scaled.reshape(part.shape[:-2] + (-1,))
+        return scaled @ scaled.conj().swapaxes(-1, -2)
+
+    q, null, blocks = 0.0, [], iter(partial_blocks)
+    for p in spectra:
+        d, size = next(blocks), p.shape[-1]
+        q = q + 2.0 * gram(d[..., :size], p[..., :, None] + p[..., None, :])
+        if size < d.shape[-1]:
+            null.append(4.0 * gram(d[..., size:], p[..., :, None]).real)
+        del d  # not held while the next block is built (zip would hold it)
+    q = sum(null, q)
     return (q + q.conj().swapaxes(-1, -2)) / 2.0
 
 

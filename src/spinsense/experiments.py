@@ -20,11 +20,12 @@ diagonalised once per pass. The QFIM is taken there, before the field
 rotation, which leaves it unchanged. The field Hamiltonian there is h J_z,
 so the generators A_k are elementwise, and in the eigenbasis V = P R of each
 block, R real, each derivative -i [A_k, rho] is
-i (p_l - p_l') (R^T P^dag A_k P R)_ll'. Each chunk's QFIMs are checked and
-bounded in one stacked step. Chunk sizes follow from the blocks a sweep
-holds and a fixed memory budget, so no dense d x d matrix is formed and
-memory does not grow with the grid. The first dip of the curve is then
-refined by a narrowed pass and a parabola in log-log coordinates.
+i (p_l - p_l') (R^T P^dag A_k P R)_ll'. A chunk streams these through the
+QFIM core one block at a time and bounds its QFIMs in one stacked step. Its
+length is a fixed memory budget over what it holds per time, so no dense
+d x d matrix is formed and memory does not grow with the grid. The first dip
+of the curve is then refined by a narrowed pass and a parabola in log-log
+coordinates.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _RESCAN_POINTS = 40
 _RESCAN_FACTOR = 4.0
 
 # Working-memory budget of one chunk of grid times, in bytes (_chunk_size).
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 20
 
 
 class SweepScenario(str, enum.Enum):
@@ -269,24 +270,38 @@ def _windows(modulus, sectors):
     return windows
 
 
-def _chunk_size(sectors):
-    """Most grid times per chunk: _CHUNK_BYTES over the bytes one time needs
-    for a complex copy of the blocks of the sectors the sweep holds (all
-    under noise, the maximal one alone without). Small N takes a whole pass
-    at once, and the working memory of a pass does not grow with its times.
-    The blocks are diagonalised as real matrices, but each generator stack
-    f * G_k they are paired with is complex, so an entry still counts 16
-    bytes: counting 8 doubles the chunk length and raised the peak memory of
-    an N = 24 non-markovian sweep process by about 1.7 MB (4%)."""
-    return max(1, _CHUNK_BYTES // (16 * sum(s.dim ** 2 for s in sectors)))
+def _chunk_size(groups, sectors):
+    """Most grid times per chunk: _CHUNK_BYTES over the bytes a chunk holds
+    per time. Under noise (sectors given) that is the eigenpairs of every
+    window, 8 (a + a^2) on a support of a, plus the larger of every sector's
+    kernels, 8 d^2, and one window's transient: f * G_k, R^T of it, the
+    partial block, then _qfim_entries' scaled copy and its conjugate, 3.0 to
+    3.6 times the generator stack under tracemalloc (N = 12 to 48), counted
+    3.5 times for the largest stack. Without noise R is one column and the
+    transient 1.36 to 1.42 times the stack, counted 1.5; numpy's buffers for
+    the broadcast product f * G_k add about 0.25 MB to a chunk of any length,
+    so a full noiseless chunk peaks at 1.0 to 1.2 times the budget."""
+    stream = max(g.nbytes for _, stacks, _ in groups for g in stacks)
+    if sectors is None:
+        return max(1, int(_CHUNK_BYTES // (1.5 * stream)))
+    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for *_, top in windows)
+    return max(1, int(_CHUNK_BYTES // (pairs + max(8 * sum(s.dim ** 2 for s in sectors),
+                                                    3.5 * stream))))
 
 
-def _times_i(x, y, scale):
-    """i scale (x + i y) as one complex array."""
-    out = np.empty(x.shape, complex)
-    np.multiply(y, -scale, out=out.real)
-    np.multiply(x, scale, out=out.imag)
-    return out
+def _partial_block(f, g, p, r):
+    """A window's i (p_l - p_l') (R^T (f * G_k) W)_ll', R the eigenvectors of
+    p, the leading columns of r, and W = r on S and the unit vectors off S
+    after it, where p_l' = 0 (_bounds_on_grid)."""
+    size, width = p.shape[-1], r.shape[-1]
+    xy = np.swapaxes(r[..., :size], -1, -2)[..., None, :, :] \
+        @ np.multiply(f, g, order="C").view(float)
+    x, y, r = xy[..., 0::2], xy[..., 1::2], r[..., None, :, :]
+    x[..., :width], y[..., :width] = x[..., :width] @ r, y[..., :width] @ r
+    block = xy.view(complex)
+    block[..., :size] *= 1j * (p[..., None, :, None] - p[..., None, None, :])
+    block[..., size:] *= 1j * p[..., None, :, None]
+    return block
 
 
 def _bounds_on_grid(config, space, transfer, spec, prepared, times):
@@ -302,49 +317,43 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     runs on the real B[S, S], once per group, sector and chunk, and once per
     call without noise, where B does not depend on t. With its eigenvalues
     p, eigenvectors R and the unit vectors off S as the null basis, V = P R
-    on S. Each rotating-frame generator is elementwise, A_k = f[w, w] * J~_k
-    with f = f(h (m - m'), t), evaluated once per chunk on the 2N + 1 values
-    of m - m' and gathered per window. So d_k rho = -i [A_k, rho] is
-    i (p_l - p_l') (R^T (f * G_k) R)_ll' on S x S and i p_l (R^T (f * G_k))_ll'
-    from S to l' off S (the couplings of _qfim_entries), G_k = P^dag J~_k P,
-    two real products; pairs off S on both sides add nothing. A group's one
-    generator stack runs one product chain and one _qfim_entries call for
-    all its probes, and their axes place the result in the chunk's 3 x 3
-    stack: the joint Q, or Q_kk on the diagonal for the individual strategy.
-    _qfim_bounds checks and bounds the chunk in one step; an invalid
-    (non-real, non-symmetric or indefinite) QFIM is a numerical fault, a
-    NumericalError at its first time.
+    on S. Without noise B is rank one: R keeps its one eigenvector, and the
+    other eigenvectors of B[S, S] join the null basis. Each rotating-frame
+    generator is elementwise, A_k = f[w, w] * J~_k with f = f(h (m - m'), t),
+    evaluated once per chunk on the 2N + 1 values of m - m' and gathered per
+    window. So d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f * G_k) R)_ll'
+    between eigenvectors and i p_l (R^T (f * G_k) W)_ll' from them to the
+    null basis W (the columns past R of a partial block), with
+    G_k = P^dag J~_k P; pairs within the null basis add nothing. Once the
+    chunk is diagonalised and its kernels dropped, _qfim_entries pulls a
+    group's partial blocks one window at a time (_partial_block), for all
+    its probes at once, and their axes place the result in the chunk's
+    3 x 3 stack: the joint Q, or Q_kk on the diagonal for the individual
+    strategy. _qfim_bounds checks and bounds the chunk in one step; an
+    invalid (non-real, non-symmetric or indefinite) QFIM is a numerical
+    fault, a NumericalError at its first time.
     """
     groups, lam = prepared
-    count = -(-len(times) // _chunk_size(space.sectors if transfer else space.sectors[:1]))
+    count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.empty(len(times))
-    eigen = None
+    fixed = None if transfer else [[(p[-1:], r[:, ::-1].copy()) for p, r in (
+        np.linalg.eigh(top) for *_, top in windows)] for windows, *_ in groups]
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
+        eigen = fixed
         if transfer is not None:
             kernels = transfer.at([integrated_strength(spec, t) for t in chunk])
             eigen = [[np.linalg.eigh(kernels[s][(slice(None),) + k_sub] * top)
                       for s, k_sub, *_, top in windows] for windows, *_ in groups]
-        elif eigen is None:
-            eigen = [[np.linalg.eigh(top) for *_, top in windows] for windows, *_ in groups]
+            del kernels  # not held while the chunk streams
         f = phase_integral(lam, chunk, 0.0)
         q = np.zeros(chunk.shape + (3, 3), complex)
         for (windows, generators, axes), eig in zip(groups, eigen):
-            spectra, partial_blocks, couplings = [], [], []
-            for (*_, index, _), (p, r), g in zip(windows, eig, generators):
-                a = f[..., index] * g
-                x, y = np.swapaxes(r, -1, -2)[..., None, :, :] @ np.stack((a.real, a.imag))
-                size = p.shape[-1]
-                r = r[..., None, :, :]
-                spectra.append(p)
-                partial_blocks.append(_times_i(
-                    x[..., :size] @ r, y[..., :size] @ r,
-                    p[..., None, :, None] - p[..., None, None, :]))
-                if size < x.shape[-1]:
-                    couplings.append((p, _times_i(x[..., size:], y[..., size:],
-                                                  p[..., None, :, None])))
-            q[:, axes[:, None], axes] = _qfim_entries(spectra, partial_blocks, couplings)
+            q[:, axes[:, None], axes] = _qfim_entries([p for p, _ in eig], (
+                _partial_block(f[..., index], g, p, r)
+                for (*_, index, _), (p, r), g in zip(windows, eig, generators)))
+        del eigen, eig  # not held while the next chunk's kernels are built
         values[first:stop], _, fault = _qfim_bounds(
             q, config.total_time / chunk, config.scenario is SweepScenario.INDIVIDUAL)
         if fault is not None:

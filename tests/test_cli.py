@@ -199,7 +199,7 @@ def test_invalid_qfim_exit_code(monkeypatch, capsys):
     # fake returns one QFIM per grid time of the chunk, as the kernel does
     monkeypatch.setattr(
         "spinsense.experiments._qfim_entries",
-        lambda spectra, partials, couplings=(): np.broadcast_to(
+        lambda spectra, partials: np.broadcast_to(
             np.diag([1.0, 1.0, -1.0]), spectra[0].shape[:-1] + (3, 3)))
     code, _, err = run_cli(capsys, "sweep-time", "--n", "2", "--t-grid", "6,0.1,10")
     assert code == 3

@@ -423,8 +423,53 @@ def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
     sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
                            grid=SMALL_GRID))
     assert len(widths) == len(passes) == 1
-    # chunks are sized by the maximal sector alone: 6 times at N = 48
-    assert len(chunks) == (1 if n == 12 else 4)
+    # chunks are sized by the generator stacks they stream, of the one row
+    # of a pure state: at N = 48 the joint probe lives on 17 of 49 m and
+    # takes 17 times per chunk, the individual probes on all 49 and take 6
+    sim = scenario is SweepScenario.SIMULTANEOUS
+    assert len(chunks) == (1 if n == 12 else 2 if sim else 4)
+
+
+def _sweep_tables(n, kind, scenario):
+    """What a sweep prepares once, before its passes: (config, space,
+    transfer, spec, prepared)."""
+    cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=SMALL_GRID)
+    space, spec = build_space(n), cfg.noise_spec()
+    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
+    return cfg, space, transfer, spec, experiments._sweep_probes(cfg, space, spec)
+
+
+@pytest.mark.parametrize("n, kind, scenario", [
+    (n, kind, scenario) for n in (12, 24, 48) for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONE)
+    for scenario in SweepScenario] + [(23, NoiseKind.MARKOVIAN, SweepScenario.INDIVIDUAL)])
+def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
+    # two chunks of the most times _chunk_size allows, run once to warm up,
+    # hold at most 1.25 times _CHUNK_BYTES on top of the tables the sweep
+    # prepared; N = 23 splits the individual probes in two groups
+    cfg, space, transfer, spec, prepared = _sweep_tables(n, kind, scenario)
+    assert n != 23 or len(prepared[0]) == 2
+    size = experiments._chunk_size(prepared[0], space.sectors if transfer else None)
+    times = np.geomspace(0.05, 100.0, 2 * size)
+    chunks = _count_calls(monkeypatch, "phase_integral")
+    experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, times)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, times)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) == 4
+    assert peak <= 1.25 * experiments._CHUNK_BYTES
+
+
+def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
+    # N = 24, non-markovian: 24 coarse and 40 rescan times in at most
+    # 5 chunks (13 when chunks counted 16 bytes per block entry)
+    chunks = _count_calls(monkeypatch, "phase_integral")
+    res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))
+    assert not res.refinement.boundary
+    assert len(chunks) <= 5
 
 
 def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
@@ -597,14 +642,14 @@ def test_all_singular_sweep_raises():
         sweep_time(cfg)
 
 
-def _indefinite_qfim(spectra, partial_blocks, couplings=()):
+def _indefinite_qfim(spectra, partial_blocks):
     # one QFIM per grid time of the chunk, as the kernel returns them
     times = spectra[0].shape[:-1]
     return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), times + (3, 3))
 
 
-def _nonreal_qfim(spectra, partial_blocks, couplings=()):
-    times, count = spectra[0].shape[:-1], partial_blocks[0].shape[-3]
+def _nonreal_qfim(spectra, partial_blocks):
+    times, count = spectra[0].shape[:-1], next(iter(partial_blocks)).shape[-3]
     return np.full(times + (count, count), 1.0 + 0.5j)
 
 
@@ -641,7 +686,7 @@ def test_first_invalid_time_is_named_past_a_singular_one(monkeypatch, third, che
     # first check it fails (non-real before indefinite), not a later one
     kinds = ["singular", "regular", third, "indefinite", "nonreal-indefinite", "regular"]
 
-    def fake(spectra, partial_blocks, couplings=()):
+    def fake(spectra, partial_blocks):
         assert spectra[0].shape[:-1] == (len(kinds),)
         return np.array([_FAKE_QFIMS[k] for k in kinds], dtype=complex)
 

@@ -9,9 +9,9 @@ three-component bound with the triple-superposition probe falls off as
 
 import math
 
-from spinsense import (FieldParams, NoiseKind, NoiseSpec, Scenario,
-                       bound_simultaneous, build_space, evolve, fit_power_law,
-                       ghz_state, partial_rho, qfim, simultaneous_probe)
+from spinsense import (FieldParams, NoiseKind, NoiseSpec, bound_simultaneous,
+                       build_space, evolve, fit_power_law, ghz_state,
+                       partial_rho, qfim, simultaneous_probe)
 
 AXIS = (2.0 / math.sqrt(3.0),) * 3
 TOTAL_TIME = 100.0
@@ -25,7 +25,7 @@ def qfim_at(n, probe_name, field):
     spec = NoiseSpec(NoiseKind.NONE, 0.0, AXIS)
     res = evolve(probe.projector(), FieldParams(field), spec, T_PROBE)
     parts = [partial_rho(res, FieldParams(field), k) for k in "xyz"]
-    return qfim(res.rho, parts, t=T_PROBE, scenario=Scenario.SIMULTANEOUS)
+    return qfim(res.rho, parts, t=T_PROBE)
 
 
 # --- single-component Heisenberg limit -----------------------------------

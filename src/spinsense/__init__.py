@@ -21,9 +21,9 @@ from .dynamics import (EvolutionResult, FieldBasis, FieldParams,
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim,
                      SpinsenseError)
-from .estimation import (BoundValue, PovmSet, QfimMatrix, Scenario,
-                         bound_individual, bound_simultaneous, cfim,
-                         generator_operator, partial_rho, qfim)
+from .estimation import (BoundValue, PovmSet, QfimMatrix, bound_individual,
+                         bound_simultaneous, cfim, generator_operator,
+                         partial_rho, qfim)
 from .experiments import (PowerLawFit, RefinementMeta, ScanRow, ScanRows,
                           SweepConfig, SweepResult, SweepScenario, TimeGrid,
                           fit_power_law, husimi_grid, husimi_map,
@@ -37,7 +37,7 @@ __all__ = [
     "EvolutionResult", "ExperimentFailed", "FieldBasis", "FieldParams",
     "HilbertComparison", "InvalidArgument", "NoiseKind", "NoiseSpec",
     "NumericalError", "PovmSet", "PowerLawFit", "QfimMatrix",
-    "RefinementMeta", "ScanRow", "ScanRows", "Scenario", "Sector",
+    "RefinementMeta", "ScanRow", "ScanRows", "Sector",
     "SingularQfim", "SpinsenseError", "StateVector", "SweepConfig", "SweepResult",
     "SweepScenario", "TimeGrid", "TransferKernels", "bound_individual",
     "bound_simultaneous", "build_dephasing_superoperator", "build_space",

@@ -30,7 +30,7 @@ from . import __version__
 from .dicke import (build_space, collective_operator, dicke_dimension, ghz_state,
                     simultaneous_probe)
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
-from .dynamics import (FieldBasis, FieldParams, evolve, full_gkls_reference,
+from .dynamics import (FieldBasis, FieldParams, _parallel, evolve, full_gkls_reference,
                        full_hilbert_reference)
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim, _count)
@@ -351,17 +351,17 @@ def _run_evolve(run):
     space = build_space(n)
     spec = NoiseSpec(kind=p["kind"], gamma=p["gamma"], axis=p["axis"])
     field = FieldParams(p["phi"])
-    probe = _probe_state(space, probe_name)
-    result = evolve(probe.projector(), field, spec, t,
-                    allow_nonparallel=bool(p["allow-nonparallel"]))
-    rho = result.rho
+    rho0 = _probe_state(space, probe_name).projector()
+    # off the axis evolve refuses, unless the flag asks for the joint integrator
+    split = not p["allow-nonparallel"] or _parallel(field.phi, spec)
+    rho = evolve(rho0, field, spec, t).rho if split else full_gkls_reference(rho0, field, spec, t)
     jops = [collective_operator(space, a) for a in ("x", "y", "z")]
     first = [float(op.expectation(rho.matrix).real) for op in jops]
     second = [[(a @ b).expectation(rho.matrix) for b in jops] for a in jops]
     return _emit(run, {
         "t": float(t),
         "probe": probe_name,
-        "split-valid": bool(result.split_valid),
+        "split-valid": split,
         "trace": float(np.trace(rho.matrix).real),
         "purity": rho.purity(),
         "sector-weights": [float(w) for w in rho.sector_weights()],

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DickeSpace, collective_operator, degeneracy
-from .errors import InvalidArgument, _member, _nonnegative, _strengths, _vector
+from .errors import InvalidArgument, _instance, _member, _nonnegative, _strengths, _vector
 
 
 class NoiseKind(str, enum.Enum):
@@ -282,9 +282,7 @@ def build_dephasing_superoperator(space, spec):
     rotation is the U of axis_frame. The chains depend only on N; the build
     is deterministic.
     """
-    if not isinstance(space, DickeSpace):
-        raise InvalidArgument("space must be a DickeSpace")
-    rotation, _ = axis_frame(space, spec.axis)
+    rotation, _ = axis_frame(_instance(space, DickeSpace, "space"), spec.axis)
     n = space.n_particles
     lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
     chains = tuple(_chain_batch(space, length, lam)
@@ -338,9 +336,7 @@ class TransferKernels:
 def build_transfer_kernels(space):
     """The TransferKernels of a DickeSpace, from one table of binomials, each
     exact and rounded once."""
-    if not isinstance(space, DickeSpace):
-        raise InvalidArgument("space must be a DickeSpace")
-    n = space.n_particles
+    n = _instance(space, DickeSpace, "space").n_particles
     binom = np.array([[float(math.comb(a, b)) for b in range(n + 1)] for a in range(n + 1)])
     tables = []
     for s, sector in enumerate(space.sectors):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, InvalidArgument, _count, _real
+from .errors import DegenerateProbe, InvalidArgument, _array, _count, _real
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
@@ -280,7 +280,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = _array(self.amplitudes, "amplitudes")
         if amp.shape != (self.space.total_dim,):
             raise InvalidArgument(
                 f"amplitudes have shape {amp.shape}, expected ({self.space.total_dim},)")
@@ -310,7 +310,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        mat = np.ascontiguousarray(_array(self.matrix, "density matrix"))
         d = self.space.total_dim
         if mat.shape != (d, d):
             raise InvalidArgument(f"matrix has shape {mat.shape}, expected ({d}, {d})")

@@ -5,8 +5,8 @@ commutes with the dissipator, so the propagation splits exactly into a
 dephasing stage in the integrated-strength variable Theta followed by the
 unitary rotation. The dephasing stage is the semigroup exp(Theta L),
 evaluated chain by chain in the noise frame of the dephasing generator.
-evolve() implements that split and refuses (or, on explicit request, falls
-back to a joint reference integration) when the assumption does not hold.
+evolve() implements that split and refuses a field off the axis, which only
+the joint reference integration full_gkls_reference covers.
 
 Two brute-force oracles back the fast path: a joint real-time integration of
 the same block-diagonal master equation in the lab frame, with the dissipator
@@ -43,13 +43,6 @@ class FieldParams:
     @property
     def norm(self):
         return float(np.linalg.norm(self.phi))
-
-    @property
-    def direction(self):
-        n = self.norm
-        if n == 0.0:
-            raise InvalidArgument("zero field has no direction")
-        return tuple(p / n for p in self.phi)
 
 
 def hamiltonian(space, field):
@@ -149,75 +142,48 @@ def dephase(rho0, superoperator, spec, t):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Evolved state together with the pieces of the split propagation.
-
-    rho = unitary . rho_dephased . unitary^dag holds whenever split_valid;
-    when the parallel assumption was waived the fields store the joint
-    reference solution and its rotating-frame pullback instead.
-    """
+    """Evolved state together with the pieces of the split propagation:
+    rho = unitary . rho_dephased . unitary^dag."""
 
     rho: DensityOperator
     rho_dephased: DensityOperator
     unitary: BlockOperator
     t: float
-    split_valid: bool = True
 
 
-def _line_angle(u, v):
-    """Angle between the lines spanned by u and v (sign-insensitive)."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    cross = np.linalg.norm(np.cross(a, b))
-    dot = abs(float(a @ b))
-    return math.atan2(cross, dot)
+def _parallel(phi, spec):
+    """Whether the split holds: no noise, or the field phi within 1e-8 rad
+    of the noise axis, its sign ignored (a zero field counts as parallel)."""
+    if spec.gamma == 0.0:
+        return True
+    a, b = np.asarray(phi, dtype=float), np.asarray(spec.axis, dtype=float)
+    return math.atan2(np.linalg.norm(np.cross(a, b)), abs(float(a @ b))) <= 1e-8
 
 
-def evolve(rho0, field, spec, t, superoperator=None, allow_nonparallel=False):
+def evolve(rho0, field, spec, t, superoperator=None):
     """Propagate rho0 for time t under field phi and dephasing spec.
 
-    The fast path requires the field direction to lie along the noise axis
-    (within 1e-8 rad, sign ignored); then dephasing and rotation commute and
-    are applied in sequence. With allow_nonparallel=True a violation falls
-    back to the joint reference integrator instead of raising.
+    The field must lie along the noise axis (_parallel); then dephasing and
+    rotation commute and are applied in sequence. A field off the axis
+    raises AssumptionViolated: full_gkls_reference integrates that case.
 
     A prebuilt superoperator for (rho0.space, spec) may be passed to avoid
     reassembly in loops.
     """
     t = _nonnegative(t, "t")
+    if not _parallel(field.phi, spec):
+        raise AssumptionViolated(
+            "field direction is not parallel to the dephasing axis; "
+            "full_gkls_reference integrates the joint dynamics")
     space = rho0.space
-    noiseless = spec.gamma == 0.0
-    if not noiseless and _line_angle(field.phi, spec.axis) > 1e-8:
-        if not allow_nonparallel:
-            raise AssumptionViolated(
-                "field direction is not parallel to the dephasing axis; "
-                "pass allow_nonparallel=True to use the joint reference integrator")
-        u = unitary(space, field, t)
-        rho_t = full_gkls_reference(rho0, field, spec, t)
-        pulled_back = u.dagger().sandwich(rho_t.matrix)
-        pulled_back = (pulled_back + pulled_back.conj().T) / 2.0
-        return EvolutionResult(
-            rho=rho_t,
-            rho_dephased=DensityOperator(space, pulled_back),
-            unitary=u,
-            t=t,
-            split_valid=False,
-        )
-    if superoperator is None and not noiseless:
+    if superoperator is None and spec.gamma > 0.0:
         superoperator = build_dephasing_superoperator(space, spec)
     rho_deph = dephase(rho0, superoperator, spec, t)
     u = unitary(space, field, t)
     rotated = u.sandwich(rho_deph.matrix)
     rotated = (rotated + rotated.conj().T) / 2.0
-    return EvolutionResult(
-        rho=DensityOperator(space, rotated),
-        rho_dephased=rho_deph,
-        unitary=u,
-        t=t,
-        split_valid=True,
-    )
+    return EvolutionResult(rho=DensityOperator(space, rotated), rho_dephased=rho_deph,
+                           unitary=u, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +419,15 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     second_full = np.array([[np.trace(ja @ jb @ rho_full) for jb in jops_full]
                             for ja in jops_full])
 
-    result = evolve(initial.projector(), field, spec, t,
-                    allow_nonparallel=True)
+    rho0 = initial.projector()
+    rho = evolve(rho0, field, spec, t).rho if _parallel(field.phi, spec) \
+        else full_gkls_reference(rho0, field, spec, t)
     jops = [collective_operator(space, a) for a in _AXES]
-    first_dicke = np.array([jops[i].expectation(result.rho.matrix).real for i in range(3)])
-    second_dicke = np.array([[(jops[a] @ jops[b]).expectation(result.rho.matrix)
+    first_dicke = np.array([jops[i].expectation(rho.matrix).real for i in range(3)])
+    second_dicke = np.array([[(jops[a] @ jops[b]).expectation(rho.matrix)
                               for b in range(3)] for a in range(3)])
 
-    lifted = embed_collective(result.rho, multiplets)
+    lifted = embed_collective(rho, multiplets)
     fid = state_fidelity(lifted, rho_full)
 
     return HilbertComparison(

@@ -46,6 +46,13 @@ def _count(value, what, least):
     return int(value)
 
 
+def _instance(value, kind, what):
+    """value, refused as InvalidArgument unless it is an instance of kind."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _member(enum_type, value):
     """enum_type(value), with an unknown value refused as InvalidArgument."""
     try:
@@ -63,6 +70,14 @@ def _real(value, what):
         raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
 
 
+def _array(value, what, dtype=complex):
+    """np.asarray(value, dtype), with a value that does not convert refused as InvalidArgument."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{what} must be an array of numbers, got {value!r}") from None
+
+
 def _nonnegative(value, what):
     """_real(value), refused unless it is finite and >= 0."""
     x = _real(value, what)
@@ -73,21 +88,15 @@ def _nonnegative(value, what):
 
 def _vector(value, what):
     """value as an array of 3 finite floats, anything else refused as InvalidArgument."""
-    try:
-        vec = np.asarray(value, dtype=float)
-        if vec.shape == (3,) and np.all(np.isfinite(vec)):
-            return vec
-    except (TypeError, ValueError):
-        pass
-    raise InvalidArgument(f"{what} must be 3 finite components, got {value}")
+    vec = _array(value, what, float)
+    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+        raise InvalidArgument(f"{what} must be 3 finite components, got {value}")
+    return vec
 
 
 def _strengths(thetas):
     """thetas as a float array, refused unless every one is finite and >= 0."""
-    try:
-        thetas = np.asarray(thetas, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"theta must be real numbers, got {thetas!r}") from None
+    thetas = _array(thetas, "theta", float)
     if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
         raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
     return thetas

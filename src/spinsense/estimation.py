@@ -12,7 +12,6 @@ experiments that share the same total time budget.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .dicke import DensityOperator
 from .dynamics import _AXES, FieldBasis
-from .errors import AssumptionViolated, InvalidArgument, SingularQfim, _member, _real
+from .errors import InvalidArgument, SingularQfim, _array, _instance, _real
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
 _QFIM_EPS = 1e-12
@@ -32,15 +31,6 @@ _CONDITION_LIMIT = 1e12
 _QFIM_TOL = 1e-9
 _FAULTS = ("QFIM evaluation produced a non-real matrix", "QFIM must be symmetric",
            "QFIM must be positive semidefinite")
-
-
-class Scenario(str, enum.Enum):
-    """Which estimation experiment a Fisher matrix belongs to."""
-
-    SIMULTANEOUS = "simultaneous"
-    INDIVIDUAL_X = "individual-x"
-    INDIVIDUAL_Y = "individual-y"
-    INDIVIDUAL_Z = "individual-z"
 
 
 def generator_operator(space, field, t, axis):
@@ -61,15 +51,9 @@ def partial_rho(result, field, axis):
     dephased input, which is exact under the parallel split:
 
         d rho / d phi_k = -i U [A_k, rho_deph] U^dag.
-
-    Requires a split-valid evolution result.
     """
     if axis not in _AXES:
         raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
-    if not result.split_valid:
-        raise AssumptionViolated(
-            "field derivatives require the parallel split; evolve without "
-            "allow_nonparallel fallback")
     gen = generator_operator(result.rho.space, field, result.t, axis)
     comm = gen.commutator(result.rho_dephased.matrix)
     out = -1j * result.unitary.sandwich(comm)
@@ -78,18 +62,15 @@ def partial_rho(result, field, axis):
 
 @dataclass(frozen=True, eq=False)
 class QfimMatrix:
-    """3x3 quantum Fisher information matrix with its evaluation context."""
+    """3x3 quantum Fisher information matrix at shot duration t; the entries
+    are stored real, once _real_qfim has checked them as given."""
 
     entries: np.ndarray
     t: float
     n_particles: int
-    scenario: Scenario
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=float)
-        if mat.shape != (3, 3):
-            raise InvalidArgument(f"entries must be 3x3, got shape {mat.shape}")
-        object.__setattr__(self, "entries", _real_qfim(mat))
+        object.__setattr__(self, "entries", _real_qfim(self.entries))
 
 
 def _qfim_entries(spectra, partial_blocks):
@@ -133,8 +114,12 @@ def _qfim_entries(spectra, partial_blocks):
 
 
 def _real_qfim(q):
-    """The real part of one QFIM, checked by _qfim_bounds: a non-real,
-    non-symmetric or indefinite one is InvalidArgument."""
+    """The real part of one QFIM, checked by _qfim_bounds: one that is not a
+    3 x 3 array of numbers, or is non-real, non-symmetric or indefinite, is
+    InvalidArgument."""
+    q = _array(q, "QFIM entries")
+    if q.shape != (3, 3):
+        raise InvalidArgument(f"QFIM entries must be 3x3, got shape {q.shape}")
     fault = _qfim_bounds(q[None], 1.0)[2]
     if fault is not None:
         raise InvalidArgument(fault[1])
@@ -173,7 +158,7 @@ def _qfim_bounds(q, repetitions, individual=False):
     return (3.0 * total if individual else total) / repetitions, w, fault
 
 
-def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
+def qfim(rho, partials, t=math.nan):
     """Quantum Fisher information matrix of rho for the three derivatives:
     one dense eigh of rho, then the core the sweep uses, _qfim_entries.
 
@@ -181,22 +166,16 @@ def qfim(rho, partials, t=math.nan, scenario=Scenario.SIMULTANEOUS):
     ----------
     rho : DensityOperator
     partials : three Hermitian ndarrays, the derivatives of rho by phi_x, phi_y, phi_z
-    t, scenario : metadata recorded on the result.
+    t : the shot duration, recorded on the result.
     """
-    if not isinstance(rho, DensityOperator):
-        raise InvalidArgument("rho must be a DensityOperator")
-    d = rho.matrix.shape[0]
-    try:
-        partials = np.asarray(partials, dtype=complex)
-    except (TypeError, ValueError):
-        partials = None
-    if partials is None or partials.shape != (3, d, d):
+    d = _instance(rho, DensityOperator, "rho").matrix.shape[0]
+    partials = _array(partials, "partials")
+    if partials.shape != (3, d, d):
         raise InvalidArgument(f"partials must be three {d} x {d} arrays")
-    t, scenario = _real(t, "t"), _member(Scenario, scenario)
+    t = _real(t, "t")
     p, v = np.linalg.eigh(rho.matrix)
-    entries = _real_qfim(_qfim_entries([p], [v.conj().T @ partials @ v]))
-    return QfimMatrix(entries=entries, t=t, n_particles=rho.space.n_particles,
-                      scenario=scenario)
+    return QfimMatrix(entries=_qfim_entries([p], [v.conj().T @ partials @ v]), t=t,
+                      n_particles=rho.space.n_particles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +185,13 @@ class PovmSet:
     elements: tuple
 
     def __init__(self, elements):
-        mats = tuple(np.asarray(e, dtype=complex) for e in elements)
+        try:
+            mats = tuple(_array(e, "POVM element") for e in elements)
+        except TypeError:
+            raise InvalidArgument(f"POVM elements must be an iterable, got {elements!r}") from None
         if not mats:
             raise InvalidArgument("POVM needs at least one element")
-        d = mats[0].shape[0]
+        d = max(mats[0].shape, default=0)  # a scalar fails the square test
         total = np.zeros((d, d), dtype=complex)
         for e in mats:
             if e.shape != (d, d):
@@ -262,7 +244,7 @@ def bound_simultaneous(q, repetitions):
     m = _real(repetitions, "repetitions")
     if not np.isfinite(m) or m <= 0.0:
         raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
-    (value,), (w,), _ = _qfim_bounds(q.entries[None], m)
+    (value,), (w,), _ = _qfim_bounds(_instance(q, QfimMatrix, "q").entries[None], m)
     if np.isnan(value):
         raise SingularQfim(f"QFIM eigenvalues {w} do not support inversion")
     return BoundValue(value=float(value), repetitions=m,

@@ -42,9 +42,9 @@ import numpy as np
 from .dicke import StateVector, _ghz_spinors, _spin_block, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
-from .dynamics import _AXES, _PAULI, FieldParams, _line_angle, phase_integral
-from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
-                     NumericalError, _count, _member, _real, _vector)
+from .dynamics import _AXES, _PAULI, FieldParams, _parallel, phase_integral
+from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
+                     _array, _count, _instance, _member, _real, _vector)
 from .estimation import _qfim_bounds, _qfim_entries
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
@@ -104,9 +104,7 @@ class SweepConfig:
         object.__setattr__(self, "total_time", _real(self.total_time, "total_time"))
         if not np.isfinite(self.total_time) or self.total_time <= 0.0:
             raise InvalidArgument(f"total_time must be positive, got {self.total_time}")
-        if not isinstance(self.grid, TimeGrid):
-            raise InvalidArgument(f"grid must be a TimeGrid, got {self.grid!r}")
-        if self.grid.stop > self.total_time * (1.0 + 1e-12):
+        if _instance(self.grid, TimeGrid, "grid").stop > self.total_time * (1.0 + 1e-12):
             raise InvalidArgument(
                 f"grid extends to {self.grid.stop}, beyond the total budget {self.total_time}")
         object.__setattr__(self, "scenario", _member(SweepScenario, self.scenario))
@@ -379,15 +377,15 @@ def _first_dip(values):
 
 
 def _parabolic_minimum(log_t, log_i, idx):
-    """Vertex of the parabola through three neighbouring log-log points."""
-    x = log_t[idx - 1:idx + 2]
-    y = log_i[idx - 1:idx + 2]
-    coeffs = np.polyfit(x, y, 2)
-    if coeffs[0] <= 0.0:
-        return log_t[idx], log_i[idx]
-    xv = -coeffs[1] / (2.0 * coeffs[0])
-    xv = min(max(xv, x[0]), x[-1])
-    return xv, float(np.polyval(coeffs, xv))
+    """Vertex of the parabola through three neighbouring log-log points. At a
+    strict dip (_first_dip) the parabola is convex, with its vertex between
+    the outer points: y1 - s^2 / 4a at x1 - s / 2a, with a its curvature
+    and s its slope at x1 from the divided differences d0 and d1."""
+    (x0, x1, x2), (y0, y1, y2) = log_t[idx - 1:idx + 2], log_i[idx - 1:idx + 2]
+    d0, d1 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    a = (d1 - d0) / (x2 - x0)
+    s = d0 + a * (x1 - x0)
+    return x1 - s / (2.0 * a), y1 - s * s / (4.0 * a)
 
 
 def sweep_time(config):
@@ -404,19 +402,17 @@ def sweep_time(config):
     flagged as a boundary optimum. Grid points whose QFIM is singular are
     reported as missing; if every point fails the sweep raises
     ExperimentFailed. Under dephasing the field must lie along the noise
-    axis (within 1e-8 rad, sign ignored), as evolve requires; otherwise the
-    sweep raises AssumptionViolated. The sweep then takes the field's
+    axis, as evolve requires (_parallel); otherwise the sweep raises
+    AssumptionViolated. The sweep then takes the field's
     component along the axis.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
-    transfer = None
-    if spec.gamma > 0.0:
-        if _line_angle(config.field, spec.axis) > 1e-8:
-            raise AssumptionViolated(
-                "field direction is not parallel to the dephasing axis; the "
-                "sweep needs the parallel split")
-        transfer = build_transfer_kernels(space)
+    if not _parallel(config.field, spec):
+        raise AssumptionViolated(
+            "field direction is not parallel to the dephasing axis; the "
+            "sweep needs the parallel split")
+    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
     prepared = _sweep_probes(config, space, spec)
     times = config.grid.values()
     values = _bounds_on_grid(config, space, transfer, spec, prepared, times)
@@ -524,11 +520,8 @@ def fit_power_law(points, n_min=10):
     n_min = _real(n_min, "n_min")
     if math.isnan(n_min):
         raise InvalidArgument("n_min must be a real number, got nan")
-    try:
-        arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+    arr = _array(points, "points", float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidArgument("points must be an iterable of (N, value) pairs")
     arr = arr[arr[:, 0] >= n_min]
     if len(arr) < 3:
@@ -567,10 +560,8 @@ def husimi_map(state, shape=(181, 360)):
     dropped with a warning since coherent states only resolve the top block.
     Rows run over theta in [0, pi], columns over phi in [0, 2 pi).
     """
-    if not isinstance(state, StateVector):
-        raise InvalidArgument(f"state must be a StateVector, got {type(state).__name__}")
+    space = _instance(state, StateVector, "state").space
     thetas, phis = husimi_grid(shape)
-    space = state.space
     sec = space.max_sector
     psi = state.amplitudes[sec.offset:sec.offset + sec.dim]
     off_weight = 1.0 - float(np.vdot(psi, psi).real)

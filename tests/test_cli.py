@@ -185,6 +185,42 @@ def test_nonparallel_fallback_flag(capsys):
     assert doc["split-valid"] is False
 
 
+@pytest.mark.parametrize("text, code", [("true", 0), ("false", 4)])
+def test_config_file_spells_the_flag_as_a_string(tmp_path, capsys, text, code):
+    # "true" and "false" in a config file act as the flag given or left out
+    argv = ["evolve", "--n", "2", "--t", "1.0", "--phi", "0.02,0,0"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allow-nonparallel": text}))
+    got = run_cli(capsys, *argv, "--config", str(cfg))
+    flag = ["--allow-nonparallel"] if text == "true" else []
+    assert got[0] == code
+    assert got[:2] == run_cli(capsys, *argv, *flag)[:2]
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["space-info", "--config", "{tmp}/absent.json"], {}, "cannot read config file"),
+    (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "{"}, "is not valid JSON"),
+    (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "[3]"},
+     "must hold a flat JSON object"),
+    (["evolve", "--n", "2", "--t", "1", "--config", "{tmp}/cfg.json"],
+     {"cfg.json": '{"allow-nonparallel": "maybe"}'},
+     "config key 'allow-nonparallel': expected a boolean, got 'maybe'"),
+    (["scan-n", "--n-list", "2", "--workers", "0"], {}, "workers must be >= 1, got 0"),
+    (["sweep-time"], {}, "sweep-time requires --n"),
+    (["fit", "--in", "{tmp}/absent.csv"], {}, "cannot read"),
+    (["fit", "--in", "{tmp}/scan.csv"], {"scan.csv": "# spinsense-version = 0\r\n"},
+     "holds no CSV header"),
+], ids=["config-unreadable", "config-not-json", "config-not-object", "config-bool-maybe",
+        "workers-zero", "sweep-without-n", "fit-in-missing", "fit-in-no-header"])
+def test_refusals_exit_2_and_name_the_problem(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, newline="")
+    code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("spinsense: InvalidArgument: ")
+    assert message in err
+
+
 def test_sweep_failure_exit_code(capsys):
     # one spin cannot resolve three field components: every grid point is
     # singular and the sweep reports an experiment failure

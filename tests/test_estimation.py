@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from spinsense import (AssumptionViolated, DensityOperator, FieldParams,
-                       InvalidArgument, NoiseKind, NoiseSpec, PovmSet,
-                       QfimMatrix, Scenario, SingularQfim, StateVector,
+from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseKind,
+                       NoiseSpec, PovmSet, QfimMatrix, SingularQfim, StateVector,
                        bound_individual, bound_simultaneous, build_space,
                        cfim, collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
@@ -106,16 +105,6 @@ def test_partial_rho_matches_finite_difference():
         fd = (unitary(space, FieldParams(tuple(fp)), t).sandwich(rd)
               - unitary(space, FieldParams(tuple(fm)), t).sandwich(rd)) / (2.0 * eps)
         assert np.max(np.abs(fd - partial_rho(res, FIELD_DIAG, ax))) < 1e-6
-
-
-def test_partial_rho_needs_split_result():
-    space = build_space(3)
-    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z)
-    field = FieldParams((0.01, 0.0, 0.01))
-    res = evolve(ghz_state(space, "z").projector(), field, spec, 1.0,
-                 allow_nonparallel=True)
-    with pytest.raises(AssumptionViolated):
-        partial_rho(res, field, "z")
 
 
 def test_qfim_pure_ghz_heisenberg_entry():
@@ -249,11 +238,10 @@ def test_unitary_family_derivative_is_the_gap_times_the_rotated_generator():
 def test_qfim_matrix_validation():
     bad = np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(InvalidArgument):
-        QfimMatrix(entries=bad, t=1.0, n_particles=2, scenario=Scenario.SIMULTANEOUS)
+        QfimMatrix(entries=bad, t=1.0, n_particles=2)
     indefinite = np.diag([1.0, 1.0, -0.5])
     with pytest.raises(InvalidArgument):
-        QfimMatrix(entries=indefinite, t=1.0, n_particles=2,
-                   scenario=Scenario.SIMULTANEOUS)
+        QfimMatrix(entries=indefinite, t=1.0, n_particles=2)
 
 
 def test_qfim_covariant_under_global_rotation():
@@ -348,8 +336,7 @@ def test_cfim_never_beats_qfim():
 
 
 def test_simultaneous_bound_closed_form():
-    q = QfimMatrix(entries=np.diag([4.0, 4.0, 4.0]), t=1.0, n_particles=2,
-                   scenario=Scenario.SIMULTANEOUS)
+    q = QfimMatrix(entries=np.diag([4.0, 4.0, 4.0]), t=1.0, n_particles=2)
     b = bound_simultaneous(q, repetitions=10.0)
     assert abs(b.value - 3.0 / (4.0 * 10.0)) < 1e-15
     half = bound_simultaneous(q, repetitions=20.0)
@@ -357,12 +344,10 @@ def test_simultaneous_bound_closed_form():
 
 
 def test_simultaneous_bound_rejects_singular():
-    q = QfimMatrix(entries=np.diag([4.0, 4.0, 0.0]), t=1.0, n_particles=2,
-                   scenario=Scenario.SIMULTANEOUS)
+    q = QfimMatrix(entries=np.diag([4.0, 4.0, 0.0]), t=1.0, n_particles=2)
     with pytest.raises(SingularQfim):
         bound_simultaneous(q, repetitions=1.0)
-    skewed = QfimMatrix(entries=np.diag([1e14, 1.0, 1.0]), t=1.0, n_particles=2,
-                        scenario=Scenario.SIMULTANEOUS)
+    skewed = QfimMatrix(entries=np.diag([1e14, 1.0, 1.0]), t=1.0, n_particles=2)
     with pytest.raises(SingularQfim):
         bound_simultaneous(skewed, repetitions=1.0)
 

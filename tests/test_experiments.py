@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsense import (AssumptionViolated, ExperimentFailed, FieldParams,
-                       InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
-                       StateVector, SweepConfig, SweepScenario, TimeGrid,
-                       bound_individual, bound_simultaneous,
+from spinsense import (AssumptionViolated, DensityOperator, ExperimentFailed,
+                       FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
+                       NumericalError, PovmSet, QfimMatrix, StateVector,
+                       SweepConfig, SweepScenario, TimeGrid, bound_individual,
+                       bound_simultaneous,
                        build_transfer_kernels, build_space, coherent_state,
                        cumulative_degeneracy, degeneracy, dephase, evolve,
                        fit_power_law, full_gkls_reference,
@@ -109,7 +110,6 @@ def test_sweep_config_validation():
     lambda: bound_simultaneous(_qfim_of(), "x"),
     lambda: bound_individual(1.0, 1.0, 1.0, "x"),
     lambda: _qfim_of(t="x"),
-    lambda: _qfim_of(scenario="both"),
     lambda: scan_particles(None, SweepConfig(n_particles=2)),
     lambda: degeneracy(4, "x"),
     lambda: cumulative_degeneracy(4, None),
@@ -123,6 +123,14 @@ def test_sweep_config_validation():
     lambda: qfim(_RHO, None),
     lambda: husimi_map(_RHO),
     lambda: husimi_map("x"),
+    lambda: QfimMatrix(entries=np.eye(3) * (1.0 + 1.0j), t=1.0, n_particles=2),
+    lambda: QfimMatrix(entries="abc", t=1.0, n_particles=2),
+    lambda: DensityOperator(_SPACE, [["x"] * 6] * 6),
+    lambda: StateVector(_SPACE, ["x"] * 6),
+    lambda: PovmSet([np.eye(6), "abc"]),
+    lambda: PovmSet(None),
+    lambda: PovmSet([1.0]),
+    lambda: bound_simultaneous(_qfim_of().entries, 2.0),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -132,10 +140,13 @@ def test_sweep_config_validation():
         "gamma-profile-t-text", "integrated-strength-t-text", "propagate-theta-text",
         "kernels-theta-text", "gkls-reference-t-text", "hilbert-reference-t-text",
         "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
-        "qfim-scenario", "scan-n-list-none", "degeneracy-j-text",
+        "scan-n-list-none", "degeneracy-j-text",
         "cumulative-degeneracy-j-none", "degeneracy-j-inf", "coherent-theta-text",
         "bound-ind-entry-text", "fit-points-text", "fit-points-ragged", "qfim-partials-shape",
-        "qfim-partials-text", "qfim-partials-none", "husimi-map-density", "husimi-map-text"])
+        "qfim-partials-text", "qfim-partials-none", "husimi-map-density", "husimi-map-text",
+        "qfim-matrix-complex", "qfim-matrix-text", "density-operator-text",
+        "state-vector-text", "povm-text", "povm-none", "povm-scalar",
+        "bound-sim-ndarray"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):

@@ -98,14 +98,6 @@ def _int_list(text):
     return [_as_int(v) for v in text]
 
 
-def _as_bool(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise InvalidArgument(f"expected a boolean, got {value!r}")
-
-
 # One row per option, under its key (the flag is --key): help text, the
 # coercion of a flag string or config-file value, the resolved default, and
 # any further argparse keywords. Commands pick subsets from this table in
@@ -124,8 +116,6 @@ _OPTIONS = {
     "n-list": ("particle counts, ascending", _int_list, None, dict(metavar="N1,N2,...")),
     "t": ("shot duration", _as_float, None, dict(metavar="T")),
     "probe": ("initial state", str, None, dict(choices=list(_PROBES))),
-    "allow-nonparallel": ("fall back to the joint integrator off-axis", _as_bool, False,
-                          dict(action="store_true", default=None)),
     "grid": ("husimi grid rows,cols", _shape, (181, 360), dict(metavar="ROWS,COLS")),
     "in": ("input CSV produced by scan-n", str, None, dict(metavar="PATH")),
     "column": ("value column to fit", str, "i_min", dict(metavar="NAME")),
@@ -352,8 +342,8 @@ def _run_evolve(run):
     spec = NoiseSpec(kind=p["kind"], gamma=p["gamma"], axis=p["axis"])
     field = FieldParams(p["phi"])
     rho0 = _probe_state(space, probe_name).projector()
-    # off the axis evolve refuses, unless the flag asks for the joint integrator
-    split = not p["allow-nonparallel"] or _parallel(field.phi, spec)
+    # the split where it holds (_parallel), else the joint integrator
+    split = _parallel(field.phi, spec)
     rho = evolve(rho0, field, spec, t).rho if split else full_gkls_reference(rho0, field, spec, t)
     jops = [collective_operator(space, a) for a in ("x", "y", "z")]
     first = [float(op.expectation(rho.matrix).real) for op in jops]
@@ -412,20 +402,22 @@ def _run_scan_n(run):
     rows = scan_particles(n_list, base, workers=run.workers)
     dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
     return _emit(run, {
-        "rows": [{"n": r.n_particles, "scenario": r.scenario.value,
-                  "kind": r.kind.value, "t-opt": r.t_opt, "i-min": r.i_min}
+        "rows": [{"n": r.n_particles, "scenario": r.scenario.value, "kind": r.kind.value,
+                  "t-opt": r.t_opt, "i-min": r.i_min, "boundary": r.boundary}
                  for r in rows],
         "dropped": [{"n": n, "reason": reason} for n, reason in rows.dropped],
-    }, (["n", "scenario", "kind", "t_opt", "i_min"],
-        [[r.n_particles, r.scenario.value, r.kind.value,
-          _fmt_float(r.t_opt), _fmt_float(r.i_min)] for r in rows],
+    }, (["n", "scenario", "kind", "t_opt", "i_min", "boundary"],
+        [[r.n_particles, r.scenario.value, r.kind.value, _fmt_float(r.t_opt),
+          _fmt_float(r.i_min), "true" if r.boundary else "false"] for r in rows],
         [f"# dropped = {dropped or 'none'}"]))
 
 
 def _read_scan_csv(path, column):
-    """(n, value) of each row of a scan-n CSV with a value in column; '#'
-    lines, blank rows and empty value cells (NaN) are skipped. Text that is
-    not UTF-8, a short row or a non-number is a bad argument naming its line."""
+    """(n, value) of each row of a scan-n CSV with a value in column, and the
+    N of each row whose boundary column reads true; '#' lines, blank rows and
+    empty value cells (NaN) are skipped, and a CSV without a boundary column
+    has no boundary rows. Text that is not UTF-8, a short row, a non-number
+    or a boundary other than true or false is a bad argument naming its line."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -448,23 +440,27 @@ def _read_scan_csv(path, column):
         raise InvalidArgument(
             f"{path} must provide columns 'n' and {column!r}, found {header}")
     n_idx, v_idx = header.index("n"), header.index(column)
-    need, points = max(n_idx, v_idx) + 1, []
+    b_idx = header.index("boundary") if "boundary" in header else None
+    need, points, skipped = max(n_idx, v_idx, b_idx or 0) + 1, [], []
     for row in reader:
         line = numbered[reader.line_num - 1][0]
         if len(row) < need and "".join(row).strip():
             raise InvalidArgument(f"{path} line {line}: row has {len(row)} fields, need {need}")
         if len(row) < need or not row[v_idx].strip():
             continue
+        flag = "false" if b_idx is None else row[b_idx]
         try:
-            points.append((float(row[n_idx]), float(row[v_idx])))
+            if flag not in ("true", "false"):
+                raise ValueError(f"boundary must be true or false, got {flag!r}")
+            (skipped if flag == "true" else points).append((float(row[n_idx]), float(row[v_idx])))
         except ValueError as exc:
             raise InvalidArgument(f"{path} line {line}: {exc}") from None
-    return points
+    return points, [int(n) if n.is_integer() else n for n, _ in skipped]
 
 
 def _run_fit(run):
     p = run.params
-    points = _read_scan_csv(_require(p, "in", "fit"), p["column"])
+    points, skipped = _read_scan_csv(_require(p, "in", "fit"), p["column"])
     fit = fit_power_law(points, n_min=p["n-min"])
     return _emit(run, {
         "column": p["column"],
@@ -472,6 +468,7 @@ def _run_fit(run):
         "prefactor": fit.prefactor,
         "residual": fit.residual,
         "n-used": fit.n_used,
+        "skipped": skipped,
     })
 
 
@@ -647,9 +644,12 @@ def _pointwise_bounds(config):
 def _check_sweep_vs_pointwise(n):
     worst, compared = 0.0, 0
     # both noise kinds in the noise frame; without noise, the default field
-    # frame on the body diagonal and a field frame off it
+    # frame on the body diagonal and a field frame off it; the zero field's
+    # frames, with and without noise
+    zero = {"field": (0.0, 0.0, 0.0)}
     cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}), (NoiseKind.NONE, {}),
-             (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}))
+             (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}), (NoiseKind.MARKOVIAN, zero),
+             (NoiseKind.NONE, zero))
     for kind, extra in cases:
         for scenario in SweepScenario:
             config = SweepConfig(n_particles=n, kind=kind, scenario=scenario,
@@ -717,8 +717,8 @@ _COMMANDS = {
     "space-info": ("print the sector layout of the collective basis",
                    ("n",) + _OUTPUT, _run_space_info, ("json", "csv")),
     "evolve": ("evolve one probe state and report its collective moments",
-               ("n", "gamma", "kind", "phi", "axis", "t", "probe",
-                "allow-nonparallel") + _OUTPUT, _run_evolve, ("json",)),
+               ("n", "gamma", "kind", "phi", "axis", "t", "probe") + _OUTPUT, _run_evolve,
+               ("json",)),
     "sweep-time": ("sweep the shot duration and locate the optimal time",
                    ("n",) + _SWEEP + _OUTPUT, _run_sweep_time, ("csv", "json")),
     "scan-n": ("repeat the sweep over a list of particle counts",

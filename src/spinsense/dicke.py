@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, InvalidArgument, _array, _count, _real
+from .errors import DegenerateProbe, InvalidArgument, _array, _count, _instance, _real
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
@@ -281,9 +281,9 @@ class StateVector:
 
     def __post_init__(self):
         amp = _array(self.amplitudes, "amplitudes")
-        if amp.shape != (self.space.total_dim,):
-            raise InvalidArgument(
-                f"amplitudes have shape {amp.shape}, expected ({self.space.total_dim},)")
+        d = _instance(self.space, DickeSpace, "space").total_dim
+        if amp.shape != (d,):
+            raise InvalidArgument(f"amplitudes have shape {amp.shape}, expected ({d},)")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise InvalidArgument(f"state norm {norm!r} deviates from 1 beyond 1e-12")
@@ -311,7 +311,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = np.ascontiguousarray(_array(self.matrix, "density matrix"))
-        d = self.space.total_dim
+        d = _instance(self.space, DickeSpace, "space").total_dim
         if mat.shape != (d, d):
             raise InvalidArgument(f"matrix has shape {mat.shape}, expected ({d}, {d})")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-10:

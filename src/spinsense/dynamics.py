@@ -24,7 +24,7 @@ import numpy as np
 
 from .dicke import BlockOperator, DensityOperator, collective_operator
 from .dephasing import build_dephasing_superoperator, gamma_profile, integrated_strength
-from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _count,
+from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _count, _instance,
                      _nonnegative, _vector)
 
 _AXES = ("x", "y", "z")
@@ -175,7 +175,7 @@ def evolve(rho0, field, spec, t, superoperator=None):
         raise AssumptionViolated(
             "field direction is not parallel to the dephasing axis; "
             "full_gkls_reference integrates the joint dynamics")
-    space = rho0.space
+    space = _instance(rho0, DensityOperator, "rho0").space
     if superoperator is None and spec.gamma > 0.0:
         superoperator = build_dephasing_superoperator(space, spec)
     rho_deph = dephase(rho0, superoperator, spec, t)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DensityOperator
-from .dynamics import _AXES, FieldBasis
+from .dynamics import _AXES, EvolutionResult, FieldBasis
 from .errors import InvalidArgument, SingularQfim, _array, _instance, _real
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
@@ -36,11 +36,9 @@ _FAULTS = ("QFIM evaluation produced a non-real matrix", "QFIM must be symmetric
 def generator_operator(space, field, t, axis):
     """Rotating-frame integral of J_axis over [0, t] for the given field.
 
-    This is the Hermitian operator A with dU/dphi_axis = -i U A; at t -> 0
-    it reduces to t * J_axis.
+    This is the Hermitian operator A with dU/dphi_axis = -i U A; at t -> 0,
+    and for a zero field at every t, it is t * J_axis.
     """
-    if field.norm == 0.0:
-        raise InvalidArgument("field must be nonzero")
     return FieldBasis(space, field).generator(t, axis)
 
 
@@ -54,6 +52,7 @@ def partial_rho(result, field, axis):
     """
     if axis not in _AXES:
         raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
+    result = _instance(result, EvolutionResult, "result")
     gen = generator_operator(result.rho.space, field, result.t, axis)
     comm = gen.commutator(result.rho_dephased.matrix)
     out = -1j * result.unitary.sandwich(comm)
@@ -214,7 +213,7 @@ def cfim(rho, partials, povm):
     """
     if not isinstance(povm, PovmSet):
         povm = PovmSet(povm)
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    mat = rho.matrix if isinstance(rho, DensityOperator) else _array(rho, "rho")
     out = np.zeros((3, 3))
     for element in povm.elements:
         prob = float(np.einsum("ij,ji->", element, mat).real)

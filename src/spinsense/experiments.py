@@ -124,8 +124,8 @@ class SweepConfig:
 @dataclass(frozen=True)
 class RefinementMeta:
     """Where the optimum came from: grid index of the selected sampled
-    minimum, and whether the optimum sat on a grid boundary (in which case
-    no refinement is attempted)."""
+    minimum, and whether it is a boundary optimum, on a grid edge or next to
+    a singular point (in which case no refinement is attempted)."""
 
     grid_index: int
     boundary: bool
@@ -360,27 +360,26 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
 
 
 def _first_dip(values):
-    """The first interior local minimum of a sampled curve: its index and
-    False; or, when the finite samples run monotone to an edge (no interior
-    dip), the index of the smallest sample and True. A point qualifies when
-    it and both neighbours are finite and it lies strictly below both.
-    Returns (None, True) when no sample is finite.
+    """The first local minimum of a sampled curve, counting the edges: the
+    first finite sample strictly below the one before it and not above the
+    one after it, an edge or a non-finite neighbour counting as +inf. Returns
+    its index and whether it is a boundary optimum (on an edge or next to a
+    singular sample); (None, True) when no sample is finite.
     """
-    finite = np.isfinite(values)
-    if not finite.any():
+    v = np.concatenate(([np.inf], np.where(np.isfinite(values), values, np.inf), [np.inf]))
+    dips = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
+    if not dips.size:
         return None, True
-    for i in range(1, len(values) - 1):
-        if finite[i - 1:i + 2].all() and values[i] < values[i - 1] \
-                and values[i] < values[i + 1]:
-            return i, False
-    return int(np.argmin(np.where(finite, values, np.inf))), True
+    i = int(dips[0])
+    return i, bool(np.isinf(v[i]) or np.isinf(v[i + 2]))
 
 
 def _parabolic_minimum(log_t, log_i, idx):
-    """Vertex of the parabola through three neighbouring log-log points. At a
-    strict dip (_first_dip) the parabola is convex, with its vertex between
-    the outer points: y1 - s^2 / 4a at x1 - s / 2a, with a its curvature
-    and s its slope at x1 from the divided differences d0 and d1."""
+    """Vertex of the parabola through three neighbouring log-log points. At an
+    interior dip (_first_dip), below the point before it and not above the
+    one after it, the parabola is convex, with its vertex between the outer
+    points: y1 - s^2 / 4a at x1 - s / 2a, with a its curvature and s its
+    slope at x1 from the divided differences d0 and d1."""
     (x0, x1, x2), (y0, y1, y2) = log_t[idx - 1:idx + 2], log_i[idx - 1:idx + 2]
     d0, d1 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
     a = (d1 - d0) / (x2 - x0)
@@ -393,18 +392,18 @@ def sweep_time(config):
 
     Returns the coarse bound curve plus (t_opt, i_min) refined by a narrowed
     second grid and local parabolic interpolation. The reported optimum is
-    the first interior local minimum of the sampled curve: bound curves can
-    re-descend at very long shots, where only a few repetitions fit into the
-    budget and the per-shot information is carried by slow population
-    rotation rather than the phase coherence the probe was prepared for, so
-    the first dip is the operationally meaningful working point. When the
-    curve runs monotone to a grid edge the edge point is reported and
-    flagged as a boundary optimum. Grid points whose QFIM is singular are
-    reported as missing; if every point fails the sweep raises
-    ExperimentFailed. Under dephasing the field must lie along the noise
-    axis, as evolve requires (_parallel); otherwise the sweep raises
-    AssumptionViolated. The sweep then takes the field's
-    component along the axis.
+    the first local minimum of the sampled curve, counting the edges
+    (_first_dip): bound curves can re-descend at very long shots, where only
+    a few repetitions fit into the budget and the per-shot information is
+    carried by slow population rotation rather than the phase coherence the
+    probe was prepared for, so the first dip is the operationally meaningful
+    working point. A dip on a grid edge or next to a singular point is
+    reported as sampled and flagged as a boundary optimum. Grid points whose
+    QFIM is singular are reported as missing; if every point fails the sweep
+    raises ExperimentFailed. Under dephasing the field must lie along the
+    noise axis, as evolve requires (_parallel); otherwise the sweep raises
+    AssumptionViolated. The sweep then takes the field's component along the
+    axis.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
@@ -441,13 +440,14 @@ def sweep_time(config):
 
 @dataclass(frozen=True)
 class ScanRow:
-    """Optimum of one sweep at a given particle number."""
+    """Optimum of one sweep at a given particle number, flagged as in RefinementMeta."""
 
     n_particles: int
     scenario: SweepScenario
     kind: NoiseKind
     t_opt: float
     i_min: float
+    boundary: bool
 
 
 class ScanRows(list):
@@ -471,7 +471,8 @@ def _scan_one(config):
     except ExperimentFailed as exc:
         return f"{type(exc).__name__}: {exc}"
     return ScanRow(n_particles=config.n_particles, scenario=config.scenario,
-                   kind=config.kind, t_opt=result.t_opt, i_min=result.i_min)
+                   kind=config.kind, t_opt=result.t_opt, i_min=result.i_min,
+                   boundary=result.refinement.boundary)
 
 
 def scan_particles(n_list, base_config, workers=1):

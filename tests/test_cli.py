@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinsense import (FieldParams, NoiseSpec, build_space, collective_operator,
+                       full_gkls_reference, ghz_state)
 from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
+from spinsense.experiments import _DEFAULT_AXIS
 
 
 def run_cli(capsys, *argv):
@@ -81,7 +84,7 @@ def test_scan_worker_pool_output_is_identical(tmp_path, capsys):
     assert filecmp.cmp(serial, pooled, shallow=False)
     lines = serial.read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "n,scenario,kind,t_opt,i_min"
+    assert header == "n,scenario,kind,t_opt,i_min,boundary"
     assert lines[-1] == "# dropped = none"
 
 
@@ -161,14 +164,30 @@ def test_default_rate_is_flagged_as_assumed(capsys):
 
 
 def test_nonparallel_field_exit_code(capsys):
-    # a noisy run needs the field along the noise axis, sweeps included
-    for argv in (("evolve", "--n", "2", "--t", "1.0"),
-                 ("sweep-time", "--n", "4", "--t-grid", "6,0.1,10"),
+    # a noisy sweep needs the field along the noise axis
+    for argv in (("sweep-time", "--n", "4", "--t-grid", "6,0.1,10"),
                  ("scan-n", "--n-list", "2,4", "--t-grid", "6,0.1,10")):
         code, out, err = run_cli(capsys, *argv, "--phi", "0.02,0,0")
         assert code == 4
         assert "AssumptionViolated" in err
         assert out == ""
+    # evolve runs the joint integrator there, within its dimension cap
+    code, out, _ = run_cli(capsys, "evolve", "--n", "3", "--t", "1.5", "--gamma", "0.1",
+                           "--phi", "0.02,0,0.01")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["split-valid"] is False
+    space = build_space(3)
+    rho = full_gkls_reference(ghz_state(space, "z").projector(), FieldParams((0.02, 0.0, 0.01)),
+                              NoiseSpec("markovian", 0.1, _DEFAULT_AXIS), 1.5).matrix
+    jops = [collective_operator(space, a) for a in "xyz"]
+    assert doc["first-moments"] == {a: float(j.expectation(rho).real) for a, j in zip("xyz", jops)}
+    second = [[(a @ b).expectation(rho) for b in jops] for a in jops]
+    assert doc["second-moments-real"] == [[float(v.real) for v in row] for row in second]
+    assert doc["second-moments-imag"] == [[float(v.imag) for v in row] for row in second]
+    code, out, err = run_cli(capsys, "evolve", "--n", "40", "--t", "1.5", "--phi", "0.02,0,0.01")
+    assert (code, out) == (2, "")
+    assert err == "spinsense: InvalidArgument: reference integrator limited to d <= 400, got 441\n"
     # a non-finite field is a bad argument, refused before the parallel test
     code, out, err = run_cli(capsys, "sweep-time", "--n", "4", "--t-grid", "6,0.1,10",
                              "--phi", "inf,0,0")
@@ -177,41 +196,17 @@ def test_nonparallel_field_exit_code(capsys):
     assert out == ""
 
 
-def test_nonparallel_fallback_flag(capsys):
-    code, out, _ = run_cli(capsys, "evolve", "--n", "2", "--t", "1.0",
-                           "--phi", "0.02,0,0", "--allow-nonparallel")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["split-valid"] is False
-
-
-@pytest.mark.parametrize("text, code", [("true", 0), ("false", 4)])
-def test_config_file_spells_the_flag_as_a_string(tmp_path, capsys, text, code):
-    # "true" and "false" in a config file act as the flag given or left out
-    argv = ["evolve", "--n", "2", "--t", "1.0", "--phi", "0.02,0,0"]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"allow-nonparallel": text}))
-    got = run_cli(capsys, *argv, "--config", str(cfg))
-    flag = ["--allow-nonparallel"] if text == "true" else []
-    assert got[0] == code
-    assert got[:2] == run_cli(capsys, *argv, *flag)[:2]
-
-
 @pytest.mark.parametrize("argv, files, message", [
     (["space-info", "--config", "{tmp}/absent.json"], {}, "cannot read config file"),
     (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "{"}, "is not valid JSON"),
     (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "[3]"},
      "must hold a flat JSON object"),
-    (["evolve", "--n", "2", "--t", "1", "--config", "{tmp}/cfg.json"],
-     {"cfg.json": '{"allow-nonparallel": "maybe"}'},
-     "config key 'allow-nonparallel': expected a boolean, got 'maybe'"),
     (["scan-n", "--n-list", "2", "--workers", "0"], {}, "workers must be >= 1, got 0"),
     (["sweep-time"], {}, "sweep-time requires --n"),
     (["fit", "--in", "{tmp}/absent.csv"], {}, "cannot read"),
     (["fit", "--in", "{tmp}/scan.csv"], {"scan.csv": "# spinsense-version = 0\r\n"},
      "holds no CSV header"),
-], ids=["config-unreadable", "config-not-json", "config-not-object", "config-bool-maybe",
-        "workers-zero", "sweep-without-n", "fit-in-missing", "fit-in-no-header"])
+], ids=["config-unreadable", "config-not-json", "config-not-object", "workers-zero", "sweep-without-n", "fit-in-missing", "fit-in-no-header"])
 def test_refusals_exit_2_and_name_the_problem(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text, newline="")
@@ -298,8 +293,35 @@ def test_fit_roundtrip_from_scan_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["column"] == "i_min"
     assert doc["n-used"] == 4
+    assert doc["skipped"] == []
     assert doc["exponent"] < 0.0
     assert doc["prefactor"] > 0.0
+
+
+def test_scan_flags_a_boundary_row_and_fit_skips_it(tmp_path, capsys):
+    # on a grid from 0.5 the N = 16 ind curve rises from its first sample: a
+    # boundary optimum at the grid start, not the one-shot budget edge
+    scan = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "scan-n", "--n-list", "16", "--scenario", "ind",
+                         "--t-grid", "24,0.5,100", "--out", str(scan))
+    assert code == 0
+    body = [ln for ln in scan.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0] == "n,scenario,kind,t_opt,i_min,boundary"
+    n, _, _, t_opt, _, boundary = body[1].split(",")
+    assert (n, float(t_opt), boundary) == ("16", 0.5, "true")
+    code, out, _ = run_cli(capsys, "scan-n", "--n-list", "16", "--scenario", "ind",
+                           "--t-grid", "24,0.5,100", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["boundary"] is True
+    # fit leaves the boundary row out and names its N
+    rows = "".join(f"{n},ind,markovian,{0.1 * n},{1.0 / n},false\r\n" for n in (10, 12, 14))
+    with scan.open("a", newline="") as fh:
+        fh.write(rows)
+    code, out, _ = run_cli(capsys, "fit", "--in", str(scan), "--column", "i_min")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n-used"], doc["skipped"]) == (3, [16])
+    assert doc["exponent"] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_fit_rejects_missing_column(tmp_path, capsys):
@@ -314,7 +336,8 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
     (b"n,i_min\r\n4,1.0\r\nx,2.0\r\n", 3),
     (b"# spinsense-version = 0\r\nn,i_min\r\n4,\xff\r\n", 3),
     (b"n,scenario,kind,t_opt,i_min\r\n4,sim,markovian,0.5,1.0\r\n6,sim,markovian\r\n", 3),
-], ids=["non-numeric", "not-utf8", "short-row"])
+    (b"n,i_min,boundary\r\n4,1.0,false\r\n6,2.0,maybe\r\n", 3),
+], ids=["non-numeric", "not-utf8", "short-row", "boundary-not-bool"])
 def test_fit_rejects_a_malformed_csv(tmp_path, capsys, content, line):
     # a bad input file is a bad argument that names the file and its line
     bad = tmp_path / "bad.csv"
@@ -380,7 +403,6 @@ _REPRESENTATIVE = {
     "n-list": ("2,4", [2, 4]),
     "t": ("0.5", 0.5),
     "probe": ("ghz-y", "ghz-y"),
-    "allow-nonparallel": (None, True),
     "grid": ("3,4", [3, 4]),
     "in": ("scan.csv", "scan.csv"),
     "column": ("t_opt", "t_opt"),

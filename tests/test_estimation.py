@@ -75,9 +75,12 @@ def test_generator_matches_unitary_derivative():
         assert np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)) < 1e-6
 
 
-def test_generator_rejects_zero_field():
-    with pytest.raises(InvalidArgument):
-        generator_operator(build_space(2), FieldParams((0.0, 0.0, 0.0)), 1.0, "z")
+def test_generator_at_zero_field_is_t_times_j():
+    # without a field the rotating frame is the lab frame: A_k = t J_k exactly
+    space = build_space(6)
+    for axis in "xyz":
+        a = generator_operator(space, FieldParams((0.0, 0.0, 0.0)), 2.5, axis).to_dense()
+        assert np.array_equal(a, 2.5 * collective_operator(space, axis).to_dense())
 
 
 def test_partial_rho_traceless_hermitian():

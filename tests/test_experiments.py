@@ -16,7 +16,7 @@ import pytest
 from spinsense import (AssumptionViolated, DensityOperator, ExperimentFailed,
                        FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
                        NumericalError, PovmSet, QfimMatrix, StateVector,
-                       SweepConfig, SweepScenario, TimeGrid, bound_individual,
+                       SweepConfig, SweepScenario, TimeGrid, bound_individual, cfim,
                        bound_simultaneous,
                        build_transfer_kernels, build_space, coherent_state,
                        cumulative_degeneracy, degeneracy, dephase, evolve,
@@ -30,7 +30,7 @@ from spinsense import estimation, experiments
 from spinsense.cli import _pointwise_bounds
 from spinsense.dephasing import (ChainBatch, TransferKernels, _frame_rotation, axis_frame,
                                  build_dephasing_superoperator)
-from spinsense.experiments import _parabolic_minimum
+from spinsense.experiments import _first_dip, _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
 
@@ -131,6 +131,11 @@ def test_sweep_config_validation():
     lambda: PovmSet(None),
     lambda: PovmSet([1.0]),
     lambda: bound_simultaneous(_qfim_of().entries, 2.0),
+    lambda: evolve(np.eye(6) / 6, _FIELD, _SPEC, 1.0),
+    lambda: partial_rho(np.eye(3), _FIELD, "z"),
+    lambda: cfim("x", [np.zeros((6, 6))] * 3, [np.eye(6)]),
+    lambda: DensityOperator(None, np.eye(6) / 6),
+    lambda: StateVector(None, np.eye(6)[0]),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -146,7 +151,8 @@ def test_sweep_config_validation():
         "qfim-partials-text", "qfim-partials-none", "husimi-map-density", "husimi-map-text",
         "qfim-matrix-complex", "qfim-matrix-text", "density-operator-text",
         "state-vector-text", "povm-text", "povm-none", "povm-scalar",
-        "bound-sim-ndarray"])
+        "bound-sim-ndarray", "evolve-rho-ndarray", "partial-rho-result-ndarray",
+        "cfim-rho-text", "density-operator-space-none", "state-vector-space-none"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -184,6 +190,21 @@ def test_sweep_interior_minimum_invariants():
     cell = (SMALL_GRID.stop / SMALL_GRID.start) ** (1.0 / (SMALL_GRID.count - 1))
     assert max(res.t_opt / coarse_t, coarse_t / res.t_opt) < cell
     assert res.i_min <= np.nanmin(res.bounds) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("values, dip", [
+    ([1.0, 2.0, 3.0, 4.0], (0, True)),
+    ([4.0, 3.0, 2.0, 1.0], (3, True)),
+    ([3.0, 1.0, math.nan, 0.5, 2.0], (1, True)),
+    ([2.0, 2.0, 2.0], (0, True)),
+    ([math.nan] * 3, (None, True)),
+    ([3.0, 1.0, 1.0, 0.5, 2.0], (1, False)),
+], ids=["rising", "falling", "next-to-nan", "flat", "all-nan", "interior"])
+def test_first_dip_counts_the_edges(values, dip):
+    # the first finite sample below the one before it and not above the one
+    # after it, an edge or a singular neighbour counting as +inf; a later,
+    # lower minimum does not replace it
+    assert _first_dip(np.array(values)) == dip
 
 
 def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
@@ -540,7 +561,7 @@ def test_scan_collects_ascending_rows():
     rows = scan_particles([4, 6, 8], cfg)
     assert [r.n_particles for r in rows] == [4, 6, 8]
     assert rows.dropped == ()
-    assert all(r.t_opt > 0.0 and r.i_min > 0.0 for r in rows)
+    assert all(r.t_opt > 0.0 and r.i_min > 0.0 and not r.boundary for r in rows)
     vals = [r.i_min for r in rows]
     assert vals[0] > vals[1] > vals[2]
     with pytest.raises(InvalidArgument):
@@ -775,6 +796,7 @@ FRAMES = {
     "axis+z": dict(field=(0.0, 0.0, 0.015), axis=(0.0, 0.0, 2.0)),
     "axis-z": dict(field=(0.0, 0.0, 0.015), axis=(0.0, 0.0, -2.0)),
     "off-axis": dict(field=(0.02, -0.01, 0.005)),
+    "zero": dict(field=(0.0, 0.0, 0.0)),
 }
 
 
@@ -815,10 +837,9 @@ def test_sweep_bounds_match_dense_pipeline(n, kind, scenario, frame):
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
                                       SweepScenario.INDIVIDUAL])
 def test_zero_field_sweep_is_the_weak_field_limit(kind, scenario):
-    # the dense pipeline refuses a zero field (its generators need a field
-    # direction), so the reference is a 1e-9 field along the frame axis: the
-    # noise axis, or z without noise; its pointwise QFIM conditioning picks
-    # the points to compare
+    # a zero field is the limit of a 1e-9 field along the frame axis: the
+    # noise axis, or z without noise; the weak field's pointwise QFIM
+    # conditioning picks the points to compare
     base = SweepConfig(n_particles=6, kind=kind, scenario=scenario, grid=SMALL_GRID)
     frame_axis = base.axis if kind is not NoiseKind.NONE else (0.0, 0.0, 1.0)
     weak_field = tuple(1e-9 * np.array(frame_axis) / np.linalg.norm(frame_axis))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from . import dynamics
 from .dicke import (build_space, collective_operator, dicke_dimension, ghz_state,
                     simultaneous_probe)
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
@@ -611,7 +612,7 @@ def _check_finite_differences(n):
 
 def _pointwise_bounds(config):
     """A sweep's coarse bound curve from the public calls at each grid time,
-    evolve -> partial_rho -> qfim -> bound on the dense rotated state, with
+    evolve -> partial_rho -> qfim -> bound on the rotated state, with
     the QFIM condition number of each point (of diag(Q_kk) for the
     individual strategy)."""
     space = build_space(config.n_particles)
@@ -684,11 +685,12 @@ def _run_verify(run):
     lines = []
     failures = 0
     for name, func in checks:
-        if name.startswith("product-space") and n > 8:
-            lines.append(f"SKIP {name} (requires n <= 8, got {n})")
+        if name.startswith("product-space") and n > dynamics._HILBERT_MAX_N:
+            lines.append(f"SKIP {name} (requires n <= {dynamics._HILBERT_MAX_N}, got {n})")
             continue
-        if name == "split-vs-joint" and dicke_dimension(n) > 400:
-            lines.append(f"SKIP {name} (reference integrator capped at d <= 400)")
+        if name == "split-vs-joint" and dicke_dimension(n) > dynamics._GKLS_MAX_DIM:
+            lines.append(
+                f"SKIP {name} (reference integrator capped at d <= {dynamics._GKLS_MAX_DIM})")
             continue
         ok, detail = func()
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")

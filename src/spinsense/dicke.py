@@ -14,7 +14,7 @@ by decreasing j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,31 +198,6 @@ class BlockOperator:
         if other.space is not self.space and other.space != self.space:
             raise InvalidArgument("operators act on different spaces")
 
-    # Dense-matrix products that exploit the block structure.
-
-    def left_apply(self, matrix):
-        """self @ matrix for a dense d x d matrix."""
-        out = np.empty_like(matrix, dtype=complex)
-        for s, b in zip(self.space.sectors, self.blocks):
-            sl = slice(s.offset, s.offset + s.dim)
-            out[sl, :] = b @ matrix[sl, :]
-        return out
-
-    def right_apply(self, matrix):
-        """matrix @ self for a dense d x d matrix."""
-        out = np.empty_like(matrix, dtype=complex)
-        for s, b in zip(self.space.sectors, self.blocks):
-            sl = slice(s.offset, s.offset + s.dim)
-            out[:, sl] = matrix[:, sl] @ b
-        return out
-
-    def commutator(self, matrix):
-        return self.left_apply(matrix) - self.right_apply(matrix)
-
-    def sandwich(self, matrix):
-        """self @ matrix @ self.dagger(), taken as (self @ matrix) @ self.dagger()."""
-        return self.dagger().right_apply(self.left_apply(matrix))
-
     def expectation(self, rho_matrix):
         """Tr(self @ rho) for a dense density matrix."""
         total = 0.0 + 0.0j
@@ -230,6 +205,21 @@ class BlockOperator:
             sl = slice(s.offset, s.offset + s.dim)
             total += np.einsum("ij,ji->", b, rho_matrix[sl, sl])
         return total
+
+
+def _sector_blocks(space, matrix, what):
+    """The sector blocks of a d x d matrix as a BlockOperator. A collective
+    state and its derivatives have no entry between two sectors: one above
+    1e-10, like another shape, is InvalidArgument."""
+    mat = _array(matrix, what)
+    d = space.total_dim
+    if mat.shape != (d, d):
+        raise InvalidArgument(f"{what} has shape {mat.shape}, expected ({d}, {d})")
+    op = BlockOperator(space, tuple(mat[s.offset:s.offset + s.dim, s.offset:s.offset + s.dim]
+                                    for s in space.sectors))
+    if np.max(np.abs(mat - op.to_dense())) > 1e-10:
+        raise InvalidArgument(f"{what} has an entry between two sectors above 1e-10")
+    return op
 
 
 def _spin_block(twoj, kind):
@@ -263,6 +253,7 @@ def collective_operator(space, kind):
     kind : str
         One of "x", "y", "z", "plus", "minus".
     """
+    _instance(space, DickeSpace, "space")
     if kind not in _OPERATOR_KINDS:
         raise InvalidArgument(f"kind must be one of {_OPERATOR_KINDS}, got {kind!r}")
     return BlockOperator(space, tuple(_spin_block(s.twoj, kind) for s in space.sectors))
@@ -300,61 +291,74 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed state over the stacked basis; block structure is implicit.
+    """Mixed state over the stacked basis, block diagonal over the sectors.
 
-    Validates Hermiticity (1e-10), unit trace (1e-10) and positivity
-    (eigenvalues >= -1e-8) on construction.
+    Validates its sector blocks (_sector_blocks, kept as blocks), Hermiticity
+    (1e-10), unit trace (1e-10) and positivity (eigenvalues >= -1e-8, per block).
     """
 
     space: DickeSpace
     matrix: np.ndarray
+    blocks: BlockOperator = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(_array(self.matrix, "density matrix"))
-        d = _instance(self.space, DickeSpace, "space").total_dim
-        if mat.shape != (d, d):
-            raise InvalidArgument(f"matrix has shape {mat.shape}, expected ({d}, {d})")
+        blocks = _sector_blocks(_instance(self.space, DickeSpace, "space"), mat, "density matrix")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
             raise InvalidArgument("density matrix is not Hermitian within 1e-10")
         trace = np.trace(mat).real
         if abs(trace - 1.0) > 1e-10:
             raise InvalidArgument(f"density matrix trace {trace!r} deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(mat).min() < -1e-8:
+        if min(np.linalg.eigvalsh(b).min() for b in blocks.blocks) < -1e-8:
             raise InvalidArgument("density matrix has an eigenvalue below -1e-8")
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "blocks", blocks)
 
     def purity(self):
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
 
     def sector_weights(self):
         """Population carried by each total-spin sector."""
-        diag = np.diag(self.matrix).real
-        return np.array([diag[s.offset:s.offset + s.dim].sum() for s in self.space.sectors])
+        return np.array([np.trace(b).real for b in self.blocks.blocks])
+
+
+def _spinor_powers(n, spinors):
+    """sqrt(C(n, k)) a^(n-k) b^k for k = 0 ... n, per one-spin state (a, b)
+    on the last axis of spinors: the maximal-sector amplitudes of its n-fold
+    power, k = n/2 - m with m decreasing."""
+    k = np.arange(n + 1)
+    a, b = (np.asarray(spinors)[..., i, None] for i in (0, 1))
+    return np.sqrt([float(math.comb(n, i)) for i in k]) * a ** (n - k) * b ** k
+
+
+def _power_state(space, spinors):
+    """The sum of the N-fold powers of the one-spin states (rows of spinors),
+    normalised, as a StateVector on the maximal sector; a norm below 1e-10
+    before normalisation raises DegenerateProbe."""
+    s = _instance(space, DickeSpace, "space").max_sector
+    amplitudes = np.zeros(space.total_dim, dtype=complex)
+    amplitudes[s.offset:s.offset + s.dim] = _spinor_powers(s.twoj, spinors).sum(axis=0)
+    norm = np.linalg.norm(amplitudes)
+    if norm < 1e-10:
+        raise DegenerateProbe("superposed probe has vanishing norm")
+    return StateVector(space, amplitudes / norm)
 
 
 def coherent_state(space, theta, phi):
     """Spin-coherent state on the maximal sector, pointing along (theta, phi).
 
-    Amplitudes follow the binomial construction
+    The N-fold power of the one-spin state (cos(theta/2), sin(theta/2) e^{-i phi}),
+    with amplitudes
 
         <j, m | theta, phi> = sqrt(C(2j, j+m)) cos(theta/2)^(j+m)
                               sin(theta/2)^(j-m) exp(-i (j-m) phi)
 
-    with j = N/2; all other sectors carry zero amplitude.
+    and j = N/2; all other sectors carry zero amplitude.
     """
     theta, phi = _real(theta, "theta"), _real(phi, "phi")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise InvalidArgument("theta and phi must be finite")
-    s = space.max_sector
-    twoj = s.twoj
-    k = np.arange(0, twoj + 1)          # k = j - m, m decreasing
-    binom = np.array([math.comb(twoj, int(kk)) for kk in k], dtype=float)
-    c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    amp_max = np.sqrt(binom) * c ** (twoj - k) * sn ** k * np.exp(-1j * k * phi)
-    amplitudes = np.zeros(space.total_dim, dtype=complex)
-    amplitudes[s.offset:s.offset + s.dim] = amp_max
-    norm = np.linalg.norm(amplitudes)
-    return StateVector(space, amplitudes / norm)
+    return _power_state(space, [[math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(-1j * phi)]])
 
 
 # Seed direction (theta, phi) for each Cartesian axis; the partner branch of
@@ -373,29 +377,17 @@ def _ghz_spinors(axis):
 def ghz_state(space, axis):
     """Equal superposition of the two coherent states along +axis and -axis.
 
-    The two branches are antipodal, hence exactly orthogonal, so the
-    1/sqrt(2) normalization is exact. The phase convention is fixed by the
-    coherent-state construction itself.
+    The two branches are antipodal, hence orthogonal, so the sum of their
+    powers has norm sqrt(2) up to rounding; it is normalised numerically. The
+    phase convention is that of the coherent-state construction.
     """
     if axis not in _GHZ_SEEDS:
         raise InvalidArgument(f"axis must be one of ('x', 'y', 'z'), got {axis!r}")
-    theta, phi = _GHZ_SEEDS[axis]
-    branch_a = coherent_state(space, theta, phi)
-    branch_b = coherent_state(space, np.pi - theta, phi + np.pi)
-    amplitudes = (branch_a.amplitudes + branch_b.amplitudes) / np.sqrt(2.0)
-    return StateVector(space, amplitudes)
+    return _power_state(space, _ghz_spinors(axis))
 
 
 def simultaneous_probe(space):
-    """Normalized sum of the three axis superposition states.
-
-    The three components interfere, so the result is normalized numerically;
-    a pre-normalization norm below 1e-10 raises DegenerateProbe.
-    """
-    total = np.zeros(space.total_dim, dtype=complex)
-    for axis in ("x", "y", "z"):
-        total = total + ghz_state(space, axis).amplitudes
-    norm = np.linalg.norm(total)
-    if norm < 1e-10:
-        raise DegenerateProbe("superposed probe has vanishing norm")
-    return StateVector(space, total / norm)
+    """Normalized sum of the three axis superposition states: the six powers
+    of their branches, summed and normalized numerically (_power_state), as
+    the three components interfere."""
+    return _power_state(space, np.concatenate([_ghz_spinors(a) for a in _GHZ_SEEDS]))

@@ -23,11 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DensityOperator, collective_operator
-from .dephasing import build_dephasing_superoperator, gamma_profile, integrated_strength
+from .dephasing import NoiseSpec, build_dephasing_superoperator, gamma_profile, integrated_strength
 from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _count, _instance,
                      _nonnegative, _vector)
 
 _AXES = ("x", "y", "z")
+
+_GKLS_MAX_DIM = 400  # largest collective dimension of full_gkls_reference
+_HILBERT_MAX_N = 8  # largest N of full_hilbert_reference
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,7 @@ class FieldParams:
 
 def hamiltonian(space, field):
     """H = phi . J as a BlockOperator."""
+    field = _instance(field, FieldParams, "field")
     ops = [collective_operator(space, a) for a in _AXES]
     blocks = tuple(
         field.phi[0] * bx + field.phi[1] * by + field.phi[2] * bz
@@ -124,6 +128,7 @@ def dephase(rho0, superoperator, spec, t):
     superoperator. A result that is not a valid state (an eigenvalue below
     -1e-8, or trace drift) raises NumericalError.
     """
+    _instance(rho0, DensityOperator, "rho0")
     theta = integrated_strength(spec, t)
     if theta == 0.0:
         return DensityOperator(rho0.space, rho0.matrix.copy())
@@ -171,7 +176,8 @@ def evolve(rho0, field, spec, t, superoperator=None):
     reassembly in loops.
     """
     t = _nonnegative(t, "t")
-    if not _parallel(field.phi, spec):
+    if not _parallel(_instance(field, FieldParams, "field").phi,
+                     _instance(spec, NoiseSpec, "spec")):
         raise AssumptionViolated(
             "field direction is not parallel to the dephasing axis; "
             "full_gkls_reference integrates the joint dynamics")
@@ -180,10 +186,10 @@ def evolve(rho0, field, spec, t, superoperator=None):
         superoperator = build_dephasing_superoperator(space, spec)
     rho_deph = dephase(rho0, superoperator, spec, t)
     u = unitary(space, field, t)
-    rotated = u.sandwich(rho_deph.matrix)
-    rotated = (rotated + rotated.conj().T) / 2.0
-    return EvolutionResult(rho=DensityOperator(space, rotated), rho_dephased=rho_deph,
-                           unitary=u, t=t)
+    rotated = u @ rho_deph.blocks @ u.dagger()
+    rotated = (rotated + rotated.dagger()) * 0.5
+    return EvolutionResult(rho=DensityOperator(space, rotated.to_dense()),
+                           rho_dephased=rho_deph, unitary=u, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +236,13 @@ def full_gkls_reference(rho0, field, spec, t):
     gamma_t multiplies the rate-free generator at every step. The state is
     integrated in the lab frame, with the dense Hamiltonian and the
     dissipator gamma_t L[rho] from the apply method of the dephasing
-    generator. Intended as a cross-check at moderate dimension (d <= 400).
+    generator. Intended as a cross-check at moderate dimension, d <= _GKLS_MAX_DIM.
     """
     t = _nonnegative(t, "t")
-    space = rho0.space
+    space = _instance(rho0, DensityOperator, "rho0").space
     d = space.total_dim
-    if d > 400:
-        raise InvalidArgument(f"reference integrator limited to d <= 400, got {d}")
+    if d > _GKLS_MAX_DIM:
+        raise InvalidArgument(f"reference integrator limited to d <= {_GKLS_MAX_DIM}, got {d}")
     if t == 0.0:
         return DensityOperator(space, rho0.matrix.copy())
     lsup = build_dephasing_superoperator(space, spec)
@@ -385,8 +391,9 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     state lifted to the product space and the brute-force state.
     """
     n = _count(n_particles, "n_particles", 1)
-    if n > 8:
-        raise InvalidArgument(f"product-space oracle limited to 1 <= N <= 8, got {n}")
+    if n > _HILBERT_MAX_N:
+        raise InvalidArgument(
+            f"product-space oracle limited to 1 <= N <= {_HILBERT_MAX_N}, got {n}")
     t = _nonnegative(t, "t")
     space = initial.space
     if space.n_particles != n:

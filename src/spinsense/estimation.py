@@ -3,8 +3,8 @@
 The field components enter only through the propagator, so the parametric
 derivative of the evolved state reduces to a commutator with the
 rotating-frame integral operator of the corresponding collective spin
-component. From the derivatives the quantum Fisher information matrix is
-evaluated in the eigenbasis of the state, and measured (classical) Fisher
+component. The quantum Fisher information matrix follows in the eigenbasis
+of each sector block of the state, and measured (classical) Fisher
 information follows from any POVM. Inverse-trace bounds compare the
 simultaneous three-parameter strategy with three separate single-parameter
 experiments that share the same total time budget.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DensityOperator
+from .dicke import DensityOperator, _sector_blocks
 from .dynamics import _AXES, EvolutionResult, FieldBasis
 from .errors import InvalidArgument, SingularQfim, _array, _instance, _real
 
@@ -54,9 +54,9 @@ def partial_rho(result, field, axis):
         raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
     result = _instance(result, EvolutionResult, "result")
     gen = generator_operator(result.rho.space, field, result.t, axis)
-    comm = gen.commutator(result.rho_dephased.matrix)
-    out = -1j * result.unitary.sandwich(comm)
-    return (out + out.conj().T) / 2.0
+    rho, u = result.rho_dephased.blocks, result.unitary
+    out = -1j * (u @ (gen @ rho - rho @ gen) @ u.dagger())
+    return ((out + out.dagger()) * 0.5).to_dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +83,15 @@ def _qfim_entries(spectra, partial_blocks):
         Q_ab = 2 sum_{l,l'} <l|d_a rho|l'> <l'|d_b rho|l> / (p_l + p_l')
 
     runs over pairs within one block, restricted to p_l + p_l' above a cutoff
-    relative to the largest eigenvalue over all blocks. A dense state is one
-    block. A block may leave out a null space (eigenvalue 0, taken in a
-    basis of its own): its partial block then goes on, past its square part,
-    with the derivatives D from its eigenvectors to that basis. Each such
-    pair enters in both orders, which sum to 4 Re(D_a D_b^dag / p_l). Blocks
-    may carry leading axes (a stack of states, one per time); the result then
-    has them too, each with its own cutoff. partial_blocks may be any
-    iterable: it is consumed one block at a time, after the cutoff is set.
-    Returns the Hermitian part of Q, which _qfim_bounds checks and bounds.
+    relative to the largest eigenvalue over all blocks. A block may leave out
+    a null space (eigenvalue 0, taken in a basis of its own): its partial
+    block then goes on, past its square part, with the derivatives D from its
+    eigenvectors to that basis. Each such pair enters in both orders, which
+    sum to 4 Re(D_a D_b^dag / p_l). Blocks may carry leading axes (a stack of
+    states, one per time); the result then has them too, each with its own
+    cutoff. partial_blocks may be any iterable: it is consumed one block at a
+    time, after the cutoff is set. Returns the Hermitian part of Q, which
+    _qfim_bounds checks and bounds.
     """
     largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
@@ -159,7 +159,7 @@ def _qfim_bounds(q, repetitions, individual=False):
 
 def qfim(rho, partials, t=math.nan):
     """Quantum Fisher information matrix of rho for the three derivatives:
-    one dense eigh of rho, then the core the sweep uses, _qfim_entries.
+    one eigh per sector block of rho, then the core the sweep uses, _qfim_entries.
 
     Parameters
     ----------
@@ -167,14 +167,16 @@ def qfim(rho, partials, t=math.nan):
     partials : three Hermitian ndarrays, the derivatives of rho by phi_x, phi_y, phi_z
     t : the shot duration, recorded on the result.
     """
-    d = _instance(rho, DensityOperator, "rho").matrix.shape[0]
+    space = _instance(rho, DensityOperator, "rho").space
     partials = _array(partials, "partials")
-    if partials.shape != (3, d, d):
-        raise InvalidArgument(f"partials must be three {d} x {d} arrays")
+    if partials.shape[:1] != (3,):
+        raise InvalidArgument(f"partials must be three arrays, got shape {partials.shape}")
     t = _real(t, "t")
-    p, v = np.linalg.eigh(rho.matrix)
-    return QfimMatrix(entries=_qfim_entries([p], [v.conj().T @ partials @ v]), t=t,
-                      n_particles=rho.space.n_particles)
+    parts = zip(*(_sector_blocks(space, dp, "partial").blocks for dp in partials))
+    eig = [np.linalg.eigh(b) for b in rho.blocks.blocks]
+    entries = _qfim_entries([p for p, _ in eig], [v.conj().T @ np.stack(ds) @ v
+                                                 for (_, v), ds in zip(eig, parts)])
+    return QfimMatrix(entries=entries, t=t, n_particles=space.n_particles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,13 +216,15 @@ def cfim(rho, partials, povm):
     if not isinstance(povm, PovmSet):
         povm = PovmSet(povm)
     mat = rho.matrix if isinstance(rho, DensityOperator) else _array(rho, "rho")
+    partials = _array(partials, "partials")
+    if partials.shape != (3,) + mat.shape:
+        raise InvalidArgument(f"partials must be three arrays of the state's shape {mat.shape}")
     out = np.zeros((3, 3))
     for element in povm.elements:
         prob = float(np.einsum("ij,ji->", element, mat).real)
         if prob < _CFIM_EPS:
             continue
-        grad = np.array([float(np.einsum("ij,ji->", element, np.asarray(dp)).real)
-                         for dp in partials])
+        grad = np.array([float(np.einsum("ij,ji->", element, dp).real) for dp in partials])
         out += np.outer(grad, grad) / prob
     return (out + out.T) / 2.0
 

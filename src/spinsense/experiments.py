@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import StateVector, _ghz_spinors, _spin_block, build_space
+from .dicke import StateVector, _ghz_spinors, _spin_block, _spinor_powers, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, phase_integral
@@ -163,7 +163,7 @@ def _frame_probes(scenario, n, axis):
 
     Each branch of a GHZ probe is the N-fold power of a one-spin state xi
     (_ghz_spinors), so its maximal-sector amplitudes in the frame are the
-    terms sqrt(C(N, k)) a^(N-k) b^k, k = N/2 - m, with (a, b) = u^dag xi and
+    terms sqrt(C(N, k)) a^(N-k) b^k (_spinor_powers), with (a, b) = u^dag xi and
     u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U. A GHZ
     probe sums its two branches and the joint probe all six, normalised.
     Symmetries of the axis make some amplitudes cancel and some probes share
@@ -179,10 +179,7 @@ def _frame_probes(scenario, n, axis):
     beta, k, r = _frame_rotation(axis)
     u_dag = math.cos(beta / 2.0) * np.eye(2) \
         + 1j * math.sin(beta / 2.0) * np.tensordot(k, _SIGMA, 1)
-    root = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
-    power = np.arange(n + 1)
-    terms = np.array([[root * a ** (n - power) * b ** power
-                       for a, b in _ghz_spinors(c) @ u_dag.T] for c in _AXES])
+    terms = _spinor_powers(n, np.array([_ghz_spinors(c) @ u_dag.T for c in _AXES]))
     if scenario is SweepScenario.SIMULTANEOUS:
         probes = [(terms.reshape(6, n + 1), slice(0, 3))]
     else:
@@ -570,16 +567,9 @@ def husimi_map(state, shape=(181, 360)):
         warnings.warn(
             f"probe carries weight {off_weight:.3e} outside the maximal sector; "
             "projecting", stacklevel=2)
-    twoj = sec.twoj
-    k = np.arange(twoj + 1)                       # k = j - m, m decreasing
-    binom = np.array([math.comb(twoj, int(kk)) for kk in k], dtype=float)
-    phase = np.exp(1j * np.outer(k, phis))        # conj of the state phase
-    out = np.empty((len(thetas), len(phis)))
-    for i, theta in enumerate(thetas):
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        row = np.sqrt(binom) * c ** (twoj - k) * s ** k * psi
-        out[i] = np.abs(row @ phase) ** 2
-    return out
+    # the conjugate coherent amplitudes: their real values at phi = 0 times e^{i k phi}
+    rows = _spinor_powers(sec.twoj, np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], -1))
+    return np.abs((rows * psi) @ np.exp(1j * np.outer(np.arange(sec.dim), phis))) ** 2
 
 
 def husimi_normalization(qmap, multiplet_dim):

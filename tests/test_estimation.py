@@ -105,8 +105,8 @@ def test_partial_rho_matches_finite_difference():
         fm = fp.copy()
         fp[k] += eps
         fm[k] -= eps
-        fd = (unitary(space, FieldParams(tuple(fp)), t).sandwich(rd)
-              - unitary(space, FieldParams(tuple(fm)), t).sandwich(rd)) / (2.0 * eps)
+        up, um = (unitary(space, FieldParams(tuple(f)), t).to_dense() for f in (fp, fm))
+        fd = (up @ rd @ up.conj().T - um @ rd @ um.conj().T) / (2.0 * eps)
         assert np.max(np.abs(fd - partial_rho(res, FIELD_DIAG, ax))) < 1e-6
 
 
@@ -126,6 +126,17 @@ def test_qfim_zero_partials():
     zero = np.zeros((space.total_dim,) * 2, dtype=complex)
     q = qfim(rho, [zero, zero, zero])
     assert np.max(np.abs(q.entries)) == 0.0
+
+
+def test_qfim_refuses_partials_between_sectors():
+    # a derivative with an entry between the sectors j = 3/2 and j = 1/2
+    space = build_space(3)
+    rho = simultaneous_probe(space).projector()
+    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
+    between = zero.copy()
+    between[0, 4] = between[4, 0] = 1e-3
+    with pytest.raises(InvalidArgument, match="between two sectors"):
+        qfim(rho, [zero, between, zero])
 
 
 def _random_block_state(rng, spectra):

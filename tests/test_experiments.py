@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from spinsense import (AssumptionViolated, DensityOperator, ExperimentFailed,
-                       FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
+                       FieldBasis, FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
                        NumericalError, PovmSet, QfimMatrix, StateVector,
                        SweepConfig, SweepScenario, TimeGrid, bound_individual, cfim,
                        bound_simultaneous,
                        build_transfer_kernels, build_space, coherent_state,
-                       cumulative_degeneracy, degeneracy, dephase, evolve,
+                       collective_operator, cumulative_degeneracy, degeneracy, dephase, evolve,
                        fit_power_law, full_gkls_reference,
                        full_hilbert_reference, gamma_profile,
-                       generator_operator, ghz_state, husimi_grid, husimi_map,
+                       generator_operator, ghz_state, hamiltonian, husimi_grid, husimi_map,
                        husimi_normalization, integrated_strength, partial_rho,
                        qfim, scan_particles, simultaneous_probe, sweep_time,
                        unitary)
@@ -136,6 +136,28 @@ def test_sweep_config_validation():
     lambda: cfim("x", [np.zeros((6, 6))] * 3, [np.eye(6)]),
     lambda: DensityOperator(None, np.eye(6) / 6),
     lambda: StateVector(None, np.eye(6)[0]),
+    lambda: evolve(_RHO, (0, 0, 0.01), _SPEC, 1.0),
+    lambda: evolve(_RHO, _FIELD, None, 1.0),
+    lambda: full_gkls_reference(_RHO.matrix, _FIELD, _SPEC, 1.0),
+    lambda: partial_rho(evolve(_RHO, _FIELD, _SPEC, 1.0), (0, 0, 0.01), "z"),
+    lambda: dephase(_RHO.matrix, build_dephasing_superoperator(_SPACE, _SPEC), _SPEC, 1.0),
+    lambda: cfim(_RHO, "abc", [np.eye(6)]),
+    lambda: generator_operator(None, _FIELD, 1.0, "z"),
+    lambda: hamiltonian(None, _FIELD),
+    lambda: collective_operator(None, "z"),
+    lambda: coherent_state(None, 0.0, 0.0),
+    lambda: ghz_state(None, "z"),
+    lambda: simultaneous_probe(None),
+    lambda: bound_simultaneous(_qfim_of(), 0),
+    lambda: bound_individual(1.0, 1.0, 1.0, -2.0),
+    lambda: SweepConfig(n_particles=2, total_time=0),
+    lambda: QfimMatrix(entries=np.eye(2), t=1.0, n_particles=2),
+    lambda: PovmSet([]),
+    lambda: PovmSet([[[1.0, 0.1], [0.0, 0.0]], [[0.0, -0.1], [0.0, 1.0]]]),
+    lambda: fit_power_law([10.0, 12.0, 14.0]),
+    lambda: husimi_grid((3, 4, 5)),
+    lambda: FieldBasis(_SPACE, _FIELD).generator(1.0, "w"),
+    lambda: partial_rho(evolve(_RHO, _FIELD, _SPEC, 1.0), _FIELD, "w"),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -152,7 +174,14 @@ def test_sweep_config_validation():
         "qfim-matrix-complex", "qfim-matrix-text", "density-operator-text",
         "state-vector-text", "povm-text", "povm-none", "povm-scalar",
         "bound-sim-ndarray", "evolve-rho-ndarray", "partial-rho-result-ndarray",
-        "cfim-rho-text", "density-operator-space-none", "state-vector-space-none"])
+        "cfim-rho-text", "density-operator-space-none", "state-vector-space-none",
+        "evolve-field-tuple", "evolve-spec-none", "gkls-reference-rho-ndarray",
+        "partial-rho-field-tuple", "dephase-rho-ndarray", "cfim-partials-text",
+        "generator-space-none", "hamiltonian-space-none", "collective-operator-space-none",
+        "coherent-space-none", "ghz-space-none", "simultaneous-probe-space-none",
+        "bound-sim-repetitions-zero", "bound-ind-repetitions-negative", "total-time-zero",
+        "qfim-matrix-shape", "povm-empty", "povm-non-hermitian", "fit-points-1d",
+        "husimi-grid-triple", "field-basis-axis-w", "partial-rho-axis-w"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):

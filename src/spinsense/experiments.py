@@ -24,8 +24,8 @@ i (p_l - p_l') (R^T P^dag A_k P R)_ll'. A chunk streams these through the
 QFIM core one block at a time and bounds its QFIMs in one stacked step. Its
 length is a fixed memory budget over what it holds per time, so no dense
 d x d matrix is formed and memory does not grow with the grid. The first dip
-of the curve is then refined by a narrowed pass and a parabola in log-log
-coordinates.
+of the curve is then refined on a finer lattice, evaluated only between the
+dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import enum
 import math
 import warnings
 import dataclasses
-import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,7 +49,8 @@ from .estimation import _qfim_bounds, _qfim_entries
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
 
-# Second-pass refinement: grid size and half-width factor around the best t.
+# Rescan lattice: size and half-width factor around the coarse dip; sweep_time
+# evaluates only its slice between the dip's coarse neighbours.
 _RESCAN_POINTS = 40
 _RESCAN_FACTOR = 4.0
 
@@ -387,20 +387,23 @@ def _parabolic_minimum(log_t, log_i, idx):
 def sweep_time(config):
     """Sweep the shot duration and locate the optimal interrogation time.
 
-    Returns the coarse bound curve plus (t_opt, i_min) refined by a narrowed
-    second grid and local parabolic interpolation. The reported optimum is
-    the first local minimum of the sampled curve, counting the edges
-    (_first_dip): bound curves can re-descend at very long shots, where only
-    a few repetitions fit into the budget and the per-shot information is
-    carried by slow population rotation rather than the phase coherence the
-    probe was prepared for, so the first dip is the operationally meaningful
-    working point. A dip on a grid edge or next to a singular point is
-    reported as sampled and flagged as a boundary optimum. Grid points whose
-    QFIM is singular are reported as missing; if every point fails the sweep
-    raises ExperimentFailed. Under dephasing the field must lie along the
-    noise axis, as evolve requires (_parallel); otherwise the sweep raises
-    AssumptionViolated. The sweep then takes the field's component along the
-    axis.
+    Returns the coarse bound curve plus (t_opt, i_min) refined on a finer
+    lattice over [t/4, 4t] around the coarse dip t, clipped to the grid, and
+    by local parabolic interpolation. Of that lattice only the points from the
+    last at or before the dip's left coarse neighbour to the first at or after
+    its right one are evaluated. The reported optimum is the first local
+    minimum of the sampled curve, counting the edges (_first_dip): bound
+    curves can re-descend at very long shots, where only a few repetitions fit
+    into the budget and the per-shot information is carried by slow population
+    rotation rather than the phase coherence the probe was prepared for, so
+    the first dip is the operationally meaningful working point. A dip on a
+    grid edge, on the edge of the evaluated slice of the lattice or next to a
+    singular point is reported as sampled and flagged as a boundary optimum.
+    Grid points whose QFIM is singular are reported as missing; if every point
+    fails the sweep raises ExperimentFailed. Under dephasing the field must
+    lie along the noise axis, as evolve requires (_parallel); otherwise the
+    sweep raises AssumptionViolated. The sweep then takes the field's
+    component along the axis.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
@@ -418,11 +421,13 @@ def sweep_time(config):
         raise ExperimentFailed("no grid point produced an invertible QFIM")
     t_opt, i_min = times[idx], values[idx]
     if not boundary:
-        # Narrowed pass around the coarse dip, clipped to the sweep range; the
-        # coarse point stands, flagged as a boundary, if it is all singular.
+        # The lattice slice between the coarse neighbours; the coarse point
+        # stands, flagged as a boundary, if it is all singular.
         lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
         hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
-        fine_times = np.geomspace(lo, hi, _RESCAN_POINTS)
+        lattice = np.geomspace(lo, hi, _RESCAN_POINTS)
+        a = max(np.searchsorted(lattice, times[idx - 1], "right") - 1, 0)
+        fine_times = lattice[a:np.searchsorted(lattice, times[idx + 1]) + 1]
         fine_values = _bounds_on_grid(config, space, transfer, spec, prepared, fine_times)
         fidx, boundary = _first_dip(fine_values)
         if fidx is not None:
@@ -492,6 +497,7 @@ def scan_particles(n_list, base_config, workers=1):
     configs = [replace(base_config, n_particles=n) for n in ns]
     workers = _pool_size(workers, len(ns))
     if workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, configs))
     else:

@@ -254,6 +254,87 @@ def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
     assert res.i_min == pytest.approx(math.exp(sampled[0]), rel=1e-12)
 
 
+def _rescan_bracket(res):
+    """The rescan lattice of a sweep with an interior coarse dip, and the
+    indices a, b of its last point at or before the coarse left neighbour and
+    its first at or after the right one (its edges where there is none)."""
+    times, i, grid = res.times, res.refinement.grid_index, res.config.grid
+    lattice = np.geomspace(max(times[i] / experiments._RESCAN_FACTOR, grid.start),
+                           min(times[i] * experiments._RESCAN_FACTOR, grid.stop),
+                           experiments._RESCAN_POINTS)
+    below = np.flatnonzero(lattice <= times[i - 1])
+    above = np.flatnonzero(lattice >= times[i + 1])
+    a = below[-1] if below.size else 0
+    b = above[0] if above.size else lattice.size - 1
+    return lattice, a, b
+
+
+@pytest.mark.parametrize("grid, most", [(SMALL_GRID, 12), (TimeGrid(), 9)],
+                         ids=["short", "default"])
+@pytest.mark.parametrize("scenario", list(SweepScenario))
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("n", [4, 12, 24])
+def test_rescan_sweeps_only_the_bracket_of_the_full_lattice_dip(monkeypatch, n, kind,
+                                                                scenario, grid, most):
+    # the whole rescan lattice has its first dip strictly inside the bracket
+    # of the coarse neighbours, so the sweep, which passes only the bracket
+    # (at most 12 times on the short grid, 9 on the default one), finds the
+    # same dip and parabola: t_opt and i_min are those of the whole lattice
+    passes = _count_calls(monkeypatch, "_bounds_on_grid")
+    cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=grid)
+    res = sweep_time(cfg)
+    if res.refinement.boundary:
+        assert len(passes) == 1
+        return
+    lattice, a, b = _rescan_bracket(res)
+    rescan = passes[1][-1]
+    assert len(passes) == 2 and len(rescan) <= most
+    assert np.array_equal(rescan, lattice[a:b + 1])
+    space, spec = build_space(n), cfg.noise_spec()
+    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
+    prepared = experiments._sweep_probes(cfg, space, spec)
+    values = experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, lattice)
+    fidx, boundary = _first_dip(values)
+    assert not boundary and a < fidx < b
+    xv, yv = _parabolic_minimum(np.log(lattice), np.log(values), fidx)
+    assert res.t_opt == np.exp(xv)
+    assert res.i_min == min(np.exp(yv), values[fidx])
+
+
+def test_dip_on_the_bracket_edge_is_a_sampled_boundary(monkeypatch):
+    # a curve that wiggles up right after the bracket's left edge has its
+    # first dip on that edge: the sample stands, flagged as a boundary
+    target, passes = experiments._bounds_on_grid, []
+
+    def wiggled(*args):
+        values = target(*args)
+        if passes:
+            values[1] = 2.0 * values[0]
+        passes.append((args[-1], values))
+        return values
+
+    monkeypatch.setattr(experiments, "_bounds_on_grid", wiggled)
+    res = sweep_time(SweepConfig(n_particles=12, kind=NoiseKind.MARKOVIAN, grid=SMALL_GRID))
+    [_, (times, values)] = passes
+    lattice, a, _ = _rescan_bracket(res)
+    assert times[0] == lattice[a] <= res.times[res.refinement.grid_index - 1]
+    assert res.refinement.boundary
+    assert (res.t_opt, res.i_min) == (times[0], values[0])
+
+
+def test_grid_coarser_than_the_rescan_factor_rescans_the_whole_lattice(monkeypatch):
+    # coarse neighbours a factor 10 from the dip lie outside [t/4, 4t], so
+    # the bracket is the whole lattice
+    passes = _count_calls(monkeypatch, "_bounds_on_grid")
+    res = sweep_time(SweepConfig(n_particles=4, kind=NoiseKind.MARKOVIAN,
+                                 grid=TimeGrid(count=4, start=0.1, stop=100.0)))
+    t = res.times[res.refinement.grid_index]
+    assert not res.refinement.boundary and t == pytest.approx(1.0)
+    factor = experiments._RESCAN_FACTOR
+    lattice = np.geomspace(t / factor, t * factor, experiments._RESCAN_POINTS)
+    assert np.array_equal(passes[1][-1], lattice)
+
+
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
 def test_sweep_builds_one_rotation(monkeypatch, kind):
     # every sweep builds one frame, the noise axis's or without noise the
@@ -412,11 +493,11 @@ def _spy_eigh(monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
-    """A list that grows by one at each call of experiments.<name>."""
+    """A list that grows by the arguments of each call of experiments.<name>."""
     calls, target = [], getattr(experiments, name)
 
     def counted(*args):
-        calls.append(None)
+        calls.append(args)
         return target(*args)
 
     monkeypatch.setattr(experiments, name, counted)
@@ -525,12 +606,12 @@ def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
 
 
 def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
-    # N = 24, non-markovian: 24 coarse and 40 rescan times in at most
-    # 5 chunks (13 when chunks counted 16 bytes per block entry)
+    # N = 24, non-markovian: 24 coarse and at most 12 rescan times, one
+    # chunk per pass
     chunks = _count_calls(monkeypatch, "phase_integral")
     res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))
     assert not res.refinement.boundary
-    assert len(chunks) <= 5
+    assert len(chunks) <= 2
 
 
 def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
@@ -779,18 +860,21 @@ def test_sweep_bounds_each_chunk_in_one_step(monkeypatch, scenario):
     chunks = _count_calls(monkeypatch, "phase_integral")
     res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN,
                                  scenario=scenario, grid=SMALL_GRID))
-    assert not res.refinement.boundary and len(chunks) > 2
+    assert not res.refinement.boundary and len(chunks) >= 2
+    _, a, b = _rescan_bracket(res)
     sim = scenario is SweepScenario.SIMULTANEOUS
     assert len(shapes) == (len(chunks) if sim else 0)
-    assert sum(shape[0] for shape in shapes) == (SMALL_GRID.count + 40 if sim else 0)
+    assert sum(shape[0] for shape in shapes) == (SMALL_GRID.count + b - a + 1 if sim else 0)
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # a scan resolves its pool only when it starts one, so importing the
-    # package loads neither the pool's module nor multiprocessing
+    # a scan imports its pool only when it starts one, so importing the
+    # package loads neither concurrent.futures, nor the logging it imports,
+    # nor multiprocessing
     package_root = str(Path(experiments.__file__).resolve().parents[1])
     code = ("import sys, spinsense\n"
-            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'logging' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=package_root)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

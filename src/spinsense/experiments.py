@@ -24,7 +24,7 @@ i (p_l - p_l') (R^T P^dag A_k P R)_ll'. A chunk streams these through the
 QFIM core one block at a time and bounds its QFIMs in one stacked step. Its
 length is a fixed memory budget over what it holds per time, so no dense
 d x d matrix is formed and memory does not grow with the grid. The first dip
-of the curve is then refined on a finer lattice, evaluated only between the
+of the curve is then refined on a finer lattice, evaluated only across the
 dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
 
@@ -49,8 +49,7 @@ from .estimation import _qfim_bounds, _qfim_entries
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
 
-# Rescan lattice: size and half-width factor around the coarse dip; sweep_time
-# evaluates only its slice between the dip's coarse neighbours.
+# Rescan lattice: size and half-width factor; sweep_time evaluates a slice.
 _RESCAN_POINTS = 40
 _RESCAN_FACTOR = 4.0
 
@@ -389,21 +388,22 @@ def sweep_time(config):
 
     Returns the coarse bound curve plus (t_opt, i_min) refined on a finer
     lattice over [t/4, 4t] around the coarse dip t, clipped to the grid, and
-    by local parabolic interpolation. Of that lattice only the points from the
-    last at or before the dip's left coarse neighbour to the first at or after
-    its right one are evaluated. The reported optimum is the first local
-    minimum of the sampled curve, counting the edges (_first_dip): bound
-    curves can re-descend at very long shots, where only a few repetitions fit
-    into the budget and the per-shot information is carried by slow population
-    rotation rather than the phase coherence the probe was prepared for, so
-    the first dip is the operationally meaningful working point. A dip on a
-    grid edge, on the edge of the evaluated slice of the lattice or next to a
-    singular point is reported as sampled and flagged as a boundary optimum.
-    Grid points whose QFIM is singular are reported as missing; if every point
-    fails the sweep raises ExperimentFailed. Under dephasing the field must
-    lie along the noise axis, as evolve requires (_parallel); otherwise the
-    sweep raises AssumptionViolated. The sweep then takes the field's
-    component along the axis.
+    by local parabolic interpolation. Only the lattice slice from one point
+    before the last at or before t's left coarse neighbour to one after the
+    first at or after its right one is evaluated, so on any grid it holds the
+    lattice points on both sides of a minimum between the neighbours. The
+    reported optimum is the first local minimum of the sampled curve,
+    counting the edges (_first_dip): bound curves can re-descend at very long
+    shots, where only a few repetitions fit into the budget and the per-shot
+    information is carried by slow population rotation rather than the phase
+    coherence the probe was prepared for, so the first dip is the
+    operationally meaningful working point. A dip on a grid edge, on the edge
+    of the evaluated slice or next to a singular point is reported as sampled
+    and flagged as a boundary optimum. Grid points whose QFIM is singular are
+    reported as missing; if every point fails the sweep raises
+    ExperimentFailed. Under dephasing the field must lie along the noise axis,
+    as evolve requires (_parallel); otherwise the sweep raises
+    AssumptionViolated; the sweep then takes the field's component along it.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()
@@ -421,13 +421,13 @@ def sweep_time(config):
         raise ExperimentFailed("no grid point produced an invertible QFIM")
     t_opt, i_min = times[idx], values[idx]
     if not boundary:
-        # The lattice slice between the coarse neighbours; the coarse point
-        # stands, flagged as a boundary, if it is all singular.
+        # The lattice slice across the coarse neighbours, one point past each;
+        # the coarse point stands, flagged as a boundary, if it is all singular.
         lo = max(times[idx] / _RESCAN_FACTOR, config.grid.start)
         hi = min(times[idx] * _RESCAN_FACTOR, config.grid.stop)
         lattice = np.geomspace(lo, hi, _RESCAN_POINTS)
-        a = max(np.searchsorted(lattice, times[idx - 1], "right") - 1, 0)
-        fine_times = lattice[a:np.searchsorted(lattice, times[idx + 1]) + 1]
+        a = max(np.searchsorted(lattice, times[idx - 1], "right") - 2, 0)
+        fine_times = lattice[a:np.searchsorted(lattice, times[idx + 1]) + 2]
         fine_values = _bounds_on_grid(config, space, transfer, spec, prepared, fine_times)
         fidx, boundary = _first_dip(fine_values)
         if fidx is not None:

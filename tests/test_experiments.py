@@ -256,30 +256,33 @@ def test_refined_minimum_never_exceeds_the_sampled_one(monkeypatch):
 
 def _rescan_bracket(res):
     """The rescan lattice of a sweep with an interior coarse dip, and the
-    indices a, b of its last point at or before the coarse left neighbour and
-    its first at or after the right one (its edges where there is none)."""
+    indices a, b of the point before its last at or before the coarse left
+    neighbour and of the point after its first at or after the right one
+    (clipped to its edges)."""
     times, i, grid = res.times, res.refinement.grid_index, res.config.grid
     lattice = np.geomspace(max(times[i] / experiments._RESCAN_FACTOR, grid.start),
                            min(times[i] * experiments._RESCAN_FACTOR, grid.stop),
                            experiments._RESCAN_POINTS)
     below = np.flatnonzero(lattice <= times[i - 1])
     above = np.flatnonzero(lattice >= times[i + 1])
-    a = below[-1] if below.size else 0
-    b = above[0] if above.size else lattice.size - 1
+    a = max(below[-1] - 1, 0) if below.size else 0
+    b = min(above[0] + 1, lattice.size - 1) if above.size else lattice.size - 1
     return lattice, a, b
 
 
-@pytest.mark.parametrize("grid, most", [(SMALL_GRID, 12), (TimeGrid(), 9)],
-                         ids=["short", "default"])
+@pytest.mark.parametrize("grid, most", [(SMALL_GRID, 14), (TimeGrid(), 10),
+                                        (TimeGrid(count=150), 7), (TimeGrid(count=300), 6)],
+                         ids=["short", "default", "fine", "finest"])
 @pytest.mark.parametrize("scenario", list(SweepScenario))
 @pytest.mark.parametrize("kind", list(NoiseKind))
 @pytest.mark.parametrize("n", [4, 12, 24])
 def test_rescan_sweeps_only_the_bracket_of_the_full_lattice_dip(monkeypatch, n, kind,
                                                                 scenario, grid, most):
     # the whole rescan lattice has its first dip strictly inside the bracket
-    # of the coarse neighbours, so the sweep, which passes only the bracket
-    # (at most 12 times on the short grid, 9 on the default one), finds the
-    # same dip and parabola: t_opt and i_min are those of the whole lattice
+    # of the coarse neighbours, one lattice point past each, so the sweep,
+    # which passes only the bracket (at most 14 times on the short grid, 10 on
+    # the default one), finds the same dip and parabola: t_opt and i_min are
+    # those of the whole lattice, also on grids finer than the lattice
     passes = _count_calls(monkeypatch, "_bounds_on_grid")
     cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=grid)
     res = sweep_time(cfg)
@@ -606,7 +609,7 @@ def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
 
 
 def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
-    # N = 24, non-markovian: 24 coarse and at most 12 rescan times, one
+    # N = 24, non-markovian: 24 coarse and at most 14 rescan times, one
     # chunk per pass
     chunks = _count_calls(monkeypatch, "phase_integral")
     res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))

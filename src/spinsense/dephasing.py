@@ -323,14 +323,20 @@ class TransferKernels:
     tables: tuple
 
     def at(self, thetas):
-        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s: one
-        product of the powers of q with the counts per sector."""
+        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s."""
+        return [values[:, fold] for values, fold in self.by_sector(thetas)]
+
+    def by_sector(self, thetas):
+        """Per sector from the largest, evaluated when it is asked for, K_s on
+        its entries, (len(thetas), entries), and their fold: K_s =
+        values[:, fold], or any block of it values[:, fold[rows, columns]].
+        One product of the powers of q with the counts per sector."""
         thetas = _strengths(thetas)
         decay = np.exp(-4.0 * np.outer(thetas, np.arange(self.space.n_particles + 1)))
         spread = -np.expm1(-8.0 * thetas)[:, None]
-        return [((decay[:, :2 * len(counts):2] @ counts) / divisor * decay[:, gap]
-                 * spread ** s)[:, fold]
-                for s, (counts, divisor, gap, fold) in enumerate(self.tables)]
+        for s, (counts, divisor, gap, fold) in enumerate(self.tables):
+            yield ((decay[:, :2 * len(counts):2] @ counts) / divisor * decay[:, gap]
+                   * spread ** s), fold
 
 
 def build_transfer_kernels(space):

@@ -38,13 +38,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import StateVector, _ghz_spinors, _spin_block, _spinor_powers, build_space
+from .dicke import StateVector, _ghz_spinors, _spinor_powers, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, phase_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
                      _array, _count, _instance, _member, _real, _vector)
-from .estimation import _qfim_bounds, _qfim_entries
+from .estimation import _QFIM_EPS, _qfim_bounds
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
 _DEFAULT_AXIS = (2.0 / math.sqrt(3.0),) * 3
@@ -200,102 +200,207 @@ def _frame_probes(scenario, n, axis):
 
 
 def _sweep_probes(config, space, spec):
-    """The scenario's probes and generators in the sweep's frame, prepared
-    once per sweep for _bounds_on_grid: (groups, lam).
+    """The scenario's probes in the sweep's frame, prepared once per sweep
+    for _bounds_on_grid: (groups, h, r).
 
     The frame is that of the noise axis; without noise that of the field
-    direction, or of z for a zero field. The field Hamiltonian there is
-    h J_z, h the field component along the frame axis, and lam holds the
-    2N + 1 values h (m - m'), m - m' = -N ... N, as a 1 x (2N + 1) array.
-    The probes come from _frame_probes, phi = |phi| e, one group per
+    direction, or of z for a zero field. r is its rotation (_frame_rotation)
+    and h the field component along its axis, so the field Hamiltonian there
+    is h J_z. The probes come from _frame_probes, phi = |phi| e, one group per
     distinct |phi| array, whose probes share its eigensolves. Only sectors
     that carry a block are prepared: all under noise, the maximal one alone
-    without. Per group, the windows hold, per sector s whose window
-    w = s:N + 1 - s meets the support S = flatnonzero(|phi|), (s, K index,
-    w index, f index, |phi_S| |phi_S|^T). With O the indices of w off S, the
-    K index picks K_s[S, S] from the transfer kernels and the w index
-    [S, S + O] (S first) from w, both with slices for a full support, so
-    nothing is copied; the f index picks the same entries from f(lam, t), at
-    N + m - m'. Per window, one stack holds the generators
-    G_k = (J~_k * conj(e_w) e_w^T)[S, S + O] of the group's probes, each over
-    the axes k it is differentiated along, J~_k = U^dag J_k U =
-    sum_l R[k, l] J_l; the group records those axes, as (windows, stacks, axes).
+    without. A group holds its windows (_windows), the axes slice each of
+    its P probes is differentiated along, and the rows W of a ladder basis:
+    J_+ * conj(e) e^T has conj(e_c) e_c+1 on its superdiagonal, and on the
+    pairs c, c + 1 both in the support the (2P) real and imaginary parts of
+    those links are L W in the singular vectors L (scaled) that stand above
+    rounding, at most 2P and often 1 (the GHZ phases advance evenly in m);
+    _windows gives L per window.
     """
     axis = spec.axis if spec.gamma > 0.0 else \
         config.field if any(config.field) else (0.0, 0.0, 1.0)
-    n = space.n_particles
-    frame_groups, r = _frame_probes(config.scenario, n, axis)
+    frame_groups, r = _frame_probes(config.scenario, space.n_particles, axis)
     sectors = space.sectors if spec.gamma > 0.0 else space.sectors[:1]
-    rotated = []
-    for sector in sectors:
-        j = [_spin_block(sector.twoj, a) for a in _AXES]
-        rotated.append(np.array([sum(r[k, l] * j[l] for l in range(3)) for k in range(3)]))
     groups = []
     for modulus, probes in frame_groups:
-        windows = _windows(modulus, sectors)
-        generators = [np.concatenate([
-            (rotated[s][axes] * np.outer(e[s:n + 1 - s].conj(), e[s:n + 1 - s]))
-            [(slice(None),) + sub] for e, axes in probes]) for s, _, sub, *_ in windows]
-        groups.append((windows, generators, np.r_[tuple(axes for _, axes in probes)]))
-    return groups, float(np.dot(config.field, r[:, 2])) * np.arange(-n, n + 1.0)[None, :]
+        phases = np.array([e for e, _ in probes])
+        links = phases[:, :-1].conj() * phases[:, 1:]
+        adjacent = (modulus[:-1] > 0.0) & (modulus[1:] > 0.0)
+        parts = np.zeros((int(adjacent.sum()) + 1, 2 * len(probes)))  # a zero row past them
+        parts[:-1] = np.ascontiguousarray(links.T[adjacent]).view(float)
+        left, sigma, w = np.linalg.svd(parts, full_matrices=False)
+        rank = int(np.sum(sigma > sigma[0] * max(parts.shape) * np.finfo(float).eps))
+        basis = np.zeros((modulus.size - 1, rank))
+        basis[adjacent] = (left * sigma)[:-1, :rank]
+        groups.append((_windows(modulus, links, basis, sectors),
+                       [axes for _, axes in probes], w[:rank]))
+    return groups, float(np.dot(config.field, r[:, 2])), r
 
 
-def _windows(modulus, sectors):
-    """The windows of _sweep_probes for one |phi| array."""
+def _windows(modulus, links, basis, sectors):
+    """The windows of _sweep_probes for one |phi| array, the (P, N) links
+    conj(e_c) e_c+1 of its probes and their (N, rank) ladder basis.
+
+    Sector s holds the centred window w = s:N + 1 - s of the maximal sector,
+    at the same m = N/2 - s - i for window index i, and J_+ there has
+    sqrt((i + 1)(2j - i)) at (i, i + 1). The windows that meet the support S
+    of |phi| are those of s = 0, 1, ..., in that order. Per window, with
+    a = |S in w|: the K index, which picks K_s[S, S] from the transfer kernels
+    (two slices for a full support, so nothing is copied); |phi_S|
+    |phi_S|^T; m on S; the ladder basis on S, (a - 1, rank), each row the
+    coupling of a point of S to the next, zero unless that is its neighbour
+    in m; and, where a column o of w off S has a neighbour o -+ 1 in S, the
+    pairs of _gammas: the flat indices of B^[o - 1, o - 1], B^[o + 1, o + 1]
+    and B^[o - 1, o + 1] in an a x a block, and the fixed (3 count, 9P) map
+    from them to each probe's Gamma.
+    """
     n = modulus.size - 1
-    support = np.flatnonzero(modulus)
     windows = []
-    for s, sector in enumerate(sectors):
-        inside = support[(support >= s) & (support <= n - s)]
+    for s in range(len(sectors)):
+        d = n + 1 - 2 * s
+        sup = np.zeros(d + 2, dtype=bool)  # S in w, padded by one column each side
+        sup[1:-1] = modulus[s:n + 1 - s] > 0.0
+        inside = np.flatnonzero(sup) - 1
         if not inside.size:
-            continue
-        null = np.ones(n + 1, dtype=bool)
-        null[inside] = False
-        null[:s] = null[n + 1 - s:] = False
-        columns = np.concatenate((inside, np.flatnonzero(null)))
-        if inside.size == sector.dim:
-            sub = k_sub = (slice(None),) * 2
-        else:
-            rows = inside[:, None] - s
-            sub = rows, columns[None, :] - s
-            k_sub = rows, rows.T
-        windows.append((s, k_sub, sub, n + columns - inside[:, None],
-                        np.outer(modulus[inside], modulus[inside])))
+            break
+        a, i = inside.size, np.arange(d - 1)
+        ladder = np.zeros(d + 1)  # 0 past the window
+        ladder[:-2] = np.sqrt((i + 1.0) * (d - 1 - i))
+        off = np.flatnonzero(~sup[1:-1])
+        up, down = sup[off], sup[off + 2]
+        off, up, down = off[up | down], up[up | down], down[up | down]
+        pairs = None
+        if off.size:
+            pos = np.cumsum(sup) - 1
+            lo, hi = np.where(up, pos[off], 0), np.where(down, pos[off + 2], 0)
+            u_up = ladder[off - 1] * up * links[:, s + off - 1]  # U[o - 1, o]
+            u_down = ladder[off] * down * links[:, (s + off) % n]  # U[o, o + 1]
+            both = (u_up * u_down).T
+            pair = np.zeros((3, off.size, len(links), 3, 3))
+            pair[0, ..., 1, 1] = pair[0, ..., 2, 2] = 4.0 * np.abs(u_up.T) ** 2
+            pair[1, ..., 1, 1] = pair[1, ..., 2, 2] = 4.0 * np.abs(u_down.T) ** 2
+            pair[2, ..., 1, 1], pair[2, ..., 2, 2] = 8.0 * both.real, -8.0 * both.real
+            pair[2, ..., 1, 2] = pair[2, ..., 2, 1] = -8.0 * both.imag
+            pairs = (np.concatenate((lo * (a + 1), hi * (a + 1), lo * a + hi)),
+                     pair.reshape(3 * off.size, -1))
+        k_sub = (slice(None),) * 2 if a == d else (inside[:, None], inside[None, :])
+        windows.append((k_sub, np.outer(modulus[s + inside], modulus[s + inside]),
+                        n / 2.0 - s - inside,
+                        ladder[inside[:-1], None] * basis[s + inside[:-1]], pairs))
     return windows
 
 
 def _chunk_size(groups, sectors):
     """Most grid times per chunk: _CHUNK_BYTES over the bytes a chunk holds
     per time. Under noise (sectors given) that is the eigenpairs of every
-    window, 8 (a + a^2) on a support of a, plus the larger of every sector's
-    kernels, 8 d^2, and one window's transient: f * G_k, R^T of it, the
-    partial block, then _qfim_entries' scaled copy and its conjugate, 3.0 to
-    3.6 times the generator stack under tracemalloc (N = 12 to 48), counted
-    3.5 times for the largest stack. Without noise R is one column and the
-    transient 1.36 to 1.42 times the stack, counted 1.5; numpy's buffers for
-    the broadcast product f * G_k add about 0.25 MB to a chunk of any length,
-    so a full noiseless chunk peaks at 1.0 to 1.2 times the budget."""
-    stream = max(g.nbytes for _, stacks, _ in groups for g in stacks)
+    window, 8 (a + a^2) on a support of a, held until the chunk's Grams are
+    taken, plus one window's transient in _gammas, its products and Gram
+    rows, 16 (K + 3) a^2 with K = rank + 1 (tracemalloc, N = 12 to 96), on
+    the largest window; it exceeds one sector's kernels on their entries and
+    the blocks handed to eigh, as each sector is evaluated in turn. Without
+    noise the Grams are taken once per call, and a chunk holds only its
+    coefficients and QFIMs with their checks, under 1 KiB per time: it takes
+    the times that fit in that transient at 1 KiB each, so memory is set by
+    N and not by the grid."""
+    stream = max(16 * (len(w) + 4) * top.size for windows, _, w in groups
+                 for _, top, *_ in windows)
     if sectors is None:
-        return max(1, int(_CHUNK_BYTES // (1.5 * stream)))
-    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for *_, top in windows)
-    return max(1, int(_CHUNK_BYTES // (pairs + max(8 * sum(s.dim ** 2 for s in sectors),
-                                                    3.5 * stream))))
+        return max(1, stream >> 10)
+    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for _, top, *_ in windows)
+    return max(1, int(_CHUNK_BYTES // (pairs + stream)))
 
 
-def _partial_block(f, g, p, r):
-    """A window's i (p_l - p_l') (R^T (f * G_k) W)_ll', R the eigenvectors of
-    p, the leading columns of r, and W = r on S and the unit vectors off S
-    after it, where p_l' = 0 (_bounds_on_grid)."""
-    size, width = p.shape[-1], r.shape[-1]
-    xy = np.swapaxes(r[..., :size], -1, -2)[..., None, :, :] \
-        @ np.multiply(f, g, order="C").view(float)
-    x, y, r = xy[..., 0::2], xy[..., 1::2], r[..., None, :, :]
-    x[..., :width], y[..., :width] = x[..., :width] @ r, y[..., :width] @ r
-    block = xy.view(complex)
-    block[..., :size] *= 1j * (p[..., None, :, None] - p[..., None, None, :])
-    block[..., size:] *= 1j * p[..., None, :, None]
-    return block
+def _gammas(groups, eigen):
+    """Per probe, its axes slice and the (T, 3, 3) Gram Gamma of its three
+    generator components in the eigenbases eigen: per group and window,
+    (p, R) stacked over T states.
+
+    In the frame of _sweep_probes the rotating-frame generators are
+    elementwise, A_k = f(h (m - m'), t) * J~_k with J~_k = U^dag J_k U =
+    sum_l R[k, l] J_l: f is t on the diagonal, where J_z lives, and
+    f(+-h, t) on the two diagonals of J_+ and J_-. So on a window, with
+    P = diag(e), G_k = P^dag A_k P is three fixed Hermitian components with
+    real coefficients,
+
+        G_k = t R[k, 2] Z + Re b_k P1 + Im b_k P2,
+        b_k = (R[k, 0] - i R[k, 1]) f(h, t) / 2,
+
+    with Z = diag(m), P1 = U + U^dag, P2 = i (U - U^dag) and U the window's
+    J_+ * conj(e) e^T; d_k rho = -i [A_k, rho], and the QFIM is Q = C Gamma
+    C^T with C the coefficients (_chunk_qfim). In the eigenbasis V = P R of
+    a window's block, R real, the components on S are Y_c = R^T comp_c R.
+    The real and imaginary parts of U on S are the ladder basis times W, so
+    one real product of R with [R^T m, (L_1 R)^T, ...] gives Y_0 and M_j =
+    R^T L_j R for the basis L_j, each a shifted diagonal: per probe, with
+    M = R^T U R, Y_1 has the parts M_re + M_re^T and M_im - M_im^T, Y_2
+    -(M_im + M_im^T) and M_re - M_re^T. Gamma is their real Gram
+
+        Gamma_cc' = 2 sum_ll' (p_l - p_l')^2 / (p_l + p_l') Re(Y_c conj Y_c')_ll'
+
+    over the pairs with p_l + p_l' above qfim's cutoff, 1e-12 of the group's
+    largest eigenvalue: the Grams of the basis parts are summed over the
+    windows and mapped to the probes through W once. A column o of the
+    window off S has comp_c[i, o] only at i = o -+ 1, so its pairs with the
+    eigenvectors add 4 Re sum_o comp_c[:, o]^T B^ conj(comp_c'[:, o]), with
+    B^ = R diag(p^) R^T, p^ = p where p is above the cutoff and 0 elsewhere:
+    one gather of B^ and one fixed real product per window (_windows). Pairs
+    within the null basis add nothing. Without noise the rank-one block
+    takes its other eigenvectors with p = 0.
+    """
+    out = []
+    for (windows, axes, w), eig in zip(groups, eigen):
+        largest = np.max([p[..., -1] for p, _ in eig], axis=0)
+        cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None]
+        stack, count, k = largest.shape, len(axes), len(w) + 1
+        g0 = sym = anti = edge = 0.0
+        for (_, _, m, u, pairs), (p, r) in zip(windows, eig):
+            a, rt = p.shape[-1], np.swapaxes(r, -1, -2)
+            x = np.zeros(stack + (k, a, a))  # [c, l', i]: (comp_c R)[i, l']
+            x[..., 0, :, :] = rt * m
+            np.multiply(rt[..., None, :, 1:], u.T[:, None, :], out=x[..., 1:, :, :-1])
+            z = (x.reshape(stack + (-1, a)) @ r).reshape(x.shape)  # blocks M_j^T
+            den = p[..., :, None] + p[..., None, :]
+            z *= (np.abs(p[..., :, None] - p[..., None, :])
+                  / np.sqrt(np.where(den > cutoff[..., None], den, np.inf)))[..., None, :, :]
+            # x takes M + M^T, then its rows past 2 Y_0 take M^T - M
+            y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(stack + (k, -1))
+            g0 = g0 + y[..., :1, :] @ np.swapaxes(y, -1, -2)
+            sym = sym + y[..., 1:, :] @ np.swapaxes(y[..., 1:, :], -1, -2)
+            np.subtract(z[..., 1:, :, :], np.swapaxes(z[..., 1:, :, :], -1, -2),
+                        out=x[..., 1:, :, :])
+            y = x[..., 1:, :, :].reshape(stack + (k - 1, a * a))
+            anti = anti + y @ np.swapaxes(y, -1, -2)
+            if pairs is not None:
+                hat = np.where(p > cutoff, p, 0.0)[..., None, :] * r @ rt
+                edge = edge + hat.reshape(stack + (-1,))[..., pairs[0]] @ pairs[1]
+            del x, y, z  # not held while the next window's are built
+        # per probe, the basis parts mapped through W: Re and Im of U
+        w = w.reshape(k - 1, count, 2).transpose(1, 0, 2)
+        gamma = np.empty(stack + (count, 3, 3))
+        gamma[..., 0, 0] = g0[..., 0, :1] / 4.0
+        gamma[..., 0, 1:] = (g0[..., None, :, 1:] @ w)[..., 0, :] * [0.5, -0.5]
+        gamma[..., 1:, 0] = gamma[..., 0, 1:]
+        wt = np.swapaxes(w, -1, -2)
+        gamma[..., 1:, 1:] = (wt @ sym[..., None, :, :] @ w * [[1.0, -1.0], [-1.0, 1.0]]
+                              + (wt @ anti[..., None, :, :] @ w)[..., ::-1, ::-1])
+        gamma *= 2.0
+        if np.ndim(edge):
+            gamma += np.reshape(edge, stack + (count, 3, 3))
+        out.extend((axes_q, gamma[..., q, :, :]) for q, axes_q in enumerate(axes))
+    return out
+
+
+def _chunk_qfim(chunk, h, r, gammas):
+    """The (T, 3, 3) QFIM stack of a chunk of grid times: per probe
+    Q = C Gamma C^T over its axes (_gammas), C[k] = (t R[k, 2], Re b_k,
+    Im b_k) with f(h, t) from phase_integral; the joint Q, or Q_kk on the
+    diagonal for the individual strategy."""
+    beta = phase_integral(h, chunk, 0.0)[:, 0, :] * (r[:, 0] - 1j * r[:, 1]) / 2.0
+    c = np.stack((chunk[:, None] * r[:, 2], beta.real, beta.imag), axis=-1)
+    q = np.zeros(chunk.shape + (3, 3))
+    for axes, gamma in gammas:
+        q[:, axes, axes] = c[:, axes] @ gamma @ np.swapaxes(c[:, axes], -1, -2)
+    return q
 
 
 def _bounds_on_grid(config, space, transfer, spec, prepared, times):
@@ -308,48 +413,39 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     chunk, shared by all probes; without noise only the maximal sector,
     phi phi^dag, carries a block. That is P B P^dag with P = diag(e_w) and
     B = K_s * |phi_w| |phi_w|^T, zero off the support S of |phi_w|. So eigh
-    runs on the real B[S, S], once per group, sector and chunk, and once per
-    call without noise, where B does not depend on t. With its eigenvalues
-    p, eigenvectors R and the unit vectors off S as the null basis, V = P R
-    on S. Without noise B is rank one: R keeps its one eigenvector, and the
-    other eigenvectors of B[S, S] join the null basis. Each rotating-frame
-    generator is elementwise, A_k = f[w, w] * J~_k with f = f(h (m - m'), t),
-    evaluated once per chunk on the 2N + 1 values of m - m' and gathered per
-    window. So d_k rho = -i [A_k, rho] is i (p_l - p_l') (R^T (f * G_k) R)_ll'
-    between eigenvectors and i p_l (R^T (f * G_k) W)_ll' from them to the
-    null basis W (the columns past R of a partial block), with
-    G_k = P^dag J~_k P; pairs within the null basis add nothing. Once the
-    chunk is diagonalised and its kernels dropped, _qfim_entries pulls a
-    group's partial blocks one window at a time (_partial_block), for all
-    its probes at once, and their axes place the result in the chunk's
-    3 x 3 stack: the joint Q, or Q_kk on the diagonal for the individual
-    strategy. _qfim_bounds checks and bounds the chunk in one step; an
+    runs on the real B[S, S], once per group, sector and chunk as each
+    sector's kernels are evaluated, and once per call without noise, where
+    B does not depend on t and is rank one. _gammas takes each probe's Gram
+    Gamma of its three generator components in those eigenbases, per chunk
+    (once per call without noise), and _chunk_qfim the chunk's QFIMs,
+    Q = C Gamma C^T. _qfim_bounds checks and bounds them in one step; an
     invalid (non-real, non-symmetric or indefinite) QFIM is a numerical
     fault, a NumericalError at its first time.
     """
-    groups, lam = prepared
+    groups, h, r = prepared
     count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.empty(len(times))
-    fixed = None if transfer else [[(p[-1:], r[:, ::-1].copy()) for p, r in (
-        np.linalg.eigh(top) for *_, top in windows)] for windows, *_ in groups]
+    if transfer is None:
+        gammas = _gammas(groups, [[(w[None] * (np.arange(len(w)) == len(w) - 1), v[None])
+                                   for w, v in (np.linalg.eigh(top) for _, top, *_ in windows)]
+                                  for windows, *_ in groups])
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
-        eigen = fixed
         if transfer is not None:
-            kernels = transfer.at([integrated_strength(spec, t) for t in chunk])
-            eigen = [[np.linalg.eigh(kernels[s][(slice(None),) + k_sub] * top)
-                      for s, k_sub, *_, top in windows] for windows, *_ in groups]
-            del kernels  # not held while the chunk streams
-        f = phase_integral(lam, chunk, 0.0)
-        q = np.zeros(chunk.shape + (3, 3), complex)
-        for (windows, generators, axes), eig in zip(groups, eigen):
-            q[:, axes[:, None], axes] = _qfim_entries([p for p, _ in eig], (
-                _partial_block(f[..., index], g, p, r)
-                for (*_, index, _), (p, r), g in zip(windows, eig, generators)))
-        del eigen, eig  # not held while the next chunk's kernels are built
+            eigen = [[] for _ in groups]
+            kernels = transfer.by_sector([integrated_strength(spec, t) for t in chunk])
+            for s, (kernel, fold) in zip(range(max(len(w) for w, *_ in groups)), kernels):
+                for (windows, *_), eig in zip(groups, eigen):
+                    if s < len(windows):
+                        k_sub, top, *_ = windows[s]
+                        eig.append(np.linalg.eigh(kernel[:, fold[k_sub]] * top))
+            del kernel  # not held while the Grams are taken
+            gammas = _gammas(groups, eigen)
+            del eigen
         values[first:stop], _, fault = _qfim_bounds(
-            q, config.total_time / chunk, config.scenario is SweepScenario.INDIVIDUAL)
+            _chunk_qfim(chunk, h, r, gammas), config.total_time / chunk,
+            config.scenario is SweepScenario.INDIVIDUAL)
         if fault is not None:
             raise NumericalError(f"invalid QFIM at t={chunk[fault[0]]:.6g}: {fault[1]}")
     return values

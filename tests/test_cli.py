@@ -228,11 +228,10 @@ def test_sweep_failure_exit_code(capsys):
 
 def test_invalid_qfim_exit_code(monkeypatch, capsys):
     # an indefinite QFIM is the program's fault, not the user's: exit 3. The
-    # fake returns one QFIM per grid time of the chunk, as the kernel does
+    # fake returns one QFIM per grid time of the chunk, as _chunk_qfim does
     monkeypatch.setattr(
-        "spinsense.experiments._qfim_entries",
-        lambda spectra, partials: np.broadcast_to(
-            np.diag([1.0, 1.0, -1.0]), spectra[0].shape[:-1] + (3, 3)))
+        "spinsense.experiments._chunk_qfim",
+        lambda chunk, *prepared: np.broadcast_to(np.diag([1.0, 1.0, -1.0]), chunk.shape + (3, 3)))
     code, _, err = run_cli(capsys, "sweep-time", "--n", "2", "--t-grid", "6,0.1,10")
     assert code == 3
     assert "NumericalError: invalid QFIM" in err

@@ -363,10 +363,10 @@ def test_sweep_builds_one_rotation(monkeypatch, kind):
 
 
 def test_kernels_and_phase_integrals_are_shared(monkeypatch):
-    # one transfer_kernels and one phase_integral call per chunk, whatever
+    # one kernel evaluation and one phase_integral call per chunk, whatever
     # the number of probes (three GHZ probes for ind) and of sectors
     calls = {"kernels": 0, "phase": 0}
-    kernels, phase = TransferKernels.at, experiments.phase_integral
+    kernels, phase = TransferKernels.by_sector, experiments.phase_integral
 
     def counted_kernels(self, thetas):
         calls["kernels"] += 1
@@ -376,7 +376,7 @@ def test_kernels_and_phase_integrals_are_shared(monkeypatch):
         calls["phase"] += 1
         return phase(*args)
 
-    monkeypatch.setattr(TransferKernels, "at", counted_kernels)
+    monkeypatch.setattr(TransferKernels, "by_sector", counted_kernels)
     monkeypatch.setattr(experiments, "phase_integral", counted_phase)
     res = sweep_time(SweepConfig(n_particles=6, scenario=SweepScenario.INDIVIDUAL,
                                  kind=NoiseKind.MARKOVIAN, gamma=0.1, grid=SMALL_GRID))
@@ -568,11 +568,15 @@ def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
     sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
                            grid=SMALL_GRID))
     assert len(widths) == len(passes) == 1
-    # chunks are sized by the generator stacks they stream, of the one row
-    # of a pure state: at N = 48 the joint probe lives on 17 of 49 m and
-    # takes 17 times per chunk, the individual probes on all 49 and take 6
+    # the Grams are taken once per pass, so a chunk holds only coefficients
+    # and QFIMs, and takes the times that fit, at 1 KiB each, in that Gram's
+    # transient, 16 (K + 3) a^2 bytes: at N = 12 both probes live on 12 of
+    # 13 m with a rank-one ladder basis (K = 2) and take 11 times per chunk;
+    # at N = 48 the joint probe lives on 17 of 49 m with no neighbouring pair
+    # (K = 1) and takes 18, the individual probes on all 49 with a rank-one
+    # basis (K = 2) and take 187
     sim = scenario is SweepScenario.SIMULTANEOUS
-    assert len(chunks) == (1 if n == 12 else 2 if sim else 4)
+    assert len(chunks) == (3 if n == 12 else 2 if sim else 1)
 
 
 def _sweep_tables(n, kind, scenario):
@@ -586,11 +590,13 @@ def _sweep_tables(n, kind, scenario):
 
 @pytest.mark.parametrize("n, kind, scenario", [
     (n, kind, scenario) for n in (12, 24, 48) for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONE)
-    for scenario in SweepScenario] + [(23, NoiseKind.MARKOVIAN, SweepScenario.INDIVIDUAL)])
+    for scenario in SweepScenario] + [(23, NoiseKind.MARKOVIAN, SweepScenario.INDIVIDUAL),
+                                      (96, NoiseKind.MARKOVIAN, SweepScenario.SIMULTANEOUS)])
 def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
     # two chunks of the most times _chunk_size allows, run once to warm up,
     # hold at most 1.25 times _CHUNK_BYTES on top of the tables the sweep
-    # prepared; N = 23 splits the individual probes in two groups
+    # prepared; N = 23 splits the individual probes in two groups, and at
+    # N = 96 all sectors' kernels for one time would already take 1.25 MB
     cfg, space, transfer, spec, prepared = _sweep_tables(n, kind, scenario)
     assert n != 23 or len(prepared[0]) == 2
     size = experiments._chunk_size(prepared[0], space.sectors if transfer else None)
@@ -787,15 +793,13 @@ def test_all_singular_sweep_raises():
         sweep_time(cfg)
 
 
-def _indefinite_qfim(spectra, partial_blocks):
-    # one QFIM per grid time of the chunk, as the kernel returns them
-    times = spectra[0].shape[:-1]
-    return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), times + (3, 3))
+def _indefinite_qfim(chunk, *prepared):
+    # one QFIM per grid time of the chunk, as _chunk_qfim returns them
+    return np.broadcast_to(np.diag([1.0, 1.0, -1.0]).astype(complex), chunk.shape + (3, 3))
 
 
-def _nonreal_qfim(spectra, partial_blocks):
-    times, count = spectra[0].shape[:-1], next(iter(partial_blocks)).shape[-3]
-    return np.full(times + (count, count), 1.0 + 0.5j)
+def _nonreal_qfim(chunk, *prepared):
+    return np.full(chunk.shape + (3, 3), 1.0 + 0.5j)
 
 
 @pytest.mark.parametrize("fake, scenario, check", [
@@ -807,14 +811,14 @@ def _nonreal_qfim(spectra, partial_blocks):
 def test_invalid_qfim_is_not_hidden(monkeypatch, fake, scenario, check):
     # an invalid QFIM is a numerical fault, not a singular grid point or a bad
     # argument: the sweep raises instead of dropping the point as NaN
-    monkeypatch.setattr("spinsense.experiments._qfim_entries", fake)
+    monkeypatch.setattr("spinsense.experiments._chunk_qfim", fake)
     cfg = SweepConfig(n_particles=2, scenario=scenario,
                       grid=TimeGrid(count=6, start=0.1, stop=50.0))
     with pytest.raises(NumericalError, match=f"invalid QFIM at t=.*{check}"):
         sweep_time(cfg)
 
 
-# QFIMs a fake _qfim_entries hands the sweep, one per grid time of a chunk
+# QFIMs a fake _chunk_qfim hands the sweep, one per grid time of a chunk
 _FAKE_QFIMS = {
     "regular": np.eye(3),
     "singular": np.diag([1.0, 1.0, 0.0]),
@@ -831,11 +835,11 @@ def test_first_invalid_time_is_named_past_a_singular_one(monkeypatch, third, che
     # first check it fails (non-real before indefinite), not a later one
     kinds = ["singular", "regular", third, "indefinite", "nonreal-indefinite", "regular"]
 
-    def fake(spectra, partial_blocks):
-        assert spectra[0].shape[:-1] == (len(kinds),)
+    def fake(chunk, *prepared):
+        assert chunk.shape == (len(kinds),)
         return np.array([_FAKE_QFIMS[k] for k in kinds], dtype=complex)
 
-    monkeypatch.setattr("spinsense.experiments._qfim_entries", fake)
+    monkeypatch.setattr("spinsense.experiments._chunk_qfim", fake)
     cfg = SweepConfig(n_particles=2, grid=TimeGrid(count=6, start=0.1, stop=50.0))
     t = cfg.grid.values()[2]
     with pytest.raises(NumericalError, match=re.escape(f"invalid QFIM at t={t:.6g}: ") + f".*{check}"):

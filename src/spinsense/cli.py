@@ -644,29 +644,29 @@ def _pointwise_bounds(config):
 
 def _check_sweep_vs_pointwise(n):
     worst, compared = 0.0, 0
-    # both noise kinds in the noise frame; without noise, the default field
-    # frame on the body diagonal and a field frame off it; the zero field's
-    # frames, with and without noise
-    zero = {"field": (0.0, 0.0, 0.0)}
+    # both noise kinds in the noise frame; without noise, the default field frame on the
+    # body diagonal and one off it; the zero field's frames, with and without noise; and,
+    # whatever n, the noisy joint probe at N = 8, on every third m: columns off its support
+    grid, zero = TimeGrid(count=8, start=0.05, stop=100.0), {"field": (0.0, 0.0, 0.0)}
     cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}), (NoiseKind.NONE, {}),
              (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}), (NoiseKind.MARKOVIAN, zero),
              (NoiseKind.NONE, zero))
-    for kind, extra in cases:
-        for scenario in SweepScenario:
-            config = SweepConfig(n_particles=n, kind=kind, scenario=scenario,
-                                 grid=TimeGrid(count=8, start=0.05, stop=100.0), **extra)
-            expected, conds = _pointwise_bounds(config)
-            try:
-                got = sweep_time(config).bounds
-            except ExperimentFailed:
-                got = np.full(len(expected), math.nan)
-            if not np.array_equal(np.isnan(got), np.isnan(expected)):
-                return False, f"N={n}, {kind.value} {scenario.value}: singular points differ"
-            well = conds < 1e6
-            compared += int(well.sum())
-            if well.any():
-                worst = max(worst, float(np.max(np.abs(got[well] / expected[well] - 1.0))))
-    return worst <= 1e-9, f"N={n}, {compared} points, worst relative deviation {worst:.2e}"
+    for config in [SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=grid, **extra)
+                   for kind, extra in cases for scenario in SweepScenario] + [
+                       SweepConfig(n_particles=8, grid=grid)]:
+        expected, conds = _pointwise_bounds(config)
+        try:
+            got = sweep_time(config).bounds
+        except ExperimentFailed:
+            got = np.full(len(expected), math.nan)
+        if not np.array_equal(np.isnan(got), np.isnan(expected)):
+            return False, (f"N={config.n_particles}, {config.kind.value} "
+                           f"{config.scenario.value}: singular points differ")
+        well = conds < 1e6
+        compared += int(well.sum())
+        if well.any():
+            worst = max(worst, float(np.max(np.abs(got[well] / expected[well] - 1.0))))
+    return worst <= 1e-9, f"N={n} and 8, {compared} points, worst relative deviation {worst:.2e}"
 
 
 def _run_verify(run):

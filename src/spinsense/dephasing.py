@@ -327,10 +327,8 @@ class TransferKernels:
         return [values[:, fold] for values, fold in self.by_sector(thetas)]
 
     def by_sector(self, thetas):
-        """Per sector from the largest, evaluated when it is asked for, K_s on
-        its entries, (len(thetas), entries), and their fold: K_s =
-        values[:, fold], or any block of it values[:, fold[rows, columns]].
-        One product of the powers of q with the counts per sector."""
+        """Per sector, evaluated as it is asked for, K_s on its entries and their
+        fold: K_s = values[:, fold]. One product of powers of q with counts."""
         thetas = _strengths(thetas)
         decay = np.exp(-4.0 * np.outer(thetas, np.arange(self.space.n_particles + 1)))
         spread = -np.expm1(-8.0 * thetas)[:, None]

@@ -73,7 +73,7 @@ class QfimMatrix:
 
 
 def _qfim_entries(spectra, partial_blocks):
-    """Core QFIM evaluation in the eigenbasis of a block-diagonal state.
+    """qfim's core, in the eigenbasis of a block-diagonal state.
 
     spectra holds the eigenvalues p of each diagonal block of the state, and
     partial_blocks, per block, the derivatives V^dag d_a rho V in its
@@ -83,32 +83,19 @@ def _qfim_entries(spectra, partial_blocks):
         Q_ab = 2 sum_{l,l'} <l|d_a rho|l'> <l'|d_b rho|l> / (p_l + p_l')
 
     runs over pairs within one block, restricted to p_l + p_l' above a cutoff
-    relative to the largest eigenvalue over all blocks. A block may leave out
-    a null space (eigenvalue 0, taken in a basis of its own): its partial
-    block then goes on, past its square part, with the derivatives D from its
-    eigenvectors to that basis. Each such pair enters in both orders, which
-    sum to 4 Re(D_a D_b^dag / p_l). Blocks may carry leading axes (a stack of
-    states, one per time); the result then has them too, each with its own
-    cutoff. partial_blocks may be any iterable: it is consumed one block at a
-    time, after the cutoff is set. Returns the Hermitian part of Q, which
-    _qfim_bounds checks and bounds.
+    relative to the largest eigenvalue over all blocks (the sweep's Grams,
+    experiments._gammas, use the same one). Blocks may carry leading axes (a
+    stack of states); the result then has them too, each with its own
+    cutoff. Returns the Hermitian part of Q (_qfim_bounds checks it).
     """
     largest = np.max([p.max(axis=-1) for p in spectra], axis=0)
     cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
-
-    def gram(part, den):
-        scaled = part / np.sqrt(np.where(den > cutoff, den, np.inf))[..., None, :, :]
-        scaled = scaled.reshape(part.shape[:-2] + (-1,))
-        return scaled @ scaled.conj().swapaxes(-1, -2)
-
-    q, null, blocks = 0.0, [], iter(partial_blocks)
-    for p in spectra:
-        d, size = next(blocks), p.shape[-1]
-        q = q + 2.0 * gram(d[..., :size], p[..., :, None] + p[..., None, :])
-        if size < d.shape[-1]:
-            null.append(4.0 * gram(d[..., size:], p[..., :, None]).real)
-        del d  # not held while the next block is built (zip would hold it)
-    q = sum(null, q)
+    q = 0.0
+    for p, d in zip(spectra, partial_blocks):
+        den = p[..., :, None] + p[..., None, :]
+        scaled = d / np.sqrt(np.where(den > cutoff, den, np.inf))[..., None, :, :]
+        scaled = scaled.reshape(d.shape[:-2] + (-1,))
+        q = q + 2.0 * scaled @ scaled.conj().swapaxes(-1, -2)
     return (q + q.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -126,9 +113,9 @@ def _real_qfim(q):
 
 
 def _qfim_bounds(q, repetitions, individual=False):
-    """Check and bound a (T, 3, 3) stack of QFIMs, complex from _qfim_entries
-    or real, each check once per stack; QfimMatrix, _real_qfim and both bounds
-    run it on a stack of one. At 1e-9 max(1, max |Q_ab|) a matrix is invalid,
+    """Check and bound a (T, 3, 3) stack of QFIMs, complex or real (the
+    sweep's chunks), each check once per stack; QfimMatrix, _real_qfim and
+    both bounds run it on a stack of one. At 1e-9 max(1, max |Q_ab|) a matrix is invalid,
     in this order, if non-real, not symmetric or with an eigenvalue w below
     minus that (the last two on its real part), and singular if some w <= 0
     or w_max / w_min > 1e12 (one eigvalsh of the stack). The individual
@@ -159,7 +146,7 @@ def _qfim_bounds(q, repetitions, individual=False):
 
 def qfim(rho, partials, t=math.nan):
     """Quantum Fisher information matrix of rho for the three derivatives:
-    one eigh per sector block of rho, then the core the sweep uses, _qfim_entries.
+    one eigh per sector block of rho, then _qfim_entries.
 
     Parameters
     ----------

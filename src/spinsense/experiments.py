@@ -5,27 +5,19 @@ A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
 single-parameter bounds for the individual strategy. It evaluates a
-logarithmic time grid in chunks, each as stacked array operations, one
-total-spin sector block at a time. In the noise frame (the field frame
-without noise) a probe dephased to Theta(t) is, in each sector, a real
-transfer kernel shared by all probes times a centred window of its
-maximal-sector block, P B P^dag with B real symmetric and P a diagonal of
-phases. The probes are built there in closed form, as sums of powers of
-one-spin states, and what their symmetry makes exact is read off the
-amplitudes to rounding: probes whose moduli agree share each eigensolve and
-product chain, and an amplitude that cancels is exactly zero, so each B is
-diagonalised on its support alone, with the unit vectors off it as its null
-basis; without noise the one block does not depend on t and is
-diagonalised once per pass. The QFIM is taken there, before the field
-rotation, which leaves it unchanged. The field Hamiltonian there is h J_z,
-so the generators A_k are elementwise, and in the eigenbasis V = P R of each
-block, R real, each derivative -i [A_k, rho] is
-i (p_l - p_l') (R^T P^dag A_k P R)_ll'. A chunk streams these through the
-QFIM core one block at a time and bounds its QFIMs in one stacked step. Its
-length is a fixed memory budget over what it holds per time, so no dense
-d x d matrix is formed and memory does not grow with the grid. The first dip
-of the curve is then refined on a finer lattice, evaluated only across the
-dip's coarse neighbours, and by a parabola in log-log coordinates.
+logarithmic time grid in chunks of a fixed memory budget, one total-spin
+sector block at a time, with no dense d x d matrix. In the noise frame (the
+field frame without noise) a dephased probe is, per sector, a real transfer
+kernel shared by all probes times a centred window of its maximal-sector
+block, P B P^dag with B real symmetric and P a diagonal of phases. The
+probes are built there in closed form; probes with equal moduli share each
+eigensolve, and a cancelled amplitude is exactly zero, so each B is
+diagonalised on its support alone. The field is h J_z there, so each
+derivative is three fixed components, J_z and the Hermitian parts of the
+ladder J_+, times scalars of t: a chunk takes one Gram Gamma of them per
+window, once per pass without noise, and its QFIMs are C Gamma C^T. The
+first dip of the curve is then refined on a finer lattice, evaluated only
+across the dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -200,109 +192,78 @@ def _frame_probes(scenario, n, axis):
 
 
 def _sweep_probes(config, space, spec):
-    """The scenario's probes in the sweep's frame, prepared once per sweep
-    for _bounds_on_grid: (groups, h, r).
-
-    The frame is that of the noise axis; without noise that of the field
-    direction, or of z for a zero field. r is its rotation (_frame_rotation)
-    and h the field component along its axis, so the field Hamiltonian there
-    is h J_z. The probes come from _frame_probes, phi = |phi| e, one group per
-    distinct |phi| array, whose probes share its eigensolves. Only sectors
-    that carry a block are prepared: all under noise, the maximal one alone
-    without. A group holds its windows (_windows), the axes slice each of
-    its P probes is differentiated along, and the rows W of a ladder basis:
-    J_+ * conj(e) e^T has conj(e_c) e_c+1 on its superdiagonal, and on the
-    pairs c, c + 1 both in the support the (2P) real and imaginary parts of
-    those links are L W in the singular vectors L (scaled) that stand above
-    rounding, at most 2P and often 1 (the GHZ phases advance evenly in m);
-    _windows gives L per window.
-    """
+    """What _bounds_on_grid needs of the probes, once per sweep: (groups, h,
+    r), r the rotation of the frame (the noise axis, or the field direction
+    without noise, z for a zero field) and h the field along it. A group
+    holds the probes of one |phi| (_frame_probes): its windows (the maximal
+    sector alone without noise), each probe's axes and the fixed maps of
+    _gammas from its Gram rows to its components. On neighbours c, c + 1 of
+    the support the parts of the probes' links conj(e_c) e_c+1 are L W, L the
+    ladder basis: their singular vectors above rounding, often just one."""
     axis = spec.axis if spec.gamma > 0.0 else \
         config.field if any(config.field) else (0.0, 0.0, 1.0)
     frame_groups, r = _frame_probes(config.scenario, space.n_particles, axis)
     sectors = space.sectors if spec.gamma > 0.0 else space.sectors[:1]
     groups = []
     for modulus, probes in frame_groups:
-        phases = np.array([e for e, _ in probes])
-        links = phases[:, :-1].conj() * phases[:, 1:]
-        adjacent = (modulus[:-1] > 0.0) & (modulus[1:] > 0.0)
-        parts = np.zeros((int(adjacent.sum()) + 1, 2 * len(probes)))  # a zero row past them
-        parts[:-1] = np.ascontiguousarray(links.T[adjacent]).view(float)
+        links = np.array([e[:-1].conj() * e[1:] for e, _ in probes])
+        pairs = (modulus[:-1] > 0.0) & (modulus[1:] > 0.0)
+        parts = np.zeros((np.count_nonzero(pairs) + 1, 2 * len(probes)))  # a zero row past them
+        parts[:-1] = np.ascontiguousarray(links.T[pairs]).view(float)
         left, sigma, w = np.linalg.svd(parts, full_matrices=False)
-        rank = int(np.sum(sigma > sigma[0] * max(parts.shape) * np.finfo(float).eps))
-        basis = np.zeros((modulus.size - 1, rank))
-        basis[adjacent] = (left * sigma)[:-1, :rank]
-        groups.append((_windows(modulus, links, basis, sectors),
-                       [axes for _, axes in probes], w[:rank]))
+        rank = np.count_nonzero(sigma > sigma[0] * max(parts.shape) * np.finfo(float).eps)
+        basis = np.zeros((len(pairs), rank))
+        basis[pairs] = (left * sigma)[:-1, :rank]
+        w = w[:rank].reshape(rank, len(probes), 2).transpose(1, 0, 2)  # Re, Im of U per probe
+        sym, anti = np.zeros((len(probes), rank + 1, 3)), np.zeros((len(probes), rank, 3))
+        sym[:, 0, 0], sym[:, 1:, 1:], anti[..., 1:] = 0.5, w * [1.0, -1.0], w[..., ::-1]
+        groups.append((_windows(modulus, links, basis, sectors), [a for _, a in probes],
+                       (sym, anti)))
     return groups, float(np.dot(config.field, r[:, 2])), r
 
 
 def _windows(modulus, links, basis, sectors):
-    """The windows of _sweep_probes for one |phi| array, the (P, N) links
-    conj(e_c) e_c+1 of its probes and their (N, rank) ladder basis.
-
-    Sector s holds the centred window w = s:N + 1 - s of the maximal sector,
-    at the same m = N/2 - s - i for window index i, and J_+ there has
-    sqrt((i + 1)(2j - i)) at (i, i + 1). The windows that meet the support S
-    of |phi| are those of s = 0, 1, ..., in that order. Per window, with
-    a = |S in w|: the K index, which picks K_s[S, S] from the transfer kernels
-    (two slices for a full support, so nothing is copied); |phi_S|
-    |phi_S|^T; m on S; the ladder basis on S, (a - 1, rank), each row the
-    coupling of a point of S to the next, zero unless that is its neighbour
-    in m; and, where a column o of w off S has a neighbour o -+ 1 in S, the
-    pairs of _gammas: the flat indices of B^[o - 1, o - 1], B^[o + 1, o + 1]
-    and B^[o - 1, o + 1] in an a x a block, and the fixed (3 count, 9P) map
-    from them to each probe's Gamma.
-    """
-    n = modulus.size - 1
-    windows = []
+    """Per sector s = 0, 1, ... whose window w = s:N + 1 - s (same m as the
+    maximal sector; J_+ has sqrt((i + 1)(d - 1 - i)) at (i, i + 1)) meets the
+    support S: the K index of K_s[S, S]; |phi_S| |phi_S|^T; m and the ladder
+    basis on S; and for the columns o of w off S next to S, the flat indices
+    of B^ at (o -+ 1, o -+ 1) in an a x a block and their fixed map onto each
+    probe's Gamma (_gammas), or None."""
+    n, windows = modulus.size - 1, []
     for s in range(len(sectors)):
         d = n + 1 - 2 * s
-        sup = np.zeros(d + 2, dtype=bool)  # S in w, padded by one column each side
+        sup = np.zeros(d + 2, dtype=bool)  # S in w, padded by a column each side
         sup[1:-1] = modulus[s:n + 1 - s] > 0.0
         inside = np.flatnonzero(sup) - 1
         if not inside.size:
             break
-        a, i = inside.size, np.arange(d - 1)
-        ladder = np.zeros(d + 1)  # 0 past the window
-        ladder[:-2] = np.sqrt((i + 1.0) * (d - 1 - i))
-        off = np.flatnonzero(~sup[1:-1])
-        up, down = sup[off], sup[off + 2]
-        off, up, down = off[up | down], up[up | down], down[up | down]
-        pairs = None
-        if off.size:
-            pos = np.cumsum(sup) - 1
-            lo, hi = np.where(up, pos[off], 0), np.where(down, pos[off + 2], 0)
-            u_up = ladder[off - 1] * up * links[:, s + off - 1]  # U[o - 1, o]
-            u_down = ladder[off] * down * links[:, (s + off) % n]  # U[o, o + 1]
-            both = (u_up * u_down).T
-            pair = np.zeros((3, off.size, len(links), 3, 3))
-            pair[0, ..., 1, 1] = pair[0, ..., 2, 2] = 4.0 * np.abs(u_up.T) ** 2
-            pair[1, ..., 1, 1] = pair[1, ..., 2, 2] = 4.0 * np.abs(u_down.T) ** 2
-            pair[2, ..., 1, 1], pair[2, ..., 2, 2] = 8.0 * both.real, -8.0 * both.real
-            pair[2, ..., 1, 2] = pair[2, ..., 2, 1] = -8.0 * both.imag
-            pairs = (np.concatenate((lo * (a + 1), hi * (a + 1), lo * a + hi)),
-                     pair.reshape(3 * off.size, -1))
+        a, i = inside.size, np.arange(d + 1.0)
+        ladder = np.sqrt(np.maximum((i + 1.0) * (d - 1.0 - i), 0.0))  # 0 from i = d - 1 on
+        off = np.flatnonzero(~sup[1:-1] & (sup[:-2] | sup[2:]))
+        edge = None
+        if off.size:  # (Z, P1, P2)[o -+ 1, o] = (0, U[o - 1, o], conj U[o, o + 1]) (1, i, -i)
+            near = np.stack((sup[off], sup[off + 2]), -1)
+            nb = np.where(near, np.cumsum(sup)[np.stack((off, off + 2), -1)] - 1, 0)
+            g = np.stack((ladder[off - 1] * links[:, s + off - 1],
+                          ladder[off] * links[:, (s + off) % n].conj()), -1) * near
+            g = np.stack((0.0 * g, g, 1j * g * [1.0, -1.0]), 1)
+            edge = ((nb[:, :, None] * a + nb[:, None, :]).ravel(), 4.0 * np.einsum(
+                "pcoi,pdoj->oijpcd", g, g.conj()).real.reshape(4 * off.size, -1))
         k_sub = (slice(None),) * 2 if a == d else (inside[:, None], inside[None, :])
         windows.append((k_sub, np.outer(modulus[s + inside], modulus[s + inside]),
-                        n / 2.0 - s - inside,
-                        ladder[inside[:-1], None] * basis[s + inside[:-1]], pairs))
+                        n / 2.0 - s - inside, ladder[inside[:-1], None] * basis[s + inside[:-1]],
+                        edge))
     return windows
 
 
 def _chunk_size(groups, sectors):
-    """Most grid times per chunk: _CHUNK_BYTES over the bytes a chunk holds
-    per time. Under noise (sectors given) that is the eigenpairs of every
-    window, 8 (a + a^2) on a support of a, held until the chunk's Grams are
-    taken, plus one window's transient in _gammas, its products and Gram
-    rows, 16 (K + 3) a^2 with K = rank + 1 (tracemalloc, N = 12 to 96), on
-    the largest window; it exceeds one sector's kernels on their entries and
-    the blocks handed to eigh, as each sector is evaluated in turn. Without
-    noise the Grams are taken once per call, and a chunk holds only its
-    coefficients and QFIMs with their checks, under 1 KiB per time: it takes
-    the times that fit in that transient at 1 KiB each, so memory is set by
-    N and not by the grid."""
-    stream = max(16 * (len(w) + 4) * top.size for windows, _, w in groups
+    """Most grid times per chunk: _CHUNK_BYTES over what a chunk holds per
+    time. Under noise (sectors given): every window's eigenpairs, 8 (a + a^2)
+    bytes on a support of a, and the largest window's transient in _gammas,
+    16 (K + 3) a^2 with K = rank + 1 (tracemalloc, N = 12 to 96), above a
+    sector's kernels. Without noise a chunk holds its coefficients and QFIMs,
+    under 1 KiB per time, as many as fit in the transient of its one Gram."""
+    stream = max(16 * (maps[0].shape[1] + 3) * top.size for windows, _, maps in groups
                  for _, top, *_ in windows)
     if sectors is None:
         return max(1, stream >> 10)
@@ -311,90 +272,56 @@ def _chunk_size(groups, sectors):
 
 
 def _gammas(groups, eigen):
-    """Per probe, its axes slice and the (T, 3, 3) Gram Gamma of its three
-    generator components in the eigenbases eigen: per group and window,
-    (p, R) stacked over T states.
+    """Per probe, its axes and the (T, 3, 3) Gram Gamma of its generator
+    components in the eigenbases eigen, per group and window (p, R).
 
-    In the frame of _sweep_probes the rotating-frame generators are
-    elementwise, A_k = f(h (m - m'), t) * J~_k with J~_k = U^dag J_k U =
-    sum_l R[k, l] J_l: f is t on the diagonal, where J_z lives, and
-    f(+-h, t) on the two diagonals of J_+ and J_-. So on a window, with
-    P = diag(e), G_k = P^dag A_k P is three fixed Hermitian components with
-    real coefficients,
-
-        G_k = t R[k, 2] Z + Re b_k P1 + Im b_k P2,
-        b_k = (R[k, 0] - i R[k, 1]) f(h, t) / 2,
-
-    with Z = diag(m), P1 = U + U^dag, P2 = i (U - U^dag) and U the window's
-    J_+ * conj(e) e^T; d_k rho = -i [A_k, rho], and the QFIM is Q = C Gamma
-    C^T with C the coefficients (_chunk_qfim). In the eigenbasis V = P R of
-    a window's block, R real, the components on S are Y_c = R^T comp_c R.
-    The real and imaginary parts of U on S are the ladder basis times W, so
-    one real product of R with [R^T m, (L_1 R)^T, ...] gives Y_0 and M_j =
-    R^T L_j R for the basis L_j, each a shifted diagonal: per probe, with
-    M = R^T U R, Y_1 has the parts M_re + M_re^T and M_im - M_im^T, Y_2
-    -(M_im + M_im^T) and M_re - M_re^T. Gamma is their real Gram
-
-        Gamma_cc' = 2 sum_ll' (p_l - p_l')^2 / (p_l + p_l') Re(Y_c conj Y_c')_ll'
-
-    over the pairs with p_l + p_l' above qfim's cutoff, 1e-12 of the group's
-    largest eigenvalue: the Grams of the basis parts are summed over the
-    windows and mapped to the probes through W once. A column o of the
-    window off S has comp_c[i, o] only at i = o -+ 1, so its pairs with the
-    eigenvectors add 4 Re sum_o comp_c[:, o]^T B^ conj(comp_c'[:, o]), with
-    B^ = R diag(p^) R^T, p^ = p where p is above the cutoff and 0 elsewhere:
-    one gather of B^ and one fixed real product per window (_windows). Pairs
-    within the null basis add nothing. Without noise the rank-one block
-    takes its other eigenvectors with p = 0.
-    """
+    In the frame P^dag A_k P (P = diag(e)) is t R[k, 2] Z + Re b_k P1 +
+    Im b_k P2, b_k = (R[k, 0] - i R[k, 1]) f(h, t) / 2 (phase_integral), Z =
+    diag(m), P1 = U + U^dag, P2 = i (U - U^dag), U = J_+ * conj(e) e^T; so
+    Q = C Gamma C^T (_chunk_qfim). In a window's eigenbasis P R they are
+    Y_c = R^T comp_c R: one real product gives Y_0 and M_j^T for the basis
+    M_j = R^T L_j R, whose map W gives a probe's M = R^T U R, Y_1 = M_re +
+    M_re^T + i (M_im - M_im^T) and Y_2 = -(M_im + M_im^T) + i (M_re - M_re^T).
+    Gamma_cc' = 2 sum (p_l - p_l')^2 / (p_l + p_l') Re(Y_c conj Y_c')_ll' over
+    pairs above qfim's cutoff (1e-12 of the group's largest p). A column o
+    off S has comp_c[:, o] only at o -+ 1 and adds 4 Re sum_o comp_c[:, o]^T
+    B^ conj comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff,
+    else 0. Without noise B is rank one and its other eigenvectors take p = 0."""
     out = []
-    for (windows, axes, w), eig in zip(groups, eigen):
+    for (windows, axes, (to_sym, to_anti)), eig in zip(groups, eigen):
         largest = np.max([p[..., -1] for p, _ in eig], axis=0)
         cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None]
-        stack, count, k = largest.shape, len(axes), len(w) + 1
-        g0 = sym = anti = edge = 0.0
-        for (_, _, m, u, pairs), (p, r) in zip(windows, eig):
+        stack, k = largest.shape, to_sym.shape[1]
+        sym, anti, edges = 0.0, 0.0, np.zeros(stack + (9 * len(axes),))
+        for (_, _, m, u, edge), (p, r) in zip(windows, eig):
             a, rt = p.shape[-1], np.swapaxes(r, -1, -2)
-            x = np.zeros(stack + (k, a, a))  # [c, l', i]: (comp_c R)[i, l']
+            x = np.zeros(stack + (k, a, a))  # (comp_c R)^T, then M + M^T, then M^T - M
             x[..., 0, :, :] = rt * m
             np.multiply(rt[..., None, :, 1:], u.T[:, None, :], out=x[..., 1:, :, :-1])
-            z = (x.reshape(stack + (-1, a)) @ r).reshape(x.shape)  # blocks M_j^T
+            z = (x.reshape(stack + (-1, a)) @ r).reshape(x.shape)
             den = p[..., :, None] + p[..., None, :]
             z *= (np.abs(p[..., :, None] - p[..., None, :])
                   / np.sqrt(np.where(den > cutoff[..., None], den, np.inf)))[..., None, :, :]
-            # x takes M + M^T, then its rows past 2 Y_0 take M^T - M
-            y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(stack + (k, -1))
-            g0 = g0 + y[..., :1, :] @ np.swapaxes(y, -1, -2)
-            sym = sym + y[..., 1:, :] @ np.swapaxes(y[..., 1:, :], -1, -2)
-            np.subtract(z[..., 1:, :, :], np.swapaxes(z[..., 1:, :, :], -1, -2),
-                        out=x[..., 1:, :, :])
-            y = x[..., 1:, :, :].reshape(stack + (k - 1, a * a))
+            y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(stack + (k, a * a))
+            sym = sym + y @ np.swapaxes(y, -1, -2)
+            y = np.subtract(z[..., 1:, :, :], np.swapaxes(z[..., 1:, :, :], -1, -2),
+                            out=x[..., 1:, :, :]).reshape(stack + (k - 1, a * a))
             anti = anti + y @ np.swapaxes(y, -1, -2)
-            if pairs is not None:
+            if edge is not None:
                 hat = np.where(p > cutoff, p, 0.0)[..., None, :] * r @ rt
-                edge = edge + hat.reshape(stack + (-1,))[..., pairs[0]] @ pairs[1]
+                edges = edges + hat.reshape(stack + (-1,))[..., edge[0]] @ edge[1]
             del x, y, z  # not held while the next window's are built
-        # per probe, the basis parts mapped through W: Re and Im of U
-        w = w.reshape(k - 1, count, 2).transpose(1, 0, 2)
-        gamma = np.empty(stack + (count, 3, 3))
-        gamma[..., 0, 0] = g0[..., 0, :1] / 4.0
-        gamma[..., 0, 1:] = (g0[..., None, :, 1:] @ w)[..., 0, :] * [0.5, -0.5]
-        gamma[..., 1:, 0] = gamma[..., 0, 1:]
-        wt = np.swapaxes(w, -1, -2)
-        gamma[..., 1:, 1:] = (wt @ sym[..., None, :, :] @ w * [[1.0, -1.0], [-1.0, 1.0]]
-                              + (wt @ anti[..., None, :, :] @ w)[..., ::-1, ::-1])
-        gamma *= 2.0
-        if np.ndim(edge):
-            gamma += np.reshape(edge, stack + (count, 3, 3))
+        gamma = edges.reshape(stack + (-1, 3, 3)) + 2.0 * (
+            np.swapaxes(to_sym, -1, -2) @ sym[..., None, :, :] @ to_sym
+            + np.swapaxes(to_anti, -1, -2) @ anti[..., None, :, :] @ to_anti)
         out.extend((axes_q, gamma[..., q, :, :]) for q, axes_q in enumerate(axes))
     return out
 
 
 def _chunk_qfim(chunk, h, r, gammas):
-    """The (T, 3, 3) QFIM stack of a chunk of grid times: per probe
-    Q = C Gamma C^T over its axes (_gammas), C[k] = (t R[k, 2], Re b_k,
-    Im b_k) with f(h, t) from phase_integral; the joint Q, or Q_kk on the
-    diagonal for the individual strategy."""
+    """The chunk's (T, 3, 3) QFIMs, per probe C Gamma C^T over its axes
+    (_gammas) with C[k] = (t R[k, 2], Re b_k, Im b_k): the joint Q, or Q_kk
+    on the diagonal for the individual strategy."""
     beta = phase_integral(h, chunk, 0.0)[:, 0, :] * (r[:, 0] - 1j * r[:, 1]) / 2.0
     c = np.stack((chunk[:, None] * r[:, 2], beta.real, beta.imag), axis=-1)
     q = np.zeros(chunk.shape + (3, 3))
@@ -406,21 +333,13 @@ def _chunk_qfim(chunk, h, r, gammas):
 def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     """Total-variance bound I(t) on the grid; singular points come back NaN.
 
-    The times are evaluated in chunks (_chunk_size), each as stacked array
-    operations over its times, one sector block at a time. In the frame of
-    _sweep_probes sector s of a probe dephased to Theta(t) is K_s * phi_w
-    phi_w^dag, with w = s:N + 1 - s and K_s the real transfer kernels of the
-    chunk, shared by all probes; without noise only the maximal sector,
-    phi phi^dag, carries a block. That is P B P^dag with P = diag(e_w) and
-    B = K_s * |phi_w| |phi_w|^T, zero off the support S of |phi_w|. So eigh
-    runs on the real B[S, S], once per group, sector and chunk as each
-    sector's kernels are evaluated, and once per call without noise, where
-    B does not depend on t and is rank one. _gammas takes each probe's Gram
-    Gamma of its three generator components in those eigenbases, per chunk
-    (once per call without noise), and _chunk_qfim the chunk's QFIMs,
-    Q = C Gamma C^T. _qfim_bounds checks and bounds them in one step; an
-    invalid (non-real, non-symmetric or indefinite) QFIM is a numerical
-    fault, a NumericalError at its first time.
+    Sector s of a probe dephased to Theta(t) is P B P^dag in the frame, P =
+    diag(e_w) and B = K_s * |phi_w| |phi_w|^T with K_s the real transfer
+    kernels, evaluated per chunk (_chunk_size) one sector at a time; without
+    noise only the maximal sector has a block, rank one and fixed. eigh runs
+    on B[S, S] per group, sector and chunk (once without noise), _gammas and
+    _chunk_qfim take the QFIMs, and _qfim_bounds checks and bounds them in
+    one step: an invalid QFIM is a NumericalError at its first time.
     """
     groups, h, r = prepared
     count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
@@ -438,11 +357,8 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
             for s, (kernel, fold) in zip(range(max(len(w) for w, *_ in groups)), kernels):
                 for (windows, *_), eig in zip(groups, eigen):
                     if s < len(windows):
-                        k_sub, top, *_ = windows[s]
-                        eig.append(np.linalg.eigh(kernel[:, fold[k_sub]] * top))
-            del kernel  # not held while the Grams are taken
+                        eig.append(np.linalg.eigh(kernel[:, fold[windows[s][0]]] * windows[s][1]))
             gammas = _gammas(groups, eigen)
-            del eigen
         values[first:stop], _, fault = _qfim_bounds(
             _chunk_qfim(chunk, h, r, gammas), config.total_time / chunk,
             config.scenario is SweepScenario.INDIVIDUAL)
@@ -482,24 +398,21 @@ def _parabolic_minimum(log_t, log_i, idx):
 def sweep_time(config):
     """Sweep the shot duration and locate the optimal interrogation time.
 
-    Returns the coarse bound curve plus (t_opt, i_min) refined on a finer
-    lattice over [t/4, 4t] around the coarse dip t, clipped to the grid, and
-    by local parabolic interpolation. Only the lattice slice from one point
-    before the last at or before t's left coarse neighbour to one after the
-    first at or after its right one is evaluated, so on any grid it holds the
-    lattice points on both sides of a minimum between the neighbours. The
-    reported optimum is the first local minimum of the sampled curve,
-    counting the edges (_first_dip): bound curves can re-descend at very long
-    shots, where only a few repetitions fit into the budget and the per-shot
-    information is carried by slow population rotation rather than the phase
-    coherence the probe was prepared for, so the first dip is the
-    operationally meaningful working point. A dip on a grid edge, on the edge
-    of the evaluated slice or next to a singular point is reported as sampled
-    and flagged as a boundary optimum. Grid points whose QFIM is singular are
-    reported as missing; if every point fails the sweep raises
-    ExperimentFailed. Under dephasing the field must lie along the noise axis,
-    as evolve requires (_parallel); otherwise the sweep raises
-    AssumptionViolated; the sweep then takes the field's component along it.
+    Returns the coarse bound curve (_bounds_on_grid; NaN where the QFIM is
+    singular, ExperimentFailed if every point is) plus (t_opt, i_min) refined
+    on a lattice over [t/4, 4t] around the coarse dip t, clipped to the grid,
+    and by local parabolic interpolation. Only the lattice slice from one
+    point before the last at or before t's left coarse neighbour to one after
+    the first at or after its right one is evaluated, so it holds the lattice
+    points on both sides of a minimum between the neighbours. The optimum is
+    the first local minimum of the sampled curve, counting the edges
+    (_first_dip): at very long shots, with few repetitions, the curve can
+    re-descend through slow population rotation rather than the phase
+    coherence the probe was prepared for, so the first dip is the operational
+    working point. A dip on a grid or slice edge or next to a singular point
+    is reported as sampled and flagged as a boundary optimum. Under dephasing
+    the field must lie along the noise axis (_parallel), or the sweep raises
+    AssumptionViolated; it takes the field's component along that axis.
     """
     space = build_space(config.n_particles)
     spec = config.noise_spec()

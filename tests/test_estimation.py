@@ -195,32 +195,6 @@ def test_qfim_entries_over_blocks_match_one_dense_block(count):
     assert np.max(np.abs(alone)) > 1e8
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_qfim_entries_with_a_null_space_left_out(count):
-    # a state supported on S = {0, 2, 5} of 7 indices: eigh on the S block
-    # alone, the unit vectors off S as the null basis, and the derivatives
-    # from S to them as the partial block's extra columns give the QFIM of
-    # the whole block
-    rng = np.random.default_rng(5)
-    support, null = np.array([0, 2, 5]), np.array([1, 3, 4, 6])
-    [small] = _random_block_state(rng, [[0.5, 0.3, 0.2]])
-    rho = np.zeros((7, 7), complex)
-    rho[np.ix_(support, support)] = small
-    parts = []
-    for _ in range(count):
-        h = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        parts.append(h + h.conj().T)
-    dense = _qfim_entries(*_in_eigenbasis([rho], [[h] for h in parts]))
-    p, r = np.linalg.eigh(small)
-    inner = np.stack([r.conj().T @ h[np.ix_(support, support)] @ r for h in parts])
-    outer = np.stack([r.conj().T @ h[np.ix_(support, null)] for h in parts])
-    reduced = _qfim_entries([p], iter([np.concatenate((inner, outer), axis=-1)]))
-    assert reduced.shape == (count, count)
-    assert np.max(np.abs(reduced - dense)) < 1e-12 * np.max(np.abs(dense))
-    # without those columns the pairs into the null space are missing
-    assert np.max(np.abs(_qfim_entries([p], [inner]) - dense)) > 0.1 * np.max(np.abs(dense))
-
-
 def test_unitary_family_derivative_is_the_gap_times_the_rotated_generator():
     # for d_k rho = -i [A_k, rho], <l|d_k rho|l'> = i (p_l - p_l') <l|A_k|l'> in
     # the eigenbasis of rho. The sector blocks of N = 6 hold random states; the

@@ -887,6 +887,23 @@ def test_import_leaves_the_process_pool_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_sweep_loads_no_module():
+    # import spinsense loads all a sweep runs: a noisy joint sweep (on every
+    # third m at N = 8, so with the couplings off its support), a noisy
+    # individual one and a noiseless one add nothing to sys.modules, which a
+    # lazily loaded numpy module, such as the numpy.ma of np.setdiff1d, would
+    package_root = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys, spinsense\n"
+            "loaded = set(sys.modules)\n"
+            "for kind, scenario in (('markovian', 'sim'), ('markovian', 'ind'), ('none', 'sim')):\n"
+            "    spinsense.sweep_time(spinsense.SweepConfig(\n"
+            "        n_particles=8, kind=kind, scenario=scenario,\n"
+            "        grid=spinsense.TimeGrid(count=24, start=0.05, stop=100.0)))\n"
+            "assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)")
+    env = dict(os.environ, PYTHONPATH=package_root)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
                                   NoiseKind.NONE])
 @pytest.mark.parametrize("field", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.01, 0.01)],

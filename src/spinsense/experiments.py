@@ -12,12 +12,13 @@ kernel shared by all probes times a centred window of its maximal-sector
 block, P B P^dag with B real symmetric and P a diagonal of phases. The
 probes are built there in closed form; probes with equal moduli share each
 eigensolve, and a cancelled amplitude is exactly zero, so each B is
-diagonalised on its support alone. The field is h J_z there, so each
-derivative is three fixed components, J_z and the Hermitian parts of the
-ladder J_+, times scalars of t: a chunk takes one Gram Gamma of them per
-window, once per pass without noise, and its QFIMs are C Gamma C^T. The
-first dip of the curve is then refined on a finer lattice, evaluated only
-across the dip's coarse neighbours, and by a parabola in log-log coordinates.
+diagonalised on its support alone. The QFIM, which the field rotation
+leaves unchanged, is taken there, where the field is h J_z: each derivative
+is three fixed components, J_z and the Hermitian parts of the ladder J_+,
+times scalars of t, so a chunk takes one Gram Gamma of them per window
+(once per pass without noise) and its QFIMs are C Gamma C^T. The first dip
+of the curve is refined on a finer lattice, evaluated only across the
+dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -257,17 +258,17 @@ def _windows(modulus, links, basis, sectors):
 
 
 def _chunk_size(groups, sectors):
-    """Most grid times per chunk: _CHUNK_BYTES over what a chunk holds per
-    time. Under noise (sectors given): every window's eigenpairs, 8 (a + a^2)
+    """Most grid times per chunk. Under noise (sectors given) _CHUNK_BYTES
+    over what a chunk holds per time: every window's eigenpairs, 8 (a + a^2)
     bytes on a support of a, and the largest window's transient in _gammas,
-    16 (K + 3) a^2 with K = rank + 1 (tracemalloc, N = 12 to 96), above a
-    sector's kernels. Without noise a chunk holds its coefficients and QFIMs,
-    under 1 KiB per time, as many as fit in the transient of its one Gram."""
+    16 (K + 3) a^2, K = rank + 1 (tracemalloc, N = 12 to 96). Without noise a
+    chunk holds only coefficients and QFIMs, under 1 KiB per time: 64 times,
+    past which a chunk's fixed cost (about 45 us) is below its times' own."""
+    if sectors is None:
+        return 64
+    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for _, top, *_ in windows)
     stream = max(16 * (maps[0].shape[1] + 3) * top.size for windows, _, maps in groups
                  for _, top, *_ in windows)
-    if sectors is None:
-        return max(1, stream >> 10)
-    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for _, top, *_ in windows)
     return max(1, int(_CHUNK_BYTES // (pairs + stream)))
 
 
@@ -319,9 +320,8 @@ def _gammas(groups, eigen):
 
 
 def _chunk_qfim(chunk, h, r, gammas):
-    """The chunk's (T, 3, 3) QFIMs, per probe C Gamma C^T over its axes
-    (_gammas) with C[k] = (t R[k, 2], Re b_k, Im b_k): the joint Q, or Q_kk
-    on the diagonal for the individual strategy."""
+    """The chunk's (T, 3, 3) QFIMs: per probe C Gamma C^T over its axes, with
+    C[k] = (t R[k, 2], Re b_k, Im b_k) (_gammas); for ind Q_kk on the diagonal."""
     beta = phase_integral(h, chunk, 0.0)[:, 0, :] * (r[:, 0] - 1j * r[:, 1]) / 2.0
     c = np.stack((chunk[:, None] * r[:, 2], beta.real, beta.imag), axis=-1)
     q = np.zeros(chunk.shape + (3, 3))

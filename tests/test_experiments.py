@@ -569,14 +569,9 @@ def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
                            grid=SMALL_GRID))
     assert len(widths) == len(passes) == 1
     # the Grams are taken once per pass, so a chunk holds only coefficients
-    # and QFIMs, and takes the times that fit, at 1 KiB each, in that Gram's
-    # transient, 16 (K + 3) a^2 bytes: at N = 12 both probes live on 12 of
-    # 13 m with a rank-one ladder basis (K = 2) and take 11 times per chunk;
-    # at N = 48 the joint probe lives on 17 of 49 m with no neighbouring pair
-    # (K = 1) and takes 18, the individual probes on all 49 with a rank-one
-    # basis (K = 2) and take 187
-    sim = scenario is SweepScenario.SIMULTANEOUS
-    assert len(chunks) == (3 if n == 12 else 2 if sim else 1)
+    # and QFIMs, well under 1 KiB per time, and takes 64 times: the 24 grid
+    # times are one chunk, whatever the support and the probes
+    assert len(chunks) == 1
 
 
 def _sweep_tables(n, kind, scenario):

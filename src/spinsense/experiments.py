@@ -210,7 +210,7 @@ def _sweep_probes(config, space, spec):
         links = np.array([e[:-1].conj() * e[1:] for e, _ in probes])
         pairs = (modulus[:-1] > 0.0) & (modulus[1:] > 0.0)
         parts = np.zeros((np.count_nonzero(pairs) + 1, 2 * len(probes)))  # a zero row past them
-        parts[:-1] = np.ascontiguousarray(links.T[pairs]).view(float)
+        parts[:-1] = links.T[pairs].view(float)
         left, sigma, w = np.linalg.svd(parts, full_matrices=False)
         rank = np.count_nonzero(sigma > sigma[0] * max(parts.shape) * np.finfo(float).eps)
         basis = np.zeros((len(pairs), rank))
@@ -243,11 +243,11 @@ def _windows(modulus, links, basis, sectors):
         off = np.flatnonzero(~sup[1:-1] & (sup[:-2] | sup[2:]))
         edge = None
         if off.size:  # (Z, P1, P2)[o -+ 1, o] = (0, U[o - 1, o], conj U[o, o + 1]) (1, i, -i)
-            near = np.stack((sup[off], sup[off + 2]), -1)
-            nb = np.where(near, np.cumsum(sup)[np.stack((off, off + 2), -1)] - 1, 0)
-            g = np.stack((ladder[off - 1] * links[:, s + off - 1],
-                          ladder[off] * links[:, (s + off) % n].conj()), -1) * near
-            g = np.stack((0.0 * g, g, 1j * g * [1.0, -1.0]), 1)
+            pad = off[:, None] + [0, 2]  # o -+ 1 in sup
+            near, at, nb = sup[pad], pad - [1, 2], np.where(sup[pad], np.cumsum(sup)[pad] - 1, 0)
+            u = links[:, (s + at) % n]  # wrapped past the window, where near is 0
+            g = (ladder[at] * near * (u.real + [1j, -1j] * u.imag))[:, None] \
+                * np.array([[0.0, 0.0], [1.0, 1.0], [1j, -1j]])[:, None]
             edge = ((nb[:, :, None] * a + nb[:, None, :]).ravel(), 4.0 * np.einsum(
                 "pcoi,pdoj->oijpcd", g, g.conj()).real.reshape(4 * off.size, -1))
         k_sub = (slice(None),) * 2 if a == d else (inside[:, None], inside[None, :])

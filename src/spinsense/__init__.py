@@ -13,7 +13,7 @@ from .dephasing import (DephasingSuperoperator, NoiseKind, NoiseSpec,
                         TransferKernels, build_dephasing_superoperator,
                         build_transfer_kernels, gamma_profile,
                         integrated_strength)
-from .dynamics import (EvolutionResult, FieldBasis, FieldParams,
+from .dynamics import (EvolutionResult, FieldParams,
                        HilbertComparison, coupled_multiplets, dephase,
                        embed_collective, evolve, full_gkls_reference,
                        full_hilbert_reference, hamiltonian, state_fidelity,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolated", "BlockOperator", "BoundValue", "DegenerateProbe",
     "DensityOperator", "DephasingSuperoperator", "DickeSpace",
-    "EvolutionResult", "ExperimentFailed", "FieldBasis", "FieldParams",
+    "EvolutionResult", "ExperimentFailed", "FieldParams",
     "HilbertComparison", "InvalidArgument", "NoiseKind", "NoiseSpec",
     "NumericalError", "PovmSet", "PowerLawFit", "QfimMatrix",
     "RefinementMeta", "ScanRow", "ScanRows", "Sector",

@@ -31,11 +31,12 @@ from . import dynamics
 from .dicke import (build_space, collective_operator, dicke_dimension, ghz_state,
                     simultaneous_probe)
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
-from .dynamics import (FieldBasis, FieldParams, _parallel, evolve, full_gkls_reference,
-                       full_hilbert_reference)
+from .dynamics import (FieldParams, _parallel, evolve, full_gkls_reference,
+                       full_hilbert_reference, unitary)
 from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
                      InvalidArgument, NumericalError, SingularQfim, _count)
-from .estimation import bound_individual, bound_simultaneous, partial_rho, qfim
+from .estimation import (bound_individual, bound_simultaneous, generator_operator, partial_rho,
+                         qfim)
 from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
                           SweepScenario, TimeGrid, _pool_size, fit_power_law,
                           husimi_grid, husimi_map, scan_particles, sweep_time)
@@ -596,15 +597,12 @@ def _check_finite_differences(n):
         if np.linalg.norm(phi) < 1e-3:
             phi = phi + 0.05
         t = float(rng.uniform(0.1, 5.0))
-        axis = ("x", "y", "z")[int(rng.integers(3))]
-        k = ("x", "y", "z").index(axis)
-        basis = FieldBasis(space, FieldParams(tuple(phi)))
-        step = np.zeros(3)
-        step[k] = eps
-        u_plus = FieldBasis(space, FieldParams(tuple(phi + step))).unitary(t).to_dense()
-        u_minus = FieldBasis(space, FieldParams(tuple(phi - step))).unitary(t).to_dense()
+        k = int(rng.integers(3))
+        step = eps * np.eye(3)[k]
+        u_plus, u, u_minus = (unitary(space, FieldParams(phi + s), t).to_dense()
+                              for s in (step, 0.0, -step))
         fd = (u_plus - u_minus) / (2.0 * eps)
-        analytic = -1j * (basis.unitary(t).to_dense() @ basis.generator(t, axis).to_dense())
+        analytic = -1j * (u @ generator_operator(space, FieldParams(phi), t, "xyz"[k]).to_dense())
         scale = float(np.max(np.abs(analytic)))
         worst = max(worst, float(np.max(np.abs(fd - analytic))) / scale)
     return worst <= 1e-6, f"N={n}, worst relative derivative error {worst:.2e}"

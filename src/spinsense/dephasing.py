@@ -87,7 +87,7 @@ class NoiseSpec:
 def gamma_profile(spec, t):
     """Instantaneous dephasing rate gamma_t at time t >= 0."""
     t = _nonnegative(t, "t")
-    if spec.kind is NoiseKind.MARKOVIAN:
+    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.MARKOVIAN:
         return spec.gamma
     if spec.kind is NoiseKind.NONMARKOVIAN:
         return spec.gamma ** 2 * t
@@ -97,7 +97,7 @@ def gamma_profile(spec, t):
 def integrated_strength(spec, t):
     """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock."""
     t = _nonnegative(t, "t")
-    if spec.kind is NoiseKind.MARKOVIAN:
+    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.MARKOVIAN:
         return spec.gamma * t
     if spec.kind is NoiseKind.NONMARKOVIAN:
         return spec.gamma ** 2 * t ** 2 / 2.0
@@ -198,16 +198,17 @@ def _chain_batch(space, length, lam):
 class DephasingSuperoperator:
     """Rate-free dephasing generator, held in the frame of its noise axis.
 
-    rotation is the U (U J_z U^dag = axis . J / 2) of axis_frame; chains
-    holds the z-frame generator as one ChainBatch per chain length. Entries
-    of a state between different sectors lie outside the collective
-    representation: L maps them to zero and exp(Theta L) leaves them as
-    they are.
+    rotation is the U (U J_z U^dag = axis . J / 2) of axis_frame for the
+    NoiseSpec axis it records; chains holds the z-frame generator as one
+    ChainBatch per chain length. Entries of a state between different
+    sectors lie outside the collective representation: L maps them to zero
+    and exp(Theta L) leaves them as they are.
     """
 
     space: DickeSpace
     rotation: BlockOperator
     chains: tuple
+    axis: tuple
 
     @property
     def nnz(self):
@@ -282,12 +283,13 @@ def build_dephasing_superoperator(space, spec):
     rotation is the U of axis_frame. The chains depend only on N; the build
     is deterministic.
     """
-    rotation, _ = axis_frame(_instance(space, DickeSpace, "space"), spec.axis)
+    rotation, _ = axis_frame(_instance(space, DickeSpace, "space"),
+                             _instance(spec, NoiseSpec, "spec").axis)
     n = space.n_particles
     lam = np.array([_lambda_weights(n, s.twoj / 2.0) for s in space.sectors])
     chains = tuple(_chain_batch(space, length, lam)
                    for length in range(1, len(space.sectors) + 1))
-    return DephasingSuperoperator(space=space, rotation=rotation, chains=chains)
+    return DephasingSuperoperator(space=space, rotation=rotation, chains=chains, axis=spec.axis)
 
 
 @dataclass(frozen=True, eq=False)

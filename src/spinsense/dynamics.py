@@ -8,6 +8,10 @@ evaluated chain by chain in the noise frame of the dephasing generator.
 evolve() implements that split and refuses a field off the axis, which only
 the joint reference integration full_gkls_reference covers.
 
+The field derivative dU/dphi_k = -i U A_k is closed form: U(u)^dag J U(u) is
+J rotated about phi, so A_k = sum_b M_kb J_b with M the 3 x 3 rotation
+integral (_rotation_integral), the same in every sector.
+
 Two brute-force oracles back the fast path: a joint real-time integration of
 the same block-diagonal master equation in the lab frame, with the dissipator
 applied through the dephasing generator, and the full 2^N product space, where
@@ -22,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DensityOperator, collective_operator
-from .dephasing import NoiseSpec, build_dephasing_superoperator, gamma_profile, integrated_strength
-from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _count, _instance,
-                     _nonnegative, _vector)
+from .dicke import BlockOperator, DensityOperator, DickeSpace, StateVector, collective_operator
+from .dephasing import (DephasingSuperoperator, NoiseSpec, build_dephasing_superoperator,
+                        gamma_profile, integrated_strength)
+from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _array, _count,
+                     _instance, _nonnegative, _vector)
 
 _AXES = ("x", "y", "z")
 
@@ -58,80 +63,51 @@ def hamiltonian(space, field):
     return BlockOperator(space, blocks)
 
 
-def phase_integral(lam, t, tol):
-    """f(lam, t) = (exp(i lam t) - 1) / (i lam) elementwise over the matrix
-    lam, at a time t or at each of an array of times (shape t.shape +
-    lam.shape). It is t where |lam| <= tol; f(-lam) = conj(f(lam))."""
-    small = np.abs(lam) <= tol
-    safe = np.where(small, 1.0, lam)
-    t = np.asarray(t, dtype=float)[..., None, None]
-    return np.where(small, t, 1j * (1.0 - np.exp(1j * lam * t)) / safe)
-
-
-class FieldBasis:
-    """Eigendecomposition of the field Hamiltonian, cached per block.
-
-    Exposes the propagator and the rotating-frame integral operators for any
-    time without repeating the diagonalization.
-    """
-
-    def __init__(self, space, field):
-        self.space = space
-        self.field = field
-        evals, evecs = [], []
-        try:
-            for block in hamiltonian(space, field).blocks:
-                w, v = np.linalg.eigh(block)
-                evals.append(w)
-                evecs.append(v)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"field Hamiltonian diagonalization failed: {exc}") from exc
-        self.evals = tuple(evals)
-        self.evecs = tuple(evecs)
-
-    def unitary(self, t):
-        """exp(-i H t) as a BlockOperator."""
-        blocks = tuple(
-            (v * np.exp(-1j * w * t)) @ v.conj().T
-            for w, v in zip(self.evals, self.evecs))
-        return BlockOperator(self.space, blocks)
-
-    def generator(self, t, axis):
-        """Rotating-frame integral A = int_0^t U(u)^dag J_axis U(u) du.
-
-        In the Hamiltonian eigenbasis the integral is elementwise: the matrix
-        element between energies E_a, E_b picks up phase_integral of
-        E_a - E_b, negligible below 1e-10 of the spectral scale, so A is
-        Hermitian.
-        """
-        t = _nonnegative(t, "t")
-        if axis not in _AXES:
-            raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
-        tol = 1e-10 * max(float(np.max(np.abs(w))) for w in self.evals)
-        ops = collective_operator(self.space, axis).blocks
-        blocks = tuple(v @ (phase_integral(w[:, None] - w[None, :], t, tol)
-                            * (v.conj().T @ j @ v)) @ v.conj().T
-                       for w, v, j in zip(self.evals, self.evecs, ops))
-        return BlockOperator(self.space, blocks)
+def _rotation_integral(phi, t):
+    """M(t) = int_0^t exp(u [phi]_x) du, shape t.shape + (3, 3): U(u)^dag J_k
+    U(u) = sum_b exp(u [phi]_x)_kb J_b, so dU/dphi_k = -i U A_k with A_k =
+    sum_b M_kb J_b (Baumgratz & Datta, PRL 116, 030801 (2016)). With n =
+    phi / |phi| (0 for a zero field) and x = |phi| t / 2, M = t [(1 - n n^T)
+    sin 2x / 2x + n n^T + [n]_x sin^2 x / x], the ratios sinc x cos x and
+    sinc x sin x, so nothing cancels at small |phi| t."""
+    phi, t = np.asarray(phi, dtype=float), np.asarray(t, dtype=float)
+    w = math.sqrt(float(phi @ phi))
+    n = phi / w if w > 0.0 else np.zeros(3)
+    x = (0.5 * w) * t
+    st = t * np.sinc(x / np.pi)
+    nn = n[:, None] * n
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    terms = np.concatenate((np.eye(3) - nn, nn, cross)).reshape(3, 9)
+    return (np.stack((st * np.cos(x), t, st * np.sin(x)), axis=-1) @ terms).reshape(
+        t.shape + (3, 3))
 
 
 def unitary(space, field, t):
-    """Propagator exp(-i phi . J t) of the field Hamiltonian."""
+    """Propagator exp(-i phi . J t) of the field Hamiltonian, one eigh per sector."""
     t = _nonnegative(t, "t")
-    return FieldBasis(space, field).unitary(t)
+    try:
+        eig = [np.linalg.eigh(block) for block in hamiltonian(space, field).blocks]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"field Hamiltonian diagonalization failed: {exc}") from exc
+    return BlockOperator(space, tuple((v * np.exp(-1j * w * t)) @ v.conj().T for w, v in eig))
 
 
 def dephase(rho0, superoperator, spec, t):
     """Apply the dephasing semigroup for duration t of the given noise profile.
 
     Evaluates exp(Theta(t) L)[rho0] through the chain exponentials of the
-    superoperator. A result that is not a valid state (an eigenvalue below
+    superoperator. When Theta > 0 the superoperator must be a
+    DephasingSuperoperator built for rho0's space and spec's axis, or
+    InvalidArgument. A result that is not a valid state (an eigenvalue below
     -1e-8, or trace drift) raises NumericalError.
     """
     _instance(rho0, DensityOperator, "rho0")
     theta = integrated_strength(spec, t)
     if theta == 0.0:
         return DensityOperator(rho0.space, rho0.matrix.copy())
+    _instance(superoperator, DephasingSuperoperator, "superoperator")
+    if superoperator.space != rho0.space or superoperator.axis != spec.axis:
+        raise InvalidArgument("superoperator was built for another space or noise axis")
     mat = superoperator.propagate(rho0.matrix, theta)
     # The generator preserves Hermiticity exactly; symmetrize rounding noise.
     mat = (mat + mat.conj().T) / 2.0
@@ -172,8 +148,8 @@ def evolve(rho0, field, spec, t, superoperator=None):
     rotation commute and are applied in sequence. A field off the axis
     raises AssumptionViolated: full_gkls_reference integrates that case.
 
-    A prebuilt superoperator for (rho0.space, spec) may be passed to avoid
-    reassembly in loops.
+    A prebuilt superoperator for (rho0.space, spec.axis) may be passed to
+    avoid reassembly in loops; dephase refuses one that does not fit.
     """
     t = _nonnegative(t, "t")
     if not _parallel(_instance(field, FieldParams, "field").phi,
@@ -293,7 +269,7 @@ def coupled_multiplets(n):
     copies per sector equals the collective-basis multiplicity, which makes
     this an independent check of the counting.
     """
-    if n < 1 or n > 12:
+    if _count(n, "n", 1) > 12:
         raise InvalidArgument(f"coupled multiplets supported for 1 <= N <= 12, got {n}")
     # Start with one spin: j = 1/2, rows m = +1/2, -1/2; site basis (up, down).
     multiplets = {1: [np.eye(2, dtype=complex)]}
@@ -337,8 +313,11 @@ def embed_collective(rho, multiplets):
 
     Sector weight is shared uniformly over the degenerate multiplet copies,
     which is the unique trace-preserving permutation-invariant assignment.
+    Reads only rho.space, a DickeSpace, and rho.matrix, so any collective
+    matrix lifts, a DensityOperator or not.
     """
-    space = rho.space
+    space = _instance(getattr(rho, "space", None), DickeSpace, "rho.space")
+    _instance(multiplets, dict, "multiplets")
     dim_full = next(iter(multiplets.values()))[0].shape[1]
     out = np.zeros((dim_full, dim_full), dtype=complex)
     for sec in space.sectors:
@@ -354,6 +333,9 @@ def embed_collective(rho, multiplets):
 
 def state_fidelity(rho_a, rho_b):
     """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 for dense matrices."""
+    rho_a, rho_b = _array(rho_a, "rho_a"), _array(rho_b, "rho_b")
+    if rho_a.ndim != 2 or rho_a.shape != rho_b.shape or rho_a.shape != rho_a.shape[::-1]:
+        raise InvalidArgument(f"shapes {rho_a.shape}, {rho_b.shape} are not one square shape")
     wa, va = np.linalg.eigh(rho_a)
     sq = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
     inner = sq @ rho_b @ sq
@@ -395,7 +377,9 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
         raise InvalidArgument(
             f"product-space oracle limited to 1 <= N <= {_HILBERT_MAX_N}, got {n}")
     t = _nonnegative(t, "t")
-    space = initial.space
+    space = _instance(initial, StateVector, "initial").space
+    _instance(field, FieldParams, "field")
+    _instance(spec, NoiseSpec, "spec")
     if space.n_particles != n:
         raise InvalidArgument("initial state lives on a different particle number")
     if initial.max_sector_weight() < 1.0 - 1e-12:

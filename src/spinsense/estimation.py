@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DensityOperator, _sector_blocks
-from .dynamics import _AXES, EvolutionResult, FieldBasis
-from .errors import InvalidArgument, SingularQfim, _array, _instance, _real
+from .dynamics import _AXES, EvolutionResult, FieldParams, _rotation_integral, hamiltonian
+from .errors import InvalidArgument, SingularQfim, _array, _instance, _nonnegative, _real
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
 _QFIM_EPS = 1e-12
@@ -34,24 +34,26 @@ _FAULTS = ("QFIM evaluation produced a non-real matrix", "QFIM must be symmetric
 
 
 def generator_operator(space, field, t, axis):
-    """Rotating-frame integral of J_axis over [0, t] for the given field.
-
-    This is the Hermitian operator A with dU/dphi_axis = -i U A; at t -> 0,
-    and for a zero field at every t, it is t * J_axis.
+    """Rotating-frame integral A = int_0^t U(u)^dag J_axis U(u) du, the
+    Hermitian operator with dU/dphi_axis = -i U A: the field Hamiltonian of
+    the field M[axis] (dynamics._rotation_integral), so no eigensolve; exactly
+    t * J_axis for a zero field.
     """
-    return FieldBasis(space, field).generator(t, axis)
+    if axis not in _AXES:
+        raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
+    m = _rotation_integral(_instance(field, FieldParams, "field").phi, _nonnegative(t, "t"))
+    return hamiltonian(space, FieldParams(m[_AXES.index(axis)]))
 
 
 def partial_rho(result, field, axis):
     """Derivative of the evolved state with respect to field component axis.
 
-    Differentiates the map rho = U(phi) rho_deph U(phi)^dag at fixed
-    dephased input, which is exact under the parallel split:
+    Differentiates rho = U rho_deph U^dag at fixed dephased input, exact
+    under the parallel split, with the result's U and the closed-form A_k of
+    generator_operator (no eigensolve):
 
         d rho / d phi_k = -i U [A_k, rho_deph] U^dag.
     """
-    if axis not in _AXES:
-        raise InvalidArgument(f"axis must be one of {_AXES}, got {axis!r}")
     result = _instance(result, EvolutionResult, "result")
     gen = generator_operator(result.rho.space, field, result.t, axis)
     rho, u = result.rho_dephased.blocks, result.unitary

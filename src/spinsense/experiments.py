@@ -34,7 +34,7 @@ import numpy as np
 from .dicke import StateVector, _ghz_spinors, _spinor_powers, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
-from .dynamics import _AXES, _PAULI, FieldParams, _parallel, phase_integral
+from .dynamics import _AXES, _PAULI, FieldParams, _parallel, _rotation_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
                      _array, _count, _instance, _member, _real, _vector)
 from .estimation import _QFIM_EPS, _qfim_bounds
@@ -193,9 +193,10 @@ def _frame_probes(scenario, n, axis):
 
 
 def _sweep_probes(config, space, spec):
-    """What _bounds_on_grid needs of the probes, once per sweep: (groups, h,
-    r), r the rotation of the frame (the noise axis, or the field direction
-    without noise, z for a zero field) and h the field along it. A group
+    """What _bounds_on_grid needs of the probes, once per sweep: (groups, phi,
+    columns), phi the field along the frame's z axis (the noise axis, or the
+    field direction without noise, z for a zero field) and columns those (z,
+    x, y) of its R scaled by (1, 1/2, -1/2) (_chunk_qfim). A group
     holds the probes of one |phi| (_frame_probes): its windows (the maximal
     sector alone without noise), each probe's axes and the fixed maps of
     _gammas from its Gram rows to its components. On neighbours c, c + 1 of
@@ -220,7 +221,7 @@ def _sweep_probes(config, space, spec):
         sym[:, 0, 0], sym[:, 1:, 1:], anti[..., 1:] = 0.5, w * [1.0, -1.0], w[..., ::-1]
         groups.append((_windows(modulus, links, basis, sectors), [a for _, a in probes],
                        (sym, anti)))
-    return groups, float(np.dot(config.field, r[:, 2])), r
+    return groups, np.dot(config.field, r[:, 2]) * r[:, 2], r[:, [2, 0, 1]] * [1.0, 0.5, -0.5]
 
 
 def _windows(modulus, links, basis, sectors):
@@ -276,10 +277,10 @@ def _gammas(groups, eigen):
     """Per probe, its axes and the (T, 3, 3) Gram Gamma of its generator
     components in the eigenbases eigen, per group and window (p, R).
 
-    In the frame P^dag A_k P (P = diag(e)) is t R[k, 2] Z + Re b_k P1 +
-    Im b_k P2, b_k = (R[k, 0] - i R[k, 1]) f(h, t) / 2 (phase_integral), Z =
-    diag(m), P1 = U + U^dag, P2 = i (U - U^dag), U = J_+ * conj(e) e^T; so
-    Q = C Gamma C^T (_chunk_qfim). In a window's eigenbasis P R they are
+    In the frame P^dag A_k P (P = diag(e)) is C[k] . (Z, P1, P2), C the
+    rotation integral M R over the frame's (J_z, J_x, J_y) = (Z, P1 / 2, -P2 / 2)
+    (_chunk_qfim), Z = diag(m), P1 = U + U^dag, P2 = i (U - U^dag), U = J_+ *
+    conj(e) e^T; so Q = C Gamma C^T. In a window's eigenbasis P R they are
     Y_c = R^T comp_c R: one real product gives Y_0 and M_j^T for the basis
     M_j = R^T L_j R, whose map W gives a probe's M = R^T U R, Y_1 = M_re +
     M_re^T + i (M_im - M_im^T) and Y_2 = -(M_im + M_im^T) + i (M_re - M_re^T).
@@ -319,11 +320,10 @@ def _gammas(groups, eigen):
     return out
 
 
-def _chunk_qfim(chunk, h, r, gammas):
-    """The chunk's (T, 3, 3) QFIMs: per probe C Gamma C^T over its axes, with
-    C[k] = (t R[k, 2], Re b_k, Im b_k) (_gammas); for ind Q_kk on the diagonal."""
-    beta = phase_integral(h, chunk, 0.0)[:, 0, :] * (r[:, 0] - 1j * r[:, 1]) / 2.0
-    c = np.stack((chunk[:, None] * r[:, 2], beta.real, beta.imag), axis=-1)
+def _chunk_qfim(chunk, phi, columns, gammas):
+    """The chunk's (T, 3, 3) QFIMs: per probe C Gamma C^T over its axes, C =
+    _rotation_integral(phi, t) @ columns (_gammas); for ind Q_kk on the diagonal."""
+    c = _rotation_integral(phi, chunk) @ columns
     q = np.zeros(chunk.shape + (3, 3))
     for axes, gamma in gammas:
         q[:, axes, axes] = c[:, axes] @ gamma @ np.swapaxes(c[:, axes], -1, -2)
@@ -341,7 +341,7 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
     _chunk_qfim take the QFIMs, and _qfim_bounds checks and bounds them in
     one step: an invalid QFIM is a NumericalError at its first time.
     """
-    groups, h, r = prepared
+    groups, phi, columns = prepared
     count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.empty(len(times))
@@ -360,7 +360,7 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
                         eig.append(np.linalg.eigh(kernel[:, fold[windows[s][0]]] * windows[s][1]))
             gammas = _gammas(groups, eigen)
         values[first:stop], _, fault = _qfim_bounds(
-            _chunk_qfim(chunk, h, r, gammas), config.total_time / chunk,
+            _chunk_qfim(chunk, phi, columns, gammas), config.total_time / chunk,
             config.scenario is SweepScenario.INDIVIDUAL)
         if fault is not None:
             raise NumericalError(f"invalid QFIM at t={chunk[fault[0]]:.6g}: {fault[1]}")
@@ -495,6 +495,7 @@ def scan_particles(n_list, base_config, workers=1):
     one worker per sweep; the result is the same either way.
     """
     _count(workers, "workers", 1)
+    _instance(base_config, SweepConfig, "base_config")
     try:
         ns = [_count(n, "each N", 1) for n in n_list]
     except TypeError:
@@ -595,7 +596,8 @@ def husimi_normalization(qmap, multiplet_dim):
     result approaches 1 for a normalized max-sector state as the grid grows.
     multiplet_dim is the sector dimension 2j+1 = N+1.
     """
-    qmap = np.asarray(qmap, dtype=float)
+    qmap = _array(qmap, "Husimi map", float)
+    multiplet_dim = _real(multiplet_dim, "multiplet_dim")
     if qmap.ndim != 2:
         raise InvalidArgument(f"a Husimi map must be 2-D, got shape {qmap.shape}")
     n_theta, n_phi = qmap.shape

@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spinsense
 
-from spinsense import (AssumptionViolated, DensityOperator, FieldParams,
+from spinsense import (AssumptionViolated, DensityOperator, DephasingSuperoperator, FieldParams,
                        InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
                        build_space, build_dephasing_superoperator,
                        coupled_multiplets, dephase, embed_collective, evolve,
@@ -103,17 +102,18 @@ def test_dephase_semigroup_composition():
     assert np.max(np.abs(once.matrix - split.matrix)) < 1e-9
 
 
-def test_dephase_invalid_state_is_a_numerical_fault():
+def test_dephase_invalid_state_is_a_numerical_fault(monkeypatch):
     # a propagated matrix below the state's positivity floor of -1e-8 is the
     # program's fault, reported as NumericalError
     space = build_space(2)
     rng = np.random.default_rng(3)
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     bad = (v * np.array([0.6, 0.3, 0.1 + 1e-7, -1e-7])) @ v.conj().T
-    stub = SimpleNamespace(propagate=lambda rho, theta: bad)
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z)
+    lsup = build_dephasing_superoperator(space, spec)
+    monkeypatch.setattr(DephasingSuperoperator, "propagate", lambda self, rho, theta: bad)
     with pytest.raises(NumericalError, match="invalid state"):
-        dephase(simultaneous_probe(space).projector(), stub, spec, 1.0)
+        dephase(simultaneous_probe(space).projector(), lsup, spec, 1.0)
 
 
 def test_import_does_not_load_scipy():

@@ -12,6 +12,7 @@ from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseKind,
                        cfim, collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
                        unitary)
+from spinsense.dynamics import _rotation_integral
 from spinsense.estimation import _qfim_bounds, _qfim_entries
 
 AXIS_Z = (0.0, 0.0, 2.0)
@@ -81,6 +82,52 @@ def test_generator_at_zero_field_is_t_times_j():
     for axis in "xyz":
         a = generator_operator(space, FieldParams((0.0, 0.0, 0.0)), 2.5, axis).to_dense()
         assert np.array_equal(a, 2.5 * collective_operator(space, axis).to_dense())
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_generator_matches_quadrature_of_the_rotating_frame(n):
+    # A_k against a 64-node Gauss-Legendre quadrature of U(u)^dag J_k U(u),
+    # U from the eigh-based unitary, from a tiny field to a fast rotation
+    space = build_space(n)
+    direction = np.array([1.0, -2.0, 3.0]) / math.sqrt(14.0)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    jops = [collective_operator(space, ax).to_dense() for ax in "xyz"]
+    for norm in (1e-6, 0.01, 2.0):
+        field = FieldParams(norm * direction)
+        for t in (0.7, 5.0):
+            us = [unitary(space, field, u).to_dense() for u in 0.5 * t * (nodes + 1.0)]
+            for k, ax in enumerate("xyz"):
+                quad = sum(0.5 * t * w * (u.conj().T @ jops[k] @ u) for u, w in zip(us, weights))
+                a = generator_operator(space, field, t, ax).to_dense()
+                assert np.max(np.abs(a - quad)) <= 1e-12 * np.max(np.abs(quad))
+
+
+def test_rotation_integral_at_zero_field_is_t_times_identity():
+    # no field, no rotation: M(t) = t 1 exactly, per time of an array too
+    times = np.array([0.0, 0.3, 2.5, 40.0])
+    m = _rotation_integral((0.0, 0.0, 0.0), times)
+    assert m.shape == (4, 3, 3)
+    assert np.array_equal(m, times[:, None, None] * np.eye(3))
+    assert np.array_equal(_rotation_integral(np.zeros(3), 2.5), 2.5 * np.eye(3))
+
+
+def test_partial_rho_makes_no_eigensolve(monkeypatch):
+    # the derivatives reuse the evolution's propagator and the closed-form
+    # generators: three partial_rho calls at N = 8 call no eigh
+    space = build_space(8)
+    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
+    res = evolve(simultaneous_probe(space).projector(), FIELD_DIAG, spec, 2.0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for ax in "xyz":
+        partial_rho(res, FIELD_DIAG, ax)
+    assert calls == []
 
 
 def test_partial_rho_traceless_hermitian():

@@ -14,18 +14,19 @@ import numpy as np
 import pytest
 
 from spinsense import (AssumptionViolated, DensityOperator, ExperimentFailed,
-                       FieldBasis, FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
+                       FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
                        NumericalError, PovmSet, QfimMatrix, StateVector,
                        SweepConfig, SweepScenario, TimeGrid, bound_individual, cfim,
                        bound_simultaneous,
                        build_transfer_kernels, build_space, coherent_state,
-                       collective_operator, cumulative_degeneracy, degeneracy, dephase, evolve,
+                       collective_operator, coupled_multiplets, cumulative_degeneracy,
+                       degeneracy, dephase, embed_collective, evolve,
                        fit_power_law, full_gkls_reference,
                        full_hilbert_reference, gamma_profile,
                        generator_operator, ghz_state, hamiltonian, husimi_grid, husimi_map,
                        husimi_normalization, integrated_strength, partial_rho,
-                       qfim, scan_particles, simultaneous_probe, sweep_time,
-                       unitary)
+                       qfim, scan_particles, simultaneous_probe, state_fidelity,
+                       sweep_time, unitary)
 from spinsense import estimation, experiments
 from spinsense.cli import _pointwise_bounds
 from spinsense.dephasing import (ChainBatch, TransferKernels, _frame_rotation, axis_frame,
@@ -156,8 +157,29 @@ def test_sweep_config_validation():
     lambda: PovmSet([[[1.0, 0.1], [0.0, 0.0]], [[0.0, -0.1], [0.0, 1.0]]]),
     lambda: fit_power_law([10.0, 12.0, 14.0]),
     lambda: husimi_grid((3, 4, 5)),
-    lambda: FieldBasis(_SPACE, _FIELD).generator(1.0, "w"),
+    lambda: generator_operator(_SPACE, _FIELD, 1.0, "w"),
     lambda: partial_rho(evolve(_RHO, _FIELD, _SPEC, 1.0), _FIELD, "w"),
+    lambda: dephase(_RHO, None, _SPEC, 1.0),
+    lambda: evolve(_RHO, _FIELD, _SPEC, 1.0, superoperator="x"),
+    lambda: evolve(_RHO, _FIELD, _SPEC, 1.0,
+                   superoperator=build_dephasing_superoperator(build_space(4), _SPEC)),
+    lambda: evolve(_RHO, _FIELD, _SPEC, 1.0, superoperator=build_dephasing_superoperator(
+        _SPACE, NoiseSpec("markovian", 0.05, (2.0, 0.0, 0.0)))),
+    lambda: dephase(_RHO, build_dephasing_superoperator(_SPACE, _SPEC), None, 1.0),
+    lambda: gamma_profile(None, 1.0),
+    lambda: integrated_strength("markovian", 1.0),
+    lambda: build_dephasing_superoperator(_SPACE, None),
+    lambda: husimi_normalization("abc", 4),
+    lambda: husimi_normalization(np.ones((3, 4)), "x"),
+    lambda: embed_collective("x", coupled_multiplets(3)),
+    lambda: embed_collective(_RHO, "x"),
+    lambda: state_fidelity(np.eye(2), np.eye(3)),
+    lambda: coupled_multiplets("3"),
+    lambda: coupled_multiplets(True),
+    lambda: full_hilbert_reference(3, _RHO, _FIELD, _SPEC, 1.0),
+    lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), (0.0, 0.0, 0.01), _SPEC, 1.0),
+    lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), _FIELD, None, 1.0),
+    lambda: scan_particles([2, 3], "cfg"),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -181,7 +203,15 @@ def test_sweep_config_validation():
         "coherent-space-none", "ghz-space-none", "simultaneous-probe-space-none",
         "bound-sim-repetitions-zero", "bound-ind-repetitions-negative", "total-time-zero",
         "qfim-matrix-shape", "povm-empty", "povm-non-hermitian", "fit-points-1d",
-        "husimi-grid-triple", "field-basis-axis-w", "partial-rho-axis-w"])
+        "husimi-grid-triple", "generator-axis-w", "partial-rho-axis-w",
+        "dephase-superoperator-none", "evolve-superoperator-text",
+        "evolve-superoperator-other-n", "evolve-superoperator-other-axis", "dephase-spec-none",
+        "gamma-profile-spec-none", "integrated-strength-spec-text", "superoperator-spec-none",
+        "husimi-normalization-text", "husimi-normalization-dim-text",
+        "embed-collective-rho-text", "embed-collective-multiplets-text",
+        "state-fidelity-shapes", "coupled-multiplets-text", "coupled-multiplets-bool",
+        "hilbert-reference-initial-density", "hilbert-reference-field-tuple",
+        "hilbert-reference-spec-none", "scan-config-text"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -362,27 +392,27 @@ def test_sweep_builds_one_rotation(monkeypatch, kind):
     assert len(frames) == 2
 
 
-def test_kernels_and_phase_integrals_are_shared(monkeypatch):
-    # one kernel evaluation and one phase_integral call per chunk, whatever
-    # the number of probes (three GHZ probes for ind) and of sectors
-    calls = {"kernels": 0, "phase": 0}
-    kernels, phase = TransferKernels.by_sector, experiments.phase_integral
+def test_kernels_and_chunk_qfims_are_shared(monkeypatch):
+    # one kernel evaluation and one _chunk_qfim call per chunk, whatever the
+    # number of probes (three GHZ probes for ind) and of sectors
+    calls = {"kernels": 0, "chunks": 0}
+    kernels, chunk_qfim = TransferKernels.by_sector, experiments._chunk_qfim
 
     def counted_kernels(self, thetas):
         calls["kernels"] += 1
         return kernels(self, thetas)
 
-    def counted_phase(*args):
-        calls["phase"] += 1
-        return phase(*args)
+    def counted_chunk(*args):
+        calls["chunks"] += 1
+        return chunk_qfim(*args)
 
     monkeypatch.setattr(TransferKernels, "by_sector", counted_kernels)
-    monkeypatch.setattr(experiments, "phase_integral", counted_phase)
+    monkeypatch.setattr(experiments, "_chunk_qfim", counted_chunk)
     res = sweep_time(SweepConfig(n_particles=6, scenario=SweepScenario.INDIVIDUAL,
                                  kind=NoiseKind.MARKOVIAN, gamma=0.1, grid=SMALL_GRID))
     assert not res.refinement.boundary
     assert calls["kernels"] >= 2
-    assert calls["phase"] == calls["kernels"]
+    assert calls["chunks"] == calls["kernels"]
 
 
 def test_sweep_builds_no_chains(monkeypatch):
@@ -520,7 +550,7 @@ def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
             windows = sum(bool(np.any((support >= s) & (support <= n - s)))
                           for s in range(n // 2 + 1))
             widths = _spy_eigh(monkeypatch)
-            chunks = _count_calls(monkeypatch, "phase_integral")
+            chunks = _count_calls(monkeypatch, "_chunk_qfim")
             res = sweep_time(SweepConfig(n_particles=n, kind=kind, scenario=scenario,
                                          grid=SMALL_GRID))
             assert not res.refinement.boundary
@@ -564,7 +594,7 @@ def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
     # without noise the one block |phi| |phi|^T does not depend on t
     widths = _spy_eigh(monkeypatch)
     passes = _count_calls(monkeypatch, "_bounds_on_grid")
-    chunks = _count_calls(monkeypatch, "phase_integral")
+    chunks = _count_calls(monkeypatch, "_chunk_qfim")
     sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
                            grid=SMALL_GRID))
     assert len(widths) == len(passes) == 1
@@ -596,7 +626,7 @@ def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
     assert n != 23 or len(prepared[0]) == 2
     size = experiments._chunk_size(prepared[0], space.sectors if transfer else None)
     times = np.geomspace(0.05, 100.0, 2 * size)
-    chunks = _count_calls(monkeypatch, "phase_integral")
+    chunks = _count_calls(monkeypatch, "_chunk_qfim")
     experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, times)
     tracemalloc.start()
     try:
@@ -612,7 +642,7 @@ def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
 def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
     # N = 24, non-markovian: 24 coarse and at most 14 rescan times, one
     # chunk per pass
-    chunks = _count_calls(monkeypatch, "phase_integral")
+    chunks = _count_calls(monkeypatch, "_chunk_qfim")
     res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN, grid=SMALL_GRID))
     assert not res.refinement.boundary
     assert len(chunks) <= 2
@@ -628,7 +658,7 @@ def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
     inside = [int(np.count_nonzero((support >= s) & (support <= n - s)))
               for s in range(n // 2 + 1)]
     widths = _spy_eigh(monkeypatch)
-    chunks = _count_calls(monkeypatch, "phase_integral")
+    chunks = _count_calls(monkeypatch, "_chunk_qfim")
     res = sweep_time(SweepConfig(n_particles=n, grid=SMALL_GRID))
     assert not res.refinement.boundary
     assert widths == [w for w in inside if w] * len(chunks)
@@ -859,7 +889,7 @@ def test_sweep_bounds_each_chunk_in_one_step(monkeypatch, scenario):
     for module in (estimation, experiments):
         for name in ("bound_simultaneous", "bound_individual"):
             monkeypatch.setattr(module, name, refused, raising=False)
-    chunks = _count_calls(monkeypatch, "phase_integral")
+    chunks = _count_calls(monkeypatch, "_chunk_qfim")
     res = sweep_time(SweepConfig(n_particles=24, kind=NoiseKind.NONMARKOVIAN,
                                  scenario=scenario, grid=SMALL_GRID))
     assert not res.refinement.boundary and len(chunks) >= 2

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DickeSpace, collective_operator, degeneracy
+from .dicke import BlockOperator, DickeSpace, collective_operator
 from .errors import InvalidArgument, _instance, _member, _nonnegative, _strengths, _vector
 
 
@@ -95,13 +95,12 @@ def gamma_profile(spec, t):
 
 
 def integrated_strength(spec, t):
-    """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock."""
-    t = _nonnegative(t, "t")
-    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.MARKOVIAN:
-        return spec.gamma * t
-    if spec.kind is NoiseKind.NONMARKOVIAN:
+    """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock.
+    A float for one time t, an array for an array of times."""
+    t = _nonnegative(t, "t") if np.ndim(t) == 0 else _strengths(t, "t")
+    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.NONMARKOVIAN:
         return spec.gamma ** 2 * t ** 2 / 2.0
-    return 0.0
+    return spec.gamma * t  # gamma is 0 without noise
 
 
 def _lambda_weights(n, j):
@@ -257,9 +256,14 @@ def _frame_rotation(axis):
     k = np.array([-n[1] / sin_beta, n[0] / sin_beta, 0.0]) if sin_beta > 0.0 \
         else np.array([1.0, 0.0, 0.0])
     beta = float(np.arctan2(sin_beta, n[2]))
-    r = math.cos(beta) * np.eye(3) + math.sin(beta) * np.cross(np.eye(3), k) \
+    r = math.cos(beta) * np.eye(3) + math.sin(beta) * _skew(k) \
         + (1.0 - math.cos(beta)) * np.outer(k, k)
     return beta, k, r
+
+
+def _skew(v):
+    """The matrix [v]_x of the cross product v x ."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def axis_frame(space, axis):
@@ -316,50 +320,81 @@ class TransferKernels:
     sector and over the entries i <= i', i + i' <= N - 2s, the Theta-free
     parts: the counts C(lo-s, u) C(N-lo-s, hi-lo+u) as a (degree + 1,
     entries) table, each entry's divisor C(N-2s, hi-s) / (mu_s sqrt(...)),
-    hi - lo, and the fold of every (i, i') onto the entries through
-    K(i, i') = K(i', i) = K(d-1-i, d-1-i'), which the kernels so carry
-    exactly. Counts below 2^53 are exact, so K_0(0) = 1 exactly for N <= 56.
+    hi - lo, and the fold of every (i, i') onto the entries (_entry)
+    through K(i, i') = K(i', i) = K(d-1-i, d-1-i'), which the kernels so
+    carry exactly. Counts below 2^53 are exact, so K_0(0) = 1 exactly for
+    N <= 56. The entries of all sectors are numbered in one flat sequence,
+    sector by sector (_entry_offsets), and values evaluates any of them
+    together.
     """
 
     space: DickeSpace
     tables: tuple
+    divisor: np.ndarray
+    gap: np.ndarray
 
     def at(self, thetas):
         """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s."""
-        return [values[:, fold] for values, fold in self.by_sector(thetas)]
+        values = self.values(thetas)
+        return [values[:, first + fold] for first, (*_, fold)
+                in zip(_entry_offsets(self.space.n_particles), self.tables)]
 
-    def by_sector(self, thetas):
-        """Per sector, evaluated as it is asked for, K_s on its entries and their
-        fold: K_s = values[:, fold]. One product of powers of q with counts."""
-        thetas = _strengths(thetas)
-        decay = np.exp(-4.0 * np.outer(thetas, np.arange(self.space.n_particles + 1)))
-        spread = -np.expm1(-8.0 * thetas)[:, None]
-        for s, (counts, divisor, gap, fold) in enumerate(self.tables):
-            yield ((decay[:, :2 * len(counts):2] @ counts) / divisor * decay[:, gap]
-                   * spread ** s), fold
+    def values(self, thetas, entries=None):
+        """The (len(thetas), entries) kernel values on the given flat entries,
+        ascending (all by default): per sector that has any, one product of
+        powers of q with its counts on them, then one post-product over all."""
+        thetas, n = _strengths(thetas), self.space.n_particles
+        offsets = _entry_offsets(n)
+        entries = np.arange(offsets[-1]) if entries is None else entries
+        cuts = np.searchsorted(entries, offsets)
+        decay = np.exp(-4.0 * np.outer(thetas, np.arange(n + 1)))
+        # a sector whose entries are all read multiplies its whole table
+        out = np.concatenate([decay[:, :2 * len(c):2] @ (
+            c if hi - lo == c.shape[1] else c[:, entries[lo:hi] - first])
+            for (c, *_), first, lo, hi in zip(self.tables, offsets, cuts, cuts[1:]) if hi > lo],
+            axis=1)
+        out /= self.divisor[entries]
+        out *= decay[:, self.gap[entries]]
+        spread = (-np.expm1(-8.0 * thetas))[:, None] ** np.arange(len(self.tables))
+        out *= spread[:, np.repeat(np.arange(len(self.tables)), np.diff(cuts))]
+        return out
+
+
+def _entry_offsets(n):
+    """The flat index of each sector's first kernel entry, then their total:
+    a window of w + 1 has (w // 2 + 1) (w - w // 2 + 1) entries."""
+    w = n - 2 * np.arange(n // 2 + 1)
+    return np.concatenate(([0], np.cumsum((w // 2 + 1) * (w - w // 2 + 1))))
+
+
+def _entry(w, i, k):
+    """The index of K(i, k) among its sector's entries, w + 1 the window: (i,
+    k) folded onto (lo, hi), lo <= hi, lo + hi <= w, which the rows before
+    it precede lo (w + 2 - lo) times and its own row hi - lo times."""
+    lo, hi = np.minimum(i, k), np.maximum(i, k)
+    flip = lo + hi > w
+    lo, hi = np.where(flip, w - hi, lo), np.where(flip, w - lo, hi)
+    return lo * (w + 1 - lo) + hi
 
 
 def build_transfer_kernels(space):
     """The TransferKernels of a DickeSpace, from one table of binomials, each
-    exact and rounded once."""
+    exact and rounded once, and one set of index arrays over every sector's
+    entries."""
     n = _instance(space, DickeSpace, "space").n_particles
-    binom = np.array([[float(math.comb(a, b)) for b in range(n + 1)] for a in range(n + 1)])
-    tables = []
-    for s, sector in enumerate(space.sectors):
-        w = sector.dim - 1
-        i, k = np.triu_indices(w + 1)
-        keep = i + k <= w
-        i, k = i[keep], k[keep]
-        u = np.arange(w // 2 + 1)[:, None]
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    mu = np.array([float(sector.multiplicity) for sector in space.sectors])
+    r, w = np.arange(n + 1), n - 2 * np.arange(len(mu))
+    # the entries i <= k, i + k <= w of every sector s, sector by sector, row by row
+    rows = r[:n // 2 + 1, None]
+    s, i, k = np.nonzero((rows <= r) & (rows + r <= w[:, None, None]))
+    divisor = binom[w[s], k] / (mu[s] * np.sqrt(
+        binom[w[s], i] / binom[n, s + i] * binom[w[s], k] / binom[n, s + k]))
+    gap, cuts, tables = k - i, _entry_offsets(n), []
+    for w_s, lo, hi in zip(w.tolist(), cuts, cuts[1:]):
         # C(lo - s, u) vanishes for u > i, where clipping u only keeps the
         # second binomial's index in range
-        counts = binom[i, u] * binom[w - i, k - i + np.minimum(u, i)]
-        divisor = binom[w, k] / (degeneracy(n, sector.twoj / 2) * np.sqrt(
-            binom[w, i] / binom[n, s + i] * binom[w, k] / binom[n, s + k]))
-        index = np.zeros((w + 1, w + 1), dtype=int)
-        index[i, k] = np.arange(i.size)
-        r = np.arange(w + 1)
-        lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
-        fold = np.where(lo + hi <= w, index[lo, hi], index[w - hi, w - lo])
-        tables.append((counts, divisor, k - i, fold))
-    return TransferKernels(space=space, tables=tuple(tables))
+        i_s, u = i[lo:hi], r[:w_s // 2 + 1, None]
+        tables.append((binom[i_s, u] * binom[w_s - i_s, gap[lo:hi] + np.minimum(u, i_s)],
+                       divisor[lo:hi], gap[lo:hi], _entry(w_s, r[:w_s + 1, None], r[:w_s + 1])))
+    return TransferKernels(space=space, tables=tuple(tables), divisor=divisor, gap=gap)

@@ -69,7 +69,11 @@ def degeneracy(n_particles, j):
         Total spin, integer or half-integer, with 0 <= j <= N/2 and
         2j of the same parity as N.
     """
-    n, k = _depth(n_particles, j)
+    return _multiplicity(*_depth(n_particles, j))
+
+
+def _multiplicity(n, k):
+    """d_N^j for k = N/2 - j, unchecked."""
     return math.comb(n, k) - math.comb(n, k - 1) if k else 1
 
 
@@ -133,11 +137,10 @@ def build_space(n_particles):
     n = _count(n_particles, "n_particles", 1)
     sectors = []
     offset = 0
-    for twoj in range(n, -1, -2):
-        dim = twoj + 1
-        sectors.append(Sector(twoj=twoj, dim=dim, offset=offset,
-                              multiplicity=degeneracy(n, twoj / 2.0)))
-        offset += dim
+    for k, twoj in enumerate(range(n, -1, -2)):
+        sectors.append(Sector(twoj=twoj, dim=twoj + 1, offset=offset,
+                              multiplicity=_multiplicity(n, k)))
+        offset += twoj + 1
     if offset != dicke_dimension(n):
         raise InvalidArgument(f"sector layout inconsistent for N={n}")
     return DickeSpace(n_particles=n, sectors=tuple(sectors), total_dim=offset)

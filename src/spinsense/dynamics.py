@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DensityOperator, DickeSpace, StateVector, collective_operator
-from .dephasing import (DephasingSuperoperator, NoiseSpec, build_dephasing_superoperator,
+from .dephasing import (DephasingSuperoperator, NoiseSpec, _skew, build_dephasing_superoperator,
                         gamma_profile, integrated_strength)
 from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _array, _count,
                      _instance, _nonnegative, _vector)
@@ -76,8 +76,7 @@ def _rotation_integral(phi, t):
     x = (0.5 * w) * t
     st = t * np.sinc(x / np.pi)
     nn = n[:, None] * n
-    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    terms = np.concatenate((np.eye(3) - nn, nn, cross)).reshape(3, 9)
+    terms = np.concatenate((np.eye(3) - nn, nn, _skew(n))).reshape(3, 9)
     return (np.stack((st * np.cos(x), t, st * np.sin(x)), axis=-1) @ terms).reshape(
         t.shape + (3, 3))
 
@@ -318,15 +317,19 @@ def embed_collective(rho, multiplets):
     """
     space = _instance(getattr(rho, "space", None), DickeSpace, "rho.space")
     _instance(multiplets, dict, "multiplets")
-    dim_full = next(iter(multiplets.values()))[0].shape[1]
+    dim_full = 2 ** space.n_particles
     out = np.zeros((dim_full, dim_full), dtype=complex)
     for sec in space.sectors:
         copies = multiplets.get(sec.twoj, [])
-        if len(copies) != sec.multiplicity:
+        if not isinstance(copies, (list, tuple)) or len(copies) != sec.multiplicity:
             raise InvalidArgument("multiplet count does not match sector multiplicity")
         sl = slice(sec.offset, sec.offset + sec.dim)
         block = rho.matrix[sl, sl]
         for rows in copies:
+            rows = _array(rows, "multiplet rows")
+            if rows.shape != (sec.dim, dim_full):
+                raise InvalidArgument(f"multiplet rows of 2j = {sec.twoj} must have shape "
+                                      f"{(sec.dim, dim_full)}, got {rows.shape}")
             out += rows.conj().T @ block @ rows / sec.multiplicity
     return out
 

@@ -94,9 +94,9 @@ def _vector(value, what):
     return vec
 
 
-def _strengths(thetas):
+def _strengths(thetas, what="theta"):
     """thetas as a float array, refused unless every one is finite and >= 0."""
-    thetas = _array(thetas, "theta", float)
+    thetas = _array(thetas, what, float)
     if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
-        raise InvalidArgument(f"theta must be finite and >= 0, got {thetas}")
+        raise InvalidArgument(f"{what} must be finite and >= 0, got {thetas}")
     return thetas

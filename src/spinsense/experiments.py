@@ -5,8 +5,9 @@ A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
 single-parameter bounds for the individual strategy. It evaluates a
-logarithmic time grid in chunks of a fixed memory budget, one total-spin
-sector block at a time, with no dense d x d matrix. In the noise frame (the
+logarithmic time grid in chunks of a fixed memory budget, with the
+total-spin sector blocks stacked by the size of the probe's support in them
+and no dense d x d matrix. In the noise frame (the
 field frame without noise) a dephased probe is, per sector, a real transfer
 kernel shared by all probes times a centred window of its maximal-sector
 block, P B P^dag with B real symmetric and P a diagonal of phases. The
@@ -15,8 +16,8 @@ eigensolve, and a cancelled amplitude is exactly zero, so each B is
 diagonalised on its support alone. The QFIM, which the field rotation
 leaves unchanged, is taken there, where the field is h J_z: each derivative
 is three fixed components, J_z and the Hermitian parts of the ladder J_+,
-times scalars of t, so a chunk takes one Gram Gamma of them per window
-(once per pass without noise) and its QFIMs are C Gamma C^T. The first dip
+times scalars of t, so a chunk takes one Gram Gamma of them per stack of
+windows (once per pass without noise) and its QFIMs are C Gamma C^T. The first dip
 of the curve is refined on a finer lattice, evaluated only across the
 dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
@@ -24,6 +25,7 @@ dip's coarse neighbours, and by a parabola in log-log coordinates.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 import dataclasses
@@ -32,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dicke import StateVector, _ghz_spinors, _spinor_powers, build_space
-from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
-                        integrated_strength)
+from .dephasing import (NoiseKind, NoiseSpec, _entry, _entry_offsets, _frame_rotation,
+                        build_transfer_kernels, integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, _rotation_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
                      _array, _count, _instance, _member, _real, _vector)
@@ -170,7 +172,7 @@ def _frame_probes(scenario, n, axis):
     """
     beta, k, r = _frame_rotation(axis)
     u_dag = math.cos(beta / 2.0) * np.eye(2) \
-        + 1j * math.sin(beta / 2.0) * np.tensordot(k, _SIGMA, 1)
+        + 1j * math.sin(beta / 2.0) * (k @ _SIGMA.reshape(3, 4)).reshape(2, 2)
     terms = _spinor_powers(n, np.array([_ghz_spinors(c) @ u_dag.T for c in _AXES]))
     if scenario is SweepScenario.SIMULTANEOUS:
         probes = [(terms.reshape(6, n + 1), slice(0, 3))]
@@ -194,18 +196,20 @@ def _frame_probes(scenario, n, axis):
 
 def _sweep_probes(config, space, spec):
     """What _bounds_on_grid needs of the probes, once per sweep: (groups, phi,
-    columns), phi the field along the frame's z axis (the noise axis, or the
-    field direction without noise, z for a zero field) and columns those (z,
-    x, y) of its R scaled by (1, 1/2, -1/2) (_chunk_qfim). A group
-    holds the probes of one |phi| (_frame_probes): its windows (the maximal
-    sector alone without noise), each probe's axes and the fixed maps of
-    _gammas from its Gram rows to its components. On neighbours c, c + 1 of
-    the support the parts of the probes' links conj(e_c) e_c+1 are L W, L the
-    ladder basis: their singular vectors above rounding, often just one."""
+    columns, entries), phi the field along the frame's z axis (the noise
+    axis, or the field direction without noise, z for a zero field), columns
+    those (z, x, y) of its R scaled by (1, 1/2, -1/2) (_chunk_qfim) and
+    entries the flat kernel entries the windows read (TransferKernels). A
+    group holds the probes of one |phi| (_frame_probes): its windows stacked
+    by support size (the maximal sector alone without noise), each probe's
+    axes and the fixed maps of _gammas from its Gram rows to its components.
+    On neighbours c, c + 1 of the support the parts of the probes' links
+    conj(e_c) e_c+1 are L W, L the ladder basis: their singular vectors above
+    rounding, often just one."""
     axis = spec.axis if spec.gamma > 0.0 else \
         config.field if any(config.field) else (0.0, 0.0, 1.0)
     frame_groups, r = _frame_probes(config.scenario, space.n_particles, axis)
-    sectors = space.sectors if spec.gamma > 0.0 else space.sectors[:1]
+    offsets = _entry_offsets(space.n_particles) if spec.gamma > 0.0 else None
     groups = []
     for modulus, probes in frame_groups:
         links = np.array([e[:-1].conj() * e[1:] for e, _ in probes])
@@ -219,63 +223,101 @@ def _sweep_probes(config, space, spec):
         w = w[:rank].reshape(rank, len(probes), 2).transpose(1, 0, 2)  # Re, Im of U per probe
         sym, anti = np.zeros((len(probes), rank + 1, 3)), np.zeros((len(probes), rank, 3))
         sym[:, 0, 0], sym[:, 1:, 1:], anti[..., 1:] = 0.5, w * [1.0, -1.0], w[..., ::-1]
-        groups.append((_windows(modulus, links, basis, sectors), [a for _, a in probes],
+        groups.append((_windows(modulus, links, basis, offsets), [a for _, a in probes],
                        (sym, anti)))
-    return groups, np.dot(config.field, r[:, 2]) * r[:, 2], r[:, [2, 0, 1]] * [1.0, 0.5, -0.5]
+    return groups, np.dot(config.field, r[:, 2]) * r[:, 2], r[:, [2, 0, 1]] * [1.0, 0.5, -0.5], \
+        None if offsets is None else _read_entries(
+            [stack for windows, *_ in groups for stack in windows], offsets[-1])
 
 
-def _windows(modulus, links, basis, sectors):
-    """Per sector s = 0, 1, ... whose window w = s:N + 1 - s (same m as the
-    maximal sector; J_+ has sqrt((i + 1)(d - 1 - i)) at (i, i + 1)) meets the
-    support S: the K index of K_s[S, S]; |phi_S| |phi_S|^T; m and the ladder
-    basis on S; and for the columns o of w off S next to S, the flat indices
-    of B^ at (o -+ 1, o -+ 1) in an a x a block and their fixed map onto each
+def _read_entries(stacks, count):
+    """The flat kernel entries, of count, that the stacks read, ascending;
+    each stack's are renumbered in place to their places among them."""
+    read = np.zeros(count, dtype=bool)
+    for stack in stacks:
+        read[stack[0]] = True
+    place = np.cumsum(read) - 1
+    for stack in stacks:
+        stack[0] = place[stack[0]]
+    return np.flatnonzero(read)
+
+
+def _windows(modulus, links, basis, offsets):
+    """The windows w = s:N + 1 - s that meet the support S (same m as the
+    maximal sector; J_+ has sqrt((i + 1)(d - 1 - i)) at (i, i + 1)) of every
+    sector, with the kernel entry offsets of _entry_offsets, or of the
+    maximal sector alone for offsets None, in stacks of one size a of S in
+    w, built for every window at once from a mask of S per sector. Per stack
+    of c windows: the flat kernel entries (_entry) of K_s[S, S], (c, a, a),
+    or None; |phi_S| |phi_S|^T; m and the ladder basis on S; and for the
+    columns o of the windows off S next to S, the flat indices of B^ at (o
+    -+ 1, o -+ 1) in the c x a x a blocks and their fixed map onto each
     probe's Gamma (_gammas), or None."""
-    n, windows = modulus.size - 1, []
-    for s in range(len(sectors)):
-        d = n + 1 - 2 * s
-        sup = np.zeros(d + 2, dtype=bool)  # S in w, padded by a column each side
-        sup[1:-1] = modulus[s:n + 1 - s] > 0.0
-        inside = np.flatnonzero(sup) - 1
-        if not inside.size:
-            break
-        a, i = inside.size, np.arange(d + 1.0)
-        ladder = np.sqrt(np.maximum((i + 1.0) * (d - 1.0 - i), 0.0))  # 0 from i = d - 1 on
-        off = np.flatnonzero(~sup[1:-1] & (sup[:-2] | sup[2:]))
-        edge = None
-        if off.size:  # (Z, P1, P2)[o -+ 1, o] = (0, U[o - 1, o], conj U[o, o + 1]) (1, i, -i)
-            pad = off[:, None] + [0, 2]  # o -+ 1 in sup
-            near, at, nb = sup[pad], pad - [1, 2], np.where(sup[pad], np.cumsum(sup)[pad] - 1, 0)
-            u = links[:, (s + at) % n]  # wrapped past the window, where near is 0
-            g = (ladder[at] * near * (u.real + [1j, -1j] * u.imag))[:, None] \
-                * np.array([[0.0, 0.0], [1.0, 1.0], [1j, -1j]])[:, None]
-            edge = ((nb[:, :, None] * a + nb[:, None, :]).ravel(), 4.0 * np.einsum(
-                "pcoi,pdoj->oijpcd", g, g.conj()).real.reshape(4 * off.size, -1))
-        k_sub = (slice(None),) * 2 if a == d else (inside[:, None], inside[None, :])
-        windows.append((k_sub, np.outer(modulus[s + inside], modulus[s + inside]),
-                        n / 2.0 - s - inside, ladder[inside[:-1], None] * basis[s + inside[:-1]],
-                        edge))
-    return windows
+    n = modulus.size - 1
+    s = np.arange(1 if offsets is None else len(offsets) - 1)[:, None]
+    g = np.arange(-1, n + 2)  # padded by a column each side
+    inside = (g >= s) & (g <= n - s)
+    sup = inside & (np.concatenate(([0.0], modulus, [0.0])) > 0.0)
+    place = np.cumsum(sup, axis=1)  # of each g of S in its window's S, from 1; a at the end
+    ladder = np.sqrt(np.maximum((g - s + 1.0) * (n - s - g), 0.0))  # 0 off the window
+    # (Z, P1, P2)[o -+ 1, o] = (0, U[o - 1, o], conj U[o, o + 1]) (1, i, -i)
+    ws, wo = np.nonzero(inside[:, 1:-1] & ~sup[:, 1:-1] & (sup[:, :-2] | sup[:, 2:]))
+    pad = wo[:, None] + [0, 2]  # o -+ 1, padded
+    near, at = sup[ws[:, None], pad], pad - [1, 2]  # at: the links (o - 1, o), (o, o + 1)
+    u = links.T[at % n]  # wrapped past the window, where near is 0
+    grow = ((ladder[ws[:, None], at + 1] * near)[..., None] * (u.real + [[1j], [-1j]] * u.imag)
+            )[..., None] * np.array([[0.0, 1.0, 1j], [0.0, 1.0, -1j]])[:, None]
+    maps = 4.0 * (grow[:, :, None, :, :, None] * grow.conj()[:, None, :, :, None, :]).real
+    nb = np.where(near, place[ws[:, None], pad] - 1, 0)
+    sizes = place[:, -1][place[:, -1] > 0].tolist()
+    bounds = [0, *itertools.accumulate(len(list(run)) for _, run in itertools.groupby(sizes))]
+    cuts, stacks = np.searchsorted(ws, bounds).tolist(), []
+    for first, stop, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]):
+        c, a, sl = stop - first, sizes[first], slice(first, stop)
+        pos = np.nonzero(sup[sl])[1].reshape(c, a) - 1
+        i = pos - s[sl]
+        edge = None if hi == lo else (
+            (((ws[lo:hi, None, None] - first) * a + nb[lo:hi, :, None]) * a
+             + nb[lo:hi, None, :]).ravel(), maps[lo:hi].reshape(4 * (hi - lo), -1))
+        stacks.append([None if offsets is None else offsets[sl, None, None] + _entry(
+                           n - 2 * s[sl, :, None], i[:, :, None], i[:, None, :]),
+                       modulus[pos][:, :, None] * modulus[pos][:, None, :], n / 2.0 - pos,
+                       np.moveaxis(ladder[s[sl], pos + 1][:, :-1, None] * basis[pos[:, :-1]],
+                                   -1, 0)[:, :, None, :], edge])
+    return stacks
+
+
+def _eigh(blocks):
+    """np.linalg.eigh of a stack of real symmetric blocks; 1 x 1 blocks are
+    their own eigenvalues."""
+    if blocks.shape[-1] == 1:
+        return blocks[..., 0], np.ones_like(blocks)
+    return np.linalg.eigh(blocks)
 
 
 def _chunk_size(groups, sectors):
     """Most grid times per chunk. Under noise (sectors given) _CHUNK_BYTES
-    over what a chunk holds per time: every window's eigenpairs, 8 (a + a^2)
-    bytes on a support of a, and the largest window's transient in _gammas,
-    16 (K + 3) a^2, K = rank + 1 (tracemalloc, N = 12 to 96). Without noise a
-    chunk holds only coefficients and QFIMs, under 1 KiB per time: 64 times,
-    past which a chunk's fixed cost (about 45 us) is below its times' own."""
+    over what a chunk holds per time: every stack's eigenpairs, 8 c (a + a^2)
+    bytes for c windows on a support of a, and the larger of the kernel
+    values with a stack's blocks, 8 E + 16 c a^2 for E entries, and the
+    largest stack's transient in _gammas, 16 (K + 3) c a^2, K = rank + 1
+    (tracemalloc, N = 12 to 96). Without noise a chunk holds only
+    coefficients and QFIMs, under 1 KiB per time: 64 times, past which a
+    chunk's fixed cost (about 45 us) is below its times' own."""
     if sectors is None:
         return 64
-    pairs = sum(8 * (len(top) + top.size) for windows, *_ in groups for _, top, *_ in windows)
-    stream = max(16 * (maps[0].shape[1] + 3) * top.size for windows, _, maps in groups
-                 for _, top, *_ in windows)
-    return max(1, int(_CHUNK_BYTES // (pairs + stream)))
+    stacks = [(ids, maps[0].shape[1]) for windows, _, maps in groups for ids, *_ in windows]
+    pairs = sum(8 * (ids.size + ids[..., 0].size) for ids, _ in stacks)
+    values = 8 * (1 + max(int(ids.max()) for ids, _ in stacks))
+    widest = max(ids.size for ids, _ in stacks)
+    stream = max(16 * (k + 3) * ids.size for ids, k in stacks)
+    return max(1, int(_CHUNK_BYTES // (pairs + max(values + 16 * widest, stream))))
 
 
 def _gammas(groups, eigen):
     """Per probe, its axes and the (T, 3, 3) Gram Gamma of its generator
-    components in the eigenbases eigen, per group and window (p, R).
+    components in the eigenbases eigen, per group and stack (p, R), with
+    one step per stack that sums its windows.
 
     In the frame P^dag A_k P (P = diag(e)) is C[k] . (Z, P1, P2), C the
     rotation integral M R over the frame's (J_z, J_x, J_y) = (Z, P1 / 2, -P2 / 2)
@@ -285,37 +327,44 @@ def _gammas(groups, eigen):
     M_j = R^T L_j R, whose map W gives a probe's M = R^T U R, Y_1 = M_re +
     M_re^T + i (M_im - M_im^T) and Y_2 = -(M_im + M_im^T) + i (M_re - M_re^T).
     Gamma_cc' = 2 sum (p_l - p_l')^2 / (p_l + p_l') Re(Y_c conj Y_c')_ll' over
-    pairs above qfim's cutoff (1e-12 of the group's largest p). A column o
-    off S has comp_c[:, o] only at o -+ 1 and adds 4 Re sum_o comp_c[:, o]^T
-    B^ conj comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff,
-    else 0. Without noise B is rank one and its other eigenvectors take p = 0."""
+    pairs above qfim's cutoff (1e-12 of the group's largest p); a 1 x 1
+    window has no pair, and at rank 0 there is no M_im. A column o off S has
+    comp_c[:, o] only at o -+ 1 and adds 4 Re sum_o comp_c[:, o]^T B^ conj
+    comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff, else 0.
+    Without noise B is rank one and its other eigenvectors take p = 0."""
     out = []
-    for (windows, axes, (to_sym, to_anti)), eig in zip(groups, eigen):
-        largest = np.max([p[..., -1] for p, _ in eig], axis=0)
-        cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None]
-        stack, k = largest.shape, to_sym.shape[1]
-        sym, anti, edges = 0.0, 0.0, np.zeros(stack + (9 * len(axes),))
-        for (_, _, m, u, edge), (p, r) in zip(windows, eig):
-            a, rt = p.shape[-1], np.swapaxes(r, -1, -2)
-            x = np.zeros(stack + (k, a, a))  # (comp_c R)^T, then M + M^T, then M^T - M
-            x[..., 0, :, :] = rt * m
-            np.multiply(rt[..., None, :, 1:], u.T[:, None, :], out=x[..., 1:, :, :-1])
-            z = (x.reshape(stack + (-1, a)) @ r).reshape(x.shape)
-            den = p[..., :, None] + p[..., None, :]
-            z *= (np.abs(p[..., :, None] - p[..., None, :])
-                  / np.sqrt(np.where(den > cutoff[..., None], den, np.inf)))[..., None, :, :]
-            y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(stack + (k, a * a))
-            sym = sym + y @ np.swapaxes(y, -1, -2)
-            y = np.subtract(z[..., 1:, :, :], np.swapaxes(z[..., 1:, :, :], -1, -2),
-                            out=x[..., 1:, :, :]).reshape(stack + (k - 1, a * a))
-            anti = anti + y @ np.swapaxes(y, -1, -2)
+    for (stacks, axes, (to_sym, to_anti)), eig in zip(groups, eigen):
+        largest = np.max([p[..., -1].max(axis=-1) for p, _ in eig], axis=0)
+        cutoff = _QFIM_EPS * np.maximum(largest, 1e-300)[..., None, None]
+        lead, k = largest.shape, to_sym.shape[1]
+        sym, anti = np.zeros(lead + (k, k)), np.zeros(lead + (k - 1, k - 1))
+        edges = np.zeros(lead + (9 * len(axes),))
+        for (_, _, m, u, edge), (p, r) in zip(stacks, eig):
+            rt = np.swapaxes(r, -1, -2)
+            if p.shape[-1] > 1:
+                # (comp_c R)^T, then M + M^T, then M^T - M
+                x = np.zeros(lead + (k,) + r.shape[1:])
+                x[:, 0] = rt * m[:, None, :]
+                np.multiply(rt[:, None, ..., 1:], u, out=x[:, 1:, ..., :-1])
+                z = x @ r[:, None]
+                den = p[..., :, None] + p[..., None, :]
+                den[den <= cutoff[..., None]] = np.inf
+                weight = np.abs(p[..., :, None] - p[..., None, :])
+                z *= np.divide(weight, np.sqrt(den, out=den), out=weight)[:, None]
+                y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(lead + (k, -1))
+                sym += y @ np.swapaxes(y, -1, -2)
+                if k > 1:
+                    y = np.subtract(z[:, 1:], np.swapaxes(z[:, 1:], -1, -2),
+                                    out=x[:, 1:]).reshape(lead + (k - 1, -1))
+                    anti += y @ np.swapaxes(y, -1, -2)
+                del x, y, z, den, weight  # not held while the next stack's are built
             if edge is not None:
                 hat = np.where(p > cutoff, p, 0.0)[..., None, :] * r @ rt
-                edges = edges + hat.reshape(stack + (-1,))[..., edge[0]] @ edge[1]
-            del x, y, z  # not held while the next window's are built
-        gamma = edges.reshape(stack + (-1, 3, 3)) + 2.0 * (
-            np.swapaxes(to_sym, -1, -2) @ sym[..., None, :, :] @ to_sym
-            + np.swapaxes(to_anti, -1, -2) @ anti[..., None, :, :] @ to_anti)
+                edges += hat.reshape(lead + (-1,))[..., edge[0]] @ edge[1]
+        gamma = edges.reshape(lead + (-1, 3, 3)) + 2.0 * (
+            np.swapaxes(to_sym, -1, -2) @ sym[..., None, :, :] @ to_sym)
+        if k > 1:
+            gamma += 2.0 * (np.swapaxes(to_anti, -1, -2) @ anti[..., None, :, :] @ to_anti)
         out.extend((axes_q, gamma[..., q, :, :]) for q, axes_q in enumerate(axes))
     return out
 
@@ -335,29 +384,29 @@ def _bounds_on_grid(config, space, transfer, spec, prepared, times):
 
     Sector s of a probe dephased to Theta(t) is P B P^dag in the frame, P =
     diag(e_w) and B = K_s * |phi_w| |phi_w|^T with K_s the real transfer
-    kernels, evaluated per chunk (_chunk_size) one sector at a time; without
-    noise only the maximal sector has a block, rank one and fixed. eigh runs
-    on B[S, S] per group, sector and chunk (once without noise), _gammas and
-    _chunk_qfim take the QFIMs, and _qfim_bounds checks and bounds them in
-    one step: an invalid QFIM is a NumericalError at its first time.
+    kernels, evaluated per chunk (_chunk_size) in one TransferKernels.values
+    call on the entries the windows read; without noise only the maximal
+    sector has a block, rank one and fixed. eigh runs on B[S, S] per group,
+    stack of windows of one support size and chunk (once without noise),
+    _gammas and _chunk_qfim take the QFIMs, and _qfim_bounds checks and
+    bounds them in one step: an invalid QFIM is a NumericalError at its
+    first time.
     """
-    groups, phi, columns = prepared
+    groups, phi, columns, entries = prepared
     count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.empty(len(times))
     if transfer is None:
-        gammas = _gammas(groups, [[(w[None] * (np.arange(len(w)) == len(w) - 1), v[None])
-                                   for w, v in (np.linalg.eigh(top) for _, top, *_ in windows)]
+        gammas = _gammas(groups, [[(p * (np.arange(p.shape[-1]) == p.shape[-1] - 1), r)
+                                   for p, r in (_eigh(top[None]) for _, top, *_ in windows)]
                                   for windows, *_ in groups])
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
         if transfer is not None:
-            eigen = [[] for _ in groups]
-            kernels = transfer.by_sector([integrated_strength(spec, t) for t in chunk])
-            for s, (kernel, fold) in zip(range(max(len(w) for w, *_ in groups)), kernels):
-                for (windows, *_), eig in zip(groups, eigen):
-                    if s < len(windows):
-                        eig.append(np.linalg.eigh(kernel[:, fold[windows[s][0]]] * windows[s][1]))
+            kernel = transfer.values(integrated_strength(spec, chunk), entries)
+            eigen = [[_eigh(kernel[:, ids] * top) for ids, top, *_ in windows]
+                     for windows, *_ in groups]
+            del kernel  # not held while _gammas runs (_chunk_size)
             gammas = _gammas(groups, eigen)
         values[first:stop], _, fault = _qfim_bounds(
             _chunk_qfim(chunk, phi, columns, gammas), config.total_time / chunk,

@@ -3,6 +3,7 @@ exit codes, and the packaged entry points."""
 
 import filecmp
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -500,9 +501,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert err.startswith("spinsense: ") and str(path) in err
 
 
+def _package_env():
+    """os.environ with this tree's src first on PYTHONPATH, so that a fresh
+    interpreter imports the package under test."""
+    paths = [str(Path(dynamics.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "spinsense", "--help"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0
     assert "sweep-time" in proc.stdout
 
@@ -526,6 +534,6 @@ def test_console_script_installed():
         commands.append([exe])
     for command in commands:
         proc = subprocess.run([*command, "space-info", "--n", "2"],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env=_package_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["dimension"] == 4

@@ -45,6 +45,25 @@ def test_integrated_strength_examples():
     assert integrated_strength(mark, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_integrated_strength_takes_an_array_of_times(kind):
+    # one validated expression for a whole array; a scalar still gives the
+    # scalar formula's float bit for bit, and the array agrees with it to
+    # the rounding of t^2
+    spec = NoiseSpec(kind, 0.05, AXIS_Z)
+    times = np.geomspace(1e-3, 100.0, 57)
+    got = integrated_strength(spec, times)
+    assert isinstance(got, np.ndarray) and got.shape == times.shape
+    one = [integrated_strength(spec, float(t)) for t in times]
+    assert all(type(x) is float for x in one)
+    formula = {NoiseKind.MARKOVIAN: lambda t: 0.05 * t,
+               NoiseKind.NONMARKOVIAN: lambda t: 0.05 ** 2 * t ** 2 / 2.0,
+               NoiseKind.NONE: lambda t: 0.0}[kind]
+    assert one == [formula(float(t)) for t in times]
+    assert np.allclose(got, one, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+    assert integrated_strength(spec, times.reshape(3, 19)).shape == (3, 19)
+
+
 def test_negative_time_rejected():
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_Z)
     with pytest.raises(InvalidArgument):
@@ -213,6 +232,61 @@ def test_transfer_kernels_carry_the_orbit_symmetry_exactly(n):
     for kernel in build_transfer_kernels(build_space(n)).at([0.0, 0.013, 0.4, 3.0, 25.0]):
         assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
         assert np.array_equal(kernel, kernel[:, ::-1, ::-1])
+
+
+def _reference_transfer_tables(space):
+    """The transfer tables built one sector at a time: entries from
+    triu_indices, the fold from an index table."""
+    n = space.n_particles
+    binom = np.array([[float(math.comb(a, b)) for b in range(n + 1)] for a in range(n + 1)])
+    tables = []
+    for s, sector in enumerate(space.sectors):
+        w = sector.dim - 1
+        i, k = np.triu_indices(w + 1)
+        keep = i + k <= w
+        i, k = i[keep], k[keep]
+        u = np.arange(w // 2 + 1)[:, None]
+        counts = binom[i, u] * binom[w - i, k - i + np.minimum(u, i)]
+        divisor = binom[w, k] / (degeneracy(n, sector.twoj / 2) * np.sqrt(
+            binom[w, i] / binom[n, s + i] * binom[w, k] / binom[n, s + k]))
+        index = np.zeros((w + 1, w + 1), dtype=int)
+        index[i, k] = np.arange(i.size)
+        r = np.arange(w + 1)
+        lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+        fold = np.where(lo + hi <= w, index[lo, hi], index[w - hi, w - lo])
+        tables.append((counts, divisor, k - i, fold))
+    return tables
+
+
+@pytest.mark.parametrize("n", list(range(1, 31)) + [48, 64])
+def test_transfer_tables_match_the_sector_loop(n):
+    # the tables built over every sector at once are the loop's bit for bit,
+    # and each counts table owns its data at its own degree
+    space = build_space(n)
+    got = build_transfer_kernels(space).tables
+    want = _reference_transfer_tables(space)
+    assert len(got) == len(want) == len(space.sectors)
+    for sector, table, expected in zip(space.sectors, got, want):
+        for x, y in zip(table, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+        counts = table[0]
+        assert counts.flags.owndata and counts.shape[0] == (sector.dim - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("n", [7, 24])
+def test_kernel_values_on_any_entries(n):
+    # values on a subset of the flat entries (the first sector's whole table,
+    # every third entry of the others) against those of every sector's kernels
+    transfer = build_transfer_kernels(build_space(n))
+    thetas = [0.0, 0.01, 0.3, 2.0]
+    every = transfer.values(thetas)
+    offsets = np.cumsum([0] + [t[1].size for t in transfer.tables])
+    assert every.shape == (len(thetas), offsets[-1])
+    for first, kernel, (*_, fold) in zip(offsets, transfer.at(thetas), transfer.tables):
+        assert np.array_equal(kernel, every[:, first + fold])
+    entries = np.concatenate([np.arange(offsets[1]), np.arange(offsets[2] + 1, offsets[-1], 3)])
+    assert np.allclose(transfer.values(thetas, entries), every[:, entries], rtol=1e-15, atol=1e-16)
 
 
 def _squaring_kernels(lsup, thetas):

@@ -173,6 +173,10 @@ def test_sweep_config_validation():
     lambda: husimi_normalization(np.ones((3, 4)), "x"),
     lambda: embed_collective("x", coupled_multiplets(3)),
     lambda: embed_collective(_RHO, "x"),
+    lambda: embed_collective(_RHO, {}),
+    lambda: embed_collective(_RHO, {1: "x"}),
+    lambda: integrated_strength(_SPEC, [0.1, -1.0]),
+    lambda: integrated_strength(_SPEC, [0.1, math.nan]),
     lambda: state_fidelity(np.eye(2), np.eye(3)),
     lambda: coupled_multiplets("3"),
     lambda: coupled_multiplets(True),
@@ -209,6 +213,8 @@ def test_sweep_config_validation():
         "gamma-profile-spec-none", "integrated-strength-spec-text", "superoperator-spec-none",
         "husimi-normalization-text", "husimi-normalization-dim-text",
         "embed-collective-rho-text", "embed-collective-multiplets-text",
+        "embed-collective-multiplets-empty", "embed-collective-multiplets-rows-text",
+        "integrated-strength-t-negative-entry", "integrated-strength-t-nan-entry",
         "state-fidelity-shapes", "coupled-multiplets-text", "coupled-multiplets-bool",
         "hilbert-reference-initial-density", "hilbert-reference-field-tuple",
         "hilbert-reference-spec-none", "scan-config-text"])
@@ -396,17 +402,17 @@ def test_kernels_and_chunk_qfims_are_shared(monkeypatch):
     # one kernel evaluation and one _chunk_qfim call per chunk, whatever the
     # number of probes (three GHZ probes for ind) and of sectors
     calls = {"kernels": 0, "chunks": 0}
-    kernels, chunk_qfim = TransferKernels.by_sector, experiments._chunk_qfim
+    kernels, chunk_qfim = TransferKernels.values, experiments._chunk_qfim
 
-    def counted_kernels(self, thetas):
+    def counted_kernels(self, *args):
         calls["kernels"] += 1
-        return kernels(self, thetas)
+        return kernels(self, *args)
 
     def counted_chunk(*args):
         calls["chunks"] += 1
         return chunk_qfim(*args)
 
-    monkeypatch.setattr(TransferKernels, "by_sector", counted_kernels)
+    monkeypatch.setattr(TransferKernels, "values", counted_kernels)
     monkeypatch.setattr(experiments, "_chunk_qfim", counted_chunk)
     res = sweep_time(SweepConfig(n_particles=6, scenario=SweepScenario.INDIVIDUAL,
                                  kind=NoiseKind.MARKOVIAN, gamma=0.1, grid=SMALL_GRID))
@@ -513,12 +519,13 @@ def test_body_diagonal_symmetry_is_exact(axis):
         assert np.all(np.delete(modulus, nonzero) == 0.0)
 
 
-def _spy_eigh(monkeypatch):
-    """The widths of the blocks the sweep module hands eigh, as it runs."""
+def _spy_eigh(monkeypatch, shape=lambda block: block.shape[-1]):
+    """The widths (or other shape) of the blocks the sweep module hands eigh,
+    as it runs."""
     widths = []
 
     def spy(block):
-        widths.append(block.shape[-1])
+        widths.append(shape(block))
         return np.linalg.eigh(block)
 
     monkeypatch.setattr(experiments, "np", _Overlay(np, linalg=_Overlay(np.linalg, eigh=spy)))
@@ -541,14 +548,14 @@ def _count_calls(monkeypatch, name):
 def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
     # on the default axis the three GHZ probes share one modulus array, for
     # N = 2 mod 4 as for N = 0 mod 4: ind calls eigh as often as sim, once per
-    # chunk and sector whose window meets the support
+    # chunk and size above 1 of the support in the sectors' windows
     for n in (6, 10, 12):
         per_chunk = []
         for scenario in SweepScenario:
             [(modulus, _)], _ = experiments._frame_probes(scenario, n, _DEFAULT)
             support = np.flatnonzero(modulus)
-            windows = sum(bool(np.any((support >= s) & (support <= n - s)))
-                          for s in range(n // 2 + 1))
+            windows = len({int(np.count_nonzero((support >= s) & (support <= n - s)))
+                           for s in range(n // 2 + 1)} - {0, 1})
             widths = _spy_eigh(monkeypatch)
             chunks = _count_calls(monkeypatch, "_chunk_qfim")
             res = sweep_time(SweepConfig(n_particles=n, kind=kind, scenario=scenario,
@@ -650,19 +657,31 @@ def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
 
 def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
     # at N = 24 on the default axis the joint probe lives on every third m:
-    # each sector's block is as wide as the support inside its window
+    # each sector's block is as wide as the support inside its window, 9, 7,
+    # 7, 7, 5, ..., 1, and the windows of one width share one eigh per chunk
+    # (none for width 1)
     n = 24
     [(modulus, _)], _ = experiments._frame_probes(SweepScenario.SIMULTANEOUS, n,
                                                   SweepConfig(n_particles=n).axis)
     support = np.flatnonzero(modulus)
     inside = [int(np.count_nonzero((support >= s) & (support <= n - s)))
               for s in range(n // 2 + 1)]
-    widths = _spy_eigh(monkeypatch)
+    assert inside == [9, 7, 7, 7, 5, 5, 5, 3, 3, 3, 1, 1, 1]
+    shapes = _spy_eigh(monkeypatch, lambda block: block.shape[-3:-1])
     chunks = _count_calls(monkeypatch, "_chunk_qfim")
     res = sweep_time(SweepConfig(n_particles=n, grid=SMALL_GRID))
     assert not res.refinement.boundary
-    assert widths == [w for w in inside if w] * len(chunks)
-    assert max(widths) == support.size == 9
+    assert shapes == [(1, 9), (3, 7), (3, 5), (3, 3)] * len(chunks)
+    assert max(a for _, a in shapes) == support.size == 9
+
+
+def test_individual_probes_stack_one_window_per_size():
+    # at N = 24 on the default axis the GHZ probes fill every window: each
+    # window has its own size, so each stack holds one window
+    cfg = SweepConfig(n_particles=24, scenario=SweepScenario.INDIVIDUAL, grid=SMALL_GRID)
+    [(stacks, axes, _)], *_ = experiments._sweep_probes(cfg, build_space(24), cfg.noise_spec())
+    assert len(axes) == 3
+    assert [top.shape for _, top, *_ in stacks] == [(1, d, d) for d in range(25, 0, -2)]
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -554,15 +554,15 @@ def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
         for scenario in SweepScenario:
             [(modulus, _)], _ = experiments._frame_probes(scenario, n, _DEFAULT)
             support = np.flatnonzero(modulus)
-            windows = len({int(np.count_nonzero((support >= s) & (support <= n - s)))
+            stacks = len({int(np.count_nonzero((support >= s) & (support <= n - s)))
                            for s in range(n // 2 + 1)} - {0, 1})
             widths = _spy_eigh(monkeypatch)
             chunks = _count_calls(monkeypatch, "_chunk_qfim")
             res = sweep_time(SweepConfig(n_particles=n, kind=kind, scenario=scenario,
                                          grid=SMALL_GRID))
             assert not res.refinement.boundary
-            assert len(widths) == windows * len(chunks)
-            per_chunk.append(windows)
+            assert len(widths) == stacks * len(chunks)
+            per_chunk.append(stacks)
         assert per_chunk[0] == per_chunk[1]
 
 

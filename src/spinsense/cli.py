@@ -642,8 +642,8 @@ def _pointwise_bounds(config):
 
 def _check_sweep_vs_pointwise(n):
     worst, compared = 0.0, 0
-    # both noise kinds in the noise frame; without noise, the default field frame on the
-    # body diagonal and one off it; the zero field's frames, with and without noise; and,
+    # both noise kinds in the noise frame; without noise, the closed form for the default
+    # field and one off the body diagonal; the zero field, with and without noise; and,
     # whatever n, the noisy joint probe at N = 8, on every third m: columns off its support
     grid, zero = TimeGrid(count=8, start=0.05, stop=100.0), {"field": (0.0, 0.0, 0.0)}
     cases = ((NoiseKind.MARKOVIAN, {}), (NoiseKind.NONMARKOVIAN, {}), (NoiseKind.NONE, {}),

@@ -4,22 +4,22 @@ power-law fits, and Husimi distributions of probe states.
 A sweep fixes the total acquisition time T and asks how long each shot
 should run: M = T/t shots of duration t give a total-variance bound
 I(t) = t * tr(Q(t)^{-1}) / T for the joint strategy, or the matching sum of
-single-parameter bounds for the individual strategy. It evaluates a
-logarithmic time grid in chunks of a fixed memory budget, with the
-total-spin sector blocks stacked by the size of the probe's support in them
-and no dense d x d matrix. In the noise frame (the
-field frame without noise) a dephased probe is, per sector, a real transfer
-kernel shared by all probes times a centred window of its maximal-sector
-block, P B P^dag with B real symmetric and P a diagonal of phases. The
-probes are built there in closed form; probes with equal moduli share each
-eigensolve, and a cancelled amplitude is exactly zero, so each B is
-diagonalised on its support alone. The QFIM, which the field rotation
-leaves unchanged, is taken there, where the field is h J_z: each derivative
-is three fixed components, J_z and the Hermitian parts of the ladder J_+,
-times scalars of t, so a chunk takes one Gram Gamma of them per stack of
-windows (once per pass without noise) and its QFIMs are C Gamma C^T. The first dip
-of the curve is refined on a finer lattice, evaluated only across the
-dip's coarse neighbours, and by a parabola in log-log coordinates.
+single-parameter bounds for the individual strategy, on a logarithmic time
+grid in chunks. Without noise the probe stays pure and
+Q(t) = 4 M(t) Sigma M(t)^T, Sigma its spin covariance. Under noise a chunk
+has a fixed memory budget, with the total-spin sector blocks stacked by the
+size of the probe's support in them and no dense d x d matrix. In the noise
+frame a dephased probe is, per sector, a real transfer kernel shared by all
+probes times a centred window of its maximal-sector block, P B P^dag with B
+real symmetric and P a diagonal of phases. The probes are built there in
+closed form; probes with equal moduli share each eigensolve, and a cancelled
+amplitude is exactly zero, so each B is diagonalised on its support alone.
+The QFIM, which the field rotation leaves unchanged, is taken there, where
+the field is h J_z: each derivative is three fixed components, J_z and the
+Hermitian parts of the ladder J_+, times scalars of t, so a chunk takes one
+Gram Gamma of them per stack of windows and its QFIMs are C Gamma C^T. The
+first dip of the curve is refined on a finer lattice, evaluated only across
+the dip's coarse neighbours, and by a parabola in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -195,21 +195,17 @@ def _frame_probes(scenario, n, axis):
 
 
 def _sweep_probes(config, space, spec):
-    """What _bounds_on_grid needs of the probes, once per sweep: (groups, phi,
-    columns, entries), phi the field along the frame's z axis (the noise
-    axis, or the field direction without noise, z for a zero field), columns
-    those (z, x, y) of its R scaled by (1, 1/2, -1/2) (_chunk_qfim) and
-    entries the flat kernel entries the windows read (TransferKernels). A
-    group holds the probes of one |phi| (_frame_probes): its windows stacked
-    by support size (the maximal sector alone without noise), each probe's
-    axes and the fixed maps of _gammas from its Gram rows to its components.
-    On neighbours c, c + 1 of the support the parts of the probes' links
+    """What _dephased_qfims needs of the probes, once per sweep: groups, phi
+    the field along the noise axis, columns those (z, x, y) of the frame's R
+    scaled by (1, 1/2, -1/2) (_chunk_qfim) and entries the flat kernel entries
+    the windows read (TransferKernels). A group holds the probes of one |phi|
+    (_frame_probes): its windows stacked by support size, each probe's axes
+    and the fixed maps of _gammas from its Gram rows to its components. On
+    neighbours c, c + 1 of the support the parts of the probes' links
     conj(e_c) e_c+1 are L W, L the ladder basis: their singular vectors above
     rounding, often just one."""
-    axis = spec.axis if spec.gamma > 0.0 else \
-        config.field if any(config.field) else (0.0, 0.0, 1.0)
-    frame_groups, r = _frame_probes(config.scenario, space.n_particles, axis)
-    offsets = _entry_offsets(space.n_particles) if spec.gamma > 0.0 else None
+    frame_groups, r = _frame_probes(config.scenario, space.n_particles, spec.axis)
+    offsets = _entry_offsets(space.n_particles)
     groups = []
     for modulus, probes in frame_groups:
         links = np.array([e[:-1].conj() * e[1:] for e, _ in probes])
@@ -226,8 +222,7 @@ def _sweep_probes(config, space, spec):
         groups.append((_windows(modulus, links, basis, offsets), [a for _, a in probes],
                        (sym, anti)))
     return groups, np.dot(config.field, r[:, 2]) * r[:, 2], r[:, [2, 0, 1]] * [1.0, 0.5, -0.5], \
-        None if offsets is None else _read_entries(
-            [stack for windows, *_ in groups for stack in windows], offsets[-1])
+        _read_entries([stack for windows, *_ in groups for stack in windows], offsets[-1])
 
 
 def _read_entries(stacks, count):
@@ -245,16 +240,15 @@ def _read_entries(stacks, count):
 def _windows(modulus, links, basis, offsets):
     """The windows w = s:N + 1 - s that meet the support S (same m as the
     maximal sector; J_+ has sqrt((i + 1)(d - 1 - i)) at (i, i + 1)) of every
-    sector, with the kernel entry offsets of _entry_offsets, or of the
-    maximal sector alone for offsets None, in stacks of one size a of S in
-    w, built for every window at once from a mask of S per sector. Per stack
-    of c windows: the flat kernel entries (_entry) of K_s[S, S], (c, a, a),
-    or None; |phi_S| |phi_S|^T; m and the ladder basis on S; and for the
-    columns o of the windows off S next to S, the flat indices of B^ at (o
-    -+ 1, o -+ 1) in the c x a x a blocks and their fixed map onto each
-    probe's Gamma (_gammas), or None."""
+    sector, with the kernel entry offsets of _entry_offsets, in stacks of one
+    size a of S in w, built for every window at once from a mask of S per
+    sector. Per stack of c windows: the flat kernel entries (_entry) of
+    K_s[S, S], (c, a, a); |phi_S| |phi_S|^T; m and the ladder basis on S;
+    and for the columns o of the windows off S next to S, the flat indices
+    of B^ at (o -+ 1, o -+ 1) in the c x a x a blocks and their fixed map
+    onto each probe's Gamma (_gammas), or None."""
     n = modulus.size - 1
-    s = np.arange(1 if offsets is None else len(offsets) - 1)[:, None]
+    s = np.arange(len(offsets) - 1)[:, None]
     g = np.arange(-1, n + 2)  # padded by a column each side
     inside = (g >= s) & (g <= n - s)
     sup = inside & (np.concatenate(([0.0], modulus, [0.0])) > 0.0)
@@ -279,7 +273,7 @@ def _windows(modulus, links, basis, offsets):
         edge = None if hi == lo else (
             (((ws[lo:hi, None, None] - first) * a + nb[lo:hi, :, None]) * a
              + nb[lo:hi, None, :]).ravel(), maps[lo:hi].reshape(4 * (hi - lo), -1))
-        stacks.append([None if offsets is None else offsets[sl, None, None] + _entry(
+        stacks.append([offsets[sl, None, None] + _entry(
                            n - 2 * s[sl, :, None], i[:, :, None], i[:, None, :]),
                        modulus[pos][:, :, None] * modulus[pos][:, None, :], n / 2.0 - pos,
                        np.moveaxis(ladder[s[sl], pos + 1][:, :-1, None] * basis[pos[:, :-1]],
@@ -295,17 +289,12 @@ def _eigh(blocks):
     return np.linalg.eigh(blocks)
 
 
-def _chunk_size(groups, sectors):
-    """Most grid times per chunk. Under noise (sectors given) _CHUNK_BYTES
-    over what a chunk holds per time: every stack's eigenpairs, 8 c (a + a^2)
-    bytes for c windows on a support of a, and the larger of the kernel
-    values with a stack's blocks, 8 E + 16 c a^2 for E entries, and the
-    largest stack's transient in _gammas, 16 (K + 3) c a^2, K = rank + 1
-    (tracemalloc, N = 12 to 96). Without noise a chunk holds only
-    coefficients and QFIMs, under 1 KiB per time: 64 times, past which a
-    chunk's fixed cost (about 45 us) is below its times' own."""
-    if sectors is None:
-        return 64
+def _chunk_size(groups):
+    """Most grid times per chunk: _CHUNK_BYTES over what a chunk holds per
+    time: every stack's eigenpairs, 8 c (a + a^2) bytes for c windows on a
+    support of a, and the larger of the kernel values with a stack's blocks,
+    8 E + 16 c a^2 for E entries, and the largest stack's transient in
+    _gammas, 16 (K + 3) c a^2, K = rank + 1 (tracemalloc, N = 12 to 96)."""
     stacks = [(ids, maps[0].shape[1]) for windows, _, maps in groups for ids, *_ in windows]
     pairs = sum(8 * (ids.size + ids[..., 0].size) for ids, _ in stacks)
     values = 8 * (1 + max(int(ids.max()) for ids, _ in stacks))
@@ -330,8 +319,7 @@ def _gammas(groups, eigen):
     pairs above qfim's cutoff (1e-12 of the group's largest p); a 1 x 1
     window has no pair, and at rank 0 there is no M_im. A column o off S has
     comp_c[:, o] only at o -+ 1 and adds 4 Re sum_o comp_c[:, o]^T B^ conj
-    comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff, else 0.
-    Without noise B is rank one and its other eigenvectors take p = 0."""
+    comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff, else 0."""
     out = []
     for (stacks, axes, (to_sym, to_anti)), eig in zip(groups, eigen):
         largest = np.max([p[..., -1].max(axis=-1) for p, _ in eig], axis=0)
@@ -379,41 +367,49 @@ def _chunk_qfim(chunk, phi, columns, gammas):
     return q
 
 
-def _bounds_on_grid(config, space, transfer, spec, prepared, times):
-    """Total-variance bound I(t) on the grid; singular points come back NaN.
-
-    Sector s of a probe dephased to Theta(t) is P B P^dag in the frame, P =
-    diag(e_w) and B = K_s * |phi_w| |phi_w|^T with K_s the real transfer
-    kernels, evaluated per chunk (_chunk_size) in one TransferKernels.values
-    call on the entries the windows read; without noise only the maximal
-    sector has a block, rank one and fixed. eigh runs on B[S, S] per group,
-    stack of windows of one support size and chunk (once without noise),
-    _gammas and _chunk_qfim take the QFIMs, and _qfim_bounds checks and
-    bounds them in one step: an invalid QFIM is a NumericalError at its
-    first time.
-    """
-    groups, phi, columns, entries = prepared
-    count = -(-len(times) // _chunk_size(groups, space.sectors if transfer else None))
+def _bounds_on_grid(config, qfims, size, times):
+    """Total-variance bound I(t) on the grid, in the fewest chunks of at most
+    size times, each chunk's QFIMs qfims(chunk) checked and bounded in one
+    step (_qfim_bounds): NaN if singular, a NumericalError if invalid."""
+    count = -(-len(times) // size)
     edges = [len(times) * k // count for k in range(count + 1)]
     values = np.empty(len(times))
-    if transfer is None:
-        gammas = _gammas(groups, [[(p * (np.arange(p.shape[-1]) == p.shape[-1] - 1), r)
-                                   for p, r in (_eigh(top[None]) for _, top, *_ in windows)]
-                                  for windows, *_ in groups])
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
-        if transfer is not None:
-            kernel = transfer.values(integrated_strength(spec, chunk), entries)
-            eigen = [[_eigh(kernel[:, ids] * top) for ids, top, *_ in windows]
-                     for windows, *_ in groups]
-            del kernel  # not held while _gammas runs (_chunk_size)
-            gammas = _gammas(groups, eigen)
         values[first:stop], _, fault = _qfim_bounds(
-            _chunk_qfim(chunk, phi, columns, gammas), config.total_time / chunk,
-            config.scenario is SweepScenario.INDIVIDUAL)
+            qfims(chunk), config.total_time / chunk, config.scenario is SweepScenario.INDIVIDUAL)
         if fault is not None:
             raise NumericalError(f"invalid QFIM at t={chunk[fault[0]]:.6g}: {fault[1]}")
     return values
+
+
+def _dephased_qfims(transfer, spec, groups, phi, columns, entries, chunk):
+    """A chunk's QFIMs under noise: sector s of a probe dephased to Theta(t)
+    is P B P^dag in the frame, P = diag(e_w), B = K_s * |phi_w| |phi_w|^T and
+    K_s the transfer kernels on the entries the windows read; eigh per group
+    and stack of windows of one support size, then _gammas and _chunk_qfim."""
+    kernel = transfer.values(integrated_strength(spec, chunk), entries)
+    eigen = [[_eigh(kernel[:, ids] * top) for ids, top, *_ in windows] for windows, *_ in groups]
+    del kernel  # not held while _gammas runs (_chunk_size)
+    return _chunk_qfim(chunk, phi, columns, _gammas(groups, eigen))
+
+
+def _noiseless_grams(scenario, n):
+    """Per probe its axes and Gram 4 Sigma for _chunk_qfim without noise, in
+    the lab frame: a pure probe has Q(t) = 4 M(t) Sigma M(t)^T, Sigma_bc =
+    Re<J_b J_c> - <J_b><J_c> (Paris, Int. J. Quantum Inf. 7, 125 (2009)),
+    which v = (J_x, J_y, J_z) psi gives as Re(v^* v^T) - e e^T, e = Re(psi^dag
+    v), for psi its branches' powers summed and normalised."""
+    sim = scenario is SweepScenario.SIMULTANEOUS
+    psi = _spinor_powers(n, np.array([_ghz_spinors(c) for c in _AXES])).reshape(
+        1 if sim else 3, -1, n + 1).sum(axis=1)
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    ladder = np.sqrt(np.arange(n + 2) * (n + 1.0 - np.arange(n + 2)))  # 0 where rolls wrap
+    plus, minus = ladder[1:] * np.roll(psi, -1, 1), ladder[:-1] * np.roll(psi, 1, 1)  # J_+- psi
+    v = np.stack(((plus + minus) / 2, (plus - minus) / 2j, (n / 2.0 - np.arange(n + 1)) * psi), 1)
+    e = (v @ psi[..., None].conj())[..., 0].real
+    sigma = (v.conj() @ np.swapaxes(v, -1, -2)).real - e[:, :, None] * e[:, None, :]
+    return list(zip([slice(0, 3)] if sim else [slice(k, k + 1) for k in range(3)], 4.0 * sigma))
 
 
 def _first_dip(values):
@@ -463,16 +459,20 @@ def sweep_time(config):
     the field must lie along the noise axis (_parallel), or the sweep raises
     AssumptionViolated; it takes the field's component along that axis.
     """
-    space = build_space(config.n_particles)
     spec = config.noise_spec()
     if not _parallel(config.field, spec):
         raise AssumptionViolated(
             "field direction is not parallel to the dephasing axis; the "
             "sweep needs the parallel split")
-    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
-    prepared = _sweep_probes(config, space, spec)
+    if spec.gamma > 0.0:
+        space = build_space(config.n_particles)
+        transfer, tables = build_transfer_kernels(space), _sweep_probes(config, space, spec)
+        size, qfims = _chunk_size(tables[0]), lambda t: _dephased_qfims(transfer, spec, *tables, t)
+    else:  # C = M; 64 times a chunk, about where its fixed cost is its times' own
+        size, grams = 64, _noiseless_grams(config.scenario, config.n_particles)
+        qfims = lambda t: _chunk_qfim(t, config.field, np.eye(3), grams)
     times = config.grid.values()
-    values = _bounds_on_grid(config, space, transfer, spec, prepared, times)
+    values = _bounds_on_grid(config, qfims, size, times)
 
     idx, boundary = _first_dip(values)
     if idx is None:
@@ -486,7 +486,7 @@ def sweep_time(config):
         lattice = np.geomspace(lo, hi, _RESCAN_POINTS)
         a = max(np.searchsorted(lattice, times[idx - 1], "right") - 2, 0)
         fine_times = lattice[a:np.searchsorted(lattice, times[idx + 1]) + 2]
-        fine_values = _bounds_on_grid(config, space, transfer, spec, prepared, fine_times)
+        fine_values = _bounds_on_grid(config, qfims, size, fine_times)
         fidx, boundary = _first_dip(fine_values)
         if fidx is not None:
             t_opt, i_min = fine_times[fidx], fine_values[fidx]

@@ -318,7 +318,8 @@ def test_rescan_sweeps_only_the_bracket_of_the_full_lattice_dip(monkeypatch, n, 
     # of the coarse neighbours, one lattice point past each, so the sweep,
     # which passes only the bracket (at most 14 times on the short grid, 10 on
     # the default one), finds the same dip and parabola: t_opt and i_min are
-    # those of the whole lattice, also on grids finer than the lattice
+    # those of the whole lattice, also on grids finer than the lattice. The
+    # pass over the whole lattice reuses what the sweep prepared for its own.
     passes = _count_calls(monkeypatch, "_bounds_on_grid")
     cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=grid)
     res = sweep_time(cfg)
@@ -329,10 +330,7 @@ def test_rescan_sweeps_only_the_bracket_of_the_full_lattice_dip(monkeypatch, n, 
     rescan = passes[1][-1]
     assert len(passes) == 2 and len(rescan) <= most
     assert np.array_equal(rescan, lattice[a:b + 1])
-    space, spec = build_space(n), cfg.noise_spec()
-    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
-    prepared = experiments._sweep_probes(cfg, space, spec)
-    values = experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, lattice)
+    values = experiments._bounds_on_grid(*passes[0][:-1], lattice)
     fidx, boundary = _first_dip(values)
     assert not boundary and a < fidx < b
     xv, yv = _parabolic_minimum(np.log(lattice), np.log(values), fidx)
@@ -376,9 +374,9 @@ def test_grid_coarser_than_the_rescan_factor_rescans_the_whole_lattice(monkeypat
 
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])
 def test_sweep_builds_one_rotation(monkeypatch, kind):
-    # every sweep builds one frame, the noise axis's or without noise the
-    # field direction's, as a 3 x 3 rotation and its spin-1/2 form: on a body
-    # diagonal or off one, no collective axis_frame
+    # every noisy sweep builds one frame, the noise axis's, as a 3 x 3
+    # rotation and its spin-1/2 form: on a body diagonal or off one, no
+    # collective axis_frame; a noiseless sweep builds none (_noiseless_grams)
     calls, frames = [], []
 
     def counted(space, axis):
@@ -395,7 +393,7 @@ def test_sweep_builds_one_rotation(monkeypatch, kind):
     for frame in ({}, dict(axis=tuple(off_diagonal), field=tuple(0.01 * off_diagonal))):
         sweep_time(SweepConfig(n_particles=6, kind=kind, gamma=0.1, grid=SMALL_GRID, **frame))
     assert len(calls) == 0
-    assert len(frames) == 2
+    assert len(frames) == (0 if kind is NoiseKind.NONE else 2)
 
 
 def test_kernels_and_chunk_qfims_are_shared(monkeypatch):
@@ -458,15 +456,15 @@ class _Overlay:
         return getattr(self._target, name)
 
 
-@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN,
-                                  NoiseKind.NONE])
+@pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS,
                                       SweepScenario.INDIVIDUAL])
 def test_sweep_diagonalises_real_blocks(monkeypatch, kind, scenario):
     # each dephased sector block is P B P^dag with B real symmetric and P a
     # diagonal of phases, so the sweep hands eigh only real blocks; only the
     # numpy the sweep module looks up is replaced, so axis_frame's complex
-    # eigh is not seen
+    # eigh is not seen (a noiseless sweep calls no eigh at all:
+    # test_noiseless_sweep_is_closed_form)
     dtypes = []
 
     def spy(block):
@@ -595,29 +593,62 @@ def test_cancellation_zero_is_exact():
         assert all(e[n // 2] == 1.0 for e, _ in members)
 
 
+@pytest.mark.parametrize("grid", [SMALL_GRID, TimeGrid()], ids=["short", "default"])
 @pytest.mark.parametrize("scenario", [SweepScenario.SIMULTANEOUS, SweepScenario.INDIVIDUAL])
 @pytest.mark.parametrize("n", [12, 48])
-def test_noiseless_sweep_diagonalises_once_per_pass(monkeypatch, scenario, n):
-    # without noise the one block |phi| |phi|^T does not depend on t
+def test_noiseless_sweep_is_closed_form(monkeypatch, scenario, n, grid):
+    # without noise the probe stays pure and Q(t) = 4 M(t) Sigma M(t)^T: a
+    # sweep builds no frame, no transfer kernels and no windows, calls no
+    # eigh, and bounds each pass of up to 64 times in one _qfim_bounds call;
+    # the individual probes dip inside the default grid, so that sweep makes
+    # a second pass, the rescan
+    def refused(*args):
+        raise AssertionError("a noiseless sweep needs no frame, kernels or windows")
+
+    for name in ("_frame_rotation", "build_transfer_kernels", "_windows"):
+        monkeypatch.setattr(experiments, name, refused)
     widths = _spy_eigh(monkeypatch)
     passes = _count_calls(monkeypatch, "_bounds_on_grid")
-    chunks = _count_calls(monkeypatch, "_chunk_qfim")
-    sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
-                           grid=SMALL_GRID))
-    assert len(widths) == len(passes) == 1
-    # the Grams are taken once per pass, so a chunk holds only coefficients
-    # and QFIMs, well under 1 KiB per time, and takes 64 times: the 24 grid
-    # times are one chunk, whatever the support and the probes
-    assert len(chunks) == 1
+    bounded = _count_calls(monkeypatch, "_qfim_bounds")
+    res = sweep_time(SweepConfig(n_particles=n, kind=NoiseKind.NONE, scenario=scenario,
+                                 grid=grid))
+    assert widths == []
+    assert len(passes) == (2 if grid.count == 60 and scenario is SweepScenario.INDIVIDUAL
+                           else 1)
+    assert len(passes) == 1 + (not res.refinement.boundary)
+    assert len(bounded) == len(passes)
 
 
-def _sweep_tables(n, kind, scenario):
-    """What a sweep prepares once, before its passes: (config, space,
-    transfer, spec, prepared)."""
-    cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=SMALL_GRID)
-    space, spec = build_space(n), cfg.noise_spec()
-    transfer = build_transfer_kernels(space) if spec.gamma > 0.0 else None
-    return cfg, space, transfer, spec, experiments._sweep_probes(cfg, space, spec)
+def test_noiseless_covariance_of_the_z_superposition():
+    # GHZ_z = (|N/2> + |-N/2>) / sqrt(2): <J> = 0, <J_z^2> = N^2 / 4 and, for
+    # N >= 3, J_x and J_y move either branch off the pair, so Sigma = diag(N/4,
+    # N/4, N^2/4) to rounding; at N = 2 the J_+^2 and J_-^2 terms join the
+    # branches, so <J_x^2> = 1 and <J_y^2> = 0
+    for n in range(2, 25):
+        [*_, (_, gram)] = experiments._noiseless_grams(SweepScenario.INDIVIDUAL, n)
+        expected = np.diag([1.0, 0.0, 1.0] if n == 2 else [n / 4.0, n / 4.0, n * n / 4.0])
+        assert np.max(np.abs(gram / 4.0 - expected)) <= 1e-14 * n * n
+
+
+@pytest.mark.parametrize("scenario", list(SweepScenario))
+def test_noiseless_covariance_matches_the_public_operators(scenario):
+    # Sigma_bc = Re<J_b J_c> - <J_b><J_c> from the collective_operator blocks
+    # and the public probes, against the closed form from the ladder
+    for n in range(1, 13):
+        space = build_space(n)
+        ops = [collective_operator(space, a).to_dense() for a in "xyz"]
+        states = ([simultaneous_probe(space)] if scenario is SweepScenario.SIMULTANEOUS
+                  else [ghz_state(space, a) for a in "xyz"])
+        grams = experiments._noiseless_grams(scenario, n)
+        assert len(grams) == len(states)
+        for k, (state, (axes, gram)) in enumerate(zip(states, grams)):
+            psi = state.amplitudes
+            v = np.array([op @ psi for op in ops])
+            mean = np.array([np.vdot(psi, w).real for w in v])
+            sigma = np.array([[np.vdot(a, b).real for b in v] for a in v]) - np.outer(mean, mean)
+            assert axes == (slice(0, 3) if scenario is SweepScenario.SIMULTANEOUS
+                            else slice(k, k + 1))
+            assert np.max(np.abs(gram / 4.0 - sigma)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, kind, scenario", [
@@ -625,20 +656,25 @@ def _sweep_tables(n, kind, scenario):
     for scenario in SweepScenario] + [(23, NoiseKind.MARKOVIAN, SweepScenario.INDIVIDUAL),
                                       (96, NoiseKind.MARKOVIAN, SweepScenario.SIMULTANEOUS)])
 def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
-    # two chunks of the most times _chunk_size allows, run once to warm up,
-    # hold at most 1.25 times _CHUNK_BYTES on top of the tables the sweep
-    # prepared; N = 23 splits the individual probes in two groups, and at
-    # N = 96 all sectors' kernels for one time would already take 1.25 MB
-    cfg, space, transfer, spec, prepared = _sweep_tables(n, kind, scenario)
-    assert n != 23 or len(prepared[0]) == 2
-    size = experiments._chunk_size(prepared[0], space.sectors if transfer else None)
-    times = np.geomspace(0.05, 100.0, 2 * size)
+    # two chunks of the most times a sweep's pass takes at once, run once to
+    # warm up, hold at most 1.25 times _CHUNK_BYTES on top of the tables the
+    # sweep prepared; N = 23 splits the individual probes in two groups, and
+    # at N = 96 all sectors' kernels for one time would already take 1.25 MB.
+    # A noiseless pass holds only coefficients and QFIMs, 64 times at once
+    cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=SMALL_GRID)
     chunks = _count_calls(monkeypatch, "_chunk_qfim")
-    experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, times)
+    passes = _count_calls(monkeypatch, "_bounds_on_grid")
+    sweep_time(cfg)
+    _, qfims, size, _ = passes[0]
+    assert n != 23 or len(experiments._sweep_probes(cfg, build_space(n), cfg.noise_spec())[0]) == 2
+    assert size == 64 or kind is not NoiseKind.NONE
+    times = np.geomspace(0.05, 100.0, 2 * size)
+    chunks.clear()
+    experiments._bounds_on_grid(cfg, qfims, size, times)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        experiments._bounds_on_grid(cfg, space, transfer, spec, prepared, times)
+        experiments._bounds_on_grid(cfg, qfims, size, times)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

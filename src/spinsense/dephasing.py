@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DickeSpace, collective_operator
-from .errors import InvalidArgument, _instance, _member, _nonnegative, _strengths, _vector
+from .errors import (InvalidArgument, _array, _instance, _member, _nonnegative, _strengths,
+                     _vector)
 
 
 class NoiseKind(str, enum.Enum):
@@ -306,57 +307,51 @@ class TransferKernels:
     (1973)) split that decay over the sectors. In the noise frame, sector s
     of exp(Theta L)[X] is K_s(Theta) * X[w, w], with X the maximal-sector
     block, w = s:N + 1 - s its centred window and K_s a real kernel, the
-    same for every state (at). With a = s + i and
-    b = s + i' the spins flipped along the noise axis at window indices i
-    and i', lo = min(a, b), hi = max(a, b), q = exp(-8 Theta) and mu_s the
-    multiplicity of sector s,
+    same for every state (at). With a = s + i and b = s + i' the spins
+    flipped along the noise axis at window indices i and i', lo = min(a, b),
+    hi = max(a, b), q = exp(-8 Theta) and mu_s the multiplicity of sector s,
 
         K_s(i, i') = mu_s sqrt(C(N-2s, i) C(N-2s, i') / (C(N, a) C(N, b)))
                      exp(-4 Theta (hi - lo)) (1 - q)^s
                      sum_u C(lo-s, u) C(N-lo-s, hi-lo+u) q^u / C(N-2s, hi-s),
 
     where the sum divided by C(N-2s, hi-s) is a hypergeometric pmf in u:
-    every term is nonnegative, and 1 - q is taken as -expm1(-8 Theta). tables holds, per
-    sector and over the entries i <= i', i + i' <= N - 2s, the Theta-free
-    parts: the counts C(lo-s, u) C(N-lo-s, hi-lo+u) as a (degree + 1,
-    entries) table, each entry's divisor C(N-2s, hi-s) / (mu_s sqrt(...)),
-    hi - lo, and the fold of every (i, i') onto the entries (_entry)
-    through K(i, i') = K(i', i) = K(d-1-i, d-1-i'), which the kernels so
-    carry exactly. Counts below 2^53 are exact, so K_0(0) = 1 exactly for
-    N <= 56. The entries of all sectors are numbered in one flat sequence,
-    sector by sector (_entry_offsets), and values evaluates any of them
-    together.
+    every term is nonnegative, and 1 - q is taken as -expm1(-8 Theta).
+    K(i, i') = K(i', i) = K(d-1-i, d-1-i') holds exactly and folds every
+    (i, i') onto the entries i <= i', i + i' <= N - 2s (_entry), numbered
+    sector by sector in one flat sequence (_entry_offsets). On the entries
+    they were built on, the kernels hold the counts C(lo-s, u)
+    C(N-lo-s, hi-lo+u) for u = 0 ... N // 2, exactly 0 for u > lo - s, in
+    one table, and each entry's divisor C(N-2s, hi-s) / (mu_s sqrt(...)),
+    hi - lo and s. Counts below 2^53 are exact, so K_0(0) = 1 exactly for
+    N <= 56.
     """
 
     space: DickeSpace
-    tables: tuple
+    counts: np.ndarray
     divisor: np.ndarray
     gap: np.ndarray
+    sector: np.ndarray
 
     def at(self, thetas):
-        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s."""
-        values = self.values(thetas)
-        return [values[:, first + fold] for first, (*_, fold)
-                in zip(_entry_offsets(self.space.n_particles), self.tables)]
+        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s; the
+        kernels must hold every entry."""
+        n, offsets = self.space.n_particles, _entry_offsets(self.space.n_particles)
+        if self.gap.size != offsets[-1]:
+            raise InvalidArgument("at needs the kernels built on every entry")
+        values, r = self.values(thetas), np.arange(n + 1)
+        return [values[:, first + _entry(w, r[:w + 1, None], r[:w + 1])]
+                for first, w in zip(offsets.tolist(), range(n, -1, -2))]
 
-    def values(self, thetas, entries=None):
-        """The (len(thetas), entries) kernel values on the given flat entries,
-        ascending (all by default): per sector that has any, one product of
-        powers of q with its counts on them, then one post-product over all."""
+    def values(self, thetas):
+        """The (len(thetas), entries) kernel values: one product of powers of q
+        with the counts, then the divisor, the decay of the gap and (1 - q)^s."""
         thetas, n = _strengths(thetas), self.space.n_particles
-        offsets = _entry_offsets(n)
-        entries = np.arange(offsets[-1]) if entries is None else entries
-        cuts = np.searchsorted(entries, offsets)
         decay = np.exp(-4.0 * np.outer(thetas, np.arange(n + 1)))
-        # a sector whose entries are all read multiplies its whole table
-        out = np.concatenate([decay[:, :2 * len(c):2] @ (
-            c if hi - lo == c.shape[1] else c[:, entries[lo:hi] - first])
-            for (c, *_), first, lo, hi in zip(self.tables, offsets, cuts, cuts[1:]) if hi > lo],
-            axis=1)
-        out /= self.divisor[entries]
-        out *= decay[:, self.gap[entries]]
-        spread = (-np.expm1(-8.0 * thetas))[:, None] ** np.arange(len(self.tables))
-        out *= spread[:, np.repeat(np.arange(len(self.tables)), np.diff(cuts))]
+        out = decay[:, :2 * len(self.counts):2] @ self.counts
+        out /= self.divisor
+        out *= decay[:, self.gap]
+        out *= ((-np.expm1(-8.0 * thetas))[:, None] ** np.arange(n // 2 + 1))[:, self.sector]
         return out
 
 
@@ -377,24 +372,26 @@ def _entry(w, i, k):
     return lo * (w + 1 - lo) + hi
 
 
-def build_transfer_kernels(space):
-    """The TransferKernels of a DickeSpace, from one table of binomials, each
-    exact and rounded once, and one set of index arrays over every sector's
-    entries."""
+def build_transfer_kernels(space, entries=None):
+    """The TransferKernels of a DickeSpace on the given strictly ascending flat
+    entries (all by default): exact binomials, each rounded once, and counts
+    filled one power of q at a time, so that no temporary grows with them."""
     n = _instance(space, DickeSpace, "space").n_particles
-    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
     mu = np.array([float(sector.multiplicity) for sector in space.sectors])
     r, w = np.arange(n + 1), n - 2 * np.arange(len(mu))
     # the entries i <= k, i + k <= w of every sector s, sector by sector, row by row
     rows = r[:n // 2 + 1, None]
     s, i, k = np.nonzero((rows <= r) & (rows + r <= w[:, None, None]))
-    divisor = binom[w[s], k] / (mu[s] * np.sqrt(
-        binom[w[s], i] / binom[n, s + i] * binom[w[s], k] / binom[n, s + k]))
-    gap, cuts, tables = k - i, _entry_offsets(n), []
-    for w_s, lo, hi in zip(w.tolist(), cuts, cuts[1:]):
-        # C(lo - s, u) vanishes for u > i, where clipping u only keeps the
-        # second binomial's index in range
-        i_s, u = i[lo:hi], r[:w_s // 2 + 1, None]
-        tables.append((binom[i_s, u] * binom[w_s - i_s, gap[lo:hi] + np.minimum(u, i_s)],
-                       divisor[lo:hi], gap[lo:hi], _entry(w_s, r[:w_s + 1, None], r[:w_s + 1])))
-    return TransferKernels(space=space, tables=tuple(tables), divisor=divisor, gap=gap)
+    ids = np.arange(s.size) if entries is None else _array(entries, "entries", None)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu" or not np.all(ids[1:] > ids[:-1]) \
+            or not np.all((ids >= 0) & (ids < s.size)):
+        raise InvalidArgument(f"entries must be ascending integers < {s.size}, got {entries}")
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    s, i, k = s[ids], i[ids], k[ids]
+    w, gap, counts = w[s], k - i, np.empty((n // 2 + 1, ids.size))
+    divisor = binom[w, k] / (mu[s] * np.sqrt(
+        binom[w, i] / binom[n, s + i] * binom[w, k] / binom[n, s + k]))
+    for u, row in enumerate(counts):
+        # C(i, u) = 0 for u > i, where clipping u only keeps the index in range
+        np.multiply(binom[i, u], binom[w - i, gap + np.minimum(u, i)], out=row)
+    return TransferKernels(space=space, counts=counts, divisor=divisor, gap=gap, sector=s)

@@ -13,6 +13,7 @@ by decreasing j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -327,11 +328,12 @@ class DensityOperator:
 
 def _spinor_powers(n, spinors):
     """sqrt(C(n, k)) a^(n-k) b^k for k = 0 ... n, per one-spin state (a, b)
-    on the last axis of spinors: the maximal-sector amplitudes of its n-fold
-    power, k = n/2 - m with m decreasing."""
+    on the last axis of spinors (the maximal-sector amplitudes of its n-fold
+    power, k = n/2 - m), C(n, k + 1) = C(n, k) (n - k) / (k + 1) exactly."""
     k = np.arange(n + 1)
+    row = itertools.accumulate(range(n), lambda c, i: c * (n - i) // (i + 1), initial=1)
     a, b = (np.asarray(spinors)[..., i, None] for i in (0, 1))
-    return np.sqrt([float(math.comb(n, i)) for i in k]) * a ** (n - k) * b ** k
+    return np.sqrt(np.array(list(row), dtype=float)) * a ** (n - k) * b ** k
 
 
 def _power_state(space, spinors):

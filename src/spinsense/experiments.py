@@ -198,12 +198,12 @@ def _sweep_probes(config, space, spec):
     """What _dephased_qfims needs of the probes, once per sweep: groups, phi
     the field along the noise axis, columns those (z, x, y) of the frame's R
     scaled by (1, 1/2, -1/2) (_chunk_qfim) and entries the flat kernel entries
-    the windows read (TransferKernels). A group holds the probes of one |phi|
-    (_frame_probes): its windows stacked by support size, each probe's axes
-    and the fixed maps of _gammas from its Gram rows to its components. On
-    neighbours c, c + 1 of the support the parts of the probes' links
-    conj(e_c) e_c+1 are L W, L the ladder basis: their singular vectors above
-    rounding, often just one."""
+    the windows read, to build the TransferKernels on. A group holds the
+    probes of one |phi| (_frame_probes): its windows stacked by support size,
+    each probe's axes and the fixed maps of _gammas from its Gram rows to its
+    components. On neighbours c, c + 1 of the support the parts of the probes'
+    links conj(e_c) e_c+1 are L W, L the ladder basis: their singular vectors
+    above rounding, often just one."""
     frame_groups, r = _frame_probes(config.scenario, space.n_particles, spec.axis)
     offsets = _entry_offsets(space.n_particles)
     groups = []
@@ -383,12 +383,12 @@ def _bounds_on_grid(config, qfims, size, times):
     return values
 
 
-def _dephased_qfims(transfer, spec, groups, phi, columns, entries, chunk):
+def _dephased_qfims(transfer, spec, groups, phi, columns, chunk):
     """A chunk's QFIMs under noise: sector s of a probe dephased to Theta(t)
     is P B P^dag in the frame, P = diag(e_w), B = K_s * |phi_w| |phi_w|^T and
-    K_s the transfer kernels on the entries the windows read; eigh per group
-    and stack of windows of one support size, then _gammas and _chunk_qfim."""
-    kernel = transfer.values(integrated_strength(spec, chunk), entries)
+    K_s the transfer kernels, built on the entries the windows read; eigh per
+    group and stack of windows of one support size, then _gammas and _chunk_qfim."""
+    kernel = transfer.values(integrated_strength(spec, chunk))
     eigen = [[_eigh(kernel[:, ids] * top) for ids, top, *_ in windows] for windows, *_ in groups]
     del kernel  # not held while _gammas runs (_chunk_size)
     return _chunk_qfim(chunk, phi, columns, _gammas(groups, eigen))
@@ -466,8 +466,9 @@ def sweep_time(config):
             "sweep needs the parallel split")
     if spec.gamma > 0.0:
         space = build_space(config.n_particles)
-        transfer, tables = build_transfer_kernels(space), _sweep_probes(config, space, spec)
-        size, qfims = _chunk_size(tables[0]), lambda t: _dephased_qfims(transfer, spec, *tables, t)
+        groups, phi, columns, entries = _sweep_probes(config, space, spec)
+        transfer, size = build_transfer_kernels(space, entries), _chunk_size(groups)
+        qfims = lambda t: _dephased_qfims(transfer, spec, groups, phi, columns, t)
     else:  # C = M; 64 times a chunk, about where its fixed cost is its times' own
         size, grams = 64, _noiseless_grams(config.scenario, config.n_particles)
         qfims = lambda t: _chunk_qfim(t, config.field, np.eye(3), grams)

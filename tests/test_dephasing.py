@@ -1,6 +1,7 @@
 """Noise profiles and the rate-free dephasing generator."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -260,33 +261,64 @@ def _reference_transfer_tables(space):
 
 @pytest.mark.parametrize("n", list(range(1, 31)) + [48, 64])
 def test_transfer_tables_match_the_sector_loop(n):
-    # the tables built over every sector at once are the loop's bit for bit,
-    # and each counts table owns its data at its own degree
+    # the one padded table built over every sector at once is the loop's bit
+    # for bit: each sector's columns, trimmed to its degree, are its counts,
+    # the padding below them is exact zeros, and the divisors, gaps and
+    # sectors follow the flat entries sector by sector
     space = build_space(n)
-    got = build_transfer_kernels(space).tables
+    transfer = build_transfer_kernels(space)
     want = _reference_transfer_tables(space)
-    assert len(got) == len(want) == len(space.sectors)
-    for sector, table, expected in zip(space.sectors, got, want):
-        for x, y in zip(table, expected):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert np.array_equal(x, y)
-        counts = table[0]
-        assert counts.flags.owndata and counts.shape[0] == (sector.dim - 1) // 2 + 1
+    assert transfer.counts.shape == (n // 2 + 1, transfer.gap.size)
+    assert transfer.counts.dtype == transfer.divisor.dtype == float
+    first = 0
+    for s, (counts, divisor, gap, _) in enumerate(want):
+        cols = slice(first, first + divisor.size)
+        degree = counts.shape[0]
+        assert np.array_equal(transfer.counts[:degree, cols], counts)
+        assert np.all(transfer.counts[degree:, cols] == 0.0)
+        assert np.array_equal(transfer.divisor[cols], divisor)
+        assert np.array_equal(transfer.gap[cols], gap)
+        assert np.all(transfer.sector[cols] == s)
+        first += divisor.size
+    assert first == transfer.gap.size
 
 
 @pytest.mark.parametrize("n", [7, 24])
 def test_kernel_values_on_any_entries(n):
-    # values on a subset of the flat entries (the first sector's whole table,
-    # every third entry of the others) against those of every sector's kernels
-    transfer = build_transfer_kernels(build_space(n))
+    # kernels built on a subset of the flat entries (the first sector's
+    # whole table and every third entry of the others; the first; the last)
+    # give the full build's columns bit for bit, for one time and for
+    # several; at folds the full build's values onto every sector through
+    # the loop's index tables
+    space = build_space(n)
+    transfer = build_transfer_kernels(space)
     thetas = [0.0, 0.01, 0.3, 2.0]
     every = transfer.values(thetas)
-    offsets = np.cumsum([0] + [t[1].size for t in transfer.tables])
+    tables = _reference_transfer_tables(space)
+    offsets = np.cumsum([0] + [t[1].size for t in tables])
     assert every.shape == (len(thetas), offsets[-1])
-    for first, kernel, (*_, fold) in zip(offsets, transfer.at(thetas), transfer.tables):
+    for first, kernel, (*_, fold) in zip(offsets, transfer.at(thetas), tables):
         assert np.array_equal(kernel, every[:, first + fold])
-    entries = np.concatenate([np.arange(offsets[1]), np.arange(offsets[2] + 1, offsets[-1], 3)])
-    assert np.allclose(transfer.values(thetas, entries), every[:, entries], rtol=1e-15, atol=1e-16)
+    some = np.concatenate([np.arange(offsets[1]), np.arange(offsets[2] + 1, offsets[-1], 3)])
+    for entries in (some, [0], [offsets[-1] - 1]):
+        subset = build_transfer_kernels(space, entries)
+        assert subset.counts.shape == (n // 2 + 1, len(entries))
+        for times in (thetas, thetas[2:3]):
+            assert np.array_equal(subset.values(times), transfer.values(times)[:, entries])
+
+
+def test_transfer_kernel_build_holds_little_beside_its_table():
+    # the counts table is filled one power of q at a time: no temporary of
+    # the table's size, so the build's peak stays within twice its bytes
+    space = build_space(48)
+    build_transfer_kernels(space)  # warm up
+    tracemalloc.start()
+    try:
+        transfer = build_transfer_kernels(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * transfer.counts.nbytes
 
 
 def _squaring_kernels(lsup, thetas):

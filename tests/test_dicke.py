@@ -10,6 +10,7 @@ from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseSpec,
                        collective_operator, cumulative_degeneracy, degeneracy,
                        dicke_dimension, full_hilbert_reference, ghz_state,
                        simultaneous_probe)
+from spinsense.dicke import _spinor_powers
 
 SQ3 = math.sqrt(3.0)
 
@@ -202,6 +203,14 @@ def test_coherent_state_norm_on_grid():
         for phi in np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False):
             amps = coherent_state(space, theta, phi).amplitudes
             assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+
+
+def test_spinor_power_binomials_are_exact():
+    # the binomial row comes from one exact integer recurrence: on (1, 1)
+    # the powers are sqrt(C(n, k)) of math.comb, bit for bit
+    for n in [*range(65), 400]:
+        got = _spinor_powers(n, np.array([[1.0, 1.0]]))
+        assert np.array_equal(got[0], np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])), n
 
 
 def test_ghz_even_and_odd_signs():

@@ -106,6 +106,14 @@ def test_sweep_config_validation():
     lambda: integrated_strength(_SPEC, "x"),
     lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(_RHO.matrix, "x"),
     lambda: build_transfer_kernels(_SPACE).at(["x"]),
+    lambda: build_transfer_kernels(_SPACE, [0, 2]).at([0.1]),
+    lambda: build_transfer_kernels(_SPACE, [2, 0]),
+    lambda: build_transfer_kernels(_SPACE, [1, 1]),
+    lambda: build_transfer_kernels(_SPACE, [-1, 0]),
+    lambda: build_transfer_kernels(_SPACE, [0, 8]),
+    lambda: build_transfer_kernels(_SPACE, [0.0, 1.0]),
+    lambda: build_transfer_kernels(_SPACE, [[0, 1]]),
+    lambda: build_transfer_kernels(_SPACE, "x"),
     lambda: full_gkls_reference(_RHO, _FIELD, _SPEC, "x"),
     lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), _FIELD, _SPEC, "x"),
     lambda: bound_simultaneous(_qfim_of(), "x"),
@@ -191,7 +199,10 @@ def test_sweep_config_validation():
         "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan", "evolve-t-text",
         "evolve-t-none", "dephase-t-text", "unitary-t-none", "generator-t-text",
         "gamma-profile-t-text", "integrated-strength-t-text", "propagate-theta-text",
-        "kernels-theta-text", "gkls-reference-t-text", "hilbert-reference-t-text",
+        "kernels-theta-text", "kernels-at-subset", "kernels-entries-unsorted",
+        "kernels-entries-repeated", "kernels-entries-negative", "kernels-entries-past-end",
+        "kernels-entries-float", "kernels-entries-2d", "kernels-entries-text",
+        "gkls-reference-t-text", "hilbert-reference-t-text",
         "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
         "scan-n-list-none", "degeneracy-j-text",
         "cumulative-degeneracy-j-none", "degeneracy-j-inf", "coherent-theta-text",

@@ -16,7 +16,7 @@ from spinsense import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
                        build_space, build_transfer_kernels, dephase, ghz_state,
                        simultaneous_probe)
 from spinsense.dephasing import gamma_profile, integrated_strength
-from spinsense.dicke import DensityOperator
+from spinsense.dicke import BlockOperator, DensityOperator
 
 AXIS = (2.0 / math.sqrt(3.0),) * 3
 
@@ -45,7 +45,7 @@ print(f"{'t':>6} {'|rho_01|':>10} {'exp(-4 Theta)':>14}")
 for t in (1.0, 5.0, 10.0, 20.0):
     rho = dephase(rho0, lsup1, spec_z, t)
     expect = 0.5 * math.exp(-4.0 * integrated_strength(spec_z, t))
-    print(f"{t:6.1f} {abs(rho.matrix[0, 1]):10.6f} {expect + 0.0:14.6f}")
+    print(f"{t:6.1f} {abs(rho.blocks.blocks[0][0, 1]):10.6f} {expect + 0.0:14.6f}")
 print()
 
 # --- chain structure ----------------------------------------------------------
@@ -72,13 +72,14 @@ for b, r in zip(lsup.chains, rates):
 print(f"largest chain rate: {max(r.max() for r in rates):.1e} "
       f"(zero up to rounding: these modes carry the conserved populations)")
 
-# trace and hermiticity are preserved exactly by construction
+# trace and hermiticity are preserved exactly by construction; L acts on
+# the sector blocks of an operator (a BlockOperator) and returns blocks
 rng = np.random.default_rng(11)
-x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-x = (x + x.conj().T) / 2.0
-lx = lsup.apply(x)
-print(f"|trace of L[X]| = {abs(np.trace(lx)):.2e}, "
-      f"hermiticity leak = {np.max(np.abs(lx - lx.conj().T)):.2e}")
+x = BlockOperator(space, tuple(rng.normal(size=(s.dim, s.dim))
+                               + 1j * rng.normal(size=(s.dim, s.dim)) for s in space.sectors))
+lx = lsup.apply((x + x.dagger()) * 0.5)
+print(f"|trace of L[X]| = {abs(sum(np.trace(b) for b in lx.blocks)):.2e}, "
+      f"hermiticity leak = {np.max(np.abs((lx - lx.dagger()).ravel())):.2e}")
 print()
 
 # --- closed-form transfer kernels --------------------------------------------
@@ -106,15 +107,14 @@ print()
 # a real kernel times phi_w phi_w^dag is P B P^dag, with B real symmetric and
 # P = diag(e_w) the phases of the probe's noise-frame amplitudes phi, so each
 # dephased sector block becomes real once P is taken off both sides. Here
-# the dense dephase (chain exponentials) of the joint probe at t = 5
+# dephase (chain exponentials) of the joint probe at t = 5
 probe = simultaneous_probe(space)
 phi = lsup.rotation.blocks[0].conj().T @ probe.amplitudes[:space.max_sector.dim]
 e = np.exp(1j * np.angle(phi))
-rho = dephase(probe.projector(), lsup, mark, 5.0).matrix
+rho = dephase(probe.projector(), lsup, mark, 5.0)
 imag_before = imag_after = 0.0
-for s, (sector, u) in enumerate(zip(space.sectors, lsup.rotation.blocks)):
-    sl = slice(sector.offset, sector.offset + sector.dim)
-    block = u.conj().T @ rho[sl, sl] @ u
+for s, (lab, u) in enumerate(zip(rho.blocks.blocks, lsup.rotation.blocks)):
+    block = u.conj().T @ lab @ u
     w = e[s:e.size - s]
     imag_before = max(imag_before, np.max(np.abs(block.imag)))
     imag_after = max(imag_after, np.max(np.abs((w.conj()[:, None] * block * w).imag)))
@@ -134,8 +134,8 @@ spec4n = NoiseSpec(NoiseKind.NONMARKOVIAN, 0.05, (0.0, 0.0, 2.0))
 lsup4 = build_dephasing_superoperator(space4, spec4)
 print(f"{'t':>6} {'|coh| M':>12} {'|coh| NM':>12}")
 for t in (0.5, 1.0, 2.0, 5.0, 40.0, 45.0):
-    cm = abs(dephase(ghz, lsup4, spec4, t).matrix[0, 4])
-    cn = abs(dephase(ghz, lsup4, spec4n, t).matrix[0, 4])
+    cm = abs(dephase(ghz, lsup4, spec4, t).blocks.blocks[0][0, 4])
+    cn = abs(dephase(ghz, lsup4, spec4n, t).blocks.blocks[0][0, 4])
     print(f"{t:6.1f} {cm:12.3e} {cn:12.3e}")
 print("the two clocks agree at t = 2/gamma = 40: before it the quadratic")
 print("clock lags (cleaner state), after it it overtakes and erases faster")

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from . import dynamics
-from .dicke import (build_space, collective_operator, dicke_dimension, ghz_state,
-                    simultaneous_probe)
+from .dicke import (BlockOperator, build_space, collective_operator, dicke_dimension,
+                    ghz_state, simultaneous_probe)
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
 from .dynamics import (FieldParams, _parallel, evolve, full_gkls_reference,
                        full_hilbert_reference, unitary)
@@ -348,13 +348,13 @@ def _run_evolve(run):
     split = _parallel(field.phi, spec)
     rho = evolve(rho0, field, spec, t).rho if split else full_gkls_reference(rho0, field, spec, t)
     jops = [collective_operator(space, a) for a in ("x", "y", "z")]
-    first = [float(op.expectation(rho.matrix).real) for op in jops]
-    second = [[(a @ b).expectation(rho.matrix) for b in jops] for a in jops]
+    first = [float(op.expectation(rho).real) for op in jops]
+    second = [[(a @ b).expectation(rho) for b in jops] for a in jops]
     return _emit(run, {
         "t": float(t),
         "probe": probe_name,
         "split-valid": split,
-        "trace": float(np.trace(rho.matrix).real),
+        "trace": float(rho.sector_weights().sum()),
         "purity": rho.purity(),
         "sector-weights": [float(w) for w in rho.sector_weights()],
         "first-moments": {"x": first[0], "y": first[1], "z": first[2]},
@@ -512,17 +512,13 @@ def _check_dimensions():
     return True, "N = 1..30 exact"
 
 
-def _fixture_jx3():
+def _check_operator_fixture():
     r = math.sqrt(3.0) / 2.0
     expected = np.zeros((6, 6))
     for i, j, v in ((0, 1, r), (1, 2, 1.0), (2, 3, r), (4, 5, 0.5)):
         expected[i, j] = expected[j, i] = v
-    return expected
-
-
-def _check_operator_fixture():
     got = collective_operator(build_space(3), "x").to_dense()
-    dev = float(np.max(np.abs(got - _fixture_jx3())))
+    dev = float(np.max(np.abs(got - expected)))
     return dev <= 1e-12, f"max entry deviation {dev:.2e}"
 
 
@@ -540,15 +536,15 @@ def _check_superoperator(n):
     spec = NoiseSpec(kind=NoiseKind.MARKOVIAN, gamma=0.05, axis=_DEFAULT_AXIS)
     superop = build_dephasing_superoperator(space, spec)
     rng = np.random.default_rng(20240817)
-    d = space.total_dim
     worst_tr, worst_h = 0.0, 0.0
     for _ in range(20):
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        x = (x + x.conj().T) / 2.0
-        x /= np.max(np.abs(x))
-        lx = superop.apply(x)
-        worst_tr = max(worst_tr, abs(float(np.trace(lx).real)), abs(float(np.trace(lx).imag)))
-        worst_h = max(worst_h, float(np.max(np.abs(lx - lx.conj().T))))
+        parts = (rng.normal(size=(2, s.dim, s.dim)) for s in space.sectors)
+        x = BlockOperator(space, tuple(re + 1j * im for re, im in parts))
+        x = x + x.dagger()
+        lx = superop.apply(x * (1.0 / np.max(np.abs(x.ravel()))))
+        trace = sum(np.trace(b) for b in lx.blocks)
+        worst_tr = max(worst_tr, abs(float(trace.real)), abs(float(trace.imag)))
+        worst_h = max(worst_h, float(np.max(np.abs((lx - lx.dagger()).ravel()))))
     ok = worst_tr <= 1e-10 and worst_h <= 1e-10
     return ok, f"N={n}, trace leak {worst_tr:.2e}, hermiticity leak {worst_h:.2e}"
 
@@ -558,9 +554,9 @@ def _check_split_vs_joint(n):
     spec = NoiseSpec(kind=NoiseKind.MARKOVIAN, gamma=0.05, axis=_DEFAULT_AXIS)
     field = FieldParams(_DEFAULT_FIELD)
     rho0 = ghz_state(space, "z").projector()
-    fast = evolve(rho0, field, spec, 2.0).rho.matrix
-    slow = full_gkls_reference(rho0, field, spec, 2.0).matrix
-    dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(fast - slow))))
+    diff = evolve(rho0, field, spec, 2.0).rho.blocks - full_gkls_reference(
+        rho0, field, spec, 2.0).blocks
+    dist = 0.5 * float(sum(np.sum(np.abs(np.linalg.eigvalsh(b))) for b in diff.blocks))
     return dist <= 1e-8, f"N={n}, trace distance {dist:.2e}"
 
 

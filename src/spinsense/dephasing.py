@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DickeSpace, collective_operator
+from .dicke import BlockOperator, DickeSpace, _blocks_of, collective_operator
 from .errors import (InvalidArgument, _array, _instance, _member, _nonnegative, _strengths,
                      _vector)
 
@@ -108,14 +108,11 @@ def _lambda_weights(n, j):
     """Sector weights; the j = 0 singular cases are defined as 0 because every
     ladder factor vanishes there as well."""
     half_n = n / 2.0
-    if j == 0.0:
-        lam_stay = 0.0
-        lam_drop = 0.0
-    else:
-        lam_stay = (half_n + 1.0) / (2.0 * j * (j + 1.0))
-        lam_drop = (half_n + j + 1.0) / (2.0 * j * (2.0 * j + 1.0))
     lam_lift = (half_n - j) / (2.0 * (j + 1.0) * (2.0 * j + 1.0))
-    return lam_stay, lam_drop, lam_lift
+    if j == 0.0:
+        return 0.0, 0.0, lam_lift
+    return ((half_n + 1.0) / (2.0 * j * (j + 1.0)),
+            (half_n + j + 1.0) / (2.0 * j * (2.0 * j + 1.0)), lam_lift)
 
 
 # exp(h G) by a Taylor series of this degree once ||h G||_1 <= _TAYLOR_NORM,
@@ -129,7 +126,8 @@ class ChainBatch:
     """All z-frame chains of one length L, stacked along the first axis.
 
     Chain c holds the elements |j, m_c><j, m'_c| for L values of j, descending
-    from N/2; indices[c] are their flat row-major positions in a d x d matrix.
+    from N/2; indices[c] are their positions in BlockOperator.ravel(), the
+    sector blocks raveled and concatenated.
     generator[orbit[c]] is the real tridiagonal L_z restricted to the chain
     (row = target), one per orbit (m, m'), (m', m), (-m, -m'), (-m', -m) of
     chains that share it, built for the orbit's pair (2m, 2m') = (top, c).
@@ -160,7 +158,6 @@ class ChainBatch:
 def _chain_batch(space, length, lam):
     """Chains of the given length: those with max(|2m|, |2m'|) = N - 2(L-1)."""
     n = space.n_particles
-    d = space.total_dim
     top = n - 2 * (length - 1)
     # the pairs (a, b) = (2m, 2m') on the border of the square of side top,
     # a descending, then b descending
@@ -174,11 +171,9 @@ def _chain_batch(space, length, lam):
     orbit = (c + top) // 2
     reps = np.arange(-top, top + 1, 2)
     twom, twomb = a[:, None], b[:, None]
-    sectors = space.sectors[:length]
-    twoj = np.array([s.twoj for s in sectors])
-    offset = np.array([s.offset for s in sectors])
-    rows = offset + (twoj - twom) // 2
-    cols = offset + (twoj - twomb) // 2
+    twoj = np.array([s.twoj for s in space.sectors[:length]])
+    first = np.cumsum((twoj + 1) ** 2) - (twoj + 1) ** 2
+    indices = first + (twoj - twom) // 2 * (twoj + 1) + (twoj - twomb) // 2
     j, m, mb = twoj / 2.0, top / 2.0, reps[:, None] / 2.0
     lam_stay, lam_drop, lam_lift = lam[:length].T
     diag = 8.0 * lam_stay * m * mb - 2.0 * n
@@ -191,7 +186,7 @@ def _chain_batch(space, length, lam):
     generator[:, idx, idx] = diag
     generator[:, idx[1:], idx[:-1]] = drop
     generator[:, idx[:-1], idx[1:]] = lift
-    return ChainBatch(indices=rows * d + cols, generator=generator, orbit=orbit)
+    return ChainBatch(indices=indices, generator=generator, orbit=orbit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +195,10 @@ class DephasingSuperoperator:
 
     rotation is the U (U J_z U^dag = axis . J / 2) of axis_frame for the
     NoiseSpec axis it records; chains holds the z-frame generator as one
-    ChainBatch per chain length. Entries of a state between different
-    sectors lie outside the collective representation: L maps them to zero
-    and exp(Theta L) leaves them as they are.
+    ChainBatch per chain length. apply and propagate act on the sector
+    blocks of a BlockOperator or DensityOperator of the space, anything else
+    is InvalidArgument, and return a BlockOperator: the chains cover every
+    entry of the blocks.
     """
 
     space: DickeSpace
@@ -215,32 +211,23 @@ class DephasingSuperoperator:
         """Nonzero couplings of the z-frame generator."""
         return sum(int(np.count_nonzero(b.generator[b.orbit])) for b in self.chains)
 
-    def apply(self, rho_matrix):
-        """L[rho] for a dense d x d matrix."""
-        return self._through_chains(rho_matrix, np.zeros_like, lambda b: b.generator)
+    def apply(self, rho):
+        """L[rho] as a BlockOperator."""
+        return self._through_chains(rho, lambda b: b.generator)
 
-    def propagate(self, rho_matrix, theta):
-        """exp(theta L)[rho] for a dense d x d matrix, at any theta >= 0."""
-        return self._through_chains(rho_matrix, np.copy, lambda b: b.exponential(theta))
+    def propagate(self, rho, theta):
+        """exp(theta L)[rho] as a BlockOperator, at any theta >= 0."""
+        return self._through_chains(rho, lambda b: b.exponential(theta))
 
-    def _through_chains(self, rho_matrix, start, chain_map):
-        """U chain_map[U^dag rho U] U^dag, chain_map(batch) per orbit. U is block
-        diagonal, so only the sector blocks pass through; start(rho) sets the rest."""
-        d = self.space.total_dim
-        rho_matrix = np.asarray(rho_matrix, dtype=complex)
-        blocks = [(slice(s.offset, s.offset + s.dim), u)
-                  for s, u in zip(self.space.sectors, self.rotation.blocks)]
-        frame = np.zeros((d, d), dtype=complex)
-        for sl, u in blocks:
-            frame[sl, sl] = u.conj().T @ rho_matrix[sl, sl] @ u
-        flat = frame.reshape(d * d)
+    def _through_chains(self, rho, chain_map):
+        """U chain_map[U^dag rho U] U^dag, chain_map(batch) per orbit, on the
+        raveled noise-frame blocks."""
+        u = self.rotation
+        flat = (u.dagger() @ _blocks_of(rho, self.space, "rho") @ u).ravel()
         for batch in self.chains:
             flat[batch.indices] = np.einsum(
                 "cab,cb->ca", chain_map(batch)[batch.orbit], flat[batch.indices])
-        out = start(rho_matrix)
-        for sl, u in blocks:
-            out[sl, sl] = u @ frame[sl, sl] @ u.conj().T
-        return out
+        return u @ BlockOperator.unravel(self.space, flat) @ u.dagger()
 
 
 def _frame_rotation(axis):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,45 +170,48 @@ class BlockOperator:
                     f"block for 2j={s.twoj} has shape {b.shape}, expected {(s.dim, s.dim)}")
 
     def to_dense(self):
-        out = np.zeros((self.space.total_dim, self.space.total_dim), dtype=complex)
+        out = np.zeros((self.space.total_dim,) * 2, dtype=complex)
         for s, b in zip(self.space.sectors, self.blocks):
-            sl = slice(s.offset, s.offset + s.dim)
-            out[sl, sl] = b
+            out[s.offset:s.offset + s.dim, s.offset:s.offset + s.dim] = b
         return out
 
     def dagger(self):
         return BlockOperator(self.space, tuple(b.conj().T for b in self.blocks))
 
+    def _pairwise(self, other, op):
+        """op on each pair of blocks of self and other (_blocks_of)."""
+        other = _blocks_of(other, self.space, "operand")
+        return BlockOperator(self.space, tuple(op(a, b) for a, b in zip(self.blocks, other.blocks)))
+
     def __add__(self, other):
-        self._check_compatible(other)
-        return BlockOperator(self.space, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return self._pairwise(other, np.add)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return BlockOperator(self.space, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return self._pairwise(other, np.subtract)
+
+    def __matmul__(self, other):
+        return self._pairwise(other, np.matmul)
 
     def __mul__(self, scalar):
         return BlockOperator(self.space, tuple(scalar * b for b in self.blocks))
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        self._check_compatible(other)
-        return BlockOperator(self.space, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+    def expectation(self, rho):
+        """Tr(self @ rho) for a BlockOperator or DensityOperator of this space."""
+        rho = _blocks_of(rho, self.space, "rho")
+        return sum(np.einsum("ij,ji->", a, b) for a, b in zip(self.blocks, rho.blocks))
 
-    def _check_compatible(self, other):
-        if not isinstance(other, BlockOperator):
-            raise InvalidArgument("expected a BlockOperator")
-        if other.space is not self.space and other.space != self.space:
-            raise InvalidArgument("operators act on different spaces")
+    def ravel(self):
+        """The blocks raveled and concatenated in sector order (sum of d_s^2)."""
+        return np.concatenate([b.ravel() for b in self.blocks])
 
-    def expectation(self, rho_matrix):
-        """Tr(self @ rho) for a dense density matrix."""
-        total = 0.0 + 0.0j
-        for s, b in zip(self.space.sectors, self.blocks):
-            sl = slice(s.offset, s.offset + s.dim)
-            total += np.einsum("ij,ji->", b, rho_matrix[sl, sl])
-        return total
+    @classmethod
+    def unravel(cls, space, flat):
+        """The BlockOperator whose ravel() is flat, its blocks views of flat."""
+        ends = np.cumsum([s.dim ** 2 for s in space.sectors])[:-1]
+        return cls(space, tuple(f.reshape(s.dim, s.dim)
+                                for s, f in zip(space.sectors, np.split(flat, ends))))
 
 
 def _sector_blocks(space, matrix, what):
@@ -219,8 +222,8 @@ def _sector_blocks(space, matrix, what):
     d = space.total_dim
     if mat.shape != (d, d):
         raise InvalidArgument(f"{what} has shape {mat.shape}, expected ({d}, {d})")
-    op = BlockOperator(space, tuple(mat[s.offset:s.offset + s.dim, s.offset:s.offset + s.dim]
-                                    for s in space.sectors))
+    cuts = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
+    op = BlockOperator(space, tuple(np.array(mat[sl, sl]) for sl in cuts))
     if np.max(np.abs(mat - op.to_dense())) > 1e-10:
         raise InvalidArgument(f"{what} has an entry between two sectors above 1e-10")
     return op
@@ -231,21 +234,11 @@ def _spin_block(twoj, kind):
     dim = twoj + 1
     j = twoj / 2.0
     m = np.arange(twoj, -twoj - 2, -2) / 2.0
-    if kind == "z":
-        return np.diag(m).astype(complex)
     # Raising part: <j, m+1| J_+ |j, m> = sqrt((j - m)(j + m + 1)).
     plus = np.zeros((dim, dim), dtype=complex)
-    amp = np.sqrt((j - m[1:]) * (j + m[1:] + 1.0))
-    plus[np.arange(dim - 1), np.arange(1, dim)] = amp
-    if kind == "plus":
-        return plus
-    if kind == "minus":
-        return plus.conj().T
-    if kind == "x":
-        return (plus + plus.conj().T) / 2.0
-    if kind == "y":
-        return (plus - plus.conj().T) / 2.0j
-    raise InvalidArgument(f"unknown operator kind {kind!r}")
+    plus[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt((j - m[1:]) * (j + m[1:] + 1.0))
+    return {"z": np.diag(m).astype(complex), "plus": plus, "minus": plus.conj().T,
+            "x": (plus + plus.conj().T) / 2.0, "y": (plus - plus.conj().T) / 2.0j}[kind]
 
 
 def collective_operator(space, kind):
@@ -285,7 +278,14 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amp)
 
     def projector(self):
-        return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi| block by block; one with an entry between two sectors
+        above 1e-10 (the product of the two largest sector peaks) is refused."""
+        parts = [self.amplitudes[s.offset:s.offset + s.dim] for s in self.space.sectors]
+        peaks = [0.0] + sorted(np.abs(p).max() for p in parts)
+        if peaks[-2] * peaks[-1] > 1e-10:
+            raise InvalidArgument("projector has an entry between two sectors above 1e-10")
+        return DensityOperator(self.space, BlockOperator(
+            self.space, tuple(np.outer(p, p.conj()) for p in parts)))
 
     def max_sector_weight(self):
         s = self.space.max_sector
@@ -295,35 +295,46 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed state over the stacked basis, block diagonal over the sectors.
-
-    Validates its sector blocks (_sector_blocks, kept as blocks), Hermiticity
-    (1e-10), unit trace (1e-10) and positivity (eigenvalues >= -1e-8, per block).
-    """
+    """Mixed state over the stacked basis, held as its sector blocks: a
+    BlockOperator of the space, or a d x d matrix split by _sector_blocks;
+    matrix is the d x d view, built on each read. Hermiticity (1e-10), unit
+    trace (1e-10) and positivity (eigenvalues >= -1e-8) hold block by block."""
 
     space: DickeSpace
-    matrix: np.ndarray
-    blocks: BlockOperator = field(init=False, repr=False)
+    blocks: BlockOperator
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(_array(self.matrix, "density matrix"))
-        blocks = _sector_blocks(_instance(self.space, DickeSpace, "space"), mat, "density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        space = _instance(self.space, DickeSpace, "space")
+        blocks = _blocks_of(self.blocks, space, "density matrix") if isinstance(
+            self.blocks, BlockOperator) else _sector_blocks(space, self.blocks, "density matrix")
+        if max(np.max(np.abs(b - b.conj().T)) for b in blocks.blocks) > 1e-10:
             raise InvalidArgument("density matrix is not Hermitian within 1e-10")
-        trace = np.trace(mat).real
+        trace = sum(np.trace(b).real for b in blocks.blocks)
         if abs(trace - 1.0) > 1e-10:
             raise InvalidArgument(f"density matrix trace {trace!r} deviates from 1 beyond 1e-10")
         if min(np.linalg.eigvalsh(b).min() for b in blocks.blocks) < -1e-8:
             raise InvalidArgument("density matrix has an eigenvalue below -1e-8")
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "blocks", blocks)
 
+    @property
+    def matrix(self):
+        return self.blocks.to_dense()
+
     def purity(self):
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
+        return float(sum(np.einsum("ij,ji->", b, b).real for b in self.blocks.blocks))
 
     def sector_weights(self):
         """Population carried by each total-spin sector."""
         return np.array([np.trace(b).real for b in self.blocks.blocks])
+
+
+def _blocks_of(value, space, what):
+    """The BlockOperator of a BlockOperator or DensityOperator on space, else InvalidArgument."""
+    blocks = value.blocks if isinstance(value, DensityOperator) else value
+    if not isinstance(blocks, BlockOperator) or blocks.space != space:
+        raise InvalidArgument(f"{what} must be a BlockOperator or DensityOperator of "
+                              f"N = {space.n_particles}, got {type(value).__name__}")
+    return blocks
 
 
 def _spinor_powers(n, spinors):

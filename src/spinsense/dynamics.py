@@ -55,12 +55,9 @@ class FieldParams:
 
 def hamiltonian(space, field):
     """H = phi . J as a BlockOperator."""
-    field = _instance(field, FieldParams, "field")
-    ops = [collective_operator(space, a) for a in _AXES]
-    blocks = tuple(
-        field.phi[0] * bx + field.phi[1] * by + field.phi[2] * bz
-        for bx, by, bz in zip(ops[0].blocks, ops[1].blocks, ops[2].blocks))
-    return BlockOperator(space, blocks)
+    phi = _instance(field, FieldParams, "field").phi
+    ops = zip(*(collective_operator(space, a).blocks for a in _AXES))
+    return BlockOperator(space, tuple(phi[0] * x + phi[1] * y + phi[2] * z for x, y, z in ops))
 
 
 def _rotation_integral(phi, t):
@@ -95,7 +92,8 @@ def dephase(rho0, superoperator, spec, t):
     """Apply the dephasing semigroup for duration t of the given noise profile.
 
     Evaluates exp(Theta(t) L)[rho0] through the chain exponentials of the
-    superoperator. When Theta > 0 the superoperator must be a
+    superoperator, on the sector blocks of rho0, and returns rho0 itself at
+    Theta = 0. When Theta > 0 the superoperator must be a
     DephasingSuperoperator built for rho0's space and spec's axis, or
     InvalidArgument. A result that is not a valid state (an eigenvalue below
     -1e-8, or trace drift) raises NumericalError.
@@ -103,15 +101,14 @@ def dephase(rho0, superoperator, spec, t):
     _instance(rho0, DensityOperator, "rho0")
     theta = integrated_strength(spec, t)
     if theta == 0.0:
-        return DensityOperator(rho0.space, rho0.matrix.copy())
+        return rho0
     _instance(superoperator, DephasingSuperoperator, "superoperator")
     if superoperator.space != rho0.space or superoperator.axis != spec.axis:
         raise InvalidArgument("superoperator was built for another space or noise axis")
-    mat = superoperator.propagate(rho0.matrix, theta)
-    # The generator preserves Hermiticity exactly; symmetrize rounding noise.
-    mat = (mat + mat.conj().T) / 2.0
+    out = superoperator.propagate(rho0, theta)
     try:
-        return DensityOperator(rho0.space, mat)
+        # The generator preserves Hermiticity exactly; symmetrize rounding noise.
+        return DensityOperator(rho0.space, (out + out.dagger()) * 0.5)
     except InvalidArgument as exc:
         raise NumericalError(f"dephasing produced an invalid state: {exc}") from exc
 
@@ -163,7 +160,7 @@ def evolve(rho0, field, spec, t, superoperator=None):
     u = unitary(space, field, t)
     rotated = u @ rho_deph.blocks @ u.dagger()
     rotated = (rotated + rotated.dagger()) * 0.5
-    return EvolutionResult(rho=DensityOperator(space, rotated.to_dense()),
+    return EvolutionResult(rho=DensityOperator(space, rotated),
                            rho_dephased=rho_deph, unitary=u, t=t)
 
 
@@ -209,9 +206,10 @@ def full_gkls_reference(rho0, field, spec, t):
 
     Makes no use of the parallel-axis split: the time-dependent rate
     gamma_t multiplies the rate-free generator at every step. The state is
-    integrated in the lab frame, with the dense Hamiltonian and the
-    dissipator gamma_t L[rho] from the apply method of the dephasing
-    generator. Intended as a cross-check at moderate dimension, d <= _GKLS_MAX_DIM.
+    integrated in the lab frame on its raveled sector blocks, with the
+    Hamiltonian and the dissipator gamma_t L[rho] from the apply method of
+    the dephasing generator. Intended as a cross-check at moderate
+    dimension, d <= _GKLS_MAX_DIM.
     """
     t = _nonnegative(t, "t")
     space = _instance(rho0, DensityOperator, "rho0").space
@@ -219,20 +217,21 @@ def full_gkls_reference(rho0, field, spec, t):
     if d > _GKLS_MAX_DIM:
         raise InvalidArgument(f"reference integrator limited to d <= {_GKLS_MAX_DIM}, got {d}")
     if t == 0.0:
-        return DensityOperator(space, rho0.matrix.copy())
+        return rho0
     lsup = build_dephasing_superoperator(space, spec)
-    ham = hamiltonian(space, field).to_dense()
+    ham = hamiltonian(space, field)
 
-    def rhs(u, rho):
+    def rhs(u, flat):
+        rho = BlockOperator.unravel(space, flat)
         out = -1j * (ham @ rho - rho @ ham)
         g = gamma_profile(spec, u)
         if g != 0.0:
             out = out + g * lsup.apply(rho)
-        return out
+        return out.ravel()
 
-    mat = _integrate_doubling(rhs, rho0.matrix, field, spec, t)
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityOperator(space, mat)
+    out = BlockOperator.unravel(space, _integrate_doubling(
+        rhs, rho0.blocks.ravel(), field, spec, t))
+    return DensityOperator(space, (out + out.dagger()) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,8 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     rho = evolve(rho0, field, spec, t).rho if _parallel(field.phi, spec) \
         else full_gkls_reference(rho0, field, spec, t)
     jops = [collective_operator(space, a) for a in _AXES]
-    first_dicke = np.array([jops[i].expectation(rho.matrix).real for i in range(3)])
-    second_dicke = np.array([[(jops[a] @ jops[b]).expectation(rho.matrix)
+    first_dicke = np.array([jops[i].expectation(rho).real for i in range(3)])
+    second_dicke = np.array([[(jops[a] @ jops[b]).expectation(rho)
                               for b in range(3)] for a in range(3)])
 
     lifted = embed_collective(rho, multiplets)

@@ -63,11 +63,13 @@ def _member(enum_type, value):
 
 
 def _real(value, what):
-    """float(value), with a value that is not a real number refused as InvalidArgument."""
+    """float(value), refused as InvalidArgument unless it is a real number (a bool is not one)."""
     try:
-        return float(value)
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
     except (TypeError, ValueError):
-        raise InvalidArgument(f"{what} must be a real number, got {value!r}") from None
+        pass
+    raise InvalidArgument(f"{what} must be a real number, got {value!r}")
 
 
 def _array(value, what, dtype=complex):

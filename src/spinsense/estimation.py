@@ -199,18 +199,22 @@ class PovmSet:
 def cfim(rho, partials, povm):
     """Classical Fisher information matrix of the POVM statistics.
 
-    Outcomes with probability below 1e-14 are skipped. Returns a plain 3x3
-    real symmetric ndarray.
+    rho is a DensityOperator, whose sector blocks give each probability;
+    partials and the POVM elements are d x d. Outcomes with probability
+    below 1e-14 are skipped. Returns a plain 3x3 real symmetric ndarray.
     """
+    space = _instance(rho, DensityOperator, "rho").space
     if not isinstance(povm, PovmSet):
         povm = PovmSet(povm)
-    mat = rho.matrix if isinstance(rho, DensityOperator) else _array(rho, "rho")
+    shape = (space.total_dim,) * 2
     partials = _array(partials, "partials")
-    if partials.shape != (3,) + mat.shape:
-        raise InvalidArgument(f"partials must be three arrays of the state's shape {mat.shape}")
+    if partials.shape != (3,) + shape or povm.elements[0].shape != shape:
+        raise InvalidArgument(f"partials and POVM elements must have the state's shape {shape}")
+    sectors = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
     out = np.zeros((3, 3))
     for element in povm.elements:
-        prob = float(np.einsum("ij,ji->", element, mat).real)
+        prob = float(sum(np.einsum("ij,ji->", element[sl, sl], b)
+                         for sl, b in zip(sectors, rho.blocks.blocks)).real)
         if prob < _CFIM_EPS:
             continue
         grad = np.array([float(np.einsum("ij,ji->", element, dp).real) for dp in partials])

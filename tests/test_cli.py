@@ -181,7 +181,7 @@ def test_nonparallel_field_exit_code(capsys):
     assert doc["split-valid"] is False
     space = build_space(3)
     rho = full_gkls_reference(ghz_state(space, "z").projector(), FieldParams((0.02, 0.0, 0.01)),
-                              NoiseSpec("markovian", 0.1, _DEFAULT_AXIS), 1.5).matrix
+                              NoiseSpec("markovian", 0.1, _DEFAULT_AXIS), 1.5)
     jops = [collective_operator(space, a) for a in "xyz"]
     assert doc["first-moments"] == {a: float(j.expectation(rho).real) for a, j in zip("xyz", jops)}
     second = [[(a @ b).expectation(rho) for b in jops] for a in jops]

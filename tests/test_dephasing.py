@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinsense import (InvalidArgument, NoiseKind, NoiseSpec, build_space,
+from spinsense import (BlockOperator, DensityOperator, InvalidArgument, NoiseKind, NoiseSpec,
+                       StateVector, build_space,
                        build_dephasing_superoperator, build_transfer_kernels,
                        collective_operator,
                        coupled_multiplets, degeneracy, embed_collective,
@@ -24,9 +25,20 @@ AXIS_TILT = tuple(2.0 * c / math.sqrt(0.6 ** 2 + 1.2 ** 2 + 1.5 ** 2)
                   for c in (0.6, -1.2, 1.5))
 
 
-def random_hermitian(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return x + x.conj().T
+def random_blocks(rng, space):
+    return BlockOperator(space, tuple(
+        rng.standard_normal((s.dim, s.dim)) + 1j * rng.standard_normal((s.dim, s.dim))
+        for s in space.sectors))
+
+
+def random_hermitian(rng, space):
+    x = random_blocks(rng, space)
+    return x + x.dagger()
+
+
+def largest(op):
+    """The largest |entry| of a BlockOperator."""
+    return np.max(np.abs(op.ravel()))
 
 
 def test_gamma_profile_examples():
@@ -97,29 +109,28 @@ def test_trace_and_hermiticity_preserved(n):
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
     rng = np.random.default_rng(100 + n)
     for _ in range(50):
-        x = random_hermitian(rng, space.total_dim)
+        x = random_hermitian(rng, space)
         lx = lsup.apply(x)
-        scale = max(np.max(np.abs(x)), 1.0)
-        assert abs(np.trace(lx)) < 1e-10 * scale
-        assert np.max(np.abs(lx - lx.conj().T)) < 1e-10 * scale
+        scale = max(largest(x), 1.0)
+        assert abs(sum(np.trace(b) for b in lx.blocks)) < 1e-10 * scale
+        assert largest(lx - lx.dagger()) < 1e-10 * scale
     # adjoint input covariance: L[X^dag] = L[X]^dag
-    x = rng.standard_normal((space.total_dim,) * 2) \
-        + 1j * rng.standard_normal((space.total_dim,) * 2)
-    assert np.max(np.abs(lsup.apply(x.conj().T) - lsup.apply(x).conj().T)) < 1e-10
+    x = random_blocks(rng, space)
+    assert largest(lsup.apply(x.dagger()) - lsup.apply(x).dagger()) < 1e-10
 
 
 def test_band_structure_and_sparsity():
     # each noise-frame chain holds one (m, m') and couples only neighbouring
-    # j; together the chains cover every block-diagonal element once, and no
-    # chain rate is positive. Off-diagonal entries are nonnegative and column
-    # sums nonpositive, which keeps every exp(h G) a nonnegative contraction
+    # j; together the chains cover every entry of the raveled sector blocks
+    # once, and no chain rate is positive. Off-diagonal entries are
+    # nonnegative and column sums nonpositive, which keeps every exp(h G) a
+    # nonnegative contraction
     for n in (3, 4, 6):
         space = build_space(n)
-        d = space.total_dim
         lsup = build_dephasing_superoperator(
             space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-        label = [(s.twoj, twom) for s in space.sectors
-                 for twom in range(s.twoj, -s.twoj - 2, -2)]
+        entries = [(s.twoj, s.twoj - 2 * r, s.twoj - 2 * c) for s in space.sectors
+                   for r in range(s.dim) for c in range(s.dim)]
         covered = []
         for batch in lsup.chains:
             length = batch.indices.shape[1]
@@ -131,17 +142,12 @@ def test_band_structure_and_sparsity():
             assert np.all(off >= 0.0)
             assert batch.generator.sum(axis=1).max() <= 1e-12
             for chain in batch.indices:
-                kets = [label[i // d] for i in chain]
-                bras = [label[i % d] for i in chain]
-                assert [k[0] for k in kets] == [b[0] for b in bras] \
-                    == list(range(n, n - 2 * length, -2))
-                assert len({k[1] for k in kets}) == 1 and len({b[1] for b in bras}) == 1
+                twoj, twom, twomb = zip(*(entries[i] for i in chain))
+                assert list(twoj) == list(range(n, n - 2 * length, -2))
+                assert len(set(twom)) == 1 and len(set(twomb)) == 1
             covered.extend(batch.indices.ravel().tolist())
-        block_diagonal = [r * d + c for s in space.sectors
-                          for r in range(s.offset, s.offset + s.dim)
-                          for c in range(s.offset, s.offset + s.dim)]
-        assert sorted(covered) == block_diagonal
-        assert lsup.nnz <= 3 * len(block_diagonal)
+        assert sorted(covered) == list(range(len(entries)))
+        assert lsup.nnz <= 3 * len(entries)
 
 
 def _own_generator(space, twom, twomb, length):
@@ -169,7 +175,6 @@ def test_chains_share_one_generator_per_orbit(n, orbits, nnz):
     space = build_space(n)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-    d = space.total_dim
     assert sum(len(b.indices) for b in lsup.chains) == (n + 1) ** 2
     assert sum(len(b.generator) for b in lsup.chains) == orbits
     assert lsup.nnz == nnz
@@ -177,7 +182,8 @@ def test_chains_share_one_generator_per_orbit(n, orbits, nnz):
         assert batch.orbit.shape == (len(batch.indices),)
         assert set(batch.orbit.tolist()) == set(range(len(batch.generator)))
         length = batch.indices.shape[1]
-        a, b = np.divmod(batch.indices[:, 0], d)
+        # every chain starts in the maximal sector, the first block
+        a, b = np.divmod(batch.indices[:, 0], n + 1)
         for c, rep in enumerate(batch.orbit):
             own = _own_generator(space, n - 2 * a[c], n - 2 * b[c], length)
             error = np.max(np.abs(batch.generator[rep] - own))
@@ -187,7 +193,6 @@ def test_chains_share_one_generator_per_orbit(n, orbits, nnz):
 def _reference_chain_batch(space, length, lam):
     # the pair list and orbit keys as Python loops over all (N+1)^2 pairs
     n = space.n_particles
-    d = space.total_dim
     top = n - 2 * (length - 1)
     pairs = np.array([(a, b) for a in range(n, -n - 2, -2) for b in range(n, -n - 2, -2)
                       if max(abs(a), abs(b)) == top])
@@ -196,9 +201,10 @@ def _reference_chain_batch(space, length, lam):
                             axis=0, return_inverse=True)
     sectors = space.sectors[:length]
     twoj = np.array([s.twoj for s in sectors])
-    offset = np.array([s.offset for s in sectors])
-    rows = offset + (twoj - twom) // 2
-    cols = offset + (twoj - twomb) // 2
+    # the start of each sector block in the raveled blocks
+    first = np.array([sum(s.dim ** 2 for s in sectors[:k]) for k in range(length)])
+    rows = (twoj - twom) // 2
+    cols = (twoj - twomb) // 2
     j, m, mb = twoj / 2.0, reps[:, :1] / 2.0, reps[:, 1:] / 2.0
     lam_stay, lam_drop, lam_lift = lam[:length].T
     diag = 8.0 * lam_stay * m * mb - 2.0 * n
@@ -210,7 +216,7 @@ def _reference_chain_batch(space, length, lam):
     generator[:, idx, idx] = diag
     generator[:, idx[1:], idx[:-1]] = drop
     generator[:, idx[:-1], idx[1:]] = lift
-    return rows * d + cols, generator, orbit
+    return first + rows * (twoj + 1) + cols, generator, orbit
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -325,10 +331,10 @@ def _squaring_kernels(lsup, thetas):
     # the kernels assembled from the chain exponentials: every chain starts
     # in the maximal sector, at (a, b) there, and the first column of its
     # exponential carries that element to (a - k, b - k) in sector k
-    d, count = lsup.space.total_dim, len(thetas)
+    count = len(thetas)
     kernels = [np.zeros((count, s.dim, s.dim)) for s in lsup.space.sectors]
     for batch in lsup.chains:
-        a, b = np.divmod(batch.indices[:, 0], d)
+        a, b = np.divmod(batch.indices[:, 0], lsup.space.max_sector.dim)
         columns = np.array([batch.exponential(t) for t in thetas])[..., 0][:, batch.orbit]
         for k in range(columns.shape[-1]):
             kernels[k][:, a - k, b - k] = columns[..., k]
@@ -399,42 +405,39 @@ def _chain_rates(lsup):
                            for b in lsup.chains])
 
 
-def _dense_generator(lsup):
-    d = lsup.space.total_dim
-    units = np.eye(d * d).reshape(d * d, d, d)
-    return np.column_stack([lsup.apply(e).ravel() for e in units])
+def _block_generator(lsup):
+    # L as a matrix on the raveled sector blocks, one unit input per column
+    units = np.eye(sum(s.dim ** 2 for s in lsup.space.sectors))
+    return np.column_stack(
+        [lsup.apply(BlockOperator.unravel(lsup.space, e)).ravel() for e in units])
 
 
 def test_axis_isotropy_of_spectrum():
     # the generator is built from identical per-site channels, so rotating
     # the axis is a similarity transform and cannot move the spectrum; it is
-    # the chain spectrum, plus zeros for the entries between sectors
+    # the chain spectrum
     for n in (3, 4):
         space = build_space(n)
         spectra = []
         for axis in (AXIS_Z, AXIS_DIAG):
             lsup = build_dephasing_superoperator(
                 space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
-            spectra.append(np.sort_complex(np.linalg.eigvals(_dense_generator(lsup))))
-        rates = _chain_rates(lsup)
-        chains = np.sort_complex(np.concatenate(
-            [rates, np.zeros(space.total_dim ** 2 - rates.size)]))
+            spectra.append(np.sort_complex(np.linalg.eigvals(_block_generator(lsup))))
+        chains = np.sort_complex(_chain_rates(lsup))
         assert np.max(np.abs(spectra[0] - spectra[1])) < 1e-8
         assert np.max(np.abs(spectra[1] - chains)) < 1e-8
 
 
 def test_propagate_matches_generator_exponential():
-    # the chain spectra give exp(Theta L) for any input, including the
-    # entries between sectors, which L leaves untouched
+    # the chain spectra give exp(Theta L) for any block input
     for n, axis in ((3, AXIS_DIAG), (4, AXIS_TILT)):
         space = build_space(n)
         lsup = build_dephasing_superoperator(
             space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
         rng = np.random.default_rng(40 + n)
-        d = space.total_dim
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = random_blocks(rng, space)
         for theta in (0.05, 0.7, 6.0):
-            expected = scipy.linalg.expm(theta * _dense_generator(lsup)) @ x.ravel()
+            expected = scipy.linalg.expm(theta * _block_generator(lsup)) @ x.ravel()
             got = lsup.propagate(x, theta).ravel()
             assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -457,10 +460,9 @@ def test_axis_frame_vector_rule():
                     assert np.max(np.abs(us.conj().T @ ops[a][s] @ us - expected)) < 1e-12
 
 
-def test_transfer_kernels_match_dense_propagate():
+def test_transfer_kernels_match_propagate():
     # a state on the maximal sector, dephased at a vector of Theta as kernel
-    # times window, sector block by sector block, against the dense
-    # propagate
+    # times window, sector block by sector block, against propagate
     for n, axis in ((4, AXIS_DIAG), (7, AXIS_TILT), (6, AXIS_Z)):
         space = build_space(n)
         lsup = build_dephasing_superoperator(
@@ -477,11 +479,10 @@ def test_transfer_kernels_match_dense_propagate():
         kernels = build_transfer_kernels(space).at(thetas)
         assert len(kernels) == len(space.sectors)
         for i, theta in enumerate(thetas):
-            lab = lsup.propagate(np.outer(psi, psi.conj()), theta)
-            for k, (s, u, kernel) in enumerate(zip(space.sectors, rotation, kernels)):
-                sl = slice(s.offset, s.offset + s.dim)
+            lab = lsup.propagate(StateVector(space, psi).projector(), theta)
+            for k, (u, block, kernel) in enumerate(zip(rotation, lab.blocks, kernels)):
                 w = slice(k, top - k)
-                expected = u.conj().T @ lab[sl, sl] @ u
+                expected = u.conj().T @ block @ u
                 assert np.max(np.abs(kernel[i] * x[w, w] - expected)) < 1e-12
     # along the noise axis a GHZ state feeds only the chains of m = m' = +-N/2
     # and of |N/2><-N/2| and its conjugate, which all stay in the maximal sector
@@ -515,7 +516,7 @@ def test_dephasing_refuses_a_bad_strength(method, theta):
     space = build_space(3)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-    rho = np.eye(space.total_dim) / space.total_dim
+    rho = DensityOperator(space, np.eye(space.total_dim) / space.total_dim)
     with pytest.raises(InvalidArgument, match="theta"):
         if method == "propagate":
             lsup.propagate(rho, theta)
@@ -535,21 +536,21 @@ def test_propagate_at_large_n():
     space = build_space(n)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
-    d = space.total_dim
-    rows = [s.offset + s.twoj // 2 for s in space.sectors]
-    rho = np.zeros((d, d), dtype=complex)
-    rho[rows[0], rows[0]] = 1.0
+    blocks = [np.zeros((s.dim, s.dim)) for s in space.sectors]
+    blocks[0][k, k] = 1.0
+    rho = BlockOperator(space, tuple(blocks))
     total = math.comb(n, k)
     for theta in (0.02, 0.3):
         out = lsup.propagate(rho, theta)
         top = sum(math.comb(k, h) ** 2 * math.exp(-8.0 * h * theta)
                   for h in range(k + 1)) / total
-        assert abs(out[rows[0], rows[0]] - top) < 1e-12
-        assert abs(np.trace(out) - 1.0) < 1e-12
+        assert abs(out.blocks[0][k, k] - top) < 1e-12
+        assert abs(sum(np.trace(b) for b in out.blocks) - 1.0) < 1e-12
     out = lsup.propagate(rho, 12.0)
-    expected = np.zeros((d, d))
-    expected[rows, rows] = [degeneracy(n, s.twoj / 2) / total for s in space.sectors]
-    assert np.max(np.abs(out - expected)) < 1e-12
+    for s, block in zip(space.sectors, out.blocks):
+        expected = np.zeros((s.dim, s.dim))
+        expected[s.twoj // 2, s.twoj // 2] = degeneracy(n, s.twoj / 2) / total
+        assert np.max(np.abs(block - expected)) < 1e-12
 
 
 def test_generator_matches_product_space():
@@ -558,38 +559,35 @@ def test_generator_matches_product_space():
     for n in (2, 3, 4, 5):
         space = build_space(n)
         multiplets = coupled_multiplets(n)
-        rng = np.random.default_rng(60 + n)
-        rho = np.zeros((space.total_dim,) * 2, dtype=complex)
-        for s in space.sectors:
-            sl = slice(s.offset, s.offset + s.dim)
-            rho[sl, sl] = rng.standard_normal((s.dim, s.dim)) \
-                + 1j * rng.standard_normal((s.dim, s.dim))
+        rho = random_blocks(np.random.default_rng(60 + n), space)
         # embed_collective reads only .space and .matrix; neither rho nor
         # L[rho] (trace 0) is a density operator
-        lifted = embed_collective(SimpleNamespace(space=space, matrix=rho), multiplets)
+        lifted = embed_collective(SimpleNamespace(space=space, matrix=rho.to_dense()),
+                                  multiplets)
         for axis in (AXIS_Z, AXIS_DIAG, AXIS_TILT):
             spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis)
             single = sum(c * _PAULI[a] for c, a in zip(spec.axis, "xyz")) / 2.0
             sites = [_site_operator(n, k, single) for k in range(n)]
             expected = 2.0 * (sum(a @ lifted @ a for a in sites) - n * lifted)
             out = build_dephasing_superoperator(space, spec).apply(rho)
-            got = embed_collective(SimpleNamespace(space=space, matrix=out), multiplets)
+            got = embed_collective(SimpleNamespace(space=space, matrix=out.to_dense()),
+                                   multiplets)
             assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_commutes_with_parallel_field_rotation():
     space = build_space(3)
     field = FieldParams((0.01, 0.01, 0.01))
-    h = hamiltonian(space, field).to_dense()
+    h = hamiltonian(space, field)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
     rng = np.random.default_rng(17)
     for _ in range(10):
-        x = random_hermitian(rng, space.total_dim)
+        x = random_hermitian(rng, space)
         lhs = lsup.apply(-1j * (h @ x - x @ h))
         rhs_inner = lsup.apply(x)
         rhs = -1j * (h @ rhs_inner - rhs_inner @ h)
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        assert largest(lhs - rhs) < 1e-9
 
 
 def test_single_spin_coherence_rate():
@@ -597,7 +595,7 @@ def test_single_spin_coherence_rate():
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = lsup.apply(plus)
+    (out,) = lsup.apply(BlockOperator(space, (plus,))).blocks
     assert abs(out[0, 1] - (-4.0) * plus[0, 1]) < 1e-12
     assert abs(out[0, 0]) < 1e-12 and abs(out[1, 1]) < 1e-12
 
@@ -613,5 +611,5 @@ def test_deterministic_assembly():
             assert getattr(ca, field).tobytes() == getattr(cb, field).tobytes()
     for ua, ub in zip(a.rotation.blocks, b.rotation.blocks):
         assert ua.tobytes() == ub.tobytes()
-    rho = simultaneous_probe(space).projector().matrix
-    assert a.propagate(rho, 0.7).tobytes() == b.propagate(rho, 0.7).tobytes()
+    rho = simultaneous_probe(space).projector()
+    assert a.propagate(rho, 0.7).ravel().tobytes() == b.propagate(rho, 0.7).ravel().tobytes()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseSpec,
+from spinsense import (BlockOperator, DensityOperator, FieldParams, InvalidArgument, NoiseSpec,
                        StateVector, build_space, coherent_state,
                        collective_operator, cumulative_degeneracy, degeneracy,
                        dicke_dimension, full_hilbert_reference, ghz_state,
@@ -176,10 +176,13 @@ def test_block_operator_algebra_matches_dense():
     assert np.allclose((2.5 * jx).to_dense(), 2.5 * dx)
     assert np.allclose(jx.dagger().to_dense(), dx.conj().T)
     rng = np.random.default_rng(11)
-    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    assert abs(jx.expectation(rho) - np.trace(dx @ rho)) < 1e-12
+    m = BlockOperator(space, tuple(rng.standard_normal((s.dim, s.dim))
+                                   + 1j * rng.standard_normal((s.dim, s.dim))
+                                   for s in space.sectors))
+    w = m @ m.dagger()
+    rho = DensityOperator(space, w * (1.0 / sum(np.trace(b).real for b in w.blocks)))
+    assert abs(jx.expectation(rho) - np.trace(dx @ rho.matrix)) < 1e-12
+    assert jx.expectation(rho.blocks) == jx.expectation(rho)
 
 
 def test_coherent_state_poles():

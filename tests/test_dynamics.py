@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 import spinsense
 
-from spinsense import (AssumptionViolated, DensityOperator, DephasingSuperoperator, FieldParams,
-                       InvalidArgument, NoiseKind, NoiseSpec, NumericalError,
+from spinsense import (AssumptionViolated, BlockOperator, DensityOperator,
+                       DephasingSuperoperator, FieldParams, InvalidArgument, NoiseKind,
+                       NoiseSpec, NumericalError,
                        build_space, build_dephasing_superoperator,
                        coupled_multiplets, dephase, embed_collective, evolve,
                        full_gkls_reference, full_hilbert_reference, ghz_state,
@@ -107,13 +109,32 @@ def test_dephase_invalid_state_is_a_numerical_fault(monkeypatch):
     # program's fault, reported as NumericalError
     space = build_space(2)
     rng = np.random.default_rng(3)
-    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    bad = (v * np.array([0.6, 0.3, 0.1 + 1e-7, -1e-7])) @ v.conj().T
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    bad = BlockOperator(space, ((v * np.array([0.6, 0.3, -1e-7])) @ v.conj().T,
+                                np.array([[0.1 + 1e-7]])))
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z)
     lsup = build_dephasing_superoperator(space, spec)
     monkeypatch.setattr(DephasingSuperoperator, "propagate", lambda self, rho, theta: bad)
     with pytest.raises(NumericalError, match="invalid state"):
         dephase(simultaneous_probe(space).projector(), lsup, spec, 1.0)
+
+
+def test_evolve_holds_less_than_one_dense_matrix():
+    # the state stays in its sector blocks: one evolve at N = 48 with a
+    # prebuilt superoperator peaks below the bytes of one dense d x d complex
+    # matrix (6.0 MiB)
+    space = build_space(48)
+    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
+    rho0 = simultaneous_probe(space).projector()
+    lsup = build_dephasing_superoperator(space, spec)
+    evolve(rho0, FIELD_DIAG, spec, 5.0, superoperator=lsup)  # warm up
+    tracemalloc.start()
+    try:
+        evolve(rho0, FIELD_DIAG, spec, 5.0, superoperator=lsup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * space.total_dim ** 2
 
 
 def test_import_does_not_load_scipy():
@@ -251,7 +272,7 @@ def test_embedding_preserves_moments():
         jz_full += acc
     from spinsense import collective_operator
     jz = collective_operator(space, "z")
-    assert abs(np.trace(jz_full @ full).real - jz.expectation(rho.matrix)) < 1e-12
+    assert abs(np.trace(jz_full @ full).real - jz.expectation(rho)) < 1e-12
 
 
 def test_state_fidelity_pure_overlap():

@@ -104,7 +104,7 @@ def test_sweep_config_validation():
     lambda: generator_operator(_SPACE, _FIELD, "x", "z"),
     lambda: gamma_profile(_SPEC, "x"),
     lambda: integrated_strength(_SPEC, "x"),
-    lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(_RHO.matrix, "x"),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(_RHO, "x"),
     lambda: build_transfer_kernels(_SPACE).at(["x"]),
     lambda: build_transfer_kernels(_SPACE, [0, 2]).at([0.1]),
     lambda: build_transfer_kernels(_SPACE, [2, 0]),
@@ -192,6 +192,20 @@ def test_sweep_config_validation():
     lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), (0.0, 0.0, 0.01), _SPEC, 1.0),
     lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), _FIELD, None, 1.0),
     lambda: scan_particles([2, 3], "cfg"),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(np.eye(3)),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(np.eye(3), 0.1),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(_RHO.matrix),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(
+        ghz_state(build_space(4), "z").projector()),
+    lambda: collective_operator(_SPACE, "x").expectation(np.eye(2)),
+    lambda: collective_operator(_SPACE, "x").expectation(_RHO.matrix),
+    lambda: NoiseSpec("markovian", True, (0, 0, 2)),
+    lambda: TimeGrid(24, True, 10),
+    lambda: SweepConfig(4, total_time=True, grid=TimeGrid(count=4, start=0.1, stop=1.0)),
+    lambda: coherent_state(_SPACE, True, 0.0),
+    lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min=True),
+    lambda: NoiseSpec("markovian", np.bool_(True), (0, 0, 2)),
+    lambda: cfim(_RHO, [np.zeros((6, 6))] * 3, [np.eye(2)]),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -228,7 +242,10 @@ def test_sweep_config_validation():
         "integrated-strength-t-negative-entry", "integrated-strength-t-nan-entry",
         "state-fidelity-shapes", "coupled-multiplets-text", "coupled-multiplets-bool",
         "hilbert-reference-initial-density", "hilbert-reference-field-tuple",
-        "hilbert-reference-spec-none", "scan-config-text"])
+        "hilbert-reference-spec-none", "scan-config-text", "apply-ndarray",
+        "propagate-ndarray", "apply-matrix", "apply-other-space", "expectation-ndarray",
+        "expectation-matrix", "gamma-bool", "grid-start-bool", "total-time-bool",
+        "coherent-theta-bool", "fit-n-min-bool", "gamma-numpy-bool", "cfim-povm-shape"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -450,9 +467,9 @@ def test_sweep_builds_no_chains(monkeypatch):
         res = sweep_time(SweepConfig(n_particles=12, kind=kind, grid=SMALL_GRID))
         assert not res.refinement.boundary
     assert calls == []
-    # the counters do see the chains of the dense propagator
+    # the counters do see the chains of the propagator
     lsup = build_dephasing_superoperator(build_space(3), SweepConfig(n_particles=3).noise_spec())
-    lsup.propagate(simultaneous_probe(lsup.space).projector().matrix, 0.1)
+    lsup.propagate(simultaneous_probe(lsup.space).projector(), 0.1)
     assert "build" in calls and "exponential" in calls
 
 

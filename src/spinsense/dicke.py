@@ -155,19 +155,20 @@ def build_space(n_particles):
 class BlockOperator:
     """Operator that is block diagonal over the total-spin sectors.
 
-    Blocks are dense complex arrays, one per sector, in sector order.
+    Blocks: one ndarray per sector, in sector order, held as given; else InvalidArgument.
     """
 
     space: DickeSpace
     blocks: tuple
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.space.sectors):
+        sectors = _instance(self.space, DickeSpace, "space").sectors
+        if not isinstance(self.blocks, (tuple, list)) or len(self.blocks) != len(sectors):
             raise InvalidArgument("one block per sector required")
-        for s, b in zip(self.space.sectors, self.blocks):
-            if b.shape != (s.dim, s.dim):
-                raise InvalidArgument(
-                    f"block for 2j={s.twoj} has shape {b.shape}, expected {(s.dim, s.dim)}")
+        for s, b in zip(sectors, self.blocks):
+            if not isinstance(b, np.ndarray) or b.shape != (s.dim, s.dim):
+                raise InvalidArgument(f"block for 2j={s.twoj} must be an ndarray of shape "
+                                      f"{(s.dim, s.dim)}")
 
     def to_dense(self):
         out = np.zeros((self.space.total_dim,) * 2, dtype=complex)
@@ -216,12 +217,12 @@ class BlockOperator:
 
 def _sector_blocks(space, matrix, what):
     """The sector blocks of a d x d matrix as a BlockOperator. A collective
-    state and its derivatives have no entry between two sectors: one above
-    1e-10, like another shape, is InvalidArgument."""
+    state has no entry between two sectors: one above 1e-10, like another
+    shape or a non-finite entry, is InvalidArgument."""
     mat = _array(matrix, what)
     d = space.total_dim
-    if mat.shape != (d, d):
-        raise InvalidArgument(f"{what} has shape {mat.shape}, expected ({d}, {d})")
+    if mat.shape != (d, d) or not np.isfinite(mat).all():
+        raise InvalidArgument(f"{what} must be a finite ({d}, {d}) array, got shape {mat.shape}")
     cuts = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
     op = BlockOperator(space, tuple(np.array(mat[sl, sl]) for sl in cuts))
     if np.max(np.abs(mat - op.to_dense())) > 1e-10:
@@ -297,8 +298,8 @@ class StateVector:
 class DensityOperator:
     """Mixed state over the stacked basis, held as its sector blocks: a
     BlockOperator of the space, or a d x d matrix split by _sector_blocks;
-    matrix is the d x d view, built on each read. Hermiticity (1e-10), unit
-    trace (1e-10) and positivity (eigenvalues >= -1e-8) hold block by block."""
+    matrix is the d x d view, built on each read. Finite entries, Hermiticity
+    (1e-10), unit trace (1e-10) and positivity (eigenvalues >= -1e-8) hold."""
 
     space: DickeSpace
     blocks: BlockOperator
@@ -307,6 +308,8 @@ class DensityOperator:
         space = _instance(self.space, DickeSpace, "space")
         blocks = _blocks_of(self.blocks, space, "density matrix") if isinstance(
             self.blocks, BlockOperator) else _sector_blocks(space, self.blocks, "density matrix")
+        if not all(np.isfinite(b).all() for b in blocks.blocks):
+            raise InvalidArgument("density matrix has an entry that is not finite")
         if max(np.max(np.abs(b - b.conj().T)) for b in blocks.blocks) > 1e-10:
             raise InvalidArgument("density matrix is not Hermitian within 1e-10")
         trace = sum(np.trace(b).real for b in blocks.blocks)

@@ -311,19 +311,19 @@ def embed_collective(rho, multiplets):
 
     Sector weight is shared uniformly over the degenerate multiplet copies,
     which is the unique trace-preserving permutation-invariant assignment.
-    Reads only rho.space, a DickeSpace, and rho.matrix, so any collective
-    matrix lifts, a DensityOperator or not.
+    Reads only rho.space, a DickeSpace, and rho.matrix (once), so any
+    collective matrix lifts, a DensityOperator or not.
     """
     space = _instance(getattr(rho, "space", None), DickeSpace, "rho.space")
     _instance(multiplets, dict, "multiplets")
     dim_full = 2 ** space.n_particles
-    out = np.zeros((dim_full, dim_full), dtype=complex)
+    matrix, out = rho.matrix, np.zeros((dim_full, dim_full), dtype=complex)
     for sec in space.sectors:
         copies = multiplets.get(sec.twoj, [])
         if not isinstance(copies, (list, tuple)) or len(copies) != sec.multiplicity:
             raise InvalidArgument("multiplet count does not match sector multiplicity")
         sl = slice(sec.offset, sec.offset + sec.dim)
-        block = rho.matrix[sl, sl]
+        block = matrix[sl, sl]
         for rows in copies:
             rows = _array(rows, "multiplet rows")
             if rows.shape != (sec.dim, dim_full):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DensityOperator, _sector_blocks
+from .dicke import DensityOperator, _blocks_of
 from .dynamics import _AXES, EvolutionResult, FieldParams, _rotation_integral, hamiltonian
 from .errors import InvalidArgument, SingularQfim, _array, _instance, _nonnegative, _real
 
@@ -46,11 +46,11 @@ def generator_operator(space, field, t, axis):
 
 
 def partial_rho(result, field, axis):
-    """Derivative of the evolved state with respect to field component axis.
+    """Derivative of the evolved state by field component axis, a BlockOperator.
 
     Differentiates rho = U rho_deph U^dag at fixed dephased input, exact
     under the parallel split, with the result's U and the closed-form A_k of
-    generator_operator (no eigensolve):
+    generator_operator (no eigensolve), block by block:
 
         d rho / d phi_k = -i U [A_k, rho_deph] U^dag.
     """
@@ -58,7 +58,7 @@ def partial_rho(result, field, axis):
     gen = generator_operator(result.rho.space, field, result.t, axis)
     rho, u = result.rho_dephased.blocks, result.unitary
     out = -1j * (u @ (gen @ rho - rho @ gen) @ u.dagger())
-    return ((out + out.dagger()) * 0.5).to_dense()
+    return (out + out.dagger()) * 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +146,19 @@ def _qfim_bounds(q, repetitions, individual=False):
     return (3.0 * total if individual else total) / repetitions, w, fault
 
 
+def _partials(rho, partials):
+    """The sector blocks of rho and, lazily, the three derivatives' blocks of
+    each sector stacked, (3, d_s, d_s). partials must be three finite
+    BlockOperators of rho's space (partial_rho's), or InvalidArgument."""
+    space = _instance(rho, DensityOperator, "rho").space
+    if not isinstance(partials, (list, tuple)) or len(partials) != 3:
+        raise InvalidArgument(f"partials must be three BlockOperators, got {partials!r:.80}")
+    parts = [_blocks_of(p, space, "partial").blocks for p in partials]
+    if not all(np.isfinite(b).all() for blocks in parts for b in blocks):
+        raise InvalidArgument("partials have an entry that is not finite")
+    return rho.blocks.blocks, (np.stack(ds) for ds in zip(*parts))
+
+
 def qfim(rho, partials, t=math.nan):
     """Quantum Fisher information matrix of rho for the three derivatives:
     one eigh per sector block of rho, then _qfim_entries.
@@ -153,24 +166,20 @@ def qfim(rho, partials, t=math.nan):
     Parameters
     ----------
     rho : DensityOperator
-    partials : three Hermitian ndarrays, the derivatives of rho by phi_x, phi_y, phi_z
+    partials : three BlockOperators of rho's space, d rho / d phi_x, _y, _z
     t : the shot duration, recorded on the result.
     """
-    space = _instance(rho, DensityOperator, "rho").space
-    partials = _array(partials, "partials")
-    if partials.shape[:1] != (3,):
-        raise InvalidArgument(f"partials must be three arrays, got shape {partials.shape}")
+    blocks, parts = _partials(rho, partials)
     t = _real(t, "t")
-    parts = zip(*(_sector_blocks(space, dp, "partial").blocks for dp in partials))
-    eig = [np.linalg.eigh(b) for b in rho.blocks.blocks]
-    entries = _qfim_entries([p for p, _ in eig], [v.conj().T @ np.stack(ds) @ v
+    eig = [np.linalg.eigh(b) for b in blocks]
+    entries = _qfim_entries([p for p, _ in eig], [v.conj().T @ ds @ v
                                                  for (_, v), ds in zip(eig, parts)])
-    return QfimMatrix(entries=entries, t=t, n_particles=space.n_particles)
+    return QfimMatrix(entries=entries, t=t, n_particles=rho.space.n_particles)
 
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Collection of POVM elements: PSD matrices resolving the identity."""
+    """Collection of POVM elements: finite PSD matrices resolving the identity."""
 
     elements: tuple
 
@@ -182,16 +191,14 @@ class PovmSet:
         if not mats:
             raise InvalidArgument("POVM needs at least one element")
         d = max(mats[0].shape, default=0)  # a scalar fails the square test
-        total = np.zeros((d, d), dtype=complex)
         for e in mats:
-            if e.shape != (d, d):
-                raise InvalidArgument("POVM elements must share one square shape")
+            if e.shape != (d, d) or not np.isfinite(e).all():
+                raise InvalidArgument("POVM elements must be finite and share one square shape")
             if np.max(np.abs(e - e.conj().T)) > 1e-10:
                 raise InvalidArgument("POVM elements must be Hermitian")
             if np.linalg.eigvalsh((e + e.conj().T) / 2.0).min() < -1e-10:
                 raise InvalidArgument("POVM elements must be positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > 1e-10:
+        if np.max(np.abs(sum(mats) - np.eye(d))) > 1e-10:
             raise InvalidArgument("POVM elements must sum to the identity")
         object.__setattr__(self, "elements", mats)
 
@@ -199,25 +206,25 @@ class PovmSet:
 def cfim(rho, partials, povm):
     """Classical Fisher information matrix of the POVM statistics.
 
-    rho is a DensityOperator, whose sector blocks give each probability;
-    partials and the POVM elements are d x d. Outcomes with probability
-    below 1e-14 are skipped. Returns a plain 3x3 real symmetric ndarray.
+    rho and partials as for qfim; the POVM elements are d x d, as a measurement
+    need not be block diagonal, and each outcome's probability and gradient are
+    one trace per sector with an element's diagonal blocks. Outcomes with
+    probability below 1e-14 are skipped. Returns a 3x3 real symmetric ndarray.
     """
-    space = _instance(rho, DensityOperator, "rho").space
+    blocks, parts = _partials(rho, partials)
     if not isinstance(povm, PovmSet):
         povm = PovmSet(povm)
-    shape = (space.total_dim,) * 2
-    partials = _array(partials, "partials")
-    if partials.shape != (3,) + shape or povm.elements[0].shape != shape:
-        raise InvalidArgument(f"partials and POVM elements must have the state's shape {shape}")
-    sectors = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
+    shape = (rho.space.total_dim,) * 2
+    if povm.elements[0].shape != shape:
+        raise InvalidArgument(f"POVM elements must have the state's shape {shape}")
+    sectors = [slice(s.offset, s.offset + s.dim) for s in rho.space.sectors]
+    stacks = [np.concatenate([b[None], ds]) for b, ds in zip(blocks, parts)]
     out = np.zeros((3, 3))
     for element in povm.elements:
-        prob = float(sum(np.einsum("ij,ji->", element[sl, sl], b)
-                         for sl, b in zip(sectors, rho.blocks.blocks)).real)
+        prob, *grad = sum(np.einsum("ij,aji->a", element[sl, sl], x)
+                          for sl, x in zip(sectors, stacks)).real
         if prob < _CFIM_EPS:
             continue
-        grad = np.array([float(np.einsum("ij,ji->", element, dp).real) for dp in partials])
         out += np.outer(grad, grad) / prob
     return (out + out.T) / 2.0
 

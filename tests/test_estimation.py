@@ -1,14 +1,17 @@
 """Generator operators, state derivatives, Fisher information, and bounds."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from spinsense import (DensityOperator, FieldParams, InvalidArgument, NoiseKind,
+from spinsense import (BlockOperator, DensityOperator, FieldParams, InvalidArgument, NoiseKind,
                        NoiseSpec, PovmSet, QfimMatrix, SingularQfim, StateVector,
-                       bound_individual, bound_simultaneous, build_space,
+                       bound_individual, bound_simultaneous, build_dephasing_superoperator,
+                       build_space,
                        cfim, collective_operator, evolve, generator_operator,
                        ghz_state, partial_rho, qfim, simultaneous_probe,
                        unitary)
@@ -136,8 +139,9 @@ def test_partial_rho_traceless_hermitian():
     res = evolve(simultaneous_probe(space).projector(), FIELD_DIAG, spec, 2.0)
     for ax in "xyz":
         d = partial_rho(res, FIELD_DIAG, ax)
-        assert abs(np.trace(d)) < 1e-11
-        assert np.max(np.abs(d - d.conj().T)) < 1e-11
+        assert isinstance(d, BlockOperator) and d.space == space
+        assert abs(sum(np.trace(b) for b in d.blocks)) < 1e-11
+        assert np.max(np.abs((d - d.dagger()).ravel())) < 1e-11
 
 
 def test_partial_rho_matches_finite_difference():
@@ -154,7 +158,26 @@ def test_partial_rho_matches_finite_difference():
         fm[k] -= eps
         up, um = (unitary(space, FieldParams(tuple(f)), t).to_dense() for f in (fp, fm))
         fd = (up @ rd @ up.conj().T - um @ rd @ um.conj().T) / (2.0 * eps)
-        assert np.max(np.abs(fd - partial_rho(res, FIELD_DIAG, ax))) < 1e-6
+        assert np.max(np.abs(fd - partial_rho(res, FIELD_DIAG, ax).to_dense())) < 1e-6
+
+
+def test_derivatives_and_qfim_stay_below_one_dense_matrix():
+    # N = 72 (d = 1,369): three partial_rho calls and one qfim hold sector
+    # blocks only, so their traced peak stays below one complex d x d matrix
+    space = build_space(72)
+    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
+    res = evolve(simultaneous_probe(space).projector(), FIELD_DIAG, spec, 5.0,
+                 superoperator=build_dephasing_superoperator(space, spec))
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        q = qfim(res.rho, [partial_rho(res, FIELD_DIAG, ax) for ax in "xyz"], t=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1.0
+    assert peak < 16 * space.total_dim ** 2
+    assert np.isfinite(bound_simultaneous(q, 20.0).value)
 
 
 def test_qfim_pure_ghz_heisenberg_entry():
@@ -170,20 +193,9 @@ def test_qfim_pure_ghz_heisenberg_entry():
 def test_qfim_zero_partials():
     space = build_space(3)
     rho = simultaneous_probe(space).projector()
-    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
-    q = qfim(rho, [zero, zero, zero])
+    zero = 0.0 * collective_operator(space, "z")
+    q = qfim(rho, (zero, zero, zero))
     assert np.max(np.abs(q.entries)) == 0.0
-
-
-def test_qfim_refuses_partials_between_sectors():
-    # a derivative with an entry between the sectors j = 3/2 and j = 1/2
-    space = build_space(3)
-    rho = simultaneous_probe(space).projector()
-    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
-    between = zero.copy()
-    between[0, 4] = between[4, 0] = 1e-3
-    with pytest.raises(InvalidArgument, match="between two sectors"):
-        qfim(rho, [zero, between, zero])
 
 
 def _random_block_state(rng, spectra):
@@ -263,7 +275,7 @@ def test_unitary_family_derivative_is_the_gap_times_the_rotated_generator():
                    for k in range(3)]
     commutator_form = _qfim_entries(*_in_eigenbasis(rho_blocks, commutators))
     rho = DensityOperator(space, block_diag(*rho_blocks))
-    public = qfim(rho, [block_diag(*parts) for parts in commutators]).entries
+    public = qfim(rho, [BlockOperator(space, tuple(parts)) for parts in commutators]).entries
     scale = np.max(np.abs(public))
     assert scale > 1.0
     assert np.max(np.abs(gap_form - commutator_form)) < 1e-12 * scale
@@ -343,7 +355,7 @@ def test_cfim_saturates_bound_in_symmetric_ray_basis():
     field = FieldParams((0.0, 0.0, 0.01))
     spec = NoiseSpec(NoiseKind.NONE, 0.0, AXIS_Z)
     res, partials, q = qfim_pipeline(space, ghz_state(space, "z"), field, spec, 1.3)
-    _, vecs = np.linalg.eigh(2.0 * partials[2])
+    _, vecs = np.linalg.eigh(2.0 * partials[2].to_dense())
     povm = PovmSet([np.outer(vecs[:, i], vecs[:, i].conj())
                     for i in range(vecs.shape[1])])
     f = cfim(res.rho, partials, povm)

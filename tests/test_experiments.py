@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsense import (AssumptionViolated, DensityOperator, ExperimentFailed,
+from spinsense import (AssumptionViolated, BlockOperator, DensityOperator, ExperimentFailed,
                        FieldParams, InvalidArgument, NoiseKind, NoiseSpec,
                        NumericalError, PovmSet, QfimMatrix, StateVector,
                        SweepConfig, SweepScenario, TimeGrid, bound_individual, cfim,
@@ -40,6 +40,10 @@ _SPACE = build_space(3)
 _RHO = ghz_state(_SPACE, "z").projector()
 _FIELD = FieldParams((0.0, 0.0, 0.01))
 _SPEC = NoiseSpec("markovian", 0.05, (0.0, 0.0, 2.0))
+_ZERO = 0.0 * collective_operator(_SPACE, "z")
+_NAN = math.nan * collective_operator(_SPACE, "z")
+_NAN_BETWEEN = _RHO.matrix
+_NAN_BETWEEN[0, 4] = _NAN_BETWEEN[4, 0] = math.nan
 
 
 def _qfim_of(**meta):
@@ -205,7 +209,23 @@ def test_sweep_config_validation():
     lambda: coherent_state(_SPACE, True, 0.0),
     lambda: fit_power_law([(10, 1.0), (12, 2.0), (14, 3.0)], n_min=True),
     lambda: NoiseSpec("markovian", np.bool_(True), (0, 0, 2)),
-    lambda: cfim(_RHO, [np.zeros((6, 6))] * 3, [np.eye(2)]),
+    lambda: cfim(_RHO, [_ZERO] * 3, [np.eye(2)]),
+    lambda: qfim(_RHO, [np.zeros((6, 6))] * 3),
+    lambda: cfim(_RHO, [np.zeros((6, 6))] * 3, [np.eye(6)]),
+    lambda: qfim(_RHO, [_ZERO, _ZERO, collective_operator(build_space(4), "z")]),
+    lambda: cfim(_RHO, [_ZERO, _ZERO, collective_operator(build_space(4), "z")], [np.eye(6)]),
+    lambda: qfim(_RHO, [_ZERO] * 2),
+    lambda: qfim(_RHO, [_ZERO, _NAN, _ZERO]),
+    lambda: cfim(_RHO, [_ZERO, _NAN, _ZERO], [np.eye(6)]),
+    lambda: DensityOperator(build_space(1), np.full((2, 2), np.nan)),
+    lambda: DensityOperator(_SPACE, _NAN_BETWEEN),
+    lambda: DensityOperator(_SPACE, BlockOperator(_SPACE, (np.full((4, 4), np.inf),
+                                                           np.zeros((2, 2))))),
+    lambda: PovmSet([np.full((2, 2), np.nan)]),
+    lambda: BlockOperator(_SPACE, ([[0.0] * 4] * 4, np.zeros((2, 2)))),
+    lambda: BlockOperator(_SPACE, ("abcd", np.zeros((2, 2)))),
+    lambda: BlockOperator(None, _ZERO.blocks),
+    lambda: BlockOperator(_SPACE, None),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -245,7 +265,13 @@ def test_sweep_config_validation():
         "hilbert-reference-spec-none", "scan-config-text", "apply-ndarray",
         "propagate-ndarray", "apply-matrix", "apply-other-space", "expectation-ndarray",
         "expectation-matrix", "gamma-bool", "grid-start-bool", "total-time-bool",
-        "coherent-theta-bool", "fit-n-min-bool", "gamma-numpy-bool", "cfim-povm-shape"])
+        "coherent-theta-bool", "fit-n-min-bool", "gamma-numpy-bool", "cfim-povm-shape",
+        "qfim-partials-ndarray", "cfim-partials-ndarray", "qfim-partials-other-space",
+        "cfim-partials-other-space", "qfim-partials-two",
+        "qfim-partials-nan", "cfim-partials-nan", "density-operator-nan",
+        "density-operator-nan-between", "density-operator-inf-blocks", "povm-nan",
+        "block-operator-list-block", "block-operator-text-block", "block-operator-space-none",
+        "block-operator-blocks-none"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -1033,7 +1059,7 @@ def test_noisy_sweep_refuses_nonparallel_field():
     sweep_time(replace(cfg, field=(-0.01, -0.01, -0.01)))
 
 
-# (field, axis) pairs of the dense-pipeline comparison; "off-axis" is a field
+# (field, axis) pairs of the pointwise-pipeline comparison; "off-axis" is a field
 # off the noise axis, which only a noiseless sweep accepts
 FRAMES = {
     "default": {},
@@ -1060,7 +1086,8 @@ FRAMES = {
 def test_sweep_bounds_match_dense_pipeline(n, kind, scenario, frame):
     # the grid-batched sector-block evaluation in the noise frame (the field
     # frame without noise) against evolve -> partial_rho -> qfim -> bound on
-    # the dense rotated state; under noise both refuse a field off the axis
+    # the rotated state's sector blocks in the lab frame; under noise both
+    # refuse a field off the axis
     cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, gamma=0.05,
                       grid=TimeGrid(count=12, start=0.05, stop=100.0), **FRAMES[frame])
     if frame == "off-axis" and kind is not NoiseKind.NONE:
@@ -1076,6 +1103,26 @@ def test_sweep_bounds_match_dense_pipeline(n, kind, scenario, frame):
     assert well.sum() >= 6
     rel = np.abs(got[well] - expected[well]) / np.abs(expected[well])
     assert rel.max() < 1e-9
+
+
+@pytest.mark.parametrize("n, kind, scenario", [
+    (48, kind, scenario) for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN)
+    for scenario in SweepScenario] + [(96, NoiseKind.MARKOVIAN, SweepScenario.SIMULTANEOUS)])
+def test_sweep_bounds_match_pointwise_pipeline_at_large_n(n, kind, scenario):
+    # the transfer kernels, windows, ladder Grams and chunks at large N against
+    # evolve -> partial_rho -> qfim -> bound on sector blocks, at three grid
+    # times across the coarse dip of the acceptance grid
+    cfg = SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=SMALL_GRID)
+    coarse = sweep_time(cfg)
+    i = coarse.refinement.grid_index
+    assert not coarse.refinement.boundary
+    cfg = replace(cfg, grid=TimeGrid(3, coarse.times[i - 1], coarse.times[i + 1]))
+    expected, conds = _pointwise_bounds(cfg)
+    got = sweep_time(cfg).bounds
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    well = conds < 1e6
+    assert well.all()
+    assert np.max(np.abs(got[well] / expected[well] - 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [NoiseKind.MARKOVIAN, NoiseKind.NONE])

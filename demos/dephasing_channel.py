@@ -16,7 +16,7 @@ from spinsense import (NoiseKind, NoiseSpec, build_dephasing_superoperator,
                        build_space, build_transfer_kernels, dephase, ghz_state,
                        simultaneous_probe)
 from spinsense.dephasing import gamma_profile, integrated_strength
-from spinsense.dicke import BlockOperator, DensityOperator
+from spinsense.dicke import BlockOperator, StateVector
 
 AXIS = (2.0 / math.sqrt(3.0),) * 3
 
@@ -38,7 +38,7 @@ print()
 # exp(-4 Theta(t)) while populations are untouched
 space1 = build_space(1)
 plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-rho0 = DensityOperator(space1, np.outer(plus, plus))
+rho0 = StateVector(space1, plus).projector()
 spec_z = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, (0.0, 0.0, 2.0))
 lsup1 = build_dephasing_superoperator(space1, spec_z)
 print(f"{'t':>6} {'|rho_01|':>10} {'exp(-4 Theta)':>14}")
@@ -109,7 +109,7 @@ print()
 # dephased sector block becomes real once P is taken off both sides. Here
 # dephase (chain exponentials) of the joint probe at t = 5
 probe = simultaneous_probe(space)
-phi = lsup.rotation.blocks[0].conj().T @ probe.amplitudes[:space.max_sector.dim]
+phi = lsup.rotation.blocks[0].conj().T @ probe.amplitudes
 e = np.exp(1j * np.angle(phi))
 rho = dephase(probe.projector(), lsup, mark, 5.0)
 imag_before = imag_after = 0.0

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DickeSpace, _blocks_of, collective_operator
+from .dicke import BlockOperator, DickeSpace, _blocks_of, _collective_exponential
 from .errors import (InvalidArgument, _array, _instance, _member, _nonnegative, _strengths,
                      _vector)
 
@@ -262,11 +262,7 @@ def axis_frame(space, axis):
     beta k . J block, and U^dag J_a U = sum_b R[a, b] J_b.
     """
     beta, k, r = _frame_rotation(axis)
-    blocks = []
-    for sector in zip(*(collective_operator(space, a).blocks for a in "xyz")):
-        w, v = np.linalg.eigh(sum(c * j for c, j in zip(beta * k, sector)))
-        blocks.append((v * np.exp(-1j * w)) @ v.conj().T)
-    return BlockOperator(space, tuple(blocks)), r
+    return _collective_exponential(space, beta * k), r
 
 
 def build_dephasing_superoperator(space, spec):

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, InvalidArgument, _array, _count, _instance, _real
+from .errors import (DegenerateProbe, InvalidArgument, NumericalError, _array, _count, _instance,
+                     _real)
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
@@ -111,19 +113,6 @@ class DickeSpace:
     sectors: tuple
     total_dim: int
 
-    def sector(self, twoj):
-        for s in self.sectors:
-            if s.twoj == twoj:
-                return s
-        raise InvalidArgument(f"no sector with 2j={twoj} for N={self.n_particles}")
-
-    def index(self, twoj, twom):
-        """Flat basis index of |j, m> given 2j and 2m."""
-        s = self.sector(twoj)
-        if abs(twom) > twoj or (twoj - twom) % 2:
-            raise InvalidArgument(f"2m={twom} invalid in sector 2j={twoj}")
-        return s.offset + (twoj - twom) // 2
-
     @property
     def max_sector(self):
         return self.sectors[0]
@@ -155,19 +144,24 @@ def build_space(n_particles):
 class BlockOperator:
     """Operator that is block diagonal over the total-spin sectors.
 
-    Blocks: one ndarray per sector, in sector order, held as given; else InvalidArgument.
+    Blocks: one ndarray of integers, reals or complex numbers per sector, in
+    sector order, held as given; else InvalidArgument. A scalar factor must
+    be one real or complex number.
     """
 
     space: DickeSpace
     blocks: tuple
+
+    __array_ufunc__ = None  # array * op calls __rmul__, which refuses the array
 
     def __post_init__(self):
         sectors = _instance(self.space, DickeSpace, "space").sectors
         if not isinstance(self.blocks, (tuple, list)) or len(self.blocks) != len(sectors):
             raise InvalidArgument("one block per sector required")
         for s, b in zip(sectors, self.blocks):
-            if not isinstance(b, np.ndarray) or b.shape != (s.dim, s.dim):
-                raise InvalidArgument(f"block for 2j={s.twoj} must be an ndarray of shape "
+            if not isinstance(b, np.ndarray) or b.shape != (s.dim, s.dim) \
+                    or b.dtype.kind not in "iufc":
+                raise InvalidArgument(f"block for 2j={s.twoj} must be a numeric ndarray of shape "
                                       f"{(s.dim, s.dim)}")
 
     def to_dense(self):
@@ -194,6 +188,8 @@ class BlockOperator:
         return self._pairwise(other, np.matmul)
 
     def __mul__(self, scalar):
+        if isinstance(scalar, (bool, np.bool_)) or not isinstance(scalar, numbers.Complex):
+            raise InvalidArgument(f"a BlockOperator scales by one number, got {scalar!r}")
         return BlockOperator(self.space, tuple(scalar * b for b in self.blocks))
 
     __rmul__ = __mul__
@@ -213,21 +209,6 @@ class BlockOperator:
         ends = np.cumsum([s.dim ** 2 for s in space.sectors])[:-1]
         return cls(space, tuple(f.reshape(s.dim, s.dim)
                                 for s, f in zip(space.sectors, np.split(flat, ends))))
-
-
-def _sector_blocks(space, matrix, what):
-    """The sector blocks of a d x d matrix as a BlockOperator. A collective
-    state has no entry between two sectors: one above 1e-10, like another
-    shape or a non-finite entry, is InvalidArgument."""
-    mat = _array(matrix, what)
-    d = space.total_dim
-    if mat.shape != (d, d) or not np.isfinite(mat).all():
-        raise InvalidArgument(f"{what} must be a finite ({d}, {d}) array, got shape {mat.shape}")
-    cuts = [slice(s.offset, s.offset + s.dim) for s in space.sectors]
-    op = BlockOperator(space, tuple(np.array(mat[sl, sl]) for sl in cuts))
-    if np.max(np.abs(mat - op.to_dense())) > 1e-10:
-        raise InvalidArgument(f"{what} has an entry between two sectors above 1e-10")
-    return op
 
 
 def _spin_block(twoj, kind):
@@ -257,57 +238,61 @@ def collective_operator(space, kind):
     return BlockOperator(space, tuple(_spin_block(s.twoj, kind) for s in space.sectors))
 
 
+def _collective_exponential(space, v, t=1.0):
+    """exp(-i v . J t) as a BlockOperator, from one eigh of each sector's
+    v . J block; a failed eigh is NumericalError."""
+    ops = zip(*(collective_operator(space, a).blocks for a in "xyz"))
+    try:
+        eig = [np.linalg.eigh(sum(c * j for c, j in zip(v, sector))) for sector in ops]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"collective rotation diagonalization failed: {exc}") from exc
+    return BlockOperator(space, tuple((u * np.exp(-1j * w * t)) @ u.conj().T for w, u in eig))
+
+
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state over the stacked (j, m) basis. Unit norm is enforced."""
+    """Pure symmetric state: its N + 1 amplitudes on the maximal sector
+    j = N/2, m decreasing. That sector has multiplicity 1, so the amplitudes
+    are an N-spin state. Finite entries and unit norm (1e-12) are enforced."""
 
     space: DickeSpace
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = _array(self.amplitudes, "amplitudes")
-        d = _instance(self.space, DickeSpace, "space").total_dim
-        if amp.shape != (d,):
-            raise InvalidArgument(f"amplitudes have shape {amp.shape}, expected ({d},)")
+        dim = _instance(self.space, DickeSpace, "space").max_sector.dim
+        if amp.shape != (dim,) or not np.isfinite(amp).all():
+            raise InvalidArgument(f"amplitudes must be {dim} finite numbers, got shape {amp.shape}")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise InvalidArgument(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "amplitudes", amp)
 
     def projector(self):
-        """|psi><psi| block by block; one with an entry between two sectors
-        above 1e-10 (the product of the two largest sector peaks) is refused."""
-        parts = [self.amplitudes[s.offset:s.offset + s.dim] for s in self.space.sectors]
-        peaks = [0.0] + sorted(np.abs(p).max() for p in parts)
-        if peaks[-2] * peaks[-1] > 1e-10:
-            raise InvalidArgument("projector has an entry between two sectors above 1e-10")
-        return DensityOperator(self.space, BlockOperator(
-            self.space, tuple(np.outer(p, p.conj()) for p in parts)))
-
-    def max_sector_weight(self):
-        s = self.space.max_sector
-        block = self.amplitudes[s.offset:s.offset + s.dim]
-        return float(np.vdot(block, block).real)
+        """|psi><psi| as a DensityOperator: one maximal-sector block, zero elsewhere."""
+        top = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityOperator(self.space, BlockOperator(self.space, (top,) + tuple(
+            np.zeros((s.dim, s.dim), dtype=complex) for s in self.space.sectors[1:])))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed state over the stacked basis, held as its sector blocks: a
-    BlockOperator of the space, or a d x d matrix split by _sector_blocks;
-    matrix is the d x d view, built on each read. Finite entries, Hermiticity
-    (1e-10), unit trace (1e-10) and positivity (eigenvalues >= -1e-8) hold."""
+    """Mixed collective state, held as its sector blocks: a BlockOperator of
+    the space, or the blocks of a DensityOperator (_blocks_of); anything
+    else, a d x d array too, is InvalidArgument. Finite entries,
+    Hermiticity (1e-10), unit trace (1e-10) and positivity (eigenvalues
+    >= -1e-8) hold. blocks.to_dense() is the d x d view."""
 
     space: DickeSpace
     blocks: BlockOperator
 
     def __post_init__(self):
-        space = _instance(self.space, DickeSpace, "space")
-        blocks = _blocks_of(self.blocks, space, "density matrix") if isinstance(
-            self.blocks, BlockOperator) else _sector_blocks(space, self.blocks, "density matrix")
+        blocks = _blocks_of(self.blocks, _instance(self.space, DickeSpace, "space"),
+                            "density matrix")
         if not all(np.isfinite(b).all() for b in blocks.blocks):
             raise InvalidArgument("density matrix has an entry that is not finite")
         if max(np.max(np.abs(b - b.conj().T)) for b in blocks.blocks) > 1e-10:
@@ -319,12 +304,11 @@ class DensityOperator:
             raise InvalidArgument("density matrix has an eigenvalue below -1e-8")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def matrix(self):
-        return self.blocks.to_dense()
-
     def purity(self):
-        return float(sum(np.einsum("ij,ji->", b, b).real for b in self.blocks.blocks))
+        """tr(rho^2) of the N-spin state: sector s's block is shared over its
+        d_N^j copies (embed_collective), so sum_s tr(rho_s^2) / d_N^j."""
+        return float(sum(np.einsum("ij,ji->", b, b).real / s.multiplicity
+                         for s, b in zip(self.space.sectors, self.blocks.blocks)))
 
     def sector_weights(self):
         """Population carried by each total-spin sector."""
@@ -354,9 +338,8 @@ def _power_state(space, spinors):
     """The sum of the N-fold powers of the one-spin states (rows of spinors),
     normalised, as a StateVector on the maximal sector; a norm below 1e-10
     before normalisation raises DegenerateProbe."""
-    s = _instance(space, DickeSpace, "space").max_sector
-    amplitudes = np.zeros(space.total_dim, dtype=complex)
-    amplitudes[s.offset:s.offset + s.dim] = _spinor_powers(s.twoj, spinors).sum(axis=0)
+    amplitudes = _spinor_powers(_instance(space, DickeSpace, "space").n_particles,
+                                spinors).sum(axis=0)
     norm = np.linalg.norm(amplitudes)
     if norm < 1e-10:
         raise DegenerateProbe("superposed probe has vanishing norm")
@@ -372,7 +355,7 @@ def coherent_state(space, theta, phi):
         <j, m | theta, phi> = sqrt(C(2j, j+m)) cos(theta/2)^(j+m)
                               sin(theta/2)^(j-m) exp(-i (j-m) phi)
 
-    and j = N/2; all other sectors carry zero amplitude.
+    and j = N/2, as the N + 1 amplitudes of a StateVector.
     """
     theta, phi = _real(theta, "theta"), _real(phi, "phi")
     if not (math.isfinite(theta) and math.isfinite(phi)):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import BlockOperator, DensityOperator, DickeSpace, StateVector, collective_operator
+from .dicke import (BlockOperator, DensityOperator, DickeSpace, StateVector, _blocks_of,
+                    _collective_exponential, collective_operator)
 from .dephasing import (DephasingSuperoperator, NoiseSpec, _skew, build_dephasing_superoperator,
                         gamma_profile, integrated_strength)
 from .errors import (AssumptionViolated, InvalidArgument, NumericalError, _array, _count,
@@ -81,11 +82,7 @@ def _rotation_integral(phi, t):
 def unitary(space, field, t):
     """Propagator exp(-i phi . J t) of the field Hamiltonian, one eigh per sector."""
     t = _nonnegative(t, "t")
-    try:
-        eig = [np.linalg.eigh(block) for block in hamiltonian(space, field).blocks]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"field Hamiltonian diagonalization failed: {exc}") from exc
-    return BlockOperator(space, tuple((v * np.exp(-1j * w * t)) @ v.conj().T for w, v in eig))
+    return _collective_exponential(space, _instance(field, FieldParams, "field").phi, t)
 
 
 def dephase(rho0, superoperator, spec, t):
@@ -307,23 +304,22 @@ def coupled_multiplets(n):
 
 
 def embed_collective(rho, multiplets):
-    """Lift a collective density matrix to the 2^N product space.
+    """Lift a collective operator to the 2^N product space.
 
-    Sector weight is shared uniformly over the degenerate multiplet copies,
-    which is the unique trace-preserving permutation-invariant assignment.
-    Reads only rho.space, a DickeSpace, and rho.matrix (once), so any
-    collective matrix lifts, a DensityOperator or not.
+    Each sector block is shared uniformly over the degenerate multiplet
+    copies, which is the unique trace-preserving permutation-invariant
+    assignment. rho is a DensityOperator or any BlockOperator (L[rho], say);
+    its blocks are read through _blocks_of.
     """
     space = _instance(getattr(rho, "space", None), DickeSpace, "rho.space")
+    blocks = _blocks_of(rho, space, "rho").blocks
     _instance(multiplets, dict, "multiplets")
     dim_full = 2 ** space.n_particles
-    matrix, out = rho.matrix, np.zeros((dim_full, dim_full), dtype=complex)
-    for sec in space.sectors:
+    out = np.zeros((dim_full, dim_full), dtype=complex)
+    for sec, block in zip(space.sectors, blocks):
         copies = multiplets.get(sec.twoj, [])
         if not isinstance(copies, (list, tuple)) or len(copies) != sec.multiplicity:
             raise InvalidArgument("multiplet count does not match sector multiplicity")
-        sl = slice(sec.offset, sec.offset + sec.dim)
-        block = matrix[sl, sl]
         for rows in copies:
             rows = _array(rows, "multiplet rows")
             if rows.shape != (sec.dim, dim_full):
@@ -360,19 +356,20 @@ class HilbertComparison:
 
 
 def full_hilbert_reference(n_particles, initial, field, spec, t):
-    """Brute-force product-space dynamics for a max-sector initial state.
+    """Brute-force product-space dynamics for a symmetric initial state.
 
     Each spin sees the same field and its own bath, so the N-spin evolution
     is Lambda_t applied to every site, with Lambda_t the channel of one spin.
     Its 4 x 4 matrix on row-major vec(rho) is integrated by RK4 from
     d Lambda / du = [-i(h x 1 - 1 x h^T) + 2 gamma_u (s x s^T - 1)] Lambda,
     h = phi . sigma/2 and s = axis . sigma/2, for any field and noise kind.
-    The lifted initial state (a tensor with row index k and column index
-    N + k on site k) is contracted with it site by site, with no collective
-    reduction anywhere. Reports the first and second collective moments from
-    both the product-space solution and the collective fast path, together
-    with the fidelity and the largest entry deviation between the fast-path
-    state lifted to the product space and the brute-force state.
+    The N + 1 initial amplitudes, lifted through the j = N/2 multiplet (a
+    tensor with row index k and column index N + k on site k), are contracted
+    with it site by site, with no collective reduction anywhere. Reports the
+    first and second collective moments from both the product-space solution
+    and the collective fast path, together with the fidelity and the largest
+    entry deviation between the fast-path state lifted to the product space
+    and the brute-force state.
     """
     n = _count(n_particles, "n_particles", 1)
     if n > _HILBERT_MAX_N:
@@ -384,13 +381,9 @@ def full_hilbert_reference(n_particles, initial, field, spec, t):
     _instance(spec, NoiseSpec, "spec")
     if space.n_particles != n:
         raise InvalidArgument("initial state lives on a different particle number")
-    if initial.max_sector_weight() < 1.0 - 1e-12:
-        raise InvalidArgument("initial state must be supported on the maximal sector")
 
     multiplets = coupled_multiplets(n)
-    top = multiplets[space.max_sector.twoj][0]
-    sec = space.max_sector
-    psi_full = top.conj().T @ initial.amplitudes[sec.offset:sec.offset + sec.dim]
+    psi_full = multiplets[n][0].conj().T @ initial.amplitudes
 
     h, s = (sum(c * _PAULI[a] for c, a in zip(vec, _AXES)) / 2.0
             for vec in (field.phi, spec.axis))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import warnings
 import dataclasses
 from dataclasses import dataclass, replace
 
@@ -620,22 +619,14 @@ def husimi_grid(shape=(181, 360)):
 def husimi_map(state, shape=(181, 360)):
     """Overlap density |<theta, phi | psi>|^2 with spin-coherent states.
 
-    The probe is projected onto the maximal sector; weight elsewhere is
-    dropped with a warning since coherent states only resolve the top block.
-    Rows run over theta in [0, pi], columns over phi in [0, 2 pi).
+    Both live on the maximal sector, where a StateVector holds its N + 1
+    amplitudes. Rows run over theta in [0, pi], columns over phi in [0, 2 pi).
     """
-    space = _instance(state, StateVector, "state").space
+    psi = _instance(state, StateVector, "state").amplitudes
     thetas, phis = husimi_grid(shape)
-    sec = space.max_sector
-    psi = state.amplitudes[sec.offset:sec.offset + sec.dim]
-    off_weight = 1.0 - float(np.vdot(psi, psi).real)
-    if off_weight > 1e-12:
-        warnings.warn(
-            f"probe carries weight {off_weight:.3e} outside the maximal sector; "
-            "projecting", stacklevel=2)
     # the conjugate coherent amplitudes: their real values at phi = 0 times e^{i k phi}
-    rows = _spinor_powers(sec.twoj, np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], -1))
-    return np.abs((rows * psi) @ np.exp(1j * np.outer(np.arange(sec.dim), phis))) ** 2
+    rows = _spinor_powers(psi.size - 1, np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], -1))
+    return np.abs((rows * psi) @ np.exp(1j * np.outer(np.arange(psi.size), phis))) ** 2
 
 
 def husimi_normalization(qmap, multiplet_dim):
@@ -644,10 +635,12 @@ def husimi_normalization(qmap, multiplet_dim):
     Returns (2j+1)/(4 pi) * integral Q sin(theta) dtheta dphi evaluated with
     the trapezoid rule in theta and the periodic rectangle rule in phi; the
     result approaches 1 for a normalized max-sector state as the grid grows.
-    multiplet_dim is the sector dimension 2j+1 = N+1.
+    multiplet_dim is the sector dimension 2j+1 = N+1, finite and positive.
     """
     qmap = _array(qmap, "Husimi map", float)
     multiplet_dim = _real(multiplet_dim, "multiplet_dim")
+    if not (math.isfinite(multiplet_dim) and multiplet_dim > 0.0):
+        raise InvalidArgument(f"multiplet_dim must be finite and positive, got {multiplet_dim}")
     if qmap.ndim != 2:
         raise InvalidArgument(f"a Husimi map must be 2-D, got shape {qmap.shape}")
     n_theta, n_phi = qmap.shape

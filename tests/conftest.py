@@ -39,9 +39,7 @@ def direct_product_space():
     2^N x 2^N density matrix with one coupling operator per site. The
     product-space oracle's independent check: it shares no channel with it."""
     def moments(n, initial, field, spec, t):
-        sec = initial.space.max_sector
-        psi = coupled_multiplets(n)[sec.twoj][0].conj().T \
-            @ initial.amplitudes[sec.offset:sec.offset + sec.dim]
+        psi = coupled_multiplets(n)[n][0].conj().T @ initial.amplitudes
         dim = 2 ** n
         jops = [_collective_full(n, a) for a in "xyz"]
         ham = sum(p * j for p, j in zip(field.phi, jops))

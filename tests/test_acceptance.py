@@ -299,7 +299,7 @@ def test_criterion_10_property_suites():
         for probe in probes:
             for t in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
                 rho = evolve(probe.projector(), FIELD_DIAG, spec, t).rho
-                mat = rho.matrix
+                mat = rho.blocks.to_dense()
                 assert abs(np.trace(mat).real - 1.0) < 1e-10
                 assert float(np.max(np.abs(mat - mat.conj().T))) < 1e-10
                 assert float(np.linalg.eigvalsh(mat).min()) > -1e-10

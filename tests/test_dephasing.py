@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,11 +468,10 @@ def test_transfer_kernels_match_propagate():
             space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis))
         rng = np.random.default_rng(80 + n)
         top = space.max_sector.dim
-        psi = np.zeros(space.total_dim, dtype=complex)
-        psi[:top] = rng.standard_normal(top) + 1j * rng.standard_normal(top)
+        psi = rng.standard_normal(top) + 1j * rng.standard_normal(top)
         psi /= np.linalg.norm(psi)
         rotation = lsup.rotation.blocks
-        phi = rotation[0].conj().T @ psi[:top]
+        phi = rotation[0].conj().T @ psi
         x = np.outer(phi, phi.conj())
         thetas = [0.0, 0.05, 0.7, 6.0]
         kernels = build_transfer_kernels(space).at(thetas)
@@ -516,7 +514,8 @@ def test_dephasing_refuses_a_bad_strength(method, theta):
     space = build_space(3)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG))
-    rho = DensityOperator(space, np.eye(space.total_dim) / space.total_dim)
+    rho = DensityOperator(space, BlockOperator(space, tuple(
+        np.eye(s.dim) / space.total_dim for s in space.sectors)))
     with pytest.raises(InvalidArgument, match="theta"):
         if method == "propagate":
             lsup.propagate(rho, theta)
@@ -560,18 +559,16 @@ def test_generator_matches_product_space():
         space = build_space(n)
         multiplets = coupled_multiplets(n)
         rho = random_blocks(np.random.default_rng(60 + n), space)
-        # embed_collective reads only .space and .matrix; neither rho nor
-        # L[rho] (trace 0) is a density operator
-        lifted = embed_collective(SimpleNamespace(space=space, matrix=rho.to_dense()),
-                                  multiplets)
+        # neither rho nor L[rho] (trace 0) is a density operator;
+        # embed_collective lifts their blocks
+        lifted = embed_collective(rho, multiplets)
         for axis in (AXIS_Z, AXIS_DIAG, AXIS_TILT):
             spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, axis)
             single = sum(c * _PAULI[a] for c, a in zip(spec.axis, "xyz")) / 2.0
             sites = [_site_operator(n, k, single) for k in range(n)]
             expected = 2.0 * (sum(a @ lifted @ a for a in sites) - n * lifted)
             out = build_dephasing_superoperator(space, spec).apply(rho)
-            got = embed_collective(SimpleNamespace(space=space, matrix=out.to_dense()),
-                                   multiplets)
+            got = embed_collective(out, multiplets)
             assert np.max(np.abs(got - expected)) < 1e-10
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from spinsense import (BlockOperator, DensityOperator, FieldParams, InvalidArgument, NoiseSpec,
                        StateVector, build_space, coherent_state,
-                       collective_operator, cumulative_degeneracy, degeneracy,
-                       dicke_dimension, full_hilbert_reference, ghz_state,
-                       simultaneous_probe)
+                       collective_operator, coupled_multiplets, cumulative_degeneracy, degeneracy,
+                       dicke_dimension, embed_collective, evolve, full_hilbert_reference,
+                       ghz_state, simultaneous_probe)
 from spinsense.dicke import _spinor_powers
 
 SQ3 = math.sqrt(3.0)
@@ -110,17 +110,6 @@ def test_space_layout():
         assert np.allclose(s.m_values(), np.arange(s.j, -s.j - 1.0, -1.0))
 
 
-def test_index_lookup_roundtrip():
-    space = build_space(5)
-    seen = set()
-    for s in space.sectors:
-        for twom in range(s.twoj, -s.twoj - 1, -2):
-            idx = space.index(s.twoj, twom)
-            assert 0 <= idx < space.total_dim
-            seen.add(idx)
-    assert len(seen) == space.total_dim
-
-
 def test_collective_x_matrix_three_spins():
     # j=3/2 block has the sqrt(3)/2, 1, sqrt(3)/2 ladder profile, the j=1/2
     # block is the Pauli x/2; everything off the blocks vanishes
@@ -181,7 +170,7 @@ def test_block_operator_algebra_matches_dense():
                                    for s in space.sectors))
     w = m @ m.dagger()
     rho = DensityOperator(space, w * (1.0 / sum(np.trace(b).real for b in w.blocks)))
-    assert abs(jx.expectation(rho) - np.trace(dx @ rho.matrix)) < 1e-12
+    assert abs(jx.expectation(rho) - np.trace(dx @ rho.blocks.to_dense())) < 1e-12
     assert jx.expectation(rho.blocks) == jx.expectation(rho)
 
 
@@ -190,13 +179,12 @@ def test_coherent_state_poles():
     north = coherent_state(space, 0.0, 0.0).amplitudes
     assert abs(north[0] - 1.0) < 1e-14 and np.max(np.abs(north[1:])) < 1e-14
     south = coherent_state(space, math.pi, 0.3).amplitudes
-    top = space.max_sector
-    assert abs(abs(south[top.dim - 1]) - 1.0) < 1e-14
+    assert abs(abs(south[-1]) - 1.0) < 1e-14
 
 
 def test_coherent_state_equator_amplitudes():
     amps = coherent_state(build_space(2), math.pi / 2.0, 0.0).amplitudes
-    expect = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5, 0.0])
+    expect = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5])
     assert np.max(np.abs(amps - expect)) < 1e-14
 
 
@@ -219,13 +207,13 @@ def test_spinor_power_binomials_are_exact():
 def test_ghz_even_and_odd_signs():
     space = build_space(2)
     amps = ghz_state(space, "z").amplitudes
-    expect = np.zeros(4)
+    expect = np.zeros(3)
     expect[0] = expect[2] = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(amps - expect)) < 1e-14
     # odd N: the antipodal coherent state carries a (-1)^(2j) phase
     space3 = build_space(3)
     amps3 = ghz_state(space3, "z").amplitudes
-    expect3 = np.zeros(6)
+    expect3 = np.zeros(4)
     expect3[0] = 1.0 / math.sqrt(2.0)
     expect3[3] = -1.0 / math.sqrt(2.0)
     assert np.max(np.abs(amps3 - expect3)) < 1e-14
@@ -245,13 +233,17 @@ def test_ghz_supported_on_top_sector(n):
     space = build_space(n)
     for axis in "xyz":
         sv = ghz_state(space, axis)
+        assert sv.amplitudes.shape == (n + 1,)
         assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
-        assert sv.max_sector_weight() > 1.0 - 1e-12
+        # the projector is the amplitudes' outer product, zero in every other sector
+        rho = sv.projector()
+        assert np.array_equal(rho.blocks.blocks[0], np.outer(sv.amplitudes, sv.amplitudes.conj()))
+        assert all(not b.any() for b in rho.blocks.blocks[1:])
 
 
 def test_simultaneous_probe_two_spins():
     amps = simultaneous_probe(build_space(2)).amplitudes
-    expect = np.array([3.0, 0.0, 1.0, 0.0]) / math.sqrt(10.0)
+    expect = np.array([3.0, 0.0, 1.0]) / math.sqrt(10.0)
     assert np.max(np.abs(amps - expect)) < 1e-12
 
 
@@ -270,39 +262,50 @@ def test_probe_construction_is_deterministic():
 def test_state_vector_rejects_bad_norm_and_shape():
     space = build_space(2)
     with pytest.raises(InvalidArgument):
-        StateVector(space, np.array([1.0, 1.0, 0.0, 0.0]))
+        StateVector(space, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(InvalidArgument):
         StateVector(space, np.zeros(3))
+    # the stacked (j, m) vector of all d = 4 entries is not a StateVector
+    with pytest.raises(InvalidArgument):
+        StateVector(space, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def _diagonal(space, *diagonals):
+    """BlockOperator with the given diagonal per sector."""
+    return BlockOperator(space, tuple(np.diag(np.asarray(d, dtype=complex)) for d in diagonals))
 
 
 def test_density_operator_validation():
     space = build_space(2)
-    good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    good = _diagonal(space, [0.5, 0.25, 0.25], [0.0])
     rho = DensityOperator(space, good)
     assert abs(rho.purity() - (0.25 + 0.0625 + 0.0625)) < 1e-12
     weights = rho.sector_weights()
     assert np.allclose(weights, [1.0, 0.0])
+    assert DensityOperator(space, rho).blocks is rho.blocks
     bad_trace = good * 1.5
     with pytest.raises(InvalidArgument):
         DensityOperator(space, bad_trace)
-    skew = good.copy()
-    skew[0, 1] = 0.1
+    skew = BlockOperator(space, (good.blocks[0].copy(), good.blocks[1]))
+    skew.blocks[0][0, 1] = 0.1
     with pytest.raises(InvalidArgument):
         DensityOperator(space, skew)
-    negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(InvalidArgument):
-        DensityOperator(space, negative)
-    # a valid state on the product space, with a coherence between the
-    # sectors j = 1 and j = 0: refused, and kept within 1e-10 of zero
-    between = np.full((4, 4), 0.25, dtype=complex)
-    with pytest.raises(InvalidArgument, match="between two sectors"):
-        DensityOperator(space, between)
-    between[:3, 3] = between[3, :3] = 1e-11
-    assert np.array_equal(DensityOperator(space, between).blocks.blocks[1], [[0.25]])
+        DensityOperator(space, _diagonal(space, [1.2, -0.2, 0.0], [0.0]))
+    # the d x d matrix of a valid state is no longer an input
+    with pytest.raises(InvalidArgument, match="BlockOperator or DensityOperator"):
+        DensityOperator(space, good.to_dense())
 
 
-def test_projector_of_a_state_over_two_sectors_is_refused():
-    space = build_space(2)
-    spread = StateVector(space, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-    with pytest.raises(InvalidArgument, match="between two sectors"):
-        spread.projector()
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["markovian", "nonmarkovian"])
+def test_purity_is_the_product_space_purity(n, kind):
+    # each sector block is shared over its d_N^j copies, so tr(rho^2) of the
+    # N-spin state divides each block's tr(rho_s^2) by d_N^j
+    space = build_space(n)
+    res = evolve(ghz_state(space, "x").projector(), FieldParams((0.0, 0.0, 0.01)),
+                 NoiseSpec(kind, 0.05, (0.0, 0.0, 2.0)), 3.0)
+    for rho in (res.rho_dephased, res.rho, simultaneous_probe(space).projector()):
+        lifted = embed_collective(rho, coupled_multiplets(n))
+        assert abs(rho.purity() - np.trace(lifted @ lifted).real) < 1e-12
+    assert res.rho.purity() < 0.9

@@ -14,7 +14,7 @@ import spinsense
 
 from spinsense import (AssumptionViolated, BlockOperator, DensityOperator,
                        DephasingSuperoperator, FieldParams, InvalidArgument, NoiseKind,
-                       NoiseSpec, NumericalError,
+                       NoiseSpec, NumericalError, StateVector,
                        build_space, build_dephasing_superoperator,
                        coupled_multiplets, dephase, embed_collective, evolve,
                        full_gkls_reference, full_hilbert_reference, ghz_state,
@@ -77,7 +77,7 @@ def test_dephase_identity_without_noise():
     spec = NoiseSpec(NoiseKind.NONE, 0.0, AXIS_Z)
     rho0 = simultaneous_probe(space).projector()
     out = dephase(rho0, None, spec, 5.0)
-    assert np.array_equal(out.matrix, rho0.matrix)
+    assert np.array_equal(out.blocks.to_dense(), rho0.blocks.to_dense())
 
 
 def test_dephase_single_spin_coherence_decay():
@@ -85,13 +85,13 @@ def test_dephase_single_spin_coherence_decay():
     gamma, t = 0.1, 2.0
     spec = NoiseSpec(NoiseKind.MARKOVIAN, gamma, AXIS_Z)
     lsup = build_dephasing_superoperator(space, spec)
-    plus = DensityOperator(space, np.full((2, 2), 0.5, dtype=complex))
+    plus = DensityOperator(space, BlockOperator(space, (np.full((2, 2), 0.5, dtype=complex),)))
     out = dephase(plus, lsup, spec, t)
-    assert abs(abs(out.matrix[0, 1]) - math.exp(-4.0 * gamma * t) / 2.0) < 1e-9
+    assert abs(abs(out.blocks.to_dense()[0, 1]) - math.exp(-4.0 * gamma * t) / 2.0) < 1e-9
     # the non-Markovian profile reaches Theta = (gamma t)^2 / 2 instead
     spec_nm = NoiseSpec(NoiseKind.NONMARKOVIAN, gamma, AXIS_Z)
     out_nm = dephase(plus, build_dephasing_superoperator(space, spec_nm), spec_nm, t)
-    assert abs(abs(out_nm.matrix[0, 1]) - math.exp(-2.0 * (gamma * t) ** 2) / 2.0) < 1e-9
+    assert abs(abs(out_nm.blocks.to_dense()[0, 1]) - math.exp(-2.0 * (gamma * t) ** 2) / 2.0) < 1e-9
 
 
 def test_dephase_semigroup_composition():
@@ -101,7 +101,7 @@ def test_dephase_semigroup_composition():
     rho0 = simultaneous_probe(space).projector()
     once = dephase(rho0, lsup, spec, 3.0)
     split = dephase(dephase(rho0, lsup, spec, 1.2), lsup, spec, 1.8)
-    assert np.max(np.abs(once.matrix - split.matrix)) < 1e-9
+    assert np.max(np.abs(once.blocks.to_dense() - split.blocks.to_dense())) < 1e-9
 
 
 def test_dephase_invalid_state_is_a_numerical_fault(monkeypatch):
@@ -170,7 +170,7 @@ def test_evolve_reduces_to_unitary_rotation():
     res = evolve(rho0, FIELD_DIAG, spec, 4.0)
     u = unitary(space, FIELD_DIAG, 4.0)
     u = u.to_dense()
-    assert np.max(np.abs(res.rho.matrix - u @ rho0.matrix @ u.conj().T)) < 1e-12
+    assert np.max(np.abs(res.rho.blocks.to_dense() - u @ rho0.blocks.to_dense() @ u.conj().T)) < 1e-12
 
 
 def test_evolve_split_consistency():
@@ -179,8 +179,8 @@ def test_evolve_split_consistency():
     rho0 = simultaneous_probe(space).projector()
     res = evolve(rho0, FIELD_DIAG, spec, 2.5)
     u = res.unitary.to_dense()
-    rebuilt = u @ res.rho_dephased.matrix @ u.conj().T
-    assert np.max(np.abs(res.rho.matrix - rebuilt)) < 1e-10
+    rebuilt = u @ res.rho_dephased.blocks.to_dense() @ u.conj().T
+    assert np.max(np.abs(res.rho.blocks.to_dense() - rebuilt)) < 1e-10
 
 
 def test_evolve_order_invariance():
@@ -189,10 +189,11 @@ def test_evolve_order_invariance():
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_DIAG)
     lsup = build_dephasing_superoperator(space, spec)
     rho0 = simultaneous_probe(space).projector()
-    u = unitary(space, FIELD_DIAG, 2.0).to_dense()
-    rotate_last = u @ dephase(rho0, lsup, spec, 2.0).matrix @ u.conj().T
-    rotated = DensityOperator(space, u @ rho0.matrix @ u.conj().T)
-    rotate_first = dephase(rotated, lsup, spec, 2.0).matrix
+    ub = unitary(space, FIELD_DIAG, 2.0)
+    u = ub.to_dense()
+    rotate_last = u @ dephase(rho0, lsup, spec, 2.0).blocks.to_dense() @ u.conj().T
+    rotated = DensityOperator(space, ub @ rho0.blocks @ ub.dagger())
+    rotate_first = dephase(rotated, lsup, spec, 2.0).blocks.to_dense()
     assert np.max(np.abs(rotate_last - rotate_first)) < 1e-9
 
 
@@ -213,8 +214,8 @@ def test_split_evolution_matches_joint_integration(n, kind):
     spec = NoiseSpec(kind, 0.1, AXIS_DIAG)
     for probe in (ghz_state(space, "z"), simultaneous_probe(space)):
         rho0 = probe.projector()
-        fast = evolve(rho0, FIELD_DIAG, spec, 2.0).rho.matrix
-        slow = full_gkls_reference(rho0, FIELD_DIAG, spec, 2.0).matrix
+        fast = evolve(rho0, FIELD_DIAG, spec, 2.0).rho.blocks.to_dense()
+        slow = full_gkls_reference(rho0, FIELD_DIAG, spec, 2.0).blocks.to_dense()
         assert trace_distance(fast, slow) < 1e-8
 
 
@@ -223,17 +224,17 @@ def test_joint_integrator_limits():
     rho0 = ghz_state(space, "z").projector()
     spec_off = NoiseSpec(NoiseKind.NONE, 0.0, AXIS_DIAG)
     at_zero = full_gkls_reference(rho0, FIELD_DIAG, spec_off, 0.0)
-    assert np.max(np.abs(at_zero.matrix - rho0.matrix)) < 1e-12
+    assert np.max(np.abs(at_zero.blocks.to_dense() - rho0.blocks.to_dense())) < 1e-12
     u = unitary(space, FIELD_DIAG, 3.0).to_dense()
     free = full_gkls_reference(rho0, FIELD_DIAG, spec_off, 3.0)
-    assert np.max(np.abs(free.matrix - u @ rho0.matrix @ u.conj().T)) < 1e-10
+    assert np.max(np.abs(free.blocks.to_dense() - u @ rho0.blocks.to_dense() @ u.conj().T)) < 1e-10
 
 
 def test_joint_integrator_dimension_guard():
     space = build_space(40)     # collective dimension 441 is past the cap
-    amps = np.zeros(space.total_dim, dtype=complex)
+    amps = np.zeros(space.max_sector.dim, dtype=complex)
     amps[0] = 1.0
-    rho0 = DensityOperator(space, np.outer(amps, amps.conj()))
+    rho0 = StateVector(space, amps).projector()
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
     with pytest.raises(InvalidArgument):
         full_gkls_reference(rho0, FIELD_DIAG, spec, 1.0)

@@ -150,7 +150,7 @@ def test_partial_rho_matches_finite_difference():
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
     t, eps = 2.0, 1e-5
     res = evolve(simultaneous_probe(space).projector(), FIELD_DIAG, spec, t)
-    rd = res.rho_dephased.matrix
+    rd = res.rho_dephased.blocks.to_dense()
     for k, ax in enumerate("xyz"):
         fp = np.array(FIELD_DIAG.phi)
         fm = fp.copy()
@@ -274,7 +274,7 @@ def test_unitary_family_derivative_is_the_gap_times_the_rotated_generator():
     commutators = [[-1j * (a[k] @ b - b @ a[k]) for a, b in zip(generators, rho_blocks)]
                    for k in range(3)]
     commutator_form = _qfim_entries(*_in_eigenbasis(rho_blocks, commutators))
-    rho = DensityOperator(space, block_diag(*rho_blocks))
+    rho = DensityOperator(space, BlockOperator(space, tuple(rho_blocks)))
     public = qfim(rho, [BlockOperator(space, tuple(parts)) for parts in commutators]).entries
     scale = np.max(np.abs(public))
     assert scale > 1.0
@@ -303,7 +303,7 @@ def test_qfim_covariant_under_global_rotation():
     spec0 = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)
     _, _, q0 = qfim_pipeline(space, probe, FIELD_DIAG, spec0, 2.0)
 
-    w = sla.expm(-1j * theta * collective_operator(space, "y").to_dense())
+    w = sla.expm(-1j * theta * collective_operator(space, "y").blocks[0])
     amps = w @ probe.amplitudes
     probe_rot = StateVector(space, amps / np.linalg.norm(amps))
     field_rot = FieldParams(tuple(rot @ np.array(FIELD_DIAG.phi)))

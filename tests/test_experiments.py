@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,8 +41,6 @@ _FIELD = FieldParams((0.0, 0.0, 0.01))
 _SPEC = NoiseSpec("markovian", 0.05, (0.0, 0.0, 2.0))
 _ZERO = 0.0 * collective_operator(_SPACE, "z")
 _NAN = math.nan * collective_operator(_SPACE, "z")
-_NAN_BETWEEN = _RHO.matrix
-_NAN_BETWEEN[0, 4] = _NAN_BETWEEN[4, 0] = math.nan
 
 
 def _qfim_of(**meta):
@@ -139,7 +136,7 @@ def test_sweep_config_validation():
     lambda: QfimMatrix(entries=np.eye(3) * (1.0 + 1.0j), t=1.0, n_particles=2),
     lambda: QfimMatrix(entries="abc", t=1.0, n_particles=2),
     lambda: DensityOperator(_SPACE, [["x"] * 6] * 6),
-    lambda: StateVector(_SPACE, ["x"] * 6),
+    lambda: StateVector(_SPACE, ["x"] * 4),
     lambda: PovmSet([np.eye(6), "abc"]),
     lambda: PovmSet(None),
     lambda: PovmSet([1.0]),
@@ -148,12 +145,13 @@ def test_sweep_config_validation():
     lambda: partial_rho(np.eye(3), _FIELD, "z"),
     lambda: cfim("x", [np.zeros((6, 6))] * 3, [np.eye(6)]),
     lambda: DensityOperator(None, np.eye(6) / 6),
-    lambda: StateVector(None, np.eye(6)[0]),
+    lambda: StateVector(None, np.eye(4)[0]),
     lambda: evolve(_RHO, (0, 0, 0.01), _SPEC, 1.0),
     lambda: evolve(_RHO, _FIELD, None, 1.0),
-    lambda: full_gkls_reference(_RHO.matrix, _FIELD, _SPEC, 1.0),
+    lambda: full_gkls_reference(_RHO.blocks.to_dense(), _FIELD, _SPEC, 1.0),
     lambda: partial_rho(evolve(_RHO, _FIELD, _SPEC, 1.0), (0, 0, 0.01), "z"),
-    lambda: dephase(_RHO.matrix, build_dephasing_superoperator(_SPACE, _SPEC), _SPEC, 1.0),
+    lambda: dephase(_RHO.blocks.to_dense(), build_dephasing_superoperator(_SPACE, _SPEC), _SPEC,
+                    1.0),
     lambda: cfim(_RHO, "abc", [np.eye(6)]),
     lambda: generator_operator(None, _FIELD, 1.0, "z"),
     lambda: hamiltonian(None, _FIELD),
@@ -198,11 +196,11 @@ def test_sweep_config_validation():
     lambda: scan_particles([2, 3], "cfg"),
     lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(np.eye(3)),
     lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(np.eye(3), 0.1),
-    lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(_RHO.matrix),
+    lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(_RHO.blocks.to_dense()),
     lambda: build_dephasing_superoperator(_SPACE, _SPEC).apply(
         ghz_state(build_space(4), "z").projector()),
     lambda: collective_operator(_SPACE, "x").expectation(np.eye(2)),
-    lambda: collective_operator(_SPACE, "x").expectation(_RHO.matrix),
+    lambda: collective_operator(_SPACE, "x").expectation(_RHO.blocks.to_dense()),
     lambda: NoiseSpec("markovian", True, (0, 0, 2)),
     lambda: TimeGrid(24, True, 10),
     lambda: SweepConfig(4, total_time=True, grid=TimeGrid(count=4, start=0.1, stop=1.0)),
@@ -217,8 +215,8 @@ def test_sweep_config_validation():
     lambda: qfim(_RHO, [_ZERO] * 2),
     lambda: qfim(_RHO, [_ZERO, _NAN, _ZERO]),
     lambda: cfim(_RHO, [_ZERO, _NAN, _ZERO], [np.eye(6)]),
-    lambda: DensityOperator(build_space(1), np.full((2, 2), np.nan)),
-    lambda: DensityOperator(_SPACE, _NAN_BETWEEN),
+    lambda: DensityOperator(build_space(1), BlockOperator(build_space(1),
+                                                          (np.full((2, 2), np.nan),))),
     lambda: DensityOperator(_SPACE, BlockOperator(_SPACE, (np.full((4, 4), np.inf),
                                                            np.zeros((2, 2))))),
     lambda: PovmSet([np.full((2, 2), np.nan)]),
@@ -226,6 +224,21 @@ def test_sweep_config_validation():
     lambda: BlockOperator(_SPACE, ("abcd", np.zeros((2, 2)))),
     lambda: BlockOperator(None, _ZERO.blocks),
     lambda: BlockOperator(_SPACE, None),
+    lambda: DensityOperator(_SPACE, _RHO.blocks.to_dense()),
+    lambda: StateVector(_SPACE, np.eye(6)[0]),
+    lambda: StateVector(build_space(2), [math.nan, 0.0, 0.0]),
+    lambda: StateVector(build_space(2), [math.inf, 0.0, 0.0]),
+    lambda: collective_operator(_SPACE, "x") * "a",
+    lambda: collective_operator(_SPACE, "x") * None,
+    lambda: collective_operator(_SPACE, "x") * True,
+    lambda: collective_operator(build_space(1), "x") * np.array([1.0, 2.0]),
+    lambda: np.array([1.0, 2.0]) * collective_operator(build_space(1), "x"),
+    lambda: BlockOperator(build_space(1), (np.array([["a", "b"], ["c", "d"]]),)),
+    lambda: BlockOperator(build_space(1), (np.eye(2, dtype=bool),)),
+    lambda: husimi_normalization(np.ones((3, 4)), math.nan),
+    lambda: husimi_normalization(np.ones((3, 4)), math.inf),
+    lambda: husimi_normalization(np.ones((3, 4)), -4),
+    lambda: husimi_normalization(np.ones((3, 4)), 0),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -269,9 +282,14 @@ def test_sweep_config_validation():
         "qfim-partials-ndarray", "cfim-partials-ndarray", "qfim-partials-other-space",
         "cfim-partials-other-space", "qfim-partials-two",
         "qfim-partials-nan", "cfim-partials-nan", "density-operator-nan",
-        "density-operator-nan-between", "density-operator-inf-blocks", "povm-nan",
+        "density-operator-inf-blocks", "povm-nan",
         "block-operator-list-block", "block-operator-text-block", "block-operator-space-none",
-        "block-operator-blocks-none"])
+        "block-operator-blocks-none", "density-operator-dense", "state-vector-stacked",
+        "state-vector-nan", "state-vector-inf", "block-operator-times-text",
+        "block-operator-times-none", "block-operator-times-bool", "block-operator-times-array",
+        "array-times-block-operator", "block-operator-text-dtype", "block-operator-bool-dtype",
+        "husimi-normalization-dim-nan", "husimi-normalization-dim-inf",
+        "husimi-normalization-dim-negative", "husimi-normalization-dim-zero"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -690,7 +708,7 @@ def test_noiseless_covariance_matches_the_public_operators(scenario):
     # and the public probes, against the closed form from the ladder
     for n in range(1, 13):
         space = build_space(n)
-        ops = [collective_operator(space, a).to_dense() for a in "xyz"]
+        ops = [collective_operator(space, a).blocks[0] for a in "xyz"]
         states = ([simultaneous_probe(space)] if scenario is SweepScenario.SIMULTANEOUS
                   else [ghz_state(space, a) for a in "xyz"])
         grams = experiments._noiseless_grams(scenario, n)
@@ -906,18 +924,6 @@ def test_husimi_normalization_converges():
         q = husimi_map(simultaneous_probe(space), (200, 200))
         total = husimi_normalization(q, n + 1)
         assert abs(total - 1.0) < 1e-3
-
-
-def test_husimi_projects_with_warning():
-    space = build_space(2)
-    amps = np.zeros(space.total_dim, dtype=complex)
-    amps[0] = 0.8
-    amps[3] = 0.6                               # weight on the singlet
-    state = StateVector(space, amps)
-    with pytest.warns(UserWarning):
-        q = husimi_map(state, (31, 60))
-    # the projected top-sector part is |1,1> with weight 0.64
-    assert abs(q[0, 0] - 0.64) < 1e-12
 
 
 def test_all_singular_sweep_raises():

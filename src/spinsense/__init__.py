@@ -18,9 +18,8 @@ from .dynamics import (EvolutionResult, FieldParams,
                        embed_collective, evolve, full_gkls_reference,
                        full_hilbert_reference, hamiltonian, state_fidelity,
                        unitary)
-from .errors import (AssumptionViolated, DegenerateProbe, ExperimentFailed,
-                     InvalidArgument, NumericalError, SingularQfim,
-                     SpinsenseError)
+from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument,
+                     NumericalError, SingularQfim, SpinsenseError)
 from .estimation import (BoundValue, PovmSet, QfimMatrix, bound_individual,
                          bound_simultaneous, cfim, generator_operator,
                          partial_rho, qfim)
@@ -32,7 +31,7 @@ from .experiments import (PowerLawFit, RefinementMeta, ScanRow, ScanRows,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolated", "BlockOperator", "BoundValue", "DegenerateProbe",
+    "AssumptionViolated", "BlockOperator", "BoundValue",
     "DensityOperator", "DephasingSuperoperator", "DickeSpace",
     "EvolutionResult", "ExperimentFailed", "FieldParams",
     "HilbertComparison", "InvalidArgument", "NoiseKind", "NoiseSpec",

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateProbe, InvalidArgument, NumericalError, _array, _count, _instance,
-                     _real)
+from .errors import InvalidArgument, NumericalError, _array, _count, _instance, _real
 
 # Kinds accepted by collective_operator.
 _OPERATOR_KINDS = ("x", "y", "z", "plus", "minus")
@@ -131,8 +130,6 @@ def build_space(n_particles):
         sectors.append(Sector(twoj=twoj, dim=twoj + 1, offset=offset,
                               multiplicity=_multiplicity(n, k)))
         offset += twoj + 1
-    if offset != dicke_dimension(n):
-        raise InvalidArgument(f"sector layout inconsistent for N={n}")
     return DickeSpace(n_particles=n, sectors=tuple(sectors), total_dim=offset)
 
 
@@ -257,13 +254,15 @@ def _collective_exponential(space, v, t=1.0):
 class StateVector:
     """Pure symmetric state: its N + 1 amplitudes on the maximal sector
     j = N/2, m decreasing. That sector has multiplicity 1, so the amplitudes
-    are an N-spin state. Finite entries and unit norm (1e-12) are enforced."""
+    are an N-spin state, held as a read-only copy with finite entries and
+    unit norm (1e-12)."""
 
     space: DickeSpace
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _array(self.amplitudes, "amplitudes")
+        amp = _array(self.amplitudes, "amplitudes").copy()
+        amp.flags.writeable = False
         dim = _instance(self.space, DickeSpace, "space").max_sector.dim
         if amp.shape != (dim,) or not np.isfinite(amp).all():
             raise InvalidArgument(f"amplitudes must be {dim} finite numbers, got shape {amp.shape}")
@@ -281,11 +280,11 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed collective state, held as its sector blocks: a BlockOperator of
-    the space, or the blocks of a DensityOperator (_blocks_of); anything
-    else, a d x d array too, is InvalidArgument. Finite entries,
-    Hermiticity (1e-10), unit trace (1e-10) and positivity (eigenvalues
-    >= -1e-8) hold. blocks.to_dense() is the d x d view."""
+    """Mixed collective state, held as its sector blocks: read-only copies of
+    those of a BlockOperator of the space, or the blocks of a DensityOperator
+    (_blocks_of); anything else, a d x d array too, is InvalidArgument.
+    Finite entries, Hermiticity (1e-10), unit trace (1e-10) and positivity
+    (eigenvalues >= -1e-8) hold. blocks.to_dense() is the d x d view."""
 
     space: DickeSpace
     blocks: BlockOperator
@@ -293,6 +292,10 @@ class DensityOperator:
     def __post_init__(self):
         blocks = _blocks_of(self.blocks, _instance(self.space, DickeSpace, "space"),
                             "density matrix")
+        if not isinstance(self.blocks, DensityOperator):  # a state's blocks are such copies
+            blocks = BlockOperator(self.space, tuple(b.copy() for b in blocks.blocks))
+            for b in blocks.blocks:
+                b.flags.writeable = False
         if not all(np.isfinite(b).all() for b in blocks.blocks):
             raise InvalidArgument("density matrix has an entry that is not finite")
         if max(np.max(np.abs(b - b.conj().T)) for b in blocks.blocks) > 1e-10:
@@ -336,14 +339,11 @@ def _spinor_powers(n, spinors):
 
 def _power_state(space, spinors):
     """The sum of the N-fold powers of the one-spin states (rows of spinors),
-    normalised, as a StateVector on the maximal sector; a norm below 1e-10
-    before normalisation raises DegenerateProbe."""
+    normalised, as a StateVector on the maximal sector; the branches of a
+    coherent, GHZ or joint probe sum to norm 1, sqrt(2) (antipodes) or >= 1."""
     amplitudes = _spinor_powers(_instance(space, DickeSpace, "space").n_particles,
                                 spinors).sum(axis=0)
-    norm = np.linalg.norm(amplitudes)
-    if norm < 1e-10:
-        raise DegenerateProbe("superposed probe has vanishing norm")
-    return StateVector(space, amplitudes / norm)
+    return StateVector(space, amplitudes / np.linalg.norm(amplitudes))
 
 
 def coherent_state(space, theta, phi):

@@ -117,12 +117,13 @@ def dephase(rho0, superoperator, spec, t):
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
     """Evolved state together with the pieces of the split propagation:
-    rho = unitary . rho_dephased . unitary^dag."""
+    rho = unitary . rho_dephased . unitary^dag, and the field and time of it."""
 
     rho: DensityOperator
     rho_dephased: DensityOperator
     unitary: BlockOperator
     t: float
+    field: FieldParams
 
 
 def _parallel(phi, spec):
@@ -158,7 +159,7 @@ def evolve(rho0, field, spec, t, superoperator=None):
     rotated = u @ rho_deph.blocks @ u.dagger()
     rotated = (rotated + rotated.dagger()) * 0.5
     return EvolutionResult(rho=DensityOperator(space, rotated),
-                           rho_dephased=rho_deph, unitary=u, t=t)
+                           rho_dephased=rho_deph, unitary=u, t=t, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -268,35 +269,22 @@ def coupled_multiplets(n):
         raise InvalidArgument(f"coupled multiplets supported for 1 <= N <= 12, got {n}")
     # Start with one spin: j = 1/2, rows m = +1/2, -1/2; site basis (up, down).
     multiplets = {1: [np.eye(2, dtype=complex)]}
+    up, down = np.eye(2)
     for _ in range(n - 1):
         grown = {}
         for twoj, copies in multiplets.items():
             j = twoj / 2.0
+            # j + 1/2: row m (decreasing) = |j, m-1/2> (x) |up> cu + |j, m+1/2> (x) |down> cd, on
+            # the old rows padded by a zero row at each end; j - 1/2: the inner m, -cd and cu.
+            m = (twoj + 1) / 2.0 - np.arange(twoj + 2)
+            cu, cd = (np.sqrt((j + s * m + 0.5) / (2.0 * j + 1.0))[:, None] for s in (1, -1))
             for rows in copies:
-                dim_old, size = rows.shape
-                up = np.zeros((dim_old + 1, size * 2), dtype=complex)
-                # j + 1/2 branch: m runs j+1/2 ... -(j+1/2), rows m decreasing.
-                # In the old sector, m - 1/2 sits at row idx and m + 1/2 at
-                # row idx - 1.
-                for idx in range(dim_old + 1):
-                    m = (twoj + 1) / 2.0 - idx
-                    cu = math.sqrt((j + m + 0.5) / (2.0 * j + 1.0))
-                    cd = math.sqrt((j - m + 0.5) / (2.0 * j + 1.0))
-                    if idx < dim_old:
-                        up[idx, 0::2] += cu * rows[idx]          # |j, m-1/2> (x) |up>
-                    if idx > 0:
-                        up[idx, 1::2] += cd * rows[idx - 1]      # |j, m+1/2> (x) |down>
-                grown.setdefault(twoj + 1, []).append(up)
+                padded = np.pad(rows, ((1, 1), (0, 0)))
+                grown.setdefault(twoj + 1, []).append(
+                    cu * np.kron(padded[1:], up) + cd * np.kron(padded[:-1], down))
                 if twoj > 0:
-                    down = np.zeros((dim_old - 1, size * 2), dtype=complex)
-                    # Here m - 1/2 sits at row idx + 1 and m + 1/2 at row idx.
-                    for idx in range(dim_old - 1):
-                        m = (twoj - 1) / 2.0 - idx
-                        cu = math.sqrt((j - m + 0.5) / (2.0 * j + 1.0))
-                        cd = math.sqrt((j + m + 0.5) / (2.0 * j + 1.0))
-                        down[idx, 0::2] += -cu * rows[idx + 1]   # |j, m-1/2> (x) |up>
-                        down[idx, 1::2] += cd * rows[idx]        # |j, m+1/2> (x) |down>
-                    grown.setdefault(twoj - 1, []).append(down)
+                    grown.setdefault(twoj - 1, []).append(
+                        -cd[1:-1] * np.kron(rows[1:], up) + cu[1:-1] * np.kron(rows[:-1], down))
         multiplets = grown
     # Tensor-product bit order: the newest spin is the fastest index, matching
     # _site_operator with site 0 leftmost.

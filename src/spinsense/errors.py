@@ -19,10 +19,6 @@ class InvalidArgument(SpinsenseError, ValueError):
     """An argument is out of range, malformed, or inconsistent."""
 
 
-class DegenerateProbe(SpinsenseError):
-    """A probe-state construction produced a (near-)zero vector."""
-
-
 class NumericalError(SpinsenseError):
     """An integrator or decomposition failed to reach its tolerance."""
 

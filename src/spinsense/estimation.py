@@ -50,11 +50,13 @@ def partial_rho(result, field, axis):
 
     Differentiates rho = U rho_deph U^dag at fixed dephased input, exact
     under the parallel split, with the result's U and the closed-form A_k of
-    generator_operator (no eigensolve), block by block:
+    generator_operator (no eigensolve), block by block; field must be the
+    one evolve used (result.field), else InvalidArgument:
 
         d rho / d phi_k = -i U [A_k, rho_deph] U^dag.
     """
-    result = _instance(result, EvolutionResult, "result")
+    if _instance(result, EvolutionResult, "result").field != field:
+        raise InvalidArgument(f"field must be evolve's, phi = {np.array(result.field.phi)}")
     gen = generator_operator(result.rho.space, field, result.t, axis)
     rho, u = result.rho_dephased.blocks, result.unitary
     out = -1j * (u @ (gen @ rho - rho @ gen) @ u.dagger())

@@ -280,20 +280,12 @@ def _windows(modulus, links, basis, offsets):
     return stacks
 
 
-def _eigh(blocks):
-    """np.linalg.eigh of a stack of real symmetric blocks; 1 x 1 blocks are
-    their own eigenvalues."""
-    if blocks.shape[-1] == 1:
-        return blocks[..., 0], np.ones_like(blocks)
-    return np.linalg.eigh(blocks)
-
-
 def _chunk_size(groups):
     """Most grid times per chunk: _CHUNK_BYTES over what a chunk holds per
     time: every stack's eigenpairs, 8 c (a + a^2) bytes for c windows on a
     support of a, and the larger of the kernel values with a stack's blocks,
     8 E + 16 c a^2 for E entries, and the largest stack's transient in
-    _gammas, 16 (K + 3) c a^2, K = rank + 1 (tracemalloc, N = 12 to 96)."""
+    _gammas, 16 (K + 3) c a^2, K = rank + 1, 1 x 1 stacks too (tracemalloc, N = 12 to 96)."""
     stacks = [(ids, maps[0].shape[1]) for windows, _, maps in groups for ids, *_ in windows]
     pairs = sum(8 * (ids.size + ids[..., 0].size) for ids, _ in stacks)
     values = 8 * (1 + max(int(ids.max()) for ids, _ in stacks))
@@ -315,8 +307,8 @@ def _gammas(groups, eigen):
     M_j = R^T L_j R, whose map W gives a probe's M = R^T U R, Y_1 = M_re +
     M_re^T + i (M_im - M_im^T) and Y_2 = -(M_im + M_im^T) + i (M_re - M_re^T).
     Gamma_cc' = 2 sum (p_l - p_l')^2 / (p_l + p_l') Re(Y_c conj Y_c')_ll' over
-    pairs above qfim's cutoff (1e-12 of the group's largest p); a 1 x 1
-    window has no pair, and at rank 0 there is no M_im. A column o off S has
+    pairs above qfim's cutoff (1e-12 of the group's largest p): none for 1 x 1
+    windows, whose step adds exact zeros; at rank 0 there is no M_im. A column o off S has
     comp_c[:, o] only at o -+ 1 and adds 4 Re sum_o comp_c[:, o]^T B^ conj
     comp_c'[:, o], B^ = R diag(p^) R^T with p^ = p above the cutoff, else 0."""
     out = []
@@ -328,30 +320,28 @@ def _gammas(groups, eigen):
         edges = np.zeros(lead + (9 * len(axes),))
         for (_, _, m, u, edge), (p, r) in zip(stacks, eig):
             rt = np.swapaxes(r, -1, -2)
-            if p.shape[-1] > 1:
-                # (comp_c R)^T, then M + M^T, then M^T - M
-                x = np.zeros(lead + (k,) + r.shape[1:])
-                x[:, 0] = rt * m[:, None, :]
-                np.multiply(rt[:, None, ..., 1:], u, out=x[:, 1:, ..., :-1])
-                z = x @ r[:, None]
-                den = p[..., :, None] + p[..., None, :]
-                den[den <= cutoff[..., None]] = np.inf
-                weight = np.abs(p[..., :, None] - p[..., None, :])
-                z *= np.divide(weight, np.sqrt(den, out=den), out=weight)[:, None]
-                y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(lead + (k, -1))
-                sym += y @ np.swapaxes(y, -1, -2)
-                if k > 1:
-                    y = np.subtract(z[:, 1:], np.swapaxes(z[:, 1:], -1, -2),
-                                    out=x[:, 1:]).reshape(lead + (k - 1, -1))
-                    anti += y @ np.swapaxes(y, -1, -2)
-                del x, y, z, den, weight  # not held while the next stack's are built
+            # (comp_c R)^T, then M + M^T, then M^T - M
+            x = np.zeros(lead + (k,) + r.shape[1:])
+            x[:, 0] = rt * m[:, None, :]
+            np.multiply(rt[:, None, ..., 1:], u, out=x[:, 1:, ..., :-1])
+            z = x @ r[:, None]
+            den = p[..., :, None] + p[..., None, :]
+            den[den <= cutoff[..., None]] = np.inf
+            weight = np.abs(p[..., :, None] - p[..., None, :])
+            z *= np.divide(weight, np.sqrt(den, out=den), out=weight)[:, None]
+            y = np.add(z, np.swapaxes(z, -1, -2), out=x).reshape(lead + (k, -1))
+            sym += y @ np.swapaxes(y, -1, -2)
+            if k > 1:
+                y = np.subtract(z[:, 1:], np.swapaxes(z[:, 1:], -1, -2),
+                                out=x[:, 1:]).reshape(lead + (k - 1, -1))
+                anti += y @ np.swapaxes(y, -1, -2)
+            del x, y, z, den, weight  # not held while the next stack's are built
             if edge is not None:
                 hat = np.where(p > cutoff, p, 0.0)[..., None, :] * r @ rt
                 edges += hat.reshape(lead + (-1,))[..., edge[0]] @ edge[1]
         gamma = edges.reshape(lead + (-1, 3, 3)) + 2.0 * (
             np.swapaxes(to_sym, -1, -2) @ sym[..., None, :, :] @ to_sym)
-        if k > 1:
-            gamma += 2.0 * (np.swapaxes(to_anti, -1, -2) @ anti[..., None, :, :] @ to_anti)
+        gamma += 2.0 * (np.swapaxes(to_anti, -1, -2) @ anti[..., None, :, :] @ to_anti)
         out.extend((axes_q, gamma[..., q, :, :]) for q, axes_q in enumerate(axes))
     return out
 
@@ -388,7 +378,7 @@ def _dephased_qfims(transfer, spec, groups, phi, columns, chunk):
     K_s the transfer kernels, built on the entries the windows read; eigh per
     group and stack of windows of one support size, then _gammas and _chunk_qfim."""
     kernel = transfer.values(integrated_strength(spec, chunk))
-    eigen = [[_eigh(kernel[:, ids] * top) for ids, top, *_ in windows] for windows, *_ in groups]
+    eigen = [[np.linalg.eigh(kernel[:, ids] * top) for ids, top, *_ in w] for w, *_ in groups]
     del kernel  # not held while _gammas runs (_chunk_size)
     return _chunk_qfim(chunk, phi, columns, _gammas(groups, eigen))
 

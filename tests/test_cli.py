@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsense import (FieldParams, NoiseSpec, build_space, collective_operator,
-                       full_gkls_reference, ghz_state, husimi_map, simultaneous_probe)
+from spinsense import (ExperimentFailed, FieldParams, NoiseSpec, SweepConfig, TimeGrid,
+                       build_space, collective_operator, full_gkls_reference, ghz_state,
+                       husimi_map, simultaneous_probe, sweep_time)
 from spinsense import dynamics
 from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
 from spinsense.experiments import _DEFAULT_AXIS
@@ -114,6 +115,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ("scan-n", {"n-list": [2], "workers": 1.9}, "workers"),
     ("fit", {"in": "scan.csv", "n-min": 2.5}, "n-min"),
     ("sweep-time", {"n": 2, "t-grid": [2.5, 0.1, 10.0]}, "t-grid"),
+    ("sweep-time", {"n": 2, "phi": [1, 2]}, "phi"),
 ])
 def test_config_file_values_validated_like_flags(tmp_path, capsys, command, values, key):
     # a bad config value is a bad argument (exit 2) that names its key, never
@@ -216,6 +218,58 @@ def test_refusals_exit_2_and_name_the_problem(tmp_path, capsys, argv, files, mes
     assert (code, out) == (2, "")
     assert err.startswith("spinsense: InvalidArgument: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-time", "--n", "2", "--phi", "1,2"], "--phi"),
+    (["scan-n", "--n-list", ","], "--n-list"),
+], ids=["phi-two-values", "n-list-empty"])
+def test_malformed_list_flags_exit_2(capsys, argv, flag):
+    # argparse refuses a flag whose coercion raises, with its usage and exit 2
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid" in captured.err
+
+
+def test_singular_grid_point_is_an_empty_cell_and_null(capsys):
+    # at N = 2 the last grid time, t = 100, has a singular QFIM: the library's
+    # bound is NaN there, the CSV cell is empty and the JSON value null
+    args = ["sweep-time", "--n", "2", "--t-grid", "8,0.01,100"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    body = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert body[-1] == "100.0,"
+    assert all(not ln.endswith(",") for ln in body[:-1])
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    curve = json.loads(out)["curve"]
+    expected = sweep_time(SweepConfig(n_particles=2, grid=TimeGrid(8, 0.01, 100.0))).bounds
+    assert [v is None for _, v in curve] == np.isnan(expected).tolist() == [False] * 7 + [True]
+    assert [v for _, v in curve[:-1]] == expected[:-1].tolist()
+
+
+def test_verify_passes_for_one_spin(monkeypatch, capsys):
+    # one spin cannot resolve three components, so the N = 1 sweeps that
+    # sweep-vs-pointwise compares raise ExperimentFailed; the check counts
+    # their points as singular, as the pointwise bounds are
+    failed = []
+
+    def recorded(config):
+        try:
+            return sweep_time(config)
+        except ExperimentFailed:
+            failed.append(config.n_particles)
+            raise
+
+    monkeypatch.setattr("spinsense.cli.sweep_time", recorded)
+    code, out, _ = run_cli(capsys, "verify", "--n", "1")
+    assert code == 0
+    assert failed and set(failed) == {1}
+    assert out.endswith("verify: 9/9 checks passed\n")
+    assert "PASS sweep-vs-pointwise (N=1 and 8," in out
 
 
 def test_sweep_failure_exit_code(capsys):

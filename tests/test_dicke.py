@@ -10,7 +10,7 @@ from spinsense import (BlockOperator, DensityOperator, FieldParams, InvalidArgum
                        collective_operator, coupled_multiplets, cumulative_degeneracy, degeneracy,
                        dicke_dimension, embed_collective, evolve, full_hilbert_reference,
                        ghz_state, simultaneous_probe)
-from spinsense.dicke import _spinor_powers
+from spinsense.dicke import _ghz_spinors, _spinor_powers
 
 SQ3 = math.sqrt(3.0)
 
@@ -268,6 +268,48 @@ def test_state_vector_rejects_bad_norm_and_shape():
     # the stacked (j, m) vector of all d = 4 entries is not a StateVector
     with pytest.raises(InvalidArgument):
         StateVector(space, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_probe_norms_before_normalisation_stay_above_one():
+    # the branches that _power_state sums never come near cancelling: one
+    # coherent branch has norm 1, the two antipodal GHZ branches sqrt(2), and
+    # the six branches of the joint probe norm^2 >= 6 - 24 2^(-N/2), its 24
+    # cross terms those of perpendicular branches, of modulus 2^(-N/2)
+    theta, phi = 1.1, 0.4
+    coherent = [[math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(-1j * phi)]]
+    ghz = [_ghz_spinors(a) for a in "xyz"]
+    lowest = math.inf
+    for n in range(1, 601):
+        norms = [np.linalg.norm(_spinor_powers(n, spinors).sum(axis=0))
+                 for spinors in [coherent, *ghz, np.concatenate(ghz)]]
+        assert abs(norms[0] - 1.0) < 1e-12
+        assert all(abs(g - math.sqrt(2.0)) < 1e-12 for g in norms[1:4])
+        lowest = min(lowest, norms[4])
+    assert lowest >= 1.0
+    assert abs(lowest - math.sqrt(6.0)) < 1e-12
+
+
+def test_states_hold_read_only_copies():
+    # a validated state does not change when the caller's array does, and its
+    # own arrays refuse writes; a BlockOperator holds its blocks as given
+    space = build_space(2)
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    sv = StateVector(space, psi)
+    psi[0] = np.nan
+    assert sv.amplitudes.tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        sv.amplitudes[0] = 0.5
+    blocks = (np.diag([1.0, 0.0, 0.0]).astype(complex), np.zeros((1, 1)))
+    op = BlockOperator(space, blocks)
+    rho = DensityOperator(space, op)
+    blocks[0][0, 0] = 5.0
+    assert op.blocks[0][0, 0] == 5.0
+    assert rho.sector_weights().tolist() == [1.0, 0.0]
+    assert rho.purity() == 1.0
+    for block in rho.blocks.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.5
+    assert np.array_equal(sv.projector().blocks.to_dense(), rho.blocks.to_dense())
 
 
 def _diagonal(space, *diagonals):

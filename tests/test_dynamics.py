@@ -15,7 +15,7 @@ import spinsense
 from spinsense import (AssumptionViolated, BlockOperator, DensityOperator,
                        DephasingSuperoperator, FieldParams, InvalidArgument, NoiseKind,
                        NoiseSpec, NumericalError, StateVector,
-                       build_space, build_dephasing_superoperator,
+                       build_space, build_dephasing_superoperator, collective_operator,
                        coupled_multiplets, dephase, embed_collective, evolve,
                        full_gkls_reference, full_hilbert_reference, ghz_state,
                        hamiltonian, simultaneous_probe, state_fidelity, unitary)
@@ -253,6 +253,19 @@ def test_coupled_multiplets_tile_product_space():
                              for rows in copies])
         gram = stacked @ stacked.conj().T
         assert np.max(np.abs(gram - np.eye(2 ** n))) < 1e-12
+
+
+def test_coupled_multiplets_carry_the_spin_matrices():
+    # each copy's rows R, as kets R^dag e_m, span one spin-j multiplet: R J R^dag
+    # is the standard spin-j block of J_x, J_y and J_z
+    for n in range(1, 7):
+        jops = {a: spinsense.dynamics._collective_full(n, a) for a in "xyz"}
+        for twoj, copies in coupled_multiplets(n).items():
+            expected = {a: collective_operator(build_space(twoj), a).blocks[0] if twoj
+                        else np.zeros((1, 1)) for a in "xyz"}
+            for rows in copies:
+                for a, op in jops.items():
+                    assert np.max(np.abs(rows @ op @ rows.conj().T - expected[a])) < 1e-12
 
 
 def test_embedding_preserves_moments():

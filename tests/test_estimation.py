@@ -133,6 +133,21 @@ def test_partial_rho_makes_no_eigensolve(monkeypatch):
     assert calls == []
 
 
+def test_partial_rho_refuses_another_field():
+    # differentiating with a field other than the one evolved with would give
+    # another derivative (Q_xx 44.12 in place of 68.52 here); it is refused
+    space = build_space(4)
+    spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, (0.0, 0.0, 2.0))
+    field = FieldParams((0.0, 0.0, 0.01))
+    res = evolve(ghz_state(space, "x").projector(), field, spec, 3.0)
+    assert res.field == field
+    q = qfim(res.rho, [partial_rho(res, FieldParams((0, 0, 0.01)), a) for a in "xyz"], t=3.0)
+    assert abs(q.entries[0, 0] - 68.52) < 5e-3
+    for other in (FieldParams((0.0, 0.0, 0.5)), (0.0, 0.0, 0.01)):
+        with pytest.raises(InvalidArgument, match="field must be evolve's"):
+            partial_rho(res, other, "x")
+
+
 def test_partial_rho_traceless_hermitian():
     space = build_space(4)
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG)

@@ -239,6 +239,12 @@ def test_sweep_config_validation():
     lambda: husimi_normalization(np.ones((3, 4)), math.inf),
     lambda: husimi_normalization(np.ones((3, 4)), -4),
     lambda: husimi_normalization(np.ones((3, 4)), 0),
+    lambda: collective_operator(_SPACE, "w"),
+    lambda: coherent_state(_SPACE, math.nan, 0.0),
+    lambda: ghz_state(_SPACE, "w"),
+    lambda: coupled_multiplets(13),
+    lambda: embed_collective(_RHO, {3: [np.zeros((4, 4))], 1: [np.zeros((2, 8))] * 2}),
+    lambda: full_hilbert_reference(3, ghz_state(build_space(4), "z"), _FIELD, _SPEC, 1.0),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
         "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
@@ -289,7 +295,10 @@ def test_sweep_config_validation():
         "block-operator-times-none", "block-operator-times-bool", "block-operator-times-array",
         "array-times-block-operator", "block-operator-text-dtype", "block-operator-bool-dtype",
         "husimi-normalization-dim-nan", "husimi-normalization-dim-inf",
-        "husimi-normalization-dim-negative", "husimi-normalization-dim-zero"])
+        "husimi-normalization-dim-negative", "husimi-normalization-dim-zero",
+        "collective-operator-kind-w", "coherent-theta-nan", "ghz-axis-w",
+        "coupled-multiplets-past-cap", "embed-collective-rows-shape",
+        "hilbert-reference-other-n"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
     with pytest.raises(InvalidArgument):
@@ -618,14 +627,14 @@ def _count_calls(monkeypatch, name):
 def test_individual_probes_share_one_eigensolve(monkeypatch, kind):
     # on the default axis the three GHZ probes share one modulus array, for
     # N = 2 mod 4 as for N = 0 mod 4: ind calls eigh as often as sim, once per
-    # chunk and size above 1 of the support in the sectors' windows
+    # chunk and nonzero size of the support in the sectors' windows
     for n in (6, 10, 12):
         per_chunk = []
         for scenario in SweepScenario:
             [(modulus, _)], _ = experiments._frame_probes(scenario, n, _DEFAULT)
             support = np.flatnonzero(modulus)
             stacks = len({int(np.count_nonzero((support >= s) & (support <= n - s)))
-                           for s in range(n // 2 + 1)} - {0, 1})
+                           for s in range(n // 2 + 1)} - {0})
             widths = _spy_eigh(monkeypatch)
             chunks = _count_calls(monkeypatch, "_chunk_qfim")
             res = sweep_time(SweepConfig(n_particles=n, kind=kind, scenario=scenario,
@@ -766,8 +775,8 @@ def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
 def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
     # at N = 24 on the default axis the joint probe lives on every third m:
     # each sector's block is as wide as the support inside its window, 9, 7,
-    # 7, 7, 5, ..., 1, and the windows of one width share one eigh per chunk
-    # (none for width 1)
+    # 7, 7, 5, ..., 1, and the windows of one width share one eigh per chunk,
+    # width 1 too
     n = 24
     [(modulus, _)], _ = experiments._frame_probes(SweepScenario.SIMULTANEOUS, n,
                                                   SweepConfig(n_particles=n).axis)
@@ -779,7 +788,7 @@ def test_joint_probe_is_diagonalised_on_its_support(monkeypatch):
     chunks = _count_calls(monkeypatch, "_chunk_qfim")
     res = sweep_time(SweepConfig(n_particles=n, grid=SMALL_GRID))
     assert not res.refinement.boundary
-    assert shapes == [(1, 9), (3, 7), (3, 5), (3, 3)] * len(chunks)
+    assert shapes == [(1, 9), (3, 7), (3, 5), (3, 3), (3, 1)] * len(chunks)
     assert max(a for _, a in shapes) == support.size == 9
 
 

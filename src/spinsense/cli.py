@@ -50,15 +50,15 @@ _CRLF = "\r\n"
 # Option table and argument parsing
 # ---------------------------------------------------------------------------
 
-def _split_values(text, count, what):
-    """Accept both 'a,b,c' strings (flags) and JSON lists (config files)."""
+def _split_values(text, kinds, what):
+    """The values of an 'a,b,c' flag or a JSON list (config files), each by its kind."""
     if isinstance(text, (list, tuple)):
         parts = list(text)
     else:
         parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != count:
-        raise InvalidArgument(f"{what} needs {count} values, got {text!r}")
-    return parts
+    if len(parts) != len(kinds):
+        raise InvalidArgument(f"{what} needs {len(kinds)} values, got {text!r}")
+    return tuple(kind(p) for kind, p in zip(kinds, parts))
 
 
 def _number(kind):
@@ -72,7 +72,6 @@ def _number(kind):
             return kind(value)
         except (TypeError, ValueError) as exc:
             raise InvalidArgument(f"expected {kind.__name__}, got {value!r}") from exc
-    coerce.__name__ = kind.__name__  # argparse names the type in its errors
     return coerce
 
 
@@ -80,16 +79,15 @@ _as_int, _as_float = _number(int), _number(float)
 
 
 def _triple(text):
-    return tuple(_as_float(p) for p in _split_values(text, 3, "vector"))
+    return _split_values(text, (_as_float,) * 3, "vector")
 
 
 def _grid_spec(text):
-    count, start, stop = _split_values(text, 3, "t-grid (count,min,max)")
-    return TimeGrid(count=_as_int(count), start=_as_float(start), stop=_as_float(stop))
+    return TimeGrid(*_split_values(text, (_as_int, _as_float, _as_float), "t-grid (count,min,max)"))
 
 
 def _shape(text):
-    return tuple(_as_int(p) for p in _split_values(text, 2, "grid (rows,cols)"))
+    return _split_values(text, (_as_int,) * 2, "grid (rows,cols)")
 
 
 def _int_list(text):
@@ -101,9 +99,9 @@ def _int_list(text):
 
 
 # One row per option, under its key (the flag is --key): help text, the
-# coercion of a flag string or config-file value, the resolved default, and
-# any further argparse keywords. Commands pick subsets from this table in
-# _COMMANDS, which follows the runners it names.
+# coercion of a flag string or config-file value (argparse passes flags on as
+# text), the resolved default, and any further argparse keywords. Commands pick
+# subsets from this table in _COMMANDS, which follows the runners it names.
 _OPTIONS = {
     "n": ("particle count N", _as_int, None, dict(metavar="N")),
     "gamma": ("dephasing rate", _as_float, 0.05, dict(metavar="G")),
@@ -142,9 +140,8 @@ def _build_parser():
         sub.add_argument("--config", type=str, metavar="PATH",
                          help="flat JSON config; explicit flags win")
         for key in keys:
-            text, coerce, _, extra = _OPTIONS[key]
-            typed = {} if "action" in extra else {"type": coerce}
-            sub.add_argument(f"--{key}", help=text, **typed, **extra)
+            text, _, _, extra = _OPTIONS[key]
+            sub.add_argument(f"--{key}", help=text, **extra)
     return parser
 
 
@@ -192,22 +189,20 @@ def _resolve(args):
     explicit = set()
     for key in keys:
         _, coerce, default, extra = _OPTIONS[key]
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            params[key] = flag_value
-            explicit.add(key)
-        elif key in file_values:
-            try:
-                params[key] = coerce(file_values[key])
-                choices = extra.get("choices")
-                if choices is not None and params[key] not in choices:
-                    raise InvalidArgument(
-                        f"expected one of {choices}, got {file_values[key]!r}")
-            except InvalidArgument as exc:
-                raise InvalidArgument(f"config key {key!r}: {exc}") from exc
-            explicit.add(key)
-        else:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is None and key not in file_values:
             params[key] = default
+            continue
+        source, value = ((f"--{key}", flag) if flag is not None
+                         else (f"config key {key!r}", file_values[key]))
+        try:
+            params[key] = coerce(value)
+            choices = extra.get("choices")
+            if choices is not None and params[key] not in choices:
+                raise InvalidArgument(f"expected one of {choices}, got {value!r}")
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{source}: {exc}") from exc
+        explicit.add(key)
 
     fmt = params.pop("format", None) or formats[0]
     if fmt not in formats:

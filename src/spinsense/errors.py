@@ -84,6 +84,14 @@ def _nonnegative(value, what):
     return x
 
 
+def _positive(value, what):
+    """_real(value), refused unless it is finite and > 0."""
+    x = _real(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise InvalidArgument(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
 def _vector(value, what):
     """value as an array of 3 finite floats, anything else refused as InvalidArgument."""
     vec = _array(value, what, float)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .dicke import DensityOperator, _blocks_of
 from .dynamics import _AXES, EvolutionResult, FieldParams, _rotation_integral, hamiltonian
-from .errors import InvalidArgument, SingularQfim, _array, _instance, _nonnegative, _real
+from .errors import (InvalidArgument, SingularQfim, _array, _instance, _nonnegative, _positive,
+                     _real)
 
 # Relative eigenvalue-pair cutoff in the QFIM sum.
 _QFIM_EPS = 1e-12
@@ -246,9 +247,7 @@ def bound_simultaneous(q, repetitions):
     Raises SingularQfim when Q is not invertible to working precision
     (nonpositive eigenvalues or condition number beyond 1e12, _qfim_bounds).
     """
-    m = _real(repetitions, "repetitions")
-    if not np.isfinite(m) or m <= 0.0:
-        raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
+    m = _positive(repetitions, "repetitions")
     (value,), (w,), _ = _qfim_bounds(_instance(q, QfimMatrix, "q").entries[None], m)
     if np.isnan(value):
         raise SingularQfim(f"QFIM eigenvalues {w} do not support inversion")
@@ -263,9 +262,7 @@ def bound_individual(q_xx, q_yy, q_zz, repetitions):
     is 3 / (M Q_kk); the bound is their sum (_qfim_bounds). Raises
     SingularQfim unless every Q_kk is positive.
     """
-    m = _real(repetitions, "repetitions")
-    if not np.isfinite(m) or m <= 0.0:
-        raise InvalidArgument(f"repetitions must be positive, got {repetitions}")
+    m = _positive(repetitions, "repetitions")
     diag = tuple(_real(q, "QFIM entry") for q in (q_xx, q_yy, q_zz))
     (value,), _, _ = _qfim_bounds(np.diag(diag)[None], m, individual=True)
     if np.isnan(value):

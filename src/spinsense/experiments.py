@@ -37,7 +37,7 @@ from .dephasing import (NoiseKind, NoiseSpec, _entry, _entry_offsets, _frame_rot
                         build_transfer_kernels, integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, _rotation_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
-                     _array, _count, _instance, _member, _real, _vector)
+                     _array, _count, _instance, _member, _positive, _real, _vector)
 from .estimation import _QFIM_EPS, _qfim_bounds
 
 _DEFAULT_FIELD = (0.01, 0.01, 0.01)
@@ -94,9 +94,7 @@ class SweepConfig:
 
     def __post_init__(self):
         _count(self.n_particles, "n_particles", 1)
-        object.__setattr__(self, "total_time", _real(self.total_time, "total_time"))
-        if not np.isfinite(self.total_time) or self.total_time <= 0.0:
-            raise InvalidArgument(f"total_time must be positive, got {self.total_time}")
+        object.__setattr__(self, "total_time", _positive(self.total_time, "total_time"))
         if _instance(self.grid, TimeGrid, "grid").stop > self.total_time * (1.0 + 1e-12):
             raise InvalidArgument(
                 f"grid extends to {self.grid.stop}, beyond the total budget {self.total_time}")
@@ -285,7 +283,10 @@ def _chunk_size(groups):
     time: every stack's eigenpairs, 8 c (a + a^2) bytes for c windows on a
     support of a, and the larger of the kernel values with a stack's blocks,
     8 E + 16 c a^2 for E entries, and the largest stack's transient in
-    _gammas, 16 (K + 3) c a^2, K = rank + 1, 1 x 1 stacks too (tracemalloc, N = 12 to 96)."""
+    _gammas, 16 (K + 3) c a^2, K = rank + 1, 1 x 1 stacks too (tracemalloc, N = 12 to 96).
+    On any grid a noisy `ind` sweep is at the floor of one time from N = 64 (2 at N = 48): at
+    N = 96 one time holds 1.27 MB of eigenpairs plus a 0.75 MB transient (1.88 MB traced),
+    above _CHUNK_BYTES; splitting each window by m -> -m would halve the eigenpairs."""
     stacks = [(ids, maps[0].shape[1]) for windows, _, maps in groups for ids, *_ in windows]
     pairs = sum(8 * (ids.size + ids[..., 0].size) for ids, _ in stacks)
     values = 8 * (1 + max(int(ids.max()) for ids, _ in stacks))
@@ -628,9 +629,7 @@ def husimi_normalization(qmap, multiplet_dim):
     multiplet_dim is the sector dimension 2j+1 = N+1, finite and positive.
     """
     qmap = _array(qmap, "Husimi map", float)
-    multiplet_dim = _real(multiplet_dim, "multiplet_dim")
-    if not (math.isfinite(multiplet_dim) and multiplet_dim > 0.0):
-        raise InvalidArgument(f"multiplet_dim must be finite and positive, got {multiplet_dim}")
+    multiplet_dim = _positive(multiplet_dim, "multiplet_dim")
     if qmap.ndim != 2:
         raise InvalidArgument(f"a Husimi map must be 2-D, got shape {qmap.shape}")
     n_theta, n_phi = qmap.shape

@@ -18,6 +18,7 @@ from spinsense import (FieldParams, NoiseKind, NoiseSpec, PovmSet,
                        generator_operator, ghz_state, husimi_map,
                        husimi_normalization, partial_rho, qfim, scan_particles,
                        simultaneous_probe, sweep_time, unitary)
+from spinsense.dephasing import integrated_strength
 
 AXIS_DIAG = (2.0 / math.sqrt(3.0),) * 3
 AXIS_Z = (0.0, 0.0, 2.0)
@@ -345,3 +346,33 @@ def test_criterion_10_property_suites():
     print(f"criterion 10: trajectories, information matrices, readout "
           f"ordering, Husimi normalization {norm:.6f} ({elapsed:.1f}s)")
     assert elapsed < 120.0
+
+
+def test_criterion_11_channel_extension_limit():
+    # No probe beats the channel-extension bound on the noise-axis component:
+    # with single-spin coherence eta = exp(-4 Theta(t)), F(n.J) <= CE / t^2 with
+    # CE(t) = t^2 N^2 eta^2 / (N (1 - eta^2) + eta^2) (Escher, de Matos Filho &
+    # Davidovich, Nat. Phys. 7, 406 (2011); the finite-N form in Kolodynski &
+    # Demkowicz-Dobrzanski, NJP 15, 073043 (2013)), and Q_pp <= t^2 N^2 for the
+    # two perpendicular directions. Since (Q^-1)_kk >= 1 / Q_kk in any
+    # orthonormal basis, every finite point of a joint sweep obeys
+    # I(t) >= LB(t) = (t / T) [1 / CE(t) + 2 / (N^2 t^2)].
+    t0 = time.monotonic()
+    worst = math.inf
+    for n in (4, 8, 12, 16, 24, 48, 96):
+        for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
+            cfg = SweepConfig(n_particles=n, kind=kind, grid=SCAN_GRID)
+            res = sweep_time(cfg)
+            t = res.times
+            eta2 = np.exp(-8.0 * integrated_strength(cfg.noise_spec(), t))
+            ce = t ** 2 * n ** 2 * eta2 / (n * (1.0 - eta2) + eta2)
+            limit = t / cfg.total_time * (1.0 / ce + 2.0 / (n ** 2 * t ** 2))
+            finite = np.isfinite(res.bounds)
+            assert finite.sum() >= 19
+            ratio = float(np.min(res.bounds[finite] / limit[finite]))
+            assert ratio >= 1.0, (n, kind.value, ratio)
+            worst = min(worst, ratio)
+    elapsed = time.monotonic() - t0
+    print(f"criterion 11: joint sweeps at least {worst:.3f} times the channel-extension "
+          f"limit, N = 4..96, both noise kinds ({elapsed:.1f}s)")
+    assert elapsed < 30.0

@@ -220,18 +220,23 @@ def test_refusals_exit_2_and_name_the_problem(tmp_path, capsys, argv, files, mes
     assert message in err
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["sweep-time", "--n", "2", "--phi", "1,2"], "--phi"),
-    (["scan-n", "--n-list", ","], "--n-list"),
-], ids=["phi-two-values", "n-list-empty"])
-def test_malformed_list_flags_exit_2(capsys, argv, flag):
-    # argparse refuses a flag whose coercion raises, with its usage and exit 2
-    with pytest.raises(SystemExit) as stop:
-        main(argv)
-    assert stop.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {flag}: invalid" in captured.err
+@pytest.mark.parametrize("argv, key, reason", [
+    (["sweep-time", "--n", "2", "--phi", "1,2"], "phi", "vector needs 3 values, got '1,2'"),
+    (["sweep-time", "--n", "2", "--axis", "1"], "axis", "vector needs 3 values, got '1'"),
+    (["sweep-time", "--n", "2", "--t-grid", "5,0.1"], "t-grid",
+     "t-grid (count,min,max) needs 3 values, got '5,0.1'"),
+    (["scan-n", "--n-list", ","], "n-list", "n-list must not be empty"),
+    (["sweep-time", "--n", "2.5"], "n", "expected int, got '2.5'"),
+    (["sweep-time", "--n", "2", "--gamma", "x"], "gamma", "expected float, got 'x'"),
+    (["husimi", "--n", "2", "--grid", "3"], "grid", "grid (rows,cols) needs 2 values, got '3'"),
+], ids=["phi", "axis", "t-grid", "n-list", "n", "gamma", "grid"])
+def test_malformed_flag_values_exit_2_with_their_reason(capsys, argv, key, reason):
+    # a flag value goes through the coercion a config value does, so its
+    # refusal names the flag and the reason, never a private function
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"spinsense: InvalidArgument: --{key}: {reason}\n"
+    assert not re.search(r"_triple|_grid_spec|_shape|_int_list", err)
 
 
 def test_singular_grid_point_is_an_empty_cell_and_null(capsys):

@@ -763,6 +763,17 @@ def test_chunk_stays_within_its_budget(monkeypatch, n, kind, scenario):
     assert peak <= 1.25 * experiments._CHUNK_BYTES
 
 
+def test_individual_chunk_is_at_its_floor_from_n_64():
+    # the eigenpairs of one time outgrow _CHUNK_BYTES as N grows, and the
+    # chunk length stops at one time; the docstring of _chunk_size says how far
+    sizes = []
+    for n in (48, 64, 96):
+        cfg = SweepConfig(n_particles=n, scenario=SweepScenario.INDIVIDUAL, grid=SMALL_GRID)
+        groups = experiments._sweep_probes(cfg, build_space(n), cfg.noise_spec())[0]
+        sizes.append(experiments._chunk_size(groups))
+    assert sizes == [2, 1, 1]
+
+
 def test_dephased_sweep_runs_in_few_chunks(monkeypatch):
     # N = 24, non-markovian: 24 coarse and at most 14 rescan times, one
     # chunk per pass

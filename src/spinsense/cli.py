@@ -20,7 +20,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -33,12 +32,12 @@ from .dicke import (BlockOperator, build_space, collective_operator, dicke_dimen
 from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
 from .dynamics import (FieldParams, _parallel, evolve, full_gkls_reference,
                        full_hilbert_reference, unitary)
-from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
-                     SingularQfim, _count)
+from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, SingularQfim,
+                     SpinsenseError, _count)
 from .estimation import (bound_individual, bound_simultaneous, generator_operator, partial_rho,
                          qfim)
 from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
-                          SweepScenario, TimeGrid, _pool_size, fit_power_law,
+                          SweepScenario, TimeGrid, fit_power_law,
                           husimi_grid, husimi_map, scan_particles, sweep_time)
 
 _PROBES = ("ghz-x", "ghz-y", "ghz-z", "sim")
@@ -78,6 +77,20 @@ def _number(kind):
 _as_int, _as_float = _number(int), _number(float)
 
 
+def _text(value):
+    """A flag string or config-file string as it is; any other JSON value is refused."""
+    if not isinstance(value, str):
+        raise InvalidArgument(f"expected text, got {value!r}")
+    return value
+
+
+def _one_worker(value):
+    """The one --workers value, 1, kept so that older command lines still run."""
+    if isinstance(value, bool) or value not in (1, "1"):
+        raise InvalidArgument(f"scans run in-process, so only 1 is accepted, got {value!r}")
+    return 1
+
+
 def _triple(text):
     return _split_values(text, (_as_float,) * 3, "vector")
 
@@ -105,9 +118,9 @@ def _int_list(text):
 _OPTIONS = {
     "n": ("particle count N", _as_int, None, dict(metavar="N")),
     "gamma": ("dephasing rate", _as_float, 0.05, dict(metavar="G")),
-    "kind": ("noise profile", str, "markovian",
+    "kind": ("noise profile", _text, "markovian",
              dict(choices=["markovian", "nonmarkovian", "none"])),
-    "scenario": ("estimation strategy", str, "sim", dict(choices=["sim", "ind"])),
+    "scenario": ("estimation strategy", _text, "sim", dict(choices=["sim", "ind"])),
     "t-total": ("total time budget T", _as_float, 100.0, dict(metavar="T")),
     "phi": ("field components x,y,z", _triple, _DEFAULT_FIELD, dict(metavar="X,Y,Z")),
     "axis": ("noise axis x,y,z (norm 2)", _triple, _DEFAULT_AXIS, dict(metavar="X,Y,Z")),
@@ -115,14 +128,14 @@ _OPTIONS = {
                dict(metavar="C,MIN,MAX")),
     "n-list": ("particle counts, ascending", _int_list, None, dict(metavar="N1,N2,...")),
     "t": ("shot duration", _as_float, None, dict(metavar="T")),
-    "probe": ("initial state", str, None, dict(choices=list(_PROBES))),
+    "probe": ("initial state", _text, None, dict(choices=list(_PROBES))),
     "grid": ("husimi grid rows,cols", _shape, (181, 360), dict(metavar="ROWS,COLS")),
-    "in": ("input CSV produced by scan-n", str, None, dict(metavar="PATH")),
-    "column": ("value column to fit", str, "i_min", dict(metavar="NAME")),
+    "in": ("input CSV produced by scan-n", _text, None, dict(metavar="PATH")),
+    "column": ("value column to fit", _text, "i_min", dict(metavar="NAME")),
     "n-min": ("smallest N included in the fit", _as_int, 10, dict(metavar="N")),
-    "out": ("output path (default: stdout)", str, None, dict(metavar="PATH")),
-    "format": ("output encoding", str, None, dict(choices=["csv", "json"])),
-    "workers": ("worker process cap", _as_int, None, dict(metavar="K")),
+    "out": ("output path (default: stdout)", _text, None, dict(metavar="PATH")),
+    "format": ("output encoding", _text, None, dict(choices=["csv", "json"])),
+    "workers": ("only 1: scans run in-process", _one_worker, None, dict(metavar="1")),
     "verbose": ("progress notes on stderr", _as_int, 0,
                 dict(action="count", default=None)),
 }
@@ -155,7 +168,6 @@ class RunConfig:
     params: dict
     out: str
     fmt: str
-    workers: int
     verbose: int
     explicit_keys: frozenset
 
@@ -208,14 +220,9 @@ def _resolve(args):
     if fmt not in formats:
         raise InvalidArgument(f"{command} supports format {formats}, got {fmt!r}")
     out = params.pop("out", None)
-    workers = params.pop("workers", None)
+    params.pop("workers", None)  # checked to be 1; it changes nothing
     verbose = params.pop("verbose", 0) or 0
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise InvalidArgument(f"workers must be >= 1, got {workers}")
-    return RunConfig(command=command, params=params, out=out, fmt=fmt,
-                     workers=workers, verbose=verbose,
+    return RunConfig(command=command, params=params, out=out, fmt=fmt, verbose=verbose,
                      explicit_keys=frozenset(explicit))
 
 
@@ -386,9 +393,8 @@ def _run_scan_n(run):
     n_list = _require(p, "n-list", "scan-n")
     base = _sweep_config({**p, "n": n_list[0]})
     if run.verbose:
-        print(f"scan-n: {len(n_list)} particle counts, "
-              f"workers={_pool_size(run.workers, len(n_list))}", file=sys.stderr)
-    rows = scan_particles(n_list, base, workers=run.workers)
+        print(f"scan-n: {len(n_list)} particle counts", file=sys.stderr)
+    rows = scan_particles(n_list, base)
     dropped = "; ".join(f"{n} ({reason})" for n, reason in rows.dropped)
     return _emit(run, {
         "rows": [{"n": r.n_particles, "scenario": r.scenario.value, "kind": r.kind.value,
@@ -681,7 +687,7 @@ def _run_verify(run):
 # Each subcommand: its help, its option keys ("config" is implicit), its
 # runner and its formats, the default first; _resolve refuses any other
 # --format before the runner runs. sweep-time and scan-n share sweep options;
-# only scan-n starts worker processes.
+# scan-n alone takes --workers, and only as 1.
 _OUTPUT = ("out", "format", "verbose")
 _SWEEP = ("gamma", "kind", "scenario", "t-total", "phi", "axis", "t-grid")
 _COMMANDS = {
@@ -718,15 +724,9 @@ def main(argv=None):
                     fh.write(text)
                 if run.verbose:
                     print(f"wrote {path}", file=sys.stderr)
-    except InvalidArgument as exc:
-        print(f"spinsense: InvalidArgument: {exc}", file=sys.stderr)
-        return 2
-    except AssumptionViolated as exc:
-        print(f"spinsense: AssumptionViolated: {exc}", file=sys.stderr)
-        return 4
-    except (NumericalError, SingularQfim, ExperimentFailed) as exc:
+    except SpinsenseError as exc:  # a numerical failure or failed experiment exits 3
         print(f"spinsense: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return {InvalidArgument: 2, AssumptionViolated: 4}.get(type(exc), 3)
     except OSError as exc:
         print(f"spinsense: {exc}", file=sys.stderr)
         return 2

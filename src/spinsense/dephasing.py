@@ -97,11 +97,19 @@ def gamma_profile(spec, t):
 
 def integrated_strength(spec, t):
     """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock.
-    A float for one time t, an array for an array of times."""
+    A float for one time t, an array for an array of times; a Theta beyond
+    the floats is refused, naming the first t that reaches it."""
     t = _nonnegative(t, "t") if np.ndim(t) == 0 else _strengths(t, "t")
-    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.NONMARKOVIAN:
-        return spec.gamma ** 2 * t ** 2 / 2.0
-    return spec.gamma * t  # gamma is 0 without noise
+    nonmarkovian = _instance(spec, NoiseSpec, "spec").kind is NoiseKind.NONMARKOVIAN
+    try:  # gamma is 0 without noise; a float's ** raises where an array's gives inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = spec.gamma ** 2 * t ** 2 / 2.0 if nonmarkovian else spec.gamma * t
+    except OverflowError:
+        theta = math.inf
+    if not np.all(np.isfinite(theta)):
+        first = float(np.min(np.asarray(t)[~np.isfinite(theta)]))
+        raise InvalidArgument(f"Theta(t) at gamma = {spec.gamma!r} overflows from t = {first!r}")
+    return theta
 
 
 def _lambda_weights(n, j):
@@ -141,8 +149,10 @@ class ChainBatch:
         """exp(theta generator[r]) for every representative r, by scaling and
         squaring. Shape generator.shape."""
         theta = float(_strengths(theta))
-        width = theta * float(np.abs(self.generator).sum(axis=1).max())
-        squarings = max(0, math.ceil(math.log2(width / _TAYLOR_NORM))) if width > 0.0 else 0
+        width = theta * float(np.abs(self.generator).sum(axis=1).max()) / _TAYLOR_NORM
+        if math.isinf(width):
+            raise InvalidArgument(f"theta = {theta!r} overflows the scaling of exp(theta L)")
+        squarings = max(0, math.ceil(math.log2(width))) if width > 0.0 else 0
         step = self.generator * (theta / 2.0 ** squarings)
         eye = np.eye(self.generator.shape[-1])
         out = eye + step / _TAYLOR_DEGREE

@@ -331,6 +331,8 @@ def _spinor_powers(n, spinors):
     """sqrt(C(n, k)) a^(n-k) b^k for k = 0 ... n, per one-spin state (a, b)
     on the last axis of spinors (the maximal-sector amplitudes of its n-fold
     power, k = n/2 - m), C(n, k + 1) = C(n, k) (n - k) / (k + 1) exactly."""
+    if n > 1029:  # C(1030, 515) > 1.8e308 is no float
+        raise InvalidArgument(f"probe amplitudes need N <= 1029 (C(N, k) as floats), got {n}")
     k = np.arange(n + 1)
     row = itertools.accumulate(range(n), lambda c, i: c * (n - i) // (i + 1), initial=1)
     a, b = (np.asarray(spinors)[..., i, None] for i in (0, 1))

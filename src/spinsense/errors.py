@@ -101,8 +101,9 @@ def _vector(value, what):
 
 
 def _strengths(thetas, what="theta"):
-    """thetas as a float array, refused unless every one is finite and >= 0."""
+    """thetas as a float array, refused unless every one is finite and >= 0 (naming the first)."""
     thetas = _array(thetas, what, float)
-    if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
-        raise InvalidArgument(f"{what} must be finite and >= 0, got {thetas}")
+    bad = thetas[~(np.isfinite(thetas) & (thetas >= 0.0))]
+    if bad.size:
+        raise InvalidArgument(f"{what} must be finite and >= 0, got {bad[0]}")
     return thetas

@@ -510,31 +510,13 @@ class ScanRows(list):
         self.dropped = tuple(dropped)
 
 
-def _pool_size(workers, sweeps):
-    """Processes a scan of sweeps starts under a cap of workers (1: in-process)."""
-    return min(workers, sweeps)
-
-
-def _scan_one(config):
-    """The ScanRow of one sweep, or the reason it failed."""
-    try:
-        result = sweep_time(config)
-    except ExperimentFailed as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return ScanRow(n_particles=config.n_particles, scenario=config.scenario,
-                   kind=config.kind, t_opt=result.t_opt, i_min=result.i_min,
-                   boundary=result.refinement.boundary)
-
-
-def scan_particles(n_list, base_config, workers=1):
-    """Run sweep_time for each N in ascending n_list.
+def scan_particles(n_list, base_config):
+    """Run sweep_time for each N in ascending n_list, in turn, in this process.
 
     A sweep that fails (ExperimentFailed) drops its N from the rows rather
     than aborting the scan; the returned ScanRows names it, with the reason,
-    in dropped. With workers > 1 the sweeps run in a process pool of at most
-    one worker per sweep; the result is the same either way.
+    in dropped.
     """
-    _count(workers, "workers", 1)
     _instance(base_config, SweepConfig, "base_config")
     try:
         ns = [_count(n, "each N", 1) for n in n_list]
@@ -544,16 +526,17 @@ def scan_particles(n_list, base_config, workers=1):
         raise InvalidArgument("n_list must be strictly ascending")
     if not ns:
         raise InvalidArgument("n_list must be nonempty")
-    configs = [replace(base_config, n_particles=n) for n in ns]
-    workers = _pool_size(workers, len(ns))
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_one, configs))
-    else:
-        rows = [_scan_one(c) for c in configs]
-    return ScanRows([r for r in rows if isinstance(r, ScanRow)],
-                    [(n, r) for n, r in zip(ns, rows) if not isinstance(r, ScanRow)])
+    rows, dropped = [], []
+    for n in ns:
+        try:
+            result = sweep_time(replace(base_config, n_particles=n))
+        except ExperimentFailed as exc:
+            dropped.append((n, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(ScanRow(n_particles=n, scenario=base_config.scenario,
+                            kind=base_config.kind, t_opt=result.t_opt, i_min=result.i_min,
+                            boundary=result.refinement.boundary))
+    return ScanRows(rows, dropped)
 
 
 @dataclass(frozen=True)

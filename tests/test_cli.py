@@ -77,15 +77,21 @@ def test_sweep_time_csv_structure_and_reruns(tmp_path, capsys):
     assert any(ln.startswith("# boundary = ") for ln in lines)
 
 
-def test_scan_worker_pool_output_is_identical(tmp_path, capsys):
+def test_scan_takes_workers_1_and_it_changes_nothing(tmp_path, capsys):
+    # scans run in-process; --workers 1, as a flag or a config key, is
+    # accepted for older command lines and leaves every byte as it is, the
+    # config header and config-sha256 included
     args = ["scan-n", "--n-list", "2,4", "--gamma", "0.1",
             "--t-grid", "8,0.1,20"]
-    serial = tmp_path / "serial.csv"
-    pooled = tmp_path / "pooled.csv"
-    assert run_cli(capsys, *args, "--workers", "1", "--out", str(serial))[0] == 0
-    assert run_cli(capsys, *args, "--workers", "2", "--out", str(pooled))[0] == 0
-    assert filecmp.cmp(serial, pooled, shallow=False)
-    lines = serial.read_text().splitlines()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 1}))
+    plain = tmp_path / "plain.csv"
+    assert run_cli(capsys, *args, "--out", str(plain))[0] == 0
+    for k, extra in enumerate((["--workers", "1"], ["--config", str(cfg)])):
+        path = tmp_path / f"{k}.csv"
+        assert run_cli(capsys, *args, *extra, "--out", str(path))[0] == 0
+        assert filecmp.cmp(plain, path, shallow=False)
+    lines = plain.read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "n,scenario,kind,t_opt,i_min,boundary"
     assert lines[-1] == "# dropped = none"
@@ -116,16 +122,22 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ("fit", {"in": "scan.csv", "n-min": 2.5}, "n-min"),
     ("sweep-time", {"n": 2, "t-grid": [2.5, 0.1, 10.0]}, "t-grid"),
     ("sweep-time", {"n": 2, "phi": [1, 2]}, "phi"),
+    ("space-info", {"n": 3, "out": None}, "out"),
+    ("fit", {"in": "scan.csv", "column": 5}, "column"),
+    ("fit", {"in": []}, "in"),
 ])
-def test_config_file_values_validated_like_flags(tmp_path, capsys, command, values, key):
+def test_config_file_values_validated_like_flags(tmp_path, monkeypatch, capsys, command,
+                                                values, key):
     # a bad config value is a bad argument (exit 2) that names its key, never
-    # a traceback or a silently truncated number
+    # a traceback, a silently truncated number or a JSON value taken as text
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2
     assert out == ""
     assert err.startswith(f"spinsense: InvalidArgument: config key {key!r}: ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, key, flag", [
@@ -133,7 +145,7 @@ def test_config_file_values_validated_like_flags(tmp_path, capsys, command, valu
     ("verify", "verbose", ["--verbose"]),
 ], ids=["sweep-time-workers", "verify-verbose"])
 def test_options_a_command_would_ignore_are_refused(tmp_path, capsys, command, key, flag):
-    # a single sweep starts no pool and verify prints no progress notes, so
+    # only scan-n takes --workers and verify prints no progress notes, so
     # neither takes the option: as a flag or as a config key it exits 2
     with pytest.raises(SystemExit) as stop:
         main([command, "--n", "2", *flag])
@@ -205,7 +217,8 @@ def test_nonparallel_field_exit_code(capsys):
     (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "{"}, "is not valid JSON"),
     (["space-info", "--config", "{tmp}/cfg.json"], {"cfg.json": "[3]"},
      "must hold a flat JSON object"),
-    (["scan-n", "--n-list", "2", "--workers", "0"], {}, "workers must be >= 1, got 0"),
+    (["scan-n", "--n-list", "2", "--workers", "0"], {},
+     "--workers: scans run in-process, so only 1 is accepted, got '0'"),
     (["sweep-time"], {}, "sweep-time requires --n"),
     (["fit", "--in", "{tmp}/absent.csv"], {}, "cannot read"),
     (["fit", "--in", "{tmp}/scan.csv"], {"scan.csv": "# spinsense-version = 0\r\n"},
@@ -300,16 +313,15 @@ def test_invalid_qfim_exit_code(monkeypatch, capsys):
 
 def test_scan_reports_dropped_particle_numbers(tmp_path, capsys):
     # one spin cannot resolve three field components, so N = 1 is dropped;
-    # the output names it, the same way for any worker count
+    # the output names it, and a rerun writes the same bytes
     args = ["scan-n", "--n-list", "1,2", "--kind", "none", "--gamma", "0",
             "--t-grid", "6,0.1,10"]
     reason = "ExperimentFailed: no grid point produced an invertible QFIM"
     outputs = {}
     for fmt in ("csv", "json"):
-        for workers in ("1", "2", "1"):
-            path = tmp_path / f"{fmt}-{workers}-{len(outputs)}"
-            assert run_cli(capsys, *args, "--format", fmt, "--workers", workers,
-                           "--out", str(path))[0] == 0
+        for run in range(2):
+            path = tmp_path / f"{fmt}-{run}"
+            assert run_cli(capsys, *args, "--format", fmt, "--out", str(path))[0] == 0
             outputs.setdefault(fmt, []).append(path.read_bytes())
         assert len(set(outputs[fmt])) == 1
     lines = outputs["csv"][0].decode().splitlines()
@@ -445,18 +457,50 @@ def test_unsupported_format_is_refused_before_any_work(monkeypatch, tmp_path, ca
     assert err == "spinsense: InvalidArgument: fit supports format ('json',), got 'csv'\n"
 
 
-def test_scan_verbose_reports_the_pool_it_starts(pool_sizes, capsys):
-    # --workers caps the pool; the note names the workers actually started
+def test_scan_verbose_notes_its_particle_counts(capsys):
+    # the note counts the sweeps the scan runs in-process, with or without --workers 1
     args = ["scan-n", "--n-list", "2,4", "--gamma", "0.1", "--t-grid", "8,0.1,20",
             "--verbose"]
-    code, _, err = run_cli(capsys, *args, "--workers", "64")
-    assert code == 0
-    assert pool_sizes == [2]
-    assert "scan-n: 2 particle counts, workers=2\n" in err
-    code, _, err = run_cli(capsys, *args, "--workers", "1")
-    assert code == 0
-    assert pool_sizes == [2]
-    assert "scan-n: 2 particle counts, workers=1\n" in err
+    for extra in ([], ["--workers", "1"]):
+        code, _, err = run_cli(capsys, *args, *extra)
+        assert (code, err) == (0, "scan-n: 2 particle counts\n")
+
+
+@pytest.mark.parametrize("source, name, got", [
+    (["--workers", "2"], "--workers", "'2'"),
+    (["--workers", "0"], "--workers", "'0'"),
+    ({"workers": 2}, "config key 'workers'", "2"),
+], ids=["flag-2", "flag-0", "config-2"])
+def test_scan_refuses_workers_other_than_1(tmp_path, capsys, source, name, got):
+    # there is no pool to size: any value but 1 is a bad argument that says why
+    if isinstance(source, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(source))
+        source = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "scan-n", "--n-list", "2", *source)
+    assert (code, out) == (2, "")
+    assert err == (f"spinsense: InvalidArgument: {name}: scans run in-process, "
+                   f"so only 1 is accepted, got {got}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-time", "--n", "2", "--gamma", "1e200", "--kind", "nonmarkovian"],
+     "Theta(t) at gamma = 1e+200 overflows from t = 0.01"),
+    (["sweep-time", "--n", "2", "--gamma", "1e308"],
+     "Theta(t) at gamma = 1e+308 overflows from t = 2.018760254679039"),
+    (["evolve", "--n", "2", "--t", "1e308"],
+     "theta = 5.0000000000000006e+306 overflows the scaling of exp(theta L)"),
+    (["sweep-time", "--n", "1030", "--kind", "none"],
+     "probe amplitudes need N <= 1029 (C(N, k) as floats), got 1030"),
+    (["husimi", "--n", "1030", "--format", "json", "--grid", "2,1"],
+     "probe amplitudes need N <= 1029 (C(N, k) as floats), got 1030"),
+], ids=["nonmarkovian-gamma-1e200", "markovian-gamma-1e308", "evolve-t-1e308",
+        "sweep-n-1030", "husimi-n-1030"])
+def test_values_past_the_floats_exit_2_in_one_line(capsys, argv, message):
+    # a strength, exponential or binomial that no float holds is refused in
+    # one line naming the value, never a traceback or a printed array
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"spinsense: InvalidArgument: {message}\n")
 
 
 # One value per option: its flag text (None for a bare flag) and the same
@@ -479,7 +523,7 @@ _REPRESENTATIVE = {
     "n-min": ("4", 4),
     "out": ("result.txt", "result.txt"),
     "format": ("json", "json"),
-    "workers": ("2", 2),
+    "workers": ("1", 1),
     "verbose": (None, 1),
 }
 

@@ -13,7 +13,7 @@ from spinsense import (BlockOperator, DensityOperator, InvalidArgument, NoiseKin
                        build_dephasing_superoperator, build_transfer_kernels,
                        collective_operator,
                        coupled_multiplets, degeneracy, embed_collective,
-                       gamma_profile, hamiltonian, integrated_strength,
+                       gamma_profile, ghz_state, hamiltonian, integrated_strength,
                        simultaneous_probe, FieldParams)
 from spinsense.dephasing import _lambda_weights, axis_frame
 from spinsense.dynamics import _PAULI, _site_operator
@@ -521,6 +521,28 @@ def test_dephasing_refuses_a_bad_strength(method, theta):
             lsup.propagate(rho, theta)
         else:
             build_transfer_kernels(space).at([0.1, theta])
+
+
+def test_strengths_beyond_the_floats_are_refused():
+    # Theta(t) past the floats is refused, as a float and as an array,
+    # naming the first t that reaches it rather than printing every Theta
+    nonmark = NoiseSpec(NoiseKind.NONMARKOVIAN, 1e200, AXIS_Z)
+    for t in (0.5, np.array([0.5, 1.0])):
+        with pytest.raises(InvalidArgument) as refused:
+            integrated_strength(nonmark, t)
+        assert str(refused.value) == "Theta(t) at gamma = 1e+200 overflows from t = 0.5"
+    mark = NoiseSpec(NoiseKind.MARKOVIAN, 1e308, AXIS_Z)
+    assert integrated_strength(mark, 1.0) == 1e308
+    times = np.geomspace(1.0, 100.0, 40)  # 1e308 t passes the largest float from t[5] = 1.80
+    with pytest.raises(InvalidArgument) as refused:
+        integrated_strength(mark, times)
+    assert str(refused.value) == (
+        f"Theta(t) at gamma = 1e+308 overflows from t = {float(times[5])!r}")
+    # a finite theta whose exponential's scaling overflows is refused as well
+    space = build_space(2)
+    lsup = build_dephasing_superoperator(space, NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_Z))
+    with pytest.raises(InvalidArgument, match="overflows the scaling of exp"):
+        lsup.propagate(ghz_state(space, "z").projector(), 5e306)
 
 
 def test_propagate_at_large_n():

@@ -204,6 +204,19 @@ def test_spinor_power_binomials_are_exact():
         assert np.array_equal(got[0], np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])), n
 
 
+def test_probe_amplitudes_stop_at_n_1029():
+    # C(1030, 515) > 1.8e308 is no float, so from N = 1030 every probe is
+    # refused with the limit named, never an OverflowError; N = 1029 still builds
+    assert np.all(np.isfinite(_spinor_powers(1029, np.array([[1.0, 1.0]]))))
+    assert abs(np.linalg.norm(ghz_state(build_space(1029), "z").amplitudes) - 1.0) < 1e-12
+    space = build_space(1030)
+    for call in (lambda: _spinor_powers(1030, np.array([[1.0, 1.0]])),
+                 lambda: ghz_state(space, "z"), lambda: coherent_state(space, 0.3, 0.0),
+                 lambda: simultaneous_probe(space)):
+        with pytest.raises(InvalidArgument, match="N <= 1029"):
+            call()
+
+
 def test_ghz_even_and_odd_signs():
     space = build_space(2)
     amps = ghz_state(space, "z").amplitudes

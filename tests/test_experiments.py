@@ -81,8 +81,6 @@ def test_sweep_config_validation():
     lambda: SweepConfig(n_particles=2.7),
     lambda: SweepConfig(n_particles=True),
     lambda: scan_particles([2.5, 3.7], SweepConfig(n_particles=2)),
-    lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=1.5),
-    lambda: scan_particles([2, 3], SweepConfig(n_particles=2), workers=0),
     lambda: SweepConfig(n_particles=2, gamma=-1.0),
     lambda: SweepConfig(n_particles=2, gamma="x"),
     lambda: SweepConfig(n_particles=2, axis=(0, 0, 0)),
@@ -246,7 +244,7 @@ def test_sweep_config_validation():
     lambda: embed_collective(_RHO, {3: [np.zeros((4, 4))], 1: [np.zeros((2, 8))] * 2}),
     lambda: full_hilbert_reference(3, ghz_state(build_space(4), "z"), _FIELD, _SPEC, 1.0),
 ], ids=["scenario", "kind", "n-text", "n-fraction", "n-bool", "n-list-fraction",
-        "workers-fraction", "workers-zero", "gamma-negative", "gamma-text", "axis-zero",
+        "gamma-negative", "gamma-text", "axis-zero",
         "total-time-text", "axis-text", "field-text", "axis-scalar", "grid-start-text",
         "grid-stop-none", "grid-tuple", "husimi-grid-fraction", "husimi-map-fraction",
         "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan", "evolve-t-text",
@@ -863,29 +861,18 @@ def test_scan_collects_ascending_rows():
         scan_particles([], cfg)
 
 
-def test_scan_worker_pool_matches_serial():
-    cfg = SweepConfig(n_particles=4, gamma=0.1,
-                      grid=TimeGrid(count=16, start=0.05, stop=100.0))
-    serial = scan_particles([4, 6], cfg, workers=1)
-    pooled = scan_particles([4, 6], cfg, workers=2)
-    assert [(r.n_particles, r.t_opt, r.i_min) for r in serial] \
-        == [(r.n_particles, r.t_opt, r.i_min) for r in pooled]
-
-
-def test_scan_pool_is_capped_at_the_number_of_sweeps(pool_sizes):
-    # a pool forks all its workers up front, so it gets no more workers than
-    # there are sweeps, and none for a single sweep
-    cfg = SweepConfig(n_particles=2, gamma=0.1,
-                      grid=TimeGrid(count=8, start=0.1, stop=20.0))
-    serial = scan_particles([2, 4], cfg, workers=1)
-    assert pool_sizes == []
-    pooled = scan_particles([2, 4], cfg, workers=64)
-    assert pool_sizes == [2]
-    assert [(r.n_particles, r.t_opt, r.i_min) for r in pooled] \
-        == [(r.n_particles, r.t_opt, r.i_min) for r in serial]
-    single = scan_particles([4], cfg, workers=64)
-    assert pool_sizes == [2]
-    assert (single[0].t_opt, single[0].i_min) == (serial[1].t_opt, serial[1].i_min)
+def test_scan_drops_a_failing_n_and_keeps_the_rest():
+    # one spin cannot resolve three field components, so N = 1 fails: the
+    # scan keeps going, keeps the rows of N = 2 and 3 as their own sweeps
+    # give them, and names N = 1 with the reason
+    cfg = SweepConfig(n_particles=1, kind="none", grid=TimeGrid(count=6, start=0.1, stop=10.0))
+    rows = scan_particles([1, 2, 3], cfg)
+    assert [r.n_particles for r in rows] == [2, 3]
+    assert rows.dropped == ((1, "ExperimentFailed: no grid point produced an invertible QFIM"),)
+    for row in rows:
+        alone = sweep_time(replace(cfg, n_particles=row.n_particles))
+        assert (row.t_opt, row.i_min, row.boundary) \
+            == (alone.t_opt, alone.i_min, alone.refinement.boundary)
 
 
 def test_fit_recovers_synthetic_exponents():
@@ -1035,11 +1022,13 @@ def test_sweep_bounds_each_chunk_in_one_step(monkeypatch, scenario):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # a scan imports its pool only when it starts one, so importing the
-    # package loads neither concurrent.futures, nor the logging it imports,
-    # nor multiprocessing
+    # a scan runs its sweeps in this process, so neither importing the
+    # package nor a scan loads concurrent.futures, the logging it imports,
+    # or multiprocessing
     package_root = str(Path(experiments.__file__).resolve().parents[1])
     code = ("import sys, spinsense\n"
+            "spinsense.scan_particles([2, 3], spinsense.SweepConfig(\n"
+            "    n_particles=2, grid=spinsense.TimeGrid(count=6, start=0.1, stop=10.0)))\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert 'logging' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules")

@@ -89,16 +89,16 @@ print()
 # exp(-4 Theta hamming(x, y)), so each sector keeps a real kernel times the
 # state, a polynomial in q = exp(-8 Theta) with nonnegative coefficients.
 # For m = m' = 0 at N = 6 (three of six spins flipped on both sides) the
-# maximal-sector kernel is K_0 = (1 + 9 q + 9 q^2 + q^3) / 20. It is flat
-# entry 15, after the rows i = 0, 1, 2 of i <= i', i + i' <= 6 (7, 5 and 3
-# entries), and the kernels can be built on that entry alone
-centre = build_transfer_kernels(space, [15])
+# maximal-sector kernel is K_0 = (1 + 9 q + 9 q^2 + q^3) / 20. It sits at
+# window index 3 of sector 0, and the kernels can be built on one stack of
+# one window that reads that index alone
+centre = build_transfer_kernels(space, [([0], [[3]])])
 terms = " + ".join(f"{c:g} q^{u}" for u, c in enumerate(centre.counts[:, 0]) if c)
 print(f"N = 6, m = m' = 0: K_0 = ({terms}) / {centre.divisor[0]:g}")
 print(f"{'Theta':>6} {'K_0':>12} {'polynomial':>12}")
 for theta in (0.01, 0.1, 0.3, 2.0):
     q = math.exp(-8.0 * theta)
-    print(f"{theta:6.2f} {centre.values([theta])[0, 0]:12.9f} "
+    print(f"{theta:6.2f} {next(centre.values([theta]))[0, 0, 0, 0]:12.9f} "
           f"{(1 + 9 * q + 9 * q ** 2 + q ** 3) / 20:12.9f}")
 print()
 

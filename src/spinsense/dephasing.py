@@ -24,9 +24,9 @@ PRA 98, 063815 (2018)). A chain's generator depends only on m m' and
 built and exponentiated once. Each chain has nonnegative off-diagonal
 entries and nonpositive column sums, so its exponential is a nonnegative
 contraction, and scaling and squaring (a short Taylor step, then repeated
-squaring) reaches working precision at any Theta and N. An eigenbasis of
-the chain would not: it is as ill-conditioned as the similarity that
-symmetrises it.
+squaring) reaches working precision at any N, with Theta clamped where the
+chains saturate (_THETA_SATURATED). An eigenbasis of the chain would not:
+it is as ill-conditioned as the similarity that symmetrises it.
 
 A state that starts in the maximal sector needs no chain: its sector
 blocks follow in closed form (TransferKernels).
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import BlockOperator, DickeSpace, _blocks_of, _collective_exponential
-from .errors import (InvalidArgument, _array, _instance, _member, _nonnegative, _strengths,
-                     _vector)
+from .errors import InvalidArgument, _instance, _member, _nonnegative, _strengths, _vector
 
 
 class NoiseKind(str, enum.Enum):
@@ -128,6 +127,11 @@ def _lambda_weights(n, j):
 _TAYLOR_DEGREE = 10
 _TAYLOR_NORM = 0.125
 
+# Every chain's rates are -4 d, d = 0, 1, ...: past this Theta its exponential
+# moves by e^-40 = 4e-18 or less, and the clamp keeps the squarings' rounding
+# to |exp(10 L) - exp(20 L)| <= 2.3e-12 (N = 2 to 96); at Theta = 5e6 it was 1.1e-6.
+_THETA_SATURATED = 10.0
+
 
 @dataclass(frozen=True, eq=False)
 class ChainBatch:
@@ -147,11 +151,9 @@ class ChainBatch:
 
     def exponential(self, theta):
         """exp(theta generator[r]) for every representative r, by scaling and
-        squaring. Shape generator.shape."""
-        theta = float(_strengths(theta))
+        squaring, theta clamped at _THETA_SATURATED. Shape generator.shape."""
+        theta = min(float(_strengths(theta)), _THETA_SATURATED)
         width = theta * float(np.abs(self.generator).sum(axis=1).max()) / _TAYLOR_NORM
-        if math.isinf(width):
-            raise InvalidArgument(f"theta = {theta!r} overflows the scaling of exp(theta L)")
         squarings = max(0, math.ceil(math.log2(width))) if width > 0.0 else 0
         step = self.generator * (theta / 2.0 ** squarings)
         eye = np.eye(self.generator.shape[-1])
@@ -226,7 +228,7 @@ class DephasingSuperoperator:
         return self._through_chains(rho, lambda b: b.generator)
 
     def propagate(self, rho, theta):
-        """exp(theta L)[rho] as a BlockOperator, at any theta >= 0."""
+        """exp(theta L)[rho] as a BlockOperator, at any finite theta >= 0."""
         return self._through_chains(rho, lambda b: b.exponential(theta))
 
     def _through_chains(self, rho, chain_map):
@@ -300,7 +302,7 @@ class TransferKernels:
     (1973)) split that decay over the sectors. In the noise frame, sector s
     of exp(Theta L)[X] is K_s(Theta) * X[w, w], with X the maximal-sector
     block, w = s:N + 1 - s its centred window and K_s a real kernel, the
-    same for every state (at). With a = s + i and b = s + i' the spins
+    same for every state. With a = s + i and b = s + i' the spins
     flipped along the noise axis at window indices i and i', lo = min(a, b),
     hi = max(a, b), q = exp(-8 Theta) and mu_s the multiplicity of sector s,
 
@@ -311,13 +313,14 @@ class TransferKernels:
     where the sum divided by C(N-2s, hi-s) is a hypergeometric pmf in u:
     every term is nonnegative, and 1 - q is taken as -expm1(-8 Theta).
     K(i, i') = K(i', i) = K(d-1-i, d-1-i') holds exactly and folds every
-    (i, i') onto the entries i <= i', i + i' <= N - 2s (_entry), numbered
-    sector by sector in one flat sequence (_entry_offsets). On the entries
-    they were built on, the kernels hold the counts C(lo-s, u)
+    (i, i') onto an entry (s, lo, hi) with lo <= hi, lo + hi <= N - 2s. On
+    the distinct entries that the blocks they were built on read, in the
+    order (s, lo, hi), the kernels hold the counts C(lo-s, u)
     C(N-lo-s, hi-lo+u) for u = 0 ... N // 2, exactly 0 for u > lo - s, in
     one table, and each entry's divisor C(N-2s, hi-s) / (mu_s sqrt(...)),
-    hi - lo and s. Counts below 2^53 are exact, so K_0(0) = 1 exactly for
-    N <= 56.
+    hi - lo and s; places holds, per stack of windows, where each of its
+    (c, a, a) block entries sits among them. Counts below 2^53 are exact,
+    so K_0(0) = 1 exactly for N <= 56.
     """
 
     space: DickeSpace
@@ -325,19 +328,12 @@ class TransferKernels:
     divisor: np.ndarray
     gap: np.ndarray
     sector: np.ndarray
-
-    def at(self, thetas):
-        """Per sector s, the real (len(thetas), d_s, d_s) stack of K_s; the
-        kernels must hold every entry."""
-        n, offsets = self.space.n_particles, _entry_offsets(self.space.n_particles)
-        if self.gap.size != offsets[-1]:
-            raise InvalidArgument("at needs the kernels built on every entry")
-        values, r = self.values(thetas), np.arange(n + 1)
-        return [values[:, first + _entry(w, r[:w + 1, None], r[:w + 1])]
-                for first, w in zip(offsets.tolist(), range(n, -1, -2))]
+    places: tuple
 
     def values(self, thetas):
-        """The (len(thetas), entries) kernel values: one product of powers of q
+        """The (len(thetas), c, a, a) kernel blocks of each stack of windows, in
+        the order they were built on, one stack at a time: thetas are checked and
+        the distinct entries evaluated at the call, by one product of powers of q
         with the counts, then the divisor, the decay of the gap and (1 - q)^s."""
         thetas, n = _strengths(thetas), self.space.n_particles
         decay = np.exp(-4.0 * np.outer(thetas, np.arange(n + 1)))
@@ -345,46 +341,56 @@ class TransferKernels:
         out /= self.divisor
         out *= decay[:, self.gap]
         out *= ((-np.expm1(-8.0 * thetas))[:, None] ** np.arange(n // 2 + 1))[:, self.sector]
-        return out
+        return (out[:, place] for place in self.places)
 
 
-def _entry_offsets(n):
-    """The flat index of each sector's first kernel entry, then their total:
-    a window of w + 1 has (w // 2 + 1) (w - w // 2 + 1) entries."""
-    w = n - 2 * np.arange(n // 2 + 1)
-    return np.concatenate(([0], np.cumsum((w // 2 + 1) * (w - w // 2 + 1))))
-
-
-def _entry(w, i, k):
-    """The index of K(i, k) among its sector's entries, w + 1 the window: (i,
-    k) folded onto (lo, hi), lo <= hi, lo + hi <= w, which the rows before
-    it precede lo (w + 2 - lo) times and its own row hi - lo times."""
-    lo, hi = np.minimum(i, k), np.maximum(i, k)
-    flip = lo + hi > w
-    lo, hi = np.where(flip, w - hi, lo), np.where(flip, w - lo, hi)
-    return lo * (w + 1 - lo) + hi
-
-
-def build_transfer_kernels(space, entries=None):
-    """The TransferKernels of a DickeSpace on the given strictly ascending flat
-    entries (all by default): exact binomials, each rounded once, and counts
-    filled one power of q at a time, so that no temporary grows with them."""
+def build_transfer_kernels(space, windows=None):
+    """The TransferKernels of a DickeSpace for the given stacks of windows, one
+    (sectors, indices) pair of integer arrays per stack: sectors (c,)
+    the sector s of each of its c windows and indices (c, a) the window
+    indices that its blocks K_s[i, i'] read; by default one stack per sector,
+    on its whole window. Every block entry (s, i, i') is folded by the kernel
+    symmetries and each distinct (s, lo, hi) kept once: exact binomials, each
+    rounded once, and counts filled one power of q at a time, so that no
+    temporary grows with them."""
     n = _instance(space, DickeSpace, "space").n_particles
+    if windows is None:
+        windows = [(np.array([s]), np.arange(n + 1 - 2 * s)[None]) for s in range(n // 2 + 1)]
+    try:
+        stacks = [(np.asarray(s), np.asarray(i)) for s, i in windows]
+    except (TypeError, ValueError):
+        stacks = []
+    if not stacks or any(s.ndim != 1 or i.ndim != 2 or len(i) != len(s) or s.dtype.kind not in
+                         "iu" or i.dtype.kind not in "iu" for s, i in stacks):
+        raise InvalidArgument("windows must be (sectors, indices) pairs of integer arrays of "
+                              f"shapes (c,) and (c, a), got {windows!r}")
+    stacks = [(s.astype(int, copy=False), i.astype(int, copy=False)) for s, i in stacks]
+    sectors = np.concatenate([s for s, _ in stacks])
+    indices = np.concatenate([i.ravel() for _, i in stacks])
+    widths = [i.shape[1] for _, i in stacks for _ in i]
+    if not (np.all((sectors >= 0) & (sectors <= n // 2))
+            and np.all((indices >= 0) & (indices <= np.repeat(n - 2 * sectors, widths)))):
+        raise InvalidArgument(f"windows must hold sectors 0 ... {n // 2} and indices inside "
+                              f"their windows, got {windows!r}")
+    # every block entry (s, i, i') as the digits of one 64-bit integer in base N + 1,
+    # folded onto (s, lo, hi): lo = (w - |i + i' - w| - |i - i'|) / 2, hi - lo = |i - i'|
+    digits = lambda code: (code // (n + 1) ** 2, code // (n + 1) % (n + 1), code % (n + 1))
+    s, i, k = digits(np.concatenate([((s[:, None, None] * (n + 1) + i[:, :, None]) * (n + 1)
+                                      + i[:, None, :]).ravel() for s, i in stacks]))
+    w, gap = n - 2 * s, np.abs(i - k)
+    lo = (w - np.abs(i + k - w) - gap) // 2
+    entries, inverse = np.unique((s * (n + 1) + lo) * (n + 1) + lo + gap, return_inverse=True)
+    first = np.cumsum([0] + [i.size * i.shape[1] for _, i in stacks]).tolist()
+    places = tuple(inverse[a:b].reshape(i.shape + i.shape[1:])
+                   for a, b, (_, i) in zip(first, first[1:], stacks))
+    s, i, k = digits(entries)
     mu = np.array([float(sector.multiplicity) for sector in space.sectors])
-    r, w = np.arange(n + 1), n - 2 * np.arange(len(mu))
-    # the entries i <= k, i + k <= w of every sector s, sector by sector, row by row
-    rows = r[:n // 2 + 1, None]
-    s, i, k = np.nonzero((rows <= r) & (rows + r <= w[:, None, None]))
-    ids = np.arange(s.size) if entries is None else _array(entries, "entries", None)
-    if ids.ndim != 1 or ids.dtype.kind not in "iu" or not np.all(ids[1:] > ids[:-1]) \
-            or not np.all((ids >= 0) & (ids < s.size)):
-        raise InvalidArgument(f"entries must be ascending integers < {s.size}, got {entries}")
     binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
-    s, i, k = s[ids], i[ids], k[ids]
-    w, gap, counts = w[s], k - i, np.empty((n // 2 + 1, ids.size))
+    w, gap, counts = n - 2 * s, k - i, np.empty((n // 2 + 1, entries.size))
     divisor = binom[w, k] / (mu[s] * np.sqrt(
         binom[w, i] / binom[n, s + i] * binom[w, k] / binom[n, s + k]))
     for u, row in enumerate(counts):
         # C(i, u) = 0 for u > i, where clipping u only keeps the index in range
         np.multiply(binom[i, u], binom[w - i, gap + np.minimum(u, i)], out=row)
-    return TransferKernels(space=space, counts=counts, divisor=divisor, gap=gap, sector=s)
+    return TransferKernels(space=space, counts=counts, divisor=divisor, gap=gap, sector=s,
+                           places=places)

@@ -168,12 +168,15 @@ def evolve(rho0, field, spec, t, superoperator=None):
 
 _REFERENCE_TOL = 1e-10
 _REFERENCE_MAX_DOUBLINGS = 14
+# Most RK4 steps of a first pass: about 5.5 s at N = 2 (0.55 ms a step); the
+# longest joint run of the tests, demos and verify, t = 5, takes about 100.
+_REFERENCE_MAX_STEPS = 10_000
 
 
 def _integrate_doubling(rhs, y0, field, spec, t):
     """Fixed-step RK4 over [0, t] with resolution doubling until two runs agree
     to 1e-10. The first run takes at least 8 steps, and enough that no step
-    exceeds 0.05 in (|phi| + 1) u or in Theta(u)."""
+    exceeds 0.05 in (|phi| + 1) u or in Theta(u), refused past _REFERENCE_MAX_STEPS."""
 
     def run(nsteps):
         h = t / nsteps
@@ -187,8 +190,11 @@ def _integrate_doubling(rhs, y0, field, spec, t):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return y
 
-    nsteps = max(8, math.ceil(t * (field.norm + 1.0) / 0.05),
-                 math.ceil(integrated_strength(spec, t) / 0.05))
+    steps = max(8.0, t * (field.norm + 1.0) / 0.05, integrated_strength(spec, t) / 0.05)
+    if steps > _REFERENCE_MAX_STEPS:
+        raise InvalidArgument(f"the reference integration to t = {t!r} needs {steps:.3g} RK4 "
+                              f"steps, more than {_REFERENCE_MAX_STEPS}")
+    nsteps = math.ceil(steps)
     coarse = run(nsteps)
     for _ in range(_REFERENCE_MAX_DOUBLINGS):
         nsteps *= 2

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dicke import StateVector, _ghz_spinors, _spinor_powers, build_space
-from .dephasing import (NoiseKind, NoiseSpec, _entry, _entry_offsets, _frame_rotation,
-                        build_transfer_kernels, integrated_strength)
+from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
+                        integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, _rotation_integral
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, NumericalError,
                      _array, _count, _instance, _member, _positive, _real, _vector)
@@ -194,15 +194,14 @@ def _frame_probes(scenario, n, axis):
 def _sweep_probes(config, space, spec):
     """What _dephased_qfims needs of the probes, once per sweep: groups, phi
     the field along the noise axis, columns those (z, x, y) of the frame's R
-    scaled by (1, 1/2, -1/2) (_chunk_qfim) and entries the flat kernel entries
-    the windows read, to build the TransferKernels on. A group holds the
+    scaled by (1, 1/2, -1/2) (_chunk_qfim) and the TransferKernels built on
+    the groups' stacks of windows, in order. A group holds the
     probes of one |phi| (_frame_probes): its windows stacked by support size,
     each probe's axes and the fixed maps of _gammas from its Gram rows to its
     components. On neighbours c, c + 1 of the support the parts of the probes'
     links conj(e_c) e_c+1 are L W, L the ladder basis: their singular vectors
     above rounding, often just one."""
     frame_groups, r = _frame_probes(config.scenario, space.n_particles, spec.axis)
-    offsets = _entry_offsets(space.n_particles)
     groups = []
     for modulus, probes in frame_groups:
         links = np.array([e[:-1].conj() * e[1:] for e, _ in probes])
@@ -216,36 +215,23 @@ def _sweep_probes(config, space, spec):
         w = w[:rank].reshape(rank, len(probes), 2).transpose(1, 0, 2)  # Re, Im of U per probe
         sym, anti = np.zeros((len(probes), rank + 1, 3)), np.zeros((len(probes), rank, 3))
         sym[:, 0, 0], sym[:, 1:, 1:], anti[..., 1:] = 0.5, w * [1.0, -1.0], w[..., ::-1]
-        groups.append((_windows(modulus, links, basis, offsets), [a for _, a in probes],
-                       (sym, anti)))
+        groups.append((_windows(modulus, links, basis), [a for _, a in probes], (sym, anti)))
     return groups, np.dot(config.field, r[:, 2]) * r[:, 2], r[:, [2, 0, 1]] * [1.0, 0.5, -0.5], \
-        _read_entries([stack for windows, *_ in groups for stack in windows], offsets[-1])
+        build_transfer_kernels(space, [pair for windows, *_ in groups for pair, *_ in windows])
 
 
-def _read_entries(stacks, count):
-    """The flat kernel entries, of count, that the stacks read, ascending;
-    each stack's are renumbered in place to their places among them."""
-    read = np.zeros(count, dtype=bool)
-    for stack in stacks:
-        read[stack[0]] = True
-    place = np.cumsum(read) - 1
-    for stack in stacks:
-        stack[0] = place[stack[0]]
-    return np.flatnonzero(read)
-
-
-def _windows(modulus, links, basis, offsets):
+def _windows(modulus, links, basis):
     """The windows w = s:N + 1 - s that meet the support S (same m as the
     maximal sector; J_+ has sqrt((i + 1)(d - 1 - i)) at (i, i + 1)) of every
-    sector, with the kernel entry offsets of _entry_offsets, in stacks of one
-    size a of S in w, built for every window at once from a mask of S per
-    sector. Per stack of c windows: the flat kernel entries (_entry) of
-    K_s[S, S], (c, a, a); |phi_S| |phi_S|^T; m and the ladder basis on S;
+    sector, in stacks of one size a of S in w, built for every window at once
+    from a mask of S per sector. Per stack of c windows: the pair of their
+    (c,) sectors and the (c, a) indices of S in them, to build K_s[S, S] on
+    (build_transfer_kernels); |phi_S| |phi_S|^T; m and the ladder basis on S;
     and for the columns o of the windows off S next to S, the flat indices
     of B^ at (o -+ 1, o -+ 1) in the c x a x a blocks and their fixed map
     onto each probe's Gamma (_gammas), or None."""
     n = modulus.size - 1
-    s = np.arange(len(offsets) - 1)[:, None]
+    s = np.arange(n // 2 + 1)[:, None]
     g = np.arange(-1, n + 2)  # padded by a column each side
     inside = (g >= s) & (g <= n - s)
     sup = inside & (np.concatenate(([0.0], modulus, [0.0])) > 0.0)
@@ -266,33 +252,30 @@ def _windows(modulus, links, basis, offsets):
     for first, stop, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]):
         c, a, sl = stop - first, sizes[first], slice(first, stop)
         pos = np.nonzero(sup[sl])[1].reshape(c, a) - 1
-        i = pos - s[sl]
         edge = None if hi == lo else (
             (((ws[lo:hi, None, None] - first) * a + nb[lo:hi, :, None]) * a
              + nb[lo:hi, None, :]).ravel(), maps[lo:hi].reshape(4 * (hi - lo), -1))
-        stacks.append([offsets[sl, None, None] + _entry(
-                           n - 2 * s[sl, :, None], i[:, :, None], i[:, None, :]),
-                       modulus[pos][:, :, None] * modulus[pos][:, None, :], n / 2.0 - pos,
+        stacks.append(((s[sl, 0], pos - s[sl]), modulus[pos][:, :, None] * modulus[pos][:, None, :],
+                       n / 2.0 - pos,
                        np.moveaxis(ladder[s[sl], pos + 1][:, :-1, None] * basis[pos[:, :-1]],
-                                   -1, 0)[:, :, None, :], edge])
+                                   -1, 0)[:, :, None, :], edge))
     return stacks
 
 
-def _chunk_size(groups):
+def _chunk_size(groups, entries):
     """Most grid times per chunk: _CHUNK_BYTES over what a chunk holds per
     time: every stack's eigenpairs, 8 c (a + a^2) bytes for c windows on a
     support of a, and the larger of the kernel values with a stack's blocks,
-    8 E + 16 c a^2 for E entries, and the largest stack's transient in
+    8 E + 16 c a^2 for E distinct kernel entries, and the largest stack's transient in
     _gammas, 16 (K + 3) c a^2, K = rank + 1, 1 x 1 stacks too (tracemalloc, N = 12 to 96).
     On any grid a noisy `ind` sweep is at the floor of one time from N = 64 (2 at N = 48): at
     N = 96 one time holds 1.27 MB of eigenpairs plus a 0.75 MB transient (1.88 MB traced),
     above _CHUNK_BYTES; splitting each window by m -> -m would halve the eigenpairs."""
-    stacks = [(ids, maps[0].shape[1]) for windows, _, maps in groups for ids, *_ in windows]
-    pairs = sum(8 * (ids.size + ids[..., 0].size) for ids, _ in stacks)
-    values = 8 * (1 + max(int(ids.max()) for ids, _ in stacks))
-    widest = max(ids.size for ids, _ in stacks)
-    stream = max(16 * (k + 3) * ids.size for ids, k in stacks)
-    return max(1, int(_CHUNK_BYTES // (pairs + max(values + 16 * widest, stream))))
+    stacks = [(top, maps[0].shape[1]) for windows, _, maps in groups for _, top, *_ in windows]
+    pairs = sum(8 * (top.size + top[..., 0].size) for top, _ in stacks)
+    widest = max(top.size for top, _ in stacks)
+    stream = max(16 * (k + 3) * top.size for top, k in stacks)
+    return max(1, int(_CHUNK_BYTES // (pairs + max(8 * entries + 16 * widest, stream))))
 
 
 def _gammas(groups, eigen):
@@ -376,11 +359,12 @@ def _bounds_on_grid(config, qfims, size, times):
 def _dephased_qfims(transfer, spec, groups, phi, columns, chunk):
     """A chunk's QFIMs under noise: sector s of a probe dephased to Theta(t)
     is P B P^dag in the frame, P = diag(e_w), B = K_s * |phi_w| |phi_w|^T and
-    K_s the transfer kernels, built on the entries the windows read; eigh per
+    K_s the transfer kernels, built on the windows' stacks in order (zip takes
+    a stack before its block, so no group reads past its own); eigh per
     group and stack of windows of one support size, then _gammas and _chunk_qfim."""
-    kernel = transfer.values(integrated_strength(spec, chunk))
-    eigen = [[np.linalg.eigh(kernel[:, ids] * top) for ids, top, *_ in w] for w, *_ in groups]
-    del kernel  # not held while _gammas runs (_chunk_size)
+    kernels = transfer.values(integrated_strength(spec, chunk))
+    eigen = [[np.linalg.eigh(k * top) for (_, top, *_), k in zip(w, kernels)] for w, *_ in groups]
+    del kernels  # their values are not held while _gammas runs (_chunk_size)
     return _chunk_qfim(chunk, phi, columns, _gammas(groups, eigen))
 
 
@@ -456,8 +440,8 @@ def sweep_time(config):
             "sweep needs the parallel split")
     if spec.gamma > 0.0:
         space = build_space(config.n_particles)
-        groups, phi, columns, entries = _sweep_probes(config, space, spec)
-        transfer, size = build_transfer_kernels(space, entries), _chunk_size(groups)
+        groups, phi, columns, transfer = _sweep_probes(config, space, spec)
+        size = _chunk_size(groups, transfer.divisor.size)
         qfims = lambda t: _dephased_qfims(transfer, spec, groups, phi, columns, t)
     else:  # C = M; 64 times a chunk, about where its fixed cost is its times' own
         size, grams = 64, _noiseless_grams(config.scenario, config.n_particles)

@@ -8,8 +8,10 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from spinsense import (ExperimentFailed, FieldParams, NoiseSpec, SweepConfig, TimeGrid,
                        build_space, collective_operator, full_gkls_reference, ghz_state,
                        husimi_map, simultaneous_probe, sweep_time)
-from spinsense import dynamics
+from spinsense import cli, dynamics
 from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
 from spinsense.experiments import _DEFAULT_AXIS
 
@@ -488,19 +490,54 @@ def test_scan_refuses_workers_other_than_1(tmp_path, capsys, source, name, got):
      "Theta(t) at gamma = 1e+200 overflows from t = 0.01"),
     (["sweep-time", "--n", "2", "--gamma", "1e308"],
      "Theta(t) at gamma = 1e+308 overflows from t = 2.018760254679039"),
-    (["evolve", "--n", "2", "--t", "1e308"],
-     "theta = 5.0000000000000006e+306 overflows the scaling of exp(theta L)"),
     (["sweep-time", "--n", "1030", "--kind", "none"],
      "probe amplitudes need N <= 1029 (C(N, k) as floats), got 1030"),
     (["husimi", "--n", "1030", "--format", "json", "--grid", "2,1"],
      "probe amplitudes need N <= 1029 (C(N, k) as floats), got 1030"),
-], ids=["nonmarkovian-gamma-1e200", "markovian-gamma-1e308", "evolve-t-1e308",
-        "sweep-n-1030", "husimi-n-1030"])
+], ids=["nonmarkovian-gamma-1e200", "markovian-gamma-1e308", "sweep-n-1030",
+        "husimi-n-1030"])
 def test_values_past_the_floats_exit_2_in_one_line(capsys, argv, message):
     # a strength, exponential or binomial that no float holds is refused in
     # one line naming the value, never a traceback or a printed array
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"spinsense: InvalidArgument: {message}\n")
+
+
+@pytest.mark.parametrize("t", ["1e8", "1e17", "1e20", "1e308"])
+def test_evolve_keeps_the_trace_at_any_strength(capsys, t):
+    # past Theta = 10 every chain has saturated and its exponential is taken
+    # there, so a long run keeps the trace to 1e-10 and raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "evolve", "--n", "2", "--t", t)
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["trace"] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("t, steps", [("1e4", "2.04e+05"), ("1e308", "inf")])
+def test_joint_integration_past_its_step_cap_is_refused(capsys, t, steps):
+    # the first pass's step count, taken in floats, is refused before any step
+    code, out, err = run_cli(capsys, "evolve", "--n", "2", "--t", t, "--phi", "0.02,0,0")
+    assert (code, out) == (2, "")
+    assert err == (f"spinsense: InvalidArgument: the reference integration to t = {float(t)!r} "
+                   f"needs {steps} RK4 steps, more than 10000\n")
+
+
+def test_joint_integration_that_does_not_converge_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "_REFERENCE_MAX_DOUBLINGS", 0)
+    code, out, err = run_cli(capsys, "evolve", "--n", "2", "--t", "0.5", "--phi", "0.02,0,0")
+    assert (code, out, err) == (
+        3, "", "spinsense: NumericalError: reference integration did not converge to 1e-10\n")
+
+
+def test_failed_rotation_eigensolve_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    code, out, err = run_cli(capsys, "evolve", "--n", "2", "--t", "0.5")
+    assert (code, out, err) == (3, "", "spinsense: NumericalError: collective rotation "
+                                       "diagonalization failed: Eigenvalues did not converge\n")
 
 
 # One value per option: its flag text (None for a bare flag) and the same
@@ -585,6 +622,24 @@ def test_verify_skips_the_oracles_past_their_caps(monkeypatch, capsys):
         "SKIP product-space-moments (requires n <= 1, got 2)",
         "SKIP product-space-state (requires n <= 1, got 2)"]
     assert lines[-1] == "verify: 6/6 checks passed"
+
+
+@pytest.mark.parametrize("name, fake, line", [
+    ("build_space", lambda real: lambda n: real(n + 1 if n == 17 else n),
+     "FAIL dimension-counting (multiplicity sum 262144 != 2^17)"),
+    ("dicke_dimension", lambda real: lambda n: real(n) + (n == 30),
+     "FAIL dimension-counting (sector layout disagrees with the dimension formula at N=30)"),
+    ("sweep_time", lambda real: lambda config: SimpleNamespace(bounds=np.ones(config.grid.count)),
+     "FAIL sweep-vs-pointwise (N=1, markovian sim: singular points differ)"),
+], ids=["multiplicity-sum", "dimension-formula", "singular-points"])
+def test_verify_reports_a_failed_check_and_exits_3(monkeypatch, capsys, name, fake, line):
+    # a check's failure, forced through what it calls, is one FAIL line
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    code, out, err = run_cli(capsys, "verify", "--n", "1")
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [line]
+    assert lines[-1] == "verify: 8/9 checks passed"
 
 
 def test_verbose_notes_each_file_written(tmp_path, capsys):

@@ -232,10 +232,15 @@ def test_chain_batches_match_the_pairwise_loop(n):
             assert np.array_equal(got, want)
 
 
+def _sector_kernels(space, thetas):
+    # the default build holds one stack per sector, on its whole window
+    return [block[:, 0] for block in build_transfer_kernels(space).values(thetas)]
+
+
 @pytest.mark.parametrize("n", [5, 24])
 def test_transfer_kernels_carry_the_orbit_symmetry_exactly(n):
     # K_s(m, m') = K_s(m', m) = K_s(-m, -m'), bit for bit
-    for kernel in build_transfer_kernels(build_space(n)).at([0.0, 0.013, 0.4, 3.0, 25.0]):
+    for kernel in _sector_kernels(build_space(n), [0.0, 0.013, 0.4, 3.0, 25.0]):
         assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
         assert np.array_equal(kernel, kernel[:, ::-1, ::-1])
 
@@ -289,27 +294,35 @@ def test_transfer_tables_match_the_sector_loop(n):
 
 
 @pytest.mark.parametrize("n", [7, 24])
-def test_kernel_values_on_any_entries(n):
-    # kernels built on a subset of the flat entries (the first sector's
-    # whole table and every third entry of the others; the first; the last)
-    # give the full build's columns bit for bit, for one time and for
-    # several; at folds the full build's values onto every sector through
-    # the loop's index tables
+def test_kernel_blocks_on_any_windows(n):
+    # the default build reads each sector's block through the loop's index
+    # tables; kernels built on other stacks (three sectors' windows at
+    # scattered indices, every sector's first index as 8-bit integers, one
+    # entry of the last sector) keep each entry they read once and give the
+    # default build's blocks bit for bit, for one time and for several
     space = build_space(n)
     transfer = build_transfer_kernels(space)
-    thetas = [0.0, 0.01, 0.3, 2.0]
-    every = transfer.values(thetas)
     tables = _reference_transfer_tables(space)
     offsets = np.cumsum([0] + [t[1].size for t in tables])
-    assert every.shape == (len(thetas), offsets[-1])
-    for first, kernel, (*_, fold) in zip(offsets, transfer.at(thetas), tables):
-        assert np.array_equal(kernel, every[:, first + fold])
-    some = np.concatenate([np.arange(offsets[1]), np.arange(offsets[2] + 1, offsets[-1], 3)])
-    for entries in (some, [0], [offsets[-1] - 1]):
-        subset = build_transfer_kernels(space, entries)
-        assert subset.counts.shape == (n // 2 + 1, len(entries))
-        for times in (thetas, thetas[2:3]):
-            assert np.array_equal(subset.values(times), transfer.values(times)[:, entries])
+    assert transfer.divisor.size == offsets[-1] and len(transfer.places) == len(tables)
+    for first, place, (*_, fold) in zip(offsets, transfer.places, tables):
+        assert np.array_equal(place, first + fold[None])
+    last = n // 2
+    windows = [([0, 1, 2], [[0, 2, 4], [5, 3, 1], [0, 1, 2]]),
+               (np.arange(last + 1, dtype=np.uint8), np.zeros((last + 1, 1), dtype=np.int8)),
+               ([last], [[n % 2]])]
+    subset = build_transfer_kernels(space, windows)
+    read = np.concatenate([transfer.places[s][0][np.ix_(i, i)].ravel()
+                           for sectors, indices in windows for s, i in zip(sectors, indices)])
+    assert subset.divisor.size == np.unique(read).size
+    thetas = [0.0, 0.01, 0.3, 2.0]
+    for times in (thetas, thetas[2:3]):
+        every = [block[:, 0] for block in transfer.values(times)]
+        blocks = list(subset.values(times))
+        assert len(blocks) == len(windows)
+        for (sectors, indices), got in zip(windows, blocks):
+            assert np.array_equal(got, np.stack([every[s][:, i][:, :, i]
+                                                 for s, i in zip(sectors, indices)], axis=1))
 
 
 def test_transfer_kernel_build_holds_little_beside_its_table():
@@ -350,7 +363,7 @@ def test_transfer_kernels_match_the_squaring_oracle(n):
     space = build_space(n)
     lsup = build_dephasing_superoperator(
         space, NoiseSpec(NoiseKind.MARKOVIAN, 0.1, AXIS_Z))
-    kernels = build_transfer_kernels(space).at(KERNEL_THETAS)
+    kernels = _sector_kernels(space, KERNEL_THETAS)
     for got, want in zip(kernels, _squaring_kernels(lsup, KERNEL_THETAS)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-11
@@ -363,7 +376,7 @@ def test_transfer_kernels_match_extended_precision():
     with localcontext() as ctx:
         ctx.prec = 50
         for n in (1, 2, 5, 12, 17, 24):
-            kernels = build_transfer_kernels(build_space(n)).at(KERNEL_THETAS)
+            kernels = _sector_kernels(build_space(n), KERNEL_THETAS)
             for t, theta in enumerate(KERNEL_THETAS):
                 q = (Decimal(-8) * Decimal(theta)).exp()
                 for s, kernel in enumerate(kernels):
@@ -392,7 +405,7 @@ def test_maximal_sector_kernel_is_hamming_decay(n):
     layers = (bits.sum(axis=1)[:, None] == np.arange(n + 1)).astype(float)
     layers /= layers.sum(axis=0)
     thetas = [0.0, 0.01, 0.3, 2.0]
-    kernels = build_transfer_kernels(build_space(n)).at(thetas)[0]
+    kernels = _sector_kernels(build_space(n), thetas)[0]
     for theta, kernel in zip(thetas, kernels):
         expected = layers.T @ np.exp(-4.0 * theta * hamming) @ layers
         assert np.max(np.abs(kernel - expected)) < 1e-13
@@ -474,7 +487,7 @@ def test_transfer_kernels_match_propagate():
         phi = rotation[0].conj().T @ psi
         x = np.outer(phi, phi.conj())
         thetas = [0.0, 0.05, 0.7, 6.0]
-        kernels = build_transfer_kernels(space).at(thetas)
+        kernels = _sector_kernels(space, thetas)
         assert len(kernels) == len(space.sectors)
         for i, theta in enumerate(thetas):
             lab = lsup.propagate(StateVector(space, psi).projector(), theta)
@@ -487,7 +500,7 @@ def test_transfer_kernels_match_propagate():
     phi = np.zeros(7, dtype=complex)
     phi[[0, -1]] = 1.0 / math.sqrt(2.0)
     x = np.outer(phi, phi.conj())
-    kernels = build_transfer_kernels(build_space(6)).at([0.3, 2.0])
+    kernels = _sector_kernels(build_space(6), [0.3, 2.0])
     assert (kernels[0] * x).any()
     assert not any((k * x[s:7 - s, s:7 - s]).any() for s, k in enumerate(kernels) if s)
 
@@ -498,7 +511,7 @@ def test_transfer_kernels_are_a_trace_preserving_transfer(n):
     # maximal-sector population |m><m| is kept over the sectors it reaches
     space = build_space(n)
     thetas = [0.0, 0.01, 0.3, 2.0, 40.0]
-    kernels = build_transfer_kernels(space).at(thetas)
+    kernels = _sector_kernels(space, thetas)
     assert all(k.dtype == float and k.shape == (len(thetas), s.dim, s.dim)
                and np.all(k >= 0.0) for s, k in zip(space.sectors, kernels))
     assert np.all(kernels[0][0] == 1.0)
@@ -520,7 +533,7 @@ def test_dephasing_refuses_a_bad_strength(method, theta):
         if method == "propagate":
             lsup.propagate(rho, theta)
         else:
-            build_transfer_kernels(space).at([0.1, theta])
+            build_transfer_kernels(space).values([0.1, theta])
 
 
 def test_strengths_beyond_the_floats_are_refused():
@@ -538,11 +551,14 @@ def test_strengths_beyond_the_floats_are_refused():
         integrated_strength(mark, times)
     assert str(refused.value) == (
         f"Theta(t) at gamma = 1e+308 overflows from t = {float(times[5])!r}")
-    # a finite theta whose exponential's scaling overflows is refused as well
+    # a finite theta, however large, gives the chains' saturated state, the
+    # one at theta = 10, bit for bit
     space = build_space(2)
-    lsup = build_dephasing_superoperator(space, NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_Z))
-    with pytest.raises(InvalidArgument, match="overflows the scaling of exp"):
-        lsup.propagate(ghz_state(space, "z").projector(), 5e306)
+    lsup = build_dephasing_superoperator(space, NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_DIAG))
+    rho = ghz_state(space, "z").projector()
+    far = lsup.propagate(rho, 5e306)
+    assert np.array_equal(far.ravel(), lsup.propagate(rho, 10.0).ravel())
+    assert abs(sum(np.trace(b) for b in far.blocks) - 1.0) < 1e-12
 
 
 def test_propagate_at_large_n():

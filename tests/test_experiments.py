@@ -104,14 +104,16 @@ def test_sweep_config_validation():
     lambda: gamma_profile(_SPEC, "x"),
     lambda: integrated_strength(_SPEC, "x"),
     lambda: build_dephasing_superoperator(_SPACE, _SPEC).propagate(_RHO, "x"),
-    lambda: build_transfer_kernels(_SPACE).at(["x"]),
-    lambda: build_transfer_kernels(_SPACE, [0, 2]).at([0.1]),
-    lambda: build_transfer_kernels(_SPACE, [2, 0]),
-    lambda: build_transfer_kernels(_SPACE, [1, 1]),
-    lambda: build_transfer_kernels(_SPACE, [-1, 0]),
-    lambda: build_transfer_kernels(_SPACE, [0, 8]),
-    lambda: build_transfer_kernels(_SPACE, [0.0, 1.0]),
-    lambda: build_transfer_kernels(_SPACE, [[0, 1]]),
+    lambda: build_transfer_kernels(_SPACE).values(["x"]),
+    lambda: build_transfer_kernels(_SPACE, []),
+    lambda: build_transfer_kernels(_SPACE, [([2], [[0]])]),
+    lambda: build_transfer_kernels(_SPACE, [([-1], [[0]])]),
+    lambda: build_transfer_kernels(_SPACE, [([1], [[0, 2]])]),
+    lambda: build_transfer_kernels(_SPACE, [([0], [[-1]])]),
+    lambda: build_transfer_kernels(_SPACE, [([0.0], [[0]])]),
+    lambda: build_transfer_kernels(_SPACE, [([0], [[0.5]])]),
+    lambda: build_transfer_kernels(_SPACE, [([0], [0, 1])]),
+    lambda: build_transfer_kernels(_SPACE, [([0, 1], [[0]])]),
     lambda: build_transfer_kernels(_SPACE, "x"),
     lambda: full_gkls_reference(_RHO, _FIELD, _SPEC, "x"),
     lambda: full_hilbert_reference(3, ghz_state(_SPACE, "z"), _FIELD, _SPEC, "x"),
@@ -250,9 +252,11 @@ def test_sweep_config_validation():
         "husimi-normalization-1d", "fit-n-min-text", "fit-n-min-nan", "evolve-t-text",
         "evolve-t-none", "dephase-t-text", "unitary-t-none", "generator-t-text",
         "gamma-profile-t-text", "integrated-strength-t-text", "propagate-theta-text",
-        "kernels-theta-text", "kernels-at-subset", "kernels-entries-unsorted",
-        "kernels-entries-repeated", "kernels-entries-negative", "kernels-entries-past-end",
-        "kernels-entries-float", "kernels-entries-2d", "kernels-entries-text",
+        "kernels-theta-text", "kernels-windows-empty", "kernels-windows-sector-past-end",
+        "kernels-windows-sector-negative", "kernels-windows-index-past-window",
+        "kernels-windows-index-negative", "kernels-windows-sector-float",
+        "kernels-windows-index-float", "kernels-windows-indices-1d",
+        "kernels-windows-count-mismatch", "kernels-windows-text",
         "gkls-reference-t-text", "hilbert-reference-t-text",
         "bound-sim-repetitions-text", "bound-ind-repetitions-text", "qfim-t-text",
         "scan-n-list-none", "degeneracy-j-text",
@@ -767,8 +771,8 @@ def test_individual_chunk_is_at_its_floor_from_n_64():
     sizes = []
     for n in (48, 64, 96):
         cfg = SweepConfig(n_particles=n, scenario=SweepScenario.INDIVIDUAL, grid=SMALL_GRID)
-        groups = experiments._sweep_probes(cfg, build_space(n), cfg.noise_spec())[0]
-        sizes.append(experiments._chunk_size(groups))
+        groups, *_, transfer = experiments._sweep_probes(cfg, build_space(n), cfg.noise_spec())
+        sizes.append(experiments._chunk_size(groups, transfer.divisor.size))
     assert sizes == [2, 1, 1]
 
 

@@ -27,20 +27,16 @@ import numpy as np
 
 from . import __version__
 from . import dynamics
-from .dicke import (BlockOperator, build_space, collective_operator, dicke_dimension,
-                    ghz_state, simultaneous_probe)
-from .dephasing import NoiseKind, NoiseSpec, build_dephasing_superoperator
+from .dicke import _PROBES, BlockOperator, _probe, build_space, collective_operator, dicke_dimension
+from .dephasing import _PROFILES, NoiseKind, NoiseSpec, build_dephasing_superoperator
 from .dynamics import (FieldParams, _parallel, evolve, full_gkls_reference,
                        full_hilbert_reference, unitary)
 from .errors import (AssumptionViolated, ExperimentFailed, InvalidArgument, SingularQfim,
                      SpinsenseError, _count)
-from .estimation import (bound_individual, bound_simultaneous, generator_operator, partial_rho,
-                         qfim)
-from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, SweepConfig,
-                          SweepScenario, TimeGrid, fit_power_law,
-                          husimi_grid, husimi_map, scan_particles, sweep_time)
-
-_PROBES = ("ghz-x", "ghz-y", "ghz-z", "sim")
+from .estimation import (QfimMatrix, bound_individual, bound_simultaneous, generator_operator,
+                         partial_rho, qfim)
+from .experiments import (_DEFAULT_AXIS, _DEFAULT_FIELD, _SCENARIOS, SweepConfig, TimeGrid,
+                          fit_power_law, husimi_grid, husimi_map, scan_particles, sweep_time)
 
 _CRLF = "\r\n"
 
@@ -118,9 +114,8 @@ def _int_list(text):
 _OPTIONS = {
     "n": ("particle count N", _as_int, None, dict(metavar="N")),
     "gamma": ("dephasing rate", _as_float, 0.05, dict(metavar="G")),
-    "kind": ("noise profile", _text, "markovian",
-             dict(choices=["markovian", "nonmarkovian", "none"])),
-    "scenario": ("estimation strategy", _text, "sim", dict(choices=["sim", "ind"])),
+    "kind": ("noise profile", _text, "markovian", dict(choices=[k.value for k in _PROFILES])),
+    "scenario": ("estimation strategy", _text, "sim", dict(choices=[s.value for s in _SCENARIOS])),
     "t-total": ("total time budget T", _as_float, 100.0, dict(metavar="T")),
     "phi": ("field components x,y,z", _triple, _DEFAULT_FIELD, dict(metavar="X,Y,Z")),
     "axis": ("noise axis x,y,z (norm 2)", _triple, _DEFAULT_AXIS, dict(metavar="X,Y,Z")),
@@ -303,10 +298,6 @@ def _require(params, key, command):
     return params[key]
 
 
-def _probe_state(space, name):
-    return simultaneous_probe(space) if name == "sim" else ghz_state(space, name[-1])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ def _run_evolve(run):
     space = build_space(n)
     spec = NoiseSpec(kind=p["kind"], gamma=p["gamma"], axis=p["axis"])
     field = FieldParams(p["phi"])
-    rho0 = _probe_state(space, probe_name).projector()
+    rho0 = _probe(space, probe_name).projector()
     # the split where it holds (_parallel), else the joint integrator
     split = _parallel(field.phi, spec)
     rho = evolve(rho0, field, spec, t).rho if split else full_gkls_reference(rho0, field, spec, t)
@@ -374,7 +365,7 @@ def _sweep_config(params):
 def _run_sweep_time(run):
     config = _sweep_config(run.params)
     result = sweep_time(config)
-    column = "i_sim" if config.scenario is SweepScenario.SIMULTANEOUS else "i_ind"
+    column = f"i_{config.scenario.value}"
     curve = list(zip(result.times, result.bounds))
     return _emit(run, {
         "column": column,
@@ -472,7 +463,7 @@ def _run_husimi(run):
     n = _require(p, "n", "husimi")
     probe_name = p["probe"] or "sim"
     shape = p["grid"]
-    qmap = husimi_map(_probe_state(build_space(n), probe_name), shape)
+    qmap = husimi_map(_probe(build_space(n), probe_name), shape)
     thetas, phis = husimi_grid(shape)
     axes = {"probe": probe_name,
             "theta": [float(v) for v in thetas],
@@ -524,8 +515,7 @@ def _check_commutators(n):
 
 def _check_superoperator(n):
     space = build_space(n)
-    spec = NoiseSpec(kind=NoiseKind.MARKOVIAN, gamma=0.05, axis=_DEFAULT_AXIS)
-    superop = build_dephasing_superoperator(space, spec)
+    superop = build_dephasing_superoperator(space, SweepConfig(n_particles=n).noise_spec())
     rng = np.random.default_rng(20240817)
     worst_tr, worst_h = 0.0, 0.0
     for _ in range(20):
@@ -541,10 +531,9 @@ def _check_superoperator(n):
 
 
 def _check_split_vs_joint(n):
-    space = build_space(n)
-    spec = NoiseSpec(kind=NoiseKind.MARKOVIAN, gamma=0.05, axis=_DEFAULT_AXIS)
-    field = FieldParams(_DEFAULT_FIELD)
-    rho0 = ghz_state(space, "z").projector()
+    space, config = build_space(n), SweepConfig(n_particles=n)
+    spec, field = config.noise_spec(), config.field_params()
+    rho0 = _probe(space, "ghz-z").projector()
     diff = evolve(rho0, field, spec, 2.0).rho.blocks - full_gkls_reference(
         rho0, field, spec, 2.0).blocks
     dist = 0.5 * float(sum(np.sum(np.abs(np.linalg.eigvalsh(b))) for b in diff.blocks))
@@ -557,11 +546,11 @@ def _product_space_deviations(n):
     deviation of the fast path from the product-space oracle, over both
     noise kinds."""
     space = build_space(n)
-    field = FieldParams(_DEFAULT_FIELD)
     moments = state = 0.0
     for kind in (NoiseKind.MARKOVIAN, NoiseKind.NONMARKOVIAN):
-        spec = NoiseSpec(kind=kind, gamma=0.05, axis=_DEFAULT_AXIS)
-        cmp = full_hilbert_reference(n, simultaneous_probe(space), field, spec, 2.0)
+        config = SweepConfig(n_particles=n, kind=kind)
+        cmp = full_hilbert_reference(n, _probe(space, "sim"), config.field_params(),
+                                     config.noise_spec(), 2.0)
         moments = max(moments,
                       float(np.max(np.abs(cmp.first_moments_full - cmp.first_moments_dicke))),
                       float(np.max(np.abs(cmp.second_moments_full - cmp.second_moments_dicke))))
@@ -593,25 +582,27 @@ def _check_finite_differences(n):
 
 def _pointwise_bounds(config):
     """A sweep's coarse bound curve from the public calls at each grid time,
-    evolve -> partial_rho -> qfim -> bound on the rotated state, with
-    the QFIM condition number of each point (of diag(Q_kk) for the
-    individual strategy)."""
+    evolve -> partial_rho -> qfim -> bound on the rotated state, each probe
+    giving Q over the slice it estimates (_SCENARIOS), with the QFIM condition
+    number of each point (of diag(Q_kk) for several probes, bound individually)."""
     space = build_space(config.n_particles)
     spec = config.noise_spec()
     field = config.field_params()
     lsup = build_dephasing_superoperator(space, spec) if spec.gamma > 0.0 else None
-    sim = config.scenario is SweepScenario.SIMULTANEOUS
-    probes = [simultaneous_probe(space)] if sim else [ghz_state(space, a) for a in "xyz"]
+    probes = [(_probe(space, name), axes) for name, axes in _SCENARIOS[config.scenario]]
+    individual = len(probes) > 1
     bounds, conds = [], []
     for t in config.grid.values():
-        results = (evolve(p.projector(), field, spec, t, superoperator=lsup) for p in probes)
-        qs = [qfim(r.rho, [partial_rho(r, field, a) for a in "xyz"], t=t) for r in results]
-        w = np.linalg.eigvalsh(qs[0].entries) if sim else np.array(
-            [q.entries[k, k] for k, q in enumerate(qs)])
+        q = np.zeros((3, 3))
+        for probe, ax in probes:
+            r = evolve(probe.projector(), field, spec, t, superoperator=lsup)
+            q[ax, ax] = qfim(r.rho, [partial_rho(r, field, a) for a in "xyz"]).entries[ax, ax]
+        w = np.diagonal(q) if individual else np.linalg.eigvalsh(q)
         conds.append(w.max() / w.min() if w.min() > 0.0 else math.inf)
         try:
-            bounds.append((bound_simultaneous(qs[0], config.total_time / t) if sim
-                           else bound_individual(*w, config.total_time / t)).value)
+            bounds.append((bound_individual(*w, config.total_time / t) if individual else
+                           bound_simultaneous(QfimMatrix(q, t, space.n_particles),
+                                              config.total_time / t)).value)
         except SingularQfim:
             bounds.append(math.nan)
     return np.array(bounds), np.array(conds)
@@ -627,7 +618,7 @@ def _check_sweep_vs_pointwise(n):
              (NoiseKind.NONE, {"field": (0.02, -0.01, 0.005)}), (NoiseKind.MARKOVIAN, zero),
              (NoiseKind.NONE, zero))
     for config in [SweepConfig(n_particles=n, kind=kind, scenario=scenario, grid=grid, **extra)
-                   for kind, extra in cases for scenario in SweepScenario] + [
+                   for kind, extra in cases for scenario in _SCENARIOS] + [
                        SweepConfig(n_particles=8, grid=grid)]:
         expected, conds = _pointwise_bounds(config)
         try:

@@ -84,25 +84,29 @@ class NoiseSpec:
         object.__setattr__(self, "axis", (vec[0], vec[1], vec[2]))
 
 
+# Each kind's rate gamma_t and its integral Theta(t) from 0, as functions of
+# gamma and t >= 0: a float, or for Theta also an array of times.
+_PROFILES = {NoiseKind.MARKOVIAN: (lambda g, t: g, lambda g, t: g * t),
+             NoiseKind.NONMARKOVIAN: (lambda g, t: g ** 2 * t, lambda g, t: g ** 2 * t ** 2 / 2.0),
+             NoiseKind.NONE: (lambda g, t: 0.0, lambda g, t: 0.0 * t)}
+
+
 def gamma_profile(spec, t):
-    """Instantaneous dephasing rate gamma_t at time t >= 0."""
+    """Instantaneous dephasing rate gamma_t at time t >= 0 (_PROFILES)."""
     t = _nonnegative(t, "t")
-    if _instance(spec, NoiseSpec, "spec").kind is NoiseKind.MARKOVIAN:
-        return spec.gamma
-    if spec.kind is NoiseKind.NONMARKOVIAN:
-        return spec.gamma ** 2 * t
-    return 0.0
+    rate, _ = _PROFILES[_instance(spec, NoiseSpec, "spec").kind]
+    return rate(spec.gamma, t)
 
 
 def integrated_strength(spec, t):
-    """Theta(t) = integral of gamma_t from 0 to t; the natural evolution clock.
-    A float for one time t, an array for an array of times; a Theta beyond
-    the floats is refused, naming the first t that reaches it."""
+    """Theta(t) = integral of gamma_t from 0 to t (_PROFILES); the natural
+    evolution clock. A float for one time t, an array for an array of times;
+    a Theta beyond the floats is refused, naming the first t that reaches it."""
     t = _nonnegative(t, "t") if np.ndim(t) == 0 else _strengths(t, "t")
-    nonmarkovian = _instance(spec, NoiseSpec, "spec").kind is NoiseKind.NONMARKOVIAN
-    try:  # gamma is 0 without noise; a float's ** raises where an array's gives inf
+    _, strength = _PROFILES[_instance(spec, NoiseSpec, "spec").kind]
+    try:  # a float's ** raises where an array's gives inf
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = spec.gamma ** 2 * t ** 2 / 2.0 if nonmarkovian else spec.gamma * t
+            theta = strength(spec.gamma, t)
     except OverflowError:
         theta = math.inf
     if not np.all(np.isfinite(theta)):

@@ -365,17 +365,19 @@ def coherent_state(space, theta, phi):
     return _power_state(space, [[math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(-1j * phi)]])
 
 
-# Seed direction (theta, phi) for each Cartesian axis; the partner branch of
-# the superposition sits at the antipode (pi - theta, phi + pi).
-_GHZ_SEEDS = {"x": (np.pi / 2.0, 0.0), "y": (np.pi / 2.0, np.pi / 2.0), "z": (0.0, 0.0)}
+# Each probe by name: the one-spin states (cos(theta/2), sin(theta/2) e^{-i phi}), as rows,
+# whose N-fold powers are its branches (_power_state). A GHZ probe has two, along its axis
+# (theta, phi) and the antipode (pi - theta, phi + pi); the joint probe the three GHZ probes' six.
+_PROBES = {f"ghz-{axis}": np.array([[math.cos(t / 2.0), math.sin(t / 2.0) * np.exp(-1j * p)]
+                                    for t, p in ((theta, phi), (np.pi - theta, phi + np.pi))])
+           for axis, theta, phi in (("x", np.pi / 2.0, 0.0), ("y", np.pi / 2.0, np.pi / 2.0),
+                                    ("z", 0.0, 0.0))}
+_PROBES["sim"] = np.concatenate(list(_PROBES.values()))
 
 
-def _ghz_spinors(axis):
-    """The one-spin states (cos(theta/2), sin(theta/2) e^{-i phi}) whose N-fold
-    powers are the two branches of ghz_state(space, axis), as rows."""
-    theta, phi = _GHZ_SEEDS[axis]
-    return np.array([[math.cos(t / 2.0), math.sin(t / 2.0) * np.exp(-1j * p)]
-                     for t, p in ((theta, phi), (np.pi - theta, phi + np.pi))])
+def _probe(space, name):
+    """The probe of that name (_PROBES) as a StateVector."""
+    return _power_state(space, _PROBES[name])
 
 
 def ghz_state(space, axis):
@@ -385,13 +387,13 @@ def ghz_state(space, axis):
     powers has norm sqrt(2) up to rounding; it is normalised numerically. The
     phase convention is that of the coherent-state construction.
     """
-    if axis not in _GHZ_SEEDS:
+    if f"ghz-{axis}" not in _PROBES:
         raise InvalidArgument(f"axis must be one of ('x', 'y', 'z'), got {axis!r}")
-    return _power_state(space, _ghz_spinors(axis))
+    return _probe(space, f"ghz-{axis}")
 
 
 def simultaneous_probe(space):
     """Normalized sum of the three axis superposition states: the six powers
     of their branches, summed and normalized numerically (_power_state), as
     the three components interfere."""
-    return _power_state(space, np.concatenate([_ghz_spinors(a) for a in _GHZ_SEEDS]))
+    return _probe(space, "sim")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import StateVector, _ghz_spinors, _spinor_powers, build_space
+from .dicke import _PROBES, StateVector, _spinor_powers, build_space
 from .dephasing import (NoiseKind, NoiseSpec, _frame_rotation, build_transfer_kernels,
                         integrated_strength)
 from .dynamics import _AXES, _PAULI, FieldParams, _parallel, _rotation_integral
@@ -56,6 +56,13 @@ class SweepScenario(str, enum.Enum):
 
     SIMULTANEOUS = "sim"
     INDIVIDUAL = "ind"
+
+
+# Each scenario's probes (dicke._PROBES) and the slice of (x, y, z) each estimates; several
+# probes run one experiment each, on an equal share of the shots (_qfim_bounds' individual).
+_SCENARIOS = {SweepScenario.SIMULTANEOUS: (("sim", slice(0, 3)),),
+              SweepScenario.INDIVIDUAL: (("ghz-x", slice(0, 1)), ("ghz-y", slice(1, 2)),
+                                         ("ghz-z", slice(2, 3)))}
 
 
 @dataclass(frozen=True)
@@ -149,34 +156,29 @@ _TAU = 1e-13
 
 
 def _frame_probes(scenario, n, axis):
-    """The scenario's probes in the frame of a nonzero axis, in closed form,
-    and the R of that frame (_frame_rotation).
+    """The scenario's probes (_SCENARIOS) in the frame of a nonzero axis, in
+    closed form, and the R of that frame (_frame_rotation).
 
-    Each branch of a GHZ probe is the N-fold power of a one-spin state xi
-    (_ghz_spinors), so its maximal-sector amplitudes in the frame are the
+    Each branch of a probe is the N-fold power of a one-spin state xi
+    (dicke._PROBES), so its maximal-sector amplitudes in the frame are the
     terms sqrt(C(N, k)) a^(N-k) b^k (_spinor_powers), with (a, b) = u^dag xi and
-    u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U. A GHZ
-    probe sums its two branches and the joint probe all six, normalised.
-    Symmetries of the axis make some amplitudes cancel and some probes share
-    their moduli (on a body diagonal the 3-fold rotation about it is a
-    diagonal phase in the frame), which the amplitudes show to rounding, at
-    most _TAU times the sum of an entry's term moduli: an amplitude within
-    it is a cancellation zero, set to exactly 0, and a probe joins a group
-    when its moduli agree with the group's within it. Returns the groups,
-    [(|phi|, [(e, axes), ...]), ...] in the order x, y, z: phi = |phi| e with
-    the group's |phi| and the probe's own e, 1 at the zeros, and axes the
-    slice of (x, y, z) a probe is differentiated along.
+    u = exp(-i beta k . sigma / 2) the spin-1/2 form of axis_frame's U; a probe
+    sums its branches, normalised. Symmetries of the axis make some amplitudes
+    cancel and some probes share their moduli (on a body diagonal the 3-fold
+    rotation about it is a diagonal phase in the frame), which the amplitudes
+    show to rounding, at most _TAU times the sum of an entry's term moduli: an
+    amplitude within it is a cancellation zero, set to exactly 0, and a probe
+    joins a group when its moduli agree with the group's within it. Returns
+    the groups, [(|phi|, [(e, axes), ...]), ...] in the scenario's order: phi
+    = |phi| e with the group's |phi| and the probe's own e, 1 at the zeros,
+    and axes the slice of (x, y, z) a probe is differentiated along.
     """
     beta, k, r = _frame_rotation(axis)
     u_dag = math.cos(beta / 2.0) * np.eye(2) \
         + 1j * math.sin(beta / 2.0) * (k @ _SIGMA.reshape(3, 4)).reshape(2, 2)
-    terms = _spinor_powers(n, np.array([_ghz_spinors(c) @ u_dag.T for c in _AXES]))
-    if scenario is SweepScenario.SIMULTANEOUS:
-        probes = [(terms.reshape(6, n + 1), slice(0, 3))]
-    else:
-        probes = [(branches, slice(i, i + 1)) for i, branches in enumerate(terms)]
     groups = []
-    for branches, axes in probes:
+    for name, axes in _SCENARIOS[scenario]:
+        branches = _spinor_powers(n, _PROBES[name] @ u_dag.T)
         phi = branches.sum(axis=0)
         rounding = _TAU * np.abs(branches).sum(axis=0)
         phi[np.abs(phi) <= rounding] = 0.0
@@ -350,7 +352,7 @@ def _bounds_on_grid(config, qfims, size, times):
     for first, stop in zip(edges, edges[1:]):
         chunk = times[first:stop]
         values[first:stop], _, fault = _qfim_bounds(
-            qfims(chunk), config.total_time / chunk, config.scenario is SweepScenario.INDIVIDUAL)
+            qfims(chunk), config.total_time / chunk, len(_SCENARIOS[config.scenario]) > 1)
         if fault is not None:
             raise NumericalError(f"invalid QFIM at t={chunk[fault[0]]:.6g}: {fault[1]}")
     return values
@@ -374,16 +376,15 @@ def _noiseless_grams(scenario, n):
     Re<J_b J_c> - <J_b><J_c> (Paris, Int. J. Quantum Inf. 7, 125 (2009)),
     which v = (J_x, J_y, J_z) psi gives as Re(v^* v^T) - e e^T, e = Re(psi^dag
     v), for psi its branches' powers summed and normalised."""
-    sim = scenario is SweepScenario.SIMULTANEOUS
-    psi = _spinor_powers(n, np.array([_ghz_spinors(c) for c in _AXES])).reshape(
-        1 if sim else 3, -1, n + 1).sum(axis=1)
+    probes = _SCENARIOS[scenario]
+    psi = np.array([_spinor_powers(n, _PROBES[name]).sum(axis=0) for name, _ in probes])
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     ladder = np.sqrt(np.arange(n + 2) * (n + 1.0 - np.arange(n + 2)))  # 0 where rolls wrap
     plus, minus = ladder[1:] * np.roll(psi, -1, 1), ladder[:-1] * np.roll(psi, 1, 1)  # J_+- psi
     v = np.stack(((plus + minus) / 2, (plus - minus) / 2j, (n / 2.0 - np.arange(n + 1)) * psi), 1)
     e = (v @ psi[..., None].conj())[..., 0].real
     sigma = (v.conj() @ np.swapaxes(v, -1, -2)).real - e[:, :, None] * e[:, None, :]
-    return list(zip([slice(0, 3)] if sim else [slice(k, k + 1) for k in range(3)], 4.0 * sigma))
+    return list(zip([axes for _, axes in probes], 4.0 * sigma))
 
 
 def _first_dip(values):

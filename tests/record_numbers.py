@@ -12,10 +12,25 @@ Record again only in a change that moves numbers on purpose, and state the
 largest move per field in CHANGES.md. From the repository root:
 
     PYTHONPATH=src python3 tests/record_numbers.py
+
+`--out FILE` writes the records elsewhere and `--check FILE` (numbers.json
+by default) records every case again and compares it with FILE bit for bit,
+without writing: it names each case that moved and exits 1 if any did. A
+change that must keep every number records the parent's numbers, here from
+a checkout of the parent commit in ../parent, and checks its own against them:
+
+    PYTHONPATH=../parent/src python3 tests/record_numbers.py --out parent.json
+    PYTHONPATH=src python3 tests/record_numbers.py --check parent.json
+
+numbers.json may be older than the code, as test_numbers.py's tolerances
+admit rounding moves; `--check` against it then names the cases that moved
+by rounding since it was recorded.
 """
 
+import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 from spinsense import NoiseKind, SpinsenseError, SweepConfig, SweepScenario, TimeGrid, sweep_time
@@ -48,11 +63,32 @@ def record(config):
             "bounds": [None if math.isnan(v) else float(v) for v in result.bounds]}
 
 
-def main():
-    lines = [f"{json.dumps(name)}: {json.dumps(record(config))}" for name, config in cases()]
-    PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(lines)} sweeps to {PATH}")
+def moved(recorded, fresh):
+    """The names of the cases whose records differ, in order: a case missing
+    on one side counts, and floats compare bit for bit (as JSON keeps them)."""
+    return [name for name in dict.fromkeys([*recorded, *fresh])
+            if recorded.get(name) != fresh.get(name)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Record the sweeps of numbers.json.")
+    parser.add_argument("--out", type=Path, default=PATH, metavar="FILE",
+                        help="where to write the records (default: numbers.json)")
+    parser.add_argument("--check", type=Path, nargs="?", const=PATH, metavar="FILE",
+                        help="compare with FILE (default: numbers.json) instead of writing")
+    args = parser.parse_args(argv)
+    fresh = {name: record(config) for name, config in cases()}
+    if args.check is not None:
+        names = moved(json.loads(args.check.read_text()), fresh)
+        for name in names:
+            print(f"moved: {name}")
+        print(f"{len(names)} of {len(fresh)} sweeps moved from {args.check}")
+        return 1 if names else 0
+    lines = [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in fresh.items()]
+    args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(lines)} sweeps to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,7 +21,9 @@ from spinsense import (ExperimentFailed, FieldParams, NoiseSpec, SweepConfig, Ti
                        husimi_map, simultaneous_probe, sweep_time)
 from spinsense import cli, dynamics
 from spinsense.cli import _COMMANDS, _build_meta, _build_parser, _resolve, main
-from spinsense.experiments import _DEFAULT_AXIS
+from spinsense.dephasing import _PROFILES
+from spinsense.dicke import _PROBES
+from spinsense.experiments import _DEFAULT_AXIS, _SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +99,16 @@ def test_scan_takes_workers_1_and_it_changes_nothing(tmp_path, capsys):
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "n,scenario,kind,t_opt,i_min,boundary"
     assert lines[-1] == "# dropped = none"
+
+
+def test_choices_are_the_keys_of_the_model_tables():
+    # --probe, --scenario and --kind offer what the probe, scenario and kind
+    # tables define, in their order, and nothing else
+    choices = {key: cli._OPTIONS[key][3]["choices"] for key in ("probe", "scenario", "kind")}
+    assert choices == {"probe": list(_PROBES), "scenario": [s.value for s in _SCENARIOS],
+                       "kind": [k.value for k in _PROFILES]}
+    assert choices == {"probe": ["ghz-x", "ghz-y", "ghz-z", "sim"], "scenario": ["sim", "ind"],
+                       "kind": ["markovian", "nonmarkovian", "none"]}
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -676,11 +688,11 @@ def test_module_entry_point():
 def test_console_script_installed():
     # The declared console script is loaded and run the way pip's wrapper
     # runs it, so the check needs no install; an installed script on PATH
-    # is run as well.
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["spinsense"]
+    # is run as well. The entry is read from its [project.scripts] table by
+    # hand, as tomllib is new in Python 3.11 and the package supports 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^spinsense\s*=\s*"([^"]+)"$', scripts, re.M).group(1)
     assert EntryPoint("spinsense", target, "console_scripts").load() is main
 
     wrapper = ("import sys; from importlib.metadata import EntryPoint; "

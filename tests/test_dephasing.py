@@ -76,6 +76,22 @@ def test_integrated_strength_takes_an_array_of_times(kind):
     assert integrated_strength(spec, times.reshape(3, 19)).shape == (3, 19)
 
 
+@pytest.mark.parametrize("gamma", [0.05, 0.7])
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_rate_is_the_derivative_of_the_strength(kind, gamma):
+    # each row of the kind table pairs gamma_t with its own integral Theta(t),
+    # as the sweep reads Theta and the joint integrators gamma_t: Theta(0) = 0,
+    # and central differences of Theta with step h = 1e-4 t match gamma_t to
+    # 1e-9 relative (Theta's rounding over h is about 1e-12 relative here; a
+    # smooth profile's h^2 term is 2e-9 t^2 |d^3 Theta / dt^3| / gamma_t)
+    spec = NoiseSpec(kind, gamma, AXIS_Z)
+    assert integrated_strength(spec, 0.0) == 0.0
+    for t in (0.3, 1.0, 4.0, 17.0, 60.0):
+        h = 1e-4 * t
+        slope = (integrated_strength(spec, t + h) - integrated_strength(spec, t - h)) / (2.0 * h)
+        assert slope == pytest.approx(gamma_profile(spec, t), rel=1e-9, abs=1e-15), t
+
+
 def test_negative_time_rejected():
     spec = NoiseSpec(NoiseKind.MARKOVIAN, 0.05, AXIS_Z)
     with pytest.raises(InvalidArgument):

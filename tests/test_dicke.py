@@ -10,7 +10,7 @@ from spinsense import (BlockOperator, DensityOperator, FieldParams, InvalidArgum
                        collective_operator, coupled_multiplets, cumulative_degeneracy, degeneracy,
                        dicke_dimension, embed_collective, evolve, full_hilbert_reference,
                        ghz_state, simultaneous_probe)
-from spinsense.dicke import _ghz_spinors, _spinor_powers
+from spinsense.dicke import _PROBES, _spinor_powers
 
 SQ3 = math.sqrt(3.0)
 
@@ -290,11 +290,11 @@ def test_probe_norms_before_normalisation_stay_above_one():
     # cross terms those of perpendicular branches, of modulus 2^(-N/2)
     theta, phi = 1.1, 0.4
     coherent = [[math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(-1j * phi)]]
-    ghz = [_ghz_spinors(a) for a in "xyz"]
+    ghz = [_PROBES[f"ghz-{a}"] for a in "xyz"]
     lowest = math.inf
     for n in range(1, 601):
         norms = [np.linalg.norm(_spinor_powers(n, spinors).sum(axis=0))
-                 for spinors in [coherent, *ghz, np.concatenate(ghz)]]
+                 for spinors in [coherent, *ghz, _PROBES["sim"]]]
         assert abs(norms[0] - 1.0) < 1e-12
         assert all(abs(g - math.sqrt(2.0)) < 1e-12 for g in norms[1:4])
         lowest = min(lowest, norms[4])

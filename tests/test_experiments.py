@@ -28,8 +28,9 @@ from spinsense import (AssumptionViolated, BlockOperator, DensityOperator, Exper
                        sweep_time, unitary)
 from spinsense import estimation, experiments
 from spinsense.cli import _pointwise_bounds
-from spinsense.dephasing import (ChainBatch, TransferKernels, _frame_rotation, axis_frame,
-                                 build_dephasing_superoperator)
+from spinsense.dephasing import (_PROFILES, ChainBatch, TransferKernels, _frame_rotation,
+                                 axis_frame, build_dephasing_superoperator)
+from spinsense.dicke import _PROBES
 from spinsense.experiments import _first_dip, _parabolic_minimum
 
 SMALL_GRID = TimeGrid(count=24, start=0.05, stop=100.0)
@@ -242,6 +243,7 @@ def test_sweep_config_validation():
     lambda: collective_operator(_SPACE, "w"),
     lambda: coherent_state(_SPACE, math.nan, 0.0),
     lambda: ghz_state(_SPACE, "w"),
+    lambda: ghz_state(_SPACE, ["x"]),
     lambda: coupled_multiplets(13),
     lambda: embed_collective(_RHO, {3: [np.zeros((4, 4))], 1: [np.zeros((2, 8))] * 2}),
     lambda: full_hilbert_reference(3, ghz_state(build_space(4), "z"), _FIELD, _SPEC, 1.0),
@@ -299,7 +301,7 @@ def test_sweep_config_validation():
         "husimi-normalization-dim-nan", "husimi-normalization-dim-inf",
         "husimi-normalization-dim-negative", "husimi-normalization-dim-zero",
         "collective-operator-kind-w", "coherent-theta-nan", "ghz-axis-w",
-        "coupled-multiplets-past-cap", "embed-collective-rows-shape",
+        "ghz-axis-list", "coupled-multiplets-past-cap", "embed-collective-rows-shape",
         "hilbert-reference-other-n"])
 def test_library_inputs_raise_invalid_argument(call):
     # refused with the typed error, never as a bare TypeError or ValueError
@@ -561,6 +563,17 @@ def test_sweep_diagonalises_real_blocks(monkeypatch, kind, scenario):
 
 _DEFAULT = SweepConfig(n_particles=1).axis
 BODY_DIAGONALS = [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
+
+
+def test_model_tables_cover_every_choice():
+    # each scenario names probes of the probe table whose slices of (x, y, z)
+    # cover every component once, and the kind table has a row per kind, so
+    # the sweep, the pointwise oracle and the CLI read one definition of each
+    assert list(experiments._SCENARIOS) == list(SweepScenario)
+    for rows in experiments._SCENARIOS.values():
+        assert all(name in _PROBES for name, _ in rows)
+        assert sorted(k for _, axes in rows for k in range(3)[axes]) == [0, 1, 2]
+    assert list(_PROFILES) == list(NoiseKind)
 
 
 @pytest.mark.parametrize("axis", BODY_DIAGONALS + [
